@@ -13,7 +13,7 @@
 //! Since the trace-store rework, `ReplayTracker` no longer materializes
 //! every snapshot in memory: the recording is folded into a compressed,
 //! indexed [`trace::Store`] (keyframes + deltas), states are decoded on
-//! demand through a per-reader segment cache, and random access —
+//! demand one pause at a time through a per-reader cache, and random access —
 //! [`ReplayTracker::seek`] — is O(log n) instead of a linear re-drive.
 //! One `Arc<trace::Store>` can back any number of concurrently scrubbing
 //! replay trackers, and history queries ([`ReplayTracker::last_change`],
@@ -187,7 +187,7 @@ impl ReplayTracker {
 
     /// Replays a shared trace store. Many trackers can scrub one
     /// `Arc<trace::Store>` concurrently; each keeps its own position,
-    /// control points, decoded-segment cache and metrics.
+    /// control points, decode caches and metrics.
     pub fn from_store(store: Arc<trace::Store>) -> Self {
         Self::from_store_with_registry(store, obs::Registry::new())
     }
@@ -361,7 +361,7 @@ impl ReplayTracker {
     }
 
     /// Derives the sticky-watch timeline for `variable` in one sequential
-    /// pass over the store (each segment decoded once).
+    /// pass over the store (each record decompressed once).
     fn build_watch_timeline(&self, variable: &str) -> WatchTimeline {
         let n = self.len();
         let mut visible = Vec::with_capacity(n);

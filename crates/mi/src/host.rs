@@ -580,7 +580,7 @@ fn open_session(
 /// Opens a replay session over a recording on the host's trace shelf.
 /// The shared `Arc<trace::Store>` is cloned, never the recording itself:
 /// every replay session scrubs the same bytes with its own cursor,
-/// segment cache, and registry.
+/// decode caches, and registry.
 fn open_replay(shared: &Arc<HostShared>, conn: u64, tx: &SharedTx, name: &str) -> Response {
     if let Some(cap) = shared.config.max_sessions {
         let open = shared.sessions.lock().expect("session table").len();

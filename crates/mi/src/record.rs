@@ -14,7 +14,8 @@
 //! host shelves recordings published with [`Command::PublishTrace`] and
 //! opens any number of replay sessions over one shelved store with
 //! [`Command::OpenReplay`] — record once, scrub many, each reader with
-//! its own cursor, segment cache, and metrics.
+//! its own cursor, decode caches, and metrics. Publishing shares the
+//! recording's `Arc`; it never copies the store.
 
 use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
@@ -84,14 +85,17 @@ fn inspect_recorded(st: &ProgramState, cmd: &Command) -> Response {
 pub struct RecordingEngine<E> {
     inner: E,
     shelf: Option<TraceShelf>,
-    store: Option<trace::Store>,
+    /// The recording, shared with the shelf once published; a pause
+    /// recorded after that copies it first.
+    store: Option<Arc<trace::Store>>,
     started: bool,
     finished: bool,
     /// Output captured from the inner engine but not yet drained by the
     /// client's own `GetOutput`.
     pending_out: String,
-    /// Recorded pause the inspection cursor points at; `None` = live.
-    cursor: Option<u64>,
+    /// Recorded state the inspection cursor points at, decoded once by
+    /// `Seek`; `None` = live.
+    cursor: Option<ProgramState>,
 }
 
 impl<E: Engine> RecordingEngine<E> {
@@ -120,7 +124,7 @@ impl<E: Engine> RecordingEngine<E> {
 
     /// The recording built so far, if armed.
     pub fn store(&self) -> Option<&trace::Store> {
-        self.store.as_ref()
+        self.store.as_deref()
     }
 
     /// Captures the pause a control command just produced (or the exit
@@ -142,7 +146,7 @@ impl<E: Engine> RecordingEngine<E> {
             };
             self.pending_out.push_str(&delta);
             if let Some(store) = self.store.as_mut() {
-                store.push(&st, &delta);
+                Arc::make_mut(store).push(&st, &delta);
             }
         } else if !self.finished {
             self.finished = true;
@@ -151,7 +155,7 @@ impl<E: Engine> RecordingEngine<E> {
                 if !tail.is_empty() {
                     self.pending_out.push_str(&tail);
                     if let Some(store) = self.store.as_mut() {
-                        store.append_output_to_last(&tail);
+                        Arc::make_mut(store).append_output_to_last(&tail);
                     }
                 }
             }
@@ -160,6 +164,7 @@ impl<E: Engine> RecordingEngine<E> {
                 _ => None,
             };
             if let Some(store) = self.store.as_mut() {
+                let store = Arc::make_mut(store);
                 store.set_exit_code(code);
                 store.freeze();
             }
@@ -180,7 +185,7 @@ impl<E: Engine> RecordingEngine<E> {
                 Some(store) => Response::TraceStats {
                     pauses: store.len(),
                     keyframes: store.keyframes(),
-                    bytes: store.to_bytes().len() as u64,
+                    bytes: store.disk_bytes(),
                 },
                 None => no_recording(),
             }),
@@ -204,7 +209,11 @@ impl<E: Engine> RecordingEngine<E> {
                 }
             }
         };
-        self.store = Some(trace::Store::new(file, source, keyframe_every.max(1)));
+        self.store = Some(Arc::new(trace::Store::new(
+            file,
+            source,
+            keyframe_every.max(1),
+        )));
         Response::Ok
     }
 
@@ -214,8 +223,9 @@ impl<E: Engine> RecordingEngine<E> {
         };
         match store.state_at(pause) {
             Ok(st) => {
-                self.cursor = Some(pause);
-                Response::Paused(st.reason)
+                let reason = st.reason.clone();
+                self.cursor = Some(st);
+                Response::Paused(reason)
             }
             Err(e) => Response::Error { message: e },
         }
@@ -245,12 +255,10 @@ impl<E: Engine> RecordingEngine<E> {
         let Some(store) = &self.store else {
             return no_recording();
         };
-        let mut frozen = store.clone();
-        frozen.freeze();
         shelf
             .lock()
             .unwrap()
-            .insert(name.to_string(), Arc::new(frozen));
+            .insert(name.to_string(), Arc::clone(store));
         Response::Ok
     }
 }
@@ -295,16 +303,12 @@ impl<E: Engine> Engine for RecordingEngine<E> {
             self.after_control(&resp);
             return resp;
         }
-        if let Some(n) = self.cursor {
+        if let Some(st) = &self.cursor {
             if matches!(
                 cmd,
                 Command::GetState | Command::GetGlobals | Command::GetVariable { .. }
             ) {
-                let store = self.store.as_ref().expect("cursor implies a store");
-                return match store.state_at(n) {
-                    Ok(st) => inspect_recorded(&st, &cmd),
-                    Err(e) => Response::Error { message: e },
-                };
+                return inspect_recorded(st, &cmd);
             }
         }
         if cmd == Command::GetOutput && self.store.is_some() {
@@ -343,8 +347,9 @@ impl<E: Engine> Engine for RecordingEngine<E> {
 ///
 /// Control commands move a cursor over the recorded pauses (`Next` and
 /// `Finish` use the store's depth column, so they do not even decode
-/// skipped states); `Seek` jumps anywhere in O(log n); inspections are
-/// served through a per-reader segment cache. Mutating commands
+/// skipped states); `Seek` jumps anywhere in O(log n) and decodes only
+/// the pause it lands on; inspections are served from the reader's
+/// decoded-state cache. Mutating commands
 /// (breakpoints, sanitizer, limits) are rejected: a replay session is a
 /// read-only view, shared with every other reader of the same store.
 pub struct ReplayEngine {
@@ -358,15 +363,14 @@ pub struct ReplayEngine {
     out_released: u64,
     /// Pauses whose output the client has already drained.
     out_drained: u64,
-    /// Serialized size, computed once (the store is frozen).
-    disk_bytes: u64,
 }
 
 impl ReplayEngine {
     /// Opens a reader over a shared store; metrics go to `registry`.
+    /// O(1) in the recording's length: nothing is decoded or serialized
+    /// until a command needs it.
     #[must_use]
     pub fn new(store: Arc<trace::Store>, registry: obs::Registry) -> Self {
-        let disk_bytes = store.to_bytes().len() as u64;
         ReplayEngine {
             reader: trace::TraceReader::new(store, registry),
             shelf: None,
@@ -374,7 +378,6 @@ impl ReplayEngine {
             finished: false,
             out_released: 0,
             out_drained: 0,
-            disk_bytes,
         }
     }
 
@@ -517,14 +520,11 @@ impl Engine for ReplayEngine {
             Command::TraceStats => Response::TraceStats {
                 pauses: self.store().len(),
                 keyframes: self.store().keyframes(),
-                bytes: self.disk_bytes,
+                bytes: self.store().disk_bytes(),
             },
             Command::PublishTrace { name } => match &self.shelf {
                 Some(shelf) => {
-                    shelf
-                        .lock()
-                        .unwrap()
-                        .insert(name, self.store().as_ref().clone().into());
+                    shelf.lock().unwrap().insert(name, Arc::clone(self.store()));
                     Response::Ok
                 }
                 None => Response::Error {
@@ -620,6 +620,45 @@ mod tests {
             eng.handle(Command::SetBreakLine { line: 3 }),
             Response::Error { .. }
         ));
+    }
+
+    #[test]
+    fn publish_shares_the_recording_and_later_pauses_copy_it() {
+        let src =
+            "int main() {\n    int x = 1;\n    x = x + 1;\n    x = x + 2;\n    return x;\n}\n";
+        let program = minic::compile("p.c", src).unwrap();
+        let shelf = new_shelf();
+        let inner = crate::minic_engine::MinicEngine::new(&program);
+        let mut eng = RecordingEngine::with_shelf(inner, Some(shelf.clone()));
+        assert_eq!(
+            eng.handle(Command::Record { keyframe_every: 4 }),
+            Response::Ok
+        );
+        eng.handle(Command::Start);
+        eng.handle(Command::Step);
+        assert_eq!(
+            eng.handle(Command::PublishTrace { name: "mid".into() }),
+            Response::Ok
+        );
+        let shelved = shelf.lock().unwrap()["mid"].clone();
+        assert!(
+            std::ptr::eq(shelved.as_ref(), eng.store().unwrap()),
+            "publishing copied the store"
+        );
+        let published = shelved.len();
+        eng.handle(Command::Step);
+        assert_eq!(shelved.len(), published, "a later pause reached a reader");
+        assert_eq!(eng.store().unwrap().len(), published + 1);
+        // After a seek, inspections answer with the recorded state.
+        assert_eq!(
+            eng.handle(Command::Seek { pause: 0 }),
+            Response::Paused(PauseReason::Started)
+        );
+        let recorded = shelved.state_at(0).unwrap();
+        assert_eq!(
+            eng.handle(Command::GetState),
+            Response::State(Box::new(recorded))
+        );
     }
 
     #[test]

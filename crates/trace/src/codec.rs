@@ -17,6 +17,9 @@ const MIN_MATCH: usize = 4;
 const MAX_CHAIN: usize = 48;
 /// Hash table size (power of two).
 const HASH_BITS: u32 = 14;
+/// Largest uncompressed length [`decompress`] accepts; a header claiming
+/// more is treated as corrupt rather than allocated.
+pub const MAX_RAW_LEN: u64 = 1 << 28;
 
 /// Appends `v` as an unsigned LEB128 varint.
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -144,39 +147,48 @@ pub fn compress(dict: &[u8], data: &[u8]) -> Vec<u8> {
 }
 
 /// Inverse of [`compress`]; `dict` must be byte-identical to the one used
-/// at compression time.
+/// at compression time. Corrupt input is an error, never a panic, and
+/// never decodes past the length its header declares (at most
+/// [`MAX_RAW_LEN`]).
 pub fn decompress(dict: &[u8], comp: &[u8]) -> Result<Vec<u8>, String> {
     let mut pos = 0usize;
-    let raw_len = get_varint(comp, &mut pos)? as usize;
+    let raw_len = get_varint(comp, &mut pos)?;
+    if raw_len > MAX_RAW_LEN {
+        return Err(format!(
+            "lz: declared length {raw_len} exceeds {MAX_RAW_LEN}"
+        ));
+    }
+    let raw_len = raw_len as usize;
     let mut out: Vec<u8> = Vec::with_capacity(raw_len);
     while out.len() < raw_len {
-        let lit_len = get_varint(comp, &mut pos)? as usize;
-        let end = pos
-            .checked_add(lit_len)
+        let room = raw_len - out.len();
+        let lit_len = get_varint(comp, &mut pos)?;
+        let end = usize::try_from(lit_len)
+            .ok()
+            .filter(|&l| l <= room)
+            .and_then(|l| pos.checked_add(l))
             .filter(|&e| e <= comp.len())
             .ok_or_else(|| "lz: literal run past end of input".to_string())?;
         out.extend_from_slice(&comp[pos..end]);
         pos = end;
-        let code = get_varint(comp, &mut pos)? as usize;
+        let code = get_varint(comp, &mut pos)?;
         if code == 0 {
             break;
         }
-        let mlen = code + MIN_MATCH - 1;
-        let dist = get_varint(comp, &mut pos)? as usize;
+        let room = raw_len - out.len();
+        let mlen = usize::try_from(code)
+            .ok()
+            .and_then(|c| c.checked_add(MIN_MATCH - 1))
+            .filter(|&m| m <= room)
+            .ok_or_else(|| format!("lz: copy of code {code} past the declared length"))?;
+        let dist = get_varint(comp, &mut pos)?;
         let vpos = dict.len() + out.len();
-        if dist == 0 || dist > vpos {
-            return Err(format!("lz: copy distance {dist} out of range"));
-        }
-        // Overlapping copies (dist < mlen) must read bytes produced by
-        // this same match, so copy one byte at a time by index.
-        for src in (vpos - dist)..(vpos - dist + mlen) {
-            let b = if src < dict.len() {
-                dict[src]
-            } else {
-                out[src - dict.len()]
-            };
-            out.push(b);
-        }
+        let src = usize::try_from(dist)
+            .ok()
+            .filter(|&d| d != 0 && d <= vpos)
+            .map(|d| vpos - d)
+            .ok_or_else(|| format!("lz: copy distance {dist} out of range"))?;
+        copy_match(dict, &mut out, src, mlen);
     }
     if out.len() != raw_len {
         return Err(format!(
@@ -185,6 +197,27 @@ pub fn decompress(dict: &[u8], comp: &[u8]) -> Result<Vec<u8>, String> {
         ));
     }
     Ok(out)
+}
+
+/// Appends `len` bytes starting at `src` in the virtual buffer
+/// `dict ++ out` to `out`, in slices rather than bytes. An overlapping
+/// copy (source closer than `len` behind the end) repeats the bytes it
+/// has just produced, one period per slice.
+fn copy_match(dict: &[u8], out: &mut Vec<u8>, src: usize, mut len: usize) {
+    let mut from = if src < dict.len() {
+        let n = len.min(dict.len() - src);
+        out.extend_from_slice(&dict[src..src + n]);
+        len -= n;
+        0 // any remainder continues at the head of `out`
+    } else {
+        src - dict.len()
+    };
+    while len > 0 {
+        let n = len.min(out.len() - from);
+        out.extend_from_within(from..from + n);
+        from += n;
+        len -= n;
+    }
 }
 
 #[cfg(test)]
@@ -283,5 +316,42 @@ mod tests {
         put_varint(&mut evil, 3); // match of 6
         put_varint(&mut evil, 99); // distance 99: out of range
         assert!(decompress(b"", &evil).is_err());
+    }
+
+    #[test]
+    fn matches_spanning_dictionary_and_output() {
+        // A period-3 run copied out of the dictionary's tail and then out
+        // of its own output: one match crosses the boundary and overlaps.
+        let dict = b"....xyzxyz";
+        let data = b"xyzxyzxyzxyzxyzxyz!";
+        roundtrip(dict, data);
+        let mut comp = Vec::new();
+        put_varint(&mut comp, 12);
+        put_varint(&mut comp, 0); // no literals
+        put_varint(&mut comp, (12 - MIN_MATCH + 1) as u64); // copy 12…
+        put_varint(&mut comp, 3); // …from 3 back: 3 dict bytes, then itself
+        assert_eq!(decompress(dict, &comp).unwrap(), b"xyzxyzxyzxyz");
+    }
+
+    #[test]
+    fn declared_length_bounds_every_token() {
+        // A copy longer than the header promised is refused, not run.
+        let mut long_copy = Vec::new();
+        put_varint(&mut long_copy, 5);
+        put_varint(&mut long_copy, 1);
+        long_copy.push(b'a');
+        put_varint(&mut long_copy, 1 << 40);
+        put_varint(&mut long_copy, 1);
+        assert!(decompress(b"", &long_copy).is_err());
+        // So is a literal run longer than the header promised.
+        let mut long_lits = Vec::new();
+        put_varint(&mut long_lits, 1);
+        put_varint(&mut long_lits, 3);
+        long_lits.extend_from_slice(b"abc");
+        assert!(decompress(b"", &long_lits).is_err());
+        // And a header beyond the cap is not allocated.
+        let mut huge = Vec::new();
+        put_varint(&mut huge, MAX_RAW_LEN + 1);
+        assert!(decompress(b"", &huge).is_err());
     }
 }

@@ -10,7 +10,8 @@
 //! index for history queries.
 //!
 //! * `seek(n)` is O(log n): binary-search arithmetic to the enclosing
-//!   keyframe, then at most `keyframe_every - 1` bounded delta replays.
+//!   keyframe, then at most `keyframe_every - 1` bounded delta replays
+//!   on raw bytes, and one parse — of pause `n` alone.
 //! * Reverse-step / reverse-continue are seeks.
 //! * "When did `x` last change?" / "all writes to `x` in `[a, b]`" are
 //!   binary searches over the write index — no replay at all.
@@ -18,9 +19,9 @@
 //! A [`Store`] is appendable while the inferior runs, serializes to a
 //! versioned on-disk format ([`Store::to_bytes`] / [`Store::open`]),
 //! and is shared behind an `Arc` by any number of concurrently
-//! scrubbing [`TraceReader`]s, each with its own decoded-segment cache
-//! and its own `obs` metrics (`trace.seek_ns`, `trace.keyframe_hits`,
-//! `trace.bytes_on_disk`).
+//! scrubbing [`TraceReader`]s, each with its own delta chain and
+//! decoded-state cache and its own `obs` metrics (`trace.seek_ns`,
+//! `trace.state_decodes`, `trace.state_hits`, `trace.resident_bytes`).
 //!
 //! # Examples
 //!
@@ -229,22 +230,56 @@ mod tests {
     }
 
     #[test]
-    fn reader_caches_segments_and_reports_metrics() {
+    fn reader_decodes_each_record_once_on_a_scan() {
         let registry = obs::Registry::new();
         let store = Arc::new(build(64, 8));
         let reader = TraceReader::new(store.clone(), registry.clone());
-        // A sequential scan decodes each segment once.
+        // A forward scan decompresses every record exactly once and
+        // parses every state exactly once.
         for i in 0..64u64 {
             let st = reader.state_at(i).unwrap();
             assert_eq!(st.frame.location().line(), (i % 17 + 1) as u32);
         }
         let snap = registry.snapshot();
         assert_eq!(snap.counter("trace.keyframe_decodes"), 8);
-        assert_eq!(snap.counter("trace.keyframe_hits"), 56);
+        assert_eq!(snap.counter("trace.delta_decodes"), 56);
+        assert_eq!(snap.counter("trace.state_decodes"), 64);
+        assert_eq!(snap.counter("trace.state_hits"), 0);
         assert!(snap.gauge("trace.resident_bytes") > 0);
-        // Re-reads of a warm segment are hits.
-        reader.state_at(63).unwrap();
-        assert_eq!(registry.snapshot().counter("trace.keyframe_hits"), 57);
+        // Recently read states are hits.
+        for i in (56..64u64).rev() {
+            assert_eq!(*reader.state_at(i).unwrap(), store.state_at(i).unwrap());
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("trace.state_decodes"), 64);
+        assert_eq!(snap.counter("trace.state_hits"), 8);
+    }
+
+    #[test]
+    fn a_seek_decodes_one_state_not_its_segment() {
+        let registry = obs::Registry::new();
+        let store = Arc::new(build(100, 32));
+        let reader = TraceReader::new(store.clone(), registry.clone());
+        // Pause 77 sits 13 records into the segment that starts at 64.
+        let st = reader.state_at(77).unwrap();
+        assert_eq!(*st, store.state_at(77).unwrap());
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("trace.state_decodes"), 1);
+        assert_eq!(snap.counter("trace.keyframe_decodes"), 1);
+        assert_eq!(snap.counter("trace.delta_decodes"), 13);
+        // A later seek in the same segment resumes the chain: back costs
+        // no record, forward only the records past the chain's end.
+        reader.state_at(70).unwrap();
+        reader.state_at(80).unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("trace.state_decodes"), 3);
+        assert_eq!(snap.counter("trace.keyframe_decodes"), 1);
+        assert_eq!(snap.counter("trace.delta_decodes"), 13 + 3);
+        // Leaving the segment starts a new chain at its keyframe.
+        reader.state_at(5).unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("trace.keyframe_decodes"), 2);
+        assert_eq!(snap.counter("trace.delta_decodes"), 16 + 5);
     }
 
     #[test]

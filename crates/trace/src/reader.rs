@@ -1,46 +1,74 @@
-//! Per-reader view over a shared [`Store`]: a small LRU of decoded
-//! keyframe segments plus the observability surface. Many readers can
-//! scrub one `Arc<Store>` concurrently; each keeps its own cache and
-//! reports into its own [`obs::Registry`]:
+//! Per-reader view over a shared [`Store`]: a seek decodes the one
+//! pause it lands on, and the reader keeps just enough to make the next
+//! seek cheap. Many readers can scrub one `Arc<Store>` concurrently;
+//! each keeps its own caches and reports into its own [`obs::Registry`]:
 //!
 //! * `trace.seek_ns` — latency histogram of every `state_at` call;
-//! * `trace.keyframe_hits` / `trace.keyframe_decodes` — cache hits vs
-//!   segments decoded from compressed records;
+//! * `trace.state_hits` — seeks answered from the decoded-state cache;
+//! * `trace.state_decodes` — states parsed from their raw JSON (one per
+//!   cache miss, never a whole segment);
+//! * `trace.keyframe_decodes` / `trace.delta_decodes` — compressed
+//!   records decompressed to reach those states;
 //! * `trace.resident_bytes` — store + cache footprint of this reader.
 
+use crate::store::parse_state;
 use crate::Store;
 use state::ProgramState;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Decoded segments a reader keeps around. Sequential scans (forward or
-/// reverse) touch at most two segments at a time; a handful more absorbs
-/// ping-ponging around a breakpoint.
-const CACHE_SEGMENTS: usize = 8;
+/// Decoded states a reader keeps around: a seek followed by its
+/// inspections, or a tool comparing a pause with its neighbours, hits.
+const CACHE_STATES: usize = 8;
 
 #[derive(Default)]
-struct SegCache {
-    /// (segment start pause, decoded states), most recently used last.
-    segs: Vec<(u64, Arc<Vec<Arc<ProgramState>>>)>,
+struct Cache {
+    /// (pause, decoded state, raw JSON length), most recently used last.
+    states: Vec<(u64, Arc<ProgramState>, usize)>,
+    /// Raw JSON of the first `chain.len()` pauses of the segment starting
+    /// at `chain_key`: the delta chain of the segment last seeked into.
+    /// A later seek inside it decompresses only the records past its end,
+    /// so forward steps cost one delta and backward steps none.
+    chain_key: u64,
+    chain: Vec<Vec<u8>>,
+}
+
+impl Cache {
+    fn hit(&mut self, n: u64) -> Option<Arc<ProgramState>> {
+        let i = self.states.iter().position(|(p, _, _)| *p == n)?;
+        let entry = self.states.remove(i);
+        let st = entry.1.clone();
+        self.states.push(entry);
+        Some(st)
+    }
+
+    fn bytes(&self) -> u64 {
+        let chain: usize = self.chain.iter().map(Vec::capacity).sum();
+        let states: usize = self.states.iter().map(|(_, _, len)| len).sum();
+        (chain + states) as u64
+    }
 }
 
 /// A cached, instrumented reader over a shared trace [`Store`].
 pub struct TraceReader {
     store: Arc<Store>,
+    /// `store.resident_bytes()`, taken once: a shared store is immutable.
+    store_bytes: u64,
     obs: obs::Registry,
-    cache: Mutex<SegCache>,
+    cache: Mutex<Cache>,
 }
 
 impl TraceReader {
     /// Wraps a shared store; metrics go to `registry`.
     pub fn new(store: Arc<Store>, registry: obs::Registry) -> Self {
-        let r = TraceReader {
+        let store_bytes = store.resident_bytes();
+        registry.set_gauge("trace.resident_bytes", store_bytes);
+        TraceReader {
             store,
+            store_bytes,
             obs: registry,
-            cache: Mutex::new(SegCache::default()),
-        };
-        r.update_resident_gauge();
-        r
+            cache: Mutex::new(Cache::default()),
+        }
     }
 
     /// The shared store.
@@ -54,64 +82,48 @@ impl TraceReader {
     }
 
     /// Bytes resident for this reader: the shared store plus this
-    /// reader's decoded-segment cache (estimated).
+    /// reader's delta chain and decoded states (each estimated at its
+    /// raw JSON size).
     pub fn resident_bytes(&self) -> u64 {
-        let cache = self.cache.lock().unwrap();
-        let cached: u64 = cache
-            .segs
-            .iter()
-            .map(|(_, seg)| seg.len() as u64 * 1024)
-            .sum();
-        self.store.resident_bytes() + cached
+        self.store_bytes + self.cache.lock().expect("trace reader cache").bytes()
     }
 
-    fn update_resident_gauge(&self) {
-        self.obs
-            .set_gauge("trace.resident_bytes", self.resident_bytes());
-    }
-
-    /// State at pause `n`, decoded through the keyframe index and the
-    /// segment cache. O(log n) index lookup plus at most
-    /// `keyframe_every` delta replays on a cache miss, O(1) on a hit.
+    /// State at pause `n`. O(1) on a cache hit. On a miss: O(1) index
+    /// arithmetic to the enclosing keyframe, at most `keyframe_every`
+    /// record decompressions (fewer when this reader's delta chain
+    /// already covers part of the way), and one JSON parse.
     pub fn state_at(&self, n: u64) -> Result<Arc<ProgramState>, String> {
         let begin = Instant::now();
         if n >= self.store.len() {
             return Err(format!("pause {n} out of range (len {})", self.store.len()));
         }
+        let mut cache = self.cache.lock().expect("trace reader cache");
+        if let Some(st) = cache.hit(n) {
+            drop(cache);
+            self.obs.inc("trace.state_hits");
+            self.obs.record_duration("trace.seek_ns", begin.elapsed());
+            return Ok(st);
+        }
         let key = self.store.segment_start(n);
-        let seg = {
-            let mut cache = self.cache.lock().unwrap();
-            if let Some(i) = cache.segs.iter().position(|(k, _)| *k == key) {
-                let entry = cache.segs.remove(i);
-                let seg = entry.1.clone();
-                cache.segs.push(entry);
-                self.obs.inc("trace.keyframe_hits");
-                Some(seg)
-            } else {
-                None
-            }
-        };
-        let seg = match seg {
-            Some(seg) => seg,
-            None => {
-                let states = self.store.decode_segment(n)?;
-                let seg: Arc<Vec<Arc<ProgramState>>> =
-                    Arc::new(states.into_iter().map(Arc::new).collect());
-                let mut cache = self.cache.lock().unwrap();
-                cache.segs.push((key, seg.clone()));
-                if cache.segs.len() > CACHE_SEGMENTS {
-                    cache.segs.remove(0);
-                }
-                drop(cache);
-                self.obs.inc("trace.keyframe_decodes");
-                self.update_resident_gauge();
-                seg
-            }
-        };
-        let st = seg
-            .get((n - key) as usize)
-            .cloned()
-            .ok_or_else(|| format!("pause {n} missing from segment {key}"))?;
+        if cache.chain_key != key {
+            cache.chain.clear();
+            cache.chain_key = key;
+        }
+        let keyframes = u64::from(cache.chain.is_empty());
+        let decoded = self.store.extend_chain(&mut cache.chain, n)?;
+        let raw = &cache.chain[(n - key) as usize];
+        let len = raw.len();
+        let st = Arc::new(parse_state(n, raw)?);
+        cache.states.push((n, st.clone(), len));
+        if cache.states.len() > CACHE_STATES {
+            cache.states.remove(0);
+        }
+        let resident = self.store_bytes + cache.bytes();
+        drop(cache);
+        self.obs.add("trace.keyframe_decodes", keyframes);
+        self.obs.add("trace.delta_decodes", decoded - keyframes);
+        self.obs.inc("trace.state_decodes");
+        self.obs.set_gauge("trace.resident_bytes", resident);
         self.obs.record_duration("trace.seek_ns", begin.elapsed());
         Ok(st)
     }

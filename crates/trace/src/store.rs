@@ -17,6 +17,7 @@ use crate::codec;
 use serde::{Deserialize, Serialize};
 use state::{render_value, ProgramState, Scope};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Magic at the head of the on-disk format.
 pub const MAGIC: &[u8; 8] = b"EZTRACE\x01";
@@ -124,8 +125,13 @@ pub struct Store {
     /// Raw JSON bytes of the most recently pushed state — the dictionary
     /// for the next delta. Dropped by [`Store::freeze`].
     prev_bytes: Vec<u8>,
-    /// The most recently pushed state, kept for write-diffing.
-    prev_state: Option<ProgramState>,
+    /// Visible variables of the most recently pushed state, rendered and
+    /// keyed like the write index: what the next push diffs against.
+    /// Dropped by [`Store::freeze`].
+    prev_vals: HashMap<String, String>,
+    /// Length of [`Store::to_bytes`], computed at most once per content
+    /// (every mutation clears it).
+    disk_len: OnceLock<u64>,
 }
 
 impl Store {
@@ -145,7 +151,8 @@ impl Store {
             out_off: Vec::new(),
             writes: WriteLog::default(),
             prev_bytes: Vec::new(),
-            prev_state: None,
+            prev_vals: HashMap::new(),
+            disk_len: OnceLock::new(),
         }
     }
 
@@ -182,6 +189,7 @@ impl Store {
     /// Records the exit code of the traced run.
     pub fn set_exit_code(&mut self, code: Option<i64>) {
         self.exit_code = code;
+        self.disk_len.take();
     }
 
     /// Number of keyframes currently in the store.
@@ -211,7 +219,7 @@ impl Store {
         self.output.push_str(output_delta);
         self.index_writes(st, n);
         self.prev_bytes = bytes;
-        self.prev_state = Some(st.clone());
+        self.disk_len.take();
     }
 
     /// Appends output to the *last* recorded pause (trailing output that
@@ -219,6 +227,7 @@ impl Store {
     pub fn append_output_to_last(&mut self, tail: &str) {
         if !self.out_off.is_empty() {
             self.output.push_str(tail);
+            self.disk_len.take();
         }
     }
 
@@ -227,21 +236,14 @@ impl Store {
     /// their frame name (`main::x`); globals use their bare name. On the
     /// first pause every visible variable counts as written.
     fn index_writes(&mut self, st: &ProgramState, pause: u64) {
-        let mut prev_vals: HashMap<String, String> = HashMap::new();
-        if let Some(prev) = self.prev_state.take() {
-            for_each_visible(&prev, |name, val| {
-                prev_vals.insert(name, val);
-            });
-        }
-        let mut events: Vec<(String, String)> = Vec::new();
+        let mut vals = HashMap::with_capacity(self.prev_vals.len());
         for_each_visible(st, |name, val| {
-            if prev_vals.get(&name) != Some(&val) {
-                events.push((name, val));
+            if self.prev_vals.get(&name) != Some(&val) {
+                self.writes.push(&name, pause, val.clone());
             }
+            vals.insert(name, val);
         });
-        for (name, val) in events {
-            self.writes.push(&name, pause, val);
-        }
+        self.prev_vals = vals;
     }
 
     /// All writes to `variable` with pause index in `[from, to]`,
@@ -338,42 +340,37 @@ impl Store {
         n - n % u64::from(self.keyframe_every)
     }
 
-    /// Raw JSON bytes of the state at pause `n`: decode the enclosing
-    /// keyframe, then replay at most `keyframe_every - 1` deltas.
-    pub fn state_bytes_at(&self, n: u64) -> Result<Vec<u8>, String> {
+    /// Extends `chain` — the raw JSON states of the first `chain.len()`
+    /// pauses of pause `n`'s keyframe segment — until it ends at `n`:
+    /// decompresses the keyframe when `chain` is empty, then one delta
+    /// per missing pause, each against the previous state. Returns how
+    /// many records were decompressed (0 when `chain` already reaches
+    /// `n`). Nothing is parsed.
+    pub(crate) fn extend_chain(&self, chain: &mut Vec<Vec<u8>>, n: u64) -> Result<u64, String> {
         if n >= self.len() {
             return Err(format!("pause {n} out of range (len {})", self.len()));
         }
         let key = self.segment_start(n);
-        let mut cur = codec::decompress(&[], self.record_bytes(key))?;
-        for i in key + 1..=n {
-            cur = codec::decompress(&cur, self.record_bytes(i))?;
+        let mut decoded = 0;
+        for i in key + chain.len() as u64..=n {
+            let dict = chain.last().map_or(&[][..], Vec::as_slice);
+            chain.push(codec::decompress(dict, self.record_bytes(i))?);
+            decoded += 1;
         }
-        Ok(cur)
+        Ok(decoded)
+    }
+
+    /// Raw JSON bytes of the state at pause `n`: decode the enclosing
+    /// keyframe, then replay at most `keyframe_every - 1` deltas.
+    pub fn state_bytes_at(&self, n: u64) -> Result<Vec<u8>, String> {
+        let mut chain = Vec::new();
+        self.extend_chain(&mut chain, n)?;
+        Ok(chain.pop().expect("the chain reaches pause n"))
     }
 
     /// Decoded state at pause `n`.
     pub fn state_at(&self, n: u64) -> Result<ProgramState, String> {
-        let bytes = self.state_bytes_at(n)?;
-        serde_json::from_slice(&bytes).map_err(|e| format!("state {n}: {e}"))
-    }
-
-    /// Decodes the whole keyframe segment containing `n` in one pass —
-    /// the unit of work readers cache.
-    pub fn decode_segment(&self, n: u64) -> Result<Vec<ProgramState>, String> {
-        let key = self.segment_start(n);
-        let end = (key + u64::from(self.keyframe_every)).min(self.len());
-        let mut states = Vec::with_capacity((end - key) as usize);
-        let mut cur: Vec<u8> = Vec::new();
-        for i in key..end {
-            cur = if i == key {
-                codec::decompress(&[], self.record_bytes(i))?
-            } else {
-                codec::decompress(&cur, self.record_bytes(i))?
-            };
-            states.push(serde_json::from_slice(&cur).map_err(|e| format!("state {i}: {e}"))?);
-        }
-        Ok(states)
+        parse_state(n, &self.state_bytes_at(n)?)
     }
 
     /// Bytes this store holds in memory (buffer capacities, not counting
@@ -388,7 +385,11 @@ impl Store {
             + self.out_off.capacity() * 4
             + self.prev_bytes.capacity()) as u64
             + self.writes.resident_bytes()
-            + self.prev_state.as_ref().map(|_| 1024).unwrap_or(0)
+            + self
+                .prev_vals
+                .iter()
+                .map(|(k, v)| (k.capacity() + v.capacity() + 48) as u64)
+                .sum::<u64>()
     }
 
     /// Drops append-side scratch (the delta dictionary and diff state).
@@ -397,12 +398,20 @@ impl Store {
     /// called again.
     pub fn freeze(&mut self) {
         self.prev_bytes = Vec::new();
-        self.prev_state = None;
+        self.prev_vals = HashMap::new();
         self.snap.shrink_to_fit();
         self.output.shrink_to_fit();
     }
 
     // ---- persistence ---------------------------------------------------
+
+    /// Size of the on-disk form, `to_bytes().len()`: serialized on the
+    /// first call after a change, remembered after that (a store read
+    /// from disk already knows it). Readers of one shared store pay it
+    /// once between them.
+    pub fn disk_bytes(&self) -> u64 {
+        *self.disk_len.get_or_init(|| self.to_bytes().len() as u64)
+    }
 
     /// Serializes the store to its on-disk format.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -502,17 +511,32 @@ impl Store {
         let col = get_section(body, &mut pos)?;
         store.snap_off = decode_deltas(col, pauses)?;
         store.snap = get_section(body, &mut pos)?.to_vec();
+        if store
+            .snap_off
+            .last()
+            .is_some_and(|&o| o > store.snap.len() as u64)
+        {
+            return Err("trace index: record offset past the record heap".into());
+        }
         let col = get_section(body, &mut pos)?;
         store.lines = decode_u32s(col, pauses)?;
         let col = get_section(body, &mut pos)?;
         store.depths = decode_u32s(col, pauses)?;
         let col = get_section(body, &mut pos)?;
-        store.out_off = decode_deltas(col, pauses)?
-            .into_iter()
-            .map(|v| v as u32)
-            .collect();
+        let out_off = decode_deltas(col, pauses)?;
         store.output = String::from_utf8(get_section(body, &mut pos)?.to_vec())
             .map_err(|e| format!("trace output: {e}"))?;
+        // Offsets are non-decreasing by construction; each must also cut
+        // the output blob at a character boundary.
+        store.out_off = out_off
+            .into_iter()
+            .map(|o| {
+                u32::try_from(o)
+                    .ok()
+                    .filter(|&o| store.output.is_char_boundary(o as usize))
+                    .ok_or_else(|| format!("trace output: offset {o} is not a boundary"))
+            })
+            .collect::<Result<_, _>>()?;
 
         let windex = codec::decompress(&[], get_section(body, &mut pos)?)?;
         let mut wpos = 0usize;
@@ -524,12 +548,15 @@ impl Store {
             let id = store.writes.intern(&name) as usize;
             let mut prev = 0u64;
             for _ in 0..count {
-                prev += codec::get_varint(&windex, &mut wpos)?;
+                prev = prev
+                    .checked_add(codec::get_varint(&windex, &mut wpos)?)
+                    .ok_or("trace windex: pause overflow")?;
                 let val = String::from_utf8(get_section(&windex, &mut wpos)?.to_vec())
                     .map_err(|e| format!("trace windex: {e}"))?;
                 store.writes.by_name[id].push((prev, val));
             }
         }
+        store.disk_len = OnceLock::from(buf.len() as u64);
         Ok(store)
     }
 
@@ -546,6 +573,11 @@ impl Store {
             .map_err(|e| format!("open {}: {e}", path.as_ref().display()))?;
         Store::from_bytes(&bytes)
     }
+}
+
+/// Parses the raw JSON of pause `n`'s state.
+pub(crate) fn parse_state(n: u64, bytes: &[u8]) -> Result<ProgramState, String> {
+    serde_json::from_slice(bytes).map_err(|e| format!("state {n}: {e}"))
 }
 
 /// Visits every visible variable of a state with its history-index name:
@@ -585,12 +617,17 @@ fn get_section<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], String> {
     Ok(s)
 }
 
+// Column decoders reserve at most one entry per column byte: `count`
+// comes from the file and is only trusted as far as the bytes back it.
+
 fn decode_deltas(col: &[u8], count: usize) -> Result<Vec<u64>, String> {
     let mut pos = 0usize;
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::with_capacity(count.min(col.len()));
     let mut acc = 0u64;
     for _ in 0..count {
-        acc += codec::get_varint(col, &mut pos)?;
+        acc = acc
+            .checked_add(codec::get_varint(col, &mut pos)?)
+            .ok_or("trace column: offset overflow")?;
         out.push(acc);
     }
     Ok(out)
@@ -598,7 +635,7 @@ fn decode_deltas(col: &[u8], count: usize) -> Result<Vec<u64>, String> {
 
 fn decode_u32s(col: &[u8], count: usize) -> Result<Vec<u32>, String> {
     let mut pos = 0usize;
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::with_capacity(count.min(col.len()));
     for _ in 0..count {
         out.push(codec::get_varint(col, &mut pos)? as u32);
     }
