@@ -8,22 +8,21 @@
 //! pre-generated trace" — so every visualization tool in this repository
 //! also works offline on recorded runs. Breakpoints, function tracking,
 //! stepping and watchpoints are all re-derived from the recorded
-//! snapshots.
+//! snapshots by [`mi::ReplayEngine`], the replay engine hosted replay
+//! sessions also run; the tracker drives it in process.
 //!
-//! Since the trace-store rework, `ReplayTracker` no longer materializes
-//! every snapshot in memory: the recording is folded into a compressed,
-//! indexed [`trace::Store`] (keyframes + deltas), states are decoded on
-//! demand one pause at a time through a per-reader cache, and random access —
-//! [`ReplayTracker::seek`] — is O(log n) instead of a linear re-drive.
-//! One `Arc<trace::Store>` can back any number of concurrently scrubbing
+//! The recording is folded into a compressed, indexed [`trace::Store`]
+//! (keyframes + deltas) and states are decoded on demand, so random
+//! access — [`ReplayTracker::seek`] — is O(log n). One
+//! `Arc<trace::Store>` can back any number of concurrently scrubbing
 //! replay trackers, and history queries ([`ReplayTracker::last_change`],
 //! [`ReplayTracker::writes_in`]) answer from the store's write index
 //! without replaying at all.
 
 use crate::{ControlPointId, Result, Tracker, TrackerError};
+use mi::{Command, Engine, Response};
 use serde::{Deserialize, Serialize};
-use state::{ExitStatus, Frame, PauseReason, ProgramState, SourceLocation, Variable};
-use std::collections::HashMap;
+use state::{Frame, PauseReason, ProgramState, Variable};
 use std::sync::Arc;
 
 /// One recorded pause: the full snapshot plus the output produced since
@@ -115,60 +114,15 @@ impl Recording {
     }
 }
 
-#[derive(Debug, Clone)]
-enum CpKind {
-    LineBp(u32),
-    FuncBp {
-        function: String,
-        maxdepth: Option<u32>,
-    },
-    Track {
-        function: String,
-        maxdepth: Option<u32>,
-    },
-    Watch {
-        variable: String,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct ControlPoint {
-    id: u64,
-    kind: CpKind,
-}
-
-/// Per-watched-variable timeline, derived once from the store when the
-/// watchpoint is armed: the variable's rendered visible value at each
-/// pause, plus a running "most recent visible value at or before each
-/// pause". Together they answer the live trackers' sticky-watch question
-/// ("did the value change against the last step where the variable was
-/// visible?") in O(1) per trigger check instead of a backward scan.
-#[derive(Debug)]
-struct WatchTimeline {
-    visible: Vec<Option<String>>,
-    last: Vec<Option<String>>,
-}
-
 /// A tracker that replays a recorded execution out of a [`trace::Store`].
+///
+/// An in-process adapter over [`mi::ReplayEngine`], the same replay
+/// engine hosted replay sessions run: each tracker call is one engine
+/// command, with no serialization or transport in between.
 #[derive(Debug)]
 pub struct ReplayTracker {
-    reader: trace::TraceReader,
-    /// Index of the current step; `None` before `start`.
-    idx: Option<usize>,
-    points: Vec<ControlPoint>,
-    next_id: u64,
-    last_reason: PauseReason,
-    /// Output released to the tool so far (recorded deltas up to `idx`).
-    output_pos: usize,
-    output_cursor: usize,
-    /// Highest trigger phase already reported at the current step
-    /// (`u8::MAX` when the step was reached by plain stepping).
-    rank_done: u8,
+    engine: mi::ReplayEngine,
     obs: obs::Registry,
-    /// Armed profile configuration; the report is derived on demand from
-    /// the recorded snapshots, so there is no live profiler to carry.
-    prof: Option<(obs::ProfileMode, u64)>,
-    watch_tl: HashMap<String, WatchTimeline>,
 }
 
 impl ReplayTracker {
@@ -194,22 +148,11 @@ impl ReplayTracker {
 
     /// Like [`ReplayTracker::from_store`] with an explicit registry.
     pub fn from_store_with_registry(store: Arc<trace::Store>, registry: obs::Registry) -> Self {
-        let reader = trace::TraceReader::new(store, registry.clone());
         let t = ReplayTracker {
-            reader,
-            idx: None,
-            points: Vec::new(),
-            next_id: 1,
-            last_reason: PauseReason::NotStarted,
-            output_pos: 0,
-            output_cursor: 0,
-            rank_done: u8::MAX,
+            engine: mi::ReplayEngine::new(store, registry.clone()),
             obs: registry,
-            prof: None,
-            watch_tl: HashMap::new(),
         };
-        t.obs
-            .set_gauge("replay.resident_bytes", t.reader.resident_bytes());
+        t.note_resident();
         t
     }
 
@@ -233,7 +176,6 @@ impl ReplayTracker {
     /// Surfaces I/O errors as [`TrackerError::Engine`].
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<u64> {
         let n = self
-            .reader
             .store()
             .save(path)
             .map_err(|e| TrackerError::Engine(e.to_string()))?;
@@ -243,31 +185,34 @@ impl ReplayTracker {
 
     /// The shared store backing this tracker.
     pub fn store(&self) -> &Arc<trace::Store> {
-        self.reader.store()
+        self.engine.reader().store()
     }
 
     /// Number of recorded pauses.
     pub fn recorded_pauses(&self) -> u64 {
-        self.reader.store().len()
+        self.store().len()
     }
 
     /// Rematerializes the full [`Recording`] from the store (every state
-    /// decoded through the keyframe index). Mostly useful for tools that
-    /// consume recordings, like the `pttrace` timeline.
+    /// decoded through the keyframe index, up to the first pause that
+    /// fails to decode). Mostly useful for tools that consume
+    /// recordings, like the `pttrace` timeline.
     pub fn to_recording(&self) -> Recording {
-        let n = self.len();
-        let store = self.reader.store().clone();
-        let steps = (0..n)
-            .map(|i| RecordedStep {
-                state: (*self.state_at(i)).clone(),
-                output_delta: store.output_range(i as u64, i as u64 + 1).to_string(),
+        let store = self.store();
+        let steps = (0..store.len())
+            .map_while(|i| {
+                let state = self.engine.reader().state_at(i).ok()?;
+                Some(RecordedStep {
+                    state: (*state).clone(),
+                    output_delta: store.output_range(i, i + 1).to_string(),
+                })
             })
             .collect();
         Recording {
             file: store.file().to_string(),
             source: store.source().to_string(),
             steps,
-            exit_code: self.exit_code(),
+            exit_code: store.exit_code().unwrap_or(0),
         }
     }
 
@@ -276,335 +221,87 @@ impl ReplayTracker {
         &self.obs
     }
 
-    fn timed_control(
+    fn note_resident(&self) {
+        self.obs.set_gauge(
+            "replay.resident_bytes",
+            self.engine.reader().resident_bytes(),
+        );
+    }
+
+    /// Maps a failed engine answer: before `start`, every refusal is
+    /// [`TrackerError::NotStarted`].
+    fn error(&self, resp: Response) -> TrackerError {
+        match resp {
+            _ if *self.engine.pause_reason() == PauseReason::NotStarted => TrackerError::NotStarted,
+            Response::Error { message } => TrackerError::Engine(message),
+            other => {
+                TrackerError::Protocol(format!("unexpected replay answer {}", other.summary()))
+            }
+        }
+    }
+
+    /// Runs one control call on the engine under a
+    /// `tracker.control.<kind>` span.
+    fn control(
         &mut self,
         kind: &str,
-        f: impl FnOnce(&mut Self) -> Result<PauseReason>,
+        f: impl FnOnce(&mut mi::ReplayEngine) -> Response,
     ) -> Result<PauseReason> {
         let mut span = self.obs.span(format!("tracker.control.{kind}"));
         span.category("tracker");
-        let r = f(self);
-        if let Ok(reason) = &r {
-            span.tag("pause_reason", reason.tag());
+        match f(&mut self.engine) {
+            Response::Paused(reason) => {
+                span.tag("pause_reason", reason.tag());
+                Ok(reason)
+            }
+            other => Err(self.error(other)),
         }
-        r
     }
 
-    fn count_inspect(&self, kind: &str) {
-        self.obs.inc(&format!("tracker.inspect.{kind}"));
+    fn command(&mut self, cmd: Command) -> Result<PauseReason> {
+        self.control(cmd.kind(), |e| e.handle(cmd))
     }
 
-    fn len(&self) -> usize {
-        self.reader.store().len() as usize
-    }
-
-    fn exit_code(&self) -> i64 {
-        self.reader.store().exit_code().unwrap_or(0)
-    }
-
-    fn state_at(&self, i: usize) -> Arc<ProgramState> {
-        self.reader
-            .state_at(i as u64)
-            .expect("recorded pause decodes (store is checksummed)")
-    }
-
-    fn depth_at(&self, i: usize) -> usize {
-        self.reader
-            .store()
-            .depth_at(i as u64)
-            .expect("recorded pause") as usize
-    }
-
-    fn line_at(&self, i: usize) -> u32 {
-        self.reader
-            .store()
-            .line_at(i as u64)
-            .expect("recorded pause")
-    }
-
-    fn exited_reason(&self) -> PauseReason {
-        let code = self.exit_code();
-        PauseReason::Exited(if code == -1 {
-            ExitStatus::Crashed
-        } else {
-            ExitStatus::Exited(code)
-        })
-    }
-
-    /// Number of frames named `function` anywhere on the stack at `state`.
-    fn occurrences(state: &ProgramState, function: &str) -> usize {
-        state.frame.chain().filter(|f| f.name() == function).count()
-    }
-
-    fn lookup_in(&self, state: &ProgramState, name: &str) -> Option<Variable> {
-        let (frame_filter, var) = match name.split_once("::") {
-            Some((f, v)) => (Some(f), v),
-            None => (None, name),
-        };
-        for frame in state.frame.chain() {
-            if let Some(f) = frame_filter {
-                if frame.name() != f {
-                    continue;
-                }
-            }
-            if let Some(v) = frame.variable(var) {
-                return Some(v.clone());
-            }
-            if frame_filter.is_none() {
-                break;
-            }
+    fn arm(&mut self, cmd: Command) -> Result<ControlPointId> {
+        self.obs
+            .inc(&format!("tracker.control_point.{}", cmd.kind()));
+        match self.engine.handle(cmd) {
+            Response::Created { id } => Ok(id),
+            Response::Error { message } => Err(TrackerError::Engine(message)),
+            other => Err(self.error(other)),
         }
-        if frame_filter.is_none() {
-            return state.globals.iter().find(|g| g.name() == var).cloned();
-        }
-        None
     }
 
-    /// Derives the sticky-watch timeline for `variable` in one sequential
-    /// pass over the store (each record decompressed once).
-    fn build_watch_timeline(&self, variable: &str) -> WatchTimeline {
-        let n = self.len();
-        let mut visible = Vec::with_capacity(n);
-        let mut last = Vec::with_capacity(n);
-        let mut sticky: Option<String> = None;
-        for i in 0..n {
-            let st = self.state_at(i);
-            let v = self
-                .lookup_in(&st, variable)
-                .map(|v| state::render_value(v.value().deref_fully()));
-            if v.is_some() {
-                sticky = v.clone();
-            }
-            visible.push(v);
-            last.push(sticky.clone());
+    fn inspect(&mut self, cmd: Command) -> Result<Response> {
+        self.obs.inc(&format!("tracker.inspect.{}", cmd.kind()));
+        match self.engine.handle(cmd) {
+            resp @ Response::Error { .. } => Err(self.error(resp)),
+            resp => Ok(resp),
         }
-        WatchTimeline { visible, last }
-    }
-
-    /// Pause reason triggered at step `i` (coming from step `i - 1`), if
-    /// any control point with phase rank `>= min_rank` matches. Ranks
-    /// order the triggers that can coexist on one recorded step (a
-    /// one-line function's entry and exit share a step) and mirror the
-    /// live engines' event order — frame-entry events fire before the
-    /// line's own checks, returns at the end of the step: function
-    /// breakpoint(0), tracked call(1), watch(2), line breakpoint(3),
-    /// tracked return(4). Re-examining the current step with a higher
-    /// `min_rank` lets `resume` deliver every event of such a step, like
-    /// the live trackers do.
-    fn trigger_at_ranked(&self, i: usize, min_rank: u8) -> Option<(u8, PauseReason)> {
-        let cur = self.state_at(i);
-        let prev = i.checked_sub(1).map(|p| self.state_at(p));
-        let cur_depth = cur.stack_depth();
-        let mut best: Option<(u8, PauseReason)> = None;
-        let mut consider = |rank: u8, reason: PauseReason| {
-            if rank >= min_rank && best.as_ref().is_none_or(|(r, _)| rank < *r) {
-                best = Some((rank, reason));
-            }
-        };
-        for cp in &self.points {
-            match &cp.kind {
-                CpKind::Watch { variable } => {
-                    if prev.is_none() {
-                        continue;
-                    }
-                    // Sticky semantics like the live trackers: compare with
-                    // the most recent step where the variable was visible
-                    // (it may have been shadowed by callee frames). The
-                    // armed timeline holds the rendered, fully-dereferenced
-                    // values, so this is the original backward scan in O(1).
-                    let Some(tl) = self.watch_tl.get(variable) else {
-                        continue;
-                    };
-                    let old = tl.last[i - 1].clone();
-                    let new = tl.visible[i].clone();
-                    if let Some(new_val) = &new {
-                        // A variable springing into existence counts as a
-                        // modification (`old` stays `None`), matching the
-                        // live Python tracker; MiniC locals are visible
-                        // (zero-initialized) from frame entry, so for C
-                        // this branch only ever fires on value changes.
-                        if old != new {
-                            consider(
-                                2,
-                                PauseReason::Watchpoint {
-                                    id: cp.id,
-                                    variable: variable.clone(),
-                                    old: old.clone(),
-                                    new: new_val.clone(),
-                                },
-                            );
-                        }
-                    }
-                }
-                CpKind::LineBp(l) => {
-                    if self.line_at(i) == *l {
-                        consider(
-                            3,
-                            PauseReason::Breakpoint {
-                                id: cp.id,
-                                location: cur.frame.location().clone(),
-                            },
-                        );
-                    }
-                }
-                CpKind::FuncBp { function, maxdepth } => {
-                    let depth0 = (cur_depth - 1) as u32;
-                    let entered = Self::occurrences(&cur, function)
-                        > prev
-                            .as_ref()
-                            .map(|p| Self::occurrences(p, function))
-                            .unwrap_or(0);
-                    if entered
-                        && cur.frame.name() == function
-                        && maxdepth.is_none_or(|m| depth0 <= m)
-                    {
-                        consider(
-                            0,
-                            PauseReason::Breakpoint {
-                                id: cp.id,
-                                location: cur.frame.location().clone(),
-                            },
-                        );
-                    }
-                }
-                CpKind::Track { function, maxdepth } => {
-                    // Count frames named `function` across the whole stack,
-                    // not just the innermost one: when a tracked function's
-                    // last executed line is itself a call, the pop back to
-                    // its caller happens while a *callee* is the innermost
-                    // recorded frame, so a top-of-stack check would miss
-                    // the return entirely.
-                    let cur_occ = Self::occurrences(&cur, function);
-                    let prev_occ = prev
-                        .as_ref()
-                        .map(|p| Self::occurrences(p, function))
-                        .unwrap_or(0);
-                    if cur_occ > prev_occ && cur.frame.name() == function {
-                        let depth0 = (cur_depth - 1) as u32;
-                        if maxdepth.is_none_or(|m| depth0 <= m) {
-                            consider(
-                                1,
-                                PauseReason::FunctionCall {
-                                    function: function.clone(),
-                                    depth: depth0,
-                                },
-                            );
-                        }
-                    }
-                    let returning = if i + 1 < self.len() {
-                        cur_occ > Self::occurrences(&self.state_at(i + 1), function)
-                    } else {
-                        // Program exit pops every frame at once; the
-                        // outermost frame's teardown is not a tracked
-                        // return, so only deeper occurrences count.
-                        cur.frame
-                            .chain()
-                            .enumerate()
-                            .any(|(k, f)| f.name() == function && cur_depth - k > 1)
-                    };
-                    if returning {
-                        // Report the innermost occurrence: that is the
-                        // frame popped last, hence the return observed at
-                        // this step boundary.
-                        let depth0 = cur
-                            .frame
-                            .chain()
-                            .enumerate()
-                            .find(|(_, f)| f.name() == function)
-                            .map(|(k, _)| (cur_depth - 1 - k) as u32)
-                            .unwrap_or(0);
-                        if maxdepth.is_none_or(|m| depth0 <= m) {
-                            consider(
-                                4,
-                                PauseReason::FunctionReturn {
-                                    function: function.clone(),
-                                    depth: depth0,
-                                    return_value: None,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Advances to step `target` (releasing its output) or to the end.
-    fn goto(&mut self, target: usize) -> PauseReason {
-        self.rank_done = u8::MAX;
-        if target >= self.len() {
-            self.idx = Some(self.len());
-            self.output_pos = self.len();
-            self.last_reason = self.exited_reason();
-        } else {
-            self.idx = Some(target);
-            self.output_pos = target + 1;
-            self.last_reason = PauseReason::Step;
-        }
-        self.last_reason.clone()
-    }
-
-    fn advance_until(
-        &mut self,
-        mut stop: impl FnMut(&Self, usize) -> Option<PauseReason>,
-    ) -> Result<PauseReason> {
-        let Some(cur) = self.idx else {
-            return Err(TrackerError::NotStarted);
-        };
-        // Later-phase triggers on the *current* step first (a one-line
-        // function's entry and exit share one recorded step).
-        if cur < self.len() && self.rank_done < u8::MAX {
-            if let Some((rank, trigger)) = self.trigger_at_ranked(cur, self.rank_done + 1) {
-                self.rank_done = rank;
-                self.last_reason = trigger.clone();
-                return Ok(trigger);
-            }
-        }
-        let mut i = cur + 1;
-        while i < self.len() {
-            if let Some((rank, trigger)) = self.trigger_at_ranked(i, 0) {
-                self.goto(i);
-                self.rank_done = rank;
-                self.last_reason = trigger.clone();
-                return Ok(trigger);
-            }
-            if let Some(reason) = stop(self, i) {
-                self.goto(i);
-                self.last_reason = reason.clone();
-                return Ok(reason);
-            }
-            i += 1;
-        }
-        let n = self.len();
-        Ok(self.goto(n))
     }
 
     // ---- time travel (paper §V: the RR-tracker future work) --------------
-    //
-    // The trace store makes the recording a time-travel debugger: these
-    // methods walk the recorded steps backwards (honouring the same
-    // control points) or jump straight to any pause through the keyframe
-    // index.
 
     /// Jumps directly to pause `pause` — O(log n): the store finds the
     /// enclosing keyframe and replays at most a segment's worth of
-    /// deltas. A `pause` at or past the end lands on the exited state.
+    /// deltas. Reports the recorded pause reason; a `pause` at or past
+    /// the end lands on the exited state.
     ///
     /// # Errors
     ///
     /// Fails before `start`.
     pub fn seek(&mut self, pause: u64) -> Result<PauseReason> {
-        self.timed_control("Seek", |t| {
-            if t.idx.is_none() {
-                return Err(TrackerError::NotStarted);
+        let r = self.control("Seek", |e| match e.pause_reason() {
+            // Refused before `start`, like every other control call.
+            PauseReason::NotStarted => e.handle(Command::Step),
+            _ if pause < e.reader().store().len() => e.handle(Command::Seek { pause }),
+            _ => {
+                e.handle(Command::Terminate);
+                Response::Paused(e.pause_reason().clone())
             }
-            let target = usize::try_from(pause).unwrap_or(usize::MAX).min(t.len());
-            let r = t.goto(target);
-            t.obs
-                .set_gauge("replay.resident_bytes", t.reader.resident_bytes());
-            Ok(r)
-        })
+        });
+        self.note_resident();
+        r
     }
 
     /// Steps one recorded line backwards. At the first step this reports
@@ -614,18 +311,7 @@ impl ReplayTracker {
     ///
     /// Fails before `start`.
     pub fn step_back(&mut self) -> Result<PauseReason> {
-        self.timed_control("StepBack", |t| {
-            let Some(cur) = t.idx else {
-                return Err(TrackerError::NotStarted);
-            };
-            if cur == 0 {
-                t.last_reason = PauseReason::Started;
-                return Ok(PauseReason::Started);
-            }
-            let target = (cur - 1).min(t.len().saturating_sub(1));
-            let r = t.goto(target);
-            Ok(r)
-        })
+        self.control("StepBack", mi::ReplayEngine::step_back)
     }
 
     /// Runs backwards until the previous control point (breakpoint,
@@ -636,25 +322,7 @@ impl ReplayTracker {
     ///
     /// Fails before `start`.
     pub fn resume_back(&mut self) -> Result<PauseReason> {
-        self.timed_control("ResumeBack", |t| {
-            let Some(cur) = t.idx else {
-                return Err(TrackerError::NotStarted);
-            };
-            // From the exited position every recorded step is behind us.
-            let mut i = cur.min(t.len());
-            while i > 0 {
-                i -= 1;
-                if let Some((rank, trigger)) = t.trigger_at_ranked(i, 0) {
-                    t.goto(i);
-                    t.rank_done = rank;
-                    t.last_reason = trigger.clone();
-                    return Ok(trigger);
-                }
-            }
-            t.goto(0);
-            t.last_reason = PauseReason::Started;
-            Ok(PauseReason::Started)
-        })
+        self.control("ResumeBack", mi::ReplayEngine::resume_back)
     }
 
     // ---- history queries (no replay: the store's write index) ------------
@@ -663,131 +331,40 @@ impl ReplayTracker {
     /// (default: end of the recording). Bare names match the variable in
     /// any frame plus globals; `frame::name` qualifies.
     pub fn last_change(&self, variable: &str, before: Option<u64>) -> Option<trace::HistoryHit> {
-        self.count_inspect("QueryHistory");
-        self.reader.store().last_change(variable, before)
+        self.obs.inc("tracker.inspect.QueryHistory");
+        self.store().last_change(variable, before)
     }
 
     /// All writes to `variable` with pause index in `[from, to]`.
     pub fn writes_in(&self, variable: &str, from: u64, to: u64) -> Vec<trace::HistoryHit> {
-        self.count_inspect("QueryHistory");
-        self.reader.store().writes_in(variable, from, to)
-    }
-
-    /// The snapshot at the current position, without counting an
-    /// inspection (shared by the public inspection methods).
-    fn current_state(&mut self) -> Result<ProgramState> {
-        let Some(cur) = self.idx else {
-            return Err(TrackerError::NotStarted);
-        };
-        if cur >= self.len() {
-            // After the end: synthesize a terminal state on the last frame.
-            if self.len() > 0 {
-                let mut st = (*self.state_at(self.len() - 1)).clone();
-                st.reason = self.exited_reason();
-                return Ok(st);
-            }
-            return Ok(ProgramState::new(
-                Frame::new(
-                    "<module>",
-                    0,
-                    SourceLocation::new(self.reader.store().file().to_string(), 0),
-                ),
-                Vec::new(),
-                self.exited_reason(),
-            ));
-        }
-        let mut st = (*self.state_at(cur)).clone();
-        st.reason = self.last_reason.clone();
-        Ok(st)
+        self.obs.inc("tracker.inspect.QueryHistory");
+        self.store().writes_in(variable, from, to)
     }
 }
 
 impl Tracker for ReplayTracker {
     fn start(&mut self) -> Result<PauseReason> {
-        self.timed_control("Start", |t| {
-            if t.idx.is_some() {
-                return Err(TrackerError::Engine("replay already started".into()));
-            }
-            if t.len() == 0 {
-                t.idx = Some(0);
-                t.last_reason = t.exited_reason();
-                return Ok(t.last_reason.clone());
-            }
-            t.idx = Some(0);
-            t.output_pos = 1;
-            t.last_reason = PauseReason::Started;
-            Ok(PauseReason::Started)
-        })
+        self.command(Command::Start)
     }
 
     fn resume(&mut self) -> Result<PauseReason> {
-        self.timed_control("Resume", |t| t.advance_until(|_, _| None))
+        self.command(Command::Resume)
     }
 
     fn step(&mut self) -> Result<PauseReason> {
-        self.timed_control("Step", |t| {
-            let Some(cur) = t.idx else {
-                return Err(TrackerError::NotStarted);
-            };
-            Ok(t.goto(cur + 1))
-        })
+        self.command(Command::Step)
     }
 
     fn next(&mut self) -> Result<PauseReason> {
-        self.timed_control("Next", |t| {
-            let Some(cur) = t.idx else {
-                return Err(TrackerError::NotStarted);
-            };
-            if cur >= t.len() {
-                return Ok(t.exited_reason());
-            }
-            let depth = t.depth_at(cur);
-            let line = t.line_at(cur);
-            t.advance_until(move |this, i| {
-                let d = this.depth_at(i);
-                (d < depth || (d == depth && this.line_at(i) != line)).then_some(PauseReason::Step)
-            })
-        })
+        self.command(Command::Next)
     }
 
     fn finish(&mut self) -> Result<PauseReason> {
-        self.timed_control("Finish", |t| {
-            let Some(cur) = t.idx else {
-                return Err(TrackerError::NotStarted);
-            };
-            if cur >= t.len() {
-                return Ok(t.exited_reason());
-            }
-            let depth = t.depth_at(cur);
-            if depth <= 1 {
-                return Err(TrackerError::Engine(
-                    "cannot finish the outermost frame".into(),
-                ));
-            }
-            t.advance_until(move |this, i| (this.depth_at(i) < depth).then_some(PauseReason::Step))
-        })
+        self.command(Command::Finish)
     }
 
     fn break_before_line(&mut self, line: u32) -> Result<ControlPointId> {
-        self.obs.inc("tracker.control_point.SetBreakLine");
-        // Slide to the next recorded line, like the live engines.
-        let actual = self
-            .reader
-            .store()
-            .breakable_lines()
-            .into_iter()
-            .filter(|&l| l >= line)
-            .min()
-            .ok_or_else(|| {
-                TrackerError::Engine(format!("no recorded execution at or after line {line}"))
-            })?;
-        let id = self.next_id;
-        self.next_id += 1;
-        self.points.push(ControlPoint {
-            id,
-            kind: CpKind::LineBp(actual),
-        });
-        Ok(id)
+        self.arm(Command::SetBreakLine { line })
     }
 
     fn break_before_func(
@@ -795,160 +372,106 @@ impl Tracker for ReplayTracker {
         function: &str,
         maxdepth: Option<u32>,
     ) -> Result<ControlPointId> {
-        self.obs.inc("tracker.control_point.SetBreakFunc");
-        let id = self.next_id;
-        self.next_id += 1;
-        self.points.push(ControlPoint {
-            id,
-            kind: CpKind::FuncBp {
-                function: function.to_owned(),
-                maxdepth,
-            },
-        });
-        Ok(id)
+        self.arm(Command::SetBreakFunc {
+            function: function.to_owned(),
+            maxdepth,
+        })
     }
 
     fn track_function(&mut self, function: &str, maxdepth: Option<u32>) -> Result<ControlPointId> {
-        self.obs.inc("tracker.control_point.TrackFunction");
-        let id = self.next_id;
-        self.next_id += 1;
-        self.points.push(ControlPoint {
-            id,
-            kind: CpKind::Track {
-                function: function.to_owned(),
-                maxdepth,
-            },
-        });
-        Ok(id)
+        self.arm(Command::TrackFunction {
+            function: function.to_owned(),
+            maxdepth,
+        })
     }
 
     fn watch(&mut self, variable: &str) -> Result<ControlPointId> {
-        self.obs.inc("tracker.control_point.Watch");
-        if !self.watch_tl.contains_key(variable) {
-            let tl = self.build_watch_timeline(variable);
-            self.watch_tl.insert(variable.to_owned(), tl);
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.points.push(ControlPoint {
-            id,
-            kind: CpKind::Watch {
-                variable: variable.to_owned(),
-            },
-        });
-        Ok(id)
+        self.arm(Command::Watch {
+            variable: variable.to_owned(),
+        })
     }
 
     fn remove(&mut self, id: ControlPointId) -> Result<()> {
-        let before = self.points.len();
-        self.points.retain(|cp| cp.id != id);
-        if self.points.len() == before {
-            return Err(TrackerError::Engine(format!("no control point {id}")));
+        match self.engine.handle(Command::Delete { id }) {
+            Response::Ok => Ok(()),
+            Response::Error { message } => Err(TrackerError::Engine(message)),
+            other => Err(self.error(other)),
         }
-        Ok(())
     }
 
     fn terminate(&mut self) {
-        self.idx = Some(self.len());
+        self.engine.handle(Command::Terminate);
     }
 
     fn pause_reason(&self) -> PauseReason {
-        self.last_reason.clone()
+        self.engine.pause_reason().clone()
     }
 
     fn get_current_frame(&mut self) -> Result<Frame> {
-        self.count_inspect("GetState");
-        Ok(self.current_state()?.frame)
+        Ok(self.get_state()?.frame)
     }
 
     fn get_state(&mut self) -> Result<ProgramState> {
-        self.count_inspect("GetState");
-        self.current_state()
+        match self.inspect(Command::GetState)? {
+            Response::State(st) => Ok(*st),
+            other => Err(self.error(other)),
+        }
     }
 
     fn get_global_variables(&mut self) -> Result<Vec<Variable>> {
-        self.count_inspect("GetGlobals");
-        Ok(self.current_state()?.globals)
+        match self.inspect(Command::GetGlobals)? {
+            Response::Globals(globals) => Ok(globals),
+            other => Err(self.error(other)),
+        }
     }
 
     fn get_variable(&mut self, name: &str) -> Result<Option<Variable>> {
-        self.count_inspect("GetVariable");
-        let st = self.current_state()?;
-        Ok(self.lookup_in(&st, name))
+        match self.inspect(Command::GetVariable { name: name.into() })? {
+            Response::Variable(v) => Ok(v),
+            other => Err(self.error(other)),
+        }
     }
 
     fn get_exit_code(&mut self) -> Option<i64> {
-        self.count_inspect("GetExitCode");
-        match self.idx {
-            Some(i) if i >= self.len() => Some(self.exit_code()),
+        match self.inspect(Command::GetExitCode) {
+            Ok(Response::ExitCode(code)) => code,
             _ => None,
         }
     }
 
     fn get_output(&mut self) -> Result<String> {
-        self.count_inspect("GetOutput");
-        let upto = self.output_pos.min(self.len());
-        let start = self.output_cursor.min(upto);
-        let out = self
-            .reader
-            .store()
-            .output_range(start as u64, upto as u64)
-            .to_string();
-        self.output_cursor = upto;
-        Ok(out)
+        match self.inspect(Command::GetOutput)? {
+            Response::Output(out) => Ok(out),
+            other => Err(self.error(other)),
+        }
     }
 
     fn get_source(&mut self) -> Result<(String, String)> {
-        self.count_inspect("GetSource");
-        let store = self.reader.store();
-        Ok((store.file().to_string(), store.source().to_string()))
+        match self.inspect(Command::GetSource)? {
+            Response::Source { file, text } => Ok((file, text)),
+            other => Err(self.error(other)),
+        }
     }
 
     fn breakable_lines(&mut self) -> Result<Vec<u32>> {
-        self.count_inspect("GetBreakableLines");
-        Ok(self.reader.store().breakable_lines())
+        match self.inspect(Command::GetBreakableLines)? {
+            Response::Lines(lines) => Ok(lines),
+            other => Err(self.error(other)),
+        }
     }
 
     fn set_profile(&mut self, mode: obs::ProfileMode, period: u64) -> Result<()> {
-        // A recording can be (re)profiled at any position: the report is
-        // derived, not collected, so there is no before-start constraint.
-        self.prof = (mode != obs::ProfileMode::Off).then_some((mode, period));
-        Ok(())
+        match self.engine.handle(Command::SetProfile { mode, period }) {
+            Response::Ok => Ok(()),
+            other => Err(self.error(other)),
+        }
     }
 
     fn profile(&mut self) -> Result<obs::ProfileReport> {
-        let Some((mode, period)) = self.prof else {
-            return Ok(obs::ProfileReport::default());
-        };
-        let upto = match self.idx {
-            Some(i) => (i + 1).min(self.len()),
-            None => 0,
-        };
-        // Re-drive a live profiler from the recorded stacks: each
-        // recorded step is one line unit attributed to its innermost
-        // frame. Calls are recovered from stack growth between steps, so
-        // back-to-back calls of one function collapsing onto the same
-        // stack shape count once — line-granular recordings cannot tell
-        // them apart.
-        let mut p = obs::Profiler::new(mode, period);
-        let mut stack: Vec<String> = Vec::new();
-        for i in 0..upto {
-            let st = self.state_at(i);
-            let mut chain: Vec<String> = st.frame.chain().map(|f| f.name().to_owned()).collect();
-            chain.reverse(); // outermost first
-            let common = stack.iter().zip(&chain).take_while(|(a, b)| a == b).count();
-            for _ in common..stack.len() {
-                p.exit();
-            }
-            for name in &chain[common..] {
-                let id = p.intern(name);
-                p.enter(id);
-            }
-            stack = chain;
-            p.line(st.frame.location().line());
-            p.tick();
+        match self.engine.handle(Command::ProfileReport { since: 0 }) {
+            Response::Profile(report) => Ok(*report),
+            other => Err(self.error(other)),
         }
-        Ok(p.report())
     }
 
     fn stats(&self) -> obs::Snapshot {
@@ -1231,6 +754,7 @@ mod tests {
 mod reverse_tests {
     use super::*;
     use crate::{MiTracker, Tracker};
+    use state::ExitStatus;
 
     fn recording() -> Recording {
         let src = "int bump(int v) {\nreturn v + 1;\n}\nint main() {\nint x = 0;\nx = bump(x);\nx = bump(x);\nreturn x;\n}";

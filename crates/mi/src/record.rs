@@ -9,17 +9,20 @@
 //! is transparent while recording is off — every command forwards to the
 //! inner engine unchanged — so all spawned sessions carry it.
 //!
-//! [`ReplayEngine`] is the other half: a session engine whose "inferior"
-//! is a finished recording behind an `Arc<trace::Store>`. The session
-//! host shelves recordings published with [`Command::PublishTrace`] and
-//! opens any number of replay sessions over one shelved store with
-//! [`Command::OpenReplay`] — record once, scrub many, each reader with
-//! its own cursor, decode caches, and metrics. Publishing shares the
-//! recording's `Arc`; it never copies the store.
+//! [`ReplayEngine`] is the other half, and the only replay state
+//! machine: a session engine whose "inferior" is a finished recording
+//! behind an `Arc<trace::Store>`, with the live engines' control points,
+//! stepping and variable lookup. The session host shelves recordings
+//! published with [`Command::PublishTrace`] and opens any number of
+//! replay sessions over one shelved store with [`Command::OpenReplay`] —
+//! record once, scrub many, each reader with its own cursor, control
+//! points, decode caches, and metrics. Publishing shares the recording's
+//! `Arc`; it never copies the store. `easytracker::ReplayTracker` drives
+//! the same engine in process.
 
 use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
-use state::{ExitStatus, PauseReason, ProgramState, Variable};
+use state::{ExitStatus, Frame, PauseReason, ProgramState, SourceLocation, Variable};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -33,45 +36,22 @@ pub fn new_shelf() -> TraceShelf {
     Arc::new(Mutex::new(HashMap::new()))
 }
 
-fn is_control(cmd: &Command) -> bool {
-    matches!(
-        cmd,
-        Command::Start | Command::Resume | Command::Step | Command::Next | Command::Finish
-    )
-}
-
-/// Finds `name` (bare or `frame::var`-qualified) in a recorded snapshot,
-/// innermost frame first, then globals — the same resolution order the
-/// live engines use for `GetVariable`.
-fn find_variable(st: &ProgramState, name: &str) -> Option<Variable> {
-    let (frame_filter, bare) = match name.split_once("::") {
-        Some((f, v)) => (Some(f), v),
-        None => (None, name),
-    };
-    for frame in st.frame.chain() {
-        if frame_filter.is_some_and(|f| f != frame.name()) {
-            continue;
-        }
-        if let Some(var) = frame.variable(bare) {
-            return Some(var.clone());
-        }
+/// Resolves `name` in a recorded snapshot the way the live engines do: a
+/// bare name in the innermost frame, then the globals, then nothing;
+/// `frame::var` in the innermost frame of that name holding `var`.
+fn resolve(st: &ProgramState, name: &str) -> Option<Variable> {
+    match name.split_once("::") {
+        Some((f, v)) => st
+            .frame
+            .chain()
+            .filter(|frame| frame.name() == f)
+            .find_map(|frame| frame.variable(v)),
+        None => st
+            .frame
+            .variable(name)
+            .or_else(|| st.globals.iter().find(|g| g.name() == name)),
     }
-    if frame_filter.is_none() {
-        return st.globals.iter().find(|v| v.name() == bare).cloned();
-    }
-    None
-}
-
-/// Serves an inspection command against a recorded snapshot.
-fn inspect_recorded(st: &ProgramState, cmd: &Command) -> Response {
-    match cmd {
-        Command::GetState => Response::State(Box::new(st.clone())),
-        Command::GetGlobals => Response::Globals(st.globals.clone()),
-        Command::GetVariable { name } => Response::Variable(find_variable(st, name)),
-        _ => Response::Error {
-            message: format!("{} is not answerable from a recording", cmd.kind()),
-        },
-    }
+    .cloned()
 }
 
 /// An [`Engine`] wrapper that records every pause into a
@@ -93,9 +73,9 @@ pub struct RecordingEngine<E> {
     /// Output captured from the inner engine but not yet drained by the
     /// client's own `GetOutput`.
     pending_out: String,
-    /// Recorded state the inspection cursor points at, decoded once by
-    /// `Seek`; `None` = live.
-    cursor: Option<ProgramState>,
+    /// Replay reader over the recording, positioned by `Seek`; `None` =
+    /// live.
+    cursor: Option<ReplayEngine>,
 }
 
 impl<E: Engine> RecordingEngine<E> {
@@ -130,68 +110,72 @@ impl<E: Engine> RecordingEngine<E> {
     /// Captures the pause a control command just produced (or the exit
     /// that ended the run) into the armed store.
     fn after_control(&mut self, resp: &Response) {
-        if self.store.is_none() {
+        let (Some(store), Response::Paused(reason)) = (&mut self.store, resp) else {
             return;
-        }
-        let Response::Paused(reason) = resp else {
-            return;
+        };
+        let drain = |inner: &mut E| match inner.handle(Command::GetOutput) {
+            Response::Output(s) => s,
+            _ => String::new(),
         };
         if reason.is_alive() {
             let Response::State(st) = self.inner.handle(Command::GetState) else {
                 return;
             };
-            let delta = match self.inner.handle(Command::GetOutput) {
-                Response::Output(s) => s,
-                _ => String::new(),
-            };
+            let delta = drain(&mut self.inner);
+            Arc::make_mut(store).push(&st, &delta);
             self.pending_out.push_str(&delta);
-            if let Some(store) = self.store.as_mut() {
-                Arc::make_mut(store).push(&st, &delta);
-            }
-        } else if !self.finished {
-            self.finished = true;
+        } else if !std::mem::replace(&mut self.finished, true) {
             // Output produced by the very last step, plus the exit code.
-            if let Response::Output(tail) = self.inner.handle(Command::GetOutput) {
-                if !tail.is_empty() {
-                    self.pending_out.push_str(&tail);
-                    if let Some(store) = self.store.as_mut() {
-                        Arc::make_mut(store).append_output_to_last(&tail);
-                    }
-                }
-            }
+            let tail = drain(&mut self.inner);
             let code = match self.inner.handle(Command::GetExitCode) {
                 Response::ExitCode(code) => code,
                 _ => None,
             };
-            if let Some(store) = self.store.as_mut() {
-                let store = Arc::make_mut(store);
-                store.set_exit_code(code);
-                store.freeze();
+            let store = Arc::make_mut(store);
+            if !tail.is_empty() {
+                store.append_output_to_last(&tail);
             }
+            store.set_exit_code(code);
+            store.freeze();
+            self.pending_out.push_str(&tail);
         }
     }
 
     fn serve_trace_cmd(&mut self, cmd: &Command) -> Option<Response> {
         match cmd {
             Command::Record { keyframe_every } => Some(self.arm(*keyframe_every)),
-            Command::Seek { pause } => Some(self.seek(*pause)),
-            Command::QueryHistory {
-                variable,
-                from,
-                to,
-                last_only,
-            } => Some(self.query_history(variable, *from, *to, *last_only)),
-            Command::TraceStats => Some(match &self.store {
-                Some(store) => Response::TraceStats {
-                    pauses: store.len(),
-                    keyframes: store.keyframes(),
-                    bytes: store.disk_bytes(),
-                },
-                None => no_recording(),
-            }),
-            Command::PublishTrace { name } => Some(self.publish(name)),
-            _ => None,
+            Command::Seek { .. } => {
+                let Some(store) = &self.store else {
+                    return Some(no_recording());
+                };
+                // Control commands drop the cursor, so while it lives the
+                // store it reads is the current one.
+                let reader = self.cursor.get_or_insert_with(|| {
+                    ReplayEngine::new(Arc::clone(store), obs::Registry::new())
+                });
+                let resp = reader.handle(cmd.clone());
+                // A refused seek leaves the cursor where it was.
+                if *reader.pause_reason() == PauseReason::NotStarted {
+                    self.cursor = None;
+                }
+                Some(resp)
+            }
+            _ => serve_store(self.store.as_ref(), self.shelf.as_ref(), cmd),
         }
+    }
+
+    /// Snaps the inspection cursor back to the live inferior before a
+    /// control command; `false` for every other command.
+    fn before_control(&mut self, cmd: &Command) -> bool {
+        let control = matches!(
+            cmd,
+            Command::Start | Command::Resume | Command::Step | Command::Next | Command::Finish
+        );
+        if control {
+            self.cursor = None;
+            self.started |= *cmd == Command::Start;
+        }
+        control
     }
 
     fn arm(&mut self, keyframe_every: u32) -> Response {
@@ -216,51 +200,6 @@ impl<E: Engine> RecordingEngine<E> {
         )));
         Response::Ok
     }
-
-    fn seek(&mut self, pause: u64) -> Response {
-        let Some(store) = &self.store else {
-            return no_recording();
-        };
-        match store.state_at(pause) {
-            Ok(st) => {
-                let reason = st.reason.clone();
-                self.cursor = Some(st);
-                Response::Paused(reason)
-            }
-            Err(e) => Response::Error { message: e },
-        }
-    }
-
-    fn query_history(
-        &self,
-        variable: &str,
-        from: Option<u64>,
-        to: Option<u64>,
-        last_only: bool,
-    ) -> Response {
-        let Some(store) = &self.store else {
-            return no_recording();
-        };
-        Response::History {
-            hits: history_hits(store, variable, from, to, last_only),
-        }
-    }
-
-    fn publish(&mut self, name: &str) -> Response {
-        let Some(shelf) = &self.shelf else {
-            return Response::Error {
-                message: "no trace shelf here: PublishTrace needs a session host".into(),
-            };
-        };
-        let Some(store) = &self.store else {
-            return no_recording();
-        };
-        shelf
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), Arc::clone(store));
-        Response::Ok
-    }
 }
 
 fn no_recording() -> Response {
@@ -269,23 +208,58 @@ fn no_recording() -> Response {
     }
 }
 
-/// Answers a `QueryHistory` against a store.
-fn history_hits(
-    store: &trace::Store,
-    variable: &str,
-    from: Option<u64>,
-    to: Option<u64>,
-    last_only: bool,
-) -> Vec<trace::HistoryHit> {
-    let to = to.unwrap_or_else(|| store.len().saturating_sub(1));
-    if last_only {
-        return store
-            .last_change(variable, Some(to))
-            .into_iter()
-            .filter(|h| h.pause >= from.unwrap_or(0))
-            .collect();
-    }
-    store.writes_in(variable, from.unwrap_or(0), to)
+/// Answers the commands both engines serve from the store itself:
+/// `QueryHistory`, `TraceStats` and `PublishTrace`. `None` for others.
+fn serve_store(
+    store: Option<&Arc<trace::Store>>,
+    shelf: Option<&TraceShelf>,
+    cmd: &Command,
+) -> Option<Response> {
+    Some(match (cmd, store, shelf) {
+        (Command::PublishTrace { .. }, _, None) => Response::Error {
+            message: "no trace shelf here: PublishTrace needs a session host".into(),
+        },
+        (
+            Command::QueryHistory { .. } | Command::TraceStats | Command::PublishTrace { .. },
+            None,
+            _,
+        ) => no_recording(),
+        (Command::PublishTrace { name }, Some(store), Some(shelf)) => {
+            shelf
+                .lock()
+                .expect("trace shelf")
+                .insert(name.clone(), Arc::clone(store));
+            Response::Ok
+        }
+        (Command::TraceStats, Some(store), _) => Response::TraceStats {
+            pauses: store.len(),
+            keyframes: store.keyframes(),
+            bytes: store.disk_bytes(),
+        },
+        (
+            Command::QueryHistory {
+                variable,
+                from,
+                to,
+                last_only,
+            },
+            Some(store),
+            _,
+        ) => {
+            let (from, to) = (
+                from.unwrap_or(0),
+                to.unwrap_or(store.len().saturating_sub(1)),
+            );
+            let hits = if *last_only {
+                let last = store.last_change(variable, Some(to));
+                last.into_iter().filter(|h| h.pause >= from).collect()
+            } else {
+                store.writes_in(variable, from, to)
+            };
+            Response::History { hits }
+        }
+        _ => return None,
+    })
 }
 
 impl<E: Engine> Engine for RecordingEngine<E> {
@@ -293,22 +267,17 @@ impl<E: Engine> Engine for RecordingEngine<E> {
         if let Some(resp) = self.serve_trace_cmd(&cmd) {
             return resp;
         }
-        if is_control(&cmd) {
-            // Control always acts on the live inferior: snap back.
-            self.cursor = None;
-            if cmd == Command::Start {
-                self.started = true;
-            }
+        if self.before_control(&cmd) {
             let resp = self.inner.handle(cmd);
             self.after_control(&resp);
             return resp;
         }
-        if let Some(st) = &self.cursor {
+        if let Some(reader) = &mut self.cursor {
             if matches!(
                 cmd,
                 Command::GetState | Command::GetGlobals | Command::GetVariable { .. }
             ) {
-                return inspect_recorded(st, &cmd);
+                return reader.handle(cmd);
             }
         }
         if cmd == Command::GetOutput && self.store.is_some() {
@@ -320,11 +289,7 @@ impl<E: Engine> Engine for RecordingEngine<E> {
     }
 
     fn handle_sliced(&mut self, cmd: Command, fuel: u64) -> SliceOutcome {
-        if is_control(&cmd) {
-            self.cursor = None;
-            if cmd == Command::Start {
-                self.started = true;
-            }
+        if self.before_control(&cmd) {
             let outcome = self.inner.handle_sliced(cmd, fuel);
             if let SliceOutcome::Done(resp) = &outcome {
                 self.after_control(resp);
@@ -343,23 +308,60 @@ impl<E: Engine> Engine for RecordingEngine<E> {
     }
 }
 
-/// A session engine whose inferior is a finished recording.
+/// A control point armed on a replay session.
+#[derive(Debug)]
+enum Point {
+    /// Breakpoint on a recorded line.
+    Line(u32),
+    /// Function-entry breakpoint or, with `track`, a tracked function
+    /// that also pauses at each of its returns.
+    Func {
+        function: String,
+        maxdepth: Option<u32>,
+        track: bool,
+    },
+    /// Watchpoint on a variable whose timeline is in `timelines`.
+    Watch(String),
+}
+
+/// A session engine whose inferior is a finished recording — the one
+/// replay state machine, serving hosted replay sessions and, in process,
+/// `easytracker::ReplayTracker`.
 ///
-/// Control commands move a cursor over the recorded pauses (`Next` and
-/// `Finish` use the store's depth column, so they do not even decode
-/// skipped states); `Seek` jumps anywhere in O(log n) and decodes only
-/// the pause it lands on; inspections are served from the reader's
-/// decoded-state cache. Mutating commands
-/// (breakpoints, sanitizer, limits) are rejected: a replay session is a
-/// read-only view, shared with every other reader of the same store.
+/// Control commands move a cursor over the recorded pauses. With no
+/// control point armed, `Step`/`Next`/`Finish`/`Resume` are answered
+/// from the store's line and depth columns without decoding a state;
+/// armed control points (breakpoints, tracked functions, watchpoints)
+/// are re-derived from the recorded snapshots with the live engines'
+/// semantics. [`ReplayEngine::step_back`] and
+/// [`ReplayEngine::resume_back`] run the same control points backwards.
+/// `Seek` jumps anywhere in O(log n) and decodes only the pause it lands
+/// on. Control points and the derived profile are per-session state; the
+/// shared store is never mutated.
+#[derive(Debug)]
 pub struct ReplayEngine {
     reader: trace::TraceReader,
     shelf: Option<TraceShelf>,
-    /// Current pause; `None` before `Start`.
-    cursor: Option<u64>,
-    finished: bool,
+    /// Current pause (the store's length once exited); `None` before
+    /// `Start` or the first `Seek`.
+    pos: Option<u64>,
+    reason: PauseReason,
+    /// Highest trigger rank already reported at `pos`; `None` when `pos`
+    /// was reached by stepping or seeking.
+    rank_done: Option<u8>,
+    points: Vec<(u64, Point)>,
+    next_id: u64,
+    /// Per watched variable, derived once from the store when armed: its
+    /// most recent visible value (rendered) at or before each pause. The
+    /// live engines' sticky-watch question — did the value change against
+    /// the last pause where the variable was visible? — is then a
+    /// comparison of two neighbouring entries.
+    timelines: HashMap<String, Vec<Option<String>>>,
+    /// Armed profile configuration; the report is derived on demand from
+    /// the recorded stacks.
+    profile: Option<(obs::ProfileMode, u64)>,
     /// Pauses whose output has been released to the client (high-water
-    /// mark of forward progress — seeking backwards never re-releases).
+    /// mark of forward progress — moving backwards never re-releases).
     out_released: u64,
     /// Pauses whose output the client has already drained.
     out_drained: u64,
@@ -374,8 +376,13 @@ impl ReplayEngine {
         ReplayEngine {
             reader: trace::TraceReader::new(store, registry),
             shelf: None,
-            cursor: None,
-            finished: false,
+            pos: None,
+            reason: PauseReason::NotStarted,
+            rank_done: None,
+            points: Vec::new(),
+            next_id: 1,
+            timelines: HashMap::new(),
+            profile: None,
             out_released: 0,
             out_drained: 0,
         }
@@ -389,107 +396,384 @@ impl ReplayEngine {
         self
     }
 
+    /// The reader this session scrubs with: the shared store, this
+    /// session's decode caches, and its registry.
+    pub fn reader(&self) -> &trace::TraceReader {
+        &self.reader
+    }
+
+    /// Why the session is paused: the last control answer.
+    pub fn pause_reason(&self) -> &PauseReason {
+        &self.reason
+    }
+
+    /// Steps one recorded pause backwards. At the first pause this
+    /// reports [`PauseReason::Started`] and stays put.
+    pub fn step_back(&mut self) -> Response {
+        match self.pos {
+            None => not_started(),
+            Some(0) => {
+                self.reason = PauseReason::Started;
+                Response::Paused(PauseReason::Started)
+            }
+            Some(n) => self.land(
+                (n - 1).min(self.len().saturating_sub(1)),
+                PauseReason::Step,
+                None,
+            ),
+        }
+    }
+
+    /// Runs backwards to the previous pause where a control point fires,
+    /// or to the first pause ([`PauseReason::Started`]).
+    pub fn resume_back(&mut self) -> Response {
+        let Some(cur) = self.pos else {
+            return not_started();
+        };
+        for n in (0..cur.min(self.len())).rev() {
+            match self.trigger(n, 0) {
+                Ok(Some((rank, reason))) => return self.land(n, reason, Some(rank)),
+                Ok(None) => {}
+                Err(message) => return Response::Error { message },
+            }
+        }
+        self.land(0, PauseReason::Started, None)
+    }
+
     fn store(&self) -> &Arc<trace::Store> {
         self.reader.store()
     }
 
-    fn exit_reason(&self) -> PauseReason {
-        PauseReason::Exited(ExitStatus::Exited(self.store().exit_code().unwrap_or(0)))
+    fn len(&self) -> u64 {
+        self.store().len()
     }
 
-    /// Lands on pause `n` (or exits past the end) and answers like a
-    /// live engine's pause report.
-    fn land(&mut self, n: u64) -> Response {
-        let len = self.store().len();
-        if n >= len {
-            self.cursor = len.checked_sub(1);
-            self.finished = true;
-            self.out_released = len;
+    /// The recorded exit; code −1 is how every engine reports a crash.
+    fn exit_reason(&self) -> PauseReason {
+        PauseReason::Exited(match self.store().exit_code() {
+            Some(-1) => ExitStatus::Crashed,
+            code => ExitStatus::Exited(code.unwrap_or(0)),
+        })
+    }
+
+    /// Lands on pause `n` for `reason` (on the exit past the end) and
+    /// releases the output recorded up to it.
+    fn land(&mut self, n: u64, reason: PauseReason, rank: Option<u8>) -> Response {
+        let len = self.len();
+        let reason = if n < len { reason } else { self.exit_reason() };
+        self.pos = Some(n.min(len));
+        self.out_released = self.out_released.max((n + 1).min(len));
+        self.rank_done = rank;
+        self.reason = reason.clone();
+        Response::Paused(reason)
+    }
+
+    fn control(&mut self, cmd: &Command) -> Response {
+        let Some(cur) = self.pos else {
+            return not_started();
+        };
+        if cur >= self.len() {
             return Response::Paused(self.exit_reason());
         }
-        self.cursor = Some(n);
-        self.finished = false;
-        self.out_released = self.out_released.max(n + 1);
-        match self.reader.state_at(n) {
-            Ok(st) => Response::Paused(st.reason.clone()),
-            Err(e) => Response::Error { message: e },
-        }
-    }
-
-    /// First pause after `from` whose depth satisfies `keep`; exits when
-    /// none does. Drives `Next`/`Finish` off the depth column alone.
-    fn advance_until(&mut self, from: u64, keep: impl Fn(u32) -> bool) -> Response {
-        let mut n = from;
-        while let Some(d) = self.store().depth_at(n) {
-            if keep(d) {
-                return self.land(n);
+        let store = Arc::clone(self.store());
+        let depth = store.depth_at(cur).unwrap_or(0);
+        let line = store.line_at(cur);
+        let run = match cmd {
+            Command::Step => return self.land(cur + 1, PauseReason::Step, None),
+            Command::Next => self.advance(cur, |n| {
+                let d = store.depth_at(n).unwrap_or(0);
+                d < depth || (d == depth && store.line_at(n) != line)
+            }),
+            Command::Finish if depth <= 1 => {
+                return Response::Error {
+                    message: "cannot finish the outermost frame".into(),
+                }
             }
-            n += 1;
-        }
-        self.land(n)
+            Command::Finish => self.advance(cur, |n| store.depth_at(n).unwrap_or(0) < depth),
+            _ => self.advance(cur, |_| false),
+        };
+        run.unwrap_or_else(|message| Response::Error { message })
     }
 
-    fn current_state(&self) -> Result<Arc<ProgramState>, String> {
-        match self.cursor {
-            Some(n) => self.reader.state_at(n),
-            None => Err("inferior not started".into()),
+    /// Runs forward from `cur` to the first pause where a control point
+    /// fires or `stop` holds, or to the exit.
+    fn advance(&mut self, cur: u64, stop: impl Fn(u64) -> bool) -> Result<Response, String> {
+        // Later-phase triggers of the current pause first: a one-line
+        // function's entry and exit share one recorded pause.
+        if let Some(done) = self.rank_done {
+            if let Some((rank, reason)) = self.trigger(cur, done + 1)? {
+                return Ok(self.land(cur, reason, Some(rank)));
+            }
         }
+        for n in cur + 1..self.len() {
+            if let Some((rank, reason)) = self.trigger(n, 0)? {
+                return Ok(self.land(n, reason, Some(rank)));
+            }
+            if stop(n) {
+                return Ok(self.land(n, PauseReason::Step, None));
+            }
+        }
+        Ok(self.land(self.len(), PauseReason::Step, None))
+    }
+
+    /// The control point with phase rank `>= min_rank` that fires on
+    /// arriving at pause `n` (from `n - 1`), if any. Ranks order the
+    /// triggers that can share one recorded pause and mirror the live
+    /// engines' event order — frame-entry events before the line's own
+    /// checks, returns at the end of the line: function breakpoint (0),
+    /// tracked call (1), watch (2), line breakpoint (3), tracked return
+    /// (4). Re-examining the current pause with a higher `min_rank` lets
+    /// `Resume` deliver every event of such a pause.
+    fn trigger(&self, n: u64, min_rank: u8) -> Result<Option<(u8, PauseReason)>, String> {
+        if self.points.is_empty() {
+            return Ok(None);
+        }
+        let cur = self.reader.state_at(n)?;
+        let prev = n
+            .checked_sub(1)
+            .map(|p| self.reader.state_at(p))
+            .transpose()?;
+        let depth = cur.stack_depth();
+        let occurrences =
+            |st: &ProgramState, f: &str| st.frame.chain().filter(|fr| fr.name() == f).count();
+        let mut best: Option<(u8, PauseReason)> = None;
+        let mut consider = |rank: u8, reason: PauseReason| {
+            if rank >= min_rank && best.as_ref().is_none_or(|(r, _)| rank < *r) {
+                best = Some((rank, reason));
+            }
+        };
+        for (id, point) in &self.points {
+            match point {
+                Point::Watch(variable) => {
+                    // Callee frames may shadow the variable; a variable
+                    // springing into existence counts as a change.
+                    let Some(tl) = self.timelines.get(variable) else {
+                        continue;
+                    };
+                    let (Some(p), Some(new)) = (n.checked_sub(1), &tl[n as usize]) else {
+                        continue;
+                    };
+                    let old = &tl[p as usize];
+                    if old.as_ref() != Some(new) {
+                        consider(
+                            2,
+                            PauseReason::Watchpoint {
+                                id: *id,
+                                variable: variable.clone(),
+                                old: old.clone(),
+                                new: new.clone(),
+                            },
+                        );
+                    }
+                }
+                Point::Line(line) => {
+                    if self.store().line_at(n) == Some(*line) {
+                        let location = cur.frame.location().clone();
+                        consider(3, PauseReason::Breakpoint { id: *id, location });
+                    }
+                }
+                Point::Func {
+                    function,
+                    maxdepth,
+                    track,
+                } => {
+                    let within = |d: u32| maxdepth.is_none_or(|m| d <= m);
+                    let occ = occurrences(&cur, function);
+                    let depth0 = depth.saturating_sub(1) as u32;
+                    if occ > prev.as_ref().map_or(0, |p| occurrences(p, function))
+                        && cur.frame.name() == function
+                        && within(depth0)
+                    {
+                        let reason = if *track {
+                            let function = function.clone();
+                            PauseReason::FunctionCall {
+                                function,
+                                depth: depth0,
+                            }
+                        } else {
+                            let location = cur.frame.location().clone();
+                            PauseReason::Breakpoint { id: *id, location }
+                        };
+                        consider(u8::from(*track), reason);
+                    }
+                    if !track {
+                        continue;
+                    }
+                    // The innermost occurrence is the frame popped last.
+                    let inner = cur.frame.chain().position(|f| f.name() == function);
+                    // Occurrences across the whole stack, not just the
+                    // innermost frame: when a tracked function's last line
+                    // is itself a call, the pop back to its caller happens
+                    // while a callee is the innermost recorded frame.
+                    let returning = if n + 1 < self.len() {
+                        occ > occurrences(&*self.reader.state_at(n + 1)?, function)
+                    } else {
+                        // Program exit pops every frame at once; the
+                        // outermost frame's teardown is not a tracked
+                        // return, so only deeper occurrences count.
+                        inner.is_some_and(|k| k + 1 < depth)
+                    };
+                    let depth0 = inner.map_or(0, |k| (depth - 1 - k) as u32);
+                    if returning && within(depth0) {
+                        consider(
+                            4,
+                            PauseReason::FunctionReturn {
+                                function: function.clone(),
+                                depth: depth0,
+                                return_value: None,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+        Ok(best)
+    }
+
+    fn arm(&mut self, point: Point) -> Response {
+        if let Point::Watch(variable) = &point {
+            if !self.timelines.contains_key(variable) {
+                match self.timeline(variable) {
+                    Ok(tl) => self.timelines.insert(variable.clone(), tl),
+                    Err(message) => return Response::Error { message },
+                };
+            }
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        self.points.push((id, point));
+        Response::Created { id }
+    }
+
+    /// Derives the sticky-watch timeline for `variable` in one
+    /// sequential pass over the store (each record decompressed once).
+    fn timeline(&self, variable: &str) -> Result<Vec<Option<String>>, String> {
+        let mut tl = Vec::with_capacity(self.len() as usize);
+        for n in 0..self.len() {
+            let v = resolve(&*self.reader.state_at(n)?, variable)
+                .map(|v| state::render_value(v.value().deref_fully()));
+            tl.push(v.or_else(|| tl.last().cloned().flatten()));
+        }
+        Ok(tl)
+    }
+
+    /// Answers an inspection from the state at the current position,
+    /// carrying the current pause reason. Past the end that is the last
+    /// recorded frame (an empty module frame for an empty recording).
+    fn inspect(&self, cmd: &Command) -> Response {
+        let Some(pos) = self.pos else {
+            return not_started();
+        };
+        let st = match self.len().checked_sub(1) {
+            Some(last) => match self.reader.state_at(pos.min(last)) {
+                Ok(st) => st,
+                Err(message) => return Response::Error { message },
+            },
+            None => Arc::new(ProgramState::new(
+                Frame::new("<module>", 0, SourceLocation::new(self.store().file(), 0)),
+                Vec::new(),
+                PauseReason::NotStarted,
+            )),
+        };
+        match cmd {
+            Command::GetState => Response::State(Box::new(ProgramState {
+                reason: self.reason.clone(),
+                ..(*st).clone()
+            })),
+            Command::GetVariable { name } => Response::Variable(resolve(&st, name)),
+            _ => Response::Globals(st.globals.clone()),
+        }
+    }
+
+    /// Re-drives a profiler from the recorded stacks up to the current
+    /// pause: each pause is one line unit attributed to its innermost
+    /// frame, and calls are recovered from stack growth between pauses —
+    /// back-to-back calls of one function collapsing onto the same stack
+    /// shape count once, since line-granular recordings cannot tell them
+    /// apart.
+    fn profile_report(&self) -> Result<obs::ProfileReport, String> {
+        let Some((mode, period)) = self.profile else {
+            return Ok(obs::ProfileReport::default());
+        };
+        let upto = self.pos.map_or(0, |p| (p + 1).min(self.len()));
+        let mut p = obs::Profiler::new(mode, period);
+        let mut stack: Vec<String> = Vec::new();
+        for n in 0..upto {
+            let st = self.reader.state_at(n)?;
+            let mut chain: Vec<String> = st.frame.chain().map(|f| f.name().to_owned()).collect();
+            chain.reverse(); // outermost first
+            let common = stack.iter().zip(&chain).take_while(|(a, b)| a == b).count();
+            for _ in common..stack.len() {
+                p.exit();
+            }
+            for name in &chain[common..] {
+                let id = p.intern(name);
+                p.enter(id);
+            }
+            stack = chain;
+            p.line(st.frame.location().line());
+            p.tick();
+        }
+        Ok(p.report())
+    }
+}
+
+fn not_started() -> Response {
+    Response::Error {
+        message: "inferior not started".into(),
     }
 }
 
 impl Engine for ReplayEngine {
     fn handle(&mut self, cmd: Command) -> Response {
         match cmd {
-            Command::Start => {
-                self.out_released = 0;
-                self.out_drained = 0;
-                self.finished = false;
-                self.cursor = None;
-                self.land(0)
+            Command::Start if self.pos.is_some() => Response::Error {
+                message: "replay already started".into(),
+            },
+            Command::Start => self.land(0, PauseReason::Started, None),
+            Command::Step | Command::Next | Command::Finish | Command::Resume => self.control(&cmd),
+            Command::Seek { pause } => match self.reader.state_at(pause) {
+                Ok(st) => self.land(pause, st.reason.clone(), None),
+                Err(message) => Response::Error { message },
+            },
+            Command::SetBreakLine { line } => {
+                // Slide to the next recorded line, like the live engines.
+                match self
+                    .store()
+                    .breakable_lines()
+                    .into_iter()
+                    .find(|&l| l >= line)
+                {
+                    Some(actual) => self.arm(Point::Line(actual)),
+                    None => Response::Error {
+                        message: format!("no recorded execution at or after line {line}"),
+                    },
+                }
             }
-            Command::Step => match self.cursor {
-                Some(n) if !self.finished => self.land(n + 1),
-                _ => Response::Error {
-                    message: "inferior not running".into(),
-                },
-            },
-            Command::Next => match self.cursor {
-                Some(n) if !self.finished => {
-                    let depth = self.store().depth_at(n).unwrap_or(0);
-                    self.advance_until(n + 1, |d| d <= depth)
+            Command::SetBreakFunc { function, maxdepth } => self.arm(Point::Func {
+                function,
+                maxdepth,
+                track: false,
+            }),
+            Command::TrackFunction { function, maxdepth } => self.arm(Point::Func {
+                function,
+                maxdepth,
+                track: true,
+            }),
+            Command::Watch { variable } => self.arm(Point::Watch(variable)),
+            Command::Delete { id } => {
+                let before = self.points.len();
+                self.points.retain(|(p, _)| *p != id);
+                if self.points.len() == before {
+                    Response::Error {
+                        message: format!("no control point {id}"),
+                    }
+                } else {
+                    Response::Ok
                 }
-                _ => Response::Error {
-                    message: "inferior not running".into(),
-                },
-            },
-            Command::Finish => match self.cursor {
-                Some(n) if !self.finished => {
-                    let depth = self.store().depth_at(n).unwrap_or(0);
-                    self.advance_until(n + 1, |d| d < depth)
-                }
-                _ => Response::Error {
-                    message: "inferior not running".into(),
-                },
-            },
-            Command::Resume => match self.cursor {
-                Some(_) if !self.finished => self.land(self.store().len()),
-                _ => Response::Error {
-                    message: "inferior not running".into(),
-                },
-            },
-            Command::Seek { pause } => {
-                if pause >= self.store().len() {
-                    return Response::Error {
-                        message: format!("pause {pause} out of range (len {})", self.store().len()),
-                    };
-                }
-                self.land(pause)
             }
             Command::GetState | Command::GetGlobals | Command::GetVariable { .. } => {
-                match self.current_state() {
-                    Ok(st) => inspect_recorded(&st, &cmd),
-                    Err(e) => Response::Error { message: e },
-                }
+                self.inspect(&cmd)
             }
             Command::GetOutput => {
                 let out = self
@@ -499,7 +783,7 @@ impl Engine for ReplayEngine {
                 self.out_drained = self.out_released;
                 Response::Output(out)
             }
-            Command::GetExitCode => Response::ExitCode(if self.finished {
+            Command::GetExitCode => Response::ExitCode(if self.pos == Some(self.len()) {
                 self.store().exit_code()
             } else {
                 None
@@ -509,32 +793,26 @@ impl Engine for ReplayEngine {
                 text: self.store().source().to_string(),
             },
             Command::GetBreakableLines => Response::Lines(self.store().breakable_lines()),
-            Command::QueryHistory {
-                variable,
-                from,
-                to,
-                last_only,
-            } => Response::History {
-                hits: history_hits(self.store(), &variable, from, to, last_only),
+            Command::SetProfile { mode, period } => {
+                // Derived, not collected: armable at any position.
+                self.profile = (mode != obs::ProfileMode::Off).then_some((mode, period));
+                Response::Ok
+            }
+            Command::ProfileReport { .. } => match self.profile_report() {
+                Ok(report) => Response::Profile(Box::new(report)),
+                Err(message) => Response::Error { message },
             },
-            Command::TraceStats => Response::TraceStats {
-                pauses: self.store().len(),
-                keyframes: self.store().keyframes(),
-                bytes: self.store().disk_bytes(),
-            },
-            Command::PublishTrace { name } => match &self.shelf {
-                Some(shelf) => {
-                    shelf.lock().unwrap().insert(name, Arc::clone(self.store()));
-                    Response::Ok
-                }
-                None => Response::Error {
-                    message: "no trace shelf here: PublishTrace needs a session host".into(),
-                },
-            },
-            Command::Terminate => Response::Ok,
-            other => Response::Error {
-                message: format!("{} is not available in a replay session", other.kind()),
-            },
+            Command::Terminate => {
+                self.land(self.len(), PauseReason::Step, None);
+                Response::Ok
+            }
+            other => {
+                serve_store(Some(self.store()), self.shelf.as_ref(), &other).unwrap_or_else(|| {
+                    Response::Error {
+                        message: format!("{} is not available in a replay session", other.kind()),
+                    }
+                })
+            }
         }
     }
 }
@@ -615,11 +893,19 @@ mod tests {
             eng.handle(Command::GetOutput),
             Response::Output("3;4;5;6;7;8;9;".into())
         );
-        // Mutation is refused.
-        assert!(matches!(
-            eng.handle(Command::SetBreakLine { line: 3 }),
-            Response::Error { .. }
-        ));
+        // Control points are per-reader state: a breakpoint fires at the
+        // recorded line.
+        let mut eng = ReplayEngine::new(Arc::new(mk_store(10)), obs::Registry::new());
+        eng.handle(Command::Start);
+        let Response::Created { id } = eng.handle(Command::SetBreakLine { line: 3 }) else {
+            panic!("breakpoint refused");
+        };
+        match eng.handle(Command::Resume) {
+            Response::Paused(PauseReason::Breakpoint { id: hit, location }) => {
+                assert_eq!((hit, location.line()), (id, 3));
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
     }
 
     #[test]
@@ -659,6 +945,37 @@ mod tests {
             eng.handle(Command::GetState),
             Response::State(Box::new(recorded))
         );
+    }
+
+    #[test]
+    fn seek_cursor_resolves_bare_names_like_the_live_engine() {
+        let src = "int inc(int v) {\n    return v + 1;\n}\nint main() {\n    int i = 0;\n    i = inc(i);\n    return i;\n}\n";
+        let program = minic::compile("p.c", src).unwrap();
+        let inner = crate::minic_engine::MinicEngine::new(&program);
+        let mut eng = RecordingEngine::new(inner);
+        eng.handle(Command::Record { keyframe_every: 4 });
+        let mut reason = eng.handle(Command::Start);
+        while matches!(&reason, Response::Paused(r) if r.is_alive()) {
+            reason = eng.handle(Command::Step);
+        }
+        let store = eng.store().unwrap();
+        let callee = (0..store.len())
+            .find(|&n| store.state_at(n).unwrap().frame.name() == "inc")
+            .expect("a pause inside inc");
+        assert!(matches!(
+            eng.handle(Command::Seek { pause: callee }),
+            Response::Paused(_)
+        ));
+        let var = |eng: &mut RecordingEngine<_>, name: &str| match eng
+            .handle(Command::GetVariable { name: name.into() })
+        {
+            Response::Variable(v) => v,
+            other => panic!("unexpected: {other:?}"),
+        };
+        // `i` is the caller's: invisible from `inc`, as it is live.
+        assert_eq!(var(&mut eng, "i"), None);
+        assert!(var(&mut eng, "v").is_some());
+        assert!(var(&mut eng, "main::i").is_some());
     }
 
     #[test]

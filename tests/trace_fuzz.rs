@@ -13,9 +13,10 @@
 //!   snapshot (JSON) decoders, and everything that reads a store: a
 //!   [`trace::TraceReader`] scrubbing forward and back, and a
 //!   [`mi::ReplayEngine`] driven through control, inspection, seek and
-//!   history commands.
+//!   history commands, and a [`ReplayTracker`] driving the same engine
+//!   in process through control points and reverse execution.
 
-use easytracker::{MiTracker, Recording, Tracker};
+use easytracker::{MiTracker, Recording, ReplayTracker, Tracker};
 use mi::protocol::Command;
 use mi::Engine;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -157,7 +158,7 @@ fn exercise(store: trace::Store) {
     for i in (0..scan).rev().step_by(5) {
         let _ = reader.state_at(i);
     }
-    let mut eng = mi::ReplayEngine::new(store, obs::Registry::new());
+    let mut eng = mi::ReplayEngine::new(store.clone(), obs::Registry::new());
     for cmd in [
         Command::Start,
         Command::Step,
@@ -182,6 +183,20 @@ fn exercise(store: trace::Store) {
     ] {
         let _ = eng.handle(cmd);
     }
+    // The same engine in process, with control points that decode every
+    // pause they test: each call answers or fails typed.
+    let mut t = ReplayTracker::from_store(store);
+    let _ = t.start();
+    let _ = t.track_function("fact", None);
+    let _ = t.watch("total");
+    let _ = t.resume();
+    let _ = t.step();
+    let _ = t.next();
+    let _ = t.finish();
+    let _ = t.get_state();
+    let _ = t.step_back();
+    let _ = t.resume_back();
+    let _ = t.get_state();
 }
 
 #[test]
