@@ -11,24 +11,32 @@
 //! * **function tracking** pauses at `Call` events *and* at `Return`
 //!   events, which the VM emits while the returning frame is still intact
 //!   (reproducing the paper's breakpoint-on-`retq` trick);
-//! * **watchpoints** re-evaluate watched variables at every store event —
-//!   store events are only enabled while watchpoints exist, so the
-//!   paper's "watchpoints slow execution down a lot" behaviour is
-//!   measurable;
+//! * **watchpoints** re-check watched variables at every line and store
+//!   event; store events are only enabled while watchpoints exist. A
+//!   check first compares the variable's raw bytes with the ones that
+//!   produced its last rendered text and renders again only when they
+//!   differ (or the type holds a pointer, whose text also depends on its
+//!   target), so a watch that cannot fire costs a byte compare per event.
+//!   The paper's "watchpoints slow execution down a lot" behaviour stays
+//!   measurable in the MiniPy tracker, which single-steps to check them;
+//! * calls, returns and function breakpoints match by function index,
+//!   resolved once when the control point is armed;
 //! * **step / next / finish** with GDB's line-change semantics.
 
 use crate::protocol::{Command, ResourceKind, Response};
 use crate::server::{Engine, SliceOutcome};
 use minic::inspect::{self, InspectOptions};
+use minic::types::{StructTable, Type};
 use minic::vm::{Event, Vm};
 use minic::Program;
-use state::{ExitStatus, PauseReason, Prim, ProgramState, SourceLocation, Value, Variable};
+use state::{ExitStatus, PauseReason, Prim, ProgramState, Scope, SourceLocation, Value, Variable};
 
 #[derive(Debug, Clone)]
 enum BpKind {
     Line(u32),
     FuncEntry {
-        function: String,
+        /// Index into the program's functions.
+        function: usize,
         maxdepth: Option<u32>,
     },
 }
@@ -41,15 +49,203 @@ struct Breakpoint {
 
 #[derive(Debug, Clone)]
 struct Track {
-    function: String,
+    /// Index into the program's functions.
+    function: usize,
     maxdepth: Option<u32>,
+}
+
+impl Track {
+    fn matches(&self, function: usize, depth: u32) -> bool {
+        self.function == function && self.maxdepth.is_none_or(|m| depth <= m)
+    }
 }
 
 #[derive(Debug, Clone)]
 struct Watch {
     id: u64,
+    /// The name as given: `var` or `function::var`.
     name: String,
+    /// Byte offset of the `::` in a qualified `name`, found once.
+    qualifier: Option<usize>,
     last: Option<String>,
+    /// The storage that rendered `last`, when its bytes alone decide
+    /// the text.
+    seen: Option<Footprint>,
+}
+
+impl Watch {
+    fn new(id: u64, name: String) -> Self {
+        Watch {
+            id,
+            qualifier: name.find("::"),
+            name,
+            last: None,
+            seen: None,
+        }
+    }
+
+    /// `(function filter, variable)` of the watched name.
+    fn parts(&self) -> (Option<&str>, &str) {
+        match self.qualifier {
+            Some(i) => (Some(&self.name[..i]), &self.name[i + 2..]),
+            None => (None, &self.name),
+        }
+    }
+
+    /// Brings `last` up to date with the watched name. Returns the
+    /// previous text when it had to render; `None` when the name is out
+    /// of scope (`last` is kept) or its storage still holds the bytes
+    /// that rendered `last`.
+    fn refresh(&mut self, vm: &Vm) -> Option<Option<String>> {
+        let (func, var) = self.parts();
+        let target = resolve(vm, func, var);
+        if let (Some(seen), Resolved::Mem { addr, ty, .. }) = (&self.seen, target) {
+            let same = seen.addr == addr
+                && seen.ty == *ty
+                && vm
+                    .memory()
+                    .read_bytes(addr, seen.bytes.len() as u64)
+                    .is_ok_and(|now| now == seen.bytes);
+            if same {
+                return None;
+            }
+        }
+        let (_, value) = resolved_value(vm, target)?;
+        let old = self.last.replace(state::render_value(&value));
+        self.seen = Footprint::of(vm, target);
+        Some(old)
+    }
+}
+
+/// Pointer-free storage and the bytes it held when rendered.
+#[derive(Debug, Clone)]
+struct Footprint {
+    addr: u64,
+    ty: Type,
+    bytes: Vec<u8>,
+}
+
+impl Footprint {
+    /// `None` unless `target` is readable storage of a pointer-free type:
+    /// a pointer's text follows its target and the target's liveness,
+    /// which its own bytes do not capture.
+    fn of(vm: &Vm, target: Resolved<'_>) -> Option<Footprint> {
+        let Resolved::Mem { addr, ty, .. } = target else {
+            return None;
+        };
+        let size = pointer_free_size(&vm.program().structs, ty)?;
+        let bytes = vm.memory().read_bytes(addr, size).ok()?.to_vec();
+        Some(Footprint {
+            addr,
+            ty: ty.clone(),
+            bytes,
+        })
+    }
+}
+
+/// Where a name resolves at the current pause, without building anything.
+#[derive(Debug, Clone, Copy)]
+enum Resolved<'p> {
+    Missing,
+    Mem {
+        addr: u64,
+        ty: &'p Type,
+        scope: Scope,
+    },
+    /// A function symbol, by index.
+    Function(usize),
+}
+
+/// Resolves `var` (restricted to frames of `func` when qualified) against
+/// the live frames, innermost first, then the globals and functions.
+fn resolve<'p>(vm: &'p Vm, func: Option<&str>, var: &str) -> Resolved<'p> {
+    if vm.frames().is_empty() {
+        return Resolved::Missing;
+    }
+    let program = vm.program();
+    for fi in vm.frames().iter().rev() {
+        let meta = &program.functions[fi.function];
+        if func.is_some_and(|f| meta.name != f) {
+            continue;
+        }
+        if let Some(local) = meta
+            .locals
+            .iter()
+            .find(|l| l.name == var && (l.is_param || l.decl_line <= fi.line))
+        {
+            let scope = if local.is_param {
+                Scope::Parameter
+            } else {
+                Scope::Local
+            };
+            return Resolved::Mem {
+                addr: fi.base + local.offset,
+                ty: &local.ty,
+                scope,
+            };
+        }
+        if func.is_none() {
+            // Unqualified names only look at the innermost frame
+            // before falling back to globals, like a debugger.
+            break;
+        }
+    }
+    if func.is_none() {
+        if let Some(g) = program.globals.iter().find(|g| g.name == var) {
+            return Resolved::Mem {
+                addr: g.addr,
+                ty: &g.ty,
+                scope: Scope::Global,
+            };
+        }
+        // Function symbols are inspectable as FUNCTION values (the
+        // paper's abstract type for C function designators).
+        if let Some((idx, _)) = program.function(var) {
+            return Resolved::Function(idx);
+        }
+    }
+    Resolved::Missing
+}
+
+/// Builds the value `target` denotes, `None` when missing.
+fn resolved_value(vm: &Vm, target: Resolved<'_>) -> Option<(Scope, Value)> {
+    match target {
+        Resolved::Missing => None,
+        Resolved::Mem { addr, ty, scope } => {
+            let location = if scope == Scope::Global {
+                state::Location::Global
+            } else {
+                state::Location::Stack
+            };
+            let value = inspect::read_value(vm, addr, ty, InspectOptions::default())
+                .with_location(location)
+                .with_address(addr);
+            Some((scope, value))
+        }
+        Resolved::Function(idx) => {
+            let value = Value::function(vm.program().functions[idx].name.clone(), "function")
+                .with_location(state::Location::Global)
+                .with_address(idx as u64);
+            Some((Scope::Global, value))
+        }
+    }
+}
+
+/// Size of `ty` when it holds no pointer or function anywhere (so its
+/// bytes alone determine its rendering), `None` otherwise.
+fn pointer_free_size(structs: &StructTable, ty: &Type) -> Option<u64> {
+    match ty {
+        Type::Char | Type::Int | Type::Long | Type::Float | Type::Double => Some(ty.scalar_size()),
+        Type::Array(elem, n) => pointer_free_size(structs, elem).map(|size| size * *n as u64),
+        Type::Struct(name) => {
+            let layout = structs.get(name)?;
+            for field in &layout.fields {
+                pointer_free_size(structs, &field.ty)?;
+            }
+            Some(layout.size)
+        }
+        Type::Ptr(_) | Type::Func { .. } | Type::Void => None,
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -95,6 +291,9 @@ pub struct MinicEngine {
     registry: Option<obs::Registry>,
     /// VM events seen by the control loop (published as `vm.minic.events`).
     events_seen: u64,
+    /// Full watch renders, i.e. checks the byte gate could not skip
+    /// (published as `vm.minic.watch_evals`).
+    watch_evals: u64,
     /// A control command that yielded on fuel, waiting for
     /// [`Engine::resume_sliced`]. `finish_fired` is deliberately *not*
     /// reset on resume — it is part of the command's progress.
@@ -133,6 +332,7 @@ impl MinicEngine {
             finish_fired: false,
             registry: None,
             events_seen: 0,
+            watch_evals: 0,
             pending_slice: None,
             max_steps: None,
             max_heap_bytes: None,
@@ -162,8 +362,8 @@ impl MinicEngine {
     }
 
     /// Publishes `vm.minic.*` execution stats into `registry` after every
-    /// control command: ops executed, events seen, heap allocs/frees, and
-    /// live heap bytes.
+    /// control command: ops executed, events seen, full watch renders,
+    /// heap allocs/frees, and live heap bytes.
     pub fn set_registry(&mut self, registry: obs::Registry) {
         self.registry = Some(registry);
     }
@@ -182,6 +382,7 @@ impl MinicEngine {
         // reports of the same total.
         reg.set_gauge("vm.minic.ops", self.vm.ops_executed());
         reg.set_gauge("vm.minic.events", self.events_seen);
+        reg.set_gauge("vm.minic.watch_evals", self.watch_evals);
         let alloc = self.vm.allocator();
         reg.set_gauge("vm.minic.heap.allocs", alloc.total_allocs());
         reg.set_gauge("vm.minic.heap.frees", alloc.total_frees());
@@ -198,98 +399,35 @@ impl MinicEngine {
         SourceLocation::new(self.vm.program().file.clone(), line)
     }
 
-    /// Renders the current value of a watched variable, `None` when it is
-    /// not in scope.
-    fn eval_watch(&self, name: &str) -> Option<String> {
-        self.lookup_variable(name)
-            .map(|v| state::render_value(v.value()))
-    }
-
     /// Resolves `var` / `function::var` against the live frames, then the
     /// globals.
     fn lookup_variable(&self, name: &str) -> Option<Variable> {
-        if self.vm.frames().is_empty() {
-            return None;
-        }
-        let opts = InspectOptions::default();
-        let program = self.vm.program();
-        let (func_filter, var) = match name.split_once("::") {
+        let (func, var) = match name.split_once("::") {
             Some((f, v)) => (Some(f), v),
             None => (None, name),
         };
-        // Innermost matching frame first.
-        for fi in self.vm.frames().iter().rev() {
-            let meta = &program.functions[fi.function];
-            if let Some(f) = func_filter {
-                if meta.name != f {
-                    continue;
-                }
-            }
-            if let Some(local) = meta
-                .locals
-                .iter()
-                .find(|l| l.name == var && (l.is_param || l.decl_line <= fi.line))
-            {
-                let addr = fi.base + local.offset;
-                let value = inspect::read_value(&self.vm, addr, &local.ty, opts)
-                    .with_location(state::Location::Stack)
-                    .with_address(addr);
-                let scope = if local.is_param {
-                    state::Scope::Parameter
-                } else {
-                    state::Scope::Local
-                };
-                return Some(Variable::new(local.name.clone(), scope, value));
-            }
-            if func_filter.is_none() {
-                // Unqualified names only look at the innermost frame
-                // before falling back to globals, like a debugger.
-                break;
-            }
-        }
-        if func_filter.is_none() {
-            if let Some(g) = program.globals.iter().find(|g| g.name == var) {
-                let value = inspect::read_value(&self.vm, g.addr, &g.ty, opts)
-                    .with_location(state::Location::Global)
-                    .with_address(g.addr);
-                return Some(Variable::new(g.name.clone(), state::Scope::Global, value));
-            }
-            // Function symbols are inspectable as FUNCTION values (the
-            // paper's abstract type for C function designators).
-            if let Some((idx, f)) = program.function(var) {
-                let value = Value::function(f.name.clone(), "function")
-                    .with_location(state::Location::Global)
-                    .with_address(idx as u64);
-                return Some(Variable::new(f.name.clone(), state::Scope::Global, value));
-            }
-        }
-        None
+        let (scope, value) = resolved_value(&self.vm, resolve(&self.vm, func, var))?;
+        Some(Variable::new(var, scope, value))
     }
 
     /// Checks all watchpoints; returns the pause reason for the first
-    /// changed one.
+    /// changed one. Every watch is brought up to date, even past a hit.
     fn check_watches(&mut self) -> Option<PauseReason> {
         let mut hit = None;
-        // Evaluate first (immutable), then update (mutable).
-        let evals: Vec<Option<String>> = self
-            .watches
-            .iter()
-            .map(|w| self.eval_watch(&w.name))
-            .collect();
-        for (w, current) in self.watches.iter_mut().zip(evals) {
+        for w in &mut self.watches {
+            let Some(old) = w.refresh(&self.vm) else {
+                continue;
+            };
+            self.watch_evals += 1;
             // A C variable becoming *visible* (entering scope) is not a
             // modification — prime silently; only value changes trigger.
-            let changed = current.is_some() && w.last.is_some() && w.last != current;
-            if changed && hit.is_none() {
+            if hit.is_none() && old.is_some() && old != w.last {
                 hit = Some(PauseReason::Watchpoint {
                     id: w.id,
                     variable: w.name.clone(),
-                    old: w.last.clone(),
-                    new: current.clone().expect("changed implies Some"),
+                    new: w.last.clone().unwrap_or_default(),
+                    old,
                 });
-            }
-            if current.is_some() {
-                w.last = current;
             }
         }
         hit
@@ -380,12 +518,11 @@ impl MinicEngine {
                     }
                 }
                 Event::Call { function, depth } => {
-                    let name = &self.vm.program().functions[function].name;
-                    if let Some(bp) = self.bps.iter().find(|bp| match &bp.kind {
+                    if let Some(bp) = self.bps.iter().find(|bp| match bp.kind {
                         BpKind::FuncEntry {
                             function: f,
                             maxdepth,
-                        } => f == name && maxdepth.is_none_or(|m| depth <= m),
+                        } => f == function && maxdepth.is_none_or(|m| depth <= m),
                         BpKind::Line(_) => false,
                     }) {
                         let line = self.vm.program().functions[function].line;
@@ -394,13 +531,9 @@ impl MinicEngine {
                             location: self.location(line),
                         });
                     }
-                    if self
-                        .tracked
-                        .iter()
-                        .any(|t| t.function == *name && t.maxdepth.is_none_or(|m| depth <= m))
-                    {
+                    if self.tracked.iter().any(|t| t.matches(function, depth)) {
                         return RunOutcome::Paused(PauseReason::FunctionCall {
-                            function: name.clone(),
+                            function: self.vm.program().functions[function].name.clone(),
                             depth,
                         });
                     }
@@ -410,14 +543,9 @@ impl MinicEngine {
                     depth,
                     value,
                 } => {
-                    let name = self.vm.program().functions[function].name.clone();
-                    if self
-                        .tracked
-                        .iter()
-                        .any(|t| t.function == name && t.maxdepth.is_none_or(|m| depth <= m))
-                    {
+                    if self.tracked.iter().any(|t| t.matches(function, depth)) {
                         return RunOutcome::Paused(PauseReason::FunctionReturn {
-                            function: name,
+                            function: self.vm.program().functions[function].name.clone(),
                             depth,
                             return_value: value.map(|v| v.to_string()),
                         });
@@ -578,11 +706,11 @@ impl Engine for MinicEngine {
                 Response::Created { id }
             }
             Command::SetBreakFunc { function, maxdepth } => {
-                if self.vm.program().function(&function).is_none() {
+                let Some((function, _)) = self.vm.program().function(&function) else {
                     return Response::Error {
                         message: format!("unknown function `{function}`"),
                     };
-                }
+                };
                 let id = self.alloc_id();
                 self.bps.push(Breakpoint {
                     id,
@@ -591,23 +719,20 @@ impl Engine for MinicEngine {
                 Response::Created { id }
             }
             Command::TrackFunction { function, maxdepth } => {
-                if self.vm.program().function(&function).is_none() {
+                let Some((function, _)) = self.vm.program().function(&function) else {
                     return Response::Error {
                         message: format!("unknown function `{function}`"),
                     };
-                }
+                };
                 self.tracked.push(Track { function, maxdepth });
                 let id = self.alloc_id();
                 Response::Created { id }
             }
             Command::Watch { variable } => {
-                let last = self.eval_watch(&variable);
                 let id = self.alloc_id();
-                self.watches.push(Watch {
-                    id,
-                    name: variable,
-                    last,
-                });
+                let mut watch = Watch::new(id, variable);
+                watch.refresh(&self.vm);
+                self.watches.push(watch);
                 // Watchpoints require store events: this is the expensive
                 // mode the paper warns about.
                 self.vm.set_store_events(true);
@@ -993,6 +1118,39 @@ mod tests {
         assert_eq!(transitions.len(), 5);
         assert_eq!(transitions[0], (Some("0".into()), "1".into()));
         assert_eq!(transitions[4], (Some("4".into()), "5".into()));
+    }
+
+    #[test]
+    fn unchanged_watch_bytes_skip_the_render() {
+        // The sparse-watch loop: `acc` and `i` are stored every
+        // iteration, `mark` every k-th.
+        let k = 50;
+        let iters = 40 * k;
+        let src = format!(
+            "int main() {{\nint acc = 0;\nint mark = 1;\nint i = 0;\nwhile (i < {iters}) {{\n\
+             acc = acc + i;\nif (i % {k} == 0) {{\nmark = mark + 1;\n}}\ni = i + 1;\n}}\n\
+             printf(\"%d\\n\", mark);\nreturn acc % 256;\n}}\n"
+        );
+        let reg = obs::Registry::new();
+        let mut e = engine(&src);
+        e.set_registry(reg.clone());
+        e.handle(Command::Start);
+        e.handle(Command::Watch {
+            variable: "mark".into(),
+        });
+        let mut pauses = 0;
+        while let PauseReason::Watchpoint { .. } = paused(e.handle(Command::Resume)) {
+            pauses += 1;
+        }
+        // `mark = 1` over the fresh zeroed slot, then 40 increments.
+        assert_eq!(pauses, 41);
+        let snapshot = reg.snapshot();
+        let (evals, events) = (
+            snapshot.gauge("vm.minic.watch_evals"),
+            snapshot.gauge("vm.minic.events"),
+        );
+        assert!(evals <= 2 * pauses, "{evals} renders for {pauses} pauses");
+        assert!(events > 100 * evals, "{events} events, {evals} renders");
     }
 
     #[test]

@@ -240,6 +240,9 @@ fn governed_host_isolates_innocents_from_adversarial_tenants() {
     hog.arm(hog_sid, limits(None, None, Some(100), None));
 
     // Admission flood against the full house: every open is refused.
+    // The replies are awaited before any attack fires: an abuser that
+    // exhausts its budget is swept, which frees a slot, so the house is
+    // only provably full until then.
     let mut gate = Abuser::connect(&host);
     for _ in 0..3 {
         gate.send(
@@ -251,6 +254,7 @@ fn governed_host_isolates_innocents_from_adversarial_tenants() {
             },
         );
     }
+    let gate_replies = gate.drain();
 
     // Now fire the attacks, before the innocents run a single step, so
     // every innocent observation happens under contention.
@@ -329,7 +333,6 @@ fn governed_host_isolates_innocents_from_adversarial_tenants() {
             .any(|s| s.contains("ResourceExhausted(wall_ms")),
         "wall hog must exhaust its wall budget, got {hog_replies:?}"
     );
-    let gate_replies = gate.drain();
     assert_eq!(gate_replies.len(), 3);
     assert!(
         gate_replies.iter().all(|s| s.contains("Overloaded")),
