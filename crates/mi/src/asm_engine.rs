@@ -1,16 +1,22 @@
 //! The RISC-V debugger engine: the MI command set over the simulator.
+//! The shared control core ([`crate::control`]) owns the control points,
+//! fuel slices, budgets and engine-agnostic commands; this module decides
+//! where the CPU pauses and answers inspection.
 //!
 //! Breakpoints are checked *before* executing the instruction at the
 //! paused pc (like a hardware debugger), function tracking keeps a shadow
 //! call stack keyed by `jal ra` / `jalr zero, 0(ra)` control transfers,
 //! and the pause-before-return check decodes the instruction at the pc —
 //! the direct analogue of the paper's scan-for-`retq` trick, applied to
-//! `ret`.
+//! `ret`. Fuel counts retired instructions; the heap budget never trips
+//! (the simulator has no allocator).
 //!
 //! Watchable things: registers by name (`a0`, `sp`, ...) and raw memory
-//! ranges written `*0xADDR:LEN`.
+//! ranges written `*0xADDR:LEN`. A watch whose first readable value
+//! differs from the one seen when it was armed fires.
 
-use crate::protocol::{Command, ResourceKind, Response};
+use crate::control::{self, error, Core, Inferior, Mode, RunOutcome, Slice, Watch};
+use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
 use miniasm::asm::AsmProgram;
 use miniasm::isa::{decode, parse_reg, reg_name, Inst};
@@ -19,119 +25,32 @@ use state::{
     ExitStatus, Frame, PauseReason, Prim, ProgramState, Scope, SourceLocation, Value, Variable,
 };
 
+/// What an asm watch reads.
 #[derive(Debug, Clone)]
-enum BpKind {
-    Line(u32),
-    FuncEntry { addr: u32, maxdepth: Option<u32> },
-}
-
-#[derive(Debug, Clone)]
-struct Breakpoint {
-    id: u64,
-    kind: BpKind,
-}
-
-#[derive(Debug, Clone)]
-struct Track {
-    addr: u32,
-    name: String,
-    maxdepth: Option<u32>,
-}
-
-#[derive(Debug, Clone)]
-enum WatchKind {
+pub(crate) enum WatchKind {
     Reg(u8),
     Mem { addr: u32, len: u32 },
-}
-
-#[derive(Debug, Clone)]
-struct Watch {
-    id: u64,
-    name: String,
-    kind: WatchKind,
-    last: Option<String>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    Resume,
-    Step { line: u32 },
-    Next { line: u32, depth: usize },
-    Finish { depth: usize },
 }
 
 /// One shadow-stack entry.
 #[derive(Debug, Clone)]
 struct ShadowFrame {
     name: String,
+    /// The function's entry address: what calls and tracking match on.
+    entry: u32,
     call_line: u32,
-}
-
-/// A control command's in-flight progress, stashed when its slice runs
-/// out of fuel. Unlike MiniC, `first` and `finish_fired` live in the
-/// run loop here, so a yield must carry them across to the resume.
-#[derive(Debug, Clone, Copy)]
-struct SliceState {
-    mode: Mode,
-    /// Pre-execution checks are skipped at the command's first paused
-    /// pc; false once anything has executed.
-    first: bool,
-    /// Set when the `finish` target frame has returned.
-    finish_fired: bool,
-}
-
-impl SliceState {
-    fn fresh(mode: Mode) -> Self {
-        SliceState {
-            mode,
-            first: true,
-            finish_fired: false,
-        }
-    }
-}
-
-/// How one fuel-bounded run burst ended (internal to the engine; the
-/// protocol never sees `OutOfFuel`).
-enum RunOutcome {
-    Paused(PauseReason),
-    /// Fuel ran out mid-command; progress is stashed in `pending_slice`.
-    OutOfFuel,
-    /// A hard budget tripped: terminal, reported typed.
-    Exhausted {
-        which: ResourceKind,
-        used: u64,
-        limit: u64,
-    },
 }
 
 /// The RISC-V engine (see the [module docs](self)).
 #[derive(Debug)]
 pub struct AsmEngine {
     cpu: Cpu,
-    started: bool,
-    bps: Vec<Breakpoint>,
-    tracked: Vec<Track>,
-    watches: Vec<Watch>,
-    next_id: u64,
+    /// Control points keyed by label address.
+    core: Core<u32, WatchKind>,
     shadow: Vec<ShadowFrame>,
-    last_reason: PauseReason,
-    output_cursor: usize,
-    crashed: Option<String>,
-    crash_reported: bool,
-    registry: Option<obs::Registry>,
     /// In-engine profiler; lives here (not in the CPU) because function
     /// identity comes from the shadow call stack.
     prof: Option<Box<obs::Profiler>>,
-    /// A control command that yielded on fuel, waiting for
-    /// [`Engine::resume_sliced`].
-    pending_slice: Option<SliceState>,
-    /// Hard step budget ([`Command::SetLimits`] `max_steps`), measured
-    /// against retired instructions. The heap budget does not apply:
-    /// the simulator has no allocator.
-    max_steps: Option<u64>,
-    /// Set once a hard budget trips; terminal — later control commands
-    /// repeat the same typed verdict instead of running the inferior.
-    exhausted: Option<(ResourceKind, u64, u64)>,
 }
 
 /// Coarse instruction class for per-class retirement counts.
@@ -146,6 +65,13 @@ fn inst_class(inst: &Inst) -> &'static str {
     }
 }
 
+fn eval_watch(cpu: &Cpu, kind: &WatchKind) -> Option<String> {
+    match kind {
+        WatchKind::Reg(r) => Some((cpu.reg(*r) as i32).to_string()),
+        WatchKind::Mem { addr, len } => cpu.read_mem(*addr, *len).map(|b| format!("{b:02x?}")),
+    }
+}
+
 impl AsmEngine {
     /// Creates an engine with the program loaded, paused at the entry.
     pub fn new(program: &AsmProgram) -> Self {
@@ -153,51 +79,25 @@ impl AsmEngine {
         let entry_name = program.label_at(program.entry).unwrap_or("main").to_owned();
         AsmEngine {
             cpu,
-            started: false,
-            bps: Vec::new(),
-            tracked: Vec::new(),
-            watches: Vec::new(),
-            next_id: 1,
+            core: Core::new(),
             shadow: vec![ShadowFrame {
                 name: entry_name,
+                entry: program.entry,
                 call_line: 0,
             }],
-            last_reason: PauseReason::NotStarted,
-            output_cursor: 0,
-            crashed: None,
-            crash_reported: false,
-            registry: None,
             prof: None,
-            pending_slice: None,
-            max_steps: None,
-            exhausted: None,
         }
     }
 
     /// Publishes `vm.miniasm.*` execution stats into `registry` after
     /// every control command: retired instructions and shadow-stack depth.
     pub fn set_registry(&mut self, registry: obs::Registry) {
-        self.registry = Some(registry);
-    }
-
-    fn publish_stats(&self) {
-        let Some(reg) = &self.registry else {
-            return;
-        };
-        // Absolute readings: gauges, so merged snapshots never double-add.
-        reg.set_gauge("vm.miniasm.instret", self.cpu.instret());
-        reg.set_gauge("vm.miniasm.shadow_depth", self.shadow.len() as u64);
+        self.core.registry = Some(registry);
     }
 
     /// Read access to the CPU.
     pub fn cpu(&self) -> &Cpu {
         &self.cpu
-    }
-
-    fn alloc_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
     }
 
     fn location(&self, line: u32) -> SourceLocation {
@@ -214,302 +114,41 @@ impl AsmEngine {
         }
     }
 
-    fn eval_watch(&self, kind: &WatchKind) -> Option<String> {
-        match kind {
-            WatchKind::Reg(r) => Some((self.cpu.reg(*r) as i32).to_string()),
-            WatchKind::Mem { addr, len } => self
-                .cpu
-                .read_mem(*addr, *len)
-                .map(|bytes| format!("{bytes:02x?}")),
+    /// The pause due *before* executing the instruction at the pc, if any.
+    fn check_before(&self, slice: &Slice) -> Option<PauseReason> {
+        let pc = self.cpu.pc();
+        let line = self.cpu.current_line();
+        let points = &self.core.points;
+        let depth = (self.shadow.len() - 1) as u32;
+        let at_line = |l| l == line && self.is_line_start(pc);
+        if let Some(id) = points.breakpoint(at_line, Some((pc, depth))) {
+            let location = self.location(line);
+            return Some(PauseReason::Breakpoint { id, location });
         }
-    }
-
-    fn check_watches(&mut self) -> Option<PauseReason> {
-        let evals: Vec<Option<String>> = self
-            .watches
-            .iter()
-            .map(|w| self.eval_watch(&w.kind))
-            .collect();
-        let mut hit = None;
-        for (w, current) in self.watches.iter_mut().zip(evals) {
-            let changed = current.is_some() && w.last != current;
-            if changed && hit.is_none() {
-                hit = Some(PauseReason::Watchpoint {
-                    id: w.id,
-                    variable: w.name.clone(),
-                    old: w.last.clone(),
-                    new: current.clone().expect("changed implies Some"),
-                });
-            }
-            if current.is_some() {
-                w.last = current;
-            }
+        let top = self.shadow.last().expect("shadow stack never empty");
+        // Tracked function entry: paused at its first instruction, only
+        // when the call just landed there (the shadow top is its frame).
+        if top.entry == pc && points.tracks(pc, depth) {
+            let function = top.name.clone();
+            return Some(PauseReason::FunctionCall { function, depth });
         }
-        hit
-    }
-
-    /// The decoded instruction about to execute, if decodable.
-    fn pending_inst(&self) -> Option<Inst> {
-        self.cpu.read_word(self.cpu.pc()).and_then(decode)
-    }
-
-    /// Runs the CPU from `slice` until a pause condition is met, the
-    /// slice's `fuel` (in retired instructions) runs out, or a hard
-    /// budget trips. The fuel check sits before the pre-execution
-    /// checks, so each paused pc is inspected exactly once whether or
-    /// not a yield lands on it — slicing stays invisible.
-    fn run(&mut self, slice: SliceState, fuel: Option<u64>) -> RunOutcome {
-        if let Some(code) = self.cpu.exit_code() {
-            return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Exited(code)));
-        }
-        if self.crashed.is_some() {
-            return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Crashed));
-        }
-        let SliceState {
-            mode,
-            mut first,
-            mut finish_fired,
-        } = slice;
-        let mut spent = 0u64;
-        loop {
-            if let Some(f) = fuel {
-                if spent >= f {
-                    self.pending_slice = Some(SliceState {
-                        mode,
-                        first,
-                        finish_fired,
-                    });
-                    return RunOutcome::OutOfFuel;
-                }
-            }
-            // ---- pre-execution checks (we are paused *before* pc) ------
-            if !first {
-                let pc = self.cpu.pc();
-                let line = self.cpu.current_line();
-                if let Some(bp) = self.bps.iter().find(|bp| match bp.kind {
-                    BpKind::Line(l) => l == line && self.is_line_start(pc),
-                    BpKind::FuncEntry { addr, maxdepth } => {
-                        addr == pc && maxdepth.is_none_or(|m| self.shadow.len() as u32 <= m + 1)
-                    }
-                }) {
-                    return RunOutcome::Paused(PauseReason::Breakpoint {
-                        id: bp.id,
-                        location: self.location(line),
-                    });
-                }
-                // Tracked function entry: paused at its first instruction.
-                let depth = (self.shadow.len() - 1) as u32;
-                if let Some(t) = self
-                    .tracked
-                    .iter()
-                    .find(|t| t.addr == pc && t.maxdepth.is_none_or(|m| depth <= m))
-                {
-                    // Only when we *just* entered (previous instruction was
-                    // the call) — the shadow top carries the name.
-                    if self.shadow.last().map(|f| f.name.as_str()) == Some(t.name.as_str()) {
-                        return RunOutcome::Paused(PauseReason::FunctionCall {
-                            function: t.name.clone(),
-                            depth,
-                        });
-                    }
-                }
-                // Tracked function about to return (paper's retq scan).
-                if matches!(
-                    self.pending_inst(),
-                    Some(Inst::Jalr {
-                        rd: 0,
-                        rs1: 1,
-                        imm: 0
-                    })
-                ) {
-                    if let Some(top) = self.shadow.last() {
-                        let depth = (self.shadow.len() - 1) as u32;
-                        if self
-                            .tracked
-                            .iter()
-                            .any(|t| t.name == top.name && t.maxdepth.is_none_or(|m| depth <= m))
-                        {
-                            return RunOutcome::Paused(PauseReason::FunctionReturn {
-                                function: top.name.clone(),
-                                depth,
-                                return_value: Some((self.cpu.reg(10) as i32).to_string()),
-                            });
-                        }
-                    }
-                }
-                if finish_fired {
-                    return RunOutcome::Paused(PauseReason::Step);
-                }
-                match mode {
-                    Mode::Step { line: from } => {
-                        if line != from && line != 0 {
-                            return RunOutcome::Paused(PauseReason::Step);
-                        }
-                    }
-                    Mode::Next { line: from, depth } => {
-                        if self.shadow.len() <= depth && line != from && line != 0 {
-                            return RunOutcome::Paused(PauseReason::Step);
-                        }
-                    }
-                    Mode::Resume | Mode::Finish { .. } => {}
-                }
-            }
-            first = false;
-
-            // ---- execute one instruction -------------------------------
-            let info = match self.cpu.step() {
-                Ok(i) => i,
-                Err(e) => {
-                    self.crashed = Some(e.to_string());
-                    return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Crashed));
-                }
-            };
-            spent += 1;
-            if let Some(limit) = self.max_steps {
-                let used = self.cpu.instret();
-                if used > limit {
-                    return RunOutcome::Exhausted {
-                        which: ResourceKind::Steps,
-                        used,
-                        limit,
-                    };
-                }
-            }
-            // Retired-instruction hooks, before the control transfer is
-            // applied: a `jal` is charged to its caller.
-            if let Some(p) = self.prof.as_deref_mut() {
-                p.tick();
-                p.line(info.line);
-                p.inst_class(inst_class(&info.inst));
-            }
-            if let Some(code) = info.exit {
-                return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Exited(code)));
-            }
-            match info.control {
-                Some(Control::Call { target }) => {
-                    let name = self
-                        .cpu
-                        .program()
-                        .label_at(target)
-                        .unwrap_or("<anonymous>")
-                        .to_owned();
-                    if let Some(p) = self.prof.as_deref_mut() {
-                        let id = p.intern(&name);
-                        p.enter(id);
-                    }
-                    self.shadow.push(ShadowFrame {
-                        name,
-                        call_line: info.line,
-                    });
-                }
-                Some(Control::Return) => {
-                    if self.shadow.len() > 1 {
-                        self.shadow.pop();
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.exit();
-                        }
-                    }
-                    if let Mode::Finish { depth } = mode {
-                        if self.shadow.len() < depth {
-                            finish_fired = true;
-                        }
-                    }
-                }
-                None => {}
-            }
-            if !self.watches.is_empty() {
-                if let Some(reason) = self.check_watches() {
-                    return RunOutcome::Paused(reason);
-                }
-            }
-        }
-    }
-
-    /// Starts a *fresh* control command, optionally fuel-bounded.
-    fn control_sliced(&mut self, mode: Mode, fuel: Option<u64>) -> SliceOutcome {
-        if !self.started {
-            return SliceOutcome::Done(Response::Error {
-                message: "inferior not started (call start first)".into(),
+        // Tracked function about to return (paper's retq scan).
+        if points.tracks(top.entry, depth) && self.cpu.read_word(pc).and_then(decode) == Some(RET) {
+            return Some(PauseReason::FunctionReturn {
+                function: top.name.clone(),
+                depth,
+                return_value: Some((self.cpu.reg(10) as i32).to_string()),
             });
         }
-        self.burst(SliceState::fresh(mode), fuel)
-    }
-
-    fn control(&mut self, mode: Mode) -> Response {
-        match self.control_sliced(mode, None) {
-            SliceOutcome::Done(resp) => resp,
-            SliceOutcome::Yielded => unreachable!("unfueled run cannot yield"),
-        }
-    }
-
-    /// One fuel-bounded run burst: shared by fresh commands and slice
-    /// resumes. The per-burst span is telemetry only, so slicing stays
-    /// invisible on the protocol.
-    fn burst(&mut self, slice: SliceState, fuel: Option<u64>) -> SliceOutcome {
-        if let Some((which, used, limit)) = self.exhausted {
-            // Terminal: every later control command repeats the verdict.
-            return SliceOutcome::Done(Response::ResourceExhausted { which, used, limit });
-        }
-        self.pending_slice = None;
-        // Times the CPU burst this control command caused; joins the
-        // tracker's trace when the command frame carried a context.
-        let span = self.registry.as_ref().map(|reg| {
-            let mut span = reg.span("vm.miniasm.exec");
-            span.category("vm");
-            span
-        });
-        let outcome = self.run(slice, fuel);
-        if let Some(mut span) = span {
-            let tag = match &outcome {
-                RunOutcome::Paused(reason) => reason.to_string(),
-                RunOutcome::OutOfFuel => "slice".to_owned(),
-                RunOutcome::Exhausted { which, .. } => format!("exhausted:{which}"),
+        let stop = slice.finish_fired
+            || match slice.mode {
+                Mode::Step { line: from, .. } => line != from && line != 0,
+                Mode::Next { line: from, depth } => {
+                    self.shadow.len() <= depth && line != from && line != 0
+                }
+                Mode::Start | Mode::Resume | Mode::Finish { .. } => false,
             };
-            span.tag("pause_reason", tag);
-            span.finish();
-        }
-        self.publish_stats();
-        match outcome {
-            RunOutcome::Paused(reason) => {
-                self.last_reason = reason.clone();
-                SliceOutcome::Done(Response::Paused(reason))
-            }
-            RunOutcome::OutOfFuel => SliceOutcome::Yielded,
-            RunOutcome::Exhausted { which, used, limit } => {
-                self.exhausted = Some((which, used, limit));
-                SliceOutcome::Done(Response::ResourceExhausted { which, used, limit })
-            }
-        }
-    }
-
-    /// Maps a control command to its run mode, with the same pre-flight
-    /// checks for the plain and sliced paths. `None` for non-control
-    /// commands (including `Start`, which executes nothing here: the
-    /// CPU is already paused before the entry instruction).
-    fn prepare(&mut self, command: &Command) -> Option<Result<Mode, Response>> {
-        match command {
-            Command::Resume => Some(Ok(Mode::Resume)),
-            Command::Step => {
-                let line = self.cpu.current_line();
-                Some(Ok(Mode::Step { line }))
-            }
-            Command::Next => {
-                let line = self.cpu.current_line();
-                let depth = self.shadow.len();
-                Some(Ok(Mode::Next { line, depth }))
-            }
-            Command::Finish => {
-                let depth = self.shadow.len();
-                Some(if depth <= 1 {
-                    Err(Response::Error {
-                        message: "cannot finish the outermost frame".into(),
-                    })
-                } else {
-                    Ok(Mode::Finish { depth })
-                })
-            }
-            _ => None,
-        }
+        stop.then_some(PauseReason::Step)
     }
 
     /// Builds the frame chain from the shadow stack; the innermost frame
@@ -541,7 +180,7 @@ impl AsmEngine {
         ProgramState::new(
             result.expect("shadow stack never empty"),
             self.data_globals(),
-            self.last_reason.clone(),
+            self.core.last_reason.clone(),
         )
     }
 
@@ -551,139 +190,184 @@ impl AsmEngine {
         p.labels
             .iter()
             .filter(|(_, a)| *a >= p.data_base)
-            .map(|(name, addr)| {
-                let word = self.cpu.read_word(*addr).unwrap_or(0);
-                Variable::new(
-                    name.clone(),
-                    Scope::Global,
-                    Value::primitive(Prim::Int(word as i32 as i64), "word")
-                        .with_location(state::Location::Global)
-                        .with_address(*addr as u64),
-                )
-            })
+            .map(|(name, addr)| self.data_word(name.clone(), *addr))
             .collect()
+    }
+
+    /// The data label `name` at `addr`, as a word-valued global.
+    fn data_word(&self, name: String, addr: u32) -> Variable {
+        let word = self.cpu.read_word(addr).unwrap_or(0);
+        Variable::new(
+            name,
+            Scope::Global,
+            Value::primitive(Prim::Int(word as i32 as i64), "word")
+                .with_location(state::Location::Global)
+                .with_address(addr as u64),
+        )
     }
 }
 
-impl Engine for AsmEngine {
-    fn handle(&mut self, command: Command) -> Response {
-        match self.prepare(&command) {
-            Some(Err(resp)) => return resp,
-            Some(Ok(mode)) => return self.control(mode),
-            None => {}
+/// `ret`, i.e. `jalr zero, 0(ra)`.
+const RET: Inst = Inst::Jalr {
+    rd: 0,
+    rs1: 1,
+    imm: 0,
+};
+
+impl Inferior for AsmEngine {
+    type Func = u32;
+    type WatchSpec = WatchKind;
+    const EXEC_SPAN: &'static str = "vm.miniasm.exec";
+
+    fn core(&mut self) -> &mut Core<u32, WatchKind> {
+        &mut self.core
+    }
+
+    /// The fuel check sits before the pre-execution checks, so each
+    /// paused pc is inspected exactly once whether or not a yield lands
+    /// on it — slicing stays invisible.
+    fn run(&mut self, slice: &mut Slice, fuel: Option<u64>) -> RunOutcome {
+        if let Mode::Start = slice.mode {
+            // Paused before the entry instruction; nothing executes.
+            return RunOutcome::Paused(PauseReason::Started);
         }
+        let mut spent = 0u64;
+        loop {
+            if fuel.is_some_and(|f| spent >= f) {
+                return RunOutcome::OutOfFuel;
+            }
+            // The command's own starting pc is not checked.
+            if !slice.first {
+                if let Some(reason) = self.check_before(slice) {
+                    return RunOutcome::Paused(reason);
+                }
+            }
+            slice.first = false;
+
+            let info = match self.cpu.step() {
+                Ok(i) => i,
+                Err(e) => return self.core.crash(e.to_string()),
+            };
+            spent += 1;
+            if let Some(out) = self.core.budget.check(self.cpu.instret(), 0) {
+                return out;
+            }
+            // Retired-instruction hooks, before the control transfer is
+            // applied: a `jal` is charged to its caller.
+            if let Some(p) = self.prof.as_deref_mut() {
+                p.tick();
+                p.line(info.line);
+                p.inst_class(inst_class(&info.inst));
+            }
+            if let Some(code) = info.exit {
+                return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Exited(code)));
+            }
+            match info.control {
+                Some(Control::Call { target }) => {
+                    let name = self
+                        .cpu
+                        .program()
+                        .label_at(target)
+                        .unwrap_or("<anonymous>")
+                        .to_owned();
+                    if let Some(p) = self.prof.as_deref_mut() {
+                        let id = p.intern(&name);
+                        p.enter(id);
+                    }
+                    self.shadow.push(ShadowFrame {
+                        name,
+                        entry: target,
+                        call_line: info.line,
+                    });
+                }
+                Some(Control::Return) => {
+                    if self.shadow.len() > 1 {
+                        self.shadow.pop();
+                        if let Some(p) = self.prof.as_deref_mut() {
+                            p.exit();
+                        }
+                    }
+                    if let Mode::Finish { depth } = slice.mode {
+                        if self.shadow.len() < depth {
+                            slice.finish_fired = true;
+                        }
+                    }
+                }
+                None => {}
+            }
+            if !self.core.points.watches.is_empty() {
+                let cpu = &self.cpu;
+                let hit = self.core.points.scan_watches(|w| {
+                    let now = eval_watch(cpu, &w.spec)?;
+                    Some(w.last.replace(now))
+                });
+                if let Some(reason) = hit {
+                    return RunOutcome::Paused(reason);
+                }
+            }
+        }
+    }
+
+    fn position(&self) -> (u32, usize) {
+        (self.cpu.current_line(), self.shadow.len())
+    }
+
+    fn exit_code(&self) -> Option<i64> {
+        self.cpu.exit_code()
+    }
+
+    fn output(&self) -> &str {
+        self.cpu.output()
+    }
+
+    fn source(&self) -> (&str, &str) {
+        let program = self.cpu.program();
+        (&program.file, &program.source)
+    }
+
+    fn breakable_lines(&self) -> Vec<u32> {
+        self.cpu.program().breakable_lines()
+    }
+
+    fn function(&self, name: &str) -> Result<u32, String> {
+        let program = self.cpu.program();
+        program
+            .label(name)
+            .ok_or_else(|| format!("unknown label `{name}`"))
+    }
+
+    fn watch(&self, variable: String) -> Result<Watch<WatchKind>, String> {
+        let kind = if let Some(r) = parse_reg(&variable) {
+            WatchKind::Reg(r)
+        } else if let Some(spec) = variable.strip_prefix('*') {
+            let (addr_s, len_s) = spec.split_once(':').unwrap_or((spec, "4"));
+            match (parse_u32(addr_s), parse_u32(len_s)) {
+                (Some(addr), Some(len)) if len > 0 && len <= 256 => WatchKind::Mem { addr, len },
+                _ => return Err(format!("bad memory watch `{variable}`")),
+            }
+        } else if let Some(addr) = self.cpu.program().label(&variable) {
+            WatchKind::Mem { addr, len: 4 }
+        } else {
+            return Err(format!(
+                "cannot watch `{variable}` (register, label or *0xADDR:LEN)"
+            ));
+        };
+        let last = eval_watch(&self.cpu, &kind);
+        Ok(Watch::new(variable, last, kind))
+    }
+
+    fn publish_stats(&self) {
+        let Some(reg) = &self.core.registry else {
+            return;
+        };
+        // Absolute readings: gauges, so merged snapshots never double-add.
+        reg.set_gauge("vm.miniasm.instret", self.cpu.instret());
+        reg.set_gauge("vm.miniasm.shadow_depth", self.shadow.len() as u64);
+    }
+
+    fn own_command(&mut self, command: Command) -> Response {
         match command {
-            Command::Start => {
-                if self.started {
-                    return Response::Error {
-                        message: "inferior already started".into(),
-                    };
-                }
-                self.started = true;
-                self.last_reason = PauseReason::Started;
-                // Paused before the entry instruction; nothing executed.
-                Response::Paused(PauseReason::Started)
-            }
-            Command::Resume | Command::Step | Command::Next | Command::Finish => {
-                unreachable!("control commands are routed through prepare")
-            }
-            Command::SetBreakLine { line } => {
-                let lines = self.cpu.program().breakable_lines();
-                let Some(&actual) = lines.iter().find(|&&l| l >= line) else {
-                    return Response::Error {
-                        message: format!("no code at or after line {line}"),
-                    };
-                };
-                let id = self.alloc_id();
-                self.bps.push(Breakpoint {
-                    id,
-                    kind: BpKind::Line(actual),
-                });
-                Response::Created { id }
-            }
-            Command::SetBreakFunc { function, maxdepth } => {
-                let Some(addr) = self.cpu.program().label(&function) else {
-                    return Response::Error {
-                        message: format!("unknown label `{function}`"),
-                    };
-                };
-                let id = self.alloc_id();
-                self.bps.push(Breakpoint {
-                    id,
-                    kind: BpKind::FuncEntry { addr, maxdepth },
-                });
-                Response::Created { id }
-            }
-            Command::TrackFunction { function, maxdepth } => {
-                let Some(addr) = self.cpu.program().label(&function) else {
-                    return Response::Error {
-                        message: format!("unknown label `{function}`"),
-                    };
-                };
-                self.tracked.push(Track {
-                    addr,
-                    name: function,
-                    maxdepth,
-                });
-                let id = self.alloc_id();
-                Response::Created { id }
-            }
-            Command::Watch { variable } => {
-                let kind = if let Some(r) = parse_reg(&variable) {
-                    WatchKind::Reg(r)
-                } else if let Some(spec) = variable.strip_prefix('*') {
-                    let (addr_s, len_s) = spec.split_once(':').unwrap_or((spec, "4"));
-                    let addr = parse_u32(addr_s);
-                    let len = parse_u32(len_s);
-                    match (addr, len) {
-                        (Some(addr), Some(len)) if len > 0 && len <= 256 => {
-                            WatchKind::Mem { addr, len }
-                        }
-                        _ => {
-                            return Response::Error {
-                                message: format!("bad memory watch `{variable}`"),
-                            }
-                        }
-                    }
-                } else if let Some(addr) = self.cpu.program().label(&variable) {
-                    WatchKind::Mem { addr, len: 4 }
-                } else {
-                    return Response::Error {
-                        message: format!(
-                            "cannot watch `{variable}` (register, label or *0xADDR:LEN)"
-                        ),
-                    };
-                };
-                let last = self.eval_watch(&kind);
-                let id = self.alloc_id();
-                self.watches.push(Watch {
-                    id,
-                    name: variable,
-                    kind,
-                    last,
-                });
-                Response::Created { id }
-            }
-            Command::Delete { id } => {
-                let before = self.bps.len() + self.watches.len();
-                self.bps.retain(|b| b.id != id);
-                self.watches.retain(|w| w.id != id);
-                if self.bps.len() + self.watches.len() == before {
-                    Response::Error {
-                        message: format!("no breakpoint or watchpoint {id}"),
-                    }
-                } else {
-                    Response::Ok
-                }
-            }
-            Command::GetState => {
-                if !self.started {
-                    return Response::Error {
-                        message: "inferior not started".into(),
-                    };
-                }
-                Response::State(Box::new(self.build_state()))
-            }
+            Command::GetState => Response::State(Box::new(self.build_state())),
             Command::GetGlobals => Response::Globals(self.data_globals()),
             Command::GetVariable { name } => {
                 // Registers by name, then data labels as words, then text
@@ -697,14 +381,7 @@ impl Engine for AsmEngine {
                     ))
                 } else if let Some(addr) = self.cpu.program().label(&name) {
                     if addr >= self.cpu.program().data_base {
-                        let word = self.cpu.read_word(addr).unwrap_or(0);
-                        Some(Variable::new(
-                            name,
-                            Scope::Global,
-                            Value::primitive(Prim::Int(word as i32 as i64), "word")
-                                .with_location(state::Location::Global)
-                                .with_address(addr as u64),
-                        ))
+                        Some(self.data_word(name, addr))
                     } else {
                         Some(Variable::new(
                             name.clone(),
@@ -723,51 +400,19 @@ impl Engine for AsmEngine {
             Command::ReadMemory { addr, len } => {
                 match self.cpu.read_mem(addr as u32, len.min(64 * 1024) as u32) {
                     Some(bytes) => Response::Memory(bytes.to_vec()),
-                    None => Response::Error {
-                        message: format!("memory range {addr:#x}+{len} out of bounds"),
-                    },
+                    None => error(format!("memory range {addr:#x}+{len} out of bounds")),
                 }
             }
-            Command::GetOutput => {
-                let all = self.cpu.output();
-                let new = all[self.output_cursor.min(all.len())..].to_owned();
-                self.output_cursor = all.len();
-                let with_crash = match &self.crashed {
-                    Some(msg) if !self.crash_reported => {
-                        self.crash_reported = true;
-                        format!("{new}{msg}\n")
-                    }
-                    _ => new,
-                };
-                Response::Output(with_crash)
-            }
-            Command::GetExitCode => Response::ExitCode(if self.crashed.is_some() {
-                Some(-1)
-            } else {
-                self.cpu.exit_code()
-            }),
-            Command::GetSource => Response::Source {
-                file: self.cpu.program().file.clone(),
-                text: self.cpu.program().source.clone(),
-            },
-            Command::GetBreakableLines => Response::Lines(self.cpu.program().breakable_lines()),
             // The dataflow analysis and the sanitizer are defined over
             // MiniC bytecode; assembly programs have neither.
-            Command::Analyze => Response::Error {
-                message: "static analysis is not supported for assembly programs".into(),
-            },
-            Command::Verify => Response::Error {
-                message: "bytecode verification is not supported for assembly programs".into(),
-            },
-            Command::SetSanitizer { .. } => Response::Error {
-                message: "sanitizer mode is not supported for assembly programs".into(),
-            },
+            Command::Analyze => error("static analysis is not supported for assembly programs"),
+            Command::Verify => {
+                error("bytecode verification is not supported for assembly programs")
+            }
+            Command::SetSanitizer { .. } => {
+                error("sanitizer mode is not supported for assembly programs")
+            }
             Command::SetProfile { mode, period } => {
-                if self.started && mode != obs::ProfileMode::Off {
-                    return Response::Error {
-                        message: "profiling must be armed before start".into(),
-                    };
-                }
                 if mode == obs::ProfileMode::Off {
                     self.prof = None;
                 } else {
@@ -788,64 +433,22 @@ impl Engine for AsmEngine {
                     .map(obs::Profiler::report)
                     .unwrap_or_default(),
             )),
-            // The serve loop normally answers Ping and Telemetry itself;
-            // answering here too keeps `handle` total for engines driven
-            // directly.
-            Command::Ping => Response::Pong {
-                now_us: self.registry.as_ref().map_or(0, obs::Registry::now_us),
-            },
-            Command::Telemetry { since } => {
-                // No export ring at this layer: metrics only.
-                let frame = match &self.registry {
-                    Some(reg) => obs::telemetry::collect_frame(reg, None, since),
-                    None => obs::TelemetryFrame::default(),
-                };
-                Response::Telemetry(Box::new(frame))
-            }
-            Command::Terminate => Response::Ok,
-            Command::SetLimits { max_steps, .. } => {
-                // Steps are enforced here against retired instructions;
-                // the heap budget has nothing to bind to (no allocator)
-                // and wall time / queue depth are the host's job.
-                self.max_steps = max_steps;
-                Response::Ok
-            }
-            // Session management is the host's job, not an engine's.
-            Command::OpenSession { .. }
-            | Command::CloseSession { .. }
-            | Command::OpenReplay { .. } => Response::Error {
-                message: "session commands are handled by the host, not an engine".into(),
-            },
-            // The trace vocabulary is served by the RecordingEngine
-            // wrapper every spawned session carries, never by a bare
-            // engine.
-            Command::Record { .. }
-            | Command::Seek { .. }
-            | Command::QueryHistory { .. }
-            | Command::TraceStats
-            | Command::PublishTrace { .. } => Response::Error {
-                message: "trace commands are handled by the recording wrapper".into(),
-            },
+            other => control::unsupported(&other),
         }
+    }
+}
+
+impl Engine for AsmEngine {
+    fn handle(&mut self, command: Command) -> Response {
+        control::handle(self, command)
     }
 
     fn handle_sliced(&mut self, command: Command, fuel: u64) -> SliceOutcome {
-        match self.prepare(&command) {
-            Some(Err(resp)) => SliceOutcome::Done(resp),
-            Some(Ok(mode)) => self.control_sliced(mode, Some(fuel)),
-            None => SliceOutcome::Done(self.handle(command)),
-        }
+        control::handle_sliced(self, command, fuel)
     }
 
     fn resume_sliced(&mut self, fuel: u64) -> SliceOutcome {
-        match self.pending_slice {
-            // Resume, not restart: the stashed `first`/`finish_fired`
-            // are the command's progress and survive the yield.
-            Some(slice) => self.burst(slice, Some(fuel)),
-            None => SliceOutcome::Done(Response::Error {
-                message: "no sliced command pending".into(),
-            }),
-        }
+        control::resume_sliced(self, fuel)
     }
 }
 

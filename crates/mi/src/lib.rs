@@ -17,6 +17,9 @@
 //! * [`asm_engine`] — the same contract over the RISC-V simulator, with a
 //!   shadow call stack for function tracking and register/memory access.
 //!
+//! Both engines are adapters over one private control core that owns their
+//! control points, fuel slices, budgets and engine-agnostic commands.
+//!
 //! # Examples
 //!
 //! ```
@@ -37,6 +40,7 @@
 //! ```
 
 pub mod asm_engine;
+mod control;
 pub mod host;
 pub mod minic_engine;
 pub mod protocol;
@@ -160,7 +164,7 @@ impl Drop for Session {
 /// Spawns a MiniC engine on its own thread (the "GDB subprocess" analogue)
 /// and returns the connected session.
 pub fn spawn_minic(program: &minic::Program) -> Session {
-    spawn_minic_inner(program, None)
+    spawn_minic_engine(minic_engine::MinicEngine::new(program), None)
 }
 
 /// Like [`spawn_minic`], but client, server, and engine all report into
@@ -168,7 +172,7 @@ pub fn spawn_minic(program: &minic::Program) -> Session {
 /// per-command counters on the server side, and `vm.minic.*` execution
 /// stats from the engine.
 pub fn spawn_minic_with_registry(program: &minic::Program, registry: obs::Registry) -> Session {
-    spawn_minic_inner(program, Some(registry))
+    spawn_minic_engine(minic_engine::MinicEngine::new(program), Some(registry))
 }
 
 /// Like [`spawn_minic_with_registry`], running `program` optimized at
@@ -188,40 +192,14 @@ pub fn spawn_minic_opt_with_registry(
     Ok(spawn_minic_engine(engine, Some(registry)))
 }
 
-fn spawn_minic_inner(program: &minic::Program, registry: Option<obs::Registry>) -> Session {
-    spawn_minic_engine(minic_engine::MinicEngine::new(program), registry)
-}
-
 fn spawn_minic_engine(
-    engine: minic_engine::MinicEngine,
+    mut engine: minic_engine::MinicEngine,
     registry: Option<obs::Registry>,
 ) -> Session {
-    let (a, b) = transport::duplex();
-    let mut engine = engine;
-    if let Some(reg) = registry.clone() {
-        engine.set_registry(reg);
+    if let Some(reg) = &registry {
+        engine.set_registry(reg.clone());
     }
-    // Every session can record: the wrapper is inert until `Record`.
-    let engine = record::RecordingEngine::new(engine);
-    let server_reg = registry.clone();
-    let handle = std::thread::Builder::new()
-        .name("mi-minic-engine".into())
-        .spawn(move || {
-            let mut server = match server_reg {
-                Some(reg) => Server::with_registry(engine, b, reg),
-                None => Server::new(engine, b),
-            };
-            let _ = server.serve();
-        })
-        .expect("spawn engine thread");
-    let client = match registry {
-        Some(reg) => Client::with_registry(a, reg),
-        None => Client::new(a),
-    };
-    Session {
-        client,
-        handle: Some(handle),
-    }
+    spawn_engine("mi-minic-engine", engine, registry)
 }
 
 /// Spawns a RISC-V engine on its own thread and returns the session.
@@ -239,15 +217,26 @@ pub fn spawn_asm_with_registry(
 }
 
 fn spawn_asm_inner(program: &miniasm::asm::AsmProgram, registry: Option<obs::Registry>) -> Session {
-    let (a, b) = transport::duplex();
     let mut engine = asm_engine::AsmEngine::new(program);
-    if let Some(reg) = registry.clone() {
-        engine.set_registry(reg);
+    if let Some(reg) = &registry {
+        engine.set_registry(reg.clone());
     }
+    spawn_engine("mi-asm-engine", engine, registry)
+}
+
+/// Serves `engine` on a thread named `name` (the "GDB subprocess"
+/// analogue), wrapped so every session can record (the wrapper is inert
+/// until `Record`), and returns the connected session.
+fn spawn_engine<E: Engine + Send + 'static>(
+    name: &str,
+    engine: E,
+    registry: Option<obs::Registry>,
+) -> Session {
+    let (a, b) = transport::duplex();
     let engine = record::RecordingEngine::new(engine);
     let server_reg = registry.clone();
     let handle = std::thread::Builder::new()
-        .name("mi-asm-engine".into())
+        .name(name.into())
         .spawn(move || {
             let mut server = match server_reg {
                 Some(reg) => Server::with_registry(engine, b, reg),

@@ -1,13 +1,12 @@
-//! The MiniC debugger engine: implements the MI command set over the
-//! MiniC VM's event stream.
-//!
-//! This is where GDB's control features are reproduced:
+//! The MiniC debugger engine: the MI command set over the MiniC VM's
+//! event stream. The shared control core ([`crate::control`]) owns the
+//! control points, fuel slices, budgets and engine-agnostic commands;
+//! this module turns VM events into pauses and answers inspection.
 //!
 //! * **line breakpoints** pause at `Line` events;
 //! * **function breakpoints with `maxdepth`** pause at `Call` events (the
 //!   paper implements `maxdepth` as a GDB extension that silently resumes
-//!   when the frame is too deep — the same filter lives in
-//!   [`MinicEngine`]);
+//!   when the frame is too deep);
 //! * **function tracking** pauses at `Call` events *and* at `Return`
 //!   events, which the VM emits while the returning frame is still intact
 //!   (reproducing the paper's breakpoint-on-`retq` trick);
@@ -17,13 +16,15 @@
 //!   produced its last rendered text and renders again only when they
 //!   differ (or the type holds a pointer, whose text also depends on its
 //!   target), so a watch that cannot fire costs a byte compare per event.
-//!   The paper's "watchpoints slow execution down a lot" behaviour stays
-//!   measurable in the MiniPy tracker, which single-steps to check them;
+//!   A variable coming into scope primes its watch silently. The paper's
+//!   "watchpoints slow execution down a lot" behaviour stays measurable
+//!   in the MiniPy tracker, which single-steps to check them;
 //! * calls, returns and function breakpoints match by function index,
 //!   resolved once when the control point is armed;
 //! * **step / next / finish** with GDB's line-change semantics.
 
-use crate::protocol::{Command, ResourceKind, Response};
+use crate::control::{self, error, Core, Inferior, Mode, RunOutcome, Slice, Watch};
+use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
 use minic::inspect::{self, InspectOptions};
 use minic::types::{StructTable, Type};
@@ -31,90 +32,46 @@ use minic::vm::{Event, Vm};
 use minic::Program;
 use state::{ExitStatus, PauseReason, Prim, ProgramState, Scope, SourceLocation, Value, Variable};
 
+/// MiniC's part of a watch on `var` or `function::var`.
 #[derive(Debug, Clone)]
-enum BpKind {
-    Line(u32),
-    FuncEntry {
-        /// Index into the program's functions.
-        function: usize,
-        maxdepth: Option<u32>,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct Breakpoint {
-    id: u64,
-    kind: BpKind,
-}
-
-#[derive(Debug, Clone)]
-struct Track {
-    /// Index into the program's functions.
-    function: usize,
-    maxdepth: Option<u32>,
-}
-
-impl Track {
-    fn matches(&self, function: usize, depth: u32) -> bool {
-        self.function == function && self.maxdepth.is_none_or(|m| depth <= m)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Watch {
-    id: u64,
-    /// The name as given: `var` or `function::var`.
-    name: String,
-    /// Byte offset of the `::` in a qualified `name`, found once.
+pub(crate) struct WatchSpec {
+    /// Byte offset of the `::` in a qualified name, found once.
     qualifier: Option<usize>,
-    last: Option<String>,
     /// The storage that rendered `last`, when its bytes alone decide
     /// the text.
     seen: Option<Footprint>,
 }
 
-impl Watch {
-    fn new(id: u64, name: String) -> Self {
-        Watch {
-            id,
-            qualifier: name.find("::"),
-            name,
-            last: None,
-            seen: None,
-        }
+/// `(function filter, variable)` of the watched name.
+fn parts(w: &Watch<WatchSpec>) -> (Option<&str>, &str) {
+    match w.spec.qualifier {
+        Some(i) => (Some(&w.name[..i]), &w.name[i + 2..]),
+        None => (None, &w.name),
     }
+}
 
-    /// `(function filter, variable)` of the watched name.
-    fn parts(&self) -> (Option<&str>, &str) {
-        match self.qualifier {
-            Some(i) => (Some(&self.name[..i]), &self.name[i + 2..]),
-            None => (None, &self.name),
+/// Brings `w.last` up to date with the watched name. Returns the previous
+/// text when it had to render; `None` when the name is out of scope
+/// (`last` is kept) or its storage still holds the bytes that rendered
+/// `last`.
+fn refresh(w: &mut Watch<WatchSpec>, vm: &Vm) -> Option<Option<String>> {
+    let (func, var) = parts(w);
+    let target = resolve(vm, func, var);
+    if let (Some(seen), Resolved::Mem { addr, ty, .. }) = (&w.spec.seen, target) {
+        let same = seen.addr == addr
+            && seen.ty == *ty
+            && vm
+                .memory()
+                .read_bytes(addr, seen.bytes.len() as u64)
+                .is_ok_and(|now| now == seen.bytes);
+        if same {
+            return None;
         }
     }
-
-    /// Brings `last` up to date with the watched name. Returns the
-    /// previous text when it had to render; `None` when the name is out
-    /// of scope (`last` is kept) or its storage still holds the bytes
-    /// that rendered `last`.
-    fn refresh(&mut self, vm: &Vm) -> Option<Option<String>> {
-        let (func, var) = self.parts();
-        let target = resolve(vm, func, var);
-        if let (Some(seen), Resolved::Mem { addr, ty, .. }) = (&self.seen, target) {
-            let same = seen.addr == addr
-                && seen.ty == *ty
-                && vm
-                    .memory()
-                    .read_bytes(addr, seen.bytes.len() as u64)
-                    .is_ok_and(|now| now == seen.bytes);
-            if same {
-                return None;
-            }
-        }
-        let (_, value) = resolved_value(vm, target)?;
-        let old = self.last.replace(state::render_value(&value));
-        self.seen = Footprint::of(vm, target);
-        Some(old)
-    }
+    let (_, value) = resolved_value(vm, target)?;
+    let old = w.last.replace(state::render_value(&value));
+    w.spec.seen = Footprint::of(vm, target);
+    Some(old)
 }
 
 /// Pointer-free storage and the bytes it held when rendered.
@@ -248,65 +205,16 @@ fn pointer_free_size(structs: &StructTable, ty: &Type) -> Option<u64> {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    Start,
-    Resume,
-    Step { line: u32, depth: usize },
-    Next { line: u32, depth: usize },
-    Finish { depth: usize },
-}
-
-/// How one fuel-bounded run burst ended (internal to the engine; the
-/// protocol never sees `OutOfFuel`).
-enum RunOutcome {
-    /// A real pause condition — what the protocol reports.
-    Paused(PauseReason),
-    /// The slice's fuel ran out mid-command; the mode is stashed in
-    /// `pending_slice` and `resume_sliced` continues it.
-    OutOfFuel,
-    /// A hard budget tripped: terminal, reported typed.
-    Exhausted {
-        which: ResourceKind,
-        used: u64,
-        limit: u64,
-    },
-}
-
 /// The MiniC engine (see the [module docs](self)).
 #[derive(Debug)]
 pub struct MinicEngine {
     vm: Vm,
-    started: bool,
-    bps: Vec<Breakpoint>,
-    tracked: Vec<Track>,
-    watches: Vec<Watch>,
-    next_id: u64,
-    last_reason: PauseReason,
-    output_cursor: usize,
-    crashed: Option<String>,
-    crash_reported: bool,
-    /// Set while a `finish` waits for the target frame's return event.
-    finish_fired: bool,
-    registry: Option<obs::Registry>,
+    core: Core<usize, WatchSpec>,
     /// VM events seen by the control loop (published as `vm.minic.events`).
     events_seen: u64,
     /// Full watch renders, i.e. checks the byte gate could not skip
     /// (published as `vm.minic.watch_evals`).
     watch_evals: u64,
-    /// A control command that yielded on fuel, waiting for
-    /// [`Engine::resume_sliced`]. `finish_fired` is deliberately *not*
-    /// reset on resume — it is part of the command's progress.
-    pending_slice: Option<Mode>,
-    /// Hard step budget ([`Command::SetLimits`] `max_steps`), measured
-    /// against the VM's cumulative op count.
-    max_steps: Option<u64>,
-    /// Hard live-heap budget (`max_heap_bytes`), measured against the
-    /// allocator's live-byte gauge after every event.
-    max_heap_bytes: Option<u64>,
-    /// Set once a hard budget trips; terminal — later control commands
-    /// repeat the same typed verdict instead of running the inferior.
-    exhausted: Option<(ResourceKind, u64, u64)>,
     /// When the VM runs an *optimized* program, the original unoptimized
     /// one, kept for `Analyze`: static diagnostics are part of the
     /// observable surface and must not shift when dead code is deleted.
@@ -320,23 +228,9 @@ impl MinicEngine {
         analysis::verify::debug_verify(program);
         MinicEngine {
             vm: Vm::new(program),
-            started: false,
-            bps: Vec::new(),
-            tracked: Vec::new(),
-            watches: Vec::new(),
-            next_id: 1,
-            last_reason: PauseReason::NotStarted,
-            output_cursor: 0,
-            crashed: None,
-            crash_reported: false,
-            finish_fired: false,
-            registry: None,
+            core: Core::new(),
             events_seen: 0,
             watch_evals: 0,
-            pending_slice: None,
-            max_steps: None,
-            max_heap_bytes: None,
-            exhausted: None,
             analysis_program: None,
         }
     }
@@ -365,34 +259,12 @@ impl MinicEngine {
     /// control command: ops executed, events seen, full watch renders,
     /// heap allocs/frees, and live heap bytes.
     pub fn set_registry(&mut self, registry: obs::Registry) {
-        self.registry = Some(registry);
+        self.core.registry = Some(registry);
     }
 
     /// Read access to the VM (used by in-process tools and benches).
     pub fn vm(&self) -> &Vm {
         &self.vm
-    }
-
-    fn publish_stats(&self) {
-        let Some(reg) = &self.registry else {
-            return;
-        };
-        // Absolute readings of cumulative VM totals: gauges, not
-        // counters, so a merged cross-process snapshot never adds two
-        // reports of the same total.
-        reg.set_gauge("vm.minic.ops", self.vm.ops_executed());
-        reg.set_gauge("vm.minic.events", self.events_seen);
-        reg.set_gauge("vm.minic.watch_evals", self.watch_evals);
-        let alloc = self.vm.allocator();
-        reg.set_gauge("vm.minic.heap.allocs", alloc.total_allocs());
-        reg.set_gauge("vm.minic.heap.frees", alloc.total_frees());
-        reg.set_gauge("vm.minic.heap.live_bytes", alloc.live_bytes());
-    }
-
-    fn alloc_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
     }
 
     fn location(&self, line: u32) -> SourceLocation {
@@ -410,128 +282,84 @@ impl MinicEngine {
         Some(Variable::new(var, scope, value))
     }
 
-    /// Checks all watchpoints; returns the pause reason for the first
-    /// changed one. Every watch is brought up to date, even past a hit.
+    /// Checks all watchpoints; the pause reason for the first changed one.
+    /// A variable entering scope is not a modification: its first render
+    /// primes the watch silently.
     fn check_watches(&mut self) -> Option<PauseReason> {
-        let mut hit = None;
-        for w in &mut self.watches {
-            let Some(old) = w.refresh(&self.vm) else {
-                continue;
-            };
-            self.watch_evals += 1;
-            // A C variable becoming *visible* (entering scope) is not a
-            // modification — prime silently; only value changes trigger.
-            if hit.is_none() && old.is_some() && old != w.last {
-                hit = Some(PauseReason::Watchpoint {
-                    id: w.id,
-                    variable: w.name.clone(),
-                    new: w.last.clone().unwrap_or_default(),
-                    old,
-                });
-            }
-        }
-        hit
+        let (vm, evals) = (&self.vm, &mut self.watch_evals);
+        self.core.points.scan_watches(|w| {
+            let old = refresh(w, vm)?;
+            *evals += 1;
+            old.map(Some)
+        })
+    }
+}
+
+impl Inferior for MinicEngine {
+    type Func = usize;
+    type WatchSpec = WatchSpec;
+    const EXEC_SPAN: &'static str = "vm.minic.exec";
+
+    fn core(&mut self) -> &mut Core<usize, WatchSpec> {
+        &mut self.core
     }
 
-    /// Runs the VM until a pause condition for `mode` is met, the slice's
-    /// `fuel` (in VM events) runs out, or a hard budget trips. Callers
-    /// starting a *fresh* command must clear `finish_fired` first; a
-    /// slice resume must not (it is the command's progress).
-    fn run(&mut self, mode: Mode, fuel: Option<u64>) -> RunOutcome {
-        if let Some(code) = self.vm.exit_code() {
-            return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Exited(code)));
-        }
-        if self.crashed.is_some() {
-            return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Crashed));
-        }
+    /// Fuel counts VM events.
+    fn run(&mut self, slice: &mut Slice, fuel: Option<u64>) -> RunOutcome {
+        // Watchpoints require store events: the expensive mode the paper
+        // warns about, so it is on only while a watch is armed.
+        let watching = !self.core.points.watches.is_empty();
+        self.vm.set_store_events(watching);
         let mut spent = 0u64;
         loop {
-            if let Some(f) = fuel {
-                if spent >= f {
-                    self.pending_slice = Some(mode);
-                    return RunOutcome::OutOfFuel;
-                }
+            if fuel.is_some_and(|f| spent >= f) {
+                return RunOutcome::OutOfFuel;
             }
             let event = match self.vm.step() {
                 Ok(ev) => ev,
-                Err(e) => {
-                    self.crashed = Some(e.to_string());
-                    return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Crashed));
-                }
+                Err(e) => return self.core.crash(e.to_string()),
             };
             spent += 1;
             self.events_seen += 1;
-            if let Some(limit) = self.max_steps {
-                let used = self.vm.ops_executed();
-                if used > limit {
-                    return RunOutcome::Exhausted {
-                        which: ResourceKind::Steps,
-                        used,
-                        limit,
-                    };
-                }
-            }
-            if let Some(limit) = self.max_heap_bytes {
-                let used = self.vm.allocator().live_bytes();
-                if used > limit {
-                    return RunOutcome::Exhausted {
-                        which: ResourceKind::HeapBytes,
-                        used,
-                        limit,
-                    };
-                }
+            let heap = self.vm.allocator().live_bytes();
+            if let Some(out) = self.core.budget.check(self.vm.ops_executed(), heap) {
+                return out;
             }
             match event {
                 Event::Line(n) => {
-                    if !self.watches.is_empty() {
+                    if watching {
                         if let Some(reason) = self.check_watches() {
                             return RunOutcome::Paused(reason);
                         }
                     }
-                    if let Some(bp) = self
-                        .bps
-                        .iter()
-                        .find(|bp| matches!(bp.kind, BpKind::Line(l) if l == n))
-                    {
-                        return RunOutcome::Paused(PauseReason::Breakpoint {
-                            id: bp.id,
-                            location: self.location(n),
-                        });
+                    if let Some(id) = self.core.points.breakpoint(|l| l == n, None) {
+                        let location = self.location(n);
+                        return RunOutcome::Paused(PauseReason::Breakpoint { id, location });
                     }
-                    if self.finish_fired {
+                    if slice.finish_fired {
                         return RunOutcome::Paused(PauseReason::Step);
                     }
                     let depth = self.vm.frames().len();
-                    match mode {
+                    let stop = match slice.mode {
                         Mode::Start => return RunOutcome::Paused(PauseReason::Started),
-                        Mode::Step { line, depth: d } => {
-                            if n != line || depth != d {
-                                return RunOutcome::Paused(PauseReason::Step);
-                            }
-                        }
-                        Mode::Next { line, depth: d } => {
-                            if depth < d || (depth == d && n != line) {
-                                return RunOutcome::Paused(PauseReason::Step);
-                            }
-                        }
-                        Mode::Resume | Mode::Finish { .. } => {}
+                        Mode::Step { line, depth: d } => n != line || depth != d,
+                        Mode::Next { line, depth: d } => depth < d || (depth == d && n != line),
+                        Mode::Resume | Mode::Finish { .. } => false,
+                    };
+                    if stop {
+                        return RunOutcome::Paused(PauseReason::Step);
                     }
                 }
                 Event::Call { function, depth } => {
-                    if let Some(bp) = self.bps.iter().find(|bp| match bp.kind {
-                        BpKind::FuncEntry {
-                            function: f,
-                            maxdepth,
-                        } => f == function && maxdepth.is_none_or(|m| depth <= m),
-                        BpKind::Line(_) => false,
-                    }) {
-                        let line = self.vm.program().functions[function].line;
-                        return RunOutcome::Paused(PauseReason::Breakpoint {
-                            id: bp.id,
-                            location: self.location(line),
-                        });
+                    if let Some(id) = self
+                        .core
+                        .points
+                        .breakpoint(|_| false, Some((function, depth)))
+                    {
+                        let location = self.location(self.vm.program().functions[function].line);
+                        return RunOutcome::Paused(PauseReason::Breakpoint { id, location });
                     }
-                    if self.tracked.iter().any(|t| t.matches(function, depth)) {
+                    if self.core.points.tracks(function, depth) {
                         return RunOutcome::Paused(PauseReason::FunctionCall {
                             function: self.vm.program().functions[function].name.clone(),
                             depth,
@@ -543,16 +371,17 @@ impl MinicEngine {
                     depth,
                     value,
                 } => {
-                    if self.tracked.iter().any(|t| t.matches(function, depth)) {
+                    if self.core.points.tracks(function, depth) {
                         return RunOutcome::Paused(PauseReason::FunctionReturn {
                             function: self.vm.program().functions[function].name.clone(),
                             depth,
                             return_value: value.map(|v| v.to_string()),
                         });
                     }
-                    if let Mode::Finish { depth: d } = mode {
-                        if depth as usize == d {
-                            self.finish_fired = true;
+                    // Return events carry the 0-based depth.
+                    if let Mode::Finish { depth: d } = slice.mode {
+                        if depth as usize + 1 == d {
+                            slice.finish_fired = true;
                         }
                     }
                 }
@@ -563,7 +392,7 @@ impl MinicEngine {
                 }
                 Event::Output(_) => {}
                 Event::SanitizerTrap(diagnostic) => {
-                    if let Some(reg) = &self.registry {
+                    if let Some(reg) = &self.core.registry {
                         reg.add("sanitizer.traps", 1);
                     }
                     return RunOutcome::Paused(PauseReason::Sanitizer { diagnostic });
@@ -575,197 +404,72 @@ impl MinicEngine {
         }
     }
 
-    /// Starts a *fresh* control command, optionally fuel-bounded.
-    /// Clears per-command progress (`finish_fired`, any stale pending
-    /// slice) before running — the one thing a slice resume must not do.
-    fn control_sliced(&mut self, mode: Mode, fuel: Option<u64>) -> SliceOutcome {
-        if !self.started && !matches!(mode, Mode::Start) {
-            return SliceOutcome::Done(Response::Error {
-                message: "inferior not started (call start first)".into(),
-            });
-        }
-        self.finish_fired = false;
-        self.burst(mode, fuel)
-    }
-
-    fn control(&mut self, mode: Mode) -> Response {
-        match self.control_sliced(mode, None) {
-            SliceOutcome::Done(resp) => resp,
-            SliceOutcome::Yielded => unreachable!("unfueled run cannot yield"),
-        }
-    }
-
-    /// One fuel-bounded run burst: shared by fresh commands and slice
-    /// resumes. The per-burst span is telemetry only, so slicing stays
-    /// invisible on the protocol.
-    fn burst(&mut self, mode: Mode, fuel: Option<u64>) -> SliceOutcome {
-        if let Some((which, used, limit)) = self.exhausted {
-            // Budget exhaustion is terminal: every later control command
-            // repeats the verdict instead of running the inferior.
-            return SliceOutcome::Done(Response::ResourceExhausted { which, used, limit });
-        }
-        self.pending_slice = None;
-        // Times the VM burst this control command caused; joins the
-        // tracker's trace when the command frame carried a context.
-        let span = self.registry.as_ref().map(|reg| {
-            let mut span = reg.span("vm.minic.exec");
-            span.category("vm");
-            span
-        });
-        let outcome = self.run(mode, fuel);
-        if let Some(mut span) = span {
-            let tag = match &outcome {
-                RunOutcome::Paused(reason) => reason.to_string(),
-                RunOutcome::OutOfFuel => "slice".to_owned(),
-                RunOutcome::Exhausted { which, .. } => format!("exhausted:{which}"),
-            };
-            span.tag("pause_reason", tag);
-            span.finish();
-        }
-        self.publish_stats();
-        match outcome {
-            RunOutcome::Paused(reason) => {
-                self.last_reason = reason.clone();
-                SliceOutcome::Done(Response::Paused(reason))
-            }
-            RunOutcome::OutOfFuel => SliceOutcome::Yielded,
-            RunOutcome::Exhausted { which, used, limit } => {
-                self.exhausted = Some((which, used, limit));
-                SliceOutcome::Done(Response::ResourceExhausted { which, used, limit })
-            }
-        }
-    }
-
-    /// Maps a control command to its run mode, performing the same
-    /// pre-flight checks for the plain and sliced paths. `None` for
-    /// non-control commands.
-    fn prepare(&mut self, command: &Command) -> Option<Result<Mode, Response>> {
-        match command {
-            Command::Start => Some(if self.started {
-                Err(Response::Error {
-                    message: "inferior already started".into(),
-                })
-            } else {
-                self.started = true;
-                Ok(Mode::Start)
-            }),
-            Command::Resume => Some(Ok(Mode::Resume)),
-            Command::Step => {
-                let (line, depth) = self.current_position();
-                Some(Ok(Mode::Step { line, depth }))
-            }
-            Command::Next => {
-                let (line, depth) = self.current_position();
-                Some(Ok(Mode::Next { line, depth }))
-            }
-            Command::Finish => {
-                let (_, depth) = self.current_position();
-                Some(if depth <= 1 {
-                    Err(Response::Error {
-                        message: "cannot finish the outermost frame".into(),
-                    })
-                } else {
-                    // Depth as reported in Return events is 0-based.
-                    Ok(Mode::Finish { depth: depth - 1 })
-                })
-            }
-            _ => None,
-        }
-    }
-
-    fn current_position(&self) -> (u32, usize) {
-        let line = self.vm.frames().last().map(|f| f.line).unwrap_or(0);
+    fn position(&self) -> (u32, usize) {
+        let line = self.vm.frames().last().map_or(0, |f| f.line);
         (line, self.vm.frames().len())
     }
-}
 
-impl Engine for MinicEngine {
-    fn handle(&mut self, command: Command) -> Response {
-        match self.prepare(&command) {
-            Some(Err(resp)) => return resp,
-            Some(Ok(mode)) => return self.control(mode),
-            None => {}
-        }
+    fn exit_code(&self) -> Option<i64> {
+        self.vm.exit_code()
+    }
+
+    fn output(&self) -> &str {
+        self.vm.output()
+    }
+
+    fn source(&self) -> (&str, &str) {
+        let program = self.vm.program();
+        (&program.file, &program.source)
+    }
+
+    fn breakable_lines(&self) -> Vec<u32> {
+        self.vm.program().breakable_lines().into_iter().collect()
+    }
+
+    fn function(&self, name: &str) -> Result<usize, String> {
+        let program = self.vm.program();
+        program
+            .function(name)
+            .map(|(index, _)| index)
+            .ok_or_else(|| format!("unknown function `{name}`"))
+    }
+
+    fn watch(&self, variable: String) -> Result<Watch<WatchSpec>, String> {
+        let spec = WatchSpec {
+            qualifier: variable.find("::"),
+            seen: None,
+        };
+        let mut watch = Watch::new(variable, None, spec);
+        refresh(&mut watch, &self.vm);
+        Ok(watch)
+    }
+
+    fn publish_stats(&self) {
+        let Some(reg) = &self.core.registry else {
+            return;
+        };
+        // Absolute readings of cumulative VM totals: gauges, not
+        // counters, so a merged cross-process snapshot never adds two
+        // reports of the same total.
+        reg.set_gauge("vm.minic.ops", self.vm.ops_executed());
+        reg.set_gauge("vm.minic.events", self.events_seen);
+        reg.set_gauge("vm.minic.watch_evals", self.watch_evals);
+        let alloc = self.vm.allocator();
+        reg.set_gauge("vm.minic.heap.allocs", alloc.total_allocs());
+        reg.set_gauge("vm.minic.heap.frees", alloc.total_frees());
+        reg.set_gauge("vm.minic.heap.live_bytes", alloc.live_bytes());
+    }
+
+    fn own_command(&mut self, command: Command) -> Response {
         match command {
-            Command::Start | Command::Resume | Command::Step | Command::Next | Command::Finish => {
-                unreachable!("control commands are routed through prepare")
-            }
-            Command::SetBreakLine { line } => {
-                // Like GDB: slide to the next line that really holds code.
-                let lines = self.vm.program().breakable_lines();
-                let Some(&actual) = lines.range(line..).next() else {
-                    return Response::Error {
-                        message: format!("no code at or after line {line}"),
-                    };
-                };
-                let id = self.alloc_id();
-                self.bps.push(Breakpoint {
-                    id,
-                    kind: BpKind::Line(actual),
-                });
-                Response::Created { id }
-            }
-            Command::SetBreakFunc { function, maxdepth } => {
-                let Some((function, _)) = self.vm.program().function(&function) else {
-                    return Response::Error {
-                        message: format!("unknown function `{function}`"),
-                    };
-                };
-                let id = self.alloc_id();
-                self.bps.push(Breakpoint {
-                    id,
-                    kind: BpKind::FuncEntry { function, maxdepth },
-                });
-                Response::Created { id }
-            }
-            Command::TrackFunction { function, maxdepth } => {
-                let Some((function, _)) = self.vm.program().function(&function) else {
-                    return Response::Error {
-                        message: format!("unknown function `{function}`"),
-                    };
-                };
-                self.tracked.push(Track { function, maxdepth });
-                let id = self.alloc_id();
-                Response::Created { id }
-            }
-            Command::Watch { variable } => {
-                let id = self.alloc_id();
-                let mut watch = Watch::new(id, variable);
-                watch.refresh(&self.vm);
-                self.watches.push(watch);
-                // Watchpoints require store events: this is the expensive
-                // mode the paper warns about.
-                self.vm.set_store_events(true);
-                Response::Created { id }
-            }
-            Command::Delete { id } => {
-                let before = self.bps.len() + self.watches.len();
-                self.bps.retain(|b| b.id != id);
-                self.watches.retain(|w| w.id != id);
-                if self.watches.is_empty() {
-                    self.vm.set_store_events(false);
-                }
-                if self.bps.len() + self.watches.len() == before {
-                    Response::Error {
-                        message: format!("no breakpoint or watchpoint {id}"),
-                    }
-                } else {
-                    Response::Ok
-                }
-            }
             Command::GetState => {
-                if !self.started || self.vm.frames().is_empty() {
-                    return Response::Error {
-                        message: "no frames to inspect".into(),
-                    };
+                if self.vm.frames().is_empty() {
+                    return error("no frames to inspect");
                 }
                 let frame = inspect::current_frame(&self.vm);
                 let globals = inspect::global_variables(&self.vm);
-                Response::State(Box::new(ProgramState::new(
-                    frame,
-                    globals,
-                    self.last_reason.clone(),
-                )))
+                let reason = self.core.last_reason.clone();
+                Response::State(Box::new(ProgramState::new(frame, globals, reason)))
             }
             Command::GetGlobals => Response::Globals(inspect::global_variables(&self.vm)),
             Command::GetVariable { name } => Response::Variable(self.lookup_variable(&name)),
@@ -774,60 +478,26 @@ impl Engine for MinicEngine {
                 // line (the paper's Fig. 7 registers come from the
                 // assembly engine; these are still useful for tools).
                 let sp = self.vm.stack_pointer();
-                let (line, depth) = self.current_position();
+                let (line, depth) = self.position();
+                let reg = |name: &str, value: i64, ty: &str| {
+                    Variable::new(
+                        name,
+                        Scope::Register,
+                        Value::primitive(Prim::Int(value), ty)
+                            .with_location(state::Location::Register),
+                    )
+                };
                 Response::Registers(vec![
-                    Variable::new(
-                        "sp",
-                        state::Scope::Register,
-                        Value::primitive(Prim::Int(sp as i64), "u64")
-                            .with_location(state::Location::Register),
-                    ),
-                    Variable::new(
-                        "line",
-                        state::Scope::Register,
-                        Value::primitive(Prim::Int(line as i64), "u32")
-                            .with_location(state::Location::Register),
-                    ),
-                    Variable::new(
-                        "depth",
-                        state::Scope::Register,
-                        Value::primitive(Prim::Int(depth as i64), "u32")
-                            .with_location(state::Location::Register),
-                    ),
+                    reg("sp", sp as i64, "u64"),
+                    reg("line", line as i64, "u32"),
+                    reg("depth", depth as i64, "u32"),
                 ])
             }
             Command::ReadMemory { addr, len } => {
                 match self.vm.memory().read_bytes(addr, len.min(64 * 1024)) {
                     Ok(bytes) => Response::Memory(bytes.to_vec()),
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
+                    Err(e) => error(e.to_string()),
                 }
-            }
-            Command::GetOutput => {
-                let all = self.vm.output();
-                let new = all[self.output_cursor.min(all.len())..].to_owned();
-                self.output_cursor = all.len();
-                let with_crash = match &self.crashed {
-                    Some(msg) if !self.crash_reported => {
-                        self.crash_reported = true;
-                        format!("{new}{msg}\n")
-                    }
-                    _ => new,
-                };
-                Response::Output(with_crash)
-            }
-            Command::GetExitCode => Response::ExitCode(if self.crashed.is_some() {
-                Some(-1)
-            } else {
-                self.vm.exit_code()
-            }),
-            Command::GetSource => Response::Source {
-                file: self.vm.program().file.clone(),
-                text: self.vm.program().source.clone(),
-            },
-            Command::GetBreakableLines => {
-                Response::Lines(self.vm.program().breakable_lines().into_iter().collect())
             }
             Command::Analyze => {
                 // Diagnose the program the user wrote, not the one the
@@ -837,7 +507,7 @@ impl Engine for MinicEngine {
                     .analysis_program
                     .as_deref()
                     .unwrap_or_else(|| self.vm.program());
-                let diags = match &self.registry {
+                let diags = match &self.core.registry {
                     Some(reg) => analysis::analyze_with_registry(program, reg),
                     None => analysis::analyze(program),
                 };
@@ -854,88 +524,33 @@ impl Engine for MinicEngine {
                 Response::Verified { findings }
             }
             Command::SetSanitizer { on } => {
-                if self.started {
-                    return Response::Error {
-                        message: "sanitizer mode must be set before start".into(),
-                    };
+                if self.core.started {
+                    return error("sanitizer mode must be set before start");
                 }
                 self.vm.set_sanitizer(on);
                 Response::Ok
             }
             Command::SetProfile { mode, period } => {
-                if self.started && mode != obs::ProfileMode::Off {
-                    return Response::Error {
-                        message: "profiling must be armed before start".into(),
-                    };
-                }
                 self.vm.set_profile(mode, period);
                 Response::Ok
             }
             Command::ProfileReport { .. } => Response::Profile(Box::new(self.vm.profile_report())),
-            // The serve loop normally answers Ping and Telemetry itself;
-            // answering here too keeps `handle` total for engines driven
-            // directly.
-            Command::Ping => Response::Pong {
-                now_us: self.registry.as_ref().map_or(0, obs::Registry::now_us),
-            },
-            Command::Telemetry { since } => {
-                // No export ring at this layer: metrics only.
-                let frame = match &self.registry {
-                    Some(reg) => obs::telemetry::collect_frame(reg, None, since),
-                    None => obs::TelemetryFrame::default(),
-                };
-                Response::Telemetry(Box::new(frame))
-            }
-            Command::Terminate => Response::Ok,
-            Command::SetLimits {
-                max_steps,
-                max_heap_bytes,
-                ..
-            } => {
-                // Steps and heap are enforced in-engine; wall time and
-                // queue depth are the host's job (it applies them as the
-                // command passes through). Converges: re-setting the same
-                // budgets is a no-op, `None` clears.
-                self.max_steps = max_steps;
-                self.max_heap_bytes = max_heap_bytes;
-                Response::Ok
-            }
-            // Session management is the host's job, not an engine's.
-            Command::OpenSession { .. }
-            | Command::CloseSession { .. }
-            | Command::OpenReplay { .. } => Response::Error {
-                message: "session commands are handled by the host, not an engine".into(),
-            },
-            // The trace vocabulary is served by the RecordingEngine
-            // wrapper every spawned session carries, never by a bare
-            // engine.
-            Command::Record { .. }
-            | Command::Seek { .. }
-            | Command::QueryHistory { .. }
-            | Command::TraceStats
-            | Command::PublishTrace { .. } => Response::Error {
-                message: "trace commands are handled by the recording wrapper".into(),
-            },
+            other => control::unsupported(&other),
         }
+    }
+}
+
+impl Engine for MinicEngine {
+    fn handle(&mut self, command: Command) -> Response {
+        control::handle(self, command)
     }
 
     fn handle_sliced(&mut self, command: Command, fuel: u64) -> SliceOutcome {
-        match self.prepare(&command) {
-            Some(Err(resp)) => SliceOutcome::Done(resp),
-            Some(Ok(mode)) => self.control_sliced(mode, Some(fuel)),
-            None => SliceOutcome::Done(self.handle(command)),
-        }
+        control::handle_sliced(self, command, fuel)
     }
 
     fn resume_sliced(&mut self, fuel: u64) -> SliceOutcome {
-        match self.pending_slice {
-            // Resume, not restart: `finish_fired` and the stashed mode
-            // are the command's progress and survive the yield.
-            Some(mode) => self.burst(mode, Some(fuel)),
-            None => SliceOutcome::Done(Response::Error {
-                message: "no sliced command pending".into(),
-            }),
-        }
+        control::resume_sliced(self, fuel)
     }
 }
 

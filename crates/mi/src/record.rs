@@ -20,6 +20,7 @@
 //! `Arc`; it never copies the store. `easytracker::ReplayTracker` drives
 //! the same engine in process.
 
+use crate::control::{BpKind, ControlPoints, Watch};
 use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
 use state::{ExitStatus, Frame, PauseReason, ProgramState, SourceLocation, Variable};
@@ -308,22 +309,6 @@ impl<E: Engine> Engine for RecordingEngine<E> {
     }
 }
 
-/// A control point armed on a replay session.
-#[derive(Debug)]
-enum Point {
-    /// Breakpoint on a recorded line.
-    Line(u32),
-    /// Function-entry breakpoint or, with `track`, a tracked function
-    /// that also pauses at each of its returns.
-    Func {
-        function: String,
-        maxdepth: Option<u32>,
-        track: bool,
-    },
-    /// Watchpoint on a variable whose timeline is in `timelines`.
-    Watch(String),
-}
-
 /// A session engine whose inferior is a finished recording — the one
 /// replay state machine, serving hosted replay sessions and, in process,
 /// `easytracker::ReplayTracker`.
@@ -349,8 +334,9 @@ pub struct ReplayEngine {
     /// Highest trigger rank already reported at `pos`; `None` when `pos`
     /// was reached by stepping or seeking.
     rank_done: Option<u8>,
-    points: Vec<(u64, Point)>,
-    next_id: u64,
+    /// Functions are keyed by name; a watch's timeline is in
+    /// `timelines`.
+    points: ControlPoints<String, ()>,
     /// Per watched variable, derived once from the store when armed: its
     /// most recent visible value (rendered) at or before each pause. The
     /// live engines' sticky-watch question — did the value change against
@@ -379,8 +365,7 @@ impl ReplayEngine {
             pos: None,
             reason: PauseReason::NotStarted,
             rank_done: None,
-            points: Vec::new(),
-            next_id: 1,
+            points: ControlPoints::new(),
             timelines: HashMap::new(),
             profile: None,
             out_released: 0,
@@ -542,49 +527,46 @@ impl ReplayEngine {
                 best = Some((rank, reason));
             }
         };
-        for (id, point) in &self.points {
-            match point {
-                Point::Watch(variable) => {
-                    // Callee frames may shadow the variable; a variable
-                    // springing into existence counts as a change.
-                    let Some(tl) = self.timelines.get(variable) else {
-                        continue;
-                    };
-                    let (Some(p), Some(new)) = (n.checked_sub(1), &tl[n as usize]) else {
-                        continue;
-                    };
-                    let old = &tl[p as usize];
-                    if old.as_ref() != Some(new) {
-                        consider(
-                            2,
-                            PauseReason::Watchpoint {
-                                id: *id,
-                                variable: variable.clone(),
-                                old: old.clone(),
-                                new: new.clone(),
-                            },
-                        );
-                    }
-                }
-                Point::Line(line) => {
+        for w in &self.points.watches {
+            // Callee frames may shadow the variable; a variable springing
+            // into existence counts as a change.
+            let Some(tl) = self.timelines.get(&w.name) else {
+                continue;
+            };
+            let (Some(p), Some(new)) = (n.checked_sub(1), &tl[n as usize]) else {
+                continue;
+            };
+            let old = &tl[p as usize];
+            if old.as_ref() != Some(new) {
+                consider(
+                    2,
+                    PauseReason::Watchpoint {
+                        id: w.id,
+                        variable: w.name.clone(),
+                        old: old.clone(),
+                        new: new.clone(),
+                    },
+                );
+            }
+        }
+        for bp in self.points.breakpoints.iter().chain(&self.points.tracked) {
+            let id = bp.id;
+            match &bp.kind {
+                BpKind::Line(line) => {
                     if self.store().line_at(n) == Some(*line) {
                         let location = cur.frame.location().clone();
-                        consider(3, PauseReason::Breakpoint { id: *id, location });
+                        consider(3, PauseReason::Breakpoint { id, location });
                     }
                 }
-                Point::Func {
-                    function,
-                    maxdepth,
-                    track,
-                } => {
-                    let within = |d: u32| maxdepth.is_none_or(|m| d <= m);
+                BpKind::Entry(function) | BpKind::Track(function) => {
+                    let track = matches!(bp.kind, BpKind::Track(_));
                     let occ = occurrences(&cur, function);
                     let depth0 = depth.saturating_sub(1) as u32;
                     if occ > prev.as_ref().map_or(0, |p| occurrences(p, function))
                         && cur.frame.name() == function
-                        && within(depth0)
+                        && bp.within(depth0)
                     {
-                        let reason = if *track {
+                        let reason = if track {
                             let function = function.clone();
                             PauseReason::FunctionCall {
                                 function,
@@ -592,9 +574,9 @@ impl ReplayEngine {
                             }
                         } else {
                             let location = cur.frame.location().clone();
-                            PauseReason::Breakpoint { id: *id, location }
+                            PauseReason::Breakpoint { id, location }
                         };
-                        consider(u8::from(*track), reason);
+                        consider(u8::from(track), reason);
                     }
                     if !track {
                         continue;
@@ -614,7 +596,7 @@ impl ReplayEngine {
                         inner.is_some_and(|k| k + 1 < depth)
                     };
                     let depth0 = inner.map_or(0, |k| (depth - 1 - k) as u32);
-                    if returning && within(depth0) {
+                    if returning && bp.within(depth0) {
                         consider(
                             4,
                             PauseReason::FunctionReturn {
@@ -630,18 +612,14 @@ impl ReplayEngine {
         Ok(best)
     }
 
-    fn arm(&mut self, point: Point) -> Response {
-        if let Point::Watch(variable) = &point {
-            if !self.timelines.contains_key(variable) {
-                match self.timeline(variable) {
-                    Ok(tl) => self.timelines.insert(variable.clone(), tl),
-                    Err(message) => return Response::Error { message },
-                };
-            }
+    fn watch(&mut self, variable: String) -> Response {
+        if !self.timelines.contains_key(&variable) {
+            match self.timeline(&variable) {
+                Ok(tl) => self.timelines.insert(variable.clone(), tl),
+                Err(message) => return Response::Error { message },
+            };
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.points.push((id, point));
+        let id = self.points.add_watch(Watch::new(variable, None, ()));
         Response::Created { id }
     }
 
@@ -744,34 +722,22 @@ impl Engine for ReplayEngine {
                     .into_iter()
                     .find(|&l| l >= line)
                 {
-                    Some(actual) => self.arm(Point::Line(actual)),
+                    Some(actual) => Response::Created {
+                        id: self.points.add(BpKind::Line(actual), None),
+                    },
                     None => Response::Error {
                         message: format!("no recorded execution at or after line {line}"),
                     },
                 }
             }
-            Command::SetBreakFunc { function, maxdepth } => self.arm(Point::Func {
-                function,
-                maxdepth,
-                track: false,
-            }),
-            Command::TrackFunction { function, maxdepth } => self.arm(Point::Func {
-                function,
-                maxdepth,
-                track: true,
-            }),
-            Command::Watch { variable } => self.arm(Point::Watch(variable)),
-            Command::Delete { id } => {
-                let before = self.points.len();
-                self.points.retain(|(p, _)| *p != id);
-                if self.points.len() == before {
-                    Response::Error {
-                        message: format!("no control point {id}"),
-                    }
-                } else {
-                    Response::Ok
-                }
-            }
+            Command::SetBreakFunc { function, maxdepth } => Response::Created {
+                id: self.points.add(BpKind::Entry(function), maxdepth),
+            },
+            Command::TrackFunction { function, maxdepth } => Response::Created {
+                id: self.points.add(BpKind::Track(function), maxdepth),
+            },
+            Command::Watch { variable } => self.watch(variable),
+            Command::Delete { id } => self.points.delete(id),
             Command::GetState | Command::GetGlobals | Command::GetVariable { .. } => {
                 self.inspect(&cmd)
             }

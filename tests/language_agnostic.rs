@@ -131,6 +131,35 @@ fn same_controller_for_replayed_recording() {
     assert_eq!(code, 30);
 }
 
+/// A tracked function is a control point like any other: `remove` drops
+/// it, and the run then goes straight to the exit.
+fn track_then_remove(tracker: &mut dyn Tracker) -> PauseReason {
+    let id = tracker.track_function("square", None).expect("track");
+    tracker.start().expect("start");
+    let first = tracker.resume().expect("resume");
+    assert!(matches!(first, PauseReason::FunctionCall { .. }), "{first}");
+    tracker.remove(id).expect("remove the tracked function");
+    tracker.resume().expect("resume")
+}
+
+#[test]
+fn tracked_functions_are_removable_everywhere() {
+    let mut live = init_tracker("p.c", C_PROG).unwrap();
+    let rec = Recording::capture(live.as_mut()).unwrap();
+    live.terminate();
+    let trackers: [(&str, Box<dyn Tracker>); 4] = [
+        ("c", init_tracker("p.c", C_PROG).unwrap()),
+        ("py", init_tracker("p.py", PY_PROG).unwrap()),
+        ("asm", init_tracker("p.s", ASM_PROG).unwrap()),
+        ("replay", Box::new(ReplayTracker::new(rec))),
+    ];
+    for (name, mut t) in trackers {
+        let after = track_then_remove(t.as_mut());
+        assert!(matches!(after, PauseReason::Exited(_)), "{name}: {after}");
+        t.terminate();
+    }
+}
+
 /// Listing 1's stepping loop, shared verbatim across languages.
 fn step_count(tracker: &mut dyn Tracker) -> usize {
     tracker.start().expect("start");
