@@ -9,6 +9,15 @@
 //! control call blocks symmetrically, so control functions "return only
 //! when the inferior is paused", the paper's core contract.
 //!
+//! That handshake is all this module adds. Whether an event pauses is
+//! decided by the control core every tracker shares (`mi::control`): the
+//! trace function reports each line, call and return event to it and
+//! re-enters the event past the phase that paused, so one event can
+//! deliver several pauses. The control points, the output and the
+//! profiler travel with each command to the inferior thread and come
+//! back with each pause: each thread owns them outright in turn, and no
+//! trace event takes a lock.
+//!
 //! Because watchpoints are checked before every line, resuming with
 //! watchpoints set degrades to single-stepping — the slowdown the paper
 //! reports for its Python tracker, reproduced by design and measured in
@@ -20,37 +29,17 @@
 
 use crate::{ControlPointId, Result, Tracker, TrackerError};
 use crossbeam::channel::{bounded, Receiver, Sender};
+use mi::control::{mode, resolve, BpKind, ControlPoints, Func, Mode, Phase, Slice, Watch};
+use mi::protocol::Command;
 use minipy::{Interp, TraceAction, TraceCtx, TraceEvent, Tracer};
 use state::{ExitStatus, Frame, PauseReason, ProgramState, SourceLocation, Variable};
-use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-#[derive(Debug, Clone, Copy)]
-enum RunMode {
-    Start,
-    Resume,
-    Step { line: u32, depth: usize },
-    Next { line: u32, depth: usize },
-    Finish { depth: usize },
-}
-
-impl RunMode {
-    /// Stable short name used as the metric-name suffix
-    /// (`tracker.control.<kind>`), matching the MI command vocabulary.
-    fn kind(&self) -> &'static str {
-        match self {
-            RunMode::Start => "Start",
-            RunMode::Resume => "Resume",
-            RunMode::Step { .. } => "Step",
-            RunMode::Next { .. } => "Next",
-            RunMode::Finish { .. } => "Finish",
-        }
-    }
-}
-
+/// What a control command hands the inferior thread: its mode, and the
+/// session state the thread owns until the next pause.
 #[derive(Debug)]
 enum Go {
-    Mode(RunMode),
+    Run(Mode, Box<Session>),
     Terminate,
 }
 
@@ -59,211 +48,88 @@ struct PauseMsg {
     reason: PauseReason,
     state: ProgramState,
     exit: Option<i64>,
+    /// Back to the tool thread, which owns it while the inferior is
+    /// paused.
+    session: Session,
 }
 
-#[derive(Debug, Clone)]
-enum CpKind {
-    LineBp(u32),
-    FuncBp {
-        function: String,
-        maxdepth: Option<u32>,
-    },
-    Track {
-        function: String,
-        maxdepth: Option<u32>,
-    },
-    Watch {
-        variable: String,
-    },
-}
-
-#[derive(Debug)]
-struct ControlPoint {
-    id: u64,
-    kind: CpKind,
-    /// Watch bookkeeping: last rendered value (primed at creation when
-    /// the variable already exists).
-    last: Option<String>,
-}
-
+/// The state both threads use, owned by one at a time: the inferior's
+/// while it runs, the tool's while it is paused. The handoff rides the
+/// `Go` and `PauseMsg` messages, so no trace event takes a lock.
 #[derive(Debug, Default)]
-struct Shared {
-    points: Vec<ControlPoint>,
+struct Session {
+    /// Functions are keyed by name; a watch is primed from the last
+    /// snapshot.
+    points: ControlPoints<String, ()>,
     output: String,
+    /// `None` until [`PyTracker::set_profile`] arms it.
+    prof: Option<obs::Profiler>,
 }
 
 /// The trace function: EasyTracker's brain on the inferior thread.
 struct ControlTracer {
-    shared: Arc<Mutex<Shared>>,
-    go_rx: Receiver<Go>,
-    pause_tx: Sender<PauseMsg>,
-    mode: RunMode,
-    finish_fired: bool,
     file: String,
     /// Live count of trace-hook invocations (`vm.minipy.trace_hooks`);
     /// a cheap atomic bump per event, readable from the tool thread.
     hook_counter: obs::Counter,
-    /// In-process profiler cell, shared with the tool thread. `None`
-    /// until [`PyTracker::set_profile`] arms it; the tool only locks it
-    /// while the inferior is paused, so the per-event lock is
-    /// uncontended.
-    prof: Arc<Mutex<Option<obs::Profiler>>>,
+    handoff: Handoff,
 }
 
-impl ControlTracer {
-    fn pause(&mut self, reason: PauseReason, ctx: &TraceCtx<'_>) -> TraceAction {
-        let state = ProgramState::new(
-            minipy::inspect::current_frame(ctx, &self.file),
-            minipy::inspect::global_variables(ctx),
-            reason.clone(),
-        );
-        if self
-            .pause_tx
-            .send(PauseMsg {
-                reason,
-                state,
-                exit: None,
-            })
-            .is_err()
-        {
+/// The inferior thread's end of the Fig. 5 handshake, with what it owns
+/// while the inferior runs.
+struct Handoff {
+    go_rx: Receiver<Go>,
+    pause_tx: Sender<PauseMsg>,
+    slice: Slice,
+    session: Session,
+}
+
+impl Handoff {
+    /// Hands a snapshot and the session to the tool thread; `false` once
+    /// the tool is gone. The module frame (with its final bindings)
+    /// survives the run, so the exit's snapshot renders the program's
+    /// terminal state.
+    fn send(
+        &mut self,
+        file: &str,
+        ctx: &TraceCtx<'_>,
+        reason: PauseReason,
+        exit: Option<i64>,
+    ) -> bool {
+        let state = match ctx.frames {
+            [] => {
+                let module = Frame::new("<module>", 0, SourceLocation::new(file, 0));
+                ProgramState::new(module, Vec::new(), reason.clone())
+            }
+            _ => ProgramState::new(
+                minipy::inspect::current_frame(ctx, file),
+                minipy::inspect::global_variables(ctx),
+                reason.clone(),
+            ),
+        };
+        let session = std::mem::take(&mut self.session);
+        let msg = PauseMsg {
+            reason,
+            state,
+            exit,
+            session,
+        };
+        self.pause_tx.send(msg).is_ok()
+    }
+
+    /// Pauses: sends the snapshot and blocks until the next command hands
+    /// the session back.
+    fn pause(&mut self, file: &str, reason: PauseReason, ctx: &TraceCtx<'_>) -> TraceAction {
+        if !self.send(file, ctx, reason, None) {
             return TraceAction::Stop;
         }
         match self.go_rx.recv() {
-            Ok(Go::Mode(mode)) => {
-                self.mode = mode;
-                self.finish_fired = false;
+            Ok(Go::Run(mode, session)) => {
+                self.slice = Slice::new(mode);
+                self.session = *session;
                 TraceAction::Continue
             }
             Ok(Go::Terminate) | Err(_) => TraceAction::Stop,
-        }
-    }
-
-    /// Evaluates watchpoints; returns the first trigger.
-    fn check_watches(&mut self, ctx: &TraceCtx<'_>) -> Option<PauseReason> {
-        let mut shared = self.shared.lock().expect("tracker poisoned");
-        let mut hit = None;
-        for cp in shared.points.iter_mut() {
-            let CpKind::Watch { variable } = &cp.kind else {
-                continue;
-            };
-            // Render through the abstract model so the tool-side priming
-            // (which only has the snapshot) produces identical strings.
-            let current = ctx
-                .lookup(variable)
-                .map(|obj| state::render_value(&ctx.heap.to_abstract(obj)));
-            if current.is_none() {
-                continue;
-            }
-            if cp.last != current && hit.is_none() {
-                hit = Some(PauseReason::Watchpoint {
-                    id: cp.id,
-                    variable: variable.clone(),
-                    old: cp.last.clone(),
-                    new: current.clone().expect("checked above"),
-                });
-            }
-            cp.last = current;
-        }
-        hit
-    }
-
-    fn decide(&mut self, event: &TraceEvent, ctx: &TraceCtx<'_>) -> Option<PauseReason> {
-        match event {
-            TraceEvent::Line { line } => {
-                {
-                    let shared = self.shared.lock().expect("tracker poisoned");
-                    if let Some(cp) = shared
-                        .points
-                        .iter()
-                        .find(|cp| matches!(cp.kind, CpKind::LineBp(l) if l == *line))
-                    {
-                        return Some(PauseReason::Breakpoint {
-                            id: cp.id,
-                            location: SourceLocation::new(self.file.clone(), *line),
-                        });
-                    }
-                }
-                if self.finish_fired {
-                    return Some(PauseReason::Step);
-                }
-                let depth = ctx.frames.len();
-                match self.mode {
-                    RunMode::Start => Some(PauseReason::Started),
-                    RunMode::Step {
-                        line: from,
-                        depth: d,
-                    } => (*line != from || depth != d).then_some(PauseReason::Step),
-                    RunMode::Next {
-                        line: from,
-                        depth: d,
-                    } => (depth < d || (depth == d && *line != from)).then_some(PauseReason::Step),
-                    RunMode::Resume | RunMode::Finish { .. } => None,
-                }
-            }
-            TraceEvent::Call {
-                function,
-                line,
-                depth,
-            } => {
-                let shared = self.shared.lock().expect("tracker poisoned");
-                for cp in &shared.points {
-                    match &cp.kind {
-                        CpKind::FuncBp {
-                            function: f,
-                            maxdepth,
-                        } if f == function && maxdepth.is_none_or(|m| *depth <= m) => {
-                            return Some(PauseReason::Breakpoint {
-                                id: cp.id,
-                                location: SourceLocation::new(self.file.clone(), *line),
-                            });
-                        }
-                        CpKind::Track {
-                            function: f,
-                            maxdepth,
-                        } if f == function && maxdepth.is_none_or(|m| *depth <= m) => {
-                            return Some(PauseReason::FunctionCall {
-                                function: function.clone(),
-                                depth: *depth,
-                            });
-                        }
-                        _ => {}
-                    }
-                }
-                None
-            }
-            TraceEvent::Return {
-                function,
-                depth,
-                value,
-                ..
-            } => {
-                let tracked = {
-                    let shared = self.shared.lock().expect("tracker poisoned");
-                    shared.points.iter().any(|cp| {
-                        matches!(
-                            &cp.kind,
-                            CpKind::Track { function: f, maxdepth }
-                                if f == function && maxdepth.is_none_or(|m| *depth <= m)
-                        )
-                    })
-                };
-                if tracked {
-                    return Some(PauseReason::FunctionReturn {
-                        function: function.clone(),
-                        depth: *depth,
-                        return_value: Some(ctx.heap.repr(*value)),
-                    });
-                }
-                if let RunMode::Finish { depth: d } = self.mode {
-                    // Return events use 0-based depth; the mode records the
-                    // frame count, hence the +1.
-                    if *depth as usize + 1 == d {
-                        self.finish_fired = true;
-                    }
-                }
-                None
-            }
-            TraceEvent::Output { .. } => None,
         }
     }
 }
@@ -271,7 +137,8 @@ impl ControlTracer {
 impl Tracer for ControlTracer {
     fn trace(&mut self, event: &TraceEvent, ctx: &TraceCtx<'_>) -> TraceAction {
         self.hook_counter.inc();
-        if let Some(p) = self.prof.lock().expect("profiler poisoned").as_mut() {
+        let (file, h) = (self.file.as_str(), &mut self.handoff);
+        if let Some(p) = h.session.prof.as_mut() {
             match event {
                 // A line event is the MiniPy step unit.
                 TraceEvent::Line { line } => {
@@ -286,31 +153,60 @@ impl Tracer for ControlTracer {
                 TraceEvent::Output { .. } => {}
             }
         }
-        if let TraceEvent::Output { text } = event {
-            self.shared
-                .lock()
-                .expect("tracker poisoned")
-                .output
-                .push_str(text);
-            return TraceAction::Continue;
+        match event {
+            // Return events carry the 0-based depth: the frames left once
+            // this one is gone.
+            TraceEvent::Return { depth, .. } => h.slice.popped(*depth as usize),
+            TraceEvent::Output { text } => h.session.output.push_str(text),
+            TraceEvent::Line { .. } | TraceEvent::Call { .. } => {}
         }
-        // One Line event can carry several triggers (a store on the
-        // previous line trips a watchpoint *and* this line holds a
-        // breakpoint). Deliver each as its own pause, like the MiniC
-        // engine where watch checks ride separate store events; dropping
-        // the rest of the event on the first pause would silently eat
-        // breakpoints.
-        if matches!(event, TraceEvent::Line { .. }) {
-            if let Some(reason) = self.check_watches(ctx) {
-                let act = self.pause(reason, ctx);
-                if !matches!(act, TraceAction::Continue) {
-                    return act;
+        // Render through the abstract model so the tool-side priming
+        // (which only has the snapshot) produces identical strings. A
+        // first binding is a modification in Python.
+        let refresh = |w: &mut Watch<()>| {
+            let now = state::render_value(&ctx.heap.to_abstract(ctx.lookup(&w.name)?));
+            Some(w.last.replace(now))
+        };
+        // One event can carry several triggers (a store on the previous
+        // line trips a watch *and* this line holds a breakpoint): each
+        // is its own pause, the event re-entered past the phase that
+        // paused.
+        let mut from = Phase::FuncBreak;
+        loop {
+            let (points, slice) = (&mut h.session.points, &h.slice);
+            let hit = match event {
+                TraceEvent::Line { line } => {
+                    let line = Some((*line, ctx.frames.len()));
+                    points.on_line(slice, file, true, line, from, refresh)
                 }
+                TraceEvent::Call {
+                    function,
+                    line,
+                    depth,
+                } => points.on_call(
+                    file,
+                    (Func(function.as_str(), *depth, function), *line),
+                    false,
+                    from,
+                ),
+                TraceEvent::Return {
+                    function,
+                    depth,
+                    value,
+                    ..
+                } => {
+                    let value = || Some(ctx.heap.repr(*value));
+                    points.on_return((Func(function.as_str(), *depth, function), &value), from)
+                }
+                TraceEvent::Output { .. } => None,
+            };
+            let Some((phase, reason)) = hit else {
+                return TraceAction::Continue;
+            };
+            match h.pause(file, reason, ctx) {
+                TraceAction::Continue => from = phase.next(),
+                stop => return stop,
             }
-        }
-        match self.decide(event, ctx) {
-            Some(reason) => self.pause(reason, ctx),
-            None => TraceAction::Continue,
         }
     }
 }
@@ -320,19 +216,18 @@ impl Tracer for ControlTracer {
 pub struct PyTracker {
     go_tx: Sender<Go>,
     pause_rx: Receiver<PauseMsg>,
-    shared: Arc<Mutex<Shared>>,
+    /// The session while the inferior is paused (or not yet started).
+    session: Session,
     handle: Option<JoinHandle<()>>,
     started: bool,
     last_reason: PauseReason,
     last_state: Option<ProgramState>,
     exit: Option<i64>,
-    next_id: u64,
     output_cursor: usize,
     file: String,
     source: String,
     breakable: Vec<u32>,
     obs: obs::Registry,
-    prof: Arc<Mutex<Option<obs::Profiler>>>,
 }
 
 impl PyTracker {
@@ -357,14 +252,10 @@ impl PyTracker {
         let module =
             minipy::parser::parse(source).map_err(|e| TrackerError::Load(e.to_string()))?;
         let breakable = collect_lines(&module.body);
-        let shared = Arc::new(Mutex::new(Shared::default()));
         let (go_tx, go_rx) = bounded::<Go>(1);
         let (pause_tx, pause_rx) = bounded::<PauseMsg>(1);
-        let tracer_shared = Arc::clone(&shared);
         let file_name = file.to_owned();
         let inferior_reg = registry.clone();
-        let prof = Arc::new(Mutex::new(None));
-        let tracer_prof = Arc::clone(&prof);
         let handle = std::thread::Builder::new()
             .name("easytracker-py-inferior".into())
             // MiniPy frames cost deep Rust recursion; give the inferior a
@@ -372,19 +263,19 @@ impl PyTracker {
             .stack_size(64 * 1024 * 1024)
             .spawn(move || {
                 // Block until the tool calls start() (first Go message).
-                let first = match go_rx.recv() {
-                    Ok(Go::Mode(m)) => m,
+                let (mode, session) = match go_rx.recv() {
+                    Ok(Go::Run(mode, session)) => (mode, *session),
                     Ok(Go::Terminate) | Err(_) => return,
                 };
                 let mut tracer = ControlTracer {
-                    shared: tracer_shared,
-                    go_rx,
-                    pause_tx: pause_tx.clone(),
-                    mode: first,
-                    finish_fired: false,
-                    file: file_name.clone(),
+                    file: file_name,
                     hook_counter: inferior_reg.counter("vm.minipy.trace_hooks"),
-                    prof: tracer_prof,
+                    handoff: Handoff {
+                        go_rx,
+                        pause_tx,
+                        slice: Slice::new(mode),
+                        session,
+                    },
                 };
                 let mut interp = Interp::new(module);
                 interp.set_max_depth(500);
@@ -397,58 +288,32 @@ impl PyTracker {
                     ),
                     Err(minipy::Error::Stopped) => return,
                     Err(e) => {
-                        tracer
-                            .shared
-                            .lock()
-                            .expect("tracker poisoned")
-                            .output
-                            .push_str(&format!("{e}\n"));
+                        let output = &mut tracer.handoff.session.output;
+                        output.push_str(&format!("{e}\n"));
                         (PauseReason::Exited(ExitStatus::Crashed), Some(-1))
                     }
                 };
-                // Final snapshot: the module frame (with its final
-                // bindings) survives the run, so tools can render the
-                // terminal state of the program.
                 let ctx = TraceCtx {
                     heap: interp.heap(),
                     frames: interp.frames(),
                 };
-                let state = if ctx.frames.is_empty() {
-                    ProgramState::new(
-                        Frame::new("<module>", 0, SourceLocation::new(file_name, 0)),
-                        Vec::new(),
-                        reason.clone(),
-                    )
-                } else {
-                    ProgramState::new(
-                        minipy::inspect::current_frame(&ctx, &file_name),
-                        minipy::inspect::global_variables(&ctx),
-                        reason.clone(),
-                    )
-                };
-                let _ = pause_tx.send(PauseMsg {
-                    reason,
-                    state,
-                    exit,
-                });
+                tracer.handoff.send(&tracer.file, &ctx, reason, exit);
             })
             .map_err(|e| TrackerError::Load(format!("cannot spawn inferior thread: {e}")))?;
         Ok(PyTracker {
             go_tx,
             pause_rx,
-            shared,
+            session: Session::default(),
             handle: Some(handle),
             started: false,
             last_reason: PauseReason::NotStarted,
             last_state: None,
             exit: None,
-            next_id: 1,
             output_cursor: 0,
             file: file.to_owned(),
             source: source.to_owned(),
             breakable,
             obs: registry,
-            prof,
         })
     }
 
@@ -457,11 +322,16 @@ impl PyTracker {
         &self.obs
     }
 
-    fn control(&mut self, mode: RunMode) -> Result<PauseReason> {
+    /// Runs the inferior until it pauses, in the mode `command` asks for
+    /// from the current position.
+    fn control(&mut self, command: Command) -> Result<PauseReason> {
+        let mode = mode(&command, self.position())
+            .expect("a control command")
+            .map_err(|message| TrackerError::Engine(message.into()))?;
         if !self.started {
             return Err(TrackerError::NotStarted);
         }
-        let mut span = self.obs.span(format!("tracker.control.{}", mode.kind()));
+        let mut span = self.obs.span(format!("tracker.control.{}", command.kind()));
         span.category("tracker");
         if let Some(code) = self.exit {
             let status = if code == -1 {
@@ -472,14 +342,14 @@ impl PyTracker {
             span.tag("pause_reason", PauseReason::Exited(status).tag());
             return Ok(PauseReason::Exited(status));
         }
-        self.go_tx
-            .send(Go::Mode(mode))
-            .map_err(|_| TrackerError::Engine("inferior thread is gone".into()))?;
-        let msg = self
-            .pause_rx
-            .recv()
-            .map_err(|_| TrackerError::Engine("inferior thread is gone".into()))?;
+        fn gone<E>(_: E) -> TrackerError {
+            TrackerError::Engine("inferior thread is gone".into())
+        }
+        let session = Box::new(std::mem::take(&mut self.session));
+        self.go_tx.send(Go::Run(mode, session)).map_err(gone)?;
+        let msg = self.pause_rx.recv().map_err(gone)?;
         span.tag("pause_reason", msg.reason.tag());
+        self.session = msg.session;
         self.last_reason = msg.reason.clone();
         self.last_state = Some(msg.state);
         self.exit = msg.exit;
@@ -497,28 +367,17 @@ impl PyTracker {
         }
     }
 
-    fn add_point(&mut self, kind: CpKind) -> ControlPointId {
-        // Counter names mirror the MI command vocabulary so Py and Mi
-        // tracker snapshots line up column for column.
-        let name = match &kind {
-            CpKind::LineBp(_) => "SetBreakLine",
-            CpKind::FuncBp { .. } => "SetBreakFunc",
-            CpKind::Track { .. } => "TrackFunction",
-            CpKind::Watch { .. } => "Watch",
-        };
-        self.obs.inc(&format!("tracker.control_point.{name}"));
-        let id = self.next_id;
-        self.next_id += 1;
-        self.shared
-            .lock()
-            .expect("tracker poisoned")
-            .points
-            .push(ControlPoint {
-                id,
-                kind,
-                last: None,
-            });
-        id
+    /// Arms a breakpoint or tracked function. `command` names it
+    /// (`tracker.control_point.<command>`) after the MI command, so Py
+    /// and Mi tracker snapshots line up column for column.
+    fn add_point(
+        &mut self,
+        command: &str,
+        kind: BpKind<String>,
+        maxdepth: Option<u32>,
+    ) -> ControlPointId {
+        self.obs.inc(&format!("tracker.control_point.{command}"));
+        self.session.points.add(kind, maxdepth)
     }
 }
 
@@ -528,31 +387,23 @@ impl Tracker for PyTracker {
             return Err(TrackerError::Engine("inferior already started".into()));
         }
         self.started = true;
-        self.control(RunMode::Start)
+        self.control(Command::Start)
     }
 
     fn resume(&mut self) -> Result<PauseReason> {
-        self.control(RunMode::Resume)
+        self.control(Command::Resume)
     }
 
     fn step(&mut self) -> Result<PauseReason> {
-        let (line, depth) = self.position();
-        self.control(RunMode::Step { line, depth })
+        self.control(Command::Step)
     }
 
     fn next(&mut self) -> Result<PauseReason> {
-        let (line, depth) = self.position();
-        self.control(RunMode::Next { line, depth })
+        self.control(Command::Next)
     }
 
     fn finish(&mut self) -> Result<PauseReason> {
-        let (_, depth) = self.position();
-        if depth <= 1 {
-            return Err(TrackerError::Engine(
-                "cannot finish the outermost frame".into(),
-            ));
-        }
-        self.control(RunMode::Finish { depth })
+        self.control(Command::Finish)
     }
 
     fn break_before_line(&mut self, line: u32) -> Result<ControlPointId> {
@@ -561,7 +412,7 @@ impl Tracker for PyTracker {
                 "no code at or after line {line}"
             )));
         };
-        Ok(self.add_point(CpKind::LineBp(actual)))
+        Ok(self.add_point("SetBreakLine", BpKind::Line(actual), None))
     }
 
     fn break_before_func(
@@ -569,17 +420,13 @@ impl Tracker for PyTracker {
         function: &str,
         maxdepth: Option<u32>,
     ) -> Result<ControlPointId> {
-        Ok(self.add_point(CpKind::FuncBp {
-            function: function.to_owned(),
-            maxdepth,
-        }))
+        let kind = BpKind::Entry(function.to_owned());
+        Ok(self.add_point("SetBreakFunc", kind, maxdepth))
     }
 
     fn track_function(&mut self, function: &str, maxdepth: Option<u32>) -> Result<ControlPointId> {
-        Ok(self.add_point(CpKind::Track {
-            function: function.to_owned(),
-            maxdepth,
-        }))
+        let kind = BpKind::Track(function.to_owned());
+        Ok(self.add_point("TrackFunction", kind, maxdepth))
     }
 
     fn watch(&mut self, variable: &str) -> Result<ControlPointId> {
@@ -594,26 +441,13 @@ impl Tracker for PyTracker {
                 _ => state::render_value(v.value()),
             }
         });
-        let id = self.add_point(CpKind::Watch {
-            variable: variable.to_owned(),
-        });
-        if let Some(init) = initial {
-            let mut shared = self.shared.lock().expect("tracker poisoned");
-            if let Some(cp) = shared.points.iter_mut().find(|cp| cp.id == id) {
-                cp.last = Some(init);
-            }
-        }
-        Ok(id)
+        self.obs.inc("tracker.control_point.Watch");
+        let watch = Watch::new(variable.to_owned(), initial, ());
+        Ok(self.session.points.add_watch(watch))
     }
 
     fn remove(&mut self, id: ControlPointId) -> Result<()> {
-        let mut shared = self.shared.lock().expect("tracker poisoned");
-        let before = shared.points.len();
-        shared.points.retain(|cp| cp.id != id);
-        if shared.points.len() == before {
-            return Err(TrackerError::Engine(format!("no control point {id}")));
-        }
-        Ok(())
+        self.session.points.delete(id).map_err(TrackerError::Engine)
     }
 
     fn terminate(&mut self) {
@@ -651,30 +485,7 @@ impl Tracker for PyTracker {
 
     fn get_variable(&mut self, name: &str) -> Result<Option<Variable>> {
         self.count_inspect("GetVariable");
-        let Some(st) = &self.last_state else {
-            return Ok(None);
-        };
-        let (frame_filter, var) = match name.split_once("::") {
-            Some((f, v)) => (Some(f), v),
-            None => (None, name),
-        };
-        for frame in st.frame.chain() {
-            if let Some(f) = frame_filter {
-                if frame.name() != f {
-                    continue;
-                }
-            }
-            if let Some(v) = frame.variable(var) {
-                return Ok(Some(v.clone()));
-            }
-            if frame_filter.is_none() {
-                break;
-            }
-        }
-        if frame_filter.is_none() {
-            return Ok(st.globals.iter().find(|g| g.name() == var).cloned());
-        }
-        Ok(None)
+        Ok(self.last_state.as_ref().and_then(|st| resolve(st, name)))
     }
 
     fn get_exit_code(&mut self) -> Option<i64> {
@@ -684,8 +495,7 @@ impl Tracker for PyTracker {
 
     fn get_output(&mut self) -> Result<String> {
         self.count_inspect("GetOutput");
-        let shared = self.shared.lock().expect("tracker poisoned");
-        let all = &shared.output;
+        let all = &self.session.output;
         let new = all[self.output_cursor.min(all.len())..].to_owned();
         self.output_cursor = all.len();
         Ok(new)
@@ -702,33 +512,27 @@ impl Tracker for PyTracker {
     }
 
     fn set_profile(&mut self, mode: obs::ProfileMode, period: u64) -> Result<()> {
+        if mode == obs::ProfileMode::Off {
+            self.session.prof = None;
+            return Ok(());
+        }
         if self.started {
             return Err(TrackerError::Engine(
                 "profiling must be armed before start".into(),
             ));
         }
-        let mut slot = self.prof.lock().expect("profiler poisoned");
-        if mode == obs::ProfileMode::Off {
-            *slot = None;
-        } else {
-            let mut p = obs::Profiler::new(mode, period);
-            // The module frame is live from the first statement but never
-            // raises a Call event; seed it like the VMs seed `main`.
-            let id = p.intern("<module>");
-            p.enter(id);
-            *slot = Some(p);
-        }
+        let mut p = obs::Profiler::new(mode, period);
+        // The module frame is live from the first statement but never
+        // raises a Call event; seed it like the VMs seed `main`.
+        let id = p.intern("<module>");
+        p.enter(id);
+        self.session.prof = Some(p);
         Ok(())
     }
 
     fn profile(&mut self) -> Result<obs::ProfileReport> {
-        Ok(self
-            .prof
-            .lock()
-            .expect("profiler poisoned")
-            .as_ref()
-            .map(obs::Profiler::report)
-            .unwrap_or_default())
+        let prof = self.session.prof.as_ref();
+        Ok(prof.map(obs::Profiler::report).unwrap_or_default())
     }
 
     fn stats(&self) -> obs::Snapshot {
@@ -868,6 +672,32 @@ mod tests {
         let frame = t.get_current_frame().unwrap();
         assert!(frame.variable("a").is_some());
         assert!(frame.variable("b").is_none());
+    }
+
+    #[test]
+    fn watch_then_breakpoint_on_the_next_line() {
+        // Line 3 assigns the watched `x` and line 4 holds a breakpoint:
+        // the line-4 event carries both triggers, delivered in turn.
+        let src = "x = 0\ny = 1\nx = 5\nz = 2\n";
+        let mut t = PyTracker::load("p.py", src).unwrap();
+        t.start().unwrap();
+        t.step().unwrap();
+        let watch = t.watch("x").unwrap();
+        let bp = t.break_before_line(4).unwrap();
+        let watched = PauseReason::Watchpoint {
+            id: watch,
+            variable: "x".into(),
+            old: Some("0".into()),
+            new: "5".into(),
+        };
+        assert_eq!(t.resume().unwrap(), watched);
+        match t.resume().unwrap() {
+            PauseReason::Breakpoint { id, location } => {
+                assert_eq!((id, location.line()), (bp, 4));
+            }
+            other => panic!("breakpoint swallowed: got {other}"),
+        }
+        assert!(matches!(t.resume().unwrap(), PauseReason::Exited(_)));
     }
 
     #[test]

@@ -545,6 +545,74 @@ mod tests {
         assert_eq!(returns, 3);
     }
 
+    /// Runs `script` on a live C tracker and on a replay of its
+    /// recording; returns both pause-reason tag sequences.
+    fn live_and_replay(
+        src: &str,
+        script: fn(&mut dyn Tracker) -> Vec<PauseReason>,
+    ) -> [Vec<&'static str>; 2] {
+        let mut live = MiTracker::load_c("t.c", src).unwrap();
+        let rec = Recording::capture(&mut live).unwrap();
+        live.terminate();
+        let mut live = MiTracker::load_c("t.c", src).unwrap();
+        let mut replay = ReplayTracker::new(rec);
+        [&mut live as &mut dyn Tracker, &mut replay]
+            .map(|t| script(t).iter().map(PauseReason::tag).collect())
+    }
+
+    const RETURN_LINE: &str =
+        "int f(int x) {\nint y = x + 1;\nreturn y;\n}\nint main() {\nint a = f(1);\nreturn a;\n}";
+
+    #[test]
+    fn replay_steps_onto_a_tracked_return_line_like_live() {
+        // `next` and `step` stop on f's `return` line first; its return
+        // is delivered by the command after.
+        fn script(t: &mut dyn Tracker, next: bool) -> Vec<PauseReason> {
+            t.track_function("f", None).unwrap();
+            t.break_before_line(2).unwrap();
+            let mut out = vec![t.start().unwrap(), t.resume().unwrap(), t.resume().unwrap()];
+            out.push(if next { t.next() } else { t.step() }.unwrap());
+            out.push(t.resume().unwrap());
+            out.push(t.resume().unwrap());
+            out
+        }
+        let scripts: [fn(&mut dyn Tracker) -> Vec<PauseReason>; 2] =
+            [|t| script(t, true), |t| script(t, false)];
+        for script in scripts {
+            let [live, replay] = live_and_replay(RETURN_LINE, script);
+            assert_eq!(
+                live,
+                [
+                    "Started",
+                    "FunctionCall",
+                    "Breakpoint",
+                    "Step",
+                    "FunctionReturn",
+                    "Exited"
+                ]
+            );
+            assert_eq!(replay, live);
+        }
+    }
+
+    #[test]
+    fn replay_delivers_every_frame_a_recursion_unwinds() {
+        // The three frames of `down` return between the last recorded
+        // pause and the exit: three tracked returns, as live.
+        let src = "int down(int n) {\nif (n == 0) { return 0; }\nreturn down(n - 1);\n}\nint main() {\nreturn down(2);\n}";
+        let [live, replay] = live_and_replay(src, |t| {
+            t.track_function("down", None).unwrap();
+            let mut out = vec![t.start().unwrap()];
+            while out.last().unwrap().is_alive() {
+                out.push(t.resume().unwrap());
+            }
+            out
+        });
+        let returns = live.iter().filter(|&&tag| tag == "FunctionReturn").count();
+        assert_eq!(returns, 3);
+        assert_eq!(replay, live);
+    }
+
     #[test]
     fn replay_watchpoints_from_recorded_states() {
         let mut live = MiTracker::load_c(

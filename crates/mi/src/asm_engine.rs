@@ -1,9 +1,10 @@
 //! The RISC-V debugger engine: the MI command set over the simulator.
 //! The shared control core ([`crate::control`]) owns the control points,
-//! fuel slices, budgets and engine-agnostic commands; this module decides
-//! where the CPU pauses and answers inspection.
+//! the pause decisions, fuel slices, budgets and engine-agnostic
+//! commands; this module reports the CPU's events to it and answers
+//! inspection.
 //!
-//! Breakpoints are checked *before* executing the instruction at the
+//! Control points are checked *before* executing the instruction at the
 //! paused pc (like a hardware debugger), function tracking keeps a shadow
 //! call stack keyed by `jal ra` / `jalr zero, 0(ra)` control transfers,
 //! and the pause-before-return check decodes the instruction at the pc —
@@ -15,7 +16,7 @@
 //! ranges written `*0xADDR:LEN`. A watch whose first readable value
 //! differs from the one seen when it was armed fires.
 
-use crate::control::{self, error, Core, Inferior, Mode, RunOutcome, Slice, Watch};
+use crate::control::{self, error, Core, Func, Inferior, Mode, Phase, RunOutcome, Slice, Watch};
 use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
 use miniasm::asm::AsmProgram;
@@ -51,6 +52,9 @@ pub struct AsmEngine {
     /// In-engine profiler; lives here (not in the CPU) because function
     /// identity comes from the shadow call stack.
     prof: Option<Box<obs::Profiler>>,
+    /// The phase the pc's checks resume from: past the one that paused
+    /// there, or all of them once the instruction is new.
+    reenter: Phase,
 }
 
 /// Coarse instruction class for per-class retirement counts.
@@ -86,6 +90,7 @@ impl AsmEngine {
                 call_line: 0,
             }],
             prof: None,
+            reenter: Phase::Done,
         }
     }
 
@@ -104,51 +109,35 @@ impl AsmEngine {
         SourceLocation::new(self.cpu.program().file.clone(), line)
     }
 
-    /// Whether `pc` is the first instruction word of its source line
-    /// (multi-word pseudo-instructions only trigger line breakpoints once).
-    fn is_line_start(&self, pc: u32) -> bool {
-        let p = self.cpu.program();
-        match p.line_at(pc) {
-            Some(line) => pc < 4 || p.line_at(pc - 4) != Some(line),
-            None => false,
-        }
-    }
-
-    /// The pause due *before* executing the instruction at the pc, if any.
-    fn check_before(&self, slice: &Slice) -> Option<PauseReason> {
-        let pc = self.cpu.pc();
-        let line = self.cpu.current_line();
-        let points = &self.core.points;
-        let depth = (self.shadow.len() - 1) as u32;
-        let at_line = |l| l == line && self.is_line_start(pc);
-        if let Some(id) = points.breakpoint(at_line, Some((pc, depth))) {
-            let location = self.location(line);
-            return Some(PauseReason::Breakpoint { id, location });
-        }
+    /// The pause due *before* executing the instruction at the pc, if
+    /// any, checked from `reenter`. The pc is a line event only on its
+    /// line's first instruction word (so multi-word pseudo-instructions
+    /// break and step once), a label reached is a frame entry when the
+    /// call just landed there (the shadow top is its frame), and a
+    /// tracked function about to return is found by decoding `ret` at the
+    /// pc (the paper's retq scan).
+    fn check_before(&mut self, slice: &Slice) -> Option<PauseReason> {
+        let (pc, program) = (self.cpu.pc(), self.cpu.program());
+        let line = program.line_at(pc);
+        let line_start = line.is_some() && (pc < 4 || program.line_at(pc - 4) != line);
         let top = self.shadow.last().expect("shadow stack never empty");
-        // Tracked function entry: paused at its first instruction, only
-        // when the call just landed there (the shadow top is its frame).
-        if top.entry == pc && points.tracks(pc, depth) {
-            let function = top.name.clone();
-            return Some(PauseReason::FunctionCall { function, depth });
-        }
-        // Tracked function about to return (paper's retq scan).
-        if points.tracks(top.entry, depth) && self.cpu.read_word(pc).and_then(decode) == Some(RET) {
-            return Some(PauseReason::FunctionReturn {
-                function: top.name.clone(),
-                depth,
-                return_value: Some((self.cpu.reg(10) as i32).to_string()),
-            });
-        }
-        let stop = slice.finish_fired
-            || match slice.mode {
-                Mode::Step { line: from, .. } => line != from && line != 0,
-                Mode::Next { line: from, depth } => {
-                    self.shadow.len() <= depth && line != from && line != 0
-                }
-                Mode::Start | Mode::Resume | Mode::Finish { .. } => false,
-            };
-        stop.then_some(PauseReason::Step)
+        let depth = (self.shadow.len() - 1) as u32;
+        let a0 = self.cpu.reg(10) as i32;
+        let value = move || Some(a0.to_string());
+        let returning = || self.cpu.read_word(pc).and_then(decode) == Some(RET);
+        let line = line.unwrap_or(0);
+        let call = (Func(pc, depth, top.name.as_str()), line);
+        let at_line = line_start.then_some((line, self.shadow.len()));
+        let ret = (Func(top.entry, depth, top.name.as_str()), &value as _);
+        let (file, points, from) = (&program.file, &mut self.core.points, self.reenter);
+        let (phase, reason) = points
+            .on_call(file, call, top.entry != pc, from)
+            .or_else(|| points.on_line(slice, file, false, at_line, from, |_| None))
+            .or_else(|| {
+                (!points.tracked.is_empty() && returning()).then(|| points.on_return(ret, from))?
+            })?;
+        self.reenter = phase.next();
+        Some(reason)
     }
 
     /// Builds the frame chain from the shadow stack; the innermost frame
@@ -228,7 +217,9 @@ impl Inferior for AsmEngine {
     /// on it — slicing stays invisible.
     fn run(&mut self, slice: &mut Slice, fuel: Option<u64>) -> RunOutcome {
         if let Mode::Start = slice.mode {
-            // Paused before the entry instruction; nothing executes.
+            // Paused before the entry instruction; nothing executes, and
+            // the entry pc is not checked.
+            self.reenter = Phase::Done;
             return RunOutcome::Paused(PauseReason::Started);
         }
         let mut spent = 0u64;
@@ -236,13 +227,10 @@ impl Inferior for AsmEngine {
             if fuel.is_some_and(|f| spent >= f) {
                 return RunOutcome::OutOfFuel;
             }
-            // The command's own starting pc is not checked.
-            if !slice.first {
-                if let Some(reason) = self.check_before(slice) {
-                    return RunOutcome::Paused(reason);
-                }
+            if let Some(reason) = self.check_before(slice) {
+                return RunOutcome::Paused(reason);
             }
-            slice.first = false;
+            self.reenter = Phase::FuncBreak;
 
             let info = match self.cpu.step() {
                 Ok(i) => i,
@@ -287,21 +275,22 @@ impl Inferior for AsmEngine {
                             p.exit();
                         }
                     }
-                    if let Mode::Finish { depth } = slice.mode {
-                        if self.shadow.len() < depth {
-                            slice.finish_fired = true;
-                        }
-                    }
+                    slice.popped(self.shadow.len());
                 }
                 None => {}
             }
             if !self.core.points.watches.is_empty() {
-                let cpu = &self.cpu;
-                let hit = self.core.points.scan_watches(|w| {
+                // Stores are not reported: every watch is re-read after
+                // each instruction.
+                let (cpu, points) = (&self.cpu, &mut self.core.points);
+                let refresh = |w: &mut Watch<WatchKind>| {
                     let now = eval_watch(cpu, &w.spec)?;
                     Some(w.last.replace(now))
-                });
-                if let Some(reason) = hit {
+                };
+                let file = &cpu.program().file;
+                if let Some((_, reason)) =
+                    points.on_line(slice, file, true, None, Phase::Watch, refresh)
+                {
                     return RunOutcome::Paused(reason);
                 }
             }
@@ -601,6 +590,46 @@ mod tests {
             }
         }
         assert_eq!(changes, ["1", "2", "3"]);
+    }
+
+    #[test]
+    fn a_watch_then_a_breakpoint_on_the_next_instruction_both_fire() {
+        // `li t1, 1` (line 3) changes the watched t1; line 4's
+        // breakpoint is checked before its instruction runs, after the
+        // watch's pause.
+        let mut e = engine(SUM);
+        e.handle(Command::Start);
+        e.handle(Command::Watch {
+            variable: "t1".into(),
+        });
+        e.handle(Command::SetBreakLine { line: 5 });
+        let watched = paused(e.handle(Command::Resume));
+        assert!(
+            matches!(watched, PauseReason::Watchpoint { .. }),
+            "{watched}"
+        );
+        let bp = paused(e.handle(Command::Resume));
+        assert!(
+            matches!(bp, PauseReason::Breakpoint { ref location, .. } if location.line() == 5),
+            "{bp}"
+        );
+    }
+
+    #[test]
+    fn stepping_onto_a_tracked_ret_stops_before_returning() {
+        let mut e = engine(CALLPROG);
+        e.handle(Command::TrackFunction {
+            function: "double".into(),
+            maxdepth: None,
+        });
+        e.handle(Command::Start);
+        let call = paused(e.handle(Command::Resume));
+        assert!(matches!(call, PauseReason::FunctionCall { .. }), "{call}");
+        // From `add`, a step lands on the `ret` line; the return is the
+        // next pause, like the MiniC engine's line-then-return events.
+        assert_eq!(paused(e.handle(Command::Step)), PauseReason::Step);
+        let ret = paused(e.handle(Command::Resume));
+        assert!(matches!(ret, PauseReason::FunctionReturn { .. }), "{ret}");
     }
 
     #[test]

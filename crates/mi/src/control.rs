@@ -1,24 +1,32 @@
-//! The control core both live engines share: the control-point
-//! registry, the fuel-sliced command shell, the per-session budgets, and
-//! the answers to every command that does not depend on the inferior's
-//! language.
+//! The control core: the one place that decides whether an event pauses
+//! the inferior, plus the command shell both live engines share.
 //!
-//! An engine implements [`Inferior`]: its own run loop (which reports
-//! pauses through [`RunOutcome`]), its inspection commands, and a few
-//! accessors. Everything else is written once here, so the MiniC and
-//! RISC-V engines cannot drift apart on ids, error strings, slicing,
-//! budget latching or crash reporting. The run loop stays monomorphic:
-//! [`handle`] is generic over the engine, with no dynamic call per event.
-//! [`ReplayEngine`](crate::record::ReplayEngine) stores its control points
-//! in the same [`ControlPoints`] registry.
+//! Every event source reports its events to the deciders
+//! [`ControlPoints::on_call`], [`ControlPoints::on_line`] (which also
+//! scans the watches, on store events too) and
+//! [`ControlPoints::on_return`], the way `sys.settrace` delivers line,
+//! call and return events to one hook: the MiniC engine its VM's events,
+//! the RISC-V engine its check before each instruction, `easytracker`'s
+//! MiniPy tracker its trace events, and
+//! [`ReplayEngine`](crate::record::ReplayEngine) the events each recorded
+//! pause stands for. Each event's checks run in one [`Phase`] order, and
+//! a source that paused re-enters the event past the phase that paused,
+//! so ids, error strings, trigger order and the step rules exist once.
+//!
+//! A live engine also implements `Inferior`: its run loop (which
+//! reports pauses through `RunOutcome`), its inspection commands, and a
+//! few accessors. The fuel-sliced shell, budgets, crash latching and the
+//! engine-agnostic commands are written here. The run loop stays
+//! monomorphic: `handle` is generic over the engine, with no dynamic
+//! call per event.
 
 use crate::protocol::{Command, ResourceKind, Response};
 use crate::server::SliceOutcome;
-use state::{ExitStatus, PauseReason};
+use state::{ExitStatus, PauseReason, ProgramState, SourceLocation, Variable};
 
-/// What a [`Breakpoint`] fires on. `F` is the engine's function key.
+/// What a breakpoint fires on. `F` is the source's function key.
 #[derive(Debug)]
-pub(crate) enum BpKind<F> {
+pub enum BpKind<F> {
     /// A source line.
     Line(u32),
     /// Entry to a function.
@@ -36,21 +44,37 @@ pub(crate) struct Breakpoint<F> {
     pub(crate) maxdepth: Option<u32>,
 }
 
+impl<F> Breakpoint<F> {
+    /// Whether this point is a function point on `function` that fires
+    /// at the 0-based `depth`.
+    #[inline]
+    fn on<K: Copy>(&self, function: K, depth: u32) -> bool
+    where
+        F: PartialEq<K>,
+    {
+        let f = match &self.kind {
+            BpKind::Entry(f) | BpKind::Track(f) => f,
+            BpKind::Line(_) => return false,
+        };
+        *f == function && self.maxdepth.is_none_or(|m| depth <= m)
+    }
+}
+
 /// A watchpoint: the shared part, plus the engine's resolution data `S`.
 #[derive(Debug)]
-pub(crate) struct Watch<S> {
+pub struct Watch<S> {
     pub(crate) id: u64,
     /// The name as given.
-    pub(crate) name: String,
+    pub name: String,
     /// The text of the last value seen.
-    pub(crate) last: Option<String>,
+    pub last: Option<String>,
     pub(crate) spec: S,
 }
 
 impl<S> Watch<S> {
     /// A watch not yet armed (its id is assigned by
     /// [`ControlPoints::add_watch`]).
-    pub(crate) fn new(name: String, last: Option<String>, spec: S) -> Self {
+    pub fn new(name: String, last: Option<String>, spec: S) -> Self {
         Watch {
             id: 0,
             name,
@@ -64,7 +88,7 @@ impl<S> Watch<S> {
 /// one allocator, so one `Delete` removes any of them. Each kind has its
 /// own list, so an event only scans the points that can fire on it.
 #[derive(Debug)]
-pub(crate) struct ControlPoints<F, S> {
+pub struct ControlPoints<F, S> {
     next_id: u64,
     /// Line and function-entry breakpoints, in arming order.
     pub(crate) breakpoints: Vec<Breakpoint<F>>,
@@ -74,8 +98,8 @@ pub(crate) struct ControlPoints<F, S> {
     pub(crate) watches: Vec<Watch<S>>,
 }
 
-impl<F, S> ControlPoints<F, S> {
-    pub(crate) fn new() -> Self {
+impl<F, S> Default for ControlPoints<F, S> {
+    fn default() -> Self {
         ControlPoints {
             next_id: 1,
             breakpoints: Vec::new(),
@@ -83,7 +107,9 @@ impl<F, S> ControlPoints<F, S> {
             watches: Vec::new(),
         }
     }
+}
 
+impl<F, S> ControlPoints<F, S> {
     fn alloc_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -95,7 +121,7 @@ impl<F, S> ControlPoints<F, S> {
     }
 
     /// Arms a breakpoint or tracked function; returns its id.
-    pub(crate) fn add(&mut self, kind: BpKind<F>, maxdepth: Option<u32>) -> u64 {
+    pub fn add(&mut self, kind: BpKind<F>, maxdepth: Option<u32>) -> u64 {
         let id = self.alloc_id();
         let list = match kind {
             BpKind::Track(_) => &mut self.tracked,
@@ -106,24 +132,28 @@ impl<F, S> ControlPoints<F, S> {
     }
 
     /// Arms `watch`; returns its id.
-    pub(crate) fn add_watch(&mut self, mut watch: Watch<S>) -> u64 {
+    pub fn add_watch(&mut self, mut watch: Watch<S>) -> u64 {
         let id = self.alloc_id();
         watch.id = id;
         self.watches.push(watch);
         id
     }
 
-    /// Answers `Delete`: removes the point `id`, of any kind.
-    pub(crate) fn delete(&mut self, id: u64) -> Response {
+    /// Removes the point `id`, of any kind.
+    ///
+    /// # Errors
+    ///
+    /// `"no control point {id}"` when nothing has that id.
+    pub fn delete(&mut self, id: u64) -> Result<(), String> {
         let count = |p: &Self| p.breakpoints.len() + p.tracked.len() + p.watches.len();
         let before = count(self);
         self.breakpoints.retain(|b| b.id != id);
         self.tracked.retain(|b| b.id != id);
         self.watches.retain(|w| w.id != id);
         if count(self) == before {
-            error(format!("no control point {id}"))
+            Err(format!("no control point {id}"))
         } else {
-            Response::Ok
+            Ok(())
         }
     }
 
@@ -131,8 +161,9 @@ impl<F, S> ControlPoints<F, S> {
     /// is the pause. `refresh` resolves and renders one watch: it updates
     /// `last` and returns `Some(old)` when the update may fire, `None`
     /// when it must not (value unknown, provably unchanged, or the
-    /// engine's priming rule says a first sighting is not a change).
-    pub(crate) fn scan_watches(
+    /// source's priming rule says a first sighting is not a change).
+    #[inline]
+    fn scan_watches(
         &mut self,
         mut refresh: impl FnMut(&mut Watch<S>) -> Option<Option<String>>,
     ) -> Option<PauseReason> {
@@ -152,44 +183,158 @@ impl<F, S> ControlPoints<F, S> {
         }
         hit
     }
-}
 
-impl<F: Copy + PartialEq, S> ControlPoints<F, S> {
-    /// The first breakpoint, in arming order, on a line `at_line` accepts
-    /// or on the entry to `entry`'s function at its 0-based depth.
-    pub(crate) fn breakpoint(
+    /// [`Phase::FuncBreak`] and [`Phase::TrackCall`]: a frame entered,
+    /// with the line a function breakpoint reports.
+    #[inline(always)]
+    pub fn on_call<K: Copy>(
         &self,
-        at_line: impl Fn(u32) -> bool,
-        entry: Option<(F, u32)>,
-    ) -> Option<u64> {
-        self.breakpoints
+        file: &str,
+        call: (Func<'_, K>, u32),
+        jumped: bool,
+        from: Phase,
+    ) -> Hit
+    where
+        F: PartialEq<K>,
+    {
+        let (Func(f, depth, name), line) = call;
+        let bp = self.breakpoints.iter().find(|bp| bp.on(f, depth));
+        match bp.filter(|_| from <= Phase::FuncBreak) {
+            Some(bp) => Some((Phase::FuncBreak, breakpoint(bp.id, file, line))),
+            None => (from <= Phase::TrackCall && !jumped && self.tracks(f, depth))
+                .then(|| (Phase::TrackCall, boundary(name, depth, None))),
+        }
+    }
+
+    /// [`Phase::Watch`] when `watch` is set (a line or store event), then
+    /// [`Phase::LineBreak`] and [`Phase::Stop`] at the line reached, if
+    /// any, given with its number of live frames.
+    #[inline(always)]
+    pub fn on_line(
+        &mut self,
+        slice: &Slice,
+        file: &str,
+        watch: bool,
+        line: Option<(u32, usize)>,
+        from: Phase,
+        refresh: impl FnMut(&mut Watch<S>) -> Option<Option<String>>,
+    ) -> Hit {
+        if watch && from <= Phase::Watch && !self.watches.is_empty() {
+            if let Some(reason) = self.scan_watches(refresh) {
+                return Some((Phase::Watch, reason));
+            }
+        }
+        let (line, frames) = line?;
+        let here = |bp: &&Breakpoint<F>| matches!(bp.kind, BpKind::Line(l) if l == line);
+        match self
+            .breakpoints
             .iter()
-            .find(|bp| match bp.kind {
-                BpKind::Line(line) => at_line(line),
-                BpKind::Entry(f) => entry.is_some_and(|(g, depth)| f == g && bp.within(depth)),
-                BpKind::Track(_) => false,
-            })
-            .map(|bp| bp.id)
+            .find(here)
+            .filter(|_| from <= Phase::LineBreak)
+        {
+            Some(bp) => Some((Phase::LineBreak, breakpoint(bp.id, file, line))),
+            None => slice
+                .stop(line, frames)
+                .filter(|_| from <= Phase::Stop)
+                .map(|r| (Phase::Stop, r)),
+        }
+    }
+
+    /// [`Phase::TrackReturn`]: a frame about to return.
+    #[inline(always)]
+    pub fn on_return<K: Copy>(
+        &self,
+        (Func(f, depth, name), value): Returning<'_, K>,
+        from: Phase,
+    ) -> Hit
+    where
+        F: PartialEq<K>,
+    {
+        (from <= Phase::TrackReturn && self.tracks(f, depth))
+            .then(|| (Phase::TrackReturn, boundary(name, depth, Some(value))))
     }
 
     /// Whether `function` is tracked at the 0-based `depth`.
-    pub(crate) fn tracks(&self, function: F, depth: u32) -> bool {
-        self.tracked
-            .iter()
-            .any(|bp| matches!(bp.kind, BpKind::Track(f) if f == function) && bp.within(depth))
+    #[inline]
+    pub(crate) fn tracks<K: Copy>(&self, function: K, depth: u32) -> bool
+    where
+        F: PartialEq<K>,
+    {
+        self.tracked.iter().any(|bp| bp.on(function, depth))
     }
 }
 
-impl<F> Breakpoint<F> {
-    /// The `maxdepth` filter.
-    pub(crate) fn within(&self, depth: u32) -> bool {
-        self.maxdepth.is_none_or(|m| depth <= m)
+// The pauses' reasons are built out of line: the deciders are inlined into
+// the run loops, which pause on few of the events they check.
+#[cold]
+fn breakpoint(id: u64, file: &str, line: u32) -> PauseReason {
+    let location = SourceLocation::new(file, line);
+    PauseReason::Breakpoint { id, location }
+}
+
+/// A tracked call, or with its return value's rendering, a tracked
+/// return.
+#[cold]
+fn boundary(name: &str, depth: u32, value: Option<&dyn Fn() -> Option<String>>) -> PauseReason {
+    let function = name.to_owned();
+    match value {
+        None => PauseReason::FunctionCall { function, depth },
+        Some(value) => PauseReason::FunctionReturn {
+            function,
+            depth,
+            return_value: value(),
+        },
     }
 }
+
+/// A pause and the [`Phase`] that caused it.
+pub type Hit = Option<(Phase, PauseReason)>;
+
+/// The checks of one event, in the order they deliver pauses: the frame
+/// entry's ([`ControlPoints::on_call`]), then the line's
+/// ([`ControlPoints::on_line`]), then the return's
+/// ([`ControlPoints::on_return`]); a source whose event has several of
+/// these parts asks the deciders in that order. Adding a pause kind adds
+/// a phase here and its check in the decider of its part; no event
+/// source changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Phase {
+    /// A function breakpoint on the frame just entered.
+    FuncBreak,
+    /// A tracked function's entry.
+    TrackCall,
+    /// A watched variable changed.
+    Watch,
+    /// A line breakpoint.
+    LineBreak,
+    /// The command's own stop: `start`, `step`, `next`, `finish`.
+    Stop,
+    /// A tracked function about to return.
+    TrackReturn,
+    /// Every phase delivered.
+    Done,
+}
+
+impl Phase {
+    /// Where an event that paused in this phase resumes.
+    #[inline]
+    pub fn next(self) -> Phase {
+        use Phase::*;
+        [TrackCall, Watch, LineBreak, Stop, TrackReturn, Done, Done][self as usize]
+    }
+}
+
+/// A function's frame: its key (`K`, as the source's registry has it),
+/// its 0-based depth, and its name.
+#[derive(Clone, Copy)]
+pub struct Func<'a, K>(pub K, pub u32, pub &'a str);
+
+/// A frame about to return, with its return value's rendering.
+pub type Returning<'a, K> = (Func<'a, K>, &'a dyn Fn() -> Option<String>);
 
 /// The run mode of a control command.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Mode {
+pub enum Mode {
     Start,
     Resume,
     /// From `line` with `depth` frames.
@@ -210,13 +355,60 @@ pub(crate) enum Mode {
 /// A control command's progress; stashed when a slice runs out of fuel
 /// and handed back unchanged to the burst that continues it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Slice {
+pub struct Slice {
     pub(crate) mode: Mode,
-    /// True until the command executes anything (an engine that checks
-    /// before executing skips the command's own starting point).
-    pub(crate) first: bool,
     /// Set once the `finish` target frame has returned.
-    pub(crate) finish_fired: bool,
+    finish_fired: bool,
+}
+
+impl Slice {
+    #[inline]
+    pub fn new(mode: Mode) -> Self {
+        Slice {
+            mode,
+            finish_fired: false,
+        }
+    }
+
+    /// A frame returned, leaving `frames` live: a `finish` whose target
+    /// frame that was stops at the next line.
+    #[inline]
+    pub fn popped(&mut self, frames: usize) {
+        if let Mode::Finish { depth } = self.mode {
+            self.finish_fired |= frames < depth;
+        }
+    }
+
+    /// The [`Phase::Stop`] check at `line` with `depth` frames.
+    #[inline]
+    fn stop(&self, line: u32, depth: usize) -> Option<PauseReason> {
+        let stop = self.finish_fired
+            || match self.mode {
+                Mode::Start => return Some(PauseReason::Started),
+                Mode::Step { line: l, depth: d } => line != l || depth != d,
+                Mode::Next { line: l, depth: d } => depth < d || (depth == d && line != l),
+                Mode::Resume | Mode::Finish { .. } => false,
+            };
+        stop.then_some(PauseReason::Step)
+    }
+}
+
+/// Resolves `name` in a snapshot the way the live engines do: a
+/// bare name in the innermost frame, then the globals, then nothing;
+/// `frame::var` in the innermost frame of that name holding `var`.
+pub fn resolve(st: &ProgramState, name: &str) -> Option<Variable> {
+    match name.split_once("::") {
+        Some((f, v)) => st
+            .frame
+            .chain()
+            .filter(|frame| frame.name() == f)
+            .find_map(|frame| frame.variable(v)),
+        None => st
+            .frame
+            .variable(name)
+            .or_else(|| st.globals.iter().find(|g| g.name() == name)),
+    }
+    .cloned()
 }
 
 /// How one run burst ended. The protocol never sees `OutOfFuel`.
@@ -276,7 +468,7 @@ pub(crate) struct Core<F, S> {
 impl<F, S> Core<F, S> {
     pub(crate) fn new() -> Self {
         Core {
-            points: ControlPoints::new(),
+            points: ControlPoints::default(),
             budget: Budget::default(),
             registry: None,
             started: false,
@@ -378,37 +570,32 @@ fn control<E: Inferior>(
     command: &Command,
     fuel: Option<u64>,
 ) -> Option<SliceOutcome> {
-    let refuse = |message| Some(SliceOutcome::Done(error(message)));
-    let mode = match command {
-        Command::Start if engine.core().started => return refuse("inferior already started"),
-        Command::Start => {
-            engine.core().started = true;
-            Mode::Start
-        }
-        Command::Resume => Mode::Resume,
-        Command::Step => {
-            let (line, depth) = engine.position();
-            Mode::Step { line, depth }
-        }
-        Command::Next => {
-            let (line, depth) = engine.position();
-            Mode::Next { line, depth }
-        }
-        Command::Finish => match engine.position() {
-            (_, depth) if depth <= 1 => return refuse("cannot finish the outermost frame"),
-            (_, depth) => Mode::Finish { depth },
-        },
-        _ => return None,
+    let refuse = |message: &str| Some(SliceOutcome::Done(error(message)));
+    let mode = match mode(command, engine.position())? {
+        Ok(Mode::Start) if engine.core().started => return refuse("inferior already started"),
+        Ok(mode) => mode,
+        Err(message) => return refuse(message),
     };
-    if !engine.core().started {
+    let core = engine.core();
+    core.started |= matches!(mode, Mode::Start);
+    if !core.started {
         return refuse("inferior not started (call start first)");
     }
-    let slice = Slice {
-        mode,
-        first: true,
-        finish_fired: false,
-    };
-    Some(burst(engine, slice, fuel))
+    Some(burst(engine, Slice::new(mode), fuel))
+}
+
+/// The mode `command` runs in from `line` with `depth` frames, or why it
+/// cannot run; `None` for a command that does not run the inferior.
+pub fn mode(command: &Command, (line, depth): (u32, usize)) -> Option<Result<Mode, &'static str>> {
+    Some(Ok(match command {
+        Command::Start => Mode::Start,
+        Command::Resume => Mode::Resume,
+        Command::Step => Mode::Step { line, depth },
+        Command::Next => Mode::Next { line, depth },
+        Command::Finish if depth <= 1 => return Some(Err("cannot finish the outermost frame")),
+        Command::Finish => Mode::Finish { depth },
+        _ => return None,
+    }))
 }
 
 /// One run burst, shared by fresh commands and slice resumes. The
@@ -484,7 +671,10 @@ fn serve<E: Inferior>(engine: &mut E, command: Command) -> Response {
             Ok(watch) => created(engine.core().points.add_watch(watch)),
             Err(message) => error(message),
         },
-        Command::Delete { id } => engine.core().points.delete(id),
+        Command::Delete { id } => match engine.core().points.delete(id) {
+            Ok(()) => Response::Ok,
+            Err(message) => error(message),
+        },
         Command::GetState if !engine.core().started => error("inferior not started"),
         Command::GetOutput => {
             let cursor = engine.core().output_cursor;

@@ -17,8 +17,11 @@
 //! * [`asm_engine`] — the same contract over the RISC-V simulator, with a
 //!   shadow call stack for function tracking and register/memory access.
 //!
-//! Both engines are adapters over one private control core that owns their
-//! control points, fuel slices, budgets and engine-agnostic commands.
+//! Both engines are adapters over one control core that owns their
+//! control points, fuel slices, budgets and engine-agnostic commands, and
+//! decides every pause; the replay engine and `easytracker`'s MiniPy
+//! tracker decide theirs through it too. It is not part of the documented
+//! API.
 //!
 //! # Examples
 //!
@@ -40,7 +43,8 @@
 //! ```
 
 pub mod asm_engine;
-mod control;
+#[doc(hidden)]
+pub mod control;
 pub mod host;
 pub mod minic_engine;
 pub mod protocol;

@@ -1,36 +1,32 @@
 //! The MiniC debugger engine: the MI command set over the MiniC VM's
 //! event stream. The shared control core ([`crate::control`]) owns the
-//! control points, fuel slices, budgets and engine-agnostic commands;
-//! this module turns VM events into pauses and answers inspection.
+//! control points, the pause decisions, fuel slices, budgets and
+//! engine-agnostic commands; this module reports VM events to it and
+//! answers inspection.
 //!
-//! * **line breakpoints** pause at `Line` events;
-//! * **function breakpoints with `maxdepth`** pause at `Call` events (the
-//!   paper implements `maxdepth` as a GDB extension that silently resumes
-//!   when the frame is too deep);
-//! * **function tracking** pauses at `Call` events *and* at `Return`
-//!   events, which the VM emits while the returning frame is still intact
-//!   (reproducing the paper's breakpoint-on-`retq` trick);
-//! * **watchpoints** re-check watched variables at every line and store
-//!   event; store events are only enabled while watchpoints exist. A
-//!   check first compares the variable's raw bytes with the ones that
-//!   produced its last rendered text and renders again only when they
-//!   differ (or the type holds a pointer, whose text also depends on its
-//!   target), so a watch that cannot fire costs a byte compare per event.
-//!   A variable coming into scope primes its watch silently. The paper's
+//! * `Call` and `Return` events match by function index, resolved once
+//!   when the control point is armed; the VM emits `Return` while the
+//!   returning frame is still intact (the paper's breakpoint-on-`retq`
+//!   trick), and function breakpoints honour `maxdepth` (the paper's GDB
+//!   extension that silently resumes when the frame is too deep);
+//! * **watchpoints** are re-checked at every line and store event; store
+//!   events are only enabled while watchpoints exist. A check first
+//!   compares the variable's raw bytes with the ones that produced its
+//!   last rendered text and renders again only when they differ (or the
+//!   type holds a pointer, whose text also depends on its target), so a
+//!   watch that cannot fire costs a byte compare per event. A variable
+//!   coming into scope primes its watch silently. The paper's
 //!   "watchpoints slow execution down a lot" behaviour stays measurable
-//!   in the MiniPy tracker, which single-steps to check them;
-//! * calls, returns and function breakpoints match by function index,
-//!   resolved once when the control point is armed;
-//! * **step / next / finish** with GDB's line-change semantics.
+//!   in the MiniPy tracker, which single-steps to check them.
 
-use crate::control::{self, error, Core, Inferior, Mode, RunOutcome, Slice, Watch};
+use crate::control::{self, error, Core, Func, Inferior, Phase, RunOutcome, Slice, Watch};
 use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
 use minic::inspect::{self, InspectOptions};
 use minic::types::{StructTable, Type};
 use minic::vm::{Event, Vm};
 use minic::Program;
-use state::{ExitStatus, PauseReason, Prim, ProgramState, Scope, SourceLocation, Value, Variable};
+use state::{ExitStatus, PauseReason, Prim, ProgramState, Scope, Value, Variable};
 
 /// MiniC's part of a watch on `var` or `function::var`.
 #[derive(Debug, Clone)]
@@ -220,6 +216,9 @@ pub struct MinicEngine {
     /// observable surface and must not shift when dead code is deleted.
     /// `None` when the VM's program is the compiler's output unchanged.
     analysis_program: Option<Box<Program>>,
+    /// The event the last pause interrupted, and the phase it resumes
+    /// from.
+    reenter: Option<(Event, Phase)>,
 }
 
 impl MinicEngine {
@@ -232,6 +231,7 @@ impl MinicEngine {
             events_seen: 0,
             watch_evals: 0,
             analysis_program: None,
+            reenter: None,
         }
     }
 
@@ -267,10 +267,6 @@ impl MinicEngine {
         &self.vm
     }
 
-    fn location(&self, line: u32) -> SourceLocation {
-        SourceLocation::new(self.vm.program().file.clone(), line)
-    }
-
     /// Resolves `var` / `function::var` against the live frames, then the
     /// globals.
     fn lookup_variable(&self, name: &str) -> Option<Variable> {
@@ -282,16 +278,69 @@ impl MinicEngine {
         Some(Variable::new(var, scope, value))
     }
 
-    /// Checks all watchpoints; the pause reason for the first changed one.
-    /// A variable entering scope is not a modification: its first render
-    /// primes the watch silently.
-    fn check_watches(&mut self) -> Option<PauseReason> {
+    /// The event the last pause interrupted delivers its later phases to
+    /// the next command first. Kept out of line, off the run loop's path.
+    #[inline(never)]
+    fn reenter(&mut self, slice: &mut Slice) -> Option<RunOutcome> {
+        let (event, from) = self.reenter.take()?;
+        self.decide(slice, &event, from)
+    }
+
+    /// The pause `event` causes, checked from `from` (a sanitizer trap
+    /// or the exit always pauses); remembers where to re-enter the event
+    /// when the inferior next runs. A variable entering scope is not a
+    /// modification: its first render primes the watch silently.
+    #[inline(always)]
+    fn decide(&mut self, slice: &mut Slice, event: &Event, from: Phase) -> Option<RunOutcome> {
+        let program = self.vm.program();
+        let file = program.file.as_str();
+        let func = |f: usize, depth| Func(f, depth, program.functions[f].name.as_str());
         let (vm, evals) = (&self.vm, &mut self.watch_evals);
-        self.core.points.scan_watches(|w| {
+        let refresh = |w: &mut Watch<WatchSpec>| {
             let old = refresh(w, vm)?;
             *evals += 1;
             old.map(Some)
-        })
+        };
+        let points = &mut self.core.points;
+        let (phase, reason) = match *event {
+            Event::Line(line) => {
+                let line = Some((line, vm.frames().len()));
+                points.on_line(slice, file, true, line, from, refresh)
+            }
+            Event::Store { .. } => points.on_line(slice, file, true, None, from, refresh),
+            Event::Call { function, depth } => {
+                let line = program.functions[function].line;
+                points.on_call(file, (func(function, depth), line), false, from)
+            }
+            Event::Return {
+                function,
+                depth,
+                value,
+            } => {
+                // Return events carry the 0-based depth: the frames left
+                // once this one is gone. (A return is never re-entered.)
+                slice.popped(depth as usize);
+                let value = move || value.map(|v| v.to_string());
+                points.on_return((func(function, depth), &value), from)
+            }
+            Event::Output(_) => None,
+            Event::SanitizerTrap(ref diagnostic) => {
+                if let Some(reg) = &self.core.registry {
+                    reg.add("sanitizer.traps", 1);
+                }
+                let diagnostic = diagnostic.clone();
+                return Some(RunOutcome::Paused(PauseReason::Sanitizer { diagnostic }));
+            }
+            Event::Exited(code) => {
+                let status = ExitStatus::Exited(code);
+                return Some(RunOutcome::Paused(PauseReason::Exited(status)));
+            }
+        }?;
+        // Returns and stores have no phase after the one that paused.
+        if let Event::Line(_) | Event::Call { .. } = event {
+            self.reenter = Some((event.clone(), phase.next()));
+        }
+        Some(RunOutcome::Paused(reason))
     }
 }
 
@@ -308,8 +357,11 @@ impl Inferior for MinicEngine {
     fn run(&mut self, slice: &mut Slice, fuel: Option<u64>) -> RunOutcome {
         // Watchpoints require store events: the expensive mode the paper
         // warns about, so it is on only while a watch is armed.
-        let watching = !self.core.points.watches.is_empty();
-        self.vm.set_store_events(watching);
+        self.vm
+            .set_store_events(!self.core.points.watches.is_empty());
+        if let Some(out) = self.reenter(slice) {
+            return out;
+        }
         let mut spent = 0u64;
         loop {
             if fuel.is_some_and(|f| spent >= f) {
@@ -325,81 +377,8 @@ impl Inferior for MinicEngine {
             if let Some(out) = self.core.budget.check(self.vm.ops_executed(), heap) {
                 return out;
             }
-            match event {
-                Event::Line(n) => {
-                    if watching {
-                        if let Some(reason) = self.check_watches() {
-                            return RunOutcome::Paused(reason);
-                        }
-                    }
-                    if let Some(id) = self.core.points.breakpoint(|l| l == n, None) {
-                        let location = self.location(n);
-                        return RunOutcome::Paused(PauseReason::Breakpoint { id, location });
-                    }
-                    if slice.finish_fired {
-                        return RunOutcome::Paused(PauseReason::Step);
-                    }
-                    let depth = self.vm.frames().len();
-                    let stop = match slice.mode {
-                        Mode::Start => return RunOutcome::Paused(PauseReason::Started),
-                        Mode::Step { line, depth: d } => n != line || depth != d,
-                        Mode::Next { line, depth: d } => depth < d || (depth == d && n != line),
-                        Mode::Resume | Mode::Finish { .. } => false,
-                    };
-                    if stop {
-                        return RunOutcome::Paused(PauseReason::Step);
-                    }
-                }
-                Event::Call { function, depth } => {
-                    if let Some(id) = self
-                        .core
-                        .points
-                        .breakpoint(|_| false, Some((function, depth)))
-                    {
-                        let location = self.location(self.vm.program().functions[function].line);
-                        return RunOutcome::Paused(PauseReason::Breakpoint { id, location });
-                    }
-                    if self.core.points.tracks(function, depth) {
-                        return RunOutcome::Paused(PauseReason::FunctionCall {
-                            function: self.vm.program().functions[function].name.clone(),
-                            depth,
-                        });
-                    }
-                }
-                Event::Return {
-                    function,
-                    depth,
-                    value,
-                } => {
-                    if self.core.points.tracks(function, depth) {
-                        return RunOutcome::Paused(PauseReason::FunctionReturn {
-                            function: self.vm.program().functions[function].name.clone(),
-                            depth,
-                            return_value: value.map(|v| v.to_string()),
-                        });
-                    }
-                    // Return events carry the 0-based depth.
-                    if let Mode::Finish { depth: d } = slice.mode {
-                        if depth as usize + 1 == d {
-                            slice.finish_fired = true;
-                        }
-                    }
-                }
-                Event::Store { .. } => {
-                    if let Some(reason) = self.check_watches() {
-                        return RunOutcome::Paused(reason);
-                    }
-                }
-                Event::Output(_) => {}
-                Event::SanitizerTrap(diagnostic) => {
-                    if let Some(reg) = &self.core.registry {
-                        reg.add("sanitizer.traps", 1);
-                    }
-                    return RunOutcome::Paused(PauseReason::Sanitizer { diagnostic });
-                }
-                Event::Exited(code) => {
-                    return RunOutcome::Paused(PauseReason::Exited(ExitStatus::Exited(code)));
-                }
+            if let Some(out) = self.decide(slice, &event, Phase::FuncBreak) {
+                return out;
             }
         }
     }
@@ -585,6 +564,34 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_watch_and_a_breakpoint_on_one_line_both_fire() {
+        // In `f` the watched name resolves to its parameter, not the
+        // global: a change seen at the line event of line 3, which also
+        // holds a breakpoint. Both pause, the watch first.
+        let src = "int g = 5;\nint f(int g) {\nreturn g + 1;\n}\nint main() {\nreturn f(7);\n}";
+        let mut e = engine(src);
+        e.handle(Command::Watch {
+            variable: "g".into(),
+        });
+        e.handle(Command::SetBreakLine { line: 3 });
+        assert_eq!(paused(e.handle(Command::Start)), PauseReason::Started);
+        let watched = paused(e.handle(Command::Resume));
+        assert!(
+            matches!(watched, PauseReason::Watchpoint { .. }),
+            "{watched}"
+        );
+        let bp = paused(e.handle(Command::Resume));
+        assert!(
+            matches!(bp, PauseReason::Breakpoint { ref location, .. } if location.line() == 3),
+            "{bp}"
+        );
+        assert_eq!(
+            paused(e.handle(Command::Resume)),
+            PauseReason::Exited(ExitStatus::Exited(8))
+        );
     }
 
     #[test]

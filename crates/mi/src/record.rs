@@ -12,7 +12,10 @@
 //! [`ReplayEngine`] is the other half, and the only replay state
 //! machine: a session engine whose "inferior" is a finished recording
 //! behind an `Arc<trace::Store>`, with the live engines' control points,
-//! stepping and variable lookup. The session host shelves recordings
+//! stepping and variable lookup. Its pauses are decided by the same
+//! control core as the live engines' ([`crate::control`]): each recorded
+//! pause is fed to it as the events it stands for. The session host
+//! shelves recordings
 //! published with [`Command::PublishTrace`] and opens any number of
 //! replay sessions over one shelved store with [`Command::OpenReplay`] —
 //! record once, scrub many, each reader with its own cursor, control
@@ -20,10 +23,12 @@
 //! `Arc`; it never copies the store. `easytracker::ReplayTracker` drives
 //! the same engine in process.
 
-use crate::control::{BpKind, ControlPoints, Watch};
+use crate::control::{
+    error, mode, resolve, BpKind, ControlPoints, Func, Mode, Phase, Slice, Watch,
+};
 use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
-use state::{ExitStatus, Frame, PauseReason, ProgramState, SourceLocation, Variable};
+use state::{ExitStatus, Frame, PauseReason, ProgramState, SourceLocation};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -35,24 +40,6 @@ pub type TraceShelf = Arc<Mutex<HashMap<String, Arc<trace::Store>>>>;
 #[must_use]
 pub fn new_shelf() -> TraceShelf {
     Arc::new(Mutex::new(HashMap::new()))
-}
-
-/// Resolves `name` in a recorded snapshot the way the live engines do: a
-/// bare name in the innermost frame, then the globals, then nothing;
-/// `frame::var` in the innermost frame of that name holding `var`.
-fn resolve(st: &ProgramState, name: &str) -> Option<Variable> {
-    match name.split_once("::") {
-        Some((f, v)) => st
-            .frame
-            .chain()
-            .filter(|frame| frame.name() == f)
-            .find_map(|frame| frame.variable(v)),
-        None => st
-            .frame
-            .variable(name)
-            .or_else(|| st.globals.iter().find(|g| g.name() == name)),
-    }
-    .cloned()
 }
 
 /// An [`Engine`] wrapper that records every pause into a
@@ -317,8 +304,9 @@ impl<E: Engine> Engine for RecordingEngine<E> {
 /// control point armed, `Step`/`Next`/`Finish`/`Resume` are answered
 /// from the store's line and depth columns without decoding a state;
 /// armed control points (breakpoints, tracked functions, watchpoints)
-/// are re-derived from the recorded snapshots with the live engines'
-/// semantics. [`ReplayEngine::step_back`] and
+/// fire through the control core on the events derived from the
+/// recorded snapshots, so a pause's
+/// triggers arrive in the live engines' order. [`ReplayEngine::step_back`] and
 /// [`ReplayEngine::resume_back`] run the same control points backwards.
 /// `Seek` jumps anywhere in O(log n) and decodes only the pause it lands
 /// on. Control points and the derived profile are per-session state; the
@@ -331,9 +319,9 @@ pub struct ReplayEngine {
     /// `Start` or the first `Seek`.
     pos: Option<u64>,
     reason: PauseReason,
-    /// Highest trigger rank already reported at `pos`; `None` when `pos`
-    /// was reached by stepping or seeking.
-    rank_done: Option<u8>,
+    /// Where the next forward command resumes the events of `pos` (see
+    /// [`ReplayEngine::fire`]).
+    owed: Owed,
     /// Functions are keyed by name; a watch's timeline is in
     /// `timelines`.
     points: ControlPoints<String, ()>,
@@ -364,8 +352,8 @@ impl ReplayEngine {
             shelf: None,
             pos: None,
             reason: PauseReason::NotStarted,
-            rank_done: None,
-            points: ControlPoints::new(),
+            owed: LINE_DONE,
+            points: ControlPoints::default(),
             timelines: HashMap::new(),
             profile: None,
             out_released: 0,
@@ -404,7 +392,7 @@ impl ReplayEngine {
             Some(n) => self.land(
                 (n - 1).min(self.len().saturating_sub(1)),
                 PauseReason::Step,
-                None,
+                LINE_DONE,
             ),
         }
     }
@@ -415,14 +403,10 @@ impl ReplayEngine {
         let Some(cur) = self.pos else {
             return not_started();
         };
-        for n in (0..cur.min(self.len())).rev() {
-            match self.trigger(n, 0) {
-                Ok(Some((rank, reason))) => return self.land(n, reason, Some(rank)),
-                Ok(None) => {}
-                Err(message) => return Response::Error { message },
-            }
-        }
-        self.land(0, PauseReason::Started, None)
+        let pauses = (0..cur.min(self.len())).rev();
+        let resume = Slice::new(Mode::Resume);
+        self.run(resume, pauses, (0, Phase::FuncBreak))
+            .unwrap_or_else(|| self.land(0, PauseReason::Started, LINE_DONE))
     }
 
     fn store(&self) -> &Arc<trace::Store> {
@@ -443,12 +427,12 @@ impl ReplayEngine {
 
     /// Lands on pause `n` for `reason` (on the exit past the end) and
     /// releases the output recorded up to it.
-    fn land(&mut self, n: u64, reason: PauseReason, rank: Option<u8>) -> Response {
+    fn land(&mut self, n: u64, reason: PauseReason, owed: Owed) -> Response {
         let len = self.len();
         let reason = if n < len { reason } else { self.exit_reason() };
         self.pos = Some(n.min(len));
         self.out_released = self.out_released.max((n + 1).min(len));
-        self.rank_done = rank;
+        self.owed = owed;
         self.reason = reason.clone();
         Response::Paused(reason)
     }
@@ -457,159 +441,129 @@ impl ReplayEngine {
         let Some(cur) = self.pos else {
             return not_started();
         };
-        if cur >= self.len() {
+        let len = self.len();
+        if cur >= len {
             return Response::Paused(self.exit_reason());
         }
-        let store = Arc::clone(self.store());
-        let depth = store.depth_at(cur).unwrap_or(0);
-        let line = store.line_at(cur);
-        let run = match cmd {
-            Command::Step => return self.land(cur + 1, PauseReason::Step, None),
-            Command::Next => self.advance(cur, |n| {
-                let d = store.depth_at(n).unwrap_or(0);
-                d < depth || (d == depth && store.line_at(n) != line)
-            }),
-            Command::Finish if depth <= 1 => {
-                return Response::Error {
-                    message: "cannot finish the outermost frame".into(),
-                }
-            }
-            Command::Finish => self.advance(cur, |n| store.depth_at(n).unwrap_or(0) < depth),
-            _ => self.advance(cur, |_| false),
+        if *cmd == Command::Step {
+            return self.land(cur + 1, PauseReason::Step, LINE_DONE);
+        }
+        let depth = self.store().depth_at(cur).unwrap_or(0) as usize;
+        let line = self.store().line_at(cur).unwrap_or(0);
+        let mode = match mode(cmd, (line, depth)) {
+            Some(Ok(mode)) => mode,
+            Some(Err(message)) => return error(message),
+            None => unreachable!("only control commands run the recording"),
         };
-        run.unwrap_or_else(|message| Response::Error { message })
+        self.run(Slice::new(mode), cur..len, self.owed)
+            .unwrap_or_else(|| self.land(len, PauseReason::Step, LINE_DONE))
     }
 
-    /// Runs forward from `cur` to the first pause where a control point
-    /// fires or `stop` holds, or to the exit.
-    fn advance(&mut self, cur: u64, stop: impl Fn(u64) -> bool) -> Result<Response, String> {
-        // Later-phase triggers of the current pause first: a one-line
-        // function's entry and exit share one recorded pause.
-        if let Some(done) = self.rank_done {
-            if let Some((rank, reason)) = self.trigger(cur, done + 1)? {
-                return Ok(self.land(cur, reason, Some(rank)));
+    /// Runs `slice` over `pauses`, the first from `from`, and lands on
+    /// the first that pauses; `None` when none does.
+    fn run(
+        &mut self,
+        mut slice: Slice,
+        pauses: impl Iterator<Item = u64>,
+        mut from: Owed,
+    ) -> Option<Response> {
+        for n in pauses {
+            match self.fire(&mut slice, n, from) {
+                Ok(Some((owed, reason))) => return Some(self.land(n, reason, owed)),
+                Ok(None) => from = (0, Phase::FuncBreak),
+                Err(message) => return Some(error(message)),
             }
         }
-        for n in cur + 1..self.len() {
-            if let Some((rank, reason)) = self.trigger(n, 0)? {
-                return Ok(self.land(n, reason, Some(rank)));
-            }
-            if stop(n) {
-                return Ok(self.land(n, PauseReason::Step, None));
-            }
-        }
-        Ok(self.land(self.len(), PauseReason::Step, None))
+        None
     }
 
-    /// The control point with phase rank `>= min_rank` that fires on
-    /// arriving at pause `n` (from `n - 1`), if any. Ranks order the
-    /// triggers that can share one recorded pause and mirror the live
-    /// engines' event order — frame-entry events before the line's own
-    /// checks, returns at the end of the line: function breakpoint (0),
-    /// tracked call (1), watch (2), line breakpoint (3), tracked return
-    /// (4). Re-examining the current pause with a higher `min_rank` lets
-    /// `Resume` deliver every event of such a pause.
-    fn trigger(&self, n: u64, min_rank: u8) -> Result<Option<(u8, PauseReason)>, String> {
-        if self.points.is_empty() {
-            return Ok(None);
-        }
-        let cur = self.reader.state_at(n)?;
-        let prev = n
-            .checked_sub(1)
-            .map(|p| self.reader.state_at(p))
-            .transpose()?;
-        let depth = cur.stack_depth();
+    /// Feeds the control core the events recorded pause `n` stands for,
+    /// from `from`: event 0 is the arrival at `n` (the frame entered, if
+    /// its function has more live frames than at `n - 1`; the watch
+    /// timelines' step; the line), then each frame that returns before
+    /// pause `n + 1`, innermost first. Returns the pause, with where to
+    /// resume `n`'s events; `None` once they are all delivered and the
+    /// `finish` target's return is marked. Nothing is decoded while no
+    /// control point is armed: the stop rules read the line and depth
+    /// columns.
+    fn fire(
+        &mut self,
+        slice: &mut Slice,
+        n: u64,
+        (mut i, mut from): Owed,
+    ) -> Result<Option<(Owed, PauseReason)>, String> {
+        let store = Arc::clone(self.store());
+        let depth = store.depth_at(n).unwrap_or(0);
+        let armed = !self.points.is_empty();
+        let cur = armed.then(|| self.reader.state_at(n)).transpose()?;
+        let file = cur
+            .as_ref()
+            .map_or(store.file(), |st| st.frame.location().file());
+        let line = Some((store.line_at(n).unwrap_or(0), depth as usize));
+        let mut call = None;
         let occurrences =
             |st: &ProgramState, f: &str| st.frame.chain().filter(|fr| fr.name() == f).count();
-        let mut best: Option<(u8, PauseReason)> = None;
-        let mut consider = |rank: u8, reason: PauseReason| {
-            if rank >= min_rank && best.as_ref().is_none_or(|(r, _)| rank < *r) {
-                best = Some((rank, reason));
+        let mut returns = Vec::new();
+        if let Some(cur) = &cur {
+            let name = cur.frame.name();
+            let prev = n
+                .checked_sub(1)
+                .map(|p| self.reader.state_at(p))
+                .transpose()?;
+            if occurrences(cur, name) > prev.as_ref().map_or(0, |p| occurrences(p, name)) {
+                let entered = Func(name, depth.saturating_sub(1), name);
+                call = Some((entered, cur.frame.location().line()));
             }
+            if !self.points.tracked.is_empty() {
+                // The frames above the stack the next pause shares with
+                // this one return before it, innermost first; program exit
+                // pops every frame but the outermost, whose teardown is
+                // not a tracked return.
+                let chain: Vec<&str> = cur.frame.chain().map(Frame::name).collect();
+                let kept = if n + 1 < self.len() {
+                    let next = self.reader.state_at(n + 1)?;
+                    let next: Vec<&str> = next.frame.chain().map(Frame::name).collect();
+                    let shared = chain.iter().rev().zip(next.iter().rev());
+                    shared.take_while(|(a, b)| a == b).count()
+                } else {
+                    1
+                };
+                let popped = chain[..chain.len() - kept].iter().enumerate();
+                returns = popped
+                    .map(|(k, &f)| Func(f, depth - 1 - k as u32, f))
+                    .collect();
+            }
+        }
+        let timelines = &self.timelines;
+        // A variable springing into existence counts as a change; callee
+        // frames may shadow it.
+        let refresh = |w: &mut Watch<()>| {
+            let tl = timelines.get(&w.name)?;
+            let new = tl[n as usize].clone()?;
+            let old = tl[n.checked_sub(1)? as usize].clone();
+            w.last = Some(new);
+            Some(old)
         };
-        for w in &self.points.watches {
-            // Callee frames may shadow the variable; a variable springing
-            // into existence counts as a change.
-            let Some(tl) = self.timelines.get(&w.name) else {
-                continue;
-            };
-            let (Some(p), Some(new)) = (n.checked_sub(1), &tl[n as usize]) else {
-                continue;
-            };
-            let old = &tl[p as usize];
-            if old.as_ref() != Some(new) {
-                consider(
-                    2,
-                    PauseReason::Watchpoint {
-                        id: w.id,
-                        variable: w.name.clone(),
-                        old: old.clone(),
-                        new: new.clone(),
-                    },
-                );
+        if i == 0 {
+            let points = &mut self.points;
+            let hit = call.and_then(|c| points.on_call(file, c, false, from));
+            if let Some((p, reason)) =
+                hit.or_else(|| points.on_line(slice, file, armed, line, from, refresh))
+            {
+                return Ok(Some(((0, p.next()), reason)));
+            }
+            (i, from) = (1, Phase::FuncBreak);
+        }
+        for (k, &f) in returns.iter().enumerate().skip(i - 1) {
+            let from = if k + 1 == i { from } else { Phase::FuncBreak };
+            if let Some((p, reason)) = self.points.on_return((f, &|| None), from) {
+                return Ok(Some(((k + 1, p.next()), reason)));
             }
         }
-        for bp in self.points.breakpoints.iter().chain(&self.points.tracked) {
-            let id = bp.id;
-            match &bp.kind {
-                BpKind::Line(line) => {
-                    if self.store().line_at(n) == Some(*line) {
-                        let location = cur.frame.location().clone();
-                        consider(3, PauseReason::Breakpoint { id, location });
-                    }
-                }
-                BpKind::Entry(function) | BpKind::Track(function) => {
-                    let track = matches!(bp.kind, BpKind::Track(_));
-                    let occ = occurrences(&cur, function);
-                    let depth0 = depth.saturating_sub(1) as u32;
-                    if occ > prev.as_ref().map_or(0, |p| occurrences(p, function))
-                        && cur.frame.name() == function
-                        && bp.within(depth0)
-                    {
-                        let reason = if track {
-                            let function = function.clone();
-                            PauseReason::FunctionCall {
-                                function,
-                                depth: depth0,
-                            }
-                        } else {
-                            let location = cur.frame.location().clone();
-                            PauseReason::Breakpoint { id, location }
-                        };
-                        consider(u8::from(track), reason);
-                    }
-                    if !track {
-                        continue;
-                    }
-                    // The innermost occurrence is the frame popped last.
-                    let inner = cur.frame.chain().position(|f| f.name() == function);
-                    // Occurrences across the whole stack, not just the
-                    // innermost frame: when a tracked function's last line
-                    // is itself a call, the pop back to its caller happens
-                    // while a callee is the innermost recorded frame.
-                    let returning = if n + 1 < self.len() {
-                        occ > occurrences(&*self.reader.state_at(n + 1)?, function)
-                    } else {
-                        // Program exit pops every frame at once; the
-                        // outermost frame's teardown is not a tracked
-                        // return, so only deeper occurrences count.
-                        inner.is_some_and(|k| k + 1 < depth)
-                    };
-                    let depth0 = inner.map_or(0, |k| (depth - 1 - k) as u32);
-                    if returning && bp.within(depth0) {
-                        consider(
-                            4,
-                            PauseReason::FunctionReturn {
-                                function: function.clone(),
-                                depth: depth0,
-                                return_value: None,
-                            },
-                        );
-                    }
-                }
-            }
+        if let Some(depth) = store.depth_at(n + 1) {
+            slice.popped(depth as usize);
         }
-        Ok(best)
+        Ok(None)
     }
 
     fn watch(&mut self, variable: String) -> Response {
@@ -696,6 +650,14 @@ impl ReplayEngine {
     }
 }
 
+/// A position inside one recorded pause's events: the event's index
+/// (0 is the arrival, then one per returning frame) and the phase it
+/// resumes from.
+type Owed = (usize, Phase);
+
+/// A pause landed on as a line: its returns are still owed.
+const LINE_DONE: Owed = (1, Phase::FuncBreak);
+
 fn not_started() -> Response {
     Response::Error {
         message: "inferior not started".into(),
@@ -708,10 +670,10 @@ impl Engine for ReplayEngine {
             Command::Start if self.pos.is_some() => Response::Error {
                 message: "replay already started".into(),
             },
-            Command::Start => self.land(0, PauseReason::Started, None),
+            Command::Start => self.land(0, PauseReason::Started, LINE_DONE),
             Command::Step | Command::Next | Command::Finish | Command::Resume => self.control(&cmd),
             Command::Seek { pause } => match self.reader.state_at(pause) {
-                Ok(st) => self.land(pause, st.reason.clone(), None),
+                Ok(st) => self.land(pause, st.reason.clone(), LINE_DONE),
                 Err(message) => Response::Error { message },
             },
             Command::SetBreakLine { line } => {
@@ -737,7 +699,10 @@ impl Engine for ReplayEngine {
                 id: self.points.add(BpKind::Track(function), maxdepth),
             },
             Command::Watch { variable } => self.watch(variable),
-            Command::Delete { id } => self.points.delete(id),
+            Command::Delete { id } => match self.points.delete(id) {
+                Ok(()) => Response::Ok,
+                Err(message) => error(message),
+            },
             Command::GetState | Command::GetGlobals | Command::GetVariable { .. } => {
                 self.inspect(&cmd)
             }
@@ -769,7 +734,7 @@ impl Engine for ReplayEngine {
                 Err(message) => Response::Error { message },
             },
             Command::Terminate => {
-                self.land(self.len(), PauseReason::Step, None);
+                self.land(self.len(), PauseReason::Step, LINE_DONE);
                 Response::Ok
             }
             other => {
@@ -786,7 +751,7 @@ impl Engine for ReplayEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use state::{Frame, Prim, Scope, SourceLocation, Value};
+    use state::{Frame, Prim, Scope, SourceLocation, Value, Variable};
 
     fn mk_store(n: u64) -> trace::Store {
         let mut store = trace::Store::new("r.c", "int main() { return 7; }", 8);

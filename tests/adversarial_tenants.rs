@@ -20,9 +20,12 @@
 //! what keeps this abuse shape safe to host).
 
 use easytracker::{MiTracker, PauseReason, ProgramSpec, Supervision, Tracker};
-use mi::transport::{duplex, ChannelTransport, Transport as _};
-use mi::{Command, CommandFrame, HostConfig, HostHandle, Response, ResponseFrame, SessionHost};
-use std::time::Duration;
+use mi::transport::{duplex, ChannelTransport, FrameTx, Transport as _};
+use mi::{
+    Command, CommandFrame, HostConfig, HostHandle, MiError, Response, ResponseFrame, SessionHost,
+};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 const INNOCENTS: usize = 16;
 /// Sessions the host admits: the innocents plus the four abusive ones.
@@ -61,9 +64,38 @@ fn fast_supervision() -> Supervision {
     }
 }
 
+/// While set, no reply leaves the host on one abuser's wire: the host
+/// thread that tries to send one waits, and a worker waiting there keeps
+/// the session it is answering for.
+#[derive(Clone, Default)]
+struct Hold(Arc<(Mutex<bool>, Condvar)>);
+
+impl Hold {
+    fn set(&self, held: bool) {
+        let (lock, cv) = &*self.0;
+        *lock.lock().expect("hold") = held;
+        cv.notify_all();
+    }
+}
+
+/// The host's send half of an abuser wire, subject to its [`Hold`].
+struct HeldTx<T> {
+    inner: T,
+    hold: Hold,
+}
+
+impl<T: FrameTx> FrameTx for HeldTx<T> {
+    fn send(&mut self, frame: &[u8]) -> Result<(), MiError> {
+        let (lock, cv) = &*self.hold.0;
+        drop(cv.wait_while(lock.lock().expect("hold"), |held| *held));
+        self.inner.send(frame)
+    }
+}
+
 /// One abuser wire: frames out, replies left unread until the end.
 struct Abuser {
     t: ChannelTransport,
+    hold: Hold,
     sent: u64,
     consumed: u64,
     seq: u64,
@@ -73,9 +105,15 @@ impl Abuser {
     fn connect(host: &SessionHost) -> Self {
         let (a, b) = duplex();
         let (btx, brx) = b.split();
-        host.accept(brx, btx);
+        let hold = Hold::default();
+        let tx = HeldTx {
+            inner: btx,
+            hold: hold.clone(),
+        };
+        host.accept(brx, tx);
         Abuser {
             t: a,
+            hold,
             sent: 0,
             consumed: 0,
             seq: 0,
@@ -262,12 +300,26 @@ fn governed_host_isolates_innocents_from_adversarial_tenants() {
     hot.send(Some(hot_sid), Command::Resume);
     bomb.send(Some(bomb_sid), Command::Start);
     bomb.send(Some(bomb_sid), Command::Resume);
+    // 32 commands against a depth-2 queue. The flood's replies are held
+    // until the host refuses one: the worker answering `Start` keeps the
+    // session meanwhile, so `Resume` is still queued when the steps
+    // arrive, however the threads are scheduled. Without the hold the
+    // resume could exhaust its budget, and the session be swept, first.
+    flood.hold.set(true);
     flood.send(Some(flood_sid), Command::Start);
     flood.send(Some(flood_sid), Command::Resume);
-    // 32 commands against a depth-2 queue while the resume chews fuel.
     for _ in 0..32 {
         flood.send(Some(flood_sid), Command::Step);
     }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while registry.snapshot().counter("mi.host.rejected_queue_full") == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the queue flood was never refused"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    flood.hold.set(false);
     hog.send(Some(hog_sid), Command::Start);
     hog.send(Some(hog_sid), Command::Resume);
 

@@ -144,16 +144,7 @@ fn track_then_remove(tracker: &mut dyn Tracker) -> PauseReason {
 
 #[test]
 fn tracked_functions_are_removable_everywhere() {
-    let mut live = init_tracker("p.c", C_PROG).unwrap();
-    let rec = Recording::capture(live.as_mut()).unwrap();
-    live.terminate();
-    let trackers: [(&str, Box<dyn Tracker>); 4] = [
-        ("c", init_tracker("p.c", C_PROG).unwrap()),
-        ("py", init_tracker("p.py", PY_PROG).unwrap()),
-        ("asm", init_tracker("p.s", ASM_PROG).unwrap()),
-        ("replay", Box::new(ReplayTracker::new(rec))),
-    ];
-    for (name, mut t) in trackers {
+    for (name, mut t) in every_tracker() {
         let after = track_then_remove(t.as_mut());
         assert!(matches!(after, PauseReason::Exited(_)), "{name}: {after}");
         t.terminate();
@@ -231,6 +222,77 @@ down(5)
             }
         }
         assert_eq!(hits, 2, "{file}: maxdepth=2 must allow exactly 2 hits");
+        t.terminate();
+    }
+}
+
+/// A fresh tracker per language, plus a replay of the C run.
+fn every_tracker() -> [(&'static str, Box<dyn Tracker>); 4] {
+    let mut live = init_tracker("p.c", C_PROG).unwrap();
+    let rec = Recording::capture(live.as_mut()).unwrap();
+    live.terminate();
+    [
+        ("c", init_tracker("p.c", C_PROG).unwrap()),
+        ("py", init_tracker("p.py", PY_PROG).unwrap()),
+        ("asm", init_tracker("p.s", ASM_PROG).unwrap()),
+        ("replay", Box::new(ReplayTracker::new(rec))),
+    ]
+}
+
+/// A parity row: drives a fresh tracker and reports whether its last
+/// call succeeded.
+type Row = fn(&mut dyn Tracker) -> bool;
+
+/// (case, script, whether its last call succeeds on every tracker)
+const PARITY: &[(&str, Row, bool)] = &[
+    (
+        "start twice",
+        |t| {
+            t.start().expect("first start");
+            t.start().is_ok()
+        },
+        false,
+    ),
+    ("resume before start", |t| t.resume().is_ok(), false),
+    ("step before start", |t| t.step().is_ok(), false),
+    ("next before start", |t| t.next().is_ok(), false),
+    (
+        "finish in the outermost frame",
+        |t| {
+            t.start().expect("start");
+            t.finish().is_ok()
+        },
+        false,
+    ),
+    ("remove of an unknown id", |t| t.remove(42).is_ok(), false),
+    (
+        "set_profile(Off) after start",
+        |t| {
+            t.start().expect("start");
+            t.set_profile(obs::ProfileMode::Off, 0).is_ok()
+        },
+        true,
+    ),
+];
+
+#[test]
+fn every_tracker_accepts_and_refuses_the_same_calls() {
+    for &(case, row, succeeds) in PARITY {
+        for (name, mut t) in every_tracker() {
+            assert_eq!(row(t.as_mut()), succeeds, "{name}: {case}");
+            t.terminate();
+        }
+    }
+}
+
+#[test]
+fn a_function_breakpoint_and_tracking_both_fire_breakpoint_first() {
+    for (name, mut t) in every_tracker() {
+        t.track_function("square", None).unwrap();
+        t.break_before_func("square", None).unwrap();
+        t.start().unwrap();
+        let first = [t.resume().unwrap(), t.resume().unwrap()].map(|r| r.tag());
+        assert_eq!(first, ["Breakpoint", "FunctionCall"], "{name}");
         t.terminate();
     }
 }
