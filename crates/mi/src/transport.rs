@@ -142,7 +142,7 @@ impl ChannelTransport {
 }
 
 /// Validates one length-prefixed channel message and strips the prefix.
-fn decode_channel_wire(wire: Vec<u8>) -> Result<Vec<u8>, MiError> {
+fn decode_channel_wire(mut wire: Vec<u8>) -> Result<Vec<u8>, MiError> {
     if wire.len() < 4 {
         return Err(MiError::Codec("short frame".into()));
     }
@@ -160,7 +160,9 @@ fn decode_channel_wire(wire: Vec<u8>) -> Result<Vec<u8>, MiError> {
             wire.len() - 4
         )));
     }
-    Ok(wire[4..].to_vec())
+    // Shift the body down over the prefix: no second buffer per frame.
+    wire.drain(..4);
+    Ok(wire)
 }
 
 /// The send half of a connection: one frame out per call.

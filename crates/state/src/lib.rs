@@ -39,7 +39,8 @@ pub use pause::{ExitStatus, PauseReason, SourceLocation};
 pub use render::render_value;
 pub use value::{AbstractType, Content, Location, Prim, Value};
 
-use serde::{Deserialize, Serialize};
+use serde::de::{Reader, Slot};
+use serde::{DeError, Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -133,7 +134,7 @@ impl fmt::Display for Scope {
 /// assert_eq!(f.variables().count(), 1);
 /// assert!(f.variable("x").is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     name: String,
     depth: u32,
@@ -214,6 +215,120 @@ impl Frame {
     /// Walks the frame chain from this frame outward (inclusive).
     pub fn chain(&self) -> FrameChain<'_> {
         FrameChain { next: Some(self) }
+    }
+}
+
+// Frames nest through `parent`, one JSON object per call. Writing and
+// reading walk that chain in a loop, so a deep stack costs neither native
+// stack nor JSON nesting depth (`serde::de::MAX_DEPTH`). The text is what
+// a derive would produce, with `parent` as the last key; the reader takes
+// the keys in any order, like a derived one.
+impl Serialize for Frame {
+    fn write_json(&self, out: &mut String) {
+        let mut open = 0;
+        for frame in self.chain() {
+            out.push_str("{\"name\":");
+            frame.name.write_json(out);
+            out.push_str(",\"depth\":");
+            frame.depth.write_json(out);
+            out.push_str(",\"location\":");
+            frame.location.write_json(out);
+            out.push_str(",\"order\":");
+            frame.order.write_json(out);
+            out.push_str(",\"variables\":");
+            frame.variables.write_json(out);
+            out.push_str(",\"parent\":");
+            open += 1;
+        }
+        out.push_str("null");
+        for _ in 0..open {
+            out.push('}');
+        }
+    }
+}
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        // Unlink the chain first, so a deep stack drops in a loop rather
+        // than one nested drop call per frame.
+        let mut next = self.parent.take();
+        while let Some(mut frame) = next {
+            next = frame.parent.take();
+        }
+    }
+}
+
+/// The fields of a frame whose object is still open.
+#[derive(Default)]
+struct OpenFrame {
+    first: bool,
+    name: Slot<String>,
+    depth: Slot<u32>,
+    location: Slot<SourceLocation>,
+    order: Slot<Vec<String>>,
+    variables: Slot<BTreeMap<String, Variable>>,
+    parent: Slot<Option<Box<Frame>>>,
+}
+
+impl OpenFrame {
+    fn new() -> Self {
+        OpenFrame {
+            first: true,
+            ..OpenFrame::default()
+        }
+    }
+
+    fn finish(self) -> Result<Frame, DeError> {
+        Ok(Frame {
+            name: self.name.finish("Frame.name")?,
+            depth: self.depth.finish("Frame.depth")?,
+            location: self.location.finish("Frame.location")?,
+            order: self.order.finish("Frame.order")?,
+            variables: self.variables.finish("Frame.variables")?,
+            parent: self.parent.finish("Frame.parent")?,
+        })
+    }
+}
+
+impl Deserialize for Frame {
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if !r.begin_object()? {
+            return Err(DeError::custom("expected object for struct Frame"));
+        }
+        // Callees whose `parent` object is being read, innermost first.
+        let mut callees: Vec<OpenFrame> = Vec::new();
+        let mut cur = OpenFrame::new();
+        loop {
+            let Some(key) = r.next_key(&mut cur.first)? else {
+                let done = cur.finish();
+                let Some(callee) = callees.pop() else {
+                    return done;
+                };
+                r.leave_loop();
+                cur = callee;
+                cur.parent = match done {
+                    Ok(frame) => Slot::Full(Some(Box::new(frame))),
+                    Err(e) => Slot::Failed(e),
+                };
+                continue;
+            };
+            match &*key {
+                "name" => r.field(&mut cur.name)?,
+                "depth" => r.field(&mut cur.depth)?,
+                "location" => r.field(&mut cur.location)?,
+                "order" => r.field(&mut cur.order)?,
+                "variables" => r.field(&mut cur.variables)?,
+                "parent" => {
+                    if r.begin_object()? {
+                        r.enter_loop();
+                        callees.push(std::mem::replace(&mut cur, OpenFrame::new()));
+                    } else {
+                        r.field(&mut cur.parent)?;
+                    }
+                }
+                _ => r.skip_value()?,
+            }
+        }
     }
 }
 
@@ -347,6 +462,30 @@ mod tests {
         let back: ProgramState = serde_json::from_str(&json).unwrap();
         assert_eq!(st, back);
         assert_eq!(back.stack_depth(), 1);
+    }
+
+    #[test]
+    fn an_ill_typed_field_deep_in_a_long_stack_reports_that_field() {
+        // The chain is read in a loop, far past the nesting limit; a shape
+        // error inside it must not turn into a nesting error on the way out.
+        let mut frame = Frame::new("f", 0, loc());
+        for depth in 1..4 * serde::de::MAX_DEPTH as u32 {
+            let mut callee = Frame::new("f", depth, loc());
+            callee.set_parent(frame);
+            frame = callee;
+        }
+        let st = ProgramState::new(frame, vec![], PauseReason::Step);
+        let json = serde_json::to_string(&st).unwrap();
+        // Only the outermost frame has depth 0.
+        let bad = json.replacen("\"depth\":0,", "\"depth\":\"x\",", 1);
+        let err = serde_json::from_str::<ProgramState>(&bad).unwrap_err();
+        assert!(
+            err.to_string().ends_with("Frame.depth: expected u32"),
+            "{err}"
+        );
+        // A later duplicate key still replaces the ill-typed occurrence.
+        let fixed = json.replacen("\"depth\":0,", "\"depth\":\"x\",\"depth\":0,", 1);
+        assert!(serde_json::from_str::<ProgramState>(&fixed).unwrap() == st);
     }
 
     #[test]
