@@ -2,7 +2,7 @@
 //!
 //! Two layers of chaos, both deterministic:
 //!
-//! * [`FaultTransport`] wraps any [`Transport`] and mangles selected
+//! * [`FaultTransport`] wraps any framed transport and mangles selected
 //!   received frames: truncation, byte corruption, duplication, a
 //!   mid-command EOF, plus the *liveness* faults — a hang that eats the
 //!   caller's deadline, a stall that delays delivery, and a crash that
@@ -23,7 +23,7 @@
 
 use easytracker::PortWrapper;
 use mi::protocol::{Command, Response};
-use mi::transport::{Transport, TransportCounters};
+use mi::transport::{FrameRx, FrameTx, TransportCounters};
 use mi::{CommandPort, MiError};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -93,7 +93,7 @@ impl FaultKind {
 /// A transport proxy injecting a deterministic fault plan.
 ///
 /// The plan is a list of `(receive_index, kind)` pairs; receive indices
-/// are 1-based and count calls to [`Transport::recv`]. Each injection
+/// are 1-based and count calls to [`FrameRx::recv`]. Each injection
 /// increments `conformance.fault.injected.<kind>` in the registry.
 pub struct FaultTransport<T> {
     inner: T,
@@ -123,7 +123,7 @@ impl<T> FaultTransport<T> {
     }
 }
 
-impl<T: Transport> FaultTransport<T> {
+impl<T: FrameRx> FaultTransport<T> {
     fn inner_recv(&mut self, deadline: Option<Duration>) -> Result<Vec<u8>, MiError> {
         match deadline {
             None => self.inner.recv(),
@@ -193,7 +193,7 @@ impl<T: Transport> FaultTransport<T> {
     }
 }
 
-impl<T: Transport> Transport for FaultTransport<T> {
+impl<T: FrameTx> FrameTx for FaultTransport<T> {
     fn send(&mut self, frame: &[u8]) -> Result<(), MiError> {
         if self.crashed {
             return Err(MiError::Disconnected);
@@ -201,6 +201,12 @@ impl<T: Transport> Transport for FaultTransport<T> {
         self.inner.send(frame)
     }
 
+    fn framing(&self) -> u64 {
+        self.inner.framing()
+    }
+}
+
+impl<T: FrameRx> FrameRx for FaultTransport<T> {
     fn recv(&mut self) -> Result<Vec<u8>, MiError> {
         self.recv_impl(None)
     }
@@ -209,8 +215,8 @@ impl<T: Transport> Transport for FaultTransport<T> {
         self.recv_impl(Some(deadline))
     }
 
-    fn counters(&self) -> TransportCounters {
-        self.inner.counters()
+    fn wire_bytes(&self) -> u64 {
+        self.inner.wire_bytes()
     }
 }
 

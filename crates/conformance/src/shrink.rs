@@ -546,11 +546,9 @@ fn spawn_minic_engine(
     }))
 }
 
-/// The duplicated-frame reproducer: a bare legacy client silently
-/// desyncs (observable as a pause report answering `GetExitCode`), while
-/// the sequence-numbered envelope client discards the stale frame.
+/// The duplicated-frame reproducer: the sequence-numbered envelope
+/// client discards the stale frame, so the duplicate is invisible.
 fn duplicate_fault_recovery(src: &str) -> Result<(), String> {
-    // Enveloped client: the duplicate must be invisible.
     let reg = obs::Registry::new();
     let (a, b) = duplex();
     let handle = spawn_minic_engine(src, b)?;
@@ -572,28 +570,6 @@ fn duplicate_fault_recovery(src: &str) -> Result<(), String> {
     if reg.snapshot().counter("mi.client.stale_frames") != 1 {
         return Err("stale-frame discard not counted".into());
     }
-
-    // Bare legacy client: the duplicate masquerades as the next answer.
-    let (a, b) = duplex();
-    let handle = spawn_minic_engine(src, b)?;
-    let mut bare = Client::new_bare(FaultTransport::single(
-        a,
-        1,
-        FaultKind::Duplicate,
-        obs::Registry::new(),
-    ));
-    bare.call(Command::Start).map_err(|e| e.to_string())?;
-    match bare.call(Command::GetExitCode) {
-        Ok(Response::Paused(_)) => {}
-        other => {
-            return Err(format!(
-                "bare client desync no longer reproduces (got {other:?}); \
-                 if intentional, retire this corpus entry"
-            ))
-        }
-    }
-    let _ = bare.call(Command::Terminate);
-    handle.join().map_err(|_| "engine thread panicked")?;
     Ok(())
 }
 

@@ -733,7 +733,9 @@ impl MiTracker {
 
     /// Sets hard per-session resource budgets (`None` leaves a resource
     /// unlimited): VM steps and live heap bytes are enforced in-engine,
-    /// wall-clock and command-queue depth by the session host. Exceeding
+    /// wall-clock by the serve core (between fuel slices, for dedicated
+    /// and hosted engines alike), command-queue depth by the session host
+    /// only (a dedicated engine has no queue). Exceeding
     /// any of them surfaces as [`TrackerError::ResourceExhausted`] and
     /// ends the session. Journaled as configuration, so recovery
     /// re-applies the budgets before replaying execution.

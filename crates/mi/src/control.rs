@@ -649,6 +649,12 @@ fn burst<E: Inferior>(engine: &mut E, mut slice: Slice, fuel: Option<u64>) -> Sl
 
 /// Answers a non-control command: the engine-agnostic ones here, the
 /// rest through [`Inferior::own_command`].
+///
+/// Kept out of line: deleting the `Ping` and `Telemetry` arms (now the
+/// serve core's) and leaving inlining to the compiler made hosted
+/// `resume` pauses ~7% slower; out of line that build measured level
+/// (EXPERIMENTS.md, "One serve core").
+#[inline(never)]
 fn serve<E: Inferior>(engine: &mut E, command: Command) -> Response {
     let created = |id| Response::Created { id };
     match command {
@@ -706,24 +712,6 @@ fn serve<E: Inferior>(engine: &mut E, command: Command) -> Response {
             if engine.core().started && mode != obs::ProfileMode::Off =>
         {
             error("profiling must be armed before start")
-        }
-        // The serve loop normally answers Ping and Telemetry itself;
-        // answering here too keeps `handle` total for engines driven
-        // directly.
-        Command::Ping => Response::Pong {
-            now_us: engine
-                .core()
-                .registry
-                .as_ref()
-                .map_or(0, obs::Registry::now_us),
-        },
-        Command::Telemetry { since } => {
-            // No export ring at this layer: metrics only.
-            let frame = match &engine.core().registry {
-                Some(reg) => obs::telemetry::collect_frame(reg, None, since),
-                None => obs::TelemetryFrame::default(),
-            };
-            Response::Telemetry(Box::new(frame))
         }
         Command::Terminate => Response::Ok,
         Command::SetLimits {

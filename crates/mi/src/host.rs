@@ -25,6 +25,13 @@
 //! connection that opened them; a frame addressing another connection's
 //! session is refused.
 //!
+//! What serving one session means lives here once, in the session core
+//! (`read_frame`, `refuse_stale`, `SessionState`): frame decoding,
+//! the seq check, `Ping`/`Telemetry` at the boundary, command counters,
+//! flight records, trace context, fuel slices and the wall budget. The
+//! pool drives it one slice per turn; [`crate::Server::serve`] drives one
+//! session inline on its connection thread, with no run queue in between.
+//!
 //! Failure routing is per-session, never host-fatal: a connection whose
 //! transport dies takes down *its* sessions (each ended like a
 //! [`crate::ServeEnd::PeerClosed`] single-session serve) while every
@@ -34,11 +41,14 @@
 //! tracker's journal replay, and a dead host process is respawned whole,
 //! after which each tracker re-establishes its own session.
 
+use crate::control::error;
 use crate::protocol::{Command, CommandFrame, ResourceKind, Response, ResponseFrame};
-use crate::server::{CommandPort, Engine, SliceOutcome};
-use crate::transport::{FrameRx, FrameTx, StreamFrameRx, StreamFrameTx, TransportCounters};
+use crate::server::{encode, CommandPort, Engine, Envelope, Link, Reply, SliceOutcome};
+use crate::transport::{
+    timeout_error, FrameRx, FrameTx, StreamFrameRx, StreamFrameTx, TransportCounters,
+};
 use crate::MiError;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead as _, BufReader};
 use std::path::PathBuf;
@@ -102,35 +112,229 @@ impl Default for HostConfig {
     }
 }
 
-/// One queued command for a parked or running session.
-struct Job {
-    seq: u64,
-    trace: Option<obs::TraceContext>,
-    cmd: Command,
+// ---------------------------------------------------------------------------
+// The session core: what serving one session means, for both drivers
+// ---------------------------------------------------------------------------
+
+/// One admitted command of a session, queued or about to run.
+pub(crate) struct Job {
+    pub(crate) seq: u64,
+    pub(crate) trace: Option<obs::TraceContext>,
+    pub(crate) cmd: Command,
 }
 
-/// The per-session state a worker takes ownership of while serving.
-struct SessionState {
+/// Everything needed to serve one session's commands, whichever driver
+/// runs it: the pool here (one slice per turn, many sessions per worker)
+/// or [`crate::Server::serve`] (one session, slices run inline on the
+/// connection thread). The drivers only move frames and decide when a
+/// slice runs; what a slice does is decided here.
+pub(crate) struct SessionState {
     engine: Box<dyn Engine + Send>,
-    /// Session-private registry: `mi.server.cmd.*` counters and VM spans
-    /// land here, and *only* this session's `Telemetry` drains read it.
-    registry: obs::Registry,
-    /// Session-private export ring backing event drains. Independent
-    /// rings are what keep `Telemetry{since}` cursors per-session: one
-    /// shared ring would interleave every session's events under one
-    /// index space and bleed reads across drains.
-    export: Arc<obs::ExportSink>,
+    /// `mi.server.cmd.*` counters and VM spans land here, and `Ping` and
+    /// `Telemetry` are answered from it. Hosted sessions own a private
+    /// one; an in-process engine shares its tracker's (or has none).
+    registry: Option<obs::Registry>,
+    /// Export ring backing `Telemetry` event drains, when the registry
+    /// is the session's own. Independent rings are what keep
+    /// `Telemetry{since}` cursors per-session: one shared ring would
+    /// interleave every session's events under one index space.
+    export: Option<Arc<obs::ExportSink>>,
+    /// Served commands and response summaries, for post-mortems.
+    pub(crate) flight: Option<obs::FlightRecorder>,
     /// A control command preempted mid-run: the engine holds the paused
     /// inferior, this holds the reply routing, and the next slice picks
-    /// both up via [`Engine::resume_sliced`]. Living in the state (not
-    /// the slot) means only the worker holding the session can touch it.
+    /// both up via [`Engine::resume_sliced`].
     in_flight: Option<InFlight>,
+    /// The `SetLimits` wall budget, in engine milliseconds (steps and
+    /// heap are the engine's to enforce).
+    max_wall_ms: Option<u64>,
+    /// Engine wall time this session has consumed across all slices.
+    wall_spent: Duration,
 }
 
 /// Reply routing for a command that yielded between slices.
 struct InFlight {
     seq: u64,
     trace: Option<obs::TraceContext>,
+}
+
+impl SessionState {
+    /// A session over `engine`. `export` sizes an export ring attached to
+    /// `registry`, for sessions whose registry the tracker cannot read.
+    pub(crate) fn new(
+        engine: Box<dyn Engine + Send>,
+        registry: Option<obs::Registry>,
+        export: Option<usize>,
+    ) -> Self {
+        let export = registry.as_ref().zip(export).map(|(reg, cap)| {
+            let ring = Arc::new(obs::ExportSink::new(cap));
+            reg.add_sink(ring.clone());
+            ring
+        });
+        SessionState {
+            engine,
+            registry,
+            export,
+            flight: None,
+            in_flight: None,
+            max_wall_ms: None,
+            wall_spent: Duration::ZERO,
+        }
+    }
+
+    pub(crate) fn inc(&self, name: &str) {
+        if let Some(reg) = &self.registry {
+            reg.inc(name);
+        }
+    }
+
+    /// Spends one slice on this session: the command a previous slice
+    /// left unfinished, else `job`. Returns the reply routing and
+    /// response once the command is done; `None` when it yielded (the
+    /// driver runs another slice later) or there was nothing to run.
+    pub(crate) fn slice(&mut self, job: Option<Job>, fuel: u64) -> Option<(u64, Response)> {
+        let started = Instant::now();
+        let done = self.run(job, fuel);
+        self.wall_spent += started.elapsed();
+        done
+    }
+
+    fn run(&mut self, job: Option<Job>, fuel: u64) -> Option<(u64, Response)> {
+        if let Some(limit) = self
+            .max_wall_ms
+            .filter(|ms| self.wall_spent >= Duration::from_millis(*ms))
+        {
+            // The wall budget is spent: whatever comes next — resumed or
+            // fresh — gets the typed verdict instead of more engine time.
+            // Wall exhaustion is terminal like any other budget, so even
+            // a `SetLimits` raising the cap is refused.
+            let seq = self
+                .in_flight
+                .take()
+                .map(|f| f.seq)
+                .or(job.map(|j| j.seq))?;
+            let used = self.wall_spent.as_millis() as u64;
+            return Some((
+                seq,
+                Response::ResourceExhausted {
+                    which: ResourceKind::WallMs,
+                    used,
+                    limit,
+                },
+            ));
+        }
+        let (routing, outcome) = match self.in_flight.take() {
+            Some(f) => {
+                // Transparent resume: the protocol stream never saw the
+                // yield.
+                obs::set_remote_context(f.trace);
+                let out = self.engine.resume_sliced(fuel);
+                obs::set_remote_context(None);
+                (f, out)
+            }
+            None => {
+                let Job { seq, trace, cmd } = job?;
+                (InFlight { seq, trace }, self.start(trace, cmd, fuel))
+            }
+        };
+        match outcome {
+            SliceOutcome::Yielded => {
+                self.in_flight = Some(routing);
+                None
+            }
+            SliceOutcome::Done(resp) => {
+                if let Some(flight) = &self.flight {
+                    flight.record("resp", resp.summary());
+                }
+                Some((routing.seq, resp))
+            }
+        }
+    }
+
+    /// Starts a fresh command: `Ping` and `Telemetry` are answered at the
+    /// boundary, everything else by the engine under the caller's trace
+    /// context.
+    fn start(&mut self, trace: Option<obs::TraceContext>, cmd: Command, fuel: u64) -> SliceOutcome {
+        self.inc(&format!("mi.server.cmd.{}", cmd.kind()));
+        if let Some(flight) = &self.flight {
+            flight.record("cmd", cmd.kind());
+        }
+        if let Some(resp) = at_boundary(&cmd, self.registry.as_ref(), self.export.as_deref()) {
+            return SliceOutcome::Done(resp);
+        }
+        if let Command::SetLimits { max_wall_ms, .. } = cmd {
+            self.max_wall_ms = max_wall_ms;
+        }
+        // Spans the engine opens while handling this command join the
+        // caller's trace.
+        obs::set_remote_context(trace);
+        let out = self.engine.handle_sliced(cmd, fuel);
+        obs::set_remote_context(None);
+        out
+    }
+}
+
+/// Answers the commands the boundary serves itself, never an engine:
+/// `Ping`, so the probe measures the boundary's liveness rather than the
+/// engine's, and `Telemetry`, drained from `registry` and its export
+/// ring. `None` for every other command.
+fn at_boundary(
+    cmd: &Command,
+    registry: Option<&obs::Registry>,
+    export: Option<&obs::ExportSink>,
+) -> Option<Response> {
+    match *cmd {
+        Command::Ping => Some(Response::Pong {
+            now_us: registry.map_or(0, obs::Registry::now_us),
+        }),
+        Command::Telemetry { since } => Some(Response::Telemetry(Box::new(match registry {
+            Some(reg) => obs::telemetry::collect_frame(reg, export, since),
+            // Echo the cursor back unchanged so a registry-less session
+            // never rewinds the client's drain position.
+            None => obs::TelemetryFrame {
+                next_event: since,
+                ..obs::TelemetryFrame::default()
+            },
+        }))),
+        _ => None,
+    }
+}
+
+/// Reads and decodes the next command frame: the one decode site of both
+/// drivers. `Ok(Err(reply))` is a frame that arrived but is unreadable —
+/// framing-level garbage or bytes that are no `CommandFrame` — answered
+/// with this bare error (it has no seq to echo) while the connection
+/// stays up. `Err` ends the connection.
+pub(crate) fn read_frame(
+    rx: &mut (impl FrameRx + ?Sized),
+) -> Result<Result<CommandFrame, Response>, MiError> {
+    let frame = match rx.recv() {
+        Ok(frame) => frame,
+        Err(MiError::Codec(m)) => {
+            return Ok(Err(Response::Error {
+                message: format!("unreadable frame: {m}"),
+            }))
+        }
+        Err(e) => return Err(e),
+    };
+    Ok(
+        serde_json::from_slice::<CommandFrame>(&frame).map_err(|e| Response::Error {
+            message: format!("malformed command: {e}"),
+        }),
+    )
+}
+
+/// Refuses a seq at or below the last one served: a duplicated or
+/// replayed frame. Refusing it (rather than serving it twice) is what
+/// keeps one faulty frame from desynchronizing the rest of the stream:
+/// the client discards this error as stale if its real command already
+/// completed.
+pub(crate) fn refuse_stale(last: Option<u64>, seq: u64, session: Option<u64>) -> Option<Response> {
+    let last = last.filter(|last| seq <= *last)?;
+    let whose = session.map_or(String::new(), |sid| format!(" for session {sid}"));
+    Some(Response::Error {
+        message: format!("stale or duplicate seq {seq}{whose} (last served {last})"),
+    })
 }
 
 /// A session-table slot. `state` is `Some` while parked, `None` while a
@@ -148,12 +352,8 @@ struct SessionSlot {
     /// duplicate/stale frame and is refused with a typed error.
     last_seq: Option<u64>,
     state: Option<Box<SessionState>>,
-    /// Host-enforced budgets set by `SetLimits` (wall clock and queue
-    /// depth; steps and heap are the engine's to enforce).
-    max_wall_ms: Option<u64>,
+    /// The `SetLimits` queue-depth budget, enforced by the reader.
     max_queue_depth: Option<u64>,
-    /// Engine wall time this session has consumed across all slices.
-    wall_spent: Duration,
     /// When a worker started the session's current slice; `None` while
     /// parked or queued. The watchdog reads this.
     running_since: Option<Instant>,
@@ -325,7 +525,7 @@ impl SessionHost {
     /// into the session table until the transport dies or the peer
     /// closes, at which point the connection's sessions end
     /// individually and every other connection keeps being served.
-    pub fn accept<R, T>(&self, rx: R, tx: T) -> ConnHandle
+    pub fn accept<R, T>(&self, mut rx: R, tx: T) -> ConnHandle
     where
         R: FrameRx + 'static,
         T: FrameTx + 'static,
@@ -333,7 +533,6 @@ impl SessionHost {
         let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
         let shared = self.shared.clone();
         let shared_tx: SharedTx = Arc::new(Mutex::new(Box::new(tx)));
-        let mut rx: Box<dyn FrameRx> = Box::new(rx);
         let join = std::thread::Builder::new()
             .name(format!("mi-host-conn-{id}"))
             .spawn(move || conn_reader(&shared, id, &mut rx, &shared_tx))
@@ -370,26 +569,17 @@ impl Drop for SessionHost {
     }
 }
 
-/// Serializes and ships one response frame on a connection. A failed
-/// send means the connection is gone; the caller treats that like a
-/// peer close for whatever session it was serving.
-fn reply(tx: &SharedTx, frame: &ResponseFrame) -> Result<(), MiError> {
-    let bytes = serde_json::to_vec(frame).expect("responses always serialize");
-    tx.lock().expect("connection writer").send(&bytes)
-}
-
-fn typed_error(seq: u64, session: Option<u64>, message: String) -> ResponseFrame {
-    ResponseFrame {
-        seq,
-        resp: Response::Error { message },
-        session,
-    }
+/// Serializes and ships one reply on a connection. A failed send means
+/// the connection is gone; the caller treats that like a peer close for
+/// whatever session it was serving.
+fn reply<T: serde::Serialize>(tx: &SharedTx, frame: &T) -> Result<(), MiError> {
+    tx.lock().expect("connection writer").send(&encode(frame))
 }
 
 /// The typed liveness rejection: the addressed session no longer exists
-/// (or is on its way out). Distinct from [`typed_error`] so the client
-/// can treat it as engine loss — supervision then re-opens the session
-/// and replays its journal — rather than as a command failure.
+/// (or is on its way out). Distinct from an error so the client can
+/// treat it as engine loss — supervision then re-opens the session and
+/// replays its journal — rather than as a command failure.
 fn session_gone(seq: u64, sid: u64) -> ResponseFrame {
     ResponseFrame {
         seq,
@@ -403,17 +593,11 @@ fn session_gone(seq: u64, sid: u64) -> ResponseFrame {
 /// connection's sessions — never the host.
 fn conn_reader(shared: &Arc<HostShared>, conn: u64, rx: &mut dyn FrameRx, tx: &SharedTx) {
     loop {
-        let frame = match rx.recv() {
-            Ok(frame) => frame,
-            Err(MiError::Codec(m)) => {
-                // Framing-level garbage: report on this connection and
-                // keep it alive, like the single-session serve loop.
+        let cf = match read_frame(rx) {
+            Ok(Ok(cf)) => cf,
+            Ok(Err(bare)) => {
                 shared.registry.inc("mi.host.malformed");
-                let resp = Response::Error {
-                    message: format!("unreadable frame: {m}"),
-                };
-                let bytes = serde_json::to_vec(&resp).expect("responses always serialize");
-                if tx.lock().expect("connection writer").send(&bytes).is_err() {
+                if reply(tx, &bare).is_err() {
                     break;
                 }
                 continue;
@@ -421,72 +605,43 @@ fn conn_reader(shared: &Arc<HostShared>, conn: u64, rx: &mut dyn FrameRx, tx: &S
             // Disconnected or anything else: the connection is over.
             Err(_) => break,
         };
-        let cf = match serde_json::from_slice::<CommandFrame>(&frame) {
-            Ok(cf) => cf,
-            Err(e) => {
-                shared.registry.inc("mi.host.malformed");
-                let resp = Response::Error {
-                    message: format!("malformed command: {e}"),
-                };
-                let bytes = serde_json::to_vec(&resp).expect("responses always serialize");
-                if tx.lock().expect("connection writer").send(&bytes).is_err() {
-                    break;
-                }
-                continue;
-            }
-        };
-        let rf = match (cf.session, cf.cmd) {
+        let session = cf.session;
+        let resp = match (session, cf.cmd) {
             (None, Command::OpenSession { file, source, opt }) => {
                 shared.registry.inc("mi.host.cmd.OpenSession");
-                let resp = open_session(shared, conn, tx, &file, &source, opt);
-                ResponseFrame {
-                    seq: cf.seq,
-                    resp,
-                    session: None,
-                }
+                open_session(shared, conn, tx, |registry| {
+                    compile_engine(&file, &source, opt, registry, &shared.shelf)
+                })
             }
             (None, Command::CloseSession { session }) => {
                 shared.registry.inc("mi.host.cmd.CloseSession");
-                let resp = close_session(shared, conn, session);
-                ResponseFrame {
-                    seq: cf.seq,
-                    resp,
-                    session: None,
-                }
+                close_session(shared, conn, session)
             }
             (None, Command::OpenReplay { name }) => {
                 shared.registry.inc("mi.host.cmd.OpenReplay");
-                let resp = open_replay(shared, conn, tx, &name);
-                ResponseFrame {
-                    seq: cf.seq,
-                    resp,
-                    session: None,
-                }
+                // The shared store is cloned, never the recording: every
+                // replay session scrubs the same bytes with its own
+                // cursor, decode caches and registry.
+                open_session(shared, conn, tx, |registry| {
+                    let store = shared
+                        .shelf
+                        .lock()
+                        .expect("trace shelf")
+                        .get(&name)
+                        .cloned();
+                    let store = store.ok_or(format!("no recording published as {name:?}"))?;
+                    let engine = crate::record::ReplayEngine::new(store, registry.clone())
+                        .with_shelf(shared.shelf.clone());
+                    Ok(Box::new(engine))
+                })
             }
-            (None, Command::Ping) => ResponseFrame {
-                seq: cf.seq,
-                resp: Response::Pong {
-                    now_us: shared.registry.now_us(),
-                },
-                session: None,
-            },
-            (None, Command::Telemetry { since }) => ResponseFrame {
-                seq: cf.seq,
-                resp: Response::Telemetry(Box::new(obs::telemetry::collect_frame(
-                    &shared.registry,
-                    None,
-                    since,
-                ))),
-                session: None,
-            },
-            (None, cmd) => {
+            (None, cmd) => at_boundary(&cmd, Some(&shared.registry), None).unwrap_or_else(|| {
                 shared.registry.inc("mi.host.rejected.no_session");
-                typed_error(
-                    cf.seq,
-                    None,
-                    format!("{} requires a session id in the envelope", cmd.kind()),
-                )
-            }
+                error(format!(
+                    "{} requires a session id in the envelope",
+                    cmd.kind()
+                ))
+            }),
             (
                 Some(_),
                 cmd @ (Command::OpenSession { .. }
@@ -494,22 +649,20 @@ fn conn_reader(shared: &Arc<HostShared>, conn: u64, rx: &mut dyn FrameRx, tx: &S
                 | Command::OpenReplay { .. }),
             ) => {
                 shared.registry.inc("mi.host.rejected.control_in_session");
-                typed_error(
-                    cf.seq,
-                    cf.session,
-                    format!(
-                        "{} is a control command; send it with no session id",
-                        cmd.kind()
-                    ),
-                )
+                error(format!(
+                    "{} is a control command; send it with no session id",
+                    cmd.kind()
+                ))
             }
-            (Some(sid), cmd) => {
-                if let Some(rf) = enqueue(shared, conn, sid, cf.seq, cf.trace, cmd) {
-                    rf
-                } else {
-                    continue;
-                }
-            }
+            (Some(sid), cmd) => match enqueue(shared, conn, sid, cf.seq, cf.trace, cmd) {
+                Some(refusal) => refusal,
+                None => continue,
+            },
+        };
+        let rf = ResponseFrame {
+            seq: cf.seq,
+            resp,
+            session,
         };
         if reply(tx, &rf).is_err() {
             break;
@@ -518,109 +671,66 @@ fn conn_reader(shared: &Arc<HostShared>, conn: u64, rx: &mut dyn FrameRx, tx: &S
     end_connection_sessions(shared, conn);
 }
 
-/// Compiles a program shipped in `OpenSession` and registers a fresh
-/// session for it. Compilation runs on the acceptor thread — it is the
-/// once-per-session cost, and keeping it off the worker pool means a
-/// giant program cannot stall other sessions' command service.
-/// The typed admission rejection for opens past `max_sessions`.
-fn overloaded_open(shared: &HostShared, open: usize, cap: usize) -> Response {
-    shared.registry.inc("mi.host.rejected_overloaded");
-    Response::Overloaded {
-        load: open as u64,
-        limit: cap as u64,
+/// Compiles a program shipped in `OpenSession` into a recording-capable
+/// engine reporting into `registry`; the extension picks the engine.
+fn compile_engine(
+    file: &str,
+    source: &str,
+    opt: u8,
+    registry: &obs::Registry,
+    shelf: &crate::record::TraceShelf,
+) -> Result<Box<dyn Engine + Send>, String> {
+    let shelf = Some(shelf.clone());
+    if file.ends_with(".s") || file.ends_with(".asm") {
+        let program = miniasm::asm::assemble(file, source).map_err(|e| e.to_string())?;
+        let mut e = crate::asm_engine::AsmEngine::new(&program);
+        e.set_registry(registry.clone());
+        return Ok(Box::new(crate::record::RecordingEngine::with_shelf(
+            e, shelf,
+        )));
     }
+    let program = minic::compile(file, source).map_err(|e| e.to_string())?;
+    let mut e = crate::minic_engine::MinicEngine::with_opt(&program, opt)?;
+    e.set_registry(registry.clone());
+    Ok(Box::new(crate::record::RecordingEngine::with_shelf(
+        e, shelf,
+    )))
 }
 
+/// Opens a session over the engine `build` makes, for `OpenSession` and
+/// `OpenReplay` alike. Admission control is checked before building —
+/// a full host sheds load at the cheapest possible point — and again
+/// under the table lock, since `max_sessions` is a hard cap and
+/// concurrent opens race past the first check. Building runs on the
+/// acceptor thread: it is the once-per-session cost, and keeping it off
+/// the worker pool means a giant program cannot stall other sessions'
+/// command service.
 fn open_session(
     shared: &Arc<HostShared>,
     conn: u64,
     tx: &SharedTx,
-    file: &str,
-    source: &str,
-    opt: u8,
+    build: impl FnOnce(&obs::Registry) -> Result<Box<dyn Engine + Send>, String>,
 ) -> Response {
-    // Admission control, checked before compiling so a full host sheds
-    // load at the cheapest possible point.
-    if let Some(cap) = shared.config.max_sessions {
-        let open = shared.sessions.lock().expect("session table").len();
-        if open >= cap {
-            return overloaded_open(shared, open, cap);
-        }
+    let overloaded = |open: usize| {
+        let cap = shared.config.max_sessions.filter(|cap| open >= *cap)?;
+        shared.registry.inc("mi.host.rejected_overloaded");
+        Some(Response::Overloaded {
+            load: open as u64,
+            limit: cap as u64,
+        })
+    };
+    if let Some(refusal) = overloaded(shared.sessions.lock().expect("session table").len()) {
+        return refusal;
     }
     let registry = obs::Registry::new();
-    let shelf = Some(shared.shelf.clone());
-    let engine: Box<dyn Engine + Send> = if file.ends_with(".s") || file.ends_with(".asm") {
-        match miniasm::asm::assemble(file, source) {
-            Ok(p) => {
-                let mut e = crate::asm_engine::AsmEngine::new(&p);
-                e.set_registry(registry.clone());
-                Box::new(crate::record::RecordingEngine::with_shelf(e, shelf))
-            }
-            Err(e) => {
-                return Response::Error {
-                    message: e.to_string(),
-                }
-            }
-        }
-    } else {
-        match minic::compile(file, source)
-            .map_err(|e| e.to_string())
-            .and_then(|p| crate::minic_engine::MinicEngine::with_opt(&p, opt))
-        {
-            Ok(mut e) => {
-                e.set_registry(registry.clone());
-                Box::new(crate::record::RecordingEngine::with_shelf(e, shelf))
-            }
-            Err(message) => return Response::Error { message },
-        }
+    let engine = match build(&registry) {
+        Ok(engine) => engine,
+        Err(message) => return Response::Error { message },
     };
-    register_session(shared, conn, tx, engine, registry)
-}
-
-/// Opens a replay session over a recording on the host's trace shelf.
-/// The shared `Arc<trace::Store>` is cloned, never the recording itself:
-/// every replay session scrubs the same bytes with its own cursor,
-/// decode caches, and registry.
-fn open_replay(shared: &Arc<HostShared>, conn: u64, tx: &SharedTx, name: &str) -> Response {
-    if let Some(cap) = shared.config.max_sessions {
-        let open = shared.sessions.lock().expect("session table").len();
-        if open >= cap {
-            return overloaded_open(shared, open, cap);
-        }
-    }
-    let store = match shared.shelf.lock().expect("trace shelf").get(name) {
-        Some(store) => store.clone(),
-        None => {
-            return Response::Error {
-                message: format!("no recording published as {name:?}"),
-            }
-        }
-    };
-    let registry = obs::Registry::new();
-    let engine =
-        crate::record::ReplayEngine::new(store, registry.clone()).with_shelf(shared.shelf.clone());
-    register_session(shared, conn, tx, Box::new(engine), registry)
-}
-
-/// Registers a compiled engine in the session table — the tail shared by
-/// `OpenSession` and `OpenReplay`.
-fn register_session(
-    shared: &Arc<HostShared>,
-    conn: u64,
-    tx: &SharedTx,
-    engine: Box<dyn Engine + Send>,
-    registry: obs::Registry,
-) -> Response {
-    let export = Arc::new(obs::ExportSink::new(1024));
-    registry.add_sink(export.clone());
     let sid = shared.next_session.fetch_add(1, Ordering::Relaxed);
     let mut table = shared.sessions.lock().expect("session table");
-    // Re-check under the lock: concurrent opens race past the early
-    // check, and `max_sessions` is a hard cap.
-    if let Some(cap) = shared.config.max_sessions {
-        if table.len() >= cap {
-            return overloaded_open(shared, table.len(), cap);
-        }
+    if let Some(refusal) = overloaded(table.len()) {
+        return refusal;
     }
     table.insert(
         sid,
@@ -631,15 +741,12 @@ fn register_session(
             running: false,
             closed: None,
             last_seq: None,
-            state: Some(Box::new(SessionState {
+            state: Some(Box::new(SessionState::new(
                 engine,
-                registry,
-                export,
-                in_flight: None,
-            })),
-            max_wall_ms: None,
+                Some(registry),
+                Some(1024),
+            ))),
             max_queue_depth: None,
-            wall_spent: Duration::ZERO,
             running_since: None,
             watchdog_flagged: false,
         },
@@ -657,14 +764,10 @@ fn register_session(
 fn close_session(shared: &Arc<HostShared>, conn: u64, sid: u64) -> Response {
     let mut table = shared.sessions.lock().expect("session table");
     match table.get_mut(&sid) {
-        None => Response::Error {
-            message: format!("unknown session {sid}"),
-        },
+        None => error(format!("unknown session {sid}")),
         Some(slot) if slot.conn != conn => {
             shared.registry.inc("mi.host.rejected.foreign_session");
-            Response::Error {
-                message: format!("session {sid} belongs to another connection"),
-            }
+            error(format!("session {sid} belongs to another connection"))
         }
         Some(slot) => {
             if slot.running {
@@ -689,7 +792,7 @@ fn finish_session(shared: &HostShared, table: &HashMap<u64, SessionSlot>, how: &
 }
 
 /// Validates and queues one session command; wakes a worker when the
-/// session is parked. Returns a typed-error frame to ship when the
+/// session is parked. Returns the typed refusal to ship when the
 /// envelope is rejected.
 fn enqueue(
     shared: &Arc<HostShared>,
@@ -698,89 +801,59 @@ fn enqueue(
     seq: u64,
     trace: Option<obs::TraceContext>,
     cmd: Command,
-) -> Option<ResponseFrame> {
+) -> Option<Response> {
     let mut table = shared.sessions.lock().expect("session table");
-    match table.get_mut(&sid) {
-        None => {
-            shared.registry.inc("mi.host.rejected.unknown_session");
-            Some(session_gone(seq, sid))
-        }
+    let slot = match table.get_mut(&sid) {
         Some(slot) if slot.conn != conn => {
             // Session ids are never guessable into someone else's
             // stream: isolation between connections is structural.
             shared.registry.inc("mi.host.rejected.foreign_session");
-            Some(typed_error(
-                seq,
-                Some(sid),
-                format!("session {sid} belongs to another connection"),
-            ))
+            return Some(error(format!(
+                "session {sid} belongs to another connection"
+            )));
         }
-        Some(slot) if slot.closed.is_some() => {
+        Some(slot) if slot.closed.is_none() => slot,
+        _ => {
             shared.registry.inc("mi.host.rejected.unknown_session");
-            Some(session_gone(seq, sid))
+            return Some(Response::SessionGone { session: sid });
         }
-        Some(slot) => {
-            if slot.last_seq.is_some_and(|last| seq <= last) {
-                // A duplicated or replayed frame. Refusing it (rather
-                // than serving it twice) is what keeps one faulty frame
-                // from desynchronizing the rest of the stream: the
-                // client discards this error as stale if its real
-                // command already completed.
-                shared.registry.inc("mi.host.rejected.stale_seq");
-                return Some(typed_error(
-                    seq,
-                    Some(sid),
-                    format!(
-                        "stale or duplicate seq {seq} for session {sid} (last served {})",
-                        slot.last_seq.unwrap_or(0)
-                    ),
-                ));
-            }
-            // Backpressure, per-session depth first: a rejected frame
-            // is not accepted, so it does not advance `last_seq` — the
-            // client retries with a fresh seq after backing off.
-            let depth = slot.queue.len() as u64;
-            let depth_limit = slot
-                .max_queue_depth
-                .unwrap_or(shared.config.default_queue_depth);
-            if depth >= depth_limit {
-                shared.registry.inc("mi.host.rejected_queue_full");
-                return Some(ResponseFrame {
-                    seq,
-                    resp: Response::QueueFull {
-                        depth,
-                        limit: depth_limit,
-                    },
-                    session: Some(sid),
-                });
-            }
-            // Then the global high-water mark: when too many sessions
-            // are already runnable, shed load instead of queueing into
-            // latency collapse.
-            if let Some(hw) = shared.config.queue_high_water {
-                let load = shared.run_queue.len();
-                if load >= hw {
-                    shared.registry.inc("mi.host.rejected_overloaded");
-                    return Some(ResponseFrame {
-                        seq,
-                        resp: Response::Overloaded {
-                            load: load as u64,
-                            limit: hw as u64,
-                        },
-                        session: Some(sid),
-                    });
-                }
-            }
-            slot.last_seq = Some(seq);
-            slot.queue.push_back(Job { seq, trace, cmd });
-            if !slot.running && slot.state.is_some() {
-                slot.running = true;
-                shared.run_queue.push(Work::Run(sid));
-                shared.queue_depth_gauge();
-            }
-            None
+    };
+    if let Some(refusal) = refuse_stale(slot.last_seq, seq, Some(sid)) {
+        shared.registry.inc("mi.host.rejected.stale_seq");
+        return Some(refusal);
+    }
+    // Backpressure, per-session depth first: a rejected frame is not
+    // accepted, so it does not advance `last_seq` — the client retries
+    // with a fresh seq after backing off.
+    let depth = slot.queue.len() as u64;
+    let limit = slot
+        .max_queue_depth
+        .unwrap_or(shared.config.default_queue_depth);
+    if depth >= limit {
+        shared.registry.inc("mi.host.rejected_queue_full");
+        return Some(Response::QueueFull { depth, limit });
+    }
+    // Then the global high-water mark: when too many sessions are
+    // already runnable, shed load instead of queueing into latency
+    // collapse.
+    if let Some(hw) = shared.config.queue_high_water {
+        let load = shared.run_queue.len();
+        if load >= hw {
+            shared.registry.inc("mi.host.rejected_overloaded");
+            return Some(Response::Overloaded {
+                load: load as u64,
+                limit: hw as u64,
+            });
         }
     }
+    slot.last_seq = Some(seq);
+    slot.queue.push_back(Job { seq, trace, cmd });
+    if !slot.running && slot.state.is_some() {
+        slot.running = true;
+        shared.run_queue.push(Work::Run(sid));
+        shared.queue_depth_gauge();
+    }
+    None
 }
 
 /// Ends every session owned by a dead connection — the multi-session
@@ -806,37 +879,6 @@ fn end_connection_sessions(shared: &Arc<HostShared>, conn: u64) {
     }
 }
 
-/// Executes one command against a session's engine under a fuel bound,
-/// mirroring the single-session serve loop: `Ping` and `Telemetry`
-/// answered at the boundary from the *session's* registry and export
-/// ring, everything else handed to the engine under the caller's trace
-/// context. `fuel: None` means unsliced (run to the next pause).
-fn serve_one(
-    state: &mut SessionState,
-    trace: Option<obs::TraceContext>,
-    cmd: Command,
-    fuel: Option<u64>,
-) -> SliceOutcome {
-    state.registry.inc(&format!("mi.server.cmd.{}", cmd.kind()));
-    match cmd {
-        Command::Ping => SliceOutcome::Done(Response::Pong {
-            now_us: state.registry.now_us(),
-        }),
-        Command::Telemetry { since } => SliceOutcome::Done(Response::Telemetry(Box::new(
-            obs::telemetry::collect_frame(&state.registry, Some(&state.export), since),
-        ))),
-        cmd => {
-            obs::set_remote_context(trace);
-            let out = match fuel {
-                Some(fuel) => state.engine.handle_sliced(cmd, fuel),
-                None => SliceOutcome::Done(state.engine.handle(cmd)),
-            };
-            obs::set_remote_context(None);
-            out
-        }
-    }
-}
-
 /// A worker: pop a runnable session, serve one bounded slice, repeat.
 fn worker_loop(shared: &Arc<HostShared>) {
     loop {
@@ -857,7 +899,7 @@ fn worker_loop(shared: &Arc<HostShared>) {
 fn serve_slice(shared: &Arc<HostShared>, sid: u64) {
     // Take ownership of the state and pick this turn's unit of work: a
     // preempted command beats the queue (FIFO within the session).
-    let (mut state, tx, job, wall) = {
+    let (mut state, tx, job) = {
         let mut table = shared.sessions.lock().expect("session table");
         let Some(slot) = table.get_mut(&sid) else {
             return;
@@ -866,110 +908,56 @@ fn serve_slice(shared: &Arc<HostShared>, sid: u64) {
             slot.running = false;
             return;
         };
-        let job = if state.in_flight.is_some() {
-            None
-        } else {
-            slot.queue.pop_front()
-        };
-        if job.is_none() && state.in_flight.is_none() {
+        let busy = state.in_flight.is_some();
+        let job = if busy { None } else { slot.queue.pop_front() };
+        if job.is_none() && !busy {
             // Woken with nothing to do (e.g. the session was closed and
             // its queue swept between enqueue and here): park again.
             slot.state = Some(state);
             slot.running = false;
             return;
         }
+        if let Some(Job {
+            cmd: Command::SetLimits {
+                max_queue_depth, ..
+            },
+            ..
+        }) = &job
+        {
+            // The queue budget is the reader's to enforce, so it lives on
+            // the slot; the rest of the command rides into the session.
+            slot.max_queue_depth = *max_queue_depth;
+        }
         slot.running_since = Some(Instant::now());
         slot.watchdog_flagged = false;
-        let wall = slot.max_wall_ms.map(|ms| (ms, slot.wall_spent));
-        (state, slot.tx.clone(), job, slot_wall(wall))
+        (state, slot.tx.clone(), job)
     };
-    let fuel = shared.config.slice_steps;
-    let mut ended: Option<&'static str> = None;
-    let slice_started = Instant::now();
-
-    // Run the unit: (reply routing, outcome), or nothing to answer.
-    let served: Option<(InFlight, SliceOutcome)> = if let Some((limit_ms, spent)) = wall {
-        // The wall budget is already spent: whatever comes next —
-        // resumed or fresh — gets the typed verdict instead of more
-        // engine time. Wall exhaustion is terminal like any other
-        // budget, so even a `SetLimits` raising the cap is refused.
-        let inflight = state.in_flight.take().or(job.map(|j| InFlight {
-            seq: j.seq,
-            trace: j.trace,
-        }));
-        inflight.map(|f| {
-            (
-                f,
-                SliceOutcome::Done(Response::ResourceExhausted {
-                    which: ResourceKind::WallMs,
-                    used: spent.as_millis() as u64,
-                    limit: limit_ms,
-                }),
-            )
-        })
-    } else if let Some(inflight) = state.in_flight.take() {
-        // Transparent resume: the protocol stream never saw the yield.
-        obs::set_remote_context(inflight.trace);
-        let out = state.engine.resume_sliced(fuel.unwrap_or(u64::MAX));
-        obs::set_remote_context(None);
-        Some((inflight, out))
-    } else if let Some(Job { seq, trace, cmd }) = job {
-        if matches!(cmd, Command::Terminate) {
-            ended = Some("terminated");
-        }
-        if let Command::SetLimits {
-            max_wall_ms,
-            max_queue_depth,
-            ..
-        } = &cmd
-        {
-            // Wall and queue budgets are host-enforced: they live on
-            // the slot, visible to `enqueue` and to later slices. Step
-            // and heap budgets ride the same command into the engine.
-            let mut table = shared.sessions.lock().expect("session table");
-            if let Some(slot) = table.get_mut(&sid) {
-                slot.max_wall_ms = *max_wall_ms;
-                slot.max_queue_depth = *max_queue_depth;
-            }
-        }
-        Some((
-            InFlight { seq, trace },
-            serve_one(&mut state, trace, cmd, fuel),
-        ))
-    } else {
-        None
-    };
-    let elapsed = slice_started.elapsed();
-
-    let reply_frame = match served {
-        None => None,
-        Some((inflight, SliceOutcome::Yielded)) => {
-            // Out of fuel mid-command: remember the routing and go to
-            // the back of the line. Nothing is shipped — the client is
-            // still waiting on this seq and cannot tell a sliced run
-            // from an unsliced one.
-            shared.registry.inc("mi.host.preemptions");
-            state.in_flight = Some(inflight);
-            None
-        }
-        Some((inflight, SliceOutcome::Done(resp))) => {
+    let mut ended = job
+        .as_ref()
+        .is_some_and(|j| j.cmd == Command::Terminate)
+        .then_some("terminated");
+    // No slice fuel configured: run to the next pause, unpreempted.
+    match state.slice(job, shared.config.slice_steps.unwrap_or(u64::MAX)) {
+        // Out of fuel mid-command: go to the back of the line. Nothing
+        // is shipped — the client is still waiting on this seq and
+        // cannot tell a sliced run from an unsliced one.
+        None => shared.registry.inc("mi.host.preemptions"),
+        Some((seq, resp)) => {
             if matches!(resp, Response::ResourceExhausted { .. }) {
                 shared.registry.inc("mi.host.budget_exhausted");
                 ended = Some("budget_exhausted");
             }
-            Some(ResponseFrame {
-                seq: inflight.seq,
+            let rf = ResponseFrame {
+                seq,
                 resp,
                 session: Some(sid),
-            })
-        }
-    };
-    if let Some(rf) = &reply_frame {
-        if reply(&tx, rf).is_err() {
-            // This connection is gone; its reader will sweep the
-            // sibling sessions. Ending just this one here keeps the
-            // blast radius at exactly one connection.
-            ended = Some("peer_closed");
+            };
+            if reply(&tx, &rf).is_err() {
+                // This connection is gone; its reader will sweep the
+                // sibling sessions. Ending just this one here keeps the
+                // blast radius at exactly one connection.
+                ended = Some("peer_closed");
+            }
         }
     }
 
@@ -979,7 +967,6 @@ fn serve_slice(shared: &Arc<HostShared>, sid: u64) {
         return;
     };
     slot.running_since = None;
-    slot.wall_spent += elapsed;
     if let Some(how) = ended.or(slot.closed) {
         // The preempted command (if any) and everything still queued
         // get a typed refusal instead of silence. Bookkeeping first,
@@ -1008,11 +995,6 @@ fn serve_slice(shared: &Arc<HostShared>, sid: u64) {
         slot.state = Some(state);
         slot.running = false;
     }
-}
-
-/// Collapses the wall budget to `Some` only when already exceeded.
-fn slot_wall(wall: Option<(u64, Duration)>) -> Option<(u64, Duration)> {
-    wall.filter(|(limit_ms, spent)| *spent >= Duration::from_millis(*limit_ms))
 }
 
 /// The watchdog: periodically scans for sessions that have been on a
@@ -1060,25 +1042,62 @@ struct ChildInfo {
     stderr_tail: Arc<Mutex<String>>,
 }
 
+/// A reply as the demux reader hands it on: its size on the wire, and
+/// the frame.
+type Routed = (u64, ResponseFrame);
+
 /// One live connection to a host (in-process or a child process).
 struct Conn {
-    writer: SharedTx,
-    routes: Arc<Mutex<HashMap<u64, Sender<ResponseFrame>>>>,
-    control_rx: Receiver<ResponseFrame>,
+    /// The control plane's link: session-less replies arrive here.
+    control: HostLink,
+    routes: Arc<Mutex<HashMap<u64, Sender<Routed>>>>,
     dead: Arc<AtomicBool>,
     child: Option<ChildInfo>,
+}
+
+impl Conn {
+    /// A link over this connection that reads replies from `mailbox`.
+    fn link(&self, mailbox: Receiver<Routed>) -> HostLink {
+        HostLink {
+            writer: self.control.writer.clone(),
+            mailbox,
+        }
+    }
+}
+
+/// The [`Link`] of a stream multiplexed over a host connection: frames
+/// go out through the shared writer, replies arrive in a mailbox the
+/// demux reader fills.
+struct HostLink {
+    writer: SharedTx,
+    mailbox: Receiver<Routed>,
+}
+
+impl Link for HostLink {
+    fn ship(&mut self, frame: &[u8]) -> Result<u64, MiError> {
+        let mut tx = self.writer.lock().expect("host writer");
+        tx.send(frame)?;
+        Ok(frame.len() as u64 + tx.framing())
+    }
+
+    fn next_reply(&mut self, deadline: Option<Duration>) -> (u64, Result<Reply, MiError>) {
+        let routed = match deadline {
+            None => self.mailbox.recv().map_err(|_| MiError::Disconnected),
+            Some(d) => self.mailbox.recv_timeout(d).map_err(timeout_error),
+        };
+        match routed {
+            Ok((wire, rf)) => (wire, Ok((Some(rf.seq), rf.resp))),
+            Err(e) => (0, Err(e)),
+        }
+    }
 }
 
 struct ControlState {
     conn: Option<Conn>,
     spawn: Option<HostSpawnSpec>,
-    had_conn: bool,
     respawns: u64,
-    next_ctl_seq: u64,
-}
-
-struct HostHandleInner {
-    control: Mutex<ControlState>,
+    /// The control plane's own stream: session-less frames.
+    envelope: Envelope,
 }
 
 /// Client-side handle to a session host, shared by every tracker using
@@ -1092,12 +1111,12 @@ struct HostHandleInner {
 /// whole-process half of the PR 3 recovery matrix.
 #[derive(Clone)]
 pub struct HostHandle {
-    inner: Arc<HostHandleInner>,
+    control: Arc<Mutex<ControlState>>,
 }
 
 impl std::fmt::Debug for HostHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ctl = self.inner.control.lock().expect("host control");
+        let ctl = self.control.lock().expect("host control");
         f.debug_struct("HostHandle")
             .field("connected", &ctl.conn.is_some())
             .field("respawns", &ctl.respawns)
@@ -1109,8 +1128,7 @@ impl std::fmt::Debug for HostHandle {
 /// demux reader routing response frames by session id, a shared writer,
 /// and a control mailbox for session-less replies.
 fn make_conn(tx: Box<dyn FrameTx>, mut rx: Box<dyn FrameRx>, child: Option<ChildInfo>) -> Conn {
-    let routes: Arc<Mutex<HashMap<u64, Sender<ResponseFrame>>>> =
-        Arc::new(Mutex::new(HashMap::new()));
+    let routes: Arc<Mutex<HashMap<u64, Sender<Routed>>>> = Arc::new(Mutex::new(HashMap::new()));
     let (control_tx, control_rx) = unbounded();
     let dead = Arc::new(AtomicBool::new(false));
     let reader_routes = routes.clone();
@@ -1119,6 +1137,7 @@ fn make_conn(tx: Box<dyn FrameTx>, mut rx: Box<dyn FrameRx>, child: Option<Child
         .name("mi-host-demux".into())
         .spawn(move || {
             loop {
+                let before = rx.wire_bytes();
                 let frame = match rx.recv() {
                     Ok(f) => f,
                     Err(MiError::Codec(_)) => continue,
@@ -1127,13 +1146,14 @@ fn make_conn(tx: Box<dyn FrameTx>, mut rx: Box<dyn FrameRx>, child: Option<Child
                 let Ok(rf) = serde_json::from_slice::<ResponseFrame>(&frame) else {
                     continue;
                 };
-                match rf.session {
+                let routed = (rx.wire_bytes().saturating_sub(before), rf);
+                match routed.1.session {
                     None => {
-                        let _ = control_tx.send(rf);
+                        let _ = control_tx.send(routed);
                     }
                     Some(sid) => {
                         if let Some(mailbox) = reader_routes.lock().expect("routes").get(&sid) {
-                            let _ = mailbox.send(rf);
+                            let _ = mailbox.send(routed);
                         }
                     }
                 }
@@ -1146,9 +1166,11 @@ fn make_conn(tx: Box<dyn FrameTx>, mut rx: Box<dyn FrameRx>, child: Option<Child
         })
         .expect("spawn host demux reader");
     Conn {
-        writer: Arc::new(Mutex::new(tx)),
+        control: HostLink {
+            writer: Arc::new(Mutex::new(tx)),
+            mailbox: control_rx,
+        },
         routes,
-        control_rx,
         dead,
         child,
     }
@@ -1214,17 +1236,7 @@ impl HostHandle {
             workers,
         };
         let conn = spawn_host_child(&spec)?;
-        Ok(HostHandle {
-            inner: Arc::new(HostHandleInner {
-                control: Mutex::new(ControlState {
-                    conn: Some(conn),
-                    spawn: Some(spec),
-                    had_conn: true,
-                    respawns: 0,
-                    next_ctl_seq: 0,
-                }),
-            }),
-        })
+        Ok(Self::over(conn, Some(spec)))
     }
 
     /// Connects to an in-process [`SessionHost`] over a channel pair.
@@ -1235,29 +1247,29 @@ impl HostHandle {
         let (btx, brx) = b.split();
         let _conn = host.accept(brx, btx);
         let (atx, arx) = a.split();
-        let conn = make_conn(Box::new(atx), Box::new(arx), None);
+        Self::over(make_conn(Box::new(atx), Box::new(arx), None), None)
+    }
+
+    fn over(conn: Conn, spawn: Option<HostSpawnSpec>) -> Self {
         HostHandle {
-            inner: Arc::new(HostHandleInner {
-                control: Mutex::new(ControlState {
-                    conn: Some(conn),
-                    spawn: None,
-                    had_conn: true,
-                    respawns: 0,
-                    next_ctl_seq: 0,
-                }),
-            }),
+            control: Arc::new(Mutex::new(ControlState {
+                conn: Some(conn),
+                spawn,
+                respawns: 0,
+                envelope: Envelope::new(None),
+            })),
         }
     }
 
     /// The host child's pid, when this handle owns a process.
     pub fn host_pid(&self) -> Option<u32> {
-        let ctl = self.inner.control.lock().expect("host control");
+        let ctl = self.control.lock().expect("host control");
         ctl.conn.as_ref()?.child.as_ref().map(|c| c.pid)
     }
 
     /// How many times the host child was respawned after dying.
     pub fn respawns(&self) -> u64 {
-        self.inner.control.lock().expect("host control").respawns
+        self.control.lock().expect("host control").respawns
     }
 
     /// When the host *process* is confirmed dead, its exit code and
@@ -1265,7 +1277,7 @@ impl HostHandle {
     /// [`MiError::EngineDied`]. `None` for in-process hosts or while
     /// the child still runs.
     pub fn engine_died(&self) -> Option<(Option<i32>, String)> {
-        let ctl = self.inner.control.lock().expect("host control");
+        let ctl = self.control.lock().expect("host control");
         let child = ctl.conn.as_ref()?.child.as_ref()?;
         let status = child.child.lock().expect("host child").try_wait().ok()??;
         let stderr = child.stderr_tail.lock().expect("stderr tail").clone();
@@ -1274,7 +1286,7 @@ impl HostHandle {
 
     /// Ensures a live connection, respawning the host child if this
     /// handle owns one and the previous child died.
-    fn ensure_conn<'c>(&self, ctl: &'c mut ControlState) -> Result<&'c Conn, MiError> {
+    fn ensure_conn(ctl: &mut ControlState) -> Result<(), MiError> {
         let live = ctl
             .conn
             .as_ref()
@@ -1292,59 +1304,21 @@ impl HostHandle {
                     let _ = child.wait();
                 }
             }
-            let conn = spawn_host_child(spec)?;
-            if ctl.had_conn {
-                ctl.respawns += 1;
-            }
-            ctl.had_conn = true;
-            ctl.conn = Some(conn);
+            ctl.conn = Some(spawn_host_child(spec)?);
+            ctl.respawns += 1;
         }
-        Ok(ctl.conn.as_ref().expect("conn just ensured"))
+        Ok(())
     }
 
     /// One control-plane roundtrip (no session id on the envelope).
     fn control_call(
-        &self,
         ctl: &mut ControlState,
         cmd: Command,
         deadline: Option<Duration>,
     ) -> Result<Response, MiError> {
-        let seq = ctl.next_ctl_seq;
-        ctl.next_ctl_seq += 1;
-        let conn = self.ensure_conn(ctl)?;
-        let bytes = serde_json::to_vec(&CommandFrame {
-            seq,
-            cmd,
-            trace: None,
-            session: None,
-        })
-        .map_err(|e| MiError::Codec(e.to_string()))?;
-        conn.writer.lock().expect("host writer").send(&bytes)?;
-        let start = Instant::now();
-        loop {
-            let rf = match deadline {
-                None => conn.control_rx.recv().map_err(|_| MiError::Disconnected)?,
-                Some(d) => {
-                    let remaining = d.checked_sub(start.elapsed()).ok_or(MiError::Timeout)?;
-                    conn.control_rx
-                        .recv_timeout(remaining)
-                        .map_err(|e| match e {
-                            RecvTimeoutError::Timeout => MiError::Timeout,
-                            RecvTimeoutError::Disconnected => MiError::Disconnected,
-                        })?
-                }
-            };
-            match rf.seq.cmp(&seq) {
-                std::cmp::Ordering::Equal => return Ok(rf.resp),
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Greater => {
-                    return Err(MiError::Codec(format!(
-                        "control response seq {} is ahead of the call in flight ({seq})",
-                        rf.seq
-                    )))
-                }
-            }
-        }
+        Self::ensure_conn(ctl)?;
+        let conn = ctl.conn.as_mut().expect("conn just ensured");
+        ctl.envelope.call(&mut conn.control, cmd, deadline)
     }
 
     /// Opens a session for `source` (named `file`; the extension picks
@@ -1418,11 +1392,11 @@ impl HostHandle {
         make_cmd: impl Fn() -> Command,
         deadline: Option<Duration>,
     ) -> Result<SessionHandle, MiError> {
-        let mut ctl = self.inner.control.lock().expect("host control");
+        let mut ctl = self.control.lock().expect("host control");
         let mut attempt = 0;
         let mut overload_attempts = 0u32;
         loop {
-            let result = self.control_call(&mut ctl, make_cmd(), deadline);
+            let result = Self::control_call(&mut ctl, make_cmd(), deadline);
             match result {
                 Ok(Response::SessionOpened { session }) => {
                     let conn = ctl.conn.as_ref().expect("live conn after open");
@@ -1430,12 +1404,9 @@ impl HostHandle {
                     conn.routes.lock().expect("routes").insert(session, mail_tx);
                     return Ok(SessionHandle {
                         host: self.clone(),
-                        writer: conn.writer.clone(),
-                        mailbox: mail_rx,
+                        link: conn.link(mail_rx),
                         session,
-                        next_seq: 0,
-                        registry: None,
-                        counters: TransportCounters::default(),
+                        envelope: Envelope::new(Some(session)),
                     });
                 }
                 Ok(Response::Error { message }) => return Err(MiError::Engine(message)),
@@ -1474,7 +1445,7 @@ impl HostHandle {
     /// Closes a session (best effort, bounded): drops its client-side
     /// route and tells the host to free the slot.
     pub fn close_session(&self, session: u64) {
-        let mut ctl = self.inner.control.lock().expect("host control");
+        let mut ctl = self.control.lock().expect("host control");
         if let Some(conn) = &ctl.conn {
             conn.routes.lock().expect("routes").remove(&session);
         }
@@ -1483,7 +1454,7 @@ impl HostHandle {
             .as_ref()
             .is_some_and(|c| !c.dead.load(Ordering::SeqCst))
         {
-            let _ = self.control_call(
+            let _ = Self::control_call(
                 &mut ctl,
                 Command::CloseSession { session },
                 Some(Duration::from_secs(2)),
@@ -1497,12 +1468,9 @@ impl HostHandle {
 /// hosted session with exactly the code it uses for a dedicated child.
 pub struct SessionHandle {
     host: HostHandle,
-    writer: SharedTx,
-    mailbox: Receiver<ResponseFrame>,
+    link: HostLink,
     session: u64,
-    next_seq: u64,
-    registry: Option<obs::Registry>,
-    counters: TransportCounters,
+    envelope: Envelope,
 }
 
 impl SessionHandle {
@@ -1517,10 +1485,10 @@ impl SessionHandle {
     }
 
     /// Reports roundtrips into `registry` like
-    /// [`crate::Client::with_registry`]: per-kind latency histograms
-    /// plus trace contexts stamped onto outgoing frames.
+    /// [`crate::Client::with_registry`]: per-kind latency histograms,
+    /// traffic gauges, plus trace contexts stamped onto outgoing frames.
     pub fn set_registry(&mut self, registry: obs::Registry) {
-        self.registry = Some(registry);
+        self.envelope.registry = Some(registry);
     }
 }
 
@@ -1528,7 +1496,7 @@ impl std::fmt::Debug for SessionHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionHandle")
             .field("session", &self.session)
-            .field("next_seq", &self.next_seq)
+            .field("envelope", &self.envelope)
             .finish()
     }
 }
@@ -1543,84 +1511,68 @@ impl CommandPort for SessionHandle {
         command: Command,
         deadline: Option<Duration>,
     ) -> Result<Response, MiError> {
-        let span = self
-            .registry
-            .as_ref()
-            .map(|reg| reg.span(format!("mi.client.roundtrip.{}", command.kind())));
-        let trace = span.as_ref().map(obs::Span::context);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let bytes = serde_json::to_vec(&CommandFrame {
-            seq,
-            cmd: command,
-            trace,
-            session: Some(self.session),
-        })
-        .map_err(|e| MiError::Codec(e.to_string()))?;
-        self.writer.lock().expect("host writer").send(&bytes)?;
-        self.counters.bytes_sent += bytes.len() as u64 + 1;
-        self.counters.frames_sent += 1;
-        let start = Instant::now();
-        loop {
-            let rf = match deadline {
-                None => self.mailbox.recv().map_err(|_| MiError::Disconnected)?,
-                Some(d) => {
-                    let remaining = d.checked_sub(start.elapsed()).ok_or(MiError::Timeout)?;
-                    self.mailbox.recv_timeout(remaining).map_err(|e| match e {
-                        RecvTimeoutError::Timeout => MiError::Timeout,
-                        RecvTimeoutError::Disconnected => MiError::Disconnected,
-                    })?
-                }
-            };
-            self.counters.frames_received += 1;
-            match rf.seq.cmp(&seq) {
-                std::cmp::Ordering::Equal => {
-                    // The host swept this session (terminated, closed, or
-                    // its connection died): that is engine loss from the
-                    // tracker's point of view, so report it the way a
-                    // dead dedicated child would report — supervision
-                    // then re-opens the session and replays the journal.
-                    if matches!(rf.resp, Response::SessionGone { .. }) {
-                        if let Some(reg) = &self.registry {
-                            reg.inc("mi.client.session_gone");
-                        }
-                        return Err(MiError::Disconnected);
-                    }
-                    return Ok(rf.resp);
-                }
-                std::cmp::Ordering::Less => {
-                    // Stale reply to an earlier command (its deadline
-                    // expired, or a duplicate was refused): discard,
-                    // exactly like Client's envelope handling.
-                    if let Some(reg) = &self.registry {
-                        reg.inc("mi.client.stale_frames");
-                    }
-                    continue;
-                }
-                std::cmp::Ordering::Greater => {
-                    return Err(MiError::Codec(format!(
-                        "response seq {} is ahead of the command in flight ({seq})",
-                        rf.seq
-                    )))
-                }
-            }
-        }
+        self.envelope.call(&mut self.link, command, deadline)
     }
 
     fn counters(&self) -> TransportCounters {
-        self.counters
+        self.envelope.counters
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{duplex, ChannelTransport, Transport as _};
+    use crate::transport::{duplex, ChannelTransport};
 
     const PROG: &str = "int main() { int x = 1; x = x + 1; return x; }";
 
     fn call(h: &mut SessionHandle, cmd: Command) -> Response {
         h.call(cmd).expect("session call")
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn host_links_count_their_own_replies_on_a_stream_wire() {
+        use std::io::Write as _;
+        use std::os::unix::net::UnixStream;
+        // The client side of a host connection over a newline stream; the
+        // host's side is played by hand.
+        let (client_end, mut host_end) = UnixStream::pair().unwrap();
+        let conn = make_conn(
+            Box::new(StreamFrameTx::new(client_end.try_clone().unwrap())),
+            Box::new(StreamFrameRx::new(client_end)),
+            None,
+        );
+        let (mail_tx, mail_rx) = unbounded();
+        conn.routes.lock().unwrap().insert(7, mail_tx);
+        let mut link = conn.link(mail_rx);
+        let mut envelope = Envelope::new(Some(7));
+        // A line naming no session — no stream's traffic — then the
+        // session's reply, CRLF-terminated.
+        let reply = encode(&ResponseFrame {
+            seq: 0,
+            resp: Response::Ok,
+            session: Some(7),
+        });
+        let mut wire = b"garbage\n".to_vec();
+        wire.extend_from_slice(&reply);
+        wire.extend_from_slice(b"\r\n");
+        host_end.write_all(&wire).unwrap();
+        let deadline = Some(Duration::from_secs(5));
+        assert_eq!(
+            envelope.call(&mut link, Command::GetOutput, deadline),
+            Ok(Response::Ok)
+        );
+        let sent = encode(&CommandFrame {
+            seq: 0,
+            cmd: Command::GetOutput,
+            trace: None,
+            session: Some(7),
+        });
+        let c = envelope.counters;
+        assert_eq!((c.frames_sent, c.frames_received), (1, 1));
+        assert_eq!(c.bytes_sent, sent.len() as u64 + 1);
+        assert_eq!(c.bytes_received, reply.len() as u64 + 2);
     }
 
     #[test]

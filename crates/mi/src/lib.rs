@@ -9,8 +9,10 @@
 //! * [`transport`] — framed byte transports; [`transport::duplex`] builds
 //!   the in-process analogue of the OS pipe (bytes really are serialized,
 //!   framed, sent, and parsed on the other side);
-//! * [`server`] — [`server::Server`] pumps commands into an [`Engine`],
-//!   [`server::Client`] is the tracker-side stub;
+//! * [`server`] — [`server::Server`] serves one engine on its connection
+//!   thread, [`server::Client`] is the tracker-side stub;
+//! * [`host`] — the session core both servers share, and the
+//!   multi-session [`SessionHost`] that drives it from a worker pool;
 //! * [`minic_engine`] — wraps the MiniC VM: breakpoints (line and
 //!   function-with-`maxdepth`), function tracking with pause-before-return,
 //!   watchpoints driven by store events, step/next/finish;

@@ -385,9 +385,9 @@ impl Command {
 /// numbers are what make the boundary robust against frame-level faults:
 /// after a duplicated frame or a response lost mid-command, the client
 /// can tell stale responses from the one it is waiting for and discard
-/// them instead of silently desynchronizing. Servers keep accepting bare
-/// [`Command`] frames from older peers and then answer with bare
-/// [`Response`] frames.
+/// them instead of silently desynchronizing; the server refuses a seq it
+/// already served. Bytes that do not decode as a `CommandFrame` have no
+/// seq to echo, so they are answered with a bare [`Response::Error`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CommandFrame {
     /// Client-assigned sequence number, strictly increasing per session.
@@ -402,8 +402,8 @@ pub struct CommandFrame {
     /// decode as `None`.
     pub trace: Option<obs::TraceContext>,
     /// Session this frame addresses when talking to a
-    /// [`crate::host::SessionHost`]. `None` is the single-session wire
-    /// form unchanged from PR 2 (and the host's control plane:
+    /// [`crate::host::SessionHost`]. `None` addresses a single-session
+    /// server's one session (and the host's control plane:
     /// `OpenSession`/`CloseSession`/`Ping`/`Telemetry` ride with no
     /// session); older frames without the field decode as `None`.
     pub session: Option<u64>,
@@ -633,7 +633,7 @@ mod tests {
         let back: CommandFrame = serde_json::from_str(&json).unwrap();
         assert_eq!(cf, back);
         // An envelope never decodes as a bare command, and vice versa, so
-        // the server can accept both wire forms unambiguously.
+        // neither side can mistake one form for the other.
         assert!(serde_json::from_str::<Command>(&json).is_err());
         let bare = serde_json::to_string(&Command::Step).unwrap();
         assert!(serde_json::from_str::<CommandFrame>(&bare).is_err());

@@ -1,9 +1,9 @@
 //! The MI server (engine side) and client (tracker side).
 
+use crate::host::{read_frame, refuse_stale, Job, SessionState, DEFAULT_SLICE_STEPS};
 use crate::protocol::{Command, CommandFrame, Response, ResponseFrame};
-use crate::transport::{Transport, TransportCounters};
+use crate::transport::{FrameRx, FrameTx, TransportCounters};
 use crate::MiError;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a serve loop ended *normally*. Abnormal ends (the transport
@@ -29,10 +29,10 @@ pub enum SliceOutcome {
     /// command would have produced.
     Done(Response),
     /// The fuel ran out mid-command. Nothing is reported to the peer:
-    /// the caller owns the yield (the session host re-queues the session
-    /// and later calls [`Engine::resume_sliced`]). The inferior's state
-    /// is exactly as if execution had merely progressed — a yield is
-    /// never observable through the protocol.
+    /// the caller owns the yield (it later calls
+    /// [`Engine::resume_sliced`]). The inferior's state is exactly as if
+    /// execution had merely progressed — a yield is never observable
+    /// through the protocol.
     Yielded,
 }
 
@@ -47,8 +47,8 @@ pub trait Engine {
     /// [`SliceOutcome::Yielded`] and are continued by
     /// [`Engine::resume_sliced`]; non-control commands always complete.
     /// The default ignores the fuel and completes the command — engines
-    /// that cannot slice (test doubles, single-session servers) stay
-    /// correct, they just cannot be preempted.
+    /// that cannot slice (test doubles) stay correct, they just cannot be
+    /// preempted.
     fn handle_sliced(&mut self, command: Command, fuel: u64) -> SliceOutcome {
         let _ = fuel;
         SliceOutcome::Done(self.handle(command))
@@ -65,57 +65,61 @@ pub trait Engine {
     }
 }
 
-/// Pumps commands from a transport into an engine until `Terminate`.
-pub struct Server<E, T> {
-    engine: E,
+/// Serves one session on the calling thread: the single-session driver
+/// of the session core the [`crate::SessionHost`] pool also drives.
+///
+/// The core decodes frames, refuses stale or duplicate sequence numbers,
+/// answers `Ping` and `Telemetry` at the boundary, counts and records
+/// every command and enforces the `SetLimits` wall budget. This loop only
+/// reads a frame, runs its command to completion inline — in slices of
+/// [`DEFAULT_SLICE_STEPS`], like a default host, so the budget is checked
+/// between them — and ships the reply. There is no run queue and no
+/// thread hop.
+pub struct Server<T> {
     transport: T,
-    registry: Option<obs::Registry>,
-    /// Export ring answering `Command::Telemetry` event drains. Only
-    /// attached by [`Server::with_telemetry`]: when client and server
-    /// share one in-process registry there is nothing to drain, and an
-    /// export ring would duplicate every event into the drain.
-    export: Option<Arc<obs::ExportSink>>,
-    flight: Option<obs::FlightRecorder>,
+    session: SessionState,
+    /// Highest sequence number served; lower or equal is refused.
+    last_seq: Option<u64>,
 }
 
-impl<E: Engine, T: Transport> Server<E, T> {
+impl<T: FrameTx + FrameRx> Server<T> {
     /// Creates a server from an engine and its transport endpoint.
-    pub fn new(engine: E, transport: T) -> Self {
-        Server {
-            engine,
-            transport,
-            registry: None,
-            export: None,
-            flight: None,
-        }
+    pub fn new(engine: impl Engine + Send + 'static, transport: T) -> Self {
+        Self::with_session(SessionState::new(Box::new(engine), None, None), transport)
     }
 
     /// Like [`Server::new`], but every served command bumps a
     /// `mi.server.cmd.<kind>` counter in `registry` (and undecodable
     /// frames bump `mi.server.cmd.Malformed`).
-    pub fn with_registry(engine: E, transport: T, registry: obs::Registry) -> Self {
-        Server {
-            engine,
-            transport,
-            registry: Some(registry),
-            export: None,
-            flight: None,
-        }
+    pub fn with_registry(
+        engine: impl Engine + Send + 'static,
+        transport: T,
+        registry: obs::Registry,
+    ) -> Self {
+        let session = SessionState::new(Box::new(engine), Some(registry), None);
+        Self::with_session(session, transport)
     }
 
     /// Like [`Server::with_registry`], but also attaches an export ring
     /// to the registry so `Command::Telemetry` can drain trace events
     /// (not just metrics) back over the wire. Used by the out-of-process
-    /// `mi-server`, whose registry the tracker cannot see directly.
-    pub fn with_telemetry(engine: E, transport: T, registry: obs::Registry) -> Self {
-        let export = Arc::new(obs::ExportSink::new(4096));
-        registry.add_sink(export.clone());
+    /// `mi-server`, whose registry the tracker cannot see directly. When
+    /// client and server share one in-process registry there is nothing
+    /// to drain, and a ring would duplicate every event into the drain.
+    pub fn with_telemetry(
+        engine: impl Engine + Send + 'static,
+        transport: T,
+        registry: obs::Registry,
+    ) -> Self {
+        let session = SessionState::new(Box::new(engine), Some(registry), Some(4096));
+        Self::with_session(session, transport)
+    }
+
+    fn with_session(session: SessionState, transport: T) -> Self {
         Server {
-            engine,
             transport,
-            registry: Some(registry),
-            export: Some(export),
-            flight: None,
+            session,
+            last_seq: None,
         }
     }
 
@@ -123,20 +127,18 @@ impl<E: Engine, T: Transport> Server<E, T> {
     /// and response summary lands in its bounded ring, so a post-mortem
     /// of a dead engine can name what it was doing last.
     pub fn set_flight_recorder(&mut self, flight: obs::FlightRecorder) {
-        self.flight = Some(flight);
+        self.session.flight = Some(flight);
     }
 
     /// Serves until `Terminate` arrives or the peer disconnects.
     ///
-    /// The loop accepts both wire forms: sequence-numbered
-    /// [`CommandFrame`]s (answered with a [`ResponseFrame`] echoing the
-    /// `seq`) and bare [`Command`]s from older peers (answered bare).
-    /// Malformed frames — undecodable commands as well as transport-level
-    /// codec failures like a corrupted length prefix — are answered with
-    /// a bare [`Response::Error`] and the server keeps serving.
-    /// [`Command::Ping`] is answered [`Response::Pong`] by the loop
-    /// itself, without involving the engine, so the probe measures the
-    /// boundary's liveness rather than the engine's.
+    /// Every command travels in a sequence-numbered [`CommandFrame`] and
+    /// is answered with a [`ResponseFrame`] echoing its `seq`; a seq at or
+    /// below the last one served is refused with a typed error instead of
+    /// running twice. Malformed frames — undecodable commands as well as
+    /// transport-level codec failures like a corrupted length prefix —
+    /// are answered with a bare [`Response::Error`] and the server keeps
+    /// serving.
     ///
     /// # Errors
     ///
@@ -147,177 +149,240 @@ impl<E: Engine, T: Transport> Server<E, T> {
     /// a nonzero exit with a stderr diagnostic.
     pub fn serve(&mut self) -> Result<ServeEnd, MiError> {
         loop {
-            let frame = match self.transport.recv() {
-                Ok(frame) => frame,
-                Err(MiError::Codec(m)) => {
-                    // Framing-level garbage: the bytes never reached the
-                    // command decoder. Report and keep the session alive;
-                    // if even the report cannot be sent, the boundary is
-                    // gone and the caller must know.
-                    self.count_malformed();
-                    let resp = Response::Error {
-                        message: format!("unreadable frame: {m}"),
-                    };
-                    if let Some(end) = self.reply_bare(&resp)? {
-                        return Ok(end);
-                    }
-                    continue;
+            let (reply, stop) = match read_frame(&mut self.transport) {
+                Ok(Ok(frame)) => self.answer(frame),
+                Ok(Err(bare)) => {
+                    self.session.inc("mi.server.cmd.Malformed");
+                    (encode(&bare), false)
                 }
                 Err(MiError::Disconnected) => return Ok(ServeEnd::PeerClosed),
                 Err(e) => return Err(e),
             };
-            let (seq, trace, decoded) = match serde_json::from_slice::<CommandFrame>(&frame) {
-                Ok(cf) => (Some(cf.seq), cf.trace, Ok(cf.cmd)),
-                Err(_) => (
-                    None,
-                    None,
-                    serde_json::from_slice::<Command>(&frame).map_err(|e| e.to_string()),
-                ),
-            };
-            match decoded {
-                Ok(cmd) => {
-                    if let Some(reg) = &self.registry {
-                        reg.inc(&format!("mi.server.cmd.{}", cmd.kind()));
-                    }
-                    if let Some(flight) = &self.flight {
-                        flight.record("cmd", cmd.kind());
-                    }
-                    let stop = cmd == Command::Terminate;
-                    let resp = match cmd {
-                        Command::Ping => Response::Pong {
-                            now_us: self.registry.as_ref().map_or(0, obs::Registry::now_us),
-                        },
-                        Command::Telemetry { since } => self.drain_telemetry(since),
-                        cmd => {
-                            // Spans the engine opens while handling this
-                            // command join the caller's trace.
-                            obs::set_remote_context(trace);
-                            let resp = self.engine.handle(cmd);
-                            obs::set_remote_context(None);
-                            resp
-                        }
-                    };
-                    if let Some(flight) = &self.flight {
-                        flight.record("resp", resp.summary());
-                    }
-                    let bytes = match seq {
-                        Some(seq) => serde_json::to_vec(&ResponseFrame {
-                            seq,
-                            resp,
-                            session: None,
-                        }),
-                        None => serde_json::to_vec(&resp),
-                    }
-                    .expect("responses always serialize");
-                    if stop {
-                        // The peer may already be gone when Terminate was
-                        // a best-effort farewell; that is still a normal
-                        // end.
-                        let _ = self.transport.send(&bytes);
-                        return Ok(ServeEnd::Terminated);
-                    }
-                    if let Some(end) = self.ship(&bytes)? {
-                        return Ok(end);
-                    }
-                }
-                Err(e) => {
-                    self.count_malformed();
-                    let resp = Response::Error {
-                        message: format!("malformed command: {e}"),
-                    };
-                    if let Some(end) = self.reply_bare(&resp)? {
-                        return Ok(end);
-                    }
-                }
+            match self.transport.send(&reply) {
+                // The peer may already be gone when Terminate was a
+                // best-effort farewell; that is still a normal end.
+                _ if stop => return Ok(ServeEnd::Terminated),
+                Ok(()) => {}
+                Err(MiError::Disconnected) => return Ok(ServeEnd::PeerClosed),
+                Err(e) => return Err(e),
             }
         }
     }
 
-    /// Answers a telemetry drain from the server's own registry; a
-    /// registry-less server answers an empty frame rather than erroring,
-    /// so tracing stays strictly optional.
-    fn drain_telemetry(&self, since: u64) -> Response {
-        let frame = match &self.registry {
-            Some(reg) => obs::telemetry::collect_frame(reg, self.export.as_deref(), since),
-            // Echo the cursor back unchanged so a registry-less server
-            // never rewinds the client's drain position.
-            None => obs::TelemetryFrame {
-                next_event: since,
-                ..obs::TelemetryFrame::default()
-            },
+    /// Answers one frame, running its command to completion inline;
+    /// returns the encoded reply and whether it ends the session.
+    fn answer(&mut self, frame: CommandFrame) -> (Vec<u8>, bool) {
+        let CommandFrame {
+            seq, cmd, trace, ..
+        } = frame;
+        let refusal = refuse_stale(self.last_seq, seq, None);
+        let stop = refusal.is_none() && cmd == Command::Terminate;
+        let resp = refusal.unwrap_or_else(|| {
+            self.last_seq = Some(seq);
+            let mut job = Some(Job { seq, trace, cmd });
+            loop {
+                if let Some((_, resp)) = self.session.slice(job.take(), DEFAULT_SLICE_STEPS) {
+                    break resp;
+                }
+            }
+        });
+        let reply = ResponseFrame {
+            seq,
+            resp,
+            session: None,
         };
-        Response::Telemetry(Box::new(frame))
+        (encode(&reply), stop)
+    }
+}
+
+pub(crate) fn encode<T: serde::Serialize>(reply: &T) -> Vec<u8> {
+    serde_json::to_vec(reply).expect("responses always serialize")
+}
+
+/// Where a client [`Envelope`] ships its frames and waits for replies.
+pub(crate) trait Link {
+    /// Ships one encoded command frame; returns its size on the wire.
+    fn ship(&mut self, frame: &[u8]) -> Result<u64, MiError>;
+
+    /// The next reply, waiting at most `deadline`: the bytes its read took
+    /// off the wire (also when the reply then fails framing or decoding;
+    /// 0 when nothing arrived), and the reply's seq (`None` for a bare
+    /// reply the peer could not attribute to a command) and response.
+    fn next_reply(&mut self, deadline: Option<Duration>) -> (u64, Result<Reply, MiError>);
+}
+
+/// A reply's seq, if it carries one, and its response.
+pub(crate) type Reply = (Option<u64>, Response);
+
+impl<T: FrameTx + FrameRx> Link for T {
+    fn ship(&mut self, frame: &[u8]) -> Result<u64, MiError> {
+        self.send(frame)?;
+        Ok(frame.len() as u64 + self.framing())
     }
 
-    fn count_malformed(&self) {
-        if let Some(reg) = &self.registry {
-            reg.inc("mi.server.cmd.Malformed");
+    fn next_reply(&mut self, deadline: Option<Duration>) -> (u64, Result<Reply, MiError>) {
+        let before = self.wire_bytes();
+        let frame = match deadline {
+            None => self.recv(),
+            Some(d) => self.recv_deadline(d),
+        };
+        let wire = self.wire_bytes().saturating_sub(before);
+        let reply = frame.and_then(
+            |frame| match serde_json::from_slice::<ResponseFrame>(&frame) {
+                Ok(rf) => Ok((Some(rf.seq), rf.resp)),
+                // The server reporting a frame it could not decode, and so
+                // could not attribute to a sequence number.
+                Err(_) => serde_json::from_slice::<Response>(&frame)
+                    .map(|resp| (None, resp))
+                    .map_err(|e| MiError::Codec(e.to_string())),
+            },
+        );
+        (wire, reply)
+    }
+}
+
+/// The tracker side of one sequence-numbered command stream, shared by
+/// [`Client`] and [`crate::SessionHandle`]: it allocates sequence numbers,
+/// stamps trace contexts, discards stale replies, enforces deadlines,
+/// maps a host's `SessionGone` to [`MiError::Disconnected`], and keeps
+/// the stream's traffic counters and `mi.client.*` metrics.
+#[derive(Debug, Default)]
+pub(crate) struct Envelope {
+    session: Option<u64>,
+    next_seq: u64,
+    pub(crate) registry: Option<obs::Registry>,
+    pub(crate) counters: TransportCounters,
+}
+
+impl Envelope {
+    /// An envelope addressing `session` (`None`: a single-session server,
+    /// or a host's control plane).
+    pub(crate) fn new(session: Option<u64>) -> Self {
+        Envelope {
+            session,
+            ..Envelope::default()
         }
     }
 
-    fn reply_bare(&mut self, resp: &Response) -> Result<Option<ServeEnd>, MiError> {
-        let bytes = serde_json::to_vec(resp).expect("responses always serialize");
-        self.ship(&bytes)
+    /// Sends `command` over `link` and waits for its reply.
+    ///
+    /// Replies whose `seq` is older than the command in flight are
+    /// duplicated or stale frames left over from a fault or an expired
+    /// deadline: they are discarded, so one faulty frame never silently
+    /// desynchronizes the stream. The deadline covers the whole roundtrip,
+    /// discarded frames included. After any error the stream stays usable:
+    /// the next call allocates a fresh seq and skips the late reply.
+    pub(crate) fn call(
+        &mut self,
+        link: &mut impl Link,
+        command: Command,
+        deadline: Option<Duration>,
+    ) -> Result<Response, MiError> {
+        let span = self
+            .registry
+            .as_ref()
+            .map(|reg| reg.span(format!("mi.client.roundtrip.{}", command.kind())));
+        // Stamp the roundtrip span's context onto the frame: engine-side
+        // spans caused by this command become its (remote) children.
+        let trace = span.as_ref().map(obs::Span::context);
+        let resp = self.roundtrip(link, command, trace, deadline);
+        drop(span);
+        if let Some(reg) = &self.registry {
+            let c = self.counters;
+            reg.set_gauge("mi.client.bytes_sent", c.bytes_sent);
+            reg.set_gauge("mi.client.bytes_received", c.bytes_received);
+            reg.set_gauge("mi.client.frames_sent", c.frames_sent);
+            reg.set_gauge("mi.client.frames_received", c.frames_received);
+        }
+        let resp = resp?;
+        if let Response::SessionGone { .. } = resp {
+            // The host swept this session (terminated, closed, or its
+            // connection died): engine loss, reported the way a dead
+            // dedicated child reports it, so supervision re-opens the
+            // session and replays its journal.
+            if let Some(reg) = &self.registry {
+                reg.inc("mi.client.session_gone");
+            }
+            return Err(MiError::Disconnected);
+        }
+        Ok(resp)
     }
 
-    /// Sends a reply; a peer that hung up while we were answering is a
-    /// normal session end, any other send failure is abnormal.
-    fn ship(&mut self, bytes: &[u8]) -> Result<Option<ServeEnd>, MiError> {
-        match self.transport.send(bytes) {
-            Ok(()) => Ok(None),
-            Err(MiError::Disconnected) => Ok(Some(ServeEnd::PeerClosed)),
-            Err(e) => Err(e),
+    /// Ships `command` and waits for its reply, counting every frame
+    /// that crosses the wire, whatever the outcome.
+    fn roundtrip(
+        &mut self,
+        link: &mut impl Link,
+        command: Command,
+        trace: Option<obs::TraceContext>,
+        deadline: Option<Duration>,
+    ) -> Result<Response, MiError> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let bytes = serde_json::to_vec(&CommandFrame {
+            seq,
+            cmd: command,
+            trace,
+            session: self.session,
+        })
+        .map_err(|e| MiError::Codec(e.to_string()))?;
+        self.counters.bytes_sent += link.ship(&bytes)?;
+        self.counters.frames_sent += 1;
+        let start = Instant::now();
+        loop {
+            let remaining = match deadline {
+                None => None,
+                Some(d) => Some(d.checked_sub(start.elapsed()).ok_or(MiError::Timeout)?),
+            };
+            let (wire, reply) = link.next_reply(remaining);
+            if wire > 0 {
+                self.counters.bytes_received += wire;
+                self.counters.frames_received += 1;
+            }
+            let (reply_seq, resp) = reply?;
+            match reply_seq.map(|s| s.cmp(&seq)) {
+                None | Some(std::cmp::Ordering::Equal) => return Ok(resp),
+                Some(std::cmp::Ordering::Less) => {
+                    if let Some(reg) = &self.registry {
+                        reg.inc("mi.client.stale_frames");
+                    }
+                }
+                Some(std::cmp::Ordering::Greater) => {
+                    return Err(MiError::Codec(format!(
+                        "response seq {} is ahead of the command in flight ({seq})",
+                        reply_seq.unwrap_or(seq)
+                    )))
+                }
+            }
         }
     }
 }
 
-/// Tracker-side stub: sends a command, waits for the response.
-///
-/// Commands are wrapped in sequence-numbered [`CommandFrame`]s. While
-/// waiting for a response the client discards [`ResponseFrame`]s whose
-/// `seq` is older than the command in flight — those are duplicated or
-/// stale frames left over from a transport fault — so one faulty frame
-/// never silently desynchronizes the whole session. Bare [`Response`]
-/// frames (from servers predating the envelope) are accepted as-is.
+/// Tracker-side stub: sends a command, waits for the response, through
+/// the sequence-numbered envelope over any framed transport.
 #[derive(Debug)]
 pub struct Client<T> {
     transport: T,
-    registry: Option<obs::Registry>,
-    next_seq: u64,
-    envelope: bool,
+    envelope: Envelope,
 }
 
-impl<T: Transport> Client<T> {
+impl<T: FrameTx + FrameRx> Client<T> {
     /// Creates a client over a transport endpoint.
     pub fn new(transport: T) -> Self {
         Client {
             transport,
-            registry: None,
-            next_seq: 0,
-            envelope: true,
+            envelope: Envelope::new(None),
         }
     }
 
     /// Like [`Client::new`], but every roundtrip is timed into a
-    /// `mi.client.roundtrip.<kind>` histogram and the transport's byte
-    /// counters are mirrored into `mi.client.bytes_{sent,received}`
+    /// `mi.client.roundtrip.<kind>` histogram and the stream's traffic
+    /// counters are mirrored into `mi.client.{bytes,frames}_{sent,received}`
     /// gauges in `registry`. Discarded stale frames bump
     /// `mi.client.stale_frames`.
     pub fn with_registry(transport: T, registry: obs::Registry) -> Self {
         let mut c = Client::new(transport);
-        c.registry = Some(registry);
-        c
-    }
-
-    /// Creates a client speaking the legacy bare-frame wire form (no
-    /// sequence numbers). Only useful against pre-envelope servers — a
-    /// bare client cannot tell a duplicated response frame from the one
-    /// it is waiting for, which is exactly the silent-desync failure the
-    /// envelope exists to prevent. The conformance suite keeps this mode
-    /// alive to demonstrate that failure.
-    pub fn new_bare(transport: T) -> Self {
-        let mut c = Client::new(transport);
-        c.envelope = false;
+        c.envelope.registry = Some(registry);
         c
     }
 
@@ -336,11 +401,10 @@ impl<T: Transport> Client<T> {
     /// Like [`Client::call`], but gives up with [`MiError::Timeout`] once
     /// `deadline` has elapsed without the matching response arriving.
     ///
-    /// The deadline covers the whole roundtrip, including any stale
-    /// frames discarded along the way. On timeout nothing is torn down:
-    /// the command may still reach the engine and its late response will
-    /// be discarded as stale by the next call, so retrying an idempotent
-    /// command after a timeout is safe.
+    /// On timeout nothing is torn down: the command may still reach the
+    /// engine and its late response will be discarded as stale by the
+    /// next call, so retrying an idempotent command after a timeout is
+    /// safe.
     ///
     /// # Errors
     ///
@@ -351,86 +415,25 @@ impl<T: Transport> Client<T> {
         command: Command,
         deadline: Option<Duration>,
     ) -> Result<Response, MiError> {
-        let span = self
-            .registry
-            .as_ref()
-            .map(|reg| reg.span(format!("mi.client.roundtrip.{}", command.kind())));
-        // Stamp the roundtrip span's context onto the frame: engine-side
-        // spans caused by this command become its (remote) children.
-        let trace = span.as_ref().map(obs::Span::context);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let bytes = if self.envelope {
-            serde_json::to_vec(&CommandFrame {
-                seq,
-                cmd: command,
-                trace,
-                session: None,
-            })
-        } else {
-            serde_json::to_vec(&command)
-        }
-        .map_err(|e| MiError::Codec(e.to_string()))?;
-        self.transport.send(&bytes)?;
-        let start = Instant::now();
-        let resp = loop {
-            let frame = match deadline {
-                None => self.transport.recv()?,
-                Some(d) => {
-                    let remaining = d.checked_sub(start.elapsed()).ok_or(MiError::Timeout)?;
-                    self.transport.recv_deadline(remaining)?
-                }
-            };
-            if self.envelope {
-                if let Ok(rf) = serde_json::from_slice::<ResponseFrame>(&frame) {
-                    match rf.seq.cmp(&seq) {
-                        std::cmp::Ordering::Equal => break rf.resp,
-                        std::cmp::Ordering::Less => {
-                            // Duplicate or stale frame from an earlier
-                            // command (possibly one whose reply we never
-                            // saw because of a fault): drop it and keep
-                            // waiting for ours.
-                            if let Some(reg) = &self.registry {
-                                reg.inc("mi.client.stale_frames");
-                            }
-                            continue;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            return Err(MiError::Codec(format!(
-                                "response seq {} is ahead of the command in flight ({seq})",
-                                rf.seq
-                            )));
-                        }
-                    }
-                }
-            }
-            // Bare response: a legacy server, or this server reporting a
-            // frame it could not attribute to a sequence number.
-            break serde_json::from_slice::<Response>(&frame)
-                .map_err(|e| MiError::Codec(e.to_string()))?;
-        };
-        drop(span);
-        if let Some(reg) = &self.registry {
-            let c = self.transport.counters();
-            reg.set_gauge("mi.client.bytes_sent", c.bytes_sent);
-            reg.set_gauge("mi.client.bytes_received", c.bytes_received);
-            reg.set_gauge("mi.client.frames_sent", c.frames_sent);
-            reg.set_gauge("mi.client.frames_received", c.frames_received);
-        }
-        Ok(resp)
+        self.envelope.call(&mut self.transport, command, deadline)
     }
 
-    /// Access to the underlying transport (byte counters for benches).
+    /// Traffic this client has shipped and received, framing included.
+    pub fn counters(&self) -> TransportCounters {
+        self.envelope.counters
+    }
+
+    /// Access to the underlying transport.
     pub fn transport(&self) -> &T {
         &self.transport
     }
 }
 
 /// An object-safe handle to "somewhere commands can be sent": any
-/// [`Client`], over any [`Transport`]. Trackers hold one of these so the
-/// same tracker code drives an engine thread over in-process channels, a
-/// fault-injection proxy, or an `mi-server` child process over real
-/// pipes.
+/// [`Client`], over any transport, or a hosted session. Trackers hold one
+/// of these so the same tracker code drives an engine thread over
+/// in-process channels, a fault-injection proxy, or an `mi-server` child
+/// process over real pipes.
 pub trait CommandPort: Send {
     /// Sends one command and blocks for its response.
     ///
@@ -460,7 +463,7 @@ pub trait CommandPort: Send {
     fn counters(&self) -> TransportCounters;
 }
 
-impl<T: Transport + Send> CommandPort for Client<T> {
+impl<T: FrameTx + FrameRx> CommandPort for Client<T> {
     fn call(&mut self, command: Command) -> Result<Response, MiError> {
         Client::call(self, command)
     }
@@ -474,7 +477,7 @@ impl<T: Transport + Send> CommandPort for Client<T> {
     }
 
     fn counters(&self) -> TransportCounters {
-        self.transport.counters()
+        Client::counters(self)
     }
 }
 
@@ -514,6 +517,91 @@ mod tests {
                 },
             }
         }
+    }
+
+    #[test]
+    fn the_envelope_counts_wire_bytes_framing_included() {
+        let (a, b) = duplex();
+        let handle = std::thread::spawn(move || Server::new(Echo, b).serve());
+        let mut client = Client::new(a);
+        client.call(Command::GetOutput).unwrap();
+        let sent = encode(&CommandFrame {
+            seq: 0,
+            cmd: Command::GetOutput,
+            trace: None,
+            session: None,
+        });
+        let received = encode(&ResponseFrame {
+            seq: 0,
+            resp: Response::Output("echo".into()),
+            session: None,
+        });
+        // The channel wire puts a 4-byte length prefix on every frame.
+        let c = client.counters();
+        assert_eq!((c.frames_sent, c.frames_received), (1, 1));
+        assert_eq!(c.bytes_sent, sent.len() as u64 + 4);
+        assert_eq!(c.bytes_received, received.len() as u64 + 4);
+        client.call(Command::Terminate).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    /// Drives a client whose peer wrote `reply` CRLF-terminated, then an
+    /// unreadable line, then half a frame: every byte that crossed the
+    /// wire counts, the `\r` and the failed frames included.
+    fn stream_envelope_counts<T: FrameTx + FrameRx>(mut client: Client<T>, reply: &[u8]) {
+        let sent = |seq| {
+            let frame = CommandFrame {
+                seq,
+                cmd: Command::GetOutput,
+                trace: None,
+                session: None,
+            };
+            encode(&frame).len() as u64 + 1
+        };
+        let echo = Response::Output("echo".into());
+        assert_eq!(client.call(Command::GetOutput).unwrap(), echo);
+        let c = client.counters();
+        assert_eq!((c.frames_sent, c.frames_received), (1, 1));
+        assert_eq!(c.bytes_sent, sent(0));
+        assert_eq!(c.bytes_received, reply.len() as u64 + 2);
+        // An unreadable reply is still received traffic.
+        assert!(matches!(
+            client.call(Command::GetOutput),
+            Err(MiError::Codec(_))
+        ));
+        let c = client.counters();
+        assert_eq!(c.frames_received, 2);
+        assert_eq!(c.bytes_received, reply.len() as u64 + 2 + 9);
+        // So is a frame the stream cut short.
+        assert!(matches!(
+            client.call(Command::GetOutput),
+            Err(MiError::Codec(_))
+        ));
+        let c = client.counters();
+        assert_eq!(c.frames_received, 3);
+        assert_eq!(c.bytes_received, reply.len() as u64 + 2 + 9 + 5);
+        // A disconnect adds nothing received.
+        assert_eq!(client.call(Command::GetOutput), Err(MiError::Disconnected));
+        let c = client.counters();
+        assert_eq!((c.frames_sent, c.frames_received), (4, 3));
+        assert_eq!(c.bytes_sent, (0..4).map(sent).sum::<u64>());
+        assert_eq!(c.bytes_received, reply.len() as u64 + 2 + 9 + 5);
+    }
+
+    #[test]
+    fn stream_envelopes_count_newline_framing_crlf_and_unreadable_frames() {
+        use crate::transport::{PumpedTransport, StreamTransport};
+        let reply = encode(&ResponseFrame {
+            seq: 0,
+            resp: Response::Output("echo".into()),
+            session: None,
+        });
+        let mut wire = reply.clone();
+        wire.extend_from_slice(b"\r\n\xffgarbage\n{\"cut");
+        let stream = StreamTransport::new(std::io::Cursor::new(wire.clone()), Vec::new());
+        stream_envelope_counts(Client::new(stream), &reply);
+        let pumped = PumpedTransport::spawn(std::io::Cursor::new(wire), std::io::sink());
+        stream_envelope_counts(Client::new(pumped), &reply);
     }
 
     #[test]

@@ -1,10 +1,16 @@
-//! Byte transports with length-delimited framing.
+//! Byte transports with delimited framing.
 //!
 //! The paper's tracker talks to GDB through an OS pipe. [`duplex`] builds
 //! the in-process analogue: two [`ChannelTransport`] endpoints connected by
 //! byte channels. Frames are serialized JSON preceded by a 4-byte
 //! little-endian length — the content truly leaves the sender as bytes and
 //! is re-parsed by the receiver, so nothing structural can sneak across.
+//!
+//! Every medium is a pair of halves: a [`FrameTx`] that sends one frame per
+//! call and a [`FrameRx`] that receives one. A [`Duplex`] holds the two
+//! halves of one connection together; the session host keeps them apart,
+//! with a reader thread on the receive half while workers share the send
+//! half.
 
 use crate::MiError;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -14,14 +20,19 @@ use std::time::Duration;
 ///
 /// A corrupted length prefix (or a peer gone haywire) must not make the
 /// receiver trust an absurd header and attempt a multi-gigabyte read:
-/// both transports reject frames whose claimed or actual size exceeds
+/// every transport rejects frames whose claimed or actual size exceeds
 /// this cap with a typed [`MiError::Codec`] instead.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
-/// Traffic accounting every transport keeps, regardless of medium.
+/// Traffic accounting of one command stream, kept by the client envelope
+/// whatever the medium.
 ///
 /// `bytes_*` include framing overhead (length prefixes, newline
-/// delimiters): they measure what actually crosses the wire.
+/// delimiters, a stream's `\r` before its `\n`): they measure what
+/// actually crosses the wire. A frame that arrives but cannot be framed
+/// or decoded still counts, in bytes and as a frame. On a connection a
+/// session host multiplexes, a reply that fails framing or decoding names
+/// no session, so no stream on that connection counts it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportCounters {
     /// Bytes shipped to the peer, framing included.
@@ -41,8 +52,8 @@ impl TransportCounters {
     }
 }
 
-/// A bidirectional byte-frame transport.
-pub trait Transport {
+/// The send half of a connection: one frame out per call.
+pub trait FrameTx: Send {
     /// Sends one frame.
     ///
     /// # Errors
@@ -50,95 +61,161 @@ pub trait Transport {
     /// [`MiError::Disconnected`] when the peer is gone.
     fn send(&mut self, frame: &[u8]) -> Result<(), MiError>;
 
+    /// Bytes of framing this half puts around every frame it sends: the
+    /// channel's length prefix or a stream's newline.
+    fn framing(&self) -> u64;
+}
+
+/// The receive half of a connection: one frame in per call.
+pub trait FrameRx: Send {
     /// Receives one frame, blocking.
     ///
     /// # Errors
     ///
-    /// [`MiError::Disconnected`] when the peer is gone.
+    /// [`MiError::Disconnected`] when the peer is gone;
+    /// [`MiError::Codec`] for a frame that arrived but could not be
+    /// framed (the connection stays usable).
     fn recv(&mut self) -> Result<Vec<u8>, MiError>;
 
     /// Receives one frame, waiting at most `deadline`.
     ///
-    /// The default implementation ignores the deadline and blocks — a
-    /// transport that cannot interrupt its read (e.g. a borrowed byte
-    /// stream) keeps its old behaviour. Deadline-capable transports
-    /// ([`ChannelTransport`], [`PumpedTransport`]) override this; they
-    /// are what the supervision layer builds on.
+    /// The default ignores the deadline and blocks — a half that cannot
+    /// interrupt its read (a borrowed byte stream) keeps its plain
+    /// behaviour. The channel and pumped halves override it; they are
+    /// what the supervision layer builds on.
     ///
     /// # Errors
     ///
     /// [`MiError::Timeout`] when the deadline expires with no frame;
-    /// [`MiError::Disconnected`] when the peer is gone.
+    /// otherwise as [`FrameRx::recv`].
     fn recv_deadline(&mut self, deadline: Duration) -> Result<Vec<u8>, MiError> {
         let _ = deadline;
         self.recv()
     }
 
-    /// Traffic shipped through this endpoint so far.
-    fn counters(&self) -> TransportCounters;
+    /// Bytes this half has taken off the wire so far, framing included.
+    /// A frame that then fails framing counts too; a timeout or a
+    /// disconnect adds nothing.
+    fn wire_bytes(&self) -> u64;
 }
 
-/// Transport over in-process byte channels (the pipe analogue).
+/// The two halves of one connection, held together: what a
+/// [`crate::Client`] or a single-session [`crate::Server`] talks through.
 #[derive(Debug)]
-pub struct ChannelTransport {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-    counters: TransportCounters,
+pub struct Duplex<Tx, Rx> {
+    /// The send half.
+    pub tx: Tx,
+    /// The receive half.
+    pub rx: Rx,
 }
 
-impl Transport for ChannelTransport {
+impl<Tx, Rx> Duplex<Tx, Rx> {
+    /// Splits the connection into its independently-owned halves, so one
+    /// side can live on a reader thread while another thread writes — the
+    /// shape a [`crate::host::SessionHost`] connection needs.
+    pub fn split(self) -> (Tx, Rx) {
+        (self.tx, self.rx)
+    }
+}
+
+impl<Tx: FrameTx, Rx: Send> FrameTx for Duplex<Tx, Rx> {
     fn send(&mut self, frame: &[u8]) -> Result<(), MiError> {
-        if frame.len() > MAX_FRAME_LEN {
-            return Err(MiError::Codec(format!(
-                "frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
-                frame.len()
-            )));
-        }
+        self.tx.send(frame)
+    }
+
+    fn framing(&self) -> u64 {
+        self.tx.framing()
+    }
+}
+
+impl<Tx: Send, Rx: FrameRx> FrameRx for Duplex<Tx, Rx> {
+    fn recv(&mut self) -> Result<Vec<u8>, MiError> {
+        self.rx.recv()
+    }
+
+    fn recv_deadline(&mut self, deadline: Duration) -> Result<Vec<u8>, MiError> {
+        self.rx.recv_deadline(deadline)
+    }
+
+    fn wire_bytes(&self) -> u64 {
+        self.rx.wire_bytes()
+    }
+}
+
+/// One end of an in-process channel pair (the pipe analogue).
+pub type ChannelTransport = Duplex<ChannelFrameTx, ChannelFrameRx>;
+
+/// One end of a newline-delimited byte-stream pair — the wire format for
+/// running an engine as a *separate OS process* connected by real pipes,
+/// like the paper's `gdb --interpreter=mi` subprocess. Frames must not
+/// contain raw newlines; JSON guarantees that.
+pub type StreamTransport<R, W> = Duplex<StreamFrameTx<W>, StreamFrameRx<R>>;
+
+/// A [`StreamTransport`] whose receive half runs on a reader thread (see
+/// [`PumpedFrameRx`]), so receives can honour deadlines.
+pub type PumpedTransport<W> = Duplex<StreamFrameTx<W>, PumpedFrameRx>;
+
+/// Send half of an in-process channel.
+#[derive(Debug)]
+pub struct ChannelFrameTx {
+    tx: Sender<Vec<u8>>,
+}
+
+/// Receive half of an in-process channel.
+#[derive(Debug)]
+pub struct ChannelFrameRx {
+    rx: Receiver<Vec<u8>>,
+    received: u64,
+}
+
+impl FrameTx for ChannelFrameTx {
+    fn send(&mut self, frame: &[u8]) -> Result<(), MiError> {
+        check_len(frame.len())?;
         // Length-prefix framing: mimic a real byte stream even though the
         // channel already preserves message boundaries.
         let mut wire = Vec::with_capacity(frame.len() + 4);
         wire.extend_from_slice(&(frame.len() as u32).to_le_bytes());
         wire.extend_from_slice(frame);
-        self.counters.bytes_sent += wire.len() as u64;
-        self.counters.frames_sent += 1;
         self.tx.send(wire).map_err(|_| MiError::Disconnected)
     }
 
-    fn recv(&mut self) -> Result<Vec<u8>, MiError> {
-        let wire = self.rx.recv().map_err(|_| MiError::Disconnected)?;
-        self.decode_wire(wire)
-    }
-
-    fn recv_deadline(&mut self, deadline: Duration) -> Result<Vec<u8>, MiError> {
-        let wire = self.rx.recv_timeout(deadline).map_err(|e| match e {
-            RecvTimeoutError::Timeout => MiError::Timeout,
-            RecvTimeoutError::Disconnected => MiError::Disconnected,
-        })?;
-        self.decode_wire(wire)
-    }
-
-    fn counters(&self) -> TransportCounters {
-        self.counters
+    fn framing(&self) -> u64 {
+        4
     }
 }
 
-impl ChannelTransport {
-    fn decode_wire(&mut self, wire: Vec<u8>) -> Result<Vec<u8>, MiError> {
-        self.counters.bytes_received += wire.len() as u64;
-        self.counters.frames_received += 1;
+impl FrameRx for ChannelFrameRx {
+    fn recv(&mut self) -> Result<Vec<u8>, MiError> {
+        let wire = self.rx.recv().map_err(|_| MiError::Disconnected)?;
+        self.received += wire.len() as u64;
         decode_channel_wire(wire)
     }
 
-    /// Splits the transport into independently-owned send and receive
-    /// halves, so one side can live on a reader thread while another
-    /// thread writes — the shape a [`crate::host::SessionHost`]
-    /// connection needs. Counters stay with whichever half moved them.
-    pub fn split(self) -> (ChannelFrameTx, ChannelFrameRx) {
-        (
-            ChannelFrameTx { tx: self.tx },
-            ChannelFrameRx { rx: self.rx },
-        )
+    fn recv_deadline(&mut self, deadline: Duration) -> Result<Vec<u8>, MiError> {
+        let wire = self.rx.recv_timeout(deadline).map_err(timeout_error)?;
+        self.received += wire.len() as u64;
+        decode_channel_wire(wire)
     }
+
+    fn wire_bytes(&self) -> u64 {
+        self.received
+    }
+}
+
+pub(crate) fn timeout_error(e: RecvTimeoutError) -> MiError {
+    match e {
+        RecvTimeoutError::Timeout => MiError::Timeout,
+        RecvTimeoutError::Disconnected => MiError::Disconnected,
+    }
+}
+
+fn check_len(len: usize) -> Result<(), MiError> {
+    if len > MAX_FRAME_LEN {
+        return Err(MiError::Codec(format!(
+            "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
+        )));
+    }
+    Ok(())
 }
 
 /// Validates one length-prefixed channel message and strips the prefix.
@@ -165,78 +242,15 @@ fn decode_channel_wire(mut wire: Vec<u8>) -> Result<Vec<u8>, MiError> {
     Ok(wire)
 }
 
-/// The send half of a connection: one frame out per call.
-///
-/// A [`Transport`] is a single `&mut self` object, which forces send and
-/// receive onto one thread. The session host multiplexes many sessions
-/// over one connection, so it needs the two directions in different
-/// hands: a reader thread blocks on a [`FrameRx`] while worker threads
-/// share the [`FrameTx`] behind a mutex.
-pub trait FrameTx: Send {
-    /// Sends one frame.
-    ///
-    /// # Errors
-    ///
-    /// [`MiError::Disconnected`] when the peer is gone.
-    fn send(&mut self, frame: &[u8]) -> Result<(), MiError>;
-}
-
-/// The receive half of a connection: one frame in per call, blocking.
-pub trait FrameRx: Send {
-    /// Receives one frame.
-    ///
-    /// # Errors
-    ///
-    /// [`MiError::Disconnected`] when the peer is gone;
-    /// [`MiError::Codec`] for a frame that arrived but could not be
-    /// framed (the connection stays usable).
-    fn recv(&mut self) -> Result<Vec<u8>, MiError>;
-}
-
-impl<T: FrameTx + ?Sized> FrameTx for Box<T> {
-    fn send(&mut self, frame: &[u8]) -> Result<(), MiError> {
-        (**self).send(frame)
-    }
-}
-
-impl<T: FrameRx + ?Sized> FrameRx for Box<T> {
-    fn recv(&mut self) -> Result<Vec<u8>, MiError> {
-        (**self).recv()
-    }
-}
-
-/// Send half of a split [`ChannelTransport`].
-#[derive(Debug)]
-pub struct ChannelFrameTx {
-    tx: Sender<Vec<u8>>,
-}
-
-/// Receive half of a split [`ChannelTransport`].
-#[derive(Debug)]
-pub struct ChannelFrameRx {
-    rx: Receiver<Vec<u8>>,
-}
-
-impl FrameTx for ChannelFrameTx {
-    fn send(&mut self, frame: &[u8]) -> Result<(), MiError> {
-        if frame.len() > MAX_FRAME_LEN {
-            return Err(MiError::Codec(format!(
-                "frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
-                frame.len()
-            )));
-        }
-        let mut wire = Vec::with_capacity(frame.len() + 4);
-        wire.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        wire.extend_from_slice(frame);
-        self.tx.send(wire).map_err(|_| MiError::Disconnected)
-    }
-}
-
-impl FrameRx for ChannelFrameRx {
-    fn recv(&mut self) -> Result<Vec<u8>, MiError> {
-        let wire = self.rx.recv().map_err(|_| MiError::Disconnected)?;
-        decode_channel_wire(wire)
-    }
+/// Creates a connected pair of transports (like `pipe(2)` both ways).
+pub fn duplex() -> (ChannelTransport, ChannelTransport) {
+    let end = |tx, rx| Duplex {
+        tx: ChannelFrameTx { tx },
+        rx: ChannelFrameRx { rx, received: 0 },
+    };
+    let (tx_ab, rx_ab) = unbounded();
+    let (tx_ba, rx_ba) = unbounded();
+    (end(tx_ab, rx_ba), end(tx_ba, rx_ab))
 }
 
 /// Send half of a newline-delimited byte stream (e.g. a child's stdin).
@@ -254,7 +268,19 @@ impl<W: std::io::Write + Send> StreamFrameTx<W> {
 
 impl<W: std::io::Write + Send> FrameTx for StreamFrameTx<W> {
     fn send(&mut self, frame: &[u8]) -> Result<(), MiError> {
-        write_newline_frame(&mut self.writer, frame).map(|_| ())
+        if frame.contains(&b'\n') {
+            return Err(MiError::Codec("frame contains a newline".into()));
+        }
+        check_len(frame.len())?;
+        let w = &mut self.writer;
+        w.write_all(frame)
+            .and_then(|()| w.write_all(b"\n"))
+            .and_then(|()| w.flush())
+            .map_err(|_| MiError::Disconnected)
+    }
+
+    fn framing(&self) -> u64 {
+        1
     }
 }
 
@@ -263,6 +289,7 @@ impl<W: std::io::Write + Send> FrameTx for StreamFrameTx<W> {
 #[derive(Debug)]
 pub struct StreamFrameRx<R> {
     reader: std::io::BufReader<R>,
+    received: u64,
 }
 
 impl<R: std::io::Read + Send> StreamFrameRx<R> {
@@ -270,32 +297,136 @@ impl<R: std::io::Read + Send> StreamFrameRx<R> {
     pub fn new(reader: R) -> Self {
         StreamFrameRx {
             reader: std::io::BufReader::new(reader),
+            received: 0,
         }
     }
 }
 
 impl<R: std::io::Read + Send> FrameRx for StreamFrameRx<R> {
     fn recv(&mut self) -> Result<Vec<u8>, MiError> {
-        read_newline_frame(&mut self.reader).1
+        let (n, frame) = read_newline_frame(&mut self.reader);
+        self.received += n;
+        frame
+    }
+
+    fn wire_bytes(&self) -> u64 {
+        self.received
     }
 }
 
-/// Creates a connected pair of transports (like `pipe(2)` both ways).
-pub fn duplex() -> (ChannelTransport, ChannelTransport) {
-    let (tx_ab, rx_ab) = unbounded();
-    let (tx_ba, rx_ba) = unbounded();
-    (
-        ChannelTransport {
-            tx: tx_ab,
-            rx: rx_ba,
-            counters: TransportCounters::default(),
-        },
-        ChannelTransport {
-            tx: tx_ba,
-            rx: rx_ab,
-            counters: TransportCounters::default(),
-        },
-    )
+impl<R: std::io::Read + Send, W: std::io::Write + Send> StreamTransport<R, W> {
+    /// Wraps a reader/writer pair (e.g. a child process's stdout/stdin).
+    pub fn new(reader: R, writer: W) -> Self {
+        Duplex {
+            tx: StreamFrameTx::new(writer),
+            rx: StreamFrameRx::new(reader),
+        }
+    }
+}
+
+/// Reads one newline-delimited frame; returns the bytes it took off the
+/// stream alongside the frame (or why there is none).
+fn read_newline_frame<R: std::io::Read>(
+    reader: &mut std::io::BufReader<R>,
+) -> (u64, Result<Vec<u8>, MiError>) {
+    use std::io::{BufRead as _, Read as _};
+    // Raw bytes, not `read_line`: corrupted (non-UTF-8) traffic must
+    // surface as a codec error on this frame, not kill the stream.
+    // The `take` bounds how much one frame may buffer, so a peer that
+    // stops sending newlines cannot balloon memory.
+    let mut line = Vec::new();
+    let mut limited = reader.take(MAX_FRAME_LEN as u64 + 1);
+    let n = match limited.read_until(b'\n', &mut line) {
+        Ok(0) | Err(_) => return (0, Err(MiError::Disconnected)),
+        Ok(n) => n as u64,
+    };
+    let frame = if line.len() > MAX_FRAME_LEN {
+        Err(MiError::Codec(format!(
+            "frame exceeds the {MAX_FRAME_LEN}-byte cap"
+        )))
+    } else if line.last() != Some(&b'\n') {
+        // The stream ended (or a fault cut it) in the middle of a
+        // frame. Treating the fragment as a complete frame would hand
+        // garbage to the codec; report the truncation itself.
+        Err(MiError::Codec(
+            "mid-frame EOF: stream ended before the frame delimiter".into(),
+        ))
+    } else {
+        while matches!(line.last(), Some(b'\n') | Some(b'\r')) {
+            line.pop();
+        }
+        Ok(line)
+    };
+    (n, frame)
+}
+
+/// The receive half of a byte stream read on a dedicated thread: the
+/// thread blocks on the stream and forwards complete frames through an
+/// in-process channel, so `recv_deadline` can give up waiting without
+/// abandoning a half-read frame. The supervised process backend uses it
+/// — a wedged or killed `mi-server` child surfaces as
+/// [`MiError::Timeout`] / [`MiError::Disconnected`] within the deadline
+/// instead of blocking the tracker forever.
+///
+/// The reader thread exits on EOF or stream error; it holds only the
+/// reader, so dropping the send half (closing the writer) lets a
+/// well-behaved peer close the stream and the thread unwind.
+#[derive(Debug)]
+pub struct PumpedFrameRx {
+    frames: Receiver<(u64, Result<Vec<u8>, MiError>)>,
+    received: u64,
+}
+
+impl PumpedFrameRx {
+    /// Spawns the reader thread over `reader`.
+    pub fn spawn<R: std::io::Read + Send + 'static>(reader: R) -> Self {
+        let (tx, rx) = unbounded();
+        std::thread::Builder::new()
+            .name("mi-recv-pump".into())
+            .spawn(move || {
+                let mut reader = std::io::BufReader::new(reader);
+                loop {
+                    let (n, frame) = read_newline_frame(&mut reader);
+                    let stop = matches!(frame, Err(MiError::Disconnected));
+                    if tx.send((n, frame)).is_err() || stop {
+                        return;
+                    }
+                }
+            })
+            .expect("spawn mi receive pump");
+        PumpedFrameRx {
+            frames: rx,
+            received: 0,
+        }
+    }
+}
+
+impl FrameRx for PumpedFrameRx {
+    fn recv(&mut self) -> Result<Vec<u8>, MiError> {
+        let (n, frame) = self.frames.recv().map_err(|_| MiError::Disconnected)?;
+        self.received += n;
+        frame
+    }
+
+    fn recv_deadline(&mut self, deadline: Duration) -> Result<Vec<u8>, MiError> {
+        let (n, frame) = self.frames.recv_timeout(deadline).map_err(timeout_error)?;
+        self.received += n;
+        frame
+    }
+
+    fn wire_bytes(&self) -> u64 {
+        self.received
+    }
+}
+
+impl<W: std::io::Write + Send> PumpedTransport<W> {
+    /// Spawns the reader thread over `reader` and wraps `writer`.
+    pub fn spawn<R: std::io::Read + Send + 'static>(reader: R, writer: W) -> Self {
+        Duplex {
+            tx: StreamFrameTx::new(writer),
+            rx: PumpedFrameRx::spawn(reader),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -315,12 +446,11 @@ mod tests {
     fn byte_counters_track_traffic() {
         let (mut a, mut b) = duplex();
         a.send(&[0u8; 100]).unwrap();
-        assert_eq!(a.counters().bytes_sent, 104);
-        assert_eq!(a.counters().frames_sent, 1);
         b.recv().unwrap();
-        assert_eq!(b.counters().bytes_received, 104);
-        assert_eq!(b.counters().frames_received, 1);
-        assert_eq!(b.counters().bytes_total(), 104);
+        // 100 payload bytes plus the 4-byte length prefix.
+        assert_eq!(b.wire_bytes(), 104);
+        assert_eq!(a.framing(), 4);
+        assert_eq!(a.wire_bytes(), 0);
     }
 
     #[test]
@@ -346,7 +476,7 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&10u32.to_le_bytes()); // claims 10 bytes
         wire.extend_from_slice(b"ab"); // delivers 2
-        a.tx.send(wire).unwrap();
+        a.tx.tx.send(wire).unwrap();
         match b.recv() {
             Err(MiError::Codec(msg)) => {
                 assert!(msg.contains("frame length mismatch"), "{msg}");
@@ -355,8 +485,8 @@ mod tests {
             other => panic!("expected codec error, got {other:?}"),
         }
         // The bad frame still counts as received traffic…
-        assert_eq!(b.counters().bytes_received, 6);
-        // …and the endpoint keeps working for well-formed successors.
+        assert_eq!(b.wire_bytes(), 6);
+        // …and the endpoint keeps working for its successors.
         drop(a);
         assert_eq!(b.recv(), Err(MiError::Disconnected));
     }
@@ -364,7 +494,7 @@ mod tests {
     #[test]
     fn truncated_header_detected() {
         let (a, mut b) = duplex();
-        a.tx.send(vec![1, 2]).unwrap(); // shorter than the 4-byte header
+        a.tx.tx.send(vec![1, 2]).unwrap(); // shorter than the 4-byte header
         match b.recv() {
             Err(MiError::Codec(msg)) => assert!(msg.contains("short frame"), "{msg}"),
             other => panic!("expected codec error, got {other:?}"),
@@ -375,27 +505,28 @@ mod tests {
     fn corrupted_header_length_prefix_rejected_not_trusted() {
         // A flipped bit in the length prefix can claim gigabytes; recv
         // must refuse the header instead of trusting its arithmetic.
-        let (a, mut b) = duplex();
+        let (mut a, mut b) = duplex();
         let mut wire = Vec::new();
         wire.extend_from_slice(&u32::MAX.to_le_bytes());
         wire.extend_from_slice(b"tiny");
-        a.tx.send(wire).unwrap();
+        a.tx.tx.send(wire).unwrap();
         match b.recv() {
             Err(MiError::Codec(msg)) => assert!(msg.contains("cap"), "{msg}"),
             other => panic!("expected codec error, got {other:?}"),
         }
         // The endpoint survives for well-formed successors.
-        let mut a = a;
         a.send(b"ok").unwrap();
         assert_eq!(b.recv().unwrap(), b"ok");
     }
 
     #[test]
     fn oversized_send_rejected() {
-        let (mut a, _b) = duplex();
+        let (mut a, mut b) = duplex();
         let huge = vec![0u8; MAX_FRAME_LEN + 1];
         assert!(matches!(a.send(&huge), Err(MiError::Codec(_))));
-        assert_eq!(a.counters().frames_sent, 0);
+        // Nothing reached the wire.
+        drop(a);
+        assert_eq!(b.recv(), Err(MiError::Disconnected));
     }
 
     #[test]
@@ -453,189 +584,6 @@ mod tests {
     }
 }
 
-/// Transport over arbitrary byte streams using newline-delimited JSON
-/// frames — the wire format for running an engine as a *separate OS
-/// process* connected by real pipes, like the paper's `gdb
-/// --interpreter=mi` subprocess. Frames must not contain raw newlines;
-/// JSON guarantees that.
-#[derive(Debug)]
-pub struct StreamTransport<R, W> {
-    reader: std::io::BufReader<R>,
-    writer: W,
-    counters: TransportCounters,
-}
-
-impl<R: std::io::Read, W: std::io::Write> StreamTransport<R, W> {
-    /// Wraps a reader/writer pair (e.g. a child process's stdout/stdin).
-    pub fn new(reader: R, writer: W) -> Self {
-        StreamTransport {
-            reader: std::io::BufReader::new(reader),
-            writer,
-            counters: TransportCounters::default(),
-        }
-    }
-}
-
-/// Writes one newline-delimited frame, returning the wire bytes written.
-/// Shared by [`StreamTransport`] and [`PumpedTransport`].
-fn write_newline_frame<W: std::io::Write>(writer: &mut W, frame: &[u8]) -> Result<u64, MiError> {
-    if frame.contains(&b'\n') {
-        return Err(MiError::Codec("frame contains a newline".into()));
-    }
-    if frame.len() > MAX_FRAME_LEN {
-        return Err(MiError::Codec(format!(
-            "frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
-            frame.len()
-        )));
-    }
-    writer
-        .write_all(frame)
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .map_err(|_| MiError::Disconnected)?;
-    Ok(frame.len() as u64 + 1)
-}
-
-/// Reads one newline-delimited frame, returning the wire bytes consumed
-/// alongside the decoded payload (or error). Shared by
-/// [`StreamTransport`] and [`PumpedTransport`]'s reader thread.
-fn read_newline_frame<R: std::io::Read>(
-    reader: &mut std::io::BufReader<R>,
-) -> (u64, Result<Vec<u8>, MiError>) {
-    use std::io::{BufRead as _, Read as _};
-    // Raw bytes, not `read_line`: corrupted (non-UTF-8) traffic must
-    // surface as a codec error on this frame, not kill the stream.
-    // The `take` bounds how much one frame may buffer, so a peer that
-    // stops sending newlines cannot balloon memory.
-    let mut line = Vec::new();
-    let mut limited = reader.take(MAX_FRAME_LEN as u64 + 1);
-    match limited.read_until(b'\n', &mut line) {
-        Ok(0) => (0, Err(MiError::Disconnected)),
-        Ok(n) => {
-            let result = if line.len() > MAX_FRAME_LEN {
-                Err(MiError::Codec(format!(
-                    "frame exceeds the {MAX_FRAME_LEN}-byte cap"
-                )))
-            } else if line.last() != Some(&b'\n') {
-                // The stream ended (or a fault cut it) in the middle
-                // of a frame. Treating the fragment as a complete
-                // frame would hand garbage to the codec; report the
-                // truncation itself.
-                Err(MiError::Codec(
-                    "mid-frame EOF: stream ended before the frame delimiter".into(),
-                ))
-            } else {
-                while matches!(line.last(), Some(b'\n') | Some(b'\r')) {
-                    line.pop();
-                }
-                Ok(line)
-            };
-            (n as u64, result)
-        }
-        Err(_) => (0, Err(MiError::Disconnected)),
-    }
-}
-
-impl<R: std::io::Read, W: std::io::Write> Transport for StreamTransport<R, W> {
-    fn send(&mut self, frame: &[u8]) -> Result<(), MiError> {
-        let wire = write_newline_frame(&mut self.writer, frame)?;
-        self.counters.bytes_sent += wire;
-        self.counters.frames_sent += 1;
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Vec<u8>, MiError> {
-        let (n, result) = read_newline_frame(&mut self.reader);
-        if n > 0 {
-            self.counters.bytes_received += n;
-            self.counters.frames_received += 1;
-        }
-        result
-    }
-
-    fn counters(&self) -> TransportCounters {
-        self.counters
-    }
-}
-
-/// A [`StreamTransport`] whose *receive* side runs on a dedicated reader
-/// thread: the thread blocks on the byte stream and forwards complete
-/// frames through an in-process channel, so `recv_deadline` can give up
-/// waiting without abandoning a half-read frame. This is the transport
-/// the supervised process backend uses — a wedged or killed `mi-server`
-/// child surfaces as [`MiError::Timeout`] / [`MiError::Disconnected`]
-/// within the deadline instead of blocking the tracker forever.
-///
-/// The reader thread exits on EOF or stream error; it holds only the
-/// reader half, so dropping the transport (closing the writer) lets a
-/// well-behaved peer close the stream and the thread unwind.
-#[derive(Debug)]
-pub struct PumpedTransport<W> {
-    frames: Receiver<(u64, Result<Vec<u8>, MiError>)>,
-    writer: W,
-    counters: TransportCounters,
-}
-
-impl<W: std::io::Write> PumpedTransport<W> {
-    /// Spawns the reader thread over `reader` and wraps `writer`.
-    pub fn spawn<R: std::io::Read + Send + 'static>(reader: R, writer: W) -> Self {
-        let (tx, rx) = unbounded();
-        std::thread::Builder::new()
-            .name("mi-recv-pump".into())
-            .spawn(move || {
-                let mut reader = std::io::BufReader::new(reader);
-                loop {
-                    let (n, result) = read_newline_frame(&mut reader);
-                    let stop = matches!(result, Err(MiError::Disconnected));
-                    if tx.send((n, result)).is_err() || stop {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn mi receive pump");
-        PumpedTransport {
-            frames: rx,
-            writer,
-            counters: TransportCounters::default(),
-        }
-    }
-
-    fn account(&mut self, item: (u64, Result<Vec<u8>, MiError>)) -> Result<Vec<u8>, MiError> {
-        let (n, result) = item;
-        if n > 0 {
-            self.counters.bytes_received += n;
-            self.counters.frames_received += 1;
-        }
-        result
-    }
-}
-
-impl<W: std::io::Write + Send> Transport for PumpedTransport<W> {
-    fn send(&mut self, frame: &[u8]) -> Result<(), MiError> {
-        let wire = write_newline_frame(&mut self.writer, frame)?;
-        self.counters.bytes_sent += wire;
-        self.counters.frames_sent += 1;
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Vec<u8>, MiError> {
-        let item = self.frames.recv().map_err(|_| MiError::Disconnected)?;
-        self.account(item)
-    }
-
-    fn recv_deadline(&mut self, deadline: Duration) -> Result<Vec<u8>, MiError> {
-        let item = self.frames.recv_timeout(deadline).map_err(|e| match e {
-            RecvTimeoutError::Timeout => MiError::Timeout,
-            RecvTimeoutError::Disconnected => MiError::Disconnected,
-        })?;
-        self.account(item)
-    }
-
-    fn counters(&self) -> TransportCounters {
-        self.counters
-    }
-}
-
 #[cfg(test)]
 mod stream_tests {
     use super::*;
@@ -648,6 +596,7 @@ mod stream_tests {
             t.send(b"{\"a\":1}").unwrap();
             t.send(b"{\"b\":2}").unwrap();
         }
+        assert_eq!(wire, b"{\"a\":1}\n{\"b\":2}\n");
         let mut t = StreamTransport::new(wire.as_slice(), std::io::sink());
         assert_eq!(t.recv().unwrap(), b"{\"a\":1}");
         assert_eq!(t.recv().unwrap(), b"{\"b\":2}");
@@ -656,10 +605,12 @@ mod stream_tests {
 
     #[test]
     fn newlines_in_frames_rejected() {
-        let mut t = StreamTransport::new(std::io::empty(), std::io::sink());
+        let mut wire = Vec::new();
+        let mut t = StreamTransport::new(std::io::empty(), &mut wire);
         assert!(matches!(t.send(b"a\nb"), Err(MiError::Codec(_))));
-        // A rejected frame never hits the wire, so it is not counted.
-        assert_eq!(t.counters(), TransportCounters::default());
+        // A rejected frame never hits the wire.
+        drop(t);
+        assert!(wire.is_empty());
     }
 
     #[test]
@@ -670,9 +621,9 @@ mod stream_tests {
         let mut t = StreamTransport::new(&wire[..], std::io::sink());
         assert_eq!(t.recv().unwrap(), b"{\"a\":1}");
         assert_eq!(t.recv().unwrap(), b"{\"b\":2}");
-        // Counters measure the wire, CR and LF included.
-        assert_eq!(t.counters().bytes_received, wire.len() as u64);
-        assert_eq!(t.counters().frames_received, 2);
+        assert_eq!(t.recv(), Err(MiError::Disconnected));
+        // The count measures the wire, CR and LF included.
+        assert_eq!(t.wire_bytes(), wire.len() as u64);
     }
 
     #[test]
@@ -702,16 +653,13 @@ mod stream_tests {
     #[test]
     fn stream_counters_include_framing() {
         let mut wire = Vec::new();
-        {
-            let mut t = StreamTransport::new(std::io::empty(), &mut wire);
-            t.send(b"{\"a\":1}").unwrap();
-            assert_eq!(t.counters().bytes_sent, 8); // 7 payload + '\n'
-            assert_eq!(t.counters().frames_sent, 1);
-        }
+        let mut tx = StreamFrameTx::new(&mut wire);
+        tx.send(b"{\"a\":1}").unwrap();
         let mut t = StreamTransport::new(wire.as_slice(), std::io::sink());
+        // 7 payload bytes plus the newline, on both sides.
+        assert_eq!(wire.len() as u64, 7 + t.framing());
         t.recv().unwrap();
-        assert_eq!(t.counters().bytes_received, 8);
-        assert_eq!(t.counters().frames_received, 1);
+        assert_eq!(t.wire_bytes(), 8);
     }
 }
 
@@ -782,11 +730,10 @@ mod pumped_tests {
         let mut t = PumpedTransport::spawn(reader, Vec::new());
         tx.send(b"{\"a\":1}\r\n".to_vec()).unwrap();
         assert_eq!(t.recv().unwrap(), b"{\"a\":1}");
-        assert_eq!(t.counters().frames_received, 1);
-        assert_eq!(t.counters().bytes_received, 9); // CR and LF included
+        assert_eq!(t.wire_bytes(), 9); // CR and LF included
         t.send(b"{\"b\":2}").unwrap();
-        assert_eq!(t.counters().bytes_sent, 8);
-        assert_eq!(t.counters().frames_sent, 1);
+        assert_eq!(t.tx.writer, b"{\"b\":2}\n");
+        assert_eq!(t.framing(), 1);
     }
 
     #[test]
@@ -800,5 +747,7 @@ mod pumped_tests {
             other => panic!("expected codec error, got {other:?}"),
         }
         assert_eq!(t.recv(), Err(MiError::Disconnected));
+        // The fragment crossed the wire: it counts.
+        assert_eq!(t.wire_bytes(), 5);
     }
 }

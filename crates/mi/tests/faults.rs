@@ -8,7 +8,7 @@
 //! command is re-issued.
 
 use mi::protocol::{Command, Response};
-use mi::transport::{duplex, ChannelTransport, Transport};
+use mi::transport::{duplex, ChannelTransport, FrameRx, FrameTx};
 use mi::{minic_engine::MinicEngine, Client, MiError, Server};
 use state::PauseReason;
 
@@ -50,11 +50,17 @@ impl<T> Proxy<T> {
     }
 }
 
-impl<T: Transport> Transport for Proxy<T> {
+impl<T: FrameTx> FrameTx for Proxy<T> {
     fn send(&mut self, frame: &[u8]) -> Result<(), MiError> {
         self.inner.send(frame)
     }
 
+    fn framing(&self) -> u64 {
+        self.inner.framing()
+    }
+}
+
+impl<T: FrameRx> FrameRx for Proxy<T> {
     fn recv(&mut self) -> Result<Vec<u8>, MiError> {
         if let Some(frame) = self.queued.take() {
             return Ok(frame);
@@ -91,14 +97,14 @@ impl<T: Transport> Transport for Proxy<T> {
         }
     }
 
-    fn counters(&self) -> mi::transport::TransportCounters {
-        self.inner.counters()
+    fn wire_bytes(&self) -> u64 {
+        self.inner.wire_bytes()
     }
 }
 
 const PROG: &str = "int main() {\nint x = 1;\nx = x + 1;\nreturn x;\n}";
 
-fn spawn_engine<T: Transport + Send + 'static>(endpoint: T) -> std::thread::JoinHandle<()> {
+fn spawn_engine<T: FrameTx + FrameRx + 'static>(endpoint: T) -> std::thread::JoinHandle<()> {
     let program = minic::compile("f.c", PROG).unwrap();
     std::thread::spawn(move || {
         let _ = Server::new(MinicEngine::new(&program), endpoint).serve();
@@ -116,7 +122,7 @@ fn faulty_client(
     (Client::new(Proxy::new(a, fault_at, fault)), handle)
 }
 
-fn finish(mut client: Client<impl Transport>, handle: std::thread::JoinHandle<()>) {
+fn finish(mut client: Client<impl FrameTx + FrameRx>, handle: std::thread::JoinHandle<()>) {
     client.call(Command::Terminate).unwrap();
     handle.join().unwrap();
 }
@@ -230,24 +236,5 @@ fn corrupted_command_at_the_server_is_answered_not_fatal() {
         client.call(Command::Step),
         Ok(Response::Paused(PauseReason::Step))
     ));
-    finish(client, handle);
-}
-
-#[test]
-fn bare_wire_mode_demonstrates_the_desync_the_envelope_prevents() {
-    // A legacy client has no sequence numbers: after a duplicated frame
-    // every later response is off by one. This documents the silent
-    // desync that motivated the envelope (and is the behaviour the
-    // conformance corpus reproducer pins down).
-    let (a, b) = duplex();
-    let handle = spawn_engine(b);
-    let mut client = Client::new_bare(Proxy::new(a, 1, Fault::Duplicate));
-    client.call(Command::Start).unwrap();
-    // The duplicate of the Start response masquerades as the answer to
-    // GetExitCode — the bare client cannot tell.
-    assert_eq!(
-        client.call(Command::GetExitCode).unwrap(),
-        Response::Paused(PauseReason::Started)
-    );
     finish(client, handle);
 }

@@ -20,7 +20,7 @@
 //! what keeps this abuse shape safe to host).
 
 use easytracker::{MiTracker, PauseReason, ProgramSpec, Supervision, Tracker};
-use mi::transport::{duplex, ChannelTransport, FrameTx, Transport as _};
+use mi::transport::{duplex, ChannelTransport, FrameRx as _, FrameTx};
 use mi::{
     Command, CommandFrame, HostConfig, HostHandle, MiError, Response, ResponseFrame, SessionHost,
 };
@@ -89,6 +89,10 @@ impl<T: FrameTx> FrameTx for HeldTx<T> {
         let (lock, cv) = &*self.hold.0;
         drop(cv.wait_while(lock.lock().expect("hold"), |held| *held));
         self.inner.send(frame)
+    }
+
+    fn framing(&self) -> u64 {
+        self.inner.framing()
     }
 }
 

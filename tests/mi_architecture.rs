@@ -3,8 +3,8 @@
 //! serialized, framed and shipped as bytes — these tests observe that
 //! boundary directly.
 
-use mi::protocol::{Command, Response};
-use mi::transport::{duplex, Transport};
+use mi::protocol::{Command, CommandFrame, Response, ResponseFrame};
+use mi::transport::{duplex, FrameRx as _, FrameTx as _};
 use mi::{Server, Session};
 use state::PauseReason;
 
@@ -20,9 +20,9 @@ fn commands_and_state_cross_as_bytes() {
     session.client.call(Command::Start).unwrap();
     session.client.call(Command::Step).unwrap();
     session.client.call(Command::Step).unwrap();
-    let before = session.client.transport().counters().bytes_received;
+    let before = session.client.counters().bytes_received;
     let resp = session.client.call(Command::GetState).unwrap();
-    let after = session.client.transport().counters().bytes_received;
+    let after = session.client.counters().bytes_received;
     let Response::State(st) = resp else {
         panic!("expected state");
     };
@@ -76,12 +76,19 @@ fn malformed_bytes_do_not_kill_the_engine() {
     let resp: Response = serde_json::from_slice(&a.recv().unwrap()).unwrap();
     assert!(matches!(resp, Response::Error { .. }));
     // Proper command still works afterwards.
-    a.send(&serde_json::to_vec(&Command::GetExitCode).unwrap())
-        .unwrap();
-    let resp: Response = serde_json::from_slice(&a.recv().unwrap()).unwrap();
-    assert_eq!(resp, Response::ExitCode(None));
-    a.send(&serde_json::to_vec(&Command::Terminate).unwrap())
-        .unwrap();
+    let frame = |seq, cmd| {
+        serde_json::to_vec(&CommandFrame {
+            seq,
+            cmd,
+            trace: None,
+            session: None,
+        })
+        .unwrap()
+    };
+    a.send(&frame(0, Command::GetExitCode)).unwrap();
+    let rf: ResponseFrame = serde_json::from_slice(&a.recv().unwrap()).unwrap();
+    assert_eq!(rf.resp, Response::ExitCode(None));
+    a.send(&frame(1, Command::Terminate)).unwrap();
     let _ = a.recv();
     handle.join().unwrap();
 }
@@ -103,9 +110,41 @@ fn per_command_traffic_is_bounded() {
     // A control command's frames are small; only state snapshots are big.
     let mut session = c_session("int main() {\nint x = 0;\nx = 1;\nreturn x;\n}");
     session.client.call(Command::Start).unwrap();
-    let before = session.client.transport().counters().bytes_total();
+    let before = session.client.counters().bytes_total();
     session.client.call(Command::Step).unwrap();
-    let after = session.client.transport().counters().bytes_total();
+    let after = session.client.counters().bytes_total();
     assert!(after - before < 200, "step traffic: {}", after - before);
     session.shutdown();
+}
+
+#[test]
+fn hosted_trackers_count_their_traffic() {
+    // A session inside a shared host counts its own frames both ways,
+    // framing included, and mirrors them into the tracker's gauges — the
+    // same accounting as a dedicated engine's client.
+    use easytracker::Tracker as _;
+    let host = mi::SessionHost::new(1);
+    let handle = mi::HostHandle::connect_in_process(&host);
+    let mut t = easytracker::MiTracker::load_c_hosted(
+        &handle,
+        "t.c",
+        "int main() {\nint xs[3] = {7, 8, 9};\nint* p = xs;\nreturn p[1];\n}",
+    )
+    .unwrap();
+    t.start().unwrap();
+    t.step().unwrap();
+    let before = t.bytes_transferred();
+    let st = t.get_state().unwrap();
+    let state_bytes = serde_json::to_vec(&st).unwrap().len() as u64;
+    let after = t.bytes_transferred();
+    assert!(
+        after - before >= state_bytes,
+        "a {state_bytes}-byte state moved the counters by {}",
+        after - before
+    );
+    let snap = t.registry().snapshot();
+    assert!(snap.gauge("mi.client.bytes_received") >= state_bytes);
+    assert!(snap.gauge("mi.client.frames_received") >= 3);
+    t.terminate();
+    host.shutdown();
 }

@@ -1,11 +1,15 @@
 //! Property tests of the session envelope: random abuse frames —
 //! unknown and stale session ids, duplicate and replayed sequence
-//! numbers, frames addressed to another connection's session — must be
-//! rejected with *typed* errors that echo the offending seq and session
-//! id, and must never desynchronize an innocent session's stream.
+//! numbers, frames addressed to another connection's session, malformed
+//! bytes — must be rejected with *typed* errors that echo the offending
+//! seq and session id, and must never desynchronize an innocent
+//! session's stream, whether a session host or a solo engine serves it.
 
-use mi::transport::{duplex, ChannelTransport, Transport as _};
-use mi::{Command, CommandFrame, ResourceKind, Response, ResponseFrame, SessionHost};
+use mi::minic_engine::MinicEngine;
+use mi::transport::{duplex, ChannelTransport, FrameRx, FrameTx, PumpedTransport};
+use mi::{
+    Client, Command, CommandFrame, ResourceKind, Response, ResponseFrame, Server, SessionHost,
+};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -33,6 +37,30 @@ impl Raw {
         Raw { t: a, seq: 0 }
     }
 
+    /// A solo engine serving `source` on its own thread: the
+    /// single-session driver behind `spawn_minic` and `mi-server <prog>`.
+    fn solo(source: &str) -> Self {
+        let program = minic::compile("v.c", source).expect("program compiles");
+        let (a, b) = duplex();
+        std::thread::spawn(move || Server::new(MinicEngine::new(&program), b).serve());
+        Raw { t: a, seq: 0 }
+    }
+
+    /// Ships raw bytes, bypassing the envelope.
+    fn send_bytes(&mut self, bytes: &[u8]) {
+        self.t.send(bytes).expect("send");
+    }
+
+    /// A reply that is no `ResponseFrame`: the answer to bytes the peer
+    /// could not decode, so there is no seq to echo.
+    fn recv_bare(&mut self) -> Response {
+        let bytes = self
+            .t
+            .recv_deadline(Duration::from_secs(10))
+            .expect("reply");
+        serde_json::from_slice(&bytes).expect("bare response")
+    }
+
     fn send(&mut self, seq: u64, session: Option<u64>, cmd: Command) {
         let bytes = serde_json::to_vec(&CommandFrame {
             seq,
@@ -41,7 +69,7 @@ impl Raw {
             session,
         })
         .expect("frame encodes");
-        self.t.send(&bytes).expect("send");
+        self.send_bytes(&bytes);
     }
 
     fn recv(&mut self) -> ResponseFrame {
@@ -93,6 +121,27 @@ enum Abuse {
     /// Address the *other* connection's session from the victim's
     /// connection, reusing the victim's own seq numbering.
     ForeignSid,
+    /// Bytes that are no command frame (an index into [`GARBAGE`]).
+    Malformed(usize),
+}
+
+/// Undecodable frames: binary noise, a command id no peer knows, and
+/// valid JSON of the wrong shape.
+const GARBAGE: [&[u8]; 3] = [
+    b"\x00\xffnot a frame",
+    br#"{"seq":3,"cmd":{"SelfDestruct":{"countdown":3}},"trace":null,"session":null}"#,
+    b"[1,2,3]",
+];
+
+impl Abuse {
+    /// Session ids mean nothing to a solo engine: only seq replays and
+    /// malformed bytes reach it.
+    fn reaches_a_solo_engine(&self) -> bool {
+        matches!(
+            self,
+            Abuse::StaleSeq | Abuse::AncientSeq(_) | Abuse::Malformed(_)
+        )
+    }
 }
 
 fn arb_abuse() -> impl Strategy<Value = Abuse> {
@@ -101,6 +150,7 @@ fn arb_abuse() -> impl Strategy<Value = Abuse> {
         Just(Abuse::StaleSeq),
         (0u64..8).prop_map(Abuse::AncientSeq),
         Just(Abuse::ForeignSid),
+        (0usize..GARBAGE.len()).prop_map(Abuse::Malformed),
     ]
 }
 
@@ -132,26 +182,53 @@ proptest! {
 
     /// Abuse frames interleaved into a live stream each get a typed
     /// rejection echoing their seq + session id, and the victim's own
-    /// script still produces exactly the clean-run responses.
+    /// script still produces exactly the clean-run responses. The victim
+    /// is a hosted session beside a bystander on another connection, or
+    /// a solo engine's one implicit session (which only the abuses that
+    /// reach it are aimed at).
     #[test]
     fn envelope_abuse_is_rejected_typed_and_never_desyncs(
+        solo in any::<bool>(),
         abuses in prop::collection::vec(arb_abuse(), 1..10),
     ) {
         let oracle = clean_trace();
         let host = SessionHost::new(2);
-        let mut victim = Raw::connect(&host);
-        let vsid = victim.open("v.c");
-        let mut other = Raw::connect(&host);
-        let osid = other.open("o.c");
+        let (mut victim, vsid, other) = if solo {
+            (Raw::solo(PROG), None, None)
+        } else {
+            let mut victim = Raw::connect(&host);
+            let vsid = victim.open("v.c");
+            let mut other = Raw::connect(&host);
+            let osid = other.open("o.c");
+            (victim, Some(vsid), Some((other, osid)))
+        };
+        let osid = other.as_ref().map(|(_, osid)| *osid);
+        let abuses: Vec<Abuse> = abuses
+            .into_iter()
+            .filter(|a| !solo || a.reaches_a_solo_engine())
+            .collect();
 
         fn abuse_once(
             victim: &mut Raw,
             abuse: &Abuse,
-            vsid: u64,
-            osid: u64,
+            vsid: Option<u64>,
+            osid: Option<u64>,
             last_vseq: u64,
         ) {
             match abuse {
+                Abuse::Malformed(pick) => {
+                    victim.send_bytes(GARBAGE[*pick]);
+                    match victim.recv_bare() {
+                        Response::Error { message } => {
+                            prop_assert!(
+                                message.contains("malformed command"),
+                                "unexpected rejection: {}",
+                                message
+                            );
+                        }
+                        other => prop_assert!(false, "expected typed Error, got {other:?}"),
+                    }
+                }
                 Abuse::UnknownSid(sid) => {
                     let rf = victim.roundtrip(Some(*sid), Command::GetExitCode);
                     prop_assert_eq!(rf.resp, Response::SessionGone { session: *sid });
@@ -164,10 +241,10 @@ proptest! {
                         Abuse::AncientSeq(back) => last_vseq.saturating_sub(*back),
                         _ => last_vseq,
                     };
-                    victim.send(seq, Some(vsid), Command::GetExitCode);
+                    victim.send(seq, vsid, Command::GetExitCode);
                     let rf = victim.recv();
                     prop_assert_eq!(rf.seq, seq);
-                    prop_assert_eq!(rf.session, Some(vsid));
+                    prop_assert_eq!(rf.session, vsid);
                     match &rf.resp {
                         Response::Error { message } => {
                             prop_assert!(
@@ -180,8 +257,8 @@ proptest! {
                     }
                 }
                 Abuse::ForeignSid => {
-                    let rf = victim.roundtrip(Some(osid), Command::GetState);
-                    prop_assert_eq!(rf.session, Some(osid));
+                    let rf = victim.roundtrip(osid, Command::GetState);
+                    prop_assert_eq!(rf.session, osid);
                     match &rf.resp {
                         Response::Error { message } => {
                             prop_assert!(
@@ -202,16 +279,16 @@ proptest! {
         // must target at-or-below this; the client-side `seq` counter
         // also advances for abuse frames, which the session never saw).
         let mut last_vseq = victim.seq;
-        trace.push(victim.roundtrip(Some(vsid), Command::Start).resp.summary());
+        trace.push(victim.roundtrip(vsid, Command::Start).resp.summary());
         loop {
             if let Some(abuse) = abuses.next() {
                 abuse_once(&mut victim, abuse, vsid, osid, last_vseq);
             }
             last_vseq = victim.seq;
-            let s = victim.roundtrip(Some(vsid), Command::Step).resp.summary();
+            let s = victim.roundtrip(vsid, Command::Step).resp.summary();
             let done = s.contains("exited") || s.contains("crashed");
             trace.push(s);
-            trace.push(victim.roundtrip(Some(vsid), Command::GetState).resp.summary());
+            trace.push(victim.roundtrip(vsid, Command::GetState).resp.summary());
             if done {
                 break;
             }
@@ -219,7 +296,7 @@ proptest! {
         last_vseq = victim.seq;
         trace.push(
             victim
-                .roundtrip(Some(vsid), Command::GetExitCode)
+                .roundtrip(vsid, Command::GetExitCode)
                 .resp
                 .summary(),
         );
@@ -232,9 +309,11 @@ proptest! {
 
         // The bystander session on the other connection is untouched
         // even though its id was used in foreign-sid abuse.
-        let rf = other.roundtrip(Some(osid), Command::Start);
-        prop_assert!(matches!(rf.resp, Response::Paused(_)));
-        prop_assert_eq!(host.session_count(), 2);
+        if let Some((mut other, osid)) = other {
+            let rf = other.roundtrip(Some(osid), Command::Start);
+            prop_assert!(matches!(rf.resp, Response::Paused(_)));
+            prop_assert_eq!(host.session_count(), 2);
+        }
         host.shutdown();
     }
 }
@@ -373,4 +452,132 @@ proptest! {
             .expect("old decoder reads governance-free frames");
         prop_assert_eq!(decoded.cmd, legacy_cmd);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The solo driver keeps the envelope's promises too
+// ---------------------------------------------------------------------------
+
+/// Spawns `mi-server <program>` for `source`: the child, a raw
+/// deadline-capable transport on its pipes, and the scratch directory
+/// holding the program (the caller removes it).
+fn solo_child(
+    name: &str,
+    source: &str,
+) -> (
+    std::process::Child,
+    PumpedTransport<std::process::ChildStdin>,
+    std::path::PathBuf,
+) {
+    let server = conformance::mi_server_bin().expect("mi_server builds");
+    let dir = std::env::temp_dir().join(format!("session-envelope-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join(name);
+    std::fs::write(&path, source).expect("program written");
+    let mut child = std::process::Command::new(server)
+        .arg(&path)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("mi-server spawns");
+    let stdin = child.stdin.take().expect("piped stdin");
+    let stdout = child.stdout.take().expect("piped stdout");
+    (child, PumpedTransport::spawn(stdout, stdin), dir)
+}
+
+/// One hand-built frame out, one reply frame in.
+fn frame_roundtrip(t: &mut (impl FrameTx + FrameRx), seq: u64, cmd: Command) -> ResponseFrame {
+    let bytes = serde_json::to_vec(&CommandFrame {
+        seq,
+        cmd,
+        trace: None,
+        session: None,
+    })
+    .expect("frame encodes");
+    t.send(&bytes).expect("send");
+    let reply = t.recv_deadline(Duration::from_secs(10)).expect("reply");
+    serde_json::from_slice(&reply).expect("response frame")
+}
+
+/// A `CommandFrame` delivered twice (a retransmitting link) must run
+/// once: the copy is refused as stale and the inferior advances a single
+/// step.
+fn duplicate_runs_once(t: &mut (impl FrameTx + FrameRx)) {
+    let start = frame_roundtrip(t, 0, Command::Start);
+    assert!(matches!(start.resp, Response::Paused(_)), "{start:?}");
+    let first = frame_roundtrip(t, 1, Command::Step);
+    assert!(matches!(first.resp, Response::Paused(_)), "{first:?}");
+    let copy = frame_roundtrip(t, 1, Command::Step);
+    assert_eq!(copy.seq, 1);
+    match &copy.resp {
+        Response::Error { message } => {
+            assert!(message.contains("stale or duplicate seq"), "{message}")
+        }
+        other => panic!("the duplicate ran again: {other:?}"),
+    }
+    // One step from the first statement (line 2), not two.
+    let Response::State(st) = frame_roundtrip(t, 2, Command::GetState).resp else {
+        panic!("expected state");
+    };
+    assert_eq!(st.frame.location().line(), 3);
+    frame_roundtrip(t, 3, Command::Terminate);
+}
+
+#[test]
+fn a_solo_engine_runs_a_duplicated_command_frame_once() {
+    // In process: the driver `spawn_minic` runs.
+    duplicate_runs_once(&mut Raw::solo(PROG).t);
+    // A dedicated `mi-server` child, across real pipes.
+    let (mut child, mut pipes, dir) = solo_child("dup.c", PROG);
+    duplicate_runs_once(&mut pipes);
+    child.wait().expect("mi-server exits after Terminate");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A hot loop that never pauses.
+const HOT: &str =
+    "int main() {\n  int i = 0;\n  while (1) {\n    i = i + 1;\n  }\n  return i;\n}\n";
+
+/// Under a 50 ms wall budget, `Resume` into a hot loop must come back as
+/// the typed verdict long before the caller's own deadline expires.
+fn wall_budget_trips(client: &mut Client<impl FrameTx + FrameRx>) {
+    let limits = Command::SetLimits {
+        max_steps: None,
+        max_heap_bytes: None,
+        max_wall_ms: Some(50),
+        max_queue_depth: None,
+    };
+    assert_eq!(client.call(limits).expect("limits"), Response::Ok);
+    assert!(matches!(
+        client.call(Command::Start),
+        Ok(Response::Paused(_))
+    ));
+    let begun = std::time::Instant::now();
+    match client.call_deadline(Command::Resume, Some(Duration::from_millis(1500))) {
+        Ok(Response::ResourceExhausted { which, used, limit }) => {
+            assert_eq!(which, ResourceKind::WallMs);
+            assert_eq!(limit, 50);
+            assert!(used >= limit, "used {used} of {limit}");
+        }
+        other => panic!("expected the wall verdict, got {other:?}"),
+    }
+    assert!(
+        begun.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        begun.elapsed()
+    );
+}
+
+#[test]
+fn a_solo_wall_budget_stops_a_hot_loop() {
+    let program = minic::compile("hot.c", HOT).expect("compiles");
+    let mut session = mi::spawn_minic(&program);
+    wall_budget_trips(&mut session.client);
+    session.shutdown();
+    let (mut child, pipes, dir) = solo_child("hot.c", HOT);
+    let mut client = Client::new(pipes);
+    wall_budget_trips(&mut client);
+    let _ = client.call_deadline(Command::Terminate, Some(Duration::from_secs(2)));
+    child.wait().expect("mi-server exits after Terminate");
+    let _ = std::fs::remove_dir_all(dir);
 }

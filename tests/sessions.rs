@@ -374,7 +374,7 @@ fn client_death_mid_command_spares_other_connections() {
         session: Option<u64>,
         cmd: mi::Command,
     ) {
-        use mi::transport::Transport as _;
+        use mi::transport::FrameTx as _;
         let bytes = serde_json::to_vec(&mi::CommandFrame {
             seq,
             cmd,
@@ -385,7 +385,7 @@ fn client_death_mid_command_spares_other_connections() {
         wire.send(&bytes).expect("send");
     }
     fn recv(wire: &mut mi::transport::ChannelTransport) -> mi::ResponseFrame {
-        use mi::transport::Transport as _;
+        use mi::transport::FrameRx as _;
         let bytes = wire
             .recv_deadline(Duration::from_secs(10))
             .expect("host reply");

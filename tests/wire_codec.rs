@@ -27,7 +27,7 @@ use easytracker::{MiTracker, Recording, Tracker};
 use mi::asm_engine::AsmEngine;
 use mi::minic_engine::MinicEngine;
 use mi::protocol::{Command, CommandFrame, ResourceKind, Response, ResponseFrame};
-use mi::transport::{duplex, ChannelTransport, Transport, TransportCounters};
+use mi::transport::{duplex, ChannelTransport, FrameRx, FrameTx};
 use mi::{Client, Engine, MiError, Server};
 use state::{ExitStatus, PauseReason, SourceLocation};
 
@@ -42,20 +42,26 @@ struct Tap {
     frames: Vec<(&'static str, Vec<u8>)>,
 }
 
-impl Transport for Tap {
+impl FrameTx for Tap {
     fn send(&mut self, frame: &[u8]) -> Result<(), MiError> {
         self.frames.push(("CommandFrame", frame.to_vec()));
         self.inner.send(frame)
     }
 
+    fn framing(&self) -> u64 {
+        self.inner.framing()
+    }
+}
+
+impl FrameRx for Tap {
     fn recv(&mut self) -> Result<Vec<u8>, MiError> {
         let frame = self.inner.recv()?;
         self.frames.push(("ResponseFrame", frame.clone()));
         Ok(frame)
     }
 
-    fn counters(&self) -> TransportCounters {
-        self.inner.counters()
+    fn wire_bytes(&self) -> u64 {
+        self.inner.wire_bytes()
     }
 }
 
@@ -515,7 +521,6 @@ fn nesting_bombs_fail_typed_instead_of_overflowing_the_stack() {
 
 #[test]
 fn a_nesting_bomb_costs_a_host_one_error_reply() {
-    use mi::transport::Transport as _;
     let host = mi::SessionHost::new(2);
     let handle = mi::HostHandle::connect_in_process(&host);
     let (mut wire, far) = duplex();
