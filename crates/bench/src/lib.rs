@@ -1,11 +1,272 @@
-//! Shared workload generators for the benchmark harness.
+//! The benchmark harness behind the `bench` binary, and the workloads
+//! its jobs share.
 //!
-//! Each generator produces equivalent programs for the languages under
-//! test, parameterized by size, so benches sweep comparable work across
-//! the MiniC (machine-interface) tracker and the MiniPy (thread-based)
+//! Every job parses its flags with [`Flags`], times its variants with
+//! [`measure`], writes `BENCH_<job>.json` with [`write_report`] and
+//! turns its bounds into an exit code with [`Verdict`]. The workload
+//! generators produce equivalent programs for the languages under test,
+//! parameterized by size, so series sweep comparable work across the
+//! MiniC (machine-interface) tracker and the MiniPy (thread-based)
 //! tracker.
 
-use easytracker::{MiTracker, PauseReason, PyTracker, Tracker};
+use easytracker::{MiTracker, PauseReason, ProgramSpec, PyTracker, Supervision, Tracker};
+use mi::{HostHandle, SessionHost};
+use obs::Histogram;
+use serde_json::{json, Value};
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
+
+/// How a job flag takes its value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Present or absent; takes no value.
+    Switch,
+    /// Takes a whole number.
+    Int,
+    /// Takes a decimal number.
+    Real,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum FlagValue {
+    On,
+    Int(u64),
+    Real(f64),
+}
+
+/// A job's parsed command-line flags.
+#[derive(Debug, Default)]
+pub struct Flags(Vec<(&'static str, FlagValue)>);
+
+impl Flags {
+    /// Parses `args` against the job's declared flags. An unknown flag,
+    /// a missing value or a malformed number is a usage error. A flag
+    /// given twice keeps its last value.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        spec: &[(&'static str, Kind)],
+    ) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let Some(&(name, kind)) = spec.iter().find(|(name, _)| *name == arg) else {
+                return Err(format!("unknown flag {arg}"));
+            };
+            let value = match kind {
+                Kind::Switch => FlagValue::On,
+                Kind::Int | Kind::Real => {
+                    let raw = args
+                        .next()
+                        .ok_or_else(|| format!("{name} takes a number"))?;
+                    let parsed = match kind {
+                        Kind::Int => raw.parse().ok().map(FlagValue::Int),
+                        _ => raw
+                            .parse()
+                            .ok()
+                            .filter(|x: &f64| x.is_finite())
+                            .map(FlagValue::Real),
+                    };
+                    parsed.ok_or_else(|| format!("{name} takes a number, not {raw:?}"))?
+                }
+            };
+            flags.0.retain(|(seen, _)| *seen != name);
+            flags.0.push((name, value));
+        }
+        Ok(flags)
+    }
+
+    fn get(&self, name: &str) -> Option<FlagValue> {
+        self.0.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+    }
+
+    /// Whether the flag was given.
+    pub fn on(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// The value of a whole-number flag, if given.
+    pub fn int(&self, name: &str) -> Option<u64> {
+        match self.get(name) {
+            Some(FlagValue::Int(n)) => Some(n),
+            _ => None,
+        }
+    }
+
+    /// The value of a decimal flag, if given.
+    pub fn real(&self, name: &str) -> Option<f64> {
+        match self.get(name) {
+            Some(FlagValue::Real(x)) => Some(x),
+            _ => None,
+        }
+    }
+}
+
+/// How many rounds [`measure`] runs.
+#[derive(Clone, Copy, Debug)]
+pub struct Rounds {
+    /// Rounds run first and not scored.
+    pub warmup: u32,
+    /// Rounds scored.
+    pub scored: u32,
+    /// Samples each variant takes in a row within one round.
+    pub per_round: u32,
+}
+
+impl Rounds {
+    /// `warmup` unscored rounds, then `scored` rounds, one sample per
+    /// variant per round.
+    pub const fn new(warmup: u32, scored: u32) -> Rounds {
+        Rounds {
+            warmup,
+            scored,
+            per_round: 1,
+        }
+    }
+}
+
+/// One variant's scored samples.
+pub struct Timed<T> {
+    /// The smallest scored sample: the repeatable cost.
+    pub best: Duration,
+    /// Every scored sample, in nanoseconds.
+    pub hist: Histogram,
+    /// What the variant's last scored sample produced.
+    pub last: T,
+}
+
+impl<T> Timed<T> {
+    /// `{min_us, p50_us, p95_us, p99_us}` for a report.
+    pub fn summary(&self) -> Value {
+        let s = self.hist.stats();
+        json!({
+            "min_us": self.best.as_micros() as u64,
+            "p50_us": s.p50 / 1_000,
+            "p95_us": s.p95 / 1_000,
+            "p99_us": s.p99 / 1_000,
+        })
+    }
+
+    /// The same numbers as [`Timed::summary`], for a console line.
+    pub fn summary_line(&self) -> String {
+        let s = self.hist.stats();
+        format!(
+            "min {:>9}us | p50 {:>9}us p95 {:>9}us p99 {:>9}us",
+            self.best.as_micros(),
+            s.p50 / 1_000,
+            s.p95 / 1_000,
+            s.p99 / 1_000,
+        )
+    }
+}
+
+/// The timing loop every job shares. Runs `rounds.warmup` unscored
+/// rounds, then `rounds.scored` scored ones; each round visits the
+/// variants `0..variants` in order (so slow drift in machine load hits
+/// each one equally) and takes `rounds.per_round` samples of each.
+/// `sample(variant)` returns the time one sample took and what it
+/// produced.
+pub fn measure<T: Default>(
+    variants: usize,
+    rounds: Rounds,
+    mut sample: impl FnMut(usize) -> (Duration, T),
+) -> Vec<Timed<T>> {
+    let mut out: Vec<Timed<T>> = (0..variants)
+        .map(|_| Timed {
+            best: Duration::MAX,
+            hist: Histogram::new(),
+            last: T::default(),
+        })
+        .collect();
+    for round in 0..rounds.warmup + rounds.scored {
+        for (variant, timed) in out.iter_mut().enumerate() {
+            for _ in 0..rounds.per_round {
+                let (elapsed, output) = sample(variant);
+                if round >= rounds.warmup {
+                    timed.best = timed.best.min(elapsed);
+                    timed.hist.record(elapsed.as_nanos() as u64);
+                    timed.last = output;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Runs `f` once, returning how long it took and what it produced.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (Duration, T) {
+    let begin = Instant::now();
+    let out = f();
+    (begin.elapsed(), out)
+}
+
+/// How much slower `variant` is than `base`, in percent.
+pub fn overhead_pct(base: Duration, variant: Duration) -> f64 {
+    if base.is_zero() {
+        return 0.0;
+    }
+    (variant.as_secs_f64() / base.as_secs_f64() - 1.0) * 100.0
+}
+
+/// Writes a job's report to `BENCH_<job>.json` in the working directory.
+pub fn write_report(job: &str, doc: &Value) {
+    let path = format!("BENCH_{job}.json");
+    std::fs::write(&path, format!("{doc}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// A job's bounds: collects the failed ones and turns them into the
+/// process exit code.
+#[derive(Debug, Default)]
+pub struct Verdict {
+    failures: Vec<String>,
+    passed: Option<String>,
+}
+
+impl Verdict {
+    /// Records `failure` unless `ok`.
+    pub fn require(&mut self, ok: bool, failure: impl FnOnce() -> String) {
+        if !ok {
+            self.failures.push(failure());
+        }
+    }
+
+    /// Requires a latency `p99_us` (microseconds) within `budget_ms`.
+    /// The comparison is made in microseconds, so 50 001 us exceeds a
+    /// 50 ms budget.
+    pub fn latency_within(&mut self, what: &str, p99_us: u64, budget_ms: u64) {
+        self.require(p99_us <= budget_ms.saturating_mul(1_000), || {
+            format!("{what} {p99_us}us exceeds the {budget_ms}ms budget")
+        });
+        self.passed = Some(format!("{what} {p99_us}us within the {budget_ms}ms budget"));
+    }
+
+    /// The line printed when every bound held.
+    pub fn on_pass(&mut self, line: String) {
+        self.passed = Some(line);
+    }
+
+    /// Whether any bound failed.
+    fn failed(&self) -> bool {
+        !self.failures.is_empty()
+    }
+
+    /// Reports the outcome: each failed bound on stderr and exit 1, or
+    /// the pass line and exit 0.
+    pub fn exit_code(self, job: &str) -> ExitCode {
+        for failure in &self.failures {
+            eprintln!("bench {job}: {failure}");
+        }
+        if self.failed() {
+            return ExitCode::FAILURE;
+        }
+        if let Some(line) = self.passed {
+            println!("{line}");
+        }
+        ExitCode::SUCCESS
+    }
+}
 
 /// A MiniC counting loop with `iters` iterations.
 pub fn c_loop(iters: u32) -> String {
@@ -34,7 +295,7 @@ pub fn py_fib(n: u32) -> String {
 }
 
 /// A MiniC program that pauses (via a line breakpoint target) at call
-/// depth `depth`, for inspection-scaling benches.
+/// depth `depth`, for inspection-scaling series.
 pub fn c_deep(depth: u32) -> String {
     format!(
         "int down(int n) {{\nint local = n * 2;\nif (n == 0) {{ return local; }}\nreturn down(n - 1);\n}}\nint main() {{\nreturn down({depth});\n}}"
@@ -96,14 +357,289 @@ pub fn run_with_watch(tracker: &mut dyn Tracker, variable: &str) -> u64 {
     }
 }
 
+/// Runs a tracker to completion pausing only at `function`'s calls and
+/// returns (down to `maxdepth`); returns the number of pauses.
+pub fn run_tracked(tracker: &mut dyn Tracker, function: &str, maxdepth: Option<u32>) -> u64 {
+    tracker.track_function(function, maxdepth).expect("track");
+    tracker.start().expect("start");
+    let mut events = 0;
+    loop {
+        match tracker.resume().expect("resume") {
+            PauseReason::Exited(_) => return events,
+            _ => events += 1,
+        }
+    }
+}
+
 /// Convenience constructors.
 pub fn c_tracker(src: &str) -> MiTracker {
     MiTracker::load_c("bench.c", src).expect("compiles")
 }
 
-/// Convenience constructor for MiniPy benchmarks.
+/// Convenience constructor for MiniPy workloads.
 pub fn py_tracker(src: &str) -> PyTracker {
     PyTracker::load("bench.py", src).expect("parses")
+}
+
+/// The `mi-server` binary, built if need be, and how a tracker loaded
+/// with [`load_mi`] reaches its engine: a child process, or the
+/// in-process channel where the binary is unavailable.
+pub fn mi_server() -> (Option<PathBuf>, &'static str) {
+    let server = conformance::mi_server_bin();
+    let deployment = if server.is_some() {
+        "mi-server child process"
+    } else {
+        "in-process channel"
+    };
+    (server, deployment)
+}
+
+/// Loads MiniC `src` over `server` (in process when `None`), reporting
+/// into `registry`.
+pub fn load_mi(server: Option<&Path>, src: &str, registry: obs::Registry) -> MiTracker {
+    let spec = match server {
+        Some(bin) => ProgramSpec::c("bench.c", src).via_server(bin),
+        None => ProgramSpec::c("bench.c", src),
+    };
+    MiTracker::load_spec(spec, registry, Supervision::default(), None).expect("workload compiles")
+}
+
+/// What [`tracked_fib`] runs, for reports.
+pub const TRACKED_FIB: &str = "c_fib(13), track fib + inspect each call";
+
+/// The canonical debugging session the `obs` and `profile` jobs time:
+/// track `fib` in `c_fib(13)`, resume across every call and return, and
+/// inspect the state at each call, like a visualization frontend.
+/// `setup` runs on the loaded tracker before the clock starts;
+/// `on_pause` runs inside the timed region after every pause, with the
+/// pause count and whether the inferior exited. Returns the elapsed
+/// time, the pause count and the still-open tracker.
+pub fn tracked_fib(
+    server: Option<&Path>,
+    registry: obs::Registry,
+    setup: impl FnOnce(&mut MiTracker),
+    mut on_pause: impl FnMut(&mut MiTracker, u64, bool),
+) -> (Duration, u64, MiTracker) {
+    let mut t = load_mi(server, &c_fib(13), registry);
+    setup(&mut t);
+    let begin = Instant::now();
+    t.start().expect("start");
+    t.track_function("fib", None).expect("track");
+    let mut pauses = 0u64;
+    loop {
+        let reason = t.resume().expect("resume");
+        let exited = matches!(reason, PauseReason::Exited(_));
+        if !exited {
+            if let PauseReason::FunctionCall { .. } = reason {
+                let state = t.get_state().expect("state");
+                debug_assert_eq!(state.frame.name(), "fib");
+            }
+            pauses += 1;
+        }
+        on_pause(&mut t, pauses, exited);
+        if exited {
+            return (begin.elapsed(), pauses, t);
+        }
+    }
+}
+
+/// A session host for the load jobs: one `mi-server --host` child, or
+/// an in-process host where the server binary is unavailable.
+pub struct Host {
+    pub handle: HostHandle,
+    pub deployment: &'static str,
+    _local: Option<SessionHost>,
+}
+
+impl Host {
+    /// Opens a host with `workers` worker threads.
+    pub fn open(workers: usize) -> Host {
+        match conformance::mi_server_bin() {
+            Some(bin) => Host {
+                handle: HostHandle::spawn_process(&bin, workers).expect("spawn host"),
+                deployment: "mi-server --host child process",
+                _local: None,
+            },
+            None => {
+                let local = SessionHost::new(workers);
+                Host {
+                    handle: HostHandle::connect_in_process(&local),
+                    deployment: "in-process host",
+                    _local: Some(local),
+                }
+            }
+        }
+    }
+}
+
+/// What a load session does with its commands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Script {
+    /// Step through a generated program, inspecting every 4th pause.
+    StepInspect,
+    /// Line breakpoint + resume-to-pause + inspect at each hit.
+    Breakpoint,
+    /// Track a recursive function, inspect the frame at each call.
+    TrackCalls,
+}
+
+/// One hosted session under load: its tracker, its script, and how many
+/// commands it has left. A done session stays open (parked in the host)
+/// until its driver finishes: the point is concurrent *sessions*, not
+/// concurrent commands.
+pub struct LoadSession {
+    tracker: MiTracker,
+    script: Script,
+    ops_left: u32,
+    step: u64,
+    exited: bool,
+}
+
+impl LoadSession {
+    /// Opens session `index` on `host`. A step/inspect session steps
+    /// through the conformance program generated from seed
+    /// `seed + index % 8`; the other scripts run fib(6).
+    pub fn open(host: &HostHandle, script: Script, seed: u64, index: usize, ops: u32) -> Self {
+        let (file, source) = match script {
+            Script::StepInspect => {
+                let program = conformance::gen::gen_program(seed + (index % 8) as u64);
+                (
+                    format!("gen{}.c", index % 8),
+                    conformance::gen::render_c(&program),
+                )
+            }
+            Script::Breakpoint | Script::TrackCalls => ("fib.c".to_owned(), c_fib(6)),
+        };
+        let spec = ProgramSpec::c(&file, &source).via_host(host);
+        let tracker =
+            MiTracker::load_spec(spec, obs::Registry::new(), Supervision::default(), None)
+                .expect("workload compiles");
+        LoadSession {
+            tracker,
+            script,
+            ops_left: ops,
+            step: 0,
+            exited: false,
+        }
+    }
+
+    /// Arms the script's control points and starts the inferior.
+    fn begin(&mut self, hist: &mut Histogram) {
+        match self.script {
+            Script::StepInspect => {}
+            Script::Breakpoint => {
+                self.tracker.break_before_func("fib", None).expect("break");
+            }
+            Script::TrackCalls => {
+                self.tracker.track_function("fib", None).expect("track");
+            }
+        }
+        let (elapsed, reason) = timed(|| self.tracker.start().expect("start"));
+        hist.record(elapsed.as_nanos() as u64);
+        self.exited = matches!(reason, PauseReason::Exited(_));
+    }
+
+    /// Advances the session by one command; returns false once the
+    /// script is exhausted or the inferior exited. Control-command
+    /// latency goes to `hist`; inspection commands count toward
+    /// `commands` but not pause latency.
+    fn advance(&mut self, hist: &mut Histogram, commands: &mut u64) -> bool {
+        if self.exited || self.ops_left == 0 {
+            return false;
+        }
+        self.ops_left -= 1;
+        self.step += 1;
+        *commands += 1;
+        let (elapsed, reason) = timed(|| match self.script {
+            Script::StepInspect => self.tracker.step(),
+            Script::Breakpoint | Script::TrackCalls => self.tracker.resume(),
+        });
+        hist.record(elapsed.as_nanos() as u64);
+        if matches!(reason.expect("control command"), PauseReason::Exited(_)) {
+            self.exited = true;
+            return false;
+        }
+        if self.step.is_multiple_of(4) {
+            *commands += 1;
+            let state = self.tracker.get_state().expect("inspect");
+            std::hint::black_box(state.frame.name());
+        }
+        true
+    }
+}
+
+/// What [`drive_pool`] measured.
+pub struct Drive {
+    /// Control-command latencies of every session, in nanoseconds.
+    pub pauses: Histogram,
+    /// Commands sent, inspections included.
+    pub commands: u64,
+    /// Wall time of the whole drive.
+    pub elapsed: Duration,
+}
+
+/// Drives `sessions` from `drivers` threads, dealt round-robin. Each
+/// driver starts its sessions, advances each by one command per pass
+/// until every script is done, then closes them. `background` runs on
+/// `background_threads` more threads for the whole drive; the flag it
+/// gets turns true once every driver is done.
+pub fn drive_pool(
+    sessions: Vec<LoadSession>,
+    drivers: usize,
+    background_threads: usize,
+    background: impl Fn(&AtomicBool) + Sync,
+) -> Drive {
+    let mut chunks: Vec<Vec<LoadSession>> = (0..drivers).map(|_| Vec::new()).collect();
+    for (i, s) in sessions.into_iter().enumerate() {
+        chunks[i % drivers].push(s);
+    }
+    let done = AtomicBool::new(false);
+    let begin = Instant::now();
+    let mut drive = std::thread::scope(|scope| {
+        for _ in 0..background_threads {
+            scope.spawn(|| background(&done));
+        }
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|chunk| scope.spawn(move || drive_chunk(chunk)))
+            .collect();
+        let mut total = Drive {
+            pauses: Histogram::new(),
+            commands: 0,
+            elapsed: Duration::ZERO,
+        };
+        for handle in handles {
+            let (hist, commands) = handle.join().expect("driver thread");
+            total.pauses.merge(&hist);
+            total.commands += commands;
+        }
+        done.store(true, Ordering::Relaxed);
+        total
+    });
+    drive.elapsed = begin.elapsed();
+    drive
+}
+
+fn drive_chunk(mut chunk: Vec<LoadSession>) -> (Histogram, u64) {
+    let mut hist = Histogram::new();
+    let mut commands = 0u64;
+    for s in &mut chunk {
+        commands += 1;
+        s.begin(&mut hist);
+    }
+    let mut live = true;
+    while live {
+        live = false;
+        for s in &mut chunk {
+            if s.advance(&mut hist, &mut commands) {
+                live = true;
+            }
+        }
+    }
+    for s in &mut chunk {
+        s.tracker.terminate();
+    }
+    (hist, commands)
 }
 
 #[cfg(test)]
@@ -143,5 +679,125 @@ mod tests {
         // its initial 0 (i = 0 leaves it 0, so 9 observable changes...
         // plus the zero-init store is invisible as a change).
         assert!(hits >= 8, "hits = {hits}");
+    }
+
+    #[test]
+    fn tracked_runs_honour_maxdepth() {
+        let mut all = c_tracker(&c_fib(6));
+        let every = run_tracked(&mut all, "fib", None);
+        all.terminate();
+        let mut shallow = c_tracker(&c_fib(6));
+        let top = run_tracked(&mut shallow, "fib", Some(2));
+        shallow.terminate();
+        assert!(top < every, "maxdepth 2: {top} pauses, unbounded: {every}");
+    }
+
+    const SPEC: &[(&str, Kind)] = &[
+        ("--check", Kind::Switch),
+        ("--sessions", Kind::Int),
+        ("--budget", Kind::Real),
+    ];
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        Flags::parse(args.iter().map(|a| a.to_string()), SPEC)
+    }
+
+    #[test]
+    fn flags_parse_declared_flags_and_keep_the_last_value() {
+        let flags = parse(&["--sessions", "64", "--check", "--sessions", "8"]).unwrap();
+        assert!(flags.on("--check"));
+        assert_eq!(flags.int("--sessions"), Some(8));
+        assert_eq!(flags.real("--budget"), None);
+        let flags = parse(&["--budget", "2.5"]).unwrap();
+        assert!(!flags.on("--check"));
+        assert_eq!(flags.real("--budget"), Some(2.5));
+    }
+
+    #[test]
+    fn flags_reject_unknown_flags_and_malformed_numbers() {
+        for bad in [
+            &["--verbose"][..],
+            &["check"],
+            &["--sessions"],
+            &["--sessions", "ten"],
+            &["--sessions", "-3"],
+            &["--sessions", "6.5"],
+            &["--budget", "five"],
+            &["--budget", "NaN"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
+    }
+
+    /// Drives [`measure`] with scripted samples: the sample at call `i`
+    /// takes `script[i]` microseconds and produces `i`.
+    fn scripted(
+        variants: usize,
+        rounds: Rounds,
+        script: &[u64],
+    ) -> (Vec<Timed<usize>>, Vec<usize>) {
+        let mut calls = Vec::new();
+        let out = measure(variants, rounds, |variant| {
+            let i = calls.len();
+            calls.push(variant);
+            (Duration::from_micros(script[i]), i)
+        });
+        (out, calls)
+    }
+
+    #[test]
+    fn measure_alternates_variants_within_each_round() {
+        let (_, calls) = scripted(3, Rounds::new(1, 2), &[1; 9]);
+        assert_eq!(calls, [0, 1, 2, 0, 1, 2, 0, 1, 2]);
+        let rounds = Rounds {
+            per_round: 2,
+            ..Rounds::new(0, 2)
+        };
+        let (_, calls) = scripted(2, rounds, &[1; 8]);
+        assert_eq!(calls, [0, 0, 1, 1, 0, 0, 1, 1]);
+    }
+
+    #[test]
+    fn measure_scores_neither_warmup_round() {
+        // The warm-up rounds hold the fastest samples of all: if they
+        // were scored, they would be the minimum.
+        let script = [1, 2, 1, 2, 50, 60, 40, 70, 45, 65];
+        let (out, _) = scripted(2, Rounds::new(2, 3), &script);
+        assert_eq!(out[0].best, Duration::from_micros(40));
+        assert_eq!(out[1].best, Duration::from_micros(60));
+        assert_eq!(out[0].hist.count(), 3);
+        assert_eq!(out[1].hist.count(), 3);
+        assert_eq!(out[0].hist.max(), 50_000);
+        assert_eq!(out[0].last, 8);
+        assert_eq!(out[1].last, 9);
+    }
+
+    #[test]
+    fn overhead_is_relative_to_the_base() {
+        let ms = Duration::from_millis;
+        assert!((overhead_pct(ms(100), ms(105)) - 5.0).abs() < 1e-9);
+        assert!((overhead_pct(ms(100), ms(90)) + 10.0).abs() < 1e-9);
+        assert_eq!(overhead_pct(Duration::ZERO, ms(3)), 0.0);
+    }
+
+    #[test]
+    fn latency_budgets_compare_in_microseconds() {
+        let mut over = Verdict::default();
+        over.latency_within("p99 pause latency", 50_001, 50);
+        assert!(over.failed(), "50 001 us must fail a 50 ms budget");
+        let mut at = Verdict::default();
+        at.latency_within("p99 pause latency", 50_000, 50);
+        assert!(!at.failed(), "50 000 us is within a 50 ms budget");
+    }
+
+    #[test]
+    fn verdict_collects_every_failed_bound() {
+        let mut v = Verdict::default();
+        v.require(true, || unreachable!("a held bound builds no message"));
+        assert!(!v.failed());
+        v.require(false, || "first".into());
+        v.require(false, || "second".into());
+        assert_eq!(v.failures, ["first", "second"]);
+        assert_eq!(v.exit_code("test"), ExitCode::FAILURE);
     }
 }

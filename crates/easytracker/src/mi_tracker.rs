@@ -63,7 +63,6 @@ use mi::supervise::jittered_backoff;
 use mi::transport::PumpedTransport;
 use mi::{CommandPort, HostHandle, MiError, SupervisePolicy, SupervisedClient};
 use state::{Frame, PauseReason, ProgramState, Variable};
-use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -636,7 +635,7 @@ impl MiTracker {
             })?;
         let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
-        let stderr = tail_stderr(child.stderr.take().expect("piped stderr"));
+        let stderr = mi::tail_stderr(child.stderr.take().expect("piped stderr"));
         // A pumped transport so receives can honor deadlines: the reader
         // thread blocks on the pipe, the tracker blocks on a channel.
         let transport = PumpedTransport::spawn(stdout, stdin);
@@ -1390,37 +1389,6 @@ impl MiTracker {
             self.clock.offset_us().unwrap_or(0),
         )
     }
-}
-
-/// Drains a child's stderr on a thread into a rolling tail, so engine
-/// diagnostics survive the child and can be attached to
-/// [`MiError::EngineDied`].
-fn tail_stderr(mut stderr: std::process::ChildStderr) -> Arc<Mutex<String>> {
-    const TAIL_CAP: usize = 8 * 1024;
-    let tail = Arc::new(Mutex::new(String::new()));
-    let sink = Arc::clone(&tail);
-    let _ = std::thread::Builder::new()
-        .name("mi-stderr-tail".into())
-        .spawn(move || {
-            let mut buf = [0u8; 1024];
-            loop {
-                match stderr.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => {
-                        let mut tail = sink.lock().unwrap();
-                        tail.push_str(&String::from_utf8_lossy(&buf[..n]));
-                        if tail.len() > TAIL_CAP {
-                            let mut cut = tail.len() - TAIL_CAP;
-                            while !tail.is_char_boundary(cut) {
-                                cut += 1;
-                            }
-                            tail.drain(..cut);
-                        }
-                    }
-                }
-            }
-        });
-    tail
 }
 
 /// Upgrades a bare transport failure to [`MiError::EngineDied`] when the

@@ -50,7 +50,6 @@ use crate::transport::{
 use crate::MiError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead as _, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1191,25 +1190,7 @@ fn spawn_host_child(spec: &HostSpawnSpec) -> Result<Conn, MiError> {
     let stdout = child.stdout.take().expect("piped stdout");
     let stderr = child.stderr.take().expect("piped stderr");
     let pid = child.id();
-    let stderr_tail = Arc::new(Mutex::new(String::new()));
-    let tail = stderr_tail.clone();
-    std::thread::Builder::new()
-        .name("mi-host-stderr-tail".into())
-        .spawn(move || {
-            let reader = BufReader::new(stderr);
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                let mut tail = tail.lock().expect("stderr tail");
-                tail.push_str(&line);
-                tail.push('\n');
-                // Keep the tail bounded; post-mortems want the end.
-                if tail.len() > 16 * 1024 {
-                    let cut = tail.len() - 8 * 1024;
-                    tail.drain(..cut);
-                }
-            }
-        })
-        .expect("spawn host stderr tail");
+    let stderr_tail = crate::tail_stderr(stderr);
     Ok(make_conn(
         Box::new(StreamFrameTx::new(stdin)),
         Box::new(StreamFrameRx::new(stdout)),

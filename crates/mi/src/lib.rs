@@ -63,6 +63,8 @@ pub use supervise::{SupervisePolicy, SupervisedClient};
 pub use transport::MAX_FRAME_LEN;
 
 use std::fmt;
+use std::io::Read;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -111,6 +113,49 @@ impl fmt::Display for MiError {
 }
 
 impl std::error::Error for MiError {}
+
+/// Most bytes of a child's stderr that [`tail_stderr`] keeps.
+const STDERR_TAIL_CAP: usize = 16 * 1024;
+
+/// Drains a child's stderr on a thread into a rolling tail of its last
+/// 16 KiB, so engine diagnostics (the last-gasp flight ring among them)
+/// survive the child and can be attached to [`MiError::EngineDied`].
+///
+/// The tail is cut at a character boundary, and a character split
+/// across two reads is decoded whole; bytes that are not UTF-8 are
+/// replaced.
+pub fn tail_stderr(mut stderr: impl Read + Send + 'static) -> Arc<Mutex<String>> {
+    let tail = Arc::new(Mutex::new(String::new()));
+    let sink = Arc::clone(&tail);
+    let _ = std::thread::Builder::new()
+        .name("mi-stderr-tail".into())
+        .spawn(move || {
+            let mut buf = [0u8; 4096];
+            let mut pending = Vec::new();
+            loop {
+                match stderr.read(&mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => pending.extend_from_slice(&buf[..n]),
+                }
+                // Hold back the start of a character the next read ends.
+                let whole = match std::str::from_utf8(&pending) {
+                    Err(e) if e.error_len().is_none() => e.valid_up_to(),
+                    _ => pending.len(),
+                };
+                let mut tail = sink.lock().expect("stderr tail");
+                tail.push_str(&String::from_utf8_lossy(&pending[..whole]));
+                pending.drain(..whole);
+                if tail.len() > STDERR_TAIL_CAP {
+                    let mut cut = tail.len() - STDERR_TAIL_CAP;
+                    while !tail.is_char_boundary(cut) {
+                        cut += 1;
+                    }
+                    tail.drain(..cut);
+                }
+            }
+        });
+    tail
+}
 
 /// A running engine session: the client stub plus the server thread handle.
 pub struct Session {
@@ -258,5 +303,36 @@ fn spawn_engine<E: Engine + Send + 'static>(
     Session {
         client,
         handle: Some(handle),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn stderr_tail_keeps_whole_characters_from_the_end() {
+        // 18 KiB of three-byte characters: reads and the trim both land
+        // inside characters unless they are careful.
+        let mut input = "→".repeat(6000);
+        input.push_str("\nlast words\n");
+        let tail = tail_stderr(std::io::Cursor::new(input.clone().into_bytes()));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&tail) > 1 {
+            assert!(Instant::now() < deadline, "tail thread did not finish");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let tail = tail.lock().unwrap();
+        assert!(tail.len() <= STDERR_TAIL_CAP);
+        assert!(
+            tail.len() > STDERR_TAIL_CAP - 4,
+            "kept {} bytes",
+            tail.len()
+        );
+        assert!(
+            input.ends_with(tail.as_str()),
+            "tail is not the input's end"
+        );
     }
 }
