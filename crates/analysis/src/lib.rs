@@ -3,7 +3,7 @@
 //! The crate layers a classic dataflow engine over compiled
 //! [`minic::Program`]s:
 //!
-//! 1. [`cfg`] builds one control-flow graph per function, with per-op source
+//! 1. [`cfg`](mod@cfg) builds one control-flow graph per function, with per-op source
 //!    lines recovered from the `Line` markers;
 //! 2. [`interp`] runs a small abstract interpreter over the operand stack to
 //!    resolve which scalar local slot every `Load`/`Store` touches, to track

@@ -14,7 +14,7 @@
 //!   where it is, and no value is folded across one. Rewrites happen only
 //!   inside barrier-free windows of pure stack ops, where no pause can
 //!   ever observe the intermediate stack.
-//! - **Translation validation.** The [`verify`](crate::verify) checker
+//! - **Translation validation.** The [`verify`] checker
 //!   runs on the input and after every pass; a pass that breaks the
 //!   stack/tag/structure invariants aborts optimization with an error
 //!   instead of producing a program the VM could panic on.

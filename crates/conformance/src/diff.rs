@@ -13,7 +13,7 @@
 //!   as its exit code.
 //!
 //! All comparisons return [`Divergence`] values instead of panicking so
-//! the shrinker (see [`crate::shrink`]) can re-run them on reduced
+//! the shrinker (see [`crate::shrink`](mod@crate::shrink)) can re-run them on reduced
 //! candidates.
 
 use crate::fault::{chaos_wrapper, counting_wrapper, ChaosFault, ChaosPlan, ChaosState};

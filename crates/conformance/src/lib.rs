@@ -21,7 +21,7 @@
 //! * [`sanitize`] — seed-driven memory-*unsafe* MiniC programs and the
 //!   static ⊇ runtime superset oracle tying the `analysis` crate's
 //!   findings to the VM sanitizer's traps;
-//! * [`shrink`] — a delta-debugging reducer over the generator AST, and
+//! * [`shrink`](mod@shrink) — a delta-debugging reducer over the generator AST, and
 //!   the committed reproducer corpus under `tests/corpus/`.
 //!
 //! Counters land under `conformance.*` in the obs registry the driver is

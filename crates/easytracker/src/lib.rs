@@ -102,7 +102,7 @@ pub enum TrackerError {
         limit: u64,
     },
     /// The host shed this request before it touched the engine (session
-    /// cap or queue bound), and the port's bounded backoff retries did
+    /// cap or queue bound), and the tracker's bounded backoff retries did
     /// not get through. Retryable later; nothing executed.
     Overloaded(String),
 }
@@ -128,7 +128,12 @@ impl std::error::Error for TrackerError {}
 
 impl From<mi::MiError> for TrackerError {
     fn from(e: mi::MiError) -> Self {
-        TrackerError::Protocol(e.to_string())
+        match e {
+            mi::MiError::Overloaded { load, limit } => {
+                TrackerError::Overloaded(format!("{load}/{limit} sessions open"))
+            }
+            e => TrackerError::Protocol(e.to_string()),
+        }
     }
 }
 

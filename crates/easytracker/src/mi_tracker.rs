@@ -13,9 +13,12 @@
 //! that hangs or panics with it is useless for building tools. This
 //! tracker therefore *supervises* its session:
 //!
-//! * every MI call runs under a deadline (via
-//!   [`mi::SupervisedClient`]), with bounded retries for idempotent
-//!   commands — no call blocks forever against a wedged boundary;
+//! * every MI call goes through one loop, the tracker's own: each
+//!   attempt runs under the per-command deadline, so no call blocks
+//!   forever against a wedged boundary; idempotent commands that time
+//!   out, and anything the host refuses for load (session opens
+//!   included), are re-sent after a jittered backoff, within one retry
+//!   budget; what still fails goes to recovery, below;
 //! * sessions loaded from source keep a declarative **manifest**: the
 //!   program spec plus a journal of every successful control command
 //!   (with its observed [`PauseReason`]) and every armed/disarmed
@@ -59,9 +62,8 @@
 
 use crate::{ControlPointId, LowLevel, Result, Tracker, TrackerError};
 use mi::protocol::{Command, Response};
-use mi::supervise::jittered_backoff;
 use mi::transport::PumpedTransport;
-use mi::{CommandPort, HostHandle, MiError, SupervisePolicy, SupervisedClient};
+use mi::{CommandPort, HostHandle, MiError};
 use state::{Frame, PauseReason, ProgramState, Variable};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -81,8 +83,9 @@ pub struct Supervision {
     pub deadline: Option<Duration>,
     /// Deadline for [`MiTracker::heartbeat`] probes.
     pub ping_deadline: Duration,
-    /// Command-level retries for idempotent commands (see
-    /// [`Command::is_idempotent`]).
+    /// Re-sends per command after a timeout or codec fault (idempotent
+    /// commands only, see [`Command::is_idempotent`]) or an overload
+    /// refusal (any command, and session opens).
     pub max_retries: u32,
     /// Total engine respawns allowed over the session's lifetime; when
     /// exhausted the session degrades instead of looping.
@@ -121,17 +124,23 @@ impl Supervision {
             ..Supervision::default()
         }
     }
+}
 
-    fn policy(&self) -> SupervisePolicy {
-        SupervisePolicy {
-            deadline: self.deadline,
-            ping_deadline: self.ping_deadline,
-            max_retries: self.max_retries,
-            backoff_base: self.backoff_base,
-            backoff_cap: self.backoff_cap,
-            jitter_seed: self.jitter_seed,
-        }
-    }
+/// Jittered exponential backoff: `base * 2^attempt`, capped at `cap`,
+/// then scaled by a factor in `[0.5, 1.0)` drawn from `rng` (an xorshift
+/// state advanced in place). Jitter keeps a fleet of retrying clients
+/// from hammering a recovering engine in lockstep.
+fn jittered_backoff(base: Duration, cap: Duration, attempt: u32, rng: &mut u64) -> Duration {
+    let exp = base.saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX));
+    let full = exp.min(cap);
+    // xorshift64
+    let mut x = *rng;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *rng = x;
+    let frac = 0.5 + (x >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
+    full.mul_f64(frac)
 }
 
 /// Whether the supervised session can still vouch for its answers.
@@ -275,9 +284,9 @@ enum EngineKind {
     External,
 }
 
-/// A live connection: supervised port plus engine ownership.
+/// A live connection: the engine's port plus engine ownership.
 struct Backend {
-    port: SupervisedClient<Box<dyn CommandPort>>,
+    port: Box<dyn CommandPort>,
     engine: EngineKind,
 }
 
@@ -395,38 +404,18 @@ impl MiTracker {
     /// # Errors
     ///
     /// Returns [`TrackerError::Load`] when the program does not
-    /// compile/assemble or the server process cannot be spawned.
+    /// compile/assemble or the server process cannot be spawned;
+    /// [`TrackerError::Overloaded`] when a host still refuses to open the
+    /// session after `max_retries` backoffs.
     pub fn load_spec(
         spec: ProgramSpec,
         registry: obs::Registry,
         cfg: Supervision,
-        mut wrapper: Option<PortWrapper>,
+        wrapper: Option<PortWrapper>,
     ) -> Result<Self> {
-        let flight = obs::FlightRecorder::new(256);
-        let mut backend = Self::build_backend(&spec, &registry, &cfg, wrapper.as_mut())?;
-        backend.port.set_flight_recorder(flight.clone());
-        Ok(MiTracker {
-            backend: Some(backend),
-            spec: Some(spec),
-            wrapper,
-            cfg,
-            journal: Vec::new(),
-            drained: String::new(),
-            pending_output: String::new(),
-            health: SessionHealth::Healthy,
-            respawns_used: 0,
-            rng: cfg.jitter_seed | 1,
-            last_reason: PauseReason::NotStarted,
-            started: false,
-            obs: registry,
-            flight,
-            clock: obs::ClockSync::new(),
-            engine_events: Vec::new(),
-            telemetry_since: 0,
-            profile_since: 0,
-            dump_dir: None,
-            last_dump: None,
-        })
+        let mut tracker = Self::new(Some(spec), wrapper, cfg, registry);
+        tracker.backend = Some(tracker.connect()?);
+        Ok(tracker)
     }
 
     /// Attaches the tracker to an already-connected [`CommandPort`] —
@@ -443,17 +432,25 @@ impl MiTracker {
 
     /// Like [`MiTracker::from_port`], reporting into `registry`.
     pub fn from_port_with_registry(port: Box<dyn CommandPort>, registry: obs::Registry) -> Self {
-        let cfg = Supervision::passthrough();
-        let flight = obs::FlightRecorder::new(256);
-        let mut port = SupervisedClient::with_registry(port, cfg.policy(), registry.clone());
-        port.set_flight_recorder(flight.clone());
+        let mut tracker = Self::new(None, None, Supervision::passthrough(), registry);
+        tracker.backend = Some(Backend {
+            port,
+            engine: EngineKind::External,
+        });
+        tracker
+    }
+
+    /// A tracker with no engine attached yet.
+    fn new(
+        spec: Option<ProgramSpec>,
+        wrapper: Option<PortWrapper>,
+        cfg: Supervision,
+        registry: obs::Registry,
+    ) -> Self {
         MiTracker {
-            backend: Some(Backend {
-                port,
-                engine: EngineKind::External,
-            }),
-            spec: None,
-            wrapper: None,
+            backend: None,
+            spec,
+            wrapper,
             cfg,
             journal: Vec::new(),
             drained: String::new(),
@@ -464,7 +461,7 @@ impl MiTracker {
             last_reason: PauseReason::NotStarted,
             started: false,
             obs: registry,
-            flight,
+            flight: obs::FlightRecorder::new(256),
             clock: obs::ClockSync::new(),
             engine_events: Vec::new(),
             telemetry_since: 0,
@@ -519,7 +516,8 @@ impl MiTracker {
     /// # Errors
     ///
     /// Returns [`TrackerError::Load`] if the program does not compile or
-    /// the host cannot be (re)spawned.
+    /// the host cannot be (re)spawned; [`TrackerError::Overloaded`] when
+    /// the host stays at its session cap through every retry.
     pub fn load_c_hosted(host: &HostHandle, file: &str, source: &str) -> Result<Self> {
         Self::load_spec(
             ProgramSpec::c(file, source).via_host(host),
@@ -533,7 +531,8 @@ impl MiTracker {
     ///
     /// # Errors
     ///
-    /// Returns [`TrackerError::Load`] on assembly or host-spawn failure.
+    /// Returns [`TrackerError::Load`] on assembly or host-spawn failure;
+    /// [`TrackerError::Overloaded`] as for [`MiTracker::load_c_hosted`].
     pub fn load_asm_hosted(host: &HostHandle, file: &str, source: &str) -> Result<Self> {
         Self::load_spec(
             ProgramSpec::asm(file, source).via_host(host),
@@ -541,6 +540,22 @@ impl MiTracker {
             Supervision::default(),
             None,
         )
+    }
+
+    /// Builds a fresh backend from the spec. A host that refuses the open
+    /// for load is asked again after a backoff, up to `max_retries` times.
+    fn connect(&mut self) -> Result<Backend> {
+        let mut attempt = 0;
+        loop {
+            let spec = self.spec.as_ref().expect("connect requires a program spec");
+            match Self::build_backend(spec, &self.obs, &self.cfg, self.wrapper.as_mut()) {
+                Err(TrackerError::Overloaded(m)) if attempt < self.cfg.max_retries => {
+                    self.retry(attempt, "backpressure", format!("open got {m}"));
+                    attempt += 1;
+                }
+                built => return built,
+            }
+        }
     }
 
     fn build_backend(
@@ -575,7 +590,10 @@ impl MiTracker {
                 // own session inside the respawned process.
                 let mut handle = host
                     .open_session_opt(&spec.file, &spec.source, spec.opt, cfg.deadline)
-                    .map_err(|e| TrackerError::Load(e.to_string()))?;
+                    .map_err(|e| match e {
+                        MiError::Overloaded { .. } => TrackerError::from(e),
+                        e => TrackerError::Load(e.to_string()),
+                    })?;
                 handle.set_registry(registry.clone());
                 let session = handle.session_id();
                 (
@@ -591,7 +609,6 @@ impl MiTracker {
             Some(w) => w(base),
             None => base,
         };
-        let port = SupervisedClient::with_registry(port, cfg.policy(), registry.clone());
         Ok(Backend { port, engine })
     }
 
@@ -656,21 +673,6 @@ impl MiTracker {
         &self.obs
     }
 
-    /// The active supervision configuration.
-    pub fn supervision(&self) -> Supervision {
-        self.cfg
-    }
-
-    /// Replaces the supervision configuration (deadlines, retry and
-    /// respawn budgets) for all subsequent calls.
-    pub fn set_supervision(&mut self, cfg: Supervision) {
-        self.cfg = cfg;
-        self.rng = cfg.jitter_seed | 1;
-        if let Some(b) = &mut self.backend {
-            b.port.set_policy(cfg.policy());
-        }
-    }
-
     /// Whether the session can still vouch for its answers.
     pub fn health(&self) -> &SessionHealth {
         &self.health
@@ -727,7 +729,16 @@ impl MiTracker {
             .backend
             .as_mut()
             .ok_or_else(|| TrackerError::Engine("tracker already terminated".into()))?;
-        backend.port.ping().map_err(Into::into)
+        let deadline = Some(self.cfg.ping_deadline);
+        let miss = match backend.port.call_deadline(Command::Ping, deadline) {
+            Ok(Response::Pong { .. }) => return Ok(()),
+            Ok(other) => MiError::Codec(format!("heartbeat expected Pong, got {other:?}")),
+            Err(e) => e,
+        };
+        self.obs.inc("mi.heartbeat_misses");
+        self.flight
+            .record("heartbeat-miss", "ping deadline expired");
+        Err(miss.into())
     }
 
     /// Sets hard per-session resource budgets (`None` leaves a resource
@@ -750,23 +761,12 @@ impl MiTracker {
         max_wall_ms: Option<u64>,
         max_queue_depth: Option<u64>,
     ) -> Result<()> {
-        let cmd = Command::SetLimits {
+        self.configure(Command::SetLimits {
             max_steps,
             max_heap_bytes,
             max_wall_ms,
             max_queue_depth,
-        };
-        match self.call(cmd.clone())? {
-            Response::Ok => {
-                if self.spec.is_some() {
-                    self.journal.push(JournalEntry::Config { cmd });
-                }
-                Ok(())
-            }
-            other => Err(TrackerError::Protocol(format!(
-                "expected acknowledgement, got {other:?}"
-            ))),
-        }
+        })
     }
 
     /// Arms engine-side trace recording with the given keyframe cadence.
@@ -779,18 +779,7 @@ impl MiTracker {
     /// [`TrackerError::Engine`] when already started; protocol errors as
     /// usual.
     pub fn record(&mut self, keyframe_every: u32) -> Result<()> {
-        let cmd = Command::Record { keyframe_every };
-        match self.call(cmd.clone())? {
-            Response::Ok => {
-                if self.spec.is_some() {
-                    self.journal.push(JournalEntry::Config { cmd });
-                }
-                Ok(())
-            }
-            other => Err(TrackerError::Protocol(format!(
-                "expected acknowledgement, got {other:?}"
-            ))),
-        }
+        self.configure(Command::Record { keyframe_every })
     }
 
     /// Jumps the engine's inspection cursor to recorded pause `pause` —
@@ -896,17 +885,20 @@ impl MiTracker {
         }
     }
 
+    /// The tracker's one supervising loop: `exchange` applies the
+    /// deadline and the retries; a lost engine is then respawned, the
+    /// journal replayed and the command re-issued, within the respawn
+    /// budget.
     fn call(&mut self, command: Command) -> Result<Response> {
         if let SessionHealth::Degraded { reason } = &self.health {
             return Err(TrackerError::SessionDegraded(reason.clone()));
         }
         self.flight.record("cmd", command.kind());
         loop {
-            let backend = self
-                .backend
-                .as_mut()
-                .ok_or_else(|| TrackerError::Engine("tracker already terminated".into()))?;
-            match backend.port.call(command.clone()) {
+            if self.backend.is_none() {
+                return Err(TrackerError::Engine("tracker already terminated".into()));
+            }
+            match self.exchange(&command) {
                 Ok(Response::Error { message }) => {
                     self.flight.record("resp", format!("Error: {message}"));
                     return Err(TrackerError::Engine(message));
@@ -930,8 +922,8 @@ impl MiTracker {
                     });
                 }
                 Ok(resp @ (Response::Overloaded { .. } | Response::QueueFull { .. })) => {
-                    // The supervised port already retried with backoff;
-                    // a rejection surviving that is worth reporting, but
+                    // The exchange already retried with backoff; a
+                    // rejection surviving that is worth reporting, but
                     // nothing executed — the session is still healthy
                     // and the caller may simply try again later.
                     self.flight.record("resp", resp.summary());
@@ -942,6 +934,7 @@ impl MiTracker {
                     return Ok(resp);
                 }
                 Err(e) => {
+                    let backend = self.backend.as_mut().expect("exchange keeps the backend");
                     let e = classify_failure(e, &mut backend.engine);
                     self.flight
                         .record("fault", format!("{} failed: {e}", command.kind()));
@@ -967,10 +960,65 @@ impl MiTracker {
         }
     }
 
+    /// One exchange with the live engine, under the per-command deadline.
+    /// An overload refusal is re-sent for any command (it rejects before
+    /// execution); a timeout or codec fault only for an idempotent one
+    /// (a sequence-numbered envelope discards the late answer to the lost
+    /// attempt). Both back off first, up to `max_retries` times. A
+    /// disconnect is never re-sent: the engine needs a respawn.
+    fn exchange(&mut self, command: &Command) -> std::result::Result<Response, MiError> {
+        let mut attempt = 0;
+        loop {
+            let backend = self
+                .backend
+                .as_mut()
+                .expect("exchange needs a live backend");
+            let res = backend
+                .port
+                .call_deadline(command.clone(), self.cfg.deadline);
+            let (kind, detail) = match &res {
+                Ok(resp @ (Response::Overloaded { .. } | Response::QueueFull { .. })) => (
+                    "backpressure",
+                    format!("{} got {}", command.kind(), resp.summary()),
+                ),
+                Err(e @ (MiError::Timeout | MiError::Codec(_))) if command.is_idempotent() => {
+                    ("retry", format!("{} after {e:?}", command.kind()))
+                }
+                _ => return res,
+            };
+            if attempt >= self.cfg.max_retries {
+                return res;
+            }
+            self.retry(attempt, kind, detail);
+            attempt += 1;
+        }
+    }
+
+    /// Counts retry number `attempt` (`mi.retries`, a `kind` flight
+    /// entry) and backs off before it.
+    fn retry(&mut self, attempt: u32, kind: &str, detail: String) {
+        self.obs.inc("mi.retries");
+        self.flight.record(kind, detail);
+        self.backoff(attempt);
+    }
+
+    /// Sleeps before retry or respawn number `attempt`: the tracker's one
+    /// client-side backoff, drawing its jitter from the session's RNG.
+    fn backoff(&mut self, attempt: u32) {
+        let sleep = jittered_backoff(
+            self.cfg.backoff_base,
+            self.cfg.backoff_cap,
+            attempt,
+            &mut self.rng,
+        );
+        if !sleep.is_zero() {
+            std::thread::sleep(sleep);
+        }
+    }
+
     /// Re-establishes a live, journal-consistent engine after `trigger`,
     /// or degrades the session.
     fn recover(&mut self, trigger: &MiError) -> Result<()> {
-        let spec = self.spec.clone().expect("recover requires a program spec");
         // The dead engine's stderr tail (with its last-gasp flight ring,
         // if any) must be captured before teardown discards the child.
         let dead_stderr = match trigger {
@@ -980,9 +1028,7 @@ impl MiTracker {
         // A timeout may be a wedged boundary or merely a slow engine:
         // probe once so the miss is visible in metrics before teardown.
         if matches!(trigger, MiError::Timeout) {
-            if let Some(b) = &mut self.backend {
-                let _ = b.port.ping();
-            }
+            let _ = self.heartbeat();
         }
         let started_at = Instant::now();
         loop {
@@ -1003,23 +1049,13 @@ impl MiTracker {
                 format!("attempt {} after {trigger}", attempt + 1),
             );
             self.teardown_backend();
-            let sleep = jittered_backoff(
-                self.cfg.backoff_base,
-                self.cfg.backoff_cap,
-                attempt,
-                &mut self.rng,
-            );
-            if !sleep.is_zero() {
-                std::thread::sleep(sleep);
-            }
-            match Self::build_backend(&spec, &self.obs, &self.cfg, self.wrapper.as_mut()) {
-                Ok(mut b) => {
-                    b.port.set_flight_recorder(self.flight.clone());
-                    self.backend = Some(b);
-                }
+            self.backoff(attempt);
+            match self.connect() {
+                Ok(b) => self.backend = Some(b),
                 // The program compiled when the session was loaded, so a
-                // rebuild failure here is spawn-level and possibly
-                // transient: spend another attempt on it.
+                // rebuild failure here is spawn-level, or a host still
+                // refusing the open, and possibly transient: spend
+                // another attempt on it.
                 Err(_) => continue,
             }
             match self.replay_journal() {
@@ -1056,56 +1092,16 @@ impl MiTracker {
     /// verifying every assigned id and pause reason, then reconciles the
     /// output stream against what the user has already drained.
     fn replay_journal(&mut self) -> std::result::Result<(), ReplayOutcome> {
-        let backend = self.backend.as_mut().expect("replay needs a live backend");
-        for entry in &self.journal {
-            match entry {
-                JournalEntry::Control { cmd, reason } => match backend.port.call(cmd.clone()) {
-                    Ok(Response::Paused(r)) if r == *reason => {}
-                    Ok(other) => {
-                        return Err(ReplayOutcome::Diverged(format!(
-                            "replaying `{}` expected pause `{reason}`, got {other:?}",
-                            cmd.kind()
-                        )))
-                    }
-                    Err(_) => return Err(ReplayOutcome::Lost),
-                },
-                JournalEntry::Arm { cmd, id } => match backend.port.call(cmd.clone()) {
-                    Ok(Response::Created { id: got }) if got == *id => {}
-                    Ok(other) => {
-                        return Err(ReplayOutcome::Diverged(format!(
-                            "re-arming `{}` expected control point {id}, got {other:?}",
-                            cmd.kind()
-                        )))
-                    }
-                    Err(_) => return Err(ReplayOutcome::Lost),
-                },
-                JournalEntry::Disarm { id } => {
-                    match backend.port.call(Command::Delete { id: *id }) {
-                        Ok(Response::Ok) => {}
-                        Ok(other) => {
-                            return Err(ReplayOutcome::Diverged(format!(
-                                "re-deleting control point {id} got {other:?}"
-                            )))
-                        }
-                        Err(_) => return Err(ReplayOutcome::Lost),
-                    }
-                }
-                JournalEntry::Config { cmd } => match backend.port.call(cmd.clone()) {
-                    Ok(Response::Ok) => {}
-                    Ok(other) => {
-                        return Err(ReplayOutcome::Diverged(format!(
-                            "replaying `{}` expected Ok, got {other:?}",
-                            cmd.kind()
-                        )))
-                    }
-                    Err(_) => return Err(ReplayOutcome::Lost),
-                },
-            }
-        }
+        // Replay sends through `exchange`, which borrows the whole
+        // tracker: lend the journal out meanwhile.
+        let journal = std::mem::take(&mut self.journal);
+        let replayed = journal.iter().try_for_each(|e| self.replay_entry(e));
+        self.journal = journal;
+        replayed?;
         // The fresh engine re-produced all output since program start;
         // what the user already saw must be a prefix of it. The rest is
         // held pending for the next `get_output`.
-        match backend.port.call(Command::GetOutput) {
+        match self.exchange(&Command::GetOutput) {
             Ok(Response::Output(full)) => match full.strip_prefix(self.drained.as_str()) {
                 Some(rest) => {
                     self.pending_output = rest.to_owned();
@@ -1119,6 +1115,44 @@ impl MiTracker {
                 "output reconciliation got {other:?}"
             ))),
             Err(_) => Err(ReplayOutcome::Lost),
+        }
+    }
+
+    /// Re-sends one journal entry and checks the answer matches the
+    /// original run's.
+    fn replay_entry(&mut self, entry: &JournalEntry) -> std::result::Result<(), ReplayOutcome> {
+        match entry {
+            JournalEntry::Control { cmd, reason } => match self.exchange(cmd) {
+                Ok(Response::Paused(r)) if r == *reason => Ok(()),
+                Ok(other) => Err(ReplayOutcome::Diverged(format!(
+                    "replaying `{}` expected pause `{reason}`, got {other:?}",
+                    cmd.kind()
+                ))),
+                Err(_) => Err(ReplayOutcome::Lost),
+            },
+            JournalEntry::Arm { cmd, id } => match self.exchange(cmd) {
+                Ok(Response::Created { id: got }) if got == *id => Ok(()),
+                Ok(other) => Err(ReplayOutcome::Diverged(format!(
+                    "re-arming `{}` expected control point {id}, got {other:?}",
+                    cmd.kind()
+                ))),
+                Err(_) => Err(ReplayOutcome::Lost),
+            },
+            JournalEntry::Disarm { id } => match self.exchange(&Command::Delete { id: *id }) {
+                Ok(Response::Ok) => Ok(()),
+                Ok(other) => Err(ReplayOutcome::Diverged(format!(
+                    "re-deleting control point {id} got {other:?}"
+                ))),
+                Err(_) => Err(ReplayOutcome::Lost),
+            },
+            JournalEntry::Config { cmd } => match self.exchange(cmd) {
+                Ok(Response::Ok) => Ok(()),
+                Ok(other) => Err(ReplayOutcome::Diverged(format!(
+                    "replaying `{}` expected Ok, got {other:?}",
+                    cmd.kind()
+                ))),
+                Err(_) => Err(ReplayOutcome::Lost),
+            },
         }
     }
 
@@ -1183,6 +1217,22 @@ impl MiTracker {
         }
     }
 
+    /// Sends a configuration command and, once acknowledged, journals it
+    /// so a respawned engine is configured the same way before replay.
+    fn configure(&mut self, cmd: Command) -> Result<()> {
+        match self.call(cmd.clone())? {
+            Response::Ok => {
+                if self.spec.is_some() {
+                    self.journal.push(JournalEntry::Config { cmd });
+                }
+                Ok(())
+            }
+            other => Err(TrackerError::Protocol(format!(
+                "expected acknowledgement, got {other:?}"
+            ))),
+        }
+    }
+
     fn inspect(&mut self, command: Command) -> Result<Response> {
         self.obs.inc(&format!("tracker.inspect.{}", command.kind()));
         self.call(command)
@@ -1237,8 +1287,8 @@ impl MiTracker {
             .unwrap_or(0)
     }
 
-    /// This session's flight recorder (shared with the supervised port,
-    /// so retries and heartbeat misses land in the same ring).
+    /// This session's flight recorder: commands, replies, retries,
+    /// heartbeat misses and respawns all land in this one ring.
     pub fn flight_recorder(&self) -> &obs::FlightRecorder {
         &self.flight
     }
@@ -1480,7 +1530,8 @@ impl Tracker for MiTracker {
         let Some(Backend { mut port, engine }) = self.backend.take() else {
             return;
         };
-        // Bounded farewell: a wedged engine must not block terminate.
+        // Bounded farewell, sent exactly once: a wedged engine must not
+        // block terminate (or Drop) for more than its one deadline.
         let _ = port.call_deadline(Command::Terminate, Some(Duration::from_secs(2)));
         drop(port);
         match engine {
@@ -1616,34 +1667,13 @@ impl Tracker for MiTracker {
     }
 
     fn set_sanitizer(&mut self, on: bool) -> Result<()> {
-        let cmd = Command::SetSanitizer { on };
-        match self.call(cmd.clone())? {
-            Response::Ok => {
-                if self.spec.is_some() {
-                    self.journal.push(JournalEntry::Config { cmd });
-                }
-                Ok(())
-            }
-            other => Err(TrackerError::Protocol(format!(
-                "expected acknowledgement, got {other:?}"
-            ))),
-        }
+        self.configure(Command::SetSanitizer { on })
     }
 
     fn set_profile(&mut self, mode: obs::ProfileMode, period: u64) -> Result<()> {
-        let cmd = Command::SetProfile { mode, period };
-        match self.call(cmd.clone())? {
-            Response::Ok => {
-                if self.spec.is_some() {
-                    self.journal.push(JournalEntry::Config { cmd });
-                }
-                self.profile_since = 0;
-                Ok(())
-            }
-            other => Err(TrackerError::Protocol(format!(
-                "expected acknowledgement, got {other:?}"
-            ))),
-        }
+        self.configure(Command::SetProfile { mode, period })?;
+        self.profile_since = 0;
+        Ok(())
     }
 
     fn profile(&mut self) -> Result<obs::ProfileReport> {
@@ -1797,32 +1827,24 @@ mod tests {
         assert_eq!(bytes, 7i32.to_le_bytes());
     }
 
-    /// A port wrapper that reports Disconnected exactly once, at the
-    /// `fail_at`-th call of the whole session (shared across respawns).
-    struct FailOnce {
+    /// The outcome a [`Scripted`] port fakes for a command, or `None` to
+    /// pass it through to the engine.
+    type Script = Box<dyn FnMut(&Command) -> Option<std::result::Result<Response, MiError>> + Send>;
+
+    /// The kinds of the commands sent through a [`Scripted`] port.
+    type Sent = Arc<Mutex<Vec<&'static str>>>;
+
+    /// A port that lets `script` answer a command before the engine
+    /// sees it, and logs the kind of every command sent through it.
+    struct Scripted {
         inner: Box<dyn CommandPort>,
-        state: Arc<FailOnceState>,
+        script: Arc<Mutex<Script>>,
+        sent: Sent,
     }
 
-    struct FailOnceState {
-        calls: std::sync::atomic::AtomicUsize,
-        fail_at: usize,
-        fired: AtomicBool,
-    }
-
-    impl FailOnce {
-        fn should_fail(&self) -> bool {
-            let n = self.state.calls.fetch_add(1, Ordering::SeqCst) + 1;
-            n == self.state.fail_at && !self.state.fired.swap(true, Ordering::SeqCst)
-        }
-    }
-
-    impl CommandPort for FailOnce {
+    impl CommandPort for Scripted {
         fn call(&mut self, command: Command) -> std::result::Result<Response, MiError> {
-            if self.should_fail() {
-                return Err(MiError::Disconnected);
-            }
-            self.inner.call(command)
+            self.call_deadline(command, None)
         }
 
         fn call_deadline(
@@ -1830,10 +1852,9 @@ mod tests {
             command: Command,
             deadline: Option<Duration>,
         ) -> std::result::Result<Response, MiError> {
-            if self.should_fail() {
-                return Err(MiError::Disconnected);
-            }
-            self.inner.call_deadline(command, deadline)
+            self.sent.lock().unwrap().push(command.kind());
+            let faked = (self.script.lock().unwrap())(&command);
+            faked.unwrap_or_else(|| self.inner.call_deadline(command, deadline))
         }
 
         fn counters(&self) -> mi::transport::TransportCounters {
@@ -1841,20 +1862,38 @@ mod tests {
         }
     }
 
-    fn fail_once_wrapper(fail_at: usize) -> (PortWrapper, Arc<FailOnceState>) {
-        let state = Arc::new(FailOnceState {
-            calls: std::sync::atomic::AtomicUsize::new(0),
-            fail_at,
-            fired: AtomicBool::new(false),
-        });
-        let s = Arc::clone(&state);
+    /// A wrapper putting a [`Scripted`] port in front of the engine at the
+    /// first spawn and every respawn; the script and log are shared
+    /// across them.
+    fn scripted_wrapper(script: Script) -> (PortWrapper, Sent) {
+        let script = Arc::new(Mutex::new(script));
+        let sent = Sent::default();
+        let log = Arc::clone(&sent);
         let wrapper: PortWrapper = Box::new(move |inner| {
-            Box::new(FailOnce {
+            Box::new(Scripted {
                 inner,
-                state: Arc::clone(&s),
+                script: Arc::clone(&script),
+                sent: Arc::clone(&log),
             })
         });
-        (wrapper, state)
+        (wrapper, sent)
+    }
+
+    /// A wrapper that reports Disconnected exactly once, at the
+    /// `fail_at`-th call of the whole session (shared across respawns);
+    /// the flag tells whether that call happened.
+    fn fail_once_wrapper(fail_at: usize) -> (PortWrapper, Arc<AtomicBool>) {
+        let fired = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&fired);
+        let mut calls = 0;
+        let (wrapper, _) = scripted_wrapper(Box::new(move |_| {
+            calls += 1;
+            (calls == fail_at).then(|| {
+                flag.store(true, Ordering::SeqCst);
+                Err(MiError::Disconnected)
+            })
+        }));
+        (wrapper, fired)
     }
 
     fn fast_supervision() -> Supervision {
@@ -1872,7 +1911,7 @@ mod tests {
     #[test]
     fn session_recovers_transparently_from_a_lost_engine() {
         let reg = obs::Registry::new();
-        let (wrapper, state) = fail_once_wrapper(6);
+        let (wrapper, fired) = fail_once_wrapper(6);
         let mut t = MiTracker::load_spec(
             ProgramSpec::c("p.c", C_PROG),
             reg.clone(),
@@ -1895,7 +1934,7 @@ mod tests {
             }
         }
         assert_eq!(calls, 3, "recovered run sees the same events");
-        assert!(state.fired.load(Ordering::SeqCst), "the fault really fired");
+        assert!(fired.load(Ordering::SeqCst), "the fault really fired");
         assert_eq!(*t.health(), SessionHealth::Healthy);
         assert_eq!(t.respawns(), 1);
         assert_eq!(reg.snapshot().counter("mi.respawns"), 1);
@@ -1970,7 +2009,7 @@ mod tests {
         let full_reference = format!("{first}{rest}");
 
         // Faulty run: drain some output, lose the engine, drain the rest.
-        let (wrapper, state) = fail_once_wrapper(8);
+        let (wrapper, fired) = fail_once_wrapper(8);
         let mut t = MiTracker::load_spec(
             ProgramSpec::c("p.c", prog),
             obs::Registry::new(),
@@ -1988,7 +2027,7 @@ mod tests {
             }
         }
         seen.push_str(&t.get_output().unwrap());
-        assert!(state.fired.load(Ordering::SeqCst), "the fault really fired");
+        assert!(fired.load(Ordering::SeqCst), "the fault really fired");
         assert_eq!(*t.health(), SessionHealth::Healthy);
         assert_eq!(
             seen, full_reference,
@@ -2046,7 +2085,7 @@ mod tests {
     fn sanitizer_mode_survives_an_engine_respawn() {
         // Call 3 is the first `resume`: the engine is lost mid-run, after
         // the sanitizer was armed and the inferior started.
-        let (wrapper, state) = fail_once_wrapper(3);
+        let (wrapper, fired) = fail_once_wrapper(3);
         let mut t = MiTracker::load_spec(
             ProgramSpec::c("p.c", UNSAFE_PROG),
             obs::Registry::new(),
@@ -2067,7 +2106,7 @@ mod tests {
                 other => panic!("unexpected {other}"),
             }
         }
-        assert!(state.fired.load(Ordering::SeqCst), "the fault really fired");
+        assert!(fired.load(Ordering::SeqCst), "the fault really fired");
         assert_eq!(*t.health(), SessionHealth::Healthy);
         assert_eq!(t.respawns(), 1);
         assert_eq!(traps, vec![state::DiagnosticKind::UseAfterFree]);
@@ -2115,7 +2154,7 @@ mod tests {
         // and the inferior started. The journal replays Record first,
         // then the control history, so the rebuilt store covers the
         // same pauses.
-        let (wrapper, state) = fail_once_wrapper(4);
+        let (wrapper, fired) = fail_once_wrapper(4);
         let mut t = MiTracker::load_spec(
             ProgramSpec::c("p.c", C_PROG),
             obs::Registry::new(),
@@ -2129,7 +2168,7 @@ mod tests {
         while t.step().unwrap().is_alive() {
             steps += 1;
         }
-        assert!(state.fired.load(Ordering::SeqCst), "the fault really fired");
+        assert!(fired.load(Ordering::SeqCst), "the fault really fired");
         assert_eq!(t.respawns(), 1);
         let (pauses, _, _) = t.trace_stats().unwrap();
         assert_eq!(
@@ -2147,5 +2186,192 @@ mod tests {
         assert_eq!(reg.snapshot().counter("mi.heartbeat_misses"), 0);
         t.terminate();
         assert!(t.heartbeat().is_err());
+    }
+
+    /// Loads [`C_PROG`] under `cfg` behind a [`Scripted`] port; returns
+    /// the tracker, its registry and the log of commands sent.
+    fn scripted(cfg: Supervision, script: Script) -> (MiTracker, obs::Registry, Sent) {
+        let (wrapper, sent) = scripted_wrapper(script);
+        let reg = obs::Registry::new();
+        let t = MiTracker::load_spec(
+            ProgramSpec::c("p.c", C_PROG),
+            reg.clone(),
+            cfg,
+            Some(wrapper),
+        )
+        .unwrap();
+        (t, reg, sent)
+    }
+
+    /// A script failing the first `times` commands of kind `kind` with
+    /// `outcome`.
+    fn fail_first(
+        kind: &'static str,
+        times: usize,
+        outcome: std::result::Result<Response, MiError>,
+    ) -> Script {
+        let mut left = times;
+        Box::new(move |cmd| {
+            (cmd.kind() == kind && left > 0).then(|| {
+                left -= 1;
+                outcome.clone()
+            })
+        })
+    }
+
+    fn sent_count(sent: &Sent, kind: &str) -> usize {
+        sent.lock().unwrap().iter().filter(|k| **k == kind).count()
+    }
+
+    fn flight_count(t: &MiTracker, kind: &str) -> usize {
+        let log = t.flight_recorder().log();
+        log.entries.iter().filter(|e| e.kind == kind).count()
+    }
+
+    fn retrying_supervision() -> Supervision {
+        Supervision {
+            max_retries: 2,
+            ..fast_supervision()
+        }
+    }
+
+    #[test]
+    fn idempotent_timeouts_are_retried_and_counted() {
+        let script = fail_first("GetState", 2, Err(MiError::Timeout));
+        let (mut t, reg, sent) = scripted(retrying_supervision(), script);
+        t.start().unwrap();
+        assert_eq!(t.get_state().unwrap().frame.name(), "main");
+        assert_eq!(sent_count(&sent, "GetState"), 3);
+        assert_eq!(reg.snapshot().counter("mi.retries"), 2);
+        assert_eq!(flight_count(&t, "retry"), 2);
+        assert_eq!(t.respawns(), 0, "retries absorbed the timeouts");
+    }
+
+    #[test]
+    fn non_idempotent_commands_never_retry_and_go_to_recovery() {
+        let script = fail_first("Step", 1, Err(MiError::Timeout));
+        let (mut t, reg, sent) = scripted(retrying_supervision(), script);
+        t.start().unwrap();
+        t.step().unwrap();
+        assert_eq!(reg.snapshot().counter("mi.retries"), 0);
+        assert_eq!(t.respawns(), 1);
+        assert_eq!(
+            sent_count(&sent, "Step"),
+            2,
+            "the timed-out Step, then the Step re-issued after recovery"
+        );
+        assert_eq!(*t.health(), SessionHealth::Healthy);
+    }
+
+    #[test]
+    fn retry_budget_is_bounded() {
+        let cfg = Supervision {
+            max_respawns: 0,
+            ..retrying_supervision()
+        };
+        let script = fail_first("GetState", usize::MAX, Err(MiError::Timeout));
+        let (mut t, reg, sent) = scripted(cfg, script);
+        t.start().unwrap();
+        let err = t.get_state().unwrap_err();
+        assert!(matches!(err, TrackerError::SessionDegraded(_)), "{err:?}");
+        // One attempt plus max_retries(2), then recovery, which has no
+        // respawn budget.
+        assert_eq!(sent_count(&sent, "GetState"), 3);
+        assert_eq!(reg.snapshot().counter("mi.retries"), 2);
+    }
+
+    #[test]
+    fn disconnects_are_not_retried() {
+        let script = fail_first("GetState", 1, Err(MiError::Disconnected));
+        let (mut t, reg, sent) = scripted(retrying_supervision(), script);
+        t.start().unwrap();
+        assert_eq!(t.get_state().unwrap().frame.name(), "main");
+        assert_eq!(reg.snapshot().counter("mi.retries"), 0);
+        assert_eq!(t.respawns(), 1, "a disconnect goes straight to recovery");
+        assert_eq!(sent_count(&sent, "GetState"), 2);
+    }
+
+    #[test]
+    fn overload_refusals_back_off_then_surface_typed() {
+        let refusal = Ok(Response::QueueFull { depth: 4, limit: 4 });
+        let script = fail_first("Step", usize::MAX, refusal);
+        let (mut t, reg, sent) = scripted(retrying_supervision(), script);
+        t.start().unwrap();
+        let err = t.step().unwrap_err();
+        assert!(matches!(err, TrackerError::Overloaded(_)), "{err:?}");
+        assert_eq!(sent_count(&sent, "Step"), 3, "any command is re-sent");
+        assert_eq!(reg.snapshot().counter("mi.retries"), 2);
+        assert_eq!(flight_count(&t, "backpressure"), 2);
+        assert_eq!(*t.health(), SessionHealth::Healthy, "nothing executed");
+        assert_eq!(t.respawns(), 0);
+    }
+
+    #[test]
+    fn heartbeat_miss_is_counted() {
+        let script = fail_first("Ping", 1, Err(MiError::Timeout));
+        let (mut t, reg, sent) = scripted(retrying_supervision(), script);
+        assert!(t.heartbeat().is_err());
+        t.heartbeat().unwrap();
+        assert_eq!(reg.snapshot().counter("mi.heartbeat_misses"), 1);
+        assert_eq!(sent_count(&sent, "Ping"), 2, "a heartbeat is never retried");
+        assert_eq!(reg.snapshot().counter("mi.retries"), 0);
+    }
+
+    #[test]
+    fn terminate_sends_one_farewell_to_a_wedged_engine() {
+        let script: Script = Box::new(|_| Some(Err(MiError::Timeout)));
+        let (mut t, reg, sent) = scripted(retrying_supervision(), script);
+        t.terminate();
+        assert_eq!(*sent.lock().unwrap(), ["Terminate"]);
+        assert_eq!(reg.snapshot().counter("mi.retries"), 0);
+    }
+
+    #[test]
+    fn hosted_load_refused_for_overload_is_typed() {
+        let host = mi::SessionHost::with_config(
+            mi::HostConfig {
+                workers: 1,
+                max_sessions: Some(0),
+                ..mi::HostConfig::default()
+            },
+            obs::Registry::new(),
+        );
+        let handle = HostHandle::connect_in_process(&host);
+        let reg = obs::Registry::new();
+        let cfg = retrying_supervision();
+        let err = MiTracker::load_spec(
+            ProgramSpec::c("p.c", C_PROG).via_host(&handle),
+            reg.clone(),
+            cfg,
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, TrackerError::Overloaded(_)), "{err:?}");
+        assert_eq!(
+            reg.snapshot().counter("mi.retries"),
+            u64::from(cfg.max_retries)
+        );
+        assert_eq!(
+            host.registry()
+                .snapshot()
+                .counter("mi.host.rejected_overloaded"),
+            u64::from(cfg.max_retries) + 1
+        );
+        host.shutdown();
+    }
+
+    #[test]
+    fn backoff_is_capped_and_jittered_deterministically() {
+        let base = Duration::from_millis(10);
+        let cap = Duration::from_millis(40);
+        let mut rng1 = 42u64;
+        let mut rng2 = 42u64;
+        for attempt in 0..10 {
+            let a = jittered_backoff(base, cap, attempt, &mut rng1);
+            let b = jittered_backoff(base, cap, attempt, &mut rng2);
+            assert_eq!(a, b, "same seed, same schedule");
+            assert!(a <= cap);
+            assert!(a >= base / 2);
+        }
     }
 }

@@ -1311,7 +1311,8 @@ impl HostHandle {
     /// # Errors
     ///
     /// [`MiError::Engine`] when the program does not compile (or the
-    /// host cannot be spawned); transport errors as usual.
+    /// host cannot be spawned); [`MiError::Overloaded`] when the host is
+    /// at its session cap; transport errors as usual.
     pub fn open_session(
         &self,
         file: &str,
@@ -1367,7 +1368,7 @@ impl HostHandle {
     }
 
     /// The shared open loop: issue a session-creating control command,
-    /// absorbing overload backpressure and one host respawn.
+    /// absorbing one host respawn. An overload refusal returns at once.
     fn open_via(
         &self,
         make_cmd: impl Fn() -> Command,
@@ -1375,7 +1376,6 @@ impl HostHandle {
     ) -> Result<SessionHandle, MiError> {
         let mut ctl = self.control.lock().expect("host control");
         let mut attempt = 0;
-        let mut overload_attempts = 0u32;
         loop {
             let result = Self::control_call(&mut ctl, make_cmd(), deadline);
             match result {
@@ -1391,18 +1391,10 @@ impl HostHandle {
                     });
                 }
                 Ok(Response::Error { message }) => return Err(MiError::Engine(message)),
+                // Admission pressure, not a fault: whether and when to
+                // try again is the caller's policy.
                 Ok(Response::Overloaded { load, limit }) => {
-                    // Admission pressure, not a fault: the host is at
-                    // its session cap. Back off (bounded, exponential)
-                    // and retry — capacity usually frees up as sessions
-                    // close. Past the bound, degrade loudly.
-                    if overload_attempts >= 5 {
-                        return Err(MiError::Engine(format!(
-                            "host overloaded: {load}/{limit} sessions open"
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(10u64 << overload_attempts));
-                    overload_attempts += 1;
+                    return Err(MiError::Overloaded { load, limit })
                 }
                 Ok(other) => {
                     return Err(MiError::Codec(format!(
@@ -1444,9 +1436,9 @@ impl HostHandle {
     }
 }
 
-/// A tracker-side port to one session inside a shared host: the
-/// [`CommandPort`] the supervision stack wraps, so `MiTracker` drives a
-/// hosted session with exactly the code it uses for a dedicated child.
+/// A tracker-side port to one session inside a shared host: a plain
+/// [`CommandPort`], so `MiTracker` supervises a hosted session with
+/// exactly the code it uses for a dedicated child.
 pub struct SessionHandle {
     host: HostHandle,
     link: HostLink,
@@ -2129,7 +2121,7 @@ mod tests {
     }
 
     #[test]
-    fn client_open_retries_overload_then_degrades_loudly() {
+    fn client_open_refused_for_overload_fails_typed_at_once() {
         let host = governed(HostConfig {
             workers: 1,
             max_sessions: Some(0),
@@ -2137,10 +2129,14 @@ mod tests {
         });
         let handle = HostHandle::connect_in_process(&host);
         let err = handle.open_session("t.c", PROG, None).unwrap_err();
-        match err {
-            MiError::Engine(m) => assert!(m.contains("overloaded"), "{m}"),
-            other => panic!("expected typed overload error, got {other:?}"),
-        }
+        assert_eq!(err, MiError::Overloaded { load: 0, limit: 0 });
+        assert_eq!(
+            host.registry()
+                .snapshot()
+                .counter("mi.host.rejected_overloaded"),
+            1,
+            "the handle returns the first refusal instead of retrying"
+        );
         host.shutdown();
     }
 

@@ -52,14 +52,12 @@ pub mod minic_engine;
 pub mod protocol;
 pub mod record;
 pub mod server;
-pub mod supervise;
 pub mod transport;
 
 pub use host::{HostConfig, HostHandle, SessionHandle, SessionHost, DEFAULT_SLICE_STEPS};
 pub use protocol::{Command, CommandFrame, ResourceKind, Response, ResponseFrame};
 pub use record::{RecordingEngine, ReplayEngine, TraceShelf};
 pub use server::{Client, CommandPort, Engine, ServeEnd, Server, SliceOutcome};
-pub use supervise::{SupervisePolicy, SupervisedClient};
 pub use transport::MAX_FRAME_LEN;
 
 use std::fmt;
@@ -89,6 +87,14 @@ pub enum MiError {
         /// Whatever the child wrote to stderr before dying.
         stderr: String,
     },
+    /// A session host refused to open a session: `load` of its `limit`
+    /// sessions are open. Nothing was opened; the caller may retry later.
+    Overloaded {
+        /// Sessions open when the host refused.
+        load: u64,
+        /// The host's session cap.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for MiError {
@@ -107,6 +113,9 @@ impl fmt::Display for MiError {
                     write!(f, "; stderr: {}", stderr.trim())?;
                 }
                 Ok(())
+            }
+            MiError::Overloaded { load, limit } => {
+                write!(f, "host overloaded: {load}/{limit} sessions open")
             }
         }
     }

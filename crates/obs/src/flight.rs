@@ -7,7 +7,7 @@
 //! engine side the ring cannot be fetched once the process is dead, so
 //! the server prints it as a single marked stderr line
 //! ([`STDERR_MARKER`]) on the way down; the tracker's stderr tail
-//! capture (bounded, keeps the last 8 KB) carries it across the grave,
+//! capture (bounded, keeps the last 16 KiB) carries it across the grave,
 //! and [`extract_last_gasp`] recovers it from the captured tail.
 
 use std::collections::VecDeque;
