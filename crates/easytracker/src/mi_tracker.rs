@@ -1532,7 +1532,7 @@ impl Tracker for MiTracker {
         };
         // Bounded farewell, sent exactly once: a wedged engine must not
         // block terminate (or Drop) for more than its one deadline.
-        let _ = port.call_deadline(Command::Terminate, Some(Duration::from_secs(2)));
+        let farewell = port.call_deadline(Command::Terminate, Some(Duration::from_secs(2)));
         drop(port);
         match engine {
             EngineKind::Thread { handle } => {
@@ -1546,9 +1546,12 @@ impl Tracker for MiTracker {
                 mut child, scratch, ..
             } => {
                 // Closing stdin is EOF for the child's serve loop; give
-                // it a bounded grace period before resorting to a kill.
+                // a child that answered the farewell a bounded grace
+                // period before resorting to a kill. One that did not is
+                // wedged and will not exit on its own: kill it at once.
+                let polls = if farewell.is_ok() { 100 } else { 0 };
                 let mut exited = false;
-                for _ in 0..100 {
+                for _ in 0..polls {
                     match child.try_wait() {
                         Ok(Some(_)) => {
                             exited = true;

@@ -42,7 +42,8 @@ fn usage() -> String {
          --workers N        worker threads driving the run queue (default 4)\n  \
          --max-sessions N   hard cap on open sessions; opens past it are\n                     \
          rejected with the retryable Overloaded response\n  \
-         --slice-steps N    fuel per engine slice in VM steps (default {}); 0\n                     \
+         --slice-steps N    fuel per engine slice in engine steps: MiniC VM\n                     \
+         ops or retired RISC-V instructions (default {}); 0\n                     \
          disables preemption (a hot loop then pins a worker)",
         mi::DEFAULT_SLICE_STEPS
     )

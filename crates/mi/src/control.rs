@@ -90,6 +90,9 @@ impl<S> Watch<S> {
 #[derive(Debug)]
 pub struct ControlPoints<F, S> {
     next_id: u64,
+    /// Bumped whenever a point is armed or deleted, so an engine can keep
+    /// what it derives from the points until they change.
+    pub(crate) generation: u64,
     /// Line and function-entry breakpoints, in arming order.
     pub(crate) breakpoints: Vec<Breakpoint<F>>,
     /// Tracked functions, in arming order.
@@ -102,6 +105,7 @@ impl<F, S> Default for ControlPoints<F, S> {
     fn default() -> Self {
         ControlPoints {
             next_id: 1,
+            generation: 0,
             breakpoints: Vec::new(),
             tracked: Vec::new(),
             watches: Vec::new(),
@@ -113,6 +117,7 @@ impl<F, S> ControlPoints<F, S> {
     fn alloc_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
+        self.generation += 1;
         id
     }
 
@@ -153,6 +158,7 @@ impl<F, S> ControlPoints<F, S> {
         if count(self) == before {
             Err(format!("no control point {id}"))
         } else {
+            self.generation += 1;
             Ok(())
         }
     }
@@ -379,6 +385,23 @@ impl Slice {
         }
     }
 
+    /// Where the [`Phase::Stop`] check can fire, for an engine that only
+    /// reports the events it must: line events in frames at most `.0`
+    /// deep (a frame count), and the returns [`Slice::popped`] needs, at
+    /// 0-based depths below `.1`.
+    #[inline]
+    pub fn stops(&self) -> (usize, u32) {
+        if self.finish_fired {
+            return (usize::MAX, 0);
+        }
+        match self.mode {
+            Mode::Start | Mode::Step { .. } => (usize::MAX, 0),
+            Mode::Next { depth, .. } => (depth, 0),
+            Mode::Finish { depth } => (0, u32::try_from(depth).unwrap_or(u32::MAX)),
+            Mode::Resume => (0, 0),
+        }
+    }
+
     /// The [`Phase::Stop`] check at `line` with `depth` frames.
     #[inline]
     fn stop(&self, line: u32, depth: usize) -> Option<PauseReason> {
@@ -427,6 +450,7 @@ pub(crate) enum RunOutcome {
 
 /// Hard per-session budgets ([`Command::SetLimits`]). Steps and heap are
 /// enforced in-engine; wall time and queue depth are the host's job.
+/// Steps are the engine's fuel unit: VM ops or retired instructions.
 #[derive(Debug, Default)]
 pub(crate) struct Budget {
     max_steps: Option<u64>,
@@ -434,6 +458,18 @@ pub(crate) struct Budget {
 }
 
 impl Budget {
+    /// Steps an engine at `steps` may still take before the step budget
+    /// trips, the step that passes it included.
+    pub(crate) fn steps_left(&self, steps: u64) -> Option<u64> {
+        let limit = self.max_steps?;
+        Some(limit.saturating_add(1).saturating_sub(steps))
+    }
+
+    /// The heap budget in live bytes.
+    pub(crate) fn max_heap_bytes(&self) -> Option<u64> {
+        self.max_heap_bytes
+    }
+
     /// The budget `steps` or `heap_bytes` exceeds, if any.
     #[inline]
     pub(crate) fn check(&self, steps: u64, heap_bytes: u64) -> Option<RunOutcome> {

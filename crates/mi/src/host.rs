@@ -61,8 +61,13 @@ use std::time::{Duration, Instant};
 /// and every worker serving one of its sessions.
 type SharedTx = Arc<Mutex<Box<dyn FrameTx>>>;
 
-/// Default fuel for one engine slice, in VM steps.
-pub const DEFAULT_SLICE_STEPS: u64 = 50_000;
+/// Default fuel for one engine slice, in engine steps: MiniC VM ops or
+/// retired RISC-V instructions. Sized as 50 000 VM events (the unit fuel
+/// was counted in before) times the 4.4 ops a MiniC event took on the
+/// benchmark's control programs (the geometric mean of 3.6 on the
+/// recursion tree and 5.3 on the sparse-watch loop), so a slice does
+/// about as much work as it did.
+pub const DEFAULT_SLICE_STEPS: u64 = 220_000;
 
 /// Resource-governance knobs for a [`SessionHost`].
 ///
@@ -79,8 +84,8 @@ pub struct HostConfig {
     /// Hard cap on concurrently open sessions; opens past it are
     /// rejected with the retryable [`Response::Overloaded`].
     pub max_sessions: Option<usize>,
-    /// Fuel for one engine slice, in VM steps. `None` disables
-    /// preemption — a control command then runs to its next pause
+    /// Fuel for one engine slice, in engine steps (MiniC VM ops, retired
+    /// RISC-V instructions). `None` disables preemption — a control command then runs to its next pause
     /// uninterrupted and a hot loop pins a worker (the pre-governance
     /// behavior, kept for A/B measurements).
     pub slice_steps: Option<u64>,
@@ -2085,6 +2090,48 @@ mod tests {
                 .counter("mi.host.rejected_queue_full"),
             1
         );
+        host.shutdown();
+    }
+
+    #[test]
+    fn an_unarmed_hot_loop_is_preempted_while_a_neighbour_answers() {
+        // Nothing is armed, so no event leaves the VM: the op countdown
+        // alone must end each slice, or the one worker never comes back
+        // for the neighbour's `Ping`.
+        const HOT: &str = "int main() {\nint x = 0;\nwhile (1) {\nx = x + 1;\n}\nreturn x;\n}\n";
+        let host = governed(HostConfig {
+            workers: 1,
+            ..HostConfig::default()
+        });
+        let mut c = RawConn::connect(&host);
+        let mut open = |file: &str| {
+            let open = Command::OpenSession {
+                file: file.into(),
+                source: HOT.into(),
+                opt: 0,
+            };
+            let sid = match c.roundtrip(None, open).resp {
+                Response::SessionOpened { session } => session,
+                other => panic!("expected SessionOpened, got {other:?}"),
+            };
+            assert!(matches!(
+                c.roundtrip(Some(sid), Command::Start).resp,
+                Response::Paused(_)
+            ));
+            sid
+        };
+        let (hot, neighbour) = (open("hot.c"), open("neighbour.c"));
+        let resume_seq = c.seq;
+        c.seq += 1;
+        c.send_frame(resume_seq, Some(hot), Command::Resume);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while host.registry().snapshot().counter("mi.host.preemptions") == 0 {
+            assert!(Instant::now() < deadline, "hot loop never preempted");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let rf = c.roundtrip(Some(neighbour), Command::Ping);
+        assert_eq!(rf.session, Some(neighbour));
+        assert!(matches!(rf.resp, Response::Pong { .. }), "{:?}", rf.resp);
         host.shutdown();
     }
 

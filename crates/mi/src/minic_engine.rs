@@ -9,22 +9,31 @@
 //!   returning frame is still intact (the paper's breakpoint-on-`retq`
 //!   trick), and function breakpoints honour `maxdepth` (the paper's GDB
 //!   extension that silently resumes when the frame is too deep);
-//! * **watchpoints** are re-checked at every line and store event; store
-//!   events are only enabled while watchpoints exist. A check first
+//! * the VM runs until an event the armed points subscribe to
+//!   ([`minic::vm::Subscription`], derived again whenever the points or
+//!   the command's mode change): breakpoint lines, calls and returns of
+//!   breakpointed and tracked functions within their `maxdepth`, every
+//!   line while stepping (within the frame for `next`), and the returns
+//!   `finish` waits for. Everything else runs inside the VM's op loop;
+//! * **watchpoints** are checked at the line and store events that can
+//!   change the watched text, not at every line. A watch on pointer-free
+//!   storage subscribes to stores into that storage, plus the events that
+//!   can rebind its name: entering or leaving a frame of a function that
+//!   declares it, and lines that cross its declaration lines. A watch on
+//!   a pointer (whose text also depends on its target), a function or a
+//!   name not in scope keeps every line and store event. A check first
 //!   compares the variable's raw bytes with the ones that produced its
-//!   last rendered text and renders again only when they differ (or the
-//!   type holds a pointer, whose text also depends on its target), so a
-//!   watch that cannot fire costs a byte compare per event. A variable
-//!   coming into scope primes its watch silently. The paper's
+//!   last rendered text and renders again only when they differ. A
+//!   variable coming into scope primes its watch silently. The paper's
 //!   "watchpoints slow execution down a lot" behaviour stays measurable
 //!   in the MiniPy tracker, which single-steps to check them.
 
-use crate::control::{self, error, Core, Func, Inferior, Phase, RunOutcome, Slice, Watch};
+use crate::control::{self, error, BpKind, Core, Func, Inferior, Phase, RunOutcome, Slice, Watch};
 use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
 use minic::inspect::{self, InspectOptions};
 use minic::types::{StructTable, Type};
-use minic::vm::{Event, Vm};
+use minic::vm::{Event, Subscription, Vm};
 use minic::Program;
 use state::{ExitStatus, PauseReason, Prim, ProgramState, Scope, Value, Variable};
 
@@ -206,7 +215,12 @@ fn pointer_free_size(structs: &StructTable, ty: &Type) -> Option<u64> {
 pub struct MinicEngine {
     vm: Vm,
     core: Core<usize, WatchSpec>,
-    /// VM events seen by the control loop (published as `vm.minic.events`).
+    /// The events the VM stops for.
+    sub: Subscription,
+    /// The control points' generation `sub` was derived from.
+    armed: Option<u64>,
+    /// VM events delivered to the control loop (published as
+    /// `vm.minic.events`).
     events_seen: u64,
     /// Full watch renders, i.e. checks the byte gate could not skip
     /// (published as `vm.minic.watch_evals`).
@@ -228,6 +242,8 @@ impl MinicEngine {
         MinicEngine {
             vm: Vm::new(program),
             core: Core::new(),
+            sub: Subscription::default(),
+            armed: None,
             events_seen: 0,
             watch_evals: 0,
             analysis_program: None,
@@ -276,6 +292,61 @@ impl MinicEngine {
         };
         let (scope, value) = resolved_value(&self.vm, resolve(&self.vm, func, var))?;
         Some(Variable::new(var, scope, value))
+    }
+
+    /// Derives the VM's subscription for a run of `slice`: from the armed
+    /// points when they changed since the last run, then [`Self::rearm`].
+    fn arm(&mut self, slice: &Slice) {
+        let points = &self.core.points;
+        if self.armed != Some(points.generation) {
+            self.armed = Some(points.generation);
+            let sub = &mut self.sub;
+            sub.clear();
+            for bp in points.breakpoints.iter().chain(&points.tracked) {
+                match bp.kind {
+                    BpKind::Line(line) => sub.line(line),
+                    BpKind::Entry(f) => sub.call(f, bp.maxdepth),
+                    BpKind::Track(f) => {
+                        sub.call(f, bp.maxdepth);
+                        sub.ret(f, bp.maxdepth);
+                    }
+                }
+            }
+            // The frames that can rebind a watched name: those of every
+            // function declaring it (only the named one for `f::var`).
+            for w in &points.watches {
+                let (func, var) = parts(w);
+                for (index, meta) in self.vm.program().functions.iter().enumerate() {
+                    let named = || meta.locals.iter().filter(|l| l.name == var);
+                    if func.is_none_or(|f| f == meta.name) && named().next().is_some() {
+                        let decls = named().filter(|l| !l.is_param).map(|l| l.decl_line);
+                        sub.rebind(index, decls);
+                    }
+                }
+            }
+        }
+        self.rearm(slice);
+    }
+
+    /// The parts of the subscription that change while a command runs:
+    /// the stores into each watch's footprint (every line and store for a
+    /// watch without one), and the lines and returns of `slice`'s stop.
+    fn rearm(&mut self, slice: &Slice) {
+        let sub = &mut self.sub;
+        sub.clear_stores();
+        let mut every = false;
+        for w in &self.core.points.watches {
+            match &w.spec.seen {
+                Some(seen) => sub.stores_within(seen.addr, seen.bytes.len() as u64),
+                None => every = true,
+            }
+        }
+        let (lines, returns) = slice.stops();
+        if every {
+            sub.all_stores();
+        }
+        sub.set_any_line(if every { usize::MAX } else { lines });
+        sub.set_returns_below(returns);
     }
 
     /// The event the last pause interrupted delivers its later phases to
@@ -353,33 +424,36 @@ impl Inferior for MinicEngine {
         &mut self.core
     }
 
-    /// Fuel counts VM events.
+    /// Fuel counts VM ops, as the asm engine counts retired
+    /// instructions. Fuel and the step budget are one countdown inside the
+    /// VM, which also stops at the allocation that passes the heap budget,
+    /// so the budgets are checked only when the VM stops.
     fn run(&mut self, slice: &mut Slice, fuel: Option<u64>) -> RunOutcome {
-        // Watchpoints require store events: the expensive mode the paper
-        // warns about, so it is on only while a watch is armed.
-        self.vm
-            .set_store_events(!self.core.points.watches.is_empty());
+        self.arm(slice);
         if let Some(out) = self.reenter(slice) {
             return out;
         }
-        let mut spent = 0u64;
+        let budget = &self.core.budget;
+        let steps = budget.steps_left(self.vm.ops_executed());
+        self.vm.set_countdown(fuel.into_iter().chain(steps).min());
+        self.vm.set_heap_limit(budget.max_heap_bytes());
         loop {
-            if fuel.is_some_and(|f| spent >= f) {
-                return RunOutcome::OutOfFuel;
-            }
-            let event = match self.vm.step() {
-                Ok(ev) => ev,
+            let event = match self.vm.run_until(&self.sub) {
+                Ok(event) => event,
                 Err(e) => return self.core.crash(e.to_string()),
             };
-            spent += 1;
-            self.events_seen += 1;
             let heap = self.vm.allocator().live_bytes();
             if let Some(out) = self.core.budget.check(self.vm.ops_executed(), heap) {
                 return out;
             }
+            let Some(event) = event else {
+                return RunOutcome::OutOfFuel;
+            };
+            self.events_seen += 1;
             if let Some(out) = self.decide(slice, &event, Phase::FuncBreak) {
                 return out;
             }
+            self.rearm(slice);
         }
     }
 
@@ -536,6 +610,7 @@ impl Engine for MinicEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ResourceKind;
     use minic::compile;
 
     fn engine(src: &str) -> MinicEngine {
@@ -767,12 +842,111 @@ mod tests {
         // `mark = 1` over the fresh zeroed slot, then 40 increments.
         assert_eq!(pauses, 41);
         let snapshot = reg.snapshot();
-        let (evals, events) = (
+        let (evals, events, ops) = (
             snapshot.gauge("vm.minic.watch_evals"),
             snapshot.gauge("vm.minic.events"),
+            snapshot.gauge("vm.minic.ops"),
         );
         assert!(evals <= 2 * pauses, "{evals} renders for {pauses} pauses");
-        assert!(events > 100 * evals, "{events} events, {evals} renders");
+        // Only the stores into `mark` (and the exit) leave the VM.
+        assert!(
+            events <= 2 * pauses + 4,
+            "{events} events for {pauses} pauses"
+        );
+        assert!(ops > 100 * events, "{ops} ops, {events} events");
+    }
+
+    #[test]
+    fn a_depth_bounded_track_delivers_only_its_calls_and_returns() {
+        // `fib(17)` makes thousands of calls; `maxdepth` 4 keeps the
+        // 15 calls and 15 returns at depths 1-4, and the VM filters the
+        // rest out before the control core sees them.
+        let src = "int fib(int n) {\nif (n < 2) {\nreturn n;\n}\n\
+                   return fib(n - 1) + fib(n - 2);\n}\nint main() {\nreturn fib(17) % 256;\n}\n";
+        let reg = obs::Registry::new();
+        let mut e = engine(src);
+        e.set_registry(reg.clone());
+        e.handle(Command::TrackFunction {
+            function: "fib".into(),
+            maxdepth: Some(4),
+        });
+        e.handle(Command::Start);
+        let mut pauses = 0;
+        while let PauseReason::FunctionCall { .. } | PauseReason::FunctionReturn { .. } =
+            paused(e.handle(Command::Resume))
+        {
+            pauses += 1;
+        }
+        assert_eq!(pauses, 30);
+        let snapshot = reg.snapshot();
+        let (events, ops) = (
+            snapshot.gauge("vm.minic.events"),
+            snapshot.gauge("vm.minic.ops"),
+        );
+        assert!(
+            events <= 2 * pauses + 4,
+            "{events} events for {pauses} pauses"
+        );
+        assert!(ops > 100 * events, "{ops} ops, {events} events");
+    }
+
+    /// Loops with nothing armed: no event leaves the VM, so only its op
+    /// countdown and its allocation check can stop them.
+    const HOT: &str = "int main() {\nint x = 0;\nwhile (1) {\nx = x + 1;\n}\nreturn x;\n}\n";
+    const MALLOC_LOOP: &str =
+        "int main() {\nint n = 0;\nwhile (1) {\nchar* p = malloc(1000);\nn = n + 1;\n}\nreturn n;\n}\n";
+
+    fn limits(max_steps: Option<u64>, max_heap_bytes: Option<u64>) -> Command {
+        Command::SetLimits {
+            max_steps,
+            max_heap_bytes,
+            max_wall_ms: None,
+            max_queue_depth: None,
+        }
+    }
+
+    /// `Resume` on `src` under `limits`, unsliced and in slices of `fuel`.
+    fn resume_under(src: &str, limits: Command, fuel: Option<u64>) -> Response {
+        let mut e = engine(src);
+        assert_eq!(e.handle(limits), Response::Ok);
+        e.handle(Command::Start);
+        let Some(fuel) = fuel else {
+            return e.handle(Command::Resume);
+        };
+        let mut outcome = e.handle_sliced(Command::Resume, fuel);
+        loop {
+            match outcome {
+                SliceOutcome::Done(response) => return response,
+                SliceOutcome::Yielded => outcome = e.resume_sliced(fuel),
+            }
+        }
+    }
+
+    #[test]
+    fn budgets_trip_typed_with_nothing_armed() {
+        // The step budget shares the op countdown with fuel: it trips on
+        // the op that passes it, whatever the slicing.
+        for fuel in [None, Some(7), Some(4_096)] {
+            assert_eq!(
+                resume_under(HOT, limits(Some(10_000), None), fuel),
+                Response::ResourceExhausted {
+                    which: ResourceKind::Steps,
+                    used: 10_001,
+                    limit: 10_000,
+                },
+                "fuel {fuel:?}"
+            );
+            // The heap budget trips at the allocation that passes it.
+            assert_eq!(
+                resume_under(MALLOC_LOOP, limits(None, Some(50_000)), fuel),
+                Response::ResourceExhausted {
+                    which: ResourceKind::HeapBytes,
+                    used: 51_000,
+                    limit: 50_000,
+                },
+                "fuel {fuel:?}"
+            );
+        }
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub trait Engine {
     /// [`Response::Error`].
     fn handle(&mut self, command: Command) -> Response;
 
-    /// Handles one command, executing at most `fuel` VM steps before
+    /// Handles one command, executing at most `fuel` engine steps (MiniC
+    /// VM ops, retired RISC-V instructions) before
     /// yielding. Control commands that would run longer return
     /// [`SliceOutcome::Yielded`] and are continued by
     /// [`Engine::resume_sliced`]; non-control commands always complete.

@@ -1,11 +1,14 @@
 //! The MiniC virtual machine.
 //!
-//! [`Vm::step`] runs the program until the next *debug event*: a source line
-//! is reached, a function is entered or about to return, memory is written
-//! (when store events are enabled), output is produced, or the program
-//! exits. A debugger engine drives the VM by looping on `step` and deciding
-//! at each event whether to pause — exactly the role GDB plays for the
-//! paper's tracker.
+//! [`Vm::run_until`] runs the program until the next *debug event* a
+//! [`Subscription`] asks for: a source line is reached, a function is
+//! entered or about to return, memory is written, or output is produced.
+//! Sanitizer traps and the exit always stop it. Events nobody subscribed
+//! to never leave the op loop, so unprobed code runs at full speed and a
+//! debugger engine pays only for the points it has armed — the way GDB
+//! plays the paper's tracker, where code between traps runs untouched.
+//! [`Vm::step`] subscribes to every event and [`Vm::run_to_completion`]
+//! to none; both are thin wrappers over the same loop.
 //!
 //! Calls and returns are *two-phase*: the `Call` event fires after the
 //! callee frame exists and arguments are bound (the paper's
@@ -88,7 +91,8 @@ pub enum Event {
         /// The value being returned, if any.
         value: Option<RtVal>,
     },
-    /// Memory was written (only when [`Vm::set_store_events`] is on).
+    /// Memory was written (by [`Vm::step`] only when
+    /// [`Vm::set_store_events`] is on).
     Store {
         /// First written address.
         addr: u64,
@@ -103,6 +107,187 @@ pub enum Event {
     SanitizerTrap(Diagnostic),
     /// The program terminated with this exit code.
     Exited(i64),
+}
+
+/// The events [`Vm::run_until`] stops for. The VM consults it only where
+/// an event arises (a line marker, a call, a return, a store, output),
+/// never per op. Function-indexed entries index [`Program::functions`];
+/// depths are 0-based (`main` is 0).
+///
+/// Watching a variable needs two kinds of event: the stores that can
+/// change its bytes, and the events that can *rebind* its name to other
+/// storage. [`Subscription::rebind`] names the functions whose frames
+/// can do that: entering or leaving one of their frames makes the next
+/// line or store event stop, and so does a line marker in one of their
+/// frames that crosses a listed declaration line (a local is visible
+/// from its declaration line on).
+#[derive(Debug, Clone, Default)]
+pub struct Subscription {
+    /// Every call, return and output event ([`Vm::step`]'s contract).
+    every: bool,
+    /// Line events at any line in frames at most this many deep (a frame
+    /// count, so 0 means none).
+    any_line: usize,
+    /// Line events at these lines: a bitset by line number.
+    lines: Vec<u64>,
+    /// Per function, call events at depths below the entry.
+    calls: Vec<u32>,
+    /// Per function, return events at depths below the entry.
+    returns: Vec<u32>,
+    /// Return events of any function at depths below this.
+    returns_below: u32,
+    /// Every store event.
+    all_stores: bool,
+    /// Store events overlapping these `[start, end)` address ranges.
+    stores: Vec<(u64, u64)>,
+    /// Per function, the declaration lines whose crossing rebinds a
+    /// watched name, when its frames can rebind one at all.
+    rebind: Vec<Option<Vec<u32>>>,
+}
+
+/// A depth bound as a [`Subscription`] stores it: depths below it pass.
+fn below(max_depth: Option<u32>) -> u32 {
+    max_depth.map_or(u32::MAX, |d| d.saturating_add(1))
+}
+
+impl Subscription {
+    /// Every line, call, return and output event; stores are added with
+    /// [`Subscription::all_stores`].
+    fn every() -> Self {
+        Subscription {
+            every: true,
+            any_line: usize::MAX,
+            ..Subscription::default()
+        }
+    }
+
+    /// Unsubscribes from everything, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.every = false;
+        self.any_line = 0;
+        self.lines.clear();
+        self.calls.clear();
+        self.returns.clear();
+        self.returns_below = 0;
+        self.clear_stores();
+        self.rebind.clear();
+    }
+
+    /// Line events at `line`, at any depth.
+    pub fn line(&mut self, line: u32) {
+        let (word, bit) = (line as usize / 64, line % 64);
+        if self.lines.len() <= word {
+            self.lines.resize(word + 1, 0);
+        }
+        self.lines[word] |= 1 << bit;
+    }
+
+    /// Line events at every line in frames at most `frames` deep (a frame
+    /// count: `usize::MAX` for every line, 0 for none beyond the others).
+    pub fn set_any_line(&mut self, frames: usize) {
+        self.any_line = frames;
+    }
+
+    /// Call events of `function` at depths up to `max_depth` (`None`:
+    /// any depth).
+    pub fn call(&mut self, function: usize, max_depth: Option<u32>) {
+        raise(&mut self.calls, function, below(max_depth));
+    }
+
+    /// Return events of `function` at depths up to `max_depth` (`None`:
+    /// any depth).
+    pub fn ret(&mut self, function: usize, max_depth: Option<u32>) {
+        raise(&mut self.returns, function, below(max_depth));
+    }
+
+    /// Return events of every function at depths below `depth`.
+    pub fn set_returns_below(&mut self, depth: u32) {
+        self.returns_below = depth;
+    }
+
+    /// Unsubscribes from every store event.
+    pub fn clear_stores(&mut self) {
+        self.all_stores = false;
+        self.stores.clear();
+    }
+
+    /// Store events that write any of the `len` bytes at `addr`.
+    pub fn stores_within(&mut self, addr: u64, len: u64) {
+        self.stores.push((addr, addr.saturating_add(len)));
+    }
+
+    /// Every store event.
+    pub fn all_stores(&mut self) {
+        self.all_stores = true;
+    }
+
+    /// Frames of `function` can rebind a watched name: entering or
+    /// leaving one stops at the next line or store event, and so does a
+    /// line marker in one that crosses any of `decl_lines`.
+    pub fn rebind(&mut self, function: usize, decl_lines: impl IntoIterator<Item = u32>) {
+        if self.rebind.len() <= function {
+            self.rebind.resize(function + 1, None);
+        }
+        self.rebind[function]
+            .get_or_insert_with(Vec::new)
+            .extend(decl_lines);
+    }
+
+    #[inline]
+    fn wants_line(&self, line: u32, prev: u32, frames: usize, function: usize) -> bool {
+        frames <= self.any_line
+            || self
+                .lines
+                .get(line as usize / 64)
+                .is_some_and(|w| w & (1 << (line % 64)) != 0)
+            || self
+                .decl_lines(function)
+                .is_some_and(|decls| decls.iter().any(|&d| (d <= prev) != (d <= line)))
+    }
+
+    #[inline]
+    fn wants_call(&self, function: usize, depth: u32) -> bool {
+        self.every || self.calls.get(function).is_some_and(|&b| depth < b)
+    }
+
+    #[inline]
+    fn wants_return(&self, function: usize, depth: u32) -> bool {
+        self.every
+            || depth < self.returns_below
+            || self.returns.get(function).is_some_and(|&b| depth < b)
+    }
+
+    #[inline]
+    fn wants_store(&self, addr: u64, size: u64) -> bool {
+        let end = addr.saturating_add(size);
+        self.all_stores || self.stores.iter().any(|&(lo, hi)| addr < hi && lo < end)
+    }
+
+    #[inline]
+    fn decl_lines(&self, function: usize) -> Option<&[u32]> {
+        self.rebind.get(function)?.as_deref()
+    }
+
+    #[inline]
+    fn rebinds(&self, function: usize) -> bool {
+        self.decl_lines(function).is_some()
+    }
+}
+
+/// Raises `bounds[index]` to at least `bound`, growing the table.
+fn raise(bounds: &mut Vec<u32>, index: usize, bound: u32) {
+    if bounds.len() <= index {
+        bounds.resize(index + 1, 0);
+    }
+    bounds[index] = bounds[index].max(bound);
+}
+
+/// Why the op loop stopped before its countdown ran out.
+enum Stop {
+    /// A subscribed event, or one that always stops.
+    Event(Event),
+    /// An allocation left the heap above [`Vm::set_heap_limit`].
+    HeapLimit,
 }
 
 /// One live activation record.
@@ -131,14 +316,21 @@ pub struct Vm {
     pc: usize,
     pending_return: bool,
     store_events: bool,
+    /// A frame that can rebind a watched name was entered or left: the
+    /// next line or store event stops (see [`Subscription::rebind`]).
+    rebind_pending: bool,
     output: String,
     exited: Option<i64>,
     ops_executed: u64,
-    /// Hard cap on total executed ops; `step` errors once exceeded. Unlike
-    /// the engine's fuel slices (denominated in VM *events*), this bounds
-    /// raw ops, so it also terminates event-free loops — which is what the
-    /// verifier fuzz needs when executing arbitrary accepted mutants.
+    /// Ops [`Vm::run_until`] may still run before it yields (`u64::MAX`:
+    /// never). The engine's fuel slices and step budget both set it.
+    countdown: u64,
+    /// Hard cap on total executed ops; running past it is an error. It
+    /// terminates event-free loops too, which is what the verifier fuzz
+    /// needs when executing arbitrary accepted mutants.
     op_budget: Option<u64>,
+    /// Live heap bytes above which an allocation stops [`Vm::run_until`].
+    heap_limit: Option<u64>,
     /// Shadow state when sanitizer mode is on (see [`Vm::set_sanitizer`]).
     san: Option<Box<Sanitizer>>,
     /// Events displaced by a sanitizer trap, delivered on later steps.
@@ -182,10 +374,13 @@ impl Vm {
             pc,
             pending_return: false,
             store_events: false,
+            rebind_pending: false,
             output: String::new(),
             exited: None,
             ops_executed: 0,
+            countdown: u64::MAX,
             op_budget: None,
+            heap_limit: None,
             san: None,
             san_deferred: VecDeque::new(),
             prof: None,
@@ -267,9 +462,8 @@ impl Vm {
             .unwrap_or_default()
     }
 
-    /// Enables or disables [`Event::Store`] reporting. The engine turns this
-    /// on while watchpoints exist — reproducing the paper's observation that
-    /// watchpoints make execution much slower.
+    /// Enables or disables [`Event::Store`] reporting by [`Vm::step`].
+    /// ([`Vm::run_until`] delivers the stores its subscription names.)
     pub fn set_store_events(&mut self, on: bool) {
         self.store_events = on;
     }
@@ -319,10 +513,23 @@ impl Vm {
     }
 
     /// Caps total executed ops: once `ops_executed` would exceed the
-    /// budget, `step` returns a runtime error and the VM is dead. `None`
+    /// budget, running returns a runtime error and the VM is dead. `None`
     /// (the default) removes the cap.
     pub fn set_op_budget(&mut self, budget: Option<u64>) {
         self.op_budget = budget;
+    }
+
+    /// Arms the countdown: after `ops` more ops, [`Vm::run_until`]
+    /// returns `None` once and the countdown disarms. `None` disarms it.
+    pub fn set_countdown(&mut self, ops: Option<u64>) {
+        self.countdown = ops.unwrap_or(u64::MAX);
+    }
+
+    /// Sets the heap limit: an allocation that leaves more live heap
+    /// bytes than `limit` makes [`Vm::run_until`] return `None` right
+    /// after it. `None` (the default) removes the limit.
+    pub fn set_heap_limit(&mut self, limit: Option<u64>) {
+        self.heap_limit = limit;
     }
 
     /// Current stack pointer (base of the innermost frame); exposed as a
@@ -378,34 +585,77 @@ impl Vm {
     /// misuse, division by zero or stack overflow; the VM is dead
     /// afterwards.
     pub fn step(&mut self) -> Result<Event, Error> {
+        let mut every = Subscription::every();
+        if self.store_events {
+            every.all_stores();
+        }
+        loop {
+            if let Some(event) = self.run_until(&every)? {
+                return Ok(event);
+            }
+        }
+    }
+
+    /// Runs until an event `sub` subscribes to, a sanitizer trap or the
+    /// exit; `None` when the countdown ([`Vm::set_countdown`]) runs out or
+    /// an allocation passes the heap limit ([`Vm::set_heap_limit`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Vm::step`], plus running past the op budget.
+    pub fn run_until(&mut self, sub: &Subscription) -> Result<Option<Event>, Error> {
         // Sanitizer traps queued by earlier ops drain first, then any event
         // they displaced — so traps are observed before the triggering op's
         // own event, and before the final `Exited`.
         if let Some(d) = self.san.as_deref_mut().and_then(Sanitizer::pop_pending) {
-            return Ok(Event::SanitizerTrap(d));
+            return Ok(Some(Event::SanitizerTrap(d)));
         }
         if let Some(ev) = self.san_deferred.pop_front() {
-            return Ok(ev);
+            return Ok(Some(ev));
         }
         if let Some(code) = self.exited {
-            return Ok(Event::Exited(code));
+            return Ok(Some(Event::Exited(code)));
         }
         if self.pending_return {
-            if let Some(ev) = self.finish_return()? {
-                return Ok(self.gate(ev));
+            if let Some(ev) = self.finish_return(sub)? {
+                return Ok(Some(self.gate(ev)));
             }
         }
-        loop {
-            let op = self.program.code[self.pc];
-            self.ops_executed += 1;
-            if self.op_budget.is_some_and(|b| self.ops_executed > b) {
-                return Err(self.err("op budget exhausted"));
+        // One countdown per op: the armed countdown or what is left of the
+        // op budget, whichever is smaller.
+        let budget = self
+            .op_budget
+            .map_or(u64::MAX, |b| b.saturating_sub(self.ops_executed));
+        let start = self.countdown.min(budget);
+        let mut left = start;
+        let stop = self.run_ops(sub, &mut left);
+        let ran = start - left;
+        self.ops_executed += ran;
+        self.countdown = self.countdown.saturating_sub(ran);
+        match stop? {
+            Some(Stop::Event(event)) => Ok(Some(event)),
+            Some(Stop::HeapLimit) => Ok(None),
+            None if ran == budget => Err(self.err("op budget exhausted")),
+            None => {
+                self.countdown = u64::MAX;
+                Ok(None)
             }
+        }
+    }
+
+    /// The op loop: runs up to `left` ops, counting them down.
+    #[inline(always)]
+    fn run_ops(&mut self, sub: &Subscription, left: &mut u64) -> Result<Option<Stop>, Error> {
+        while *left != 0 {
+            *left -= 1;
+            let op = self.program.code[self.pc];
             if let Some(p) = self.prof.as_deref_mut() {
                 p.tick();
             }
-            if let Some(event) = self.exec(op)? {
-                return Ok(self.gate(event));
+            match self.exec(op, sub)? {
+                Some(Stop::Event(event)) => return Ok(Some(Stop::Event(self.gate(event)))),
+                Some(Stop::HeapLimit) => return Ok(Some(Stop::HeapLimit)),
+                None => {}
             }
             if self.san.as_deref().is_some_and(Sanitizer::has_pending) {
                 let d = self
@@ -413,9 +663,10 @@ impl Vm {
                     .as_deref_mut()
                     .and_then(Sanitizer::pop_pending)
                     .expect("pending trap just observed");
-                return Ok(Event::SanitizerTrap(d));
+                return Ok(Some(Stop::Event(Event::SanitizerTrap(d))));
             }
         }
+        Ok(None)
     }
 
     /// Delivers `ev`, unless a sanitizer trap is pending — then the trap
@@ -430,25 +681,30 @@ impl Vm {
         }
     }
 
-    /// Runs the program to completion, ignoring all intermediate events.
+    /// Runs the program to completion, subscribed to no event (sanitizer
+    /// traps are passed over).
     ///
     /// # Errors
     ///
     /// Propagates the first runtime error.
     pub fn run_to_completion(&mut self) -> Result<i64, Error> {
+        let none = Subscription::default();
         loop {
-            if let Event::Exited(code) = self.step()? {
+            if let Some(Event::Exited(code)) = self.run_until(&none)? {
                 return Ok(code);
             }
         }
     }
 
     /// Second phase of a return: unwind the frame.
-    fn finish_return(&mut self) -> Result<Option<Event>, Error> {
+    fn finish_return(&mut self, sub: &Subscription) -> Result<Option<Event>, Error> {
         self.pending_return = false;
         let has_value = matches!(self.program.code[self.pc], Op::Ret(true));
         let value = if has_value { Some(self.pop()) } else { None };
         let frame = self.frames.pop().expect("returning frame exists");
+        let caller = self.frames.last().map(|f| f.function);
+        self.rebind_pending |=
+            sub.rebinds(frame.function) || caller.is_some_and(|f| sub.rebinds(f));
         self.stack.truncate(frame.stack_mark);
         if let Some(s) = self.san.as_deref_mut() {
             s.pop_frame();
@@ -476,7 +732,9 @@ impl Vm {
         Ok(None)
     }
 
-    fn exec(&mut self, op: Op) -> Result<Option<Event>, Error> {
+    /// Executes `op`; `Some` when it raised an event `sub` subscribes to
+    /// or tripped the heap limit.
+    fn exec(&mut self, op: Op, sub: &Subscription) -> Result<Option<Stop>, Error> {
         use Op::*;
         // Debug cross-check against the shared stack-effect table: every
         // op that completes the match (no early event return) must change
@@ -485,12 +743,19 @@ impl Vm {
         let declared = op.stack_effect().map(|fx| (self.stack.len(), fx.delta()));
         match op {
             Line(n) => {
-                self.frames.last_mut().expect("running frame").line = n;
+                let frames = self.frames.len();
+                let frame = self.frames.last_mut().expect("running frame");
+                let prev = std::mem::replace(&mut frame.line, n);
+                let function = frame.function;
                 if let Some(p) = self.prof.as_deref_mut() {
                     p.line(n);
                 }
                 self.pc += 1;
-                return Ok(Some(Event::Line(n)));
+                if self.rebind_pending || sub.wants_line(n, prev, frames, function) {
+                    self.rebind_pending = false;
+                    return Ok(Some(Stop::Event(Event::Line(n))));
+                }
+                return Ok(None);
             }
             PushI(v) => self.stack.push(RtVal::Int(v)),
             PushF(v) => self.stack.push(RtVal::Float(v)),
@@ -512,12 +777,8 @@ impl Vm {
                 self.stack.push(value);
                 self.san_escape(value);
                 self.san_write(addr, mt.size());
-                if self.store_events {
-                    self.pc += 1;
-                    return Ok(Some(Event::Store {
-                        addr,
-                        size: mt.size(),
-                    }));
+                if let Some(event) = self.store_event(sub, addr, mt.size()) {
+                    return Ok(Some(event));
                 }
             }
             MemCopy(size) => {
@@ -531,9 +792,8 @@ impl Vm {
                     let san = self.san.as_deref_mut().expect("checked above");
                     san.on_memcopy(dst, src, size, &self.alloc, line);
                 }
-                if self.store_events {
-                    self.pc += 1;
-                    return Ok(Some(Event::Store { addr: dst, size }));
+                if let Some(event) = self.store_event(sub, dst, size) {
+                    return Ok(Some(event));
                 }
             }
             IArith(binop) => {
@@ -661,24 +921,26 @@ impl Vm {
                 self.pop();
             }
             Call(idx) => {
-                return self.do_call(idx).map(Some);
+                return self.do_call(idx, sub);
             }
             Ret(_) => {
+                let function = self.current_frame().function;
+                let depth = (self.frames.len() - 1) as u32;
+                if !sub.wants_return(function, depth) {
+                    return Ok(self.finish_return(sub)?.map(Stop::Event));
+                }
                 // Phase one: report the imminent return with the frame
-                // intact; `finish_return` unwinds on the next step.
+                // intact; `finish_return` unwinds on the next run.
                 self.pending_return = true;
-                let frame = self.current_frame();
-                let has_value = matches!(op, Ret(true));
-                let value = if has_value {
-                    Some(*self.stack.last().expect("return value on stack"))
-                } else {
-                    None
+                let value = match op {
+                    Ret(true) => Some(*self.stack.last().expect("return value on stack")),
+                    _ => None,
                 };
-                return Ok(Some(Event::Return {
-                    function: frame.function,
-                    depth: (self.frames.len() - 1) as u32,
+                return Ok(Some(Stop::Event(Event::Return {
+                    function,
+                    depth,
                     value,
-                }));
+                })));
             }
             IncDec {
                 memty,
@@ -703,16 +965,12 @@ impl Vm {
                 self.san_read(addr, memty.size());
                 self.san_escape(new);
                 self.san_write(addr, memty.size());
-                if self.store_events {
-                    self.pc += 1;
-                    return Ok(Some(Event::Store {
-                        addr,
-                        size: memty.size(),
-                    }));
+                if let Some(event) = self.store_event(sub, addr, memty.size()) {
+                    return Ok(Some(event));
                 }
             }
             Intrinsic(intr, argc) => {
-                return self.do_intrinsic(intr, argc as usize);
+                return self.do_intrinsic(intr, argc as usize, sub);
             }
             LoadLocal(mt, off) => {
                 let base = self.current_frame().base;
@@ -822,6 +1080,18 @@ impl Vm {
         r.map_err(|e| self.err(e.to_string()))
     }
 
+    /// The store event of a completed store of `size` bytes at `addr`,
+    /// when `sub` wants it; advances past the op then.
+    #[inline]
+    fn store_event(&mut self, sub: &Subscription, addr: u64, size: u64) -> Option<Stop> {
+        if !(self.rebind_pending || sub.wants_store(addr, size)) {
+            return None;
+        }
+        self.rebind_pending = false;
+        self.pc += 1;
+        Some(Stop::Event(Event::Store { addr, size }))
+    }
+
     fn cur_line(&self) -> u32 {
         self.frames.last().map(|f| f.line).unwrap_or(0)
     }
@@ -874,9 +1144,10 @@ impl Vm {
         }
     }
 
-    fn do_call(&mut self, idx: usize) -> Result<Event, Error> {
+    fn do_call(&mut self, idx: usize, sub: &Subscription) -> Result<Option<Stop>, Error> {
         let callee = &self.program.functions[idx];
-        let cur_base = self.current_frame().base;
+        let caller = self.current_frame();
+        let (cur_base, caller) = (caller.base, caller.function);
         let base = align_down(cur_base - callee.frame_size, 16);
         if base < STACK_BASE {
             return Err(self.err(format!("stack overflow calling `{}`", callee.name)));
@@ -908,13 +1179,22 @@ impl Vm {
             p.enter(self.prof_ids[idx]);
         }
         self.pc = entry;
-        Ok(Event::Call {
-            function: idx,
-            depth: (self.frames.len() - 1) as u32,
-        })
+        self.rebind_pending |= sub.rebinds(idx) || sub.rebinds(caller);
+        let depth = (self.frames.len() - 1) as u32;
+        Ok(sub
+            .wants_call(idx, depth)
+            .then_some(Stop::Event(Event::Call {
+                function: idx,
+                depth,
+            })))
     }
 
-    fn do_intrinsic(&mut self, intr: Intrinsic, argc: usize) -> Result<Option<Event>, Error> {
+    fn do_intrinsic(
+        &mut self,
+        intr: Intrinsic,
+        argc: usize,
+        sub: &Subscription,
+    ) -> Result<Option<Stop>, Error> {
         let mut args = Vec::with_capacity(argc);
         for _ in 0..argc {
             args.push(self.pop());
@@ -1003,7 +1283,14 @@ impl Vm {
             }
         };
         self.pc += 1;
-        Ok(event)
+        let allocated = matches!(
+            intr,
+            Intrinsic::Malloc | Intrinsic::Calloc | Intrinsic::Realloc
+        );
+        if allocated && self.heap_limit.is_some_and(|l| self.alloc.live_bytes() > l) {
+            return Ok(Some(Stop::HeapLimit));
+        }
+        Ok(event.filter(|_| sub.every).map(Stop::Event))
     }
 
     /// Minimal printf: `%d %i %ld %li %u %lu %c %s %f %lf %g %x %p %%`.
@@ -1412,6 +1699,64 @@ mod tests {
             }
         }
         assert_eq!(stores, 3);
+    }
+
+    #[test]
+    fn run_until_stops_only_for_subscribed_events() {
+        let src = "int f(int x) {\nreturn x + 1;\n}\nint main() {\nint a = f(1);\n\
+                   int b = f(a);\nprintf(\"%d\", b);\nreturn b;\n}";
+        let p = compile("t.c", src).unwrap();
+        let f = p.function("f").unwrap().0;
+        let mut sub = Subscription::default();
+        sub.line(6);
+        sub.ret(f, Some(1));
+        let mut vm = Vm::new(&p);
+        let mut events = Vec::new();
+        loop {
+            let event = vm.run_until(&sub).unwrap().expect("no countdown armed");
+            events.push(event.clone());
+            if let Event::Exited(_) = event {
+                break;
+            }
+        }
+        let ret = |v| Event::Return {
+            function: f,
+            depth: 1,
+            value: Some(RtVal::Int(v)),
+        };
+        assert_eq!(events, [ret(2), Event::Line(6), ret(3), Event::Exited(3)]);
+        // Unsubscribed output still lands in the output buffer.
+        assert_eq!(vm.output(), "3");
+    }
+
+    #[test]
+    fn the_countdown_and_the_heap_limit_yield_once() {
+        let p = compile(
+            "t.c",
+            "int main() {\nint i = 0;\nwhile (i < 10) {\nchar* p = malloc(100);\ni = i + 1;\n}\nreturn i;\n}",
+        )
+        .unwrap();
+        let none = Subscription::default();
+        let mut vm = Vm::new(&p);
+        vm.set_countdown(Some(5));
+        assert_eq!(vm.run_until(&none).unwrap(), None);
+        assert_eq!(vm.ops_executed(), 5);
+        vm.set_heap_limit(Some(250));
+        assert_eq!(vm.run_until(&none).unwrap(), None);
+        assert_eq!(vm.allocator().live_bytes(), 300);
+        // Each allocation past the limit yields again; the countdown
+        // disarmed when it ran out.
+        for live in [400, 500] {
+            assert_eq!(vm.run_until(&none).unwrap(), None);
+            assert_eq!(vm.allocator().live_bytes(), live);
+        }
+        vm.set_heap_limit(None);
+        assert_eq!(vm.run_until(&none).unwrap(), Some(Event::Exited(10)));
+        // The op budget is a hard stop, not a yield.
+        let mut vm = Vm::new(&p);
+        vm.set_op_budget(Some(20));
+        assert!(vm.run_until(&none).is_err());
+        assert_eq!(vm.ops_executed(), 20);
     }
 
     #[test]

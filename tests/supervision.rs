@@ -353,3 +353,30 @@ fn respawn_storm_exhausts_the_budget_and_degrades() {
     assert_eq!(t.respawns(), budget, "no further respawn attempts");
     t.terminate();
 }
+
+/// A wedged child cannot answer the farewell `Terminate`, so it will not
+/// exit on its own: `terminate()` kills it once the farewell's deadline
+/// passes instead of also waiting out the exit grace of a healthy child.
+#[test]
+fn terminate_kills_a_wedged_child_without_the_exit_grace() {
+    let Some(server) = conformance::mi_server_bin() else {
+        panic!("mi_server binary not found or buildable");
+    };
+    let mut t = MiTracker::load_spec(
+        ProgramSpec::c("sup.c", PROGRAM).via_server(&server),
+        obs::Registry::new(),
+        fast_supervision(),
+        None,
+    )
+    .expect("process-deployed load");
+    t.start().expect("start");
+    let pid = t.engine_pid().expect("pid");
+    signal(pid, "-STOP");
+    let begin = Instant::now();
+    t.terminate();
+    let elapsed = begin.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(3),
+        "terminate took {elapsed:?} on a wedged child"
+    );
+}

@@ -12,7 +12,7 @@
 //! pauses must equal the reference's, pause for pause.
 
 use mi::minic_engine::MinicEngine;
-use mi::{Command, Engine, Response};
+use mi::{Command, Engine, Response, SliceOutcome};
 use minic::inspect::{self, InspectOptions};
 use minic::vm::{Event, Vm};
 use minic::Program;
@@ -113,10 +113,23 @@ fn reference(program: &Program, names: &[&str]) -> Vec<PauseReason> {
     }
 }
 
-/// The engine's watchpoint pauses for the same session.
-fn engine(program: &Program, names: &[&str]) -> Vec<PauseReason> {
+/// The engine's watchpoint pauses for the same session, each control
+/// command run through `handle_sliced` in slices of `fuel` when it is set.
+fn engine(program: &Program, names: &[&str], fuel: Option<u64>) -> Vec<PauseReason> {
     let mut e = MinicEngine::new(program);
-    e.handle(Command::Start);
+    let run = |e: &mut MinicEngine, command| {
+        let Some(fuel) = fuel else {
+            return e.handle(command);
+        };
+        let mut outcome = e.handle_sliced(command, fuel);
+        loop {
+            match outcome {
+                SliceOutcome::Done(response) => return response,
+                SliceOutcome::Yielded => outcome = e.resume_sliced(fuel),
+            }
+        }
+    };
+    run(&mut e, Command::Start);
     for name in names {
         assert!(matches!(
             e.handle(Command::Watch {
@@ -127,7 +140,7 @@ fn engine(program: &Program, names: &[&str]) -> Vec<PauseReason> {
     }
     let mut pauses = Vec::new();
     loop {
-        match e.handle(Command::Resume) {
+        match run(&mut e, Command::Resume) {
             Response::Paused(reason @ PauseReason::Watchpoint { .. }) => pauses.push(reason),
             Response::Paused(PauseReason::Exited(ExitStatus::Exited(_) | ExitStatus::Crashed)) => {
                 return pauses
@@ -140,7 +153,7 @@ fn engine(program: &Program, names: &[&str]) -> Vec<PauseReason> {
 fn assert_agree(label: &str, src: &str, names: &[&str]) -> usize {
     let program = minic::compile("w.c", src).unwrap_or_else(|e| panic!("{label}: {e}"));
     let want = reference(&program, names);
-    let got = engine(&program, names);
+    let got = engine(&program, names, None);
     assert_eq!(got, want, "{label}: watching {names:?} in\n{src}");
     want.len()
 }
@@ -249,5 +262,150 @@ fn handwritten_programs_pause_like_the_reference() {
     for (label, src, names) in cases {
         let pauses = assert_agree(label, src, names);
         assert!(pauses > 0, "{label}: no watch pauses");
+    }
+}
+
+/// A local that shadows a global from its declaration line on, inside a
+/// loop: every pass crosses the declaration line forwards, and the jump
+/// back to the loop head crosses it backwards, rebinding `x` to the
+/// global without touching either variable.
+const SHADOWED_GLOBAL: &str = "int x = 100;
+int main() {
+int i = 0;
+while (i < 3) {
+x = x + 1;
+int x = i * 10;
+x = x + 5;
+i = i + 1;
+}
+x = x + 1;
+return i;
+}
+";
+
+/// An unqualified name bound to a global in `main`, a local in `g` (from
+/// its declaration line) and a parameter in `f`: calls and returns
+/// rebind it with no store to the storage it names. After `f` returns
+/// into `v = f(v) + v++;`, two stores change `v` before the next line
+/// event.
+const REBOUND_ACROSS_CALLS: &str = "int v = 1;
+int f(int v) {
+int w = v * 2;
+return w;
+}
+int g(int a) {
+int v = a + 3;
+v = v + f(v);
+v = f(v) + v++;
+return v;
+}
+int main() {
+int r = g(4);
+v = v + r;
+r = f(v);
+return r;
+}
+";
+
+/// Struct assignments (`MemCopy`) that write part of a watched struct,
+/// one element of a watched array of structs, and, through a cast, a
+/// copy that starts at `lo` and ends inside `hi`.
+const PARTIAL_COPIES: &str = "struct pair { int a; int b; };
+struct outer { struct pair p; int c; };
+int main() {
+struct outer o;
+struct pair q;
+struct pair arr[3];
+int lo = 1;
+int hi = 2;
+struct pair* pp = (struct pair*)&lo;
+int i = 0;
+while (i < 3) {
+arr[i].a = i;
+arr[i].b = 0;
+i = i + 1;
+}
+o.c = 9;
+q.a = 1;
+q.b = 2;
+o.p = q;
+arr[1] = q;
+q.b = 7;
+arr[2] = q;
+o.p = arr[0];
+*pp = q;
+q.b = 8;
+*pp = q;
+return o.c + hi;
+}
+";
+
+/// `fact::acc` follows the innermost `fact` frame through a recursion,
+/// while a helper with a parameter of the same name comes and goes.
+const QUALIFIED_RECURSION: &str = "int helper(int acc) {
+acc = acc + 1;
+return acc;
+}
+int fact(int n) {
+int acc = 1;
+if (n > 1) {
+acc = n * fact(n - 1);
+}
+acc = helper(acc) - 1;
+return acc;
+}
+int main() {
+int t = fact(4);
+return t;
+}
+";
+
+/// A pointer watch whose target is written through another pointer to
+/// it, on the stack and on the heap.
+const ALIASED_TARGET: &str = "int main() {
+int x = 1;
+int* p = &x;
+int* q = &x;
+*q = 5;
+x = 6;
+*q = *q + 1;
+int* h = malloc(8);
+int* h2 = h;
+*h2 = 3;
+h2[1] = 4;
+*h2 = *h2 + h2[1];
+free(h);
+return x;
+}
+";
+
+/// Watches the engine must not skip when the VM reports only the events
+/// a watch subscribes to, each driven unsliced and sliced at fuels that
+/// preempt on every op, misaligned with loop bodies, and every few
+/// statements.
+#[test]
+fn subscribed_watches_pause_like_the_reference() {
+    let cases: [(&str, &str, &[&str]); 8] = [
+        ("shadowed global", SHADOWED_GLOBAL, &["x"]),
+        ("rebound across calls", REBOUND_ACROSS_CALLS, &["v"]),
+        ("partial struct copies", PARTIAL_COPIES, &["o", "arr"]),
+        ("partial copy, struct only", PARTIAL_COPIES, &["o"]),
+        ("copy over two locals", PARTIAL_COPIES, &["hi"]),
+        ("qualified recursion", QUALIFIED_RECURSION, &["fact::acc"]),
+        (
+            "qualified and unqualified",
+            QUALIFIED_RECURSION,
+            &["fact::acc", "acc", "n"],
+        ),
+        ("aliased pointer target", ALIASED_TARGET, &["p", "h"]),
+    ];
+    for (label, src, names) in cases {
+        let program = minic::compile("w.c", src).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let want = reference(&program, names);
+        assert!(!want.is_empty(), "{label}: no watch pauses");
+        for fuel in [None, Some(1), Some(7), Some(64)] {
+            let got = engine(&program, names, fuel);
+            assert_eq!(got, want, "{label} at fuel {fuel:?}: watching {names:?}");
+        }
     }
 }
