@@ -18,19 +18,25 @@
 //! back with each pause: each thread owns them outright in turn, and no
 //! trace event takes a lock.
 //!
-//! Because watchpoints are checked before every line, resuming with
-//! watchpoints set degrades to single-stepping — the slowdown the paper
-//! reports for its Python tracker, reproduced by design and measured in
-//! the benches. A corollary of per-line checking (shared with the paper's
-//! `sys.settrace` tracker): a modification performed by the program's
-//! *final* statement has no following line event and is therefore not
-//! observed as a watchpoint hit; it is still visible in the terminal
-//! snapshot.
+//! Watchpoints are checked before every line, as the paper's tracker
+//! does, so no change is missed. A check renders the watched value only
+//! when it can have changed: each watch keeps the object that rendered
+//! its last text and the heap's mutation epoch at that render, and a line
+//! where the name still names that object skips the render when the
+//! object is immutable or nothing has changed in place since
+//! (`vm.minipy.watch_renders` counts the renders). A watched run still
+//! pays the hook at every line, which is the slowdown the paper reports
+//! for its Python tracker. A corollary of per-line checking (shared with
+//! the paper's `sys.settrace` tracker): a modification performed by the
+//! program's *final* statement has no following line event and is
+//! therefore not observed as a watchpoint hit; it is still visible in the
+//! terminal snapshot.
 
 use crate::{ControlPointId, Result, Tracker, TrackerError};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mi::control::{mode, resolve, BpKind, ControlPoints, Func, Mode, Phase, Slice, Watch};
 use mi::protocol::Command;
+use minipy::value::ObjRef;
 use minipy::{Interp, TraceAction, TraceCtx, TraceEvent, Tracer};
 use state::{ExitStatus, Frame, PauseReason, ProgramState, SourceLocation, Variable};
 use std::thread::JoinHandle;
@@ -60,10 +66,42 @@ struct PauseMsg {
 struct Session {
     /// Functions are keyed by name; a watch is primed from the last
     /// snapshot.
-    points: ControlPoints<String, ()>,
+    points: ControlPoints<String, PyWatch>,
     output: String,
     /// `None` until [`PyTracker::set_profile`] arms it.
     prof: Option<obs::Profiler>,
+}
+
+/// MiniPy's part of a watch on `var` or `function::var`.
+#[derive(Debug, Clone, Copy)]
+struct PyWatch {
+    /// Byte offset of the `::` in a qualified name, found once.
+    qualifier: Option<usize>,
+    /// The object that rendered `last`, and the heap's mutation epoch at
+    /// that render.
+    seen: Option<(ObjRef, u64)>,
+}
+
+/// Brings `w.last` up to date with the watched name. Returns the previous
+/// text when it had to render; `None` when the name is unbound (`last`
+/// is kept) or still names the object that rendered `last` and that
+/// object cannot have changed: it is immutable, or no object has changed
+/// in place since.
+fn refresh_watch(w: &mut Watch<PyWatch>, ctx: &TraceCtx<'_>) -> Option<Option<String>> {
+    let PyWatch { qualifier, seen } = *w.spec_mut();
+    let r = match qualifier {
+        Some(i) => ctx.lookup_in(Some(&w.name[..i]), &w.name[i + 2..]),
+        None => ctx.lookup_in(None, &w.name),
+    }?;
+    let epoch = ctx.heap.epoch();
+    if seen.is_some_and(|(obj, at)| obj == r && (at == epoch || ctx.heap.is_immutable(r))) {
+        return None;
+    }
+    w.spec_mut().seen = Some((r, epoch));
+    // Render through the abstract model so the tool-side priming (which
+    // only has the snapshot) produces identical strings.
+    let now = state::render_value(&ctx.heap.to_abstract(r));
+    Some(w.last.replace(now))
 }
 
 /// The trace function: EasyTracker's brain on the inferior thread.
@@ -72,6 +110,9 @@ struct ControlTracer {
     /// Live count of trace-hook invocations (`vm.minipy.trace_hooks`);
     /// a cheap atomic bump per event, readable from the tool thread.
     hook_counter: obs::Counter,
+    /// Full watch renders, i.e. checks the object gate could not skip
+    /// (`vm.minipy.watch_renders`); this thread is its only writer.
+    renders: obs::Gauge,
     handoff: Handoff,
 }
 
@@ -160,12 +201,12 @@ impl Tracer for ControlTracer {
             TraceEvent::Output { text } => h.session.output.push_str(text),
             TraceEvent::Line { .. } | TraceEvent::Call { .. } => {}
         }
-        // Render through the abstract model so the tool-side priming
-        // (which only has the snapshot) produces identical strings. A
-        // first binding is a modification in Python.
-        let refresh = |w: &mut Watch<()>| {
-            let now = state::render_value(&ctx.heap.to_abstract(ctx.lookup(&w.name)?));
-            Some(w.last.replace(now))
+        // A first binding is a modification in Python.
+        let renders = &self.renders;
+        let mut refresh = |w: &mut Watch<PyWatch>| {
+            let old = refresh_watch(w, ctx)?;
+            renders.set(renders.get() + 1);
+            Some(old)
         };
         // One event can carry several triggers (a store on the previous
         // line trips a watch *and* this line holds a breakpoint): each
@@ -177,7 +218,7 @@ impl Tracer for ControlTracer {
             let hit = match event {
                 TraceEvent::Line { line } => {
                     let line = Some((*line, ctx.frames.len()));
-                    points.on_line(slice, file, true, line, from, refresh)
+                    points.on_line(slice, file, true, line, from, &mut refresh)
                 }
                 TraceEvent::Call {
                     function,
@@ -185,7 +226,7 @@ impl Tracer for ControlTracer {
                     depth,
                 } => points.on_call(
                     file,
-                    (Func(function.as_str(), *depth, function), *line),
+                    (Func(&**function, *depth, function), *line),
                     false,
                     from,
                 ),
@@ -196,7 +237,7 @@ impl Tracer for ControlTracer {
                     ..
                 } => {
                     let value = || Some(ctx.heap.repr(*value));
-                    points.on_return((Func(function.as_str(), *depth, function), &value), from)
+                    points.on_return((Func(&**function, *depth, function), &value), from)
                 }
                 TraceEvent::Output { .. } => None,
             };
@@ -270,6 +311,7 @@ impl PyTracker {
                 let mut tracer = ControlTracer {
                     file: file_name,
                     hook_counter: inferior_reg.counter("vm.minipy.trace_hooks"),
+                    renders: inferior_reg.gauge("vm.minipy.watch_renders"),
                     handoff: Handoff {
                         go_rx,
                         pause_tx,
@@ -442,7 +484,11 @@ impl Tracker for PyTracker {
             }
         });
         self.obs.inc("tracker.control_point.Watch");
-        let watch = Watch::new(variable.to_owned(), initial, ());
+        let spec = PyWatch {
+            qualifier: variable.find("::"),
+            seen: None,
+        };
+        let watch = Watch::new(variable.to_owned(), initial, spec);
         Ok(self.session.points.add_watch(watch))
     }
 
@@ -655,6 +701,36 @@ mod tests {
                 (Some("2".into()), "3".into()),
             ]
         );
+    }
+
+    #[test]
+    fn unchanged_watched_objects_skip_the_render() {
+        // The sparse-watch loop: `acc` changes every iteration, the
+        // watched `mark` every 50th. Between changes `mark` names the
+        // same immutable int, so its line checks skip the render.
+        let src = "acc = 0\nmark = 1\ni = 0\nwhile i < 1000:\n    acc = acc + i\n    \
+                   if i % 50 == 0:\n        mark = mark + 1\n    i = i + 1\nprint(mark)\n";
+        let mut t = PyTracker::load_with_registry("w.py", src, obs::Registry::new()).unwrap();
+        t.start().unwrap();
+        t.watch("mark").unwrap();
+        let mut pauses = 0;
+        loop {
+            match t.resume().unwrap() {
+                PauseReason::Watchpoint { .. } => pauses += 1,
+                PauseReason::Exited(_) => break,
+                other => panic!("unexpected {other}"),
+            }
+        }
+        // Its first binding, then one pause per change.
+        assert_eq!(pauses, 21);
+        let snap = t.stats();
+        let renders = snap.gauge("vm.minipy.watch_renders");
+        let hooks = snap.counter("vm.minipy.trace_hooks");
+        assert!(
+            renders <= 2 * pauses,
+            "{renders} renders for {pauses} pauses"
+        );
+        assert!(hooks > 100 * renders, "{hooks} hooks, {renders} renders");
     }
 
     #[test]

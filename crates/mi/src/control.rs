@@ -82,6 +82,11 @@ impl<S> Watch<S> {
             spec,
         }
     }
+
+    /// The engine's resolution data, for engines outside this crate.
+    pub fn spec_mut(&mut self) -> &mut S {
+        &mut self.spec
+    }
 }
 
 /// The control points armed on one session. Every kind draws its id from

@@ -24,9 +24,10 @@
 //!   name not in scope keeps every line and store event. A check first
 //!   compares the variable's raw bytes with the ones that produced its
 //!   last rendered text and renders again only when they differ. A
-//!   variable coming into scope primes its watch silently. The paper's
-//!   "watchpoints slow execution down a lot" behaviour stays measurable
-//!   in the MiniPy tracker, which single-steps to check them.
+//!   variable coming into scope primes its watch silently. The MiniPy
+//!   tracker checks its watches at every line instead, as the paper's
+//!   `sys.settrace` tracker does, with an object-identity pre-check in
+//!   place of the byte compare.
 
 use crate::control::{self, error, BpKind, Core, Func, Inferior, Phase, RunOutcome, Slice, Watch};
 use crate::protocol::{Command, Response};
@@ -133,7 +134,7 @@ fn resolve<'p>(vm: &'p Vm, func: Option<&str>, var: &str) -> Resolved<'p> {
         if let Some(local) = meta
             .locals
             .iter()
-            .find(|l| l.name == var && (l.is_param || l.decl_line <= fi.line))
+            .find(|l| l.name == var && l.visible_at(fi.line))
         {
             let scope = if local.is_param {
                 Scope::Parameter
@@ -319,8 +320,13 @@ impl MinicEngine {
                 for (index, meta) in self.vm.program().functions.iter().enumerate() {
                     let named = || meta.locals.iter().filter(|l| l.name == var);
                     if func.is_none_or(|f| f == meta.name) && named().next().is_some() {
-                        let decls = named().filter(|l| !l.is_param).map(|l| l.decl_line);
-                        sub.rebind(index, decls);
+                        // A local comes into view at its declaration
+                        // line and leaves it after its block's last one.
+                        let bounds = named().filter(|l| !l.is_param).flat_map(|l| {
+                            let end = l.scope_end.checked_add(1);
+                            std::iter::once(l.decl_line).chain(end)
+                        });
+                        sub.rebind(index, bounds);
                     }
                 }
             }
@@ -666,6 +672,37 @@ mod tests {
         assert_eq!(
             paused(e.handle(Command::Resume)),
             PauseReason::Exited(ExitStatus::Exited(8))
+        );
+    }
+
+    #[test]
+    fn a_block_local_is_out_of_scope_after_its_block() {
+        // The loop's `x` shadows the global inside the loop only: after
+        // it, `x` is the global again, in `GetVariable` and in the frame.
+        let src = "int x = 100;\nint main() {\nint i = 0;\nwhile (i < 2) {\nint x = i * 10;\n\
+                   i = i + 1;\n}\nx = x + 1;\nreturn x;\n}";
+        let mut e = engine(src);
+        e.handle(Command::SetBreakLine { line: 8 });
+        e.handle(Command::Start);
+        let bp = paused(e.handle(Command::Resume));
+        assert!(
+            matches!(bp, PauseReason::Breakpoint { ref location, .. } if location.line() == 8),
+            "{bp}"
+        );
+        match e.handle(Command::GetVariable { name: "x".into() }) {
+            Response::Variable(Some(v)) => {
+                assert_eq!(v.scope(), Scope::Global);
+                assert_eq!(state::render_value(v.value()), "100");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        match e.handle(Command::GetState) {
+            Response::State(st) => assert!(st.frame.variable("x").is_none()),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(
+            paused(e.handle(Command::Resume)),
+            PauseReason::Exited(ExitStatus::Exited(101))
         );
     }
 

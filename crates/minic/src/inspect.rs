@@ -65,10 +65,11 @@ pub fn current_frame_with(vm: &Vm, opts: InspectOptions) -> Frame {
             SourceLocation::new(program.file.clone(), fi.line),
         );
         for local in &meta.locals {
-            // A local is visible from its declaration line onward; for the
-            // frame currently *above* this one, the pause line is where the
-            // call happened, which still bounds visibility correctly.
-            if !local.is_param && local.decl_line > fi.line {
+            // A local is visible from its declaration line to the end of
+            // its block; for the frames below the innermost, the pause
+            // line is where the call happened, which still bounds
+            // visibility correctly.
+            if !local.visible_at(fi.line) {
                 continue;
             }
             let addr = fi.base + local.offset;

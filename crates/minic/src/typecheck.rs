@@ -124,8 +124,21 @@ pub struct HLocal {
     pub offset: u64,
     /// Declaration line (inspection hides locals not yet declared).
     pub decl_line: u32,
+    /// Last statement line of the block that declares it (inspection
+    /// hides it after); `u32::MAX` for parameters and the locals of the
+    /// function's own body.
+    pub scope_end: u32,
     /// Whether the slot is a parameter.
     pub is_param: bool,
+}
+
+impl HLocal {
+    /// Whether the name denotes this slot at a statement on `line`: a
+    /// parameter always, a local from its declaration line to the end of
+    /// its block.
+    pub fn visible_at(&self, line: u32) -> bool {
+        self.is_param || (self.decl_line <= line && line <= self.scope_end)
+    }
 }
 
 /// A lowered statement.
@@ -413,6 +426,21 @@ struct FuncCx {
     loop_depth: u32,
     /// Nesting of constructs `break` may target (loops and switches).
     break_depth: u32,
+    /// The highest statement line checked so far: a block's last line
+    /// once its statements are checked.
+    last_line: u32,
+}
+
+/// Pops the innermost scope. A nested block's locals end at its last
+/// statement line; the function body's own block (just above the
+/// parameters' scope) lasts to the closing brace.
+fn close_scope(cx: &mut FuncCx) {
+    let scope = cx.scopes.pop().expect("scope stack never empty");
+    if cx.scopes.len() > 1 {
+        for idx in scope.into_values() {
+            cx.locals[idx].scope_end = cx.last_line;
+        }
+    }
 }
 
 fn terr(line: u32, message: impl Into<String>) -> Error {
@@ -736,6 +764,7 @@ impl Checker {
             ret: f.ret.clone(),
             loop_depth: 0,
             break_depth: 0,
+            last_line: f.line,
         };
         for (pname, pty) in &f.params {
             self.declare_local(&mut cx, pname, pty.clone(), f.line, true)?;
@@ -780,6 +809,7 @@ impl Checker {
             ty,
             offset,
             decl_line: line,
+            scope_end: u32::MAX,
             is_param,
         });
         cx.scopes
@@ -804,12 +834,13 @@ impl Checker {
             .iter()
             .map(|s| self.check_stmt(cx, s))
             .collect::<Result<Vec<_>, _>>();
-        cx.scopes.pop();
+        close_scope(cx);
         result
     }
 
     fn check_stmt(&mut self, cx: &mut FuncCx, stmt: &Stmt) -> Result<HStmt, Error> {
         let line = stmt.line();
+        cx.last_line = cx.last_line.max(line);
         let kind = match stmt {
             Stmt::Decl {
                 name,
@@ -939,12 +970,16 @@ impl Checker {
                     None => HExpr::new(Type::Int, *line, HExprKind::ConstInt(1)),
                 };
                 let step = step.as_ref().map(|e| self.rvalue(cx, e)).transpose()?;
+                if let Some(step) = &step {
+                    // The step runs under its own line marker.
+                    cx.last_line = cx.last_line.max(step.line);
+                }
                 cx.loop_depth += 1;
                 cx.break_depth += 1;
                 let body = self.check_block(cx, body)?;
                 cx.loop_depth -= 1;
                 cx.break_depth -= 1;
-                cx.scopes.pop();
+                close_scope(cx);
                 let mut outer = Vec::new();
                 if let Some(s) = init_stmt {
                     outer.push(s);
@@ -2145,5 +2180,27 @@ mod tests {
         let f = &p.functions[0];
         assert_eq!(f.locals[0].decl_line, 2);
         assert_eq!(f.locals[1].decl_line, 3);
+        assert_eq!(f.locals[0].scope_end, u32::MAX);
+    }
+
+    #[test]
+    fn block_locals_end_with_their_block() {
+        let src =
+            "int main() {\nint i = 0;\nwhile (i < 2) {\nint x = i;\nif (x) {\nint y = 1;\n}\n\
+                   i = i + 1;\n}\nfor (int k = 0; k < 2; k = k + 1) {\n}\nreturn i;\n}";
+        let p = check_ok(src);
+        let local = |name: &str| {
+            p.functions[0]
+                .locals
+                .iter()
+                .find(|l| l.name == name)
+                .unwrap()
+        };
+        assert_eq!(local("i").scope_end, u32::MAX);
+        assert_eq!(local("x").scope_end, 8);
+        assert_eq!(local("y").scope_end, 6);
+        assert_eq!(local("k").scope_end, 10);
+        let x = local("x");
+        assert!(!x.visible_at(3) && x.visible_at(4) && x.visible_at(8) && !x.visible_at(9));
     }
 }

@@ -119,8 +119,9 @@ pub enum Event {
 /// storage. [`Subscription::rebind`] names the functions whose frames
 /// can do that: entering or leaving one of their frames makes the next
 /// line or store event stop, and so does a line marker in one of their
-/// frames that crosses a listed declaration line (a local is visible
-/// from its declaration line on).
+/// frames that crosses a listed bound line (a local is visible from its
+/// declaration line to the last line of its block, so its bounds are
+/// the declaration line and the line after the block).
 #[derive(Debug, Clone, Default)]
 pub struct Subscription {
     /// Every call, return and output event ([`Vm::step`]'s contract).
@@ -140,8 +141,8 @@ pub struct Subscription {
     all_stores: bool,
     /// Store events overlapping these `[start, end)` address ranges.
     stores: Vec<(u64, u64)>,
-    /// Per function, the declaration lines whose crossing rebinds a
-    /// watched name, when its frames can rebind one at all.
+    /// Per function, the bound lines whose crossing rebinds a watched
+    /// name, when its frames can rebind one at all.
     rebind: Vec<Option<Vec<u32>>>,
 }
 
@@ -223,14 +224,16 @@ impl Subscription {
 
     /// Frames of `function` can rebind a watched name: entering or
     /// leaving one stops at the next line or store event, and so does a
-    /// line marker in one that crosses any of `decl_lines`.
-    pub fn rebind(&mut self, function: usize, decl_lines: impl IntoIterator<Item = u32>) {
+    /// line marker in one that crosses any of `bounds` (a line `b` is
+    /// crossed when one of the previous and the new line is below `b`
+    /// and the other is not).
+    pub fn rebind(&mut self, function: usize, bounds: impl IntoIterator<Item = u32>) {
         if self.rebind.len() <= function {
             self.rebind.resize(function + 1, None);
         }
         self.rebind[function]
             .get_or_insert_with(Vec::new)
-            .extend(decl_lines);
+            .extend(bounds);
     }
 
     #[inline]
@@ -241,8 +244,8 @@ impl Subscription {
                 .get(line as usize / 64)
                 .is_some_and(|w| w & (1 << (line % 64)) != 0)
             || self
-                .decl_lines(function)
-                .is_some_and(|decls| decls.iter().any(|&d| (d <= prev) != (d <= line)))
+                .bounds(function)
+                .is_some_and(|bounds| bounds.iter().any(|&b| (b <= prev) != (b <= line)))
     }
 
     #[inline]
@@ -264,13 +267,13 @@ impl Subscription {
     }
 
     #[inline]
-    fn decl_lines(&self, function: usize) -> Option<&[u32]> {
+    fn bounds(&self, function: usize) -> Option<&[u32]> {
         self.rebind.get(function)?.as_deref()
     }
 
     #[inline]
     fn rebinds(&self, function: usize) -> bool {
-        self.decl_lines(function).is_some()
+        self.bounds(function).is_some()
     }
 }
 

@@ -12,6 +12,7 @@
 use crate::ast::*;
 use crate::value::{Heap, ObjRef, PyVal};
 use crate::Error;
+use std::rc::Rc;
 
 /// What a [`Tracer`] tells the interpreter to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +34,7 @@ pub enum TraceEvent {
     /// Entered `function`; parameters are bound in the new frame.
     Call {
         /// Function name.
-        function: String,
+        function: Rc<str>,
         /// Line of the `def` header.
         line: u32,
         /// 0-based depth (module frame is 0).
@@ -42,7 +43,7 @@ pub enum TraceEvent {
     /// `function` is about to return `value`; its frame is still live.
     Return {
         /// Function name.
-        function: String,
+        function: Rc<str>,
         /// Line of the returning statement.
         line: u32,
         /// 0-based depth of the returning frame.
@@ -70,16 +71,25 @@ impl<'a> TraceCtx<'a> {
     /// Looks up a variable: first in the innermost frame, then in the
     /// module frame. `frame_name::var` syntax addresses a specific frame.
     pub fn lookup(&self, name: &str) -> Option<ObjRef> {
-        if let Some((frame_name, var)) = name.split_once("::") {
+        match name.split_once("::") {
+            Some((frame_name, var)) => self.lookup_in(Some(frame_name), var),
+            None => self.lookup_in(None, name),
+        }
+    }
+
+    /// [`TraceCtx::lookup`] with the frame qualifier already split off:
+    /// `Some(frame_name)` looks only at the innermost frame of that name.
+    pub fn lookup_in(&self, frame_name: Option<&str>, var: &str) -> Option<ObjRef> {
+        if let Some(frame_name) = frame_name {
             let frame = self.frames.iter().rev().find(|f| f.name() == frame_name)?;
             return frame.get(var);
         }
         if let Some(f) = self.frames.last() {
-            if let Some(r) = f.get(name) {
+            if let Some(r) = f.get(var) {
                 return Some(r);
             }
         }
-        self.frames.first()?.get(name)
+        self.frames.first()?.get(var)
     }
 }
 
@@ -141,14 +151,14 @@ impl NameTable {
 /// One activation record of the MiniPy interpreter.
 #[derive(Debug, Clone)]
 pub struct PyFrame {
-    name: String,
+    name: Rc<str>,
     locals: NameTable,
     globals_decl: Vec<String>,
     line: u32,
 }
 
 impl PyFrame {
-    fn new(name: impl Into<String>, line: u32) -> Self {
+    fn new(name: impl Into<Rc<str>>, line: u32) -> Self {
         PyFrame {
             name: name.into(),
             locals: NameTable::default(),
@@ -178,11 +188,12 @@ impl PyFrame {
     }
 }
 
+/// A defined function. Calls share its parts instead of copying them.
 #[derive(Debug, Clone)]
 struct FuncDef {
-    name: String,
-    params: Vec<String>,
-    body: Vec<Stmt>,
+    name: Rc<str>,
+    params: Rc<[String]>,
+    body: Rc<[Stmt]>,
     line: u32,
 }
 
@@ -417,9 +428,9 @@ impl Interp {
             StmtKind::Def { name, params, body } => {
                 let index = self.funcs.len();
                 self.funcs.push(FuncDef {
-                    name: name.clone(),
-                    params: params.clone(),
-                    body: body.clone(),
+                    name: name.as_str().into(),
+                    params: params.as_slice().into(),
+                    body: body.as_slice().into(),
                     line: s.line,
                 });
                 let f = self.heap.alloc(PyVal::Function {
@@ -440,9 +451,9 @@ impl Interp {
                     {
                         let index = self.funcs.len();
                         self.funcs.push(FuncDef {
-                            name: format!("{name}.{mname}"),
-                            params: params.clone(),
-                            body: body.clone(),
+                            name: format!("{name}.{mname}").into(),
+                            params: params.as_slice().into(),
+                            body: body.as_slice().into(),
                             line: m.line,
                         });
                         table.push((mname.clone(), index));
@@ -1208,7 +1219,7 @@ impl Interp {
         line: u32,
         tracer: &mut dyn Tracer,
     ) -> Result<ObjRef, Error> {
-        match self.heap.get(callee).clone() {
+        match *self.heap.get(callee) {
             PyVal::Function { index, .. } => self.call_function(index, args, line, tracer),
             PyVal::BoundMethod {
                 receiver, index, ..
@@ -1243,7 +1254,7 @@ impl Interp {
                 }
                 Ok(instance)
             }
-            other => Err(self.rerr(
+            ref other => Err(self.rerr(
                 line,
                 format!("TypeError: '{}' object is not callable", other.type_name()),
             )),
@@ -1257,8 +1268,12 @@ impl Interp {
         line: u32,
         tracer: &mut dyn Tracer,
     ) -> Result<ObjRef, Error> {
-        let def = &self.funcs[index];
-        let (name, params, def_line) = (def.name.clone(), def.params.clone(), def.line);
+        let FuncDef {
+            name,
+            params,
+            body,
+            line: def_line,
+        } = self.funcs[index].clone();
         if args.len() != params.len() {
             return Err(self.rerr(
                 line,
@@ -1286,7 +1301,6 @@ impl Interp {
                 depth,
             },
         )?;
-        let body = self.funcs[index].body.clone();
         let flow = match self.exec_block(&body, tracer) {
             Ok(flow) => flow,
             Err(e) => {
@@ -1313,6 +1327,19 @@ impl Interp {
     }
 
     // -- builtins ---------------------------------------------------------------
+
+    /// Sorts `items` in place by `compare`: an insertion sort, stable, and
+    /// free of closures that would need error plumbing through `sort_by`.
+    fn sort_refs(&self, items: &mut [ObjRef], line: u32) -> Result<(), Error> {
+        for i in 1..items.len() {
+            let mut j = i;
+            while j > 0 && self.compare(items[j - 1], items[j], line)? > 0 {
+                items.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+        Ok(())
+    }
 
     fn builtin_function(
         &mut self,
@@ -1532,15 +1559,7 @@ impl Interp {
                     return Err(arity_err(self, "1"));
                 };
                 let mut items = self.iterate(*r, line)?;
-                // Insertion sort via compare (stable, avoids closures that
-                // would need error plumbing through sort_by).
-                for i in 1..items.len() {
-                    let mut j = i;
-                    while j > 0 && self.compare(items[j - 1], items[j], line)? > 0 {
-                        items.swap(j - 1, j);
-                        j -= 1;
-                    }
-                }
+                self.sort_refs(&mut items, line)?;
                 Ok(self.heap.alloc(PyVal::List(items)))
             }
             "list" => {
@@ -1637,6 +1656,16 @@ impl Interp {
                     }
                     None => Err(self.rerr(line, "ValueError: list.remove(x): x not in list")),
                 }
+            }
+            (PyVal::List(mut items), "sort") => {
+                if !args.is_empty() {
+                    return Err(self.rerr(line, "TypeError: sort() takes no arguments"));
+                }
+                self.sort_refs(&mut items, line)?;
+                if let PyVal::List(slot) = self.heap.get_mut(base) {
+                    *slot = items;
+                }
+                Ok(self.none_ref)
             }
             (PyVal::List(items), "index") => {
                 let [v] = args else {
@@ -1803,6 +1832,10 @@ mod tests {
         assert_eq!(
             out("a = [3, 1, 2]\nprint(sorted(a))\nprint(a)"),
             "[1, 2, 3]\n[3, 1, 2]\n"
+        );
+        assert_eq!(
+            out("a = [3, 1, 2]\nb = a\nprint(a.sort())\nprint(b)"),
+            "None\n[1, 2, 3]\n"
         );
         assert_eq!(out("a = [1]\na[0] = 9\nprint(a)"), "[9]\n");
         assert_eq!(out("a = [1, 2]\nprint(a.pop(), a)"), "2 [1]\n");

@@ -127,6 +127,9 @@ impl PyVal {
 #[derive(Debug, Clone, Default)]
 pub struct Heap {
     objects: Vec<PyVal>,
+    /// Bumped by every [`Heap::get_mut`], the only way an object changes
+    /// in place.
+    epoch: u64,
 }
 
 impl Heap {
@@ -148,7 +151,29 @@ impl Heap {
 
     /// Mutates an object in place.
     pub fn get_mut(&mut self, r: ObjRef) -> &mut PyVal {
+        self.epoch += 1;
         &mut self.objects[r.0 as usize]
+    }
+
+    /// The mutation epoch: unchanged since an earlier reading means no
+    /// object has changed in place since then.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Whether nothing reachable from `r` can ever change: a number,
+    /// bool, string, `None` or range, or a tuple of those.
+    pub fn is_immutable(&self, r: ObjRef) -> bool {
+        match self.get(r) {
+            PyVal::Int(_)
+            | PyVal::Float(_)
+            | PyVal::Bool(_)
+            | PyVal::Str(_)
+            | PyVal::None
+            | PyVal::Range { .. } => true,
+            PyVal::Tuple(items) => items.iter().all(|&it| self.is_immutable(it)),
+            _ => false,
+        }
     }
 
     /// Number of live objects (bench metric).

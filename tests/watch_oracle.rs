@@ -36,11 +36,10 @@ fn render(vm: &Vm, name: &str) -> Option<String> {
         if func.is_some_and(|f| f != meta.name) {
             continue;
         }
-        if let Some(local) = meta
-            .locals
-            .iter()
-            .find(|l| l.name == var && (l.is_param || l.decl_line <= fi.line))
-        {
+        if let Some(local) = meta.locals.iter().find(|l| {
+            let in_block = l.decl_line <= fi.line && fi.line <= l.scope_end;
+            l.name == var && (l.is_param || in_block)
+        }) {
             let addr = fi.base + local.offset;
             let value = inspect::read_value(vm, addr, &local.ty, opts)
                 .with_location(Location::Stack)
@@ -283,6 +282,21 @@ return i;
 }
 ";
 
+/// A loop-local `x` shadowing a global until its block ends: after the
+/// loop, `x` names the global again, rebound with no store.
+const BLOCK_SCOPE: &str = "int x = 100;
+int main() {
+int i = 0;
+while (i < 2) {
+int x = i * 10;
+i = i + 1;
+}
+x = x + 1;
+x = x + 1;
+return x;
+}
+";
+
 /// An unqualified name bound to a global in `main`, a local in `g` (from
 /// its declaration line) and a parameter in `f`: calls and returns
 /// rebind it with no store to the storage it names. After `f` returns
@@ -385,8 +399,9 @@ return x;
 /// statements.
 #[test]
 fn subscribed_watches_pause_like_the_reference() {
-    let cases: [(&str, &str, &[&str]); 8] = [
+    let cases: [(&str, &str, &[&str]); 9] = [
         ("shadowed global", SHADOWED_GLOBAL, &["x"]),
+        ("block scope", BLOCK_SCOPE, &["x"]),
         ("rebound across calls", REBOUND_ACROSS_CALLS, &["v"]),
         ("partial struct copies", PARTIAL_COPIES, &["o", "arr"]),
         ("partial copy, struct only", PARTIAL_COPIES, &["o"]),
