@@ -5,11 +5,17 @@
 //! `mi-server` child, falling back to the in-process channel when the
 //! server binary is unavailable.
 //!
-//! Each job runs its configurations round-robin through the shared
-//! timing loop; the *minimum* wall time scores the overhead gates (the
-//! repeatable cost, insulated from scheduler noise).
+//! Each round runs one session per configuration side by side, pause by
+//! pause in turn, pinned to one CPU, and a gate scores the median over
+//! rounds of each round's variant-to-baseline ratio
+//! ([`bench::paired_overhead_pct`]). On a shared 2-vCPU host a session's
+//! time follows machine speed, and whole sessions run one after another,
+//! scored by their minimums, read −28% to +42% on one binary.
 
-use bench::{measure, overhead_pct, tracked_fib, write_report, Flags, Rounds, Verdict};
+use bench::{
+    measure_together, paired_overhead_pct, tracked_fib, tracked_fib_tracker, write_report, Flags,
+    Rounds, Verdict,
+};
 use easytracker::{MiTracker, Tracker};
 use obs::{ProfileMode, ProfileReport};
 use serde_json::json;
@@ -33,29 +39,40 @@ const SEED_MIX: std::ops::Range<u64> = 1..9;
 /// `--check PCT` fails when `obs` costs more than `PCT` percent over
 /// `plain`.
 pub fn obs(flags: &Flags) -> Verdict {
-    const ROUNDS: Rounds = Rounds::new(1, 5);
+    const ROUNDS: Rounds = Rounds::new(1, 21);
     let (server, deployment) = bench::mi_server();
-    eprintln!("bench obs: {} over {deployment}", bench::TRACKED_FIB);
+    let cpu = bench::pin_to_one_cpu();
+    eprintln!(
+        "bench obs: {} over {deployment}, on CPU {cpu:?}",
+        bench::TRACKED_FIB
+    );
 
-    let configs = measure(3, ROUNDS, |config| {
-        let registry = obs::Registry::new();
-        if config > 0 {
-            registry.add_sink(Arc::new(obs::ExportSink::new(8192)));
-        }
-        let drain = |t: &mut MiTracker, pauses: u64, exited: bool| {
+    let configs = measure_together(3, ROUNDS, || {
+        let mut trackers: Vec<MiTracker> = (0..3)
+            .map(|config| {
+                let registry = obs::Registry::new();
+                if config > 0 {
+                    registry.add_sink(Arc::new(obs::ExportSink::new(8192)));
+                }
+                tracked_fib_tracker(server.as_deref(), registry)
+            })
+            .collect();
+        let drain = |config, t: &mut MiTracker, pauses: u64, exited: bool| {
             if config == 2 && (exited || pauses.is_multiple_of(DRAIN_EVERY)) {
                 t.drain_telemetry().expect("drain");
             }
         };
-        let (elapsed, pauses, mut t) = tracked_fib(server.as_deref(), registry, |_| {}, drain);
-        t.terminate();
-        (elapsed, pauses)
+        let (spent, pauses) = tracked_fib(&mut trackers, drain);
+        for mut t in trackers {
+            t.terminate();
+        }
+        spent.into_iter().map(|d| (d, pauses)).collect()
     });
     let [plain, obs_on, obs_drain] = [0, 1, 2].map(|i| configs[i].best);
-    let obs_pct = overhead_pct(plain, obs_on);
-    let drain_pct = overhead_pct(plain, obs_drain);
+    let obs_pct = paired_overhead_pct(&configs[0], &configs[1]);
+    let drain_pct = paired_overhead_pct(&configs[0], &configs[2]);
     println!(
-        "plain {:>9}us | obs {:>9}us ({obs_pct:+.2}%) | obs+drain {:>9}us ({drain_pct:+.2}%)",
+        "min: plain {:>9}us | obs {:>9}us | obs+drain {:>9}us; paired: obs {obs_pct:+.2}% | obs+drain {drain_pct:+.2}%",
         plain.as_micros(),
         obs_on.as_micros(),
         obs_drain.as_micros()
@@ -143,27 +160,43 @@ fn seed_mix_top10(server: Option<&std::path::Path>) -> Vec<(String, u64)> {
 /// `counting` more than 15%, or counting and sampling disagree on the
 /// top-3 hot functions.
 pub fn profile(flags: &Flags) -> Verdict {
-    const ROUNDS: Rounds = Rounds::new(2, 7);
+    const ROUNDS: Rounds = Rounds::new(2, 21);
     let (server, deployment) = bench::mi_server();
-    eprintln!("bench profile: {} over {deployment}", bench::TRACKED_FIB);
+    let cpu = bench::pin_to_one_cpu();
+    eprintln!(
+        "bench profile: {} over {deployment}, on CPU {cpu:?}",
+        bench::TRACKED_FIB
+    );
 
-    let configs = measure(PROFILE_CONFIGS.len(), ROUNDS, |config| {
-        let (_, mode, period) = PROFILE_CONFIGS[config];
-        let arm = |t: &mut MiTracker| {
-            if let Some(mode) = mode {
-                t.set_profile(mode, period).expect("arm");
-            }
-        };
-        let registry = obs::Registry::new();
-        let (elapsed, pauses, mut t) = tracked_fib(server.as_deref(), registry, arm, |_, _, _| {});
-        let report = match mode {
-            Some(ProfileMode::Counting | ProfileMode::Sampling) => t.profile().expect("profile"),
-            _ => ProfileReport::default(),
-        };
-        t.terminate();
-        (elapsed, (pauses, report))
+    let configs = measure_together(PROFILE_CONFIGS.len(), ROUNDS, || {
+        let mut trackers: Vec<MiTracker> = PROFILE_CONFIGS
+            .iter()
+            .map(|&(_, mode, period)| {
+                let mut t = tracked_fib_tracker(server.as_deref(), obs::Registry::new());
+                if let Some(mode) = mode {
+                    t.set_profile(mode, period).expect("arm");
+                }
+                t
+            })
+            .collect();
+        let (spent, pauses) = tracked_fib(&mut trackers, |_, _, _, _| {});
+        PROFILE_CONFIGS
+            .iter()
+            .zip(trackers)
+            .zip(spent)
+            .map(|((&(_, mode, _), mut t), elapsed)| {
+                let report = match mode {
+                    Some(ProfileMode::Counting | ProfileMode::Sampling) => {
+                        t.profile().expect("profile")
+                    }
+                    _ => ProfileReport::default(),
+                };
+                t.terminate();
+                (elapsed, (pauses, report))
+            })
+            .collect()
     });
-    let pct = |i: usize| overhead_pct(configs[0].best, configs[i].best);
+    let pct = |i: usize| paired_overhead_pct(&configs[0], &configs[i]);
     let (disabled_pct, counting_pct, sampling_pct) = (pct(1), pct(2), pct(3));
     let top_counting = top_self_names(&configs[2].last.1, 3);
     let top_sampling = top_self_names(&configs[3].last.1, 3);

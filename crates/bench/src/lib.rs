@@ -132,11 +132,32 @@ pub struct Timed<T> {
     pub best: Duration,
     /// Every scored sample, in nanoseconds.
     pub hist: Histogram,
+    /// Every scored sample, in the order taken.
+    pub samples: Vec<Duration>,
     /// What the variant's last scored sample produced.
     pub last: T,
 }
 
+impl<T: Default> Default for Timed<T> {
+    fn default() -> Self {
+        Timed {
+            best: Duration::MAX,
+            hist: Histogram::new(),
+            samples: Vec::new(),
+            last: T::default(),
+        }
+    }
+}
+
 impl<T> Timed<T> {
+    /// Scores one sample.
+    fn record(&mut self, elapsed: Duration, output: T) {
+        self.best = self.best.min(elapsed);
+        self.hist.record(elapsed.as_nanos() as u64);
+        self.samples.push(elapsed);
+        self.last = output;
+    }
+
     /// `{min_us, p50_us, p95_us, p99_us}` for a report.
     pub fn summary(&self) -> Value {
         let s = self.hist.stats();
@@ -172,22 +193,35 @@ pub fn measure<T: Default>(
     rounds: Rounds,
     mut sample: impl FnMut(usize) -> (Duration, T),
 ) -> Vec<Timed<T>> {
-    let mut out: Vec<Timed<T>> = (0..variants)
-        .map(|_| Timed {
-            best: Duration::MAX,
-            hist: Histogram::new(),
-            last: T::default(),
-        })
-        .collect();
+    let mut out: Vec<Timed<T>> = (0..variants).map(|_| Timed::default()).collect();
     for round in 0..rounds.warmup + rounds.scored {
         for (variant, timed) in out.iter_mut().enumerate() {
             for _ in 0..rounds.per_round {
                 let (elapsed, output) = sample(variant);
                 if round >= rounds.warmup {
-                    timed.best = timed.best.min(elapsed);
-                    timed.hist.record(elapsed.as_nanos() as u64);
-                    timed.last = output;
+                    timed.record(elapsed, output);
                 }
+            }
+        }
+    }
+    out
+}
+
+/// [`measure`] for variants that run side by side: each round calls
+/// `sample()` once, which times every variant and returns one
+/// `(elapsed, output)` per variant, in variant order.
+pub fn measure_together<T: Default>(
+    variants: usize,
+    rounds: Rounds,
+    mut sample: impl FnMut() -> Vec<(Duration, T)>,
+) -> Vec<Timed<T>> {
+    let mut out: Vec<Timed<T>> = (0..variants).map(|_| Timed::default()).collect();
+    for round in 0..rounds.warmup + rounds.scored {
+        let results = sample();
+        assert_eq!(results.len(), variants, "one sample per variant");
+        if round >= rounds.warmup {
+            for (timed, (elapsed, output)) in out.iter_mut().zip(results) {
+                timed.record(elapsed, output);
             }
         }
     }
@@ -207,6 +241,26 @@ pub fn overhead_pct(base: Duration, variant: Duration) -> f64 {
         return 0.0;
     }
     (variant.as_secs_f64() / base.as_secs_f64() - 1.0) * 100.0
+}
+
+/// How much slower `variant` ran than `base`, in percent: the median of
+/// the ratios of samples taken in the same round. Machine speed that
+/// drifts between rounds slows both halves of a pair alike and cancels
+/// in its ratio; a ratio of two minimums taken in different rounds
+/// keeps it.
+pub fn paired_overhead_pct<T, U>(base: &Timed<T>, variant: &Timed<U>) -> f64 {
+    let mut pcts: Vec<f64> = base
+        .samples
+        .iter()
+        .zip(&variant.samples)
+        .map(|(b, v)| overhead_pct(*b, *v))
+        .collect();
+    pcts.sort_by(f64::total_cmp);
+    match pcts.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => pcts[n / 2],
+        n => (pcts[n / 2 - 1] + pcts[n / 2]) / 2.0,
+    }
 }
 
 /// Writes a job's report to `BENCH_<job>.json` in the working directory.
@@ -404,42 +458,92 @@ pub fn load_mi(server: Option<&Path>, src: &str, registry: obs::Registry) -> MiT
     MiTracker::load_spec(spec, registry, Supervision::default(), None).expect("workload compiles")
 }
 
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+}
+
+/// Confines this process, and the engine children it spawns from now
+/// on, to the first CPU it may run on. Sessions that ping-pong between a
+/// tracker and its `mi-server` child then hand off on one CPU instead of
+/// waking one another across vCPUs, whose latency on a shared host
+/// varied a tracked-fib session's time by 4× between rounds.
+/// Returns the CPU, or `None` where affinity cannot be set (the job then
+/// runs unpinned).
+pub fn pin_to_one_cpu() -> Option<usize> {
+    #[cfg(target_os = "linux")]
+    {
+        let mut mask = [0u64; 16];
+        let size = std::mem::size_of_val(&mask);
+        // SAFETY: `mask` is a writable buffer of `size` bytes (1024 CPUs,
+        // glibc's `cpu_set_t`) that outlives the call.
+        if unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) } != 0 {
+            return None;
+        }
+        let cpu = (0..64 * mask.len()).find(|&c| mask[c / 64] >> (c % 64) & 1 == 1)?;
+        let mut one = [0u64; 16];
+        one[cpu / 64] = 1 << (cpu % 64);
+        // SAFETY: `one` is a readable buffer of `size` bytes that outlives
+        // the call.
+        (unsafe { sched_setaffinity(0, size, one.as_ptr()) } == 0).then_some(cpu)
+    }
+    #[cfg(not(target_os = "linux"))]
+    None
+}
+
 /// What [`tracked_fib`] runs, for reports.
 pub const TRACKED_FIB: &str = "c_fib(13), track fib + inspect each call";
 
-/// The canonical debugging session the `obs` and `profile` jobs time:
-/// track `fib` in `c_fib(13)`, resume across every call and return, and
-/// inspect the state at each call, like a visualization frontend.
-/// `setup` runs on the loaded tracker before the clock starts;
-/// `on_pause` runs inside the timed region after every pause, with the
-/// pause count and whether the inferior exited. Returns the elapsed
-/// time, the pause count and the still-open tracker.
+/// A tracker loaded with [`tracked_fib`]'s program.
+pub fn tracked_fib_tracker(server: Option<&Path>, registry: obs::Registry) -> MiTracker {
+    load_mi(server, &c_fib(13), registry)
+}
+
+/// The canonical debugging session the `obs` and `profile` jobs time,
+/// on every tracker of `trackers` at once (each loaded by
+/// [`tracked_fib_tracker`]): track `fib` in `c_fib(13)`,
+/// resume across every call and return, and inspect the state at each
+/// call, like a visualization frontend. The sessions run in lockstep,
+/// each taking its next pause in turn (the first to go rotating), so a
+/// change in machine speed, which on a shared 2-vCPU host swings a whole
+/// session's time by 2×, hits every tracker alike. `on_pause(i, t,
+/// pauses, exited)` runs inside tracker `i`'s timed region after each of
+/// its pauses. Returns the time spent in each tracker's session and the
+/// pause count.
 pub fn tracked_fib(
-    server: Option<&Path>,
-    registry: obs::Registry,
-    setup: impl FnOnce(&mut MiTracker),
-    mut on_pause: impl FnMut(&mut MiTracker, u64, bool),
-) -> (Duration, u64, MiTracker) {
-    let mut t = load_mi(server, &c_fib(13), registry);
-    setup(&mut t);
-    let begin = Instant::now();
-    t.start().expect("start");
-    t.track_function("fib", None).expect("track");
+    trackers: &mut [MiTracker],
+    mut on_pause: impl FnMut(usize, &mut MiTracker, u64, bool),
+) -> (Vec<Duration>, u64) {
+    let mut spent = vec![Duration::ZERO; trackers.len()];
+    for (t, spent) in trackers.iter_mut().zip(&mut spent) {
+        let begin = Instant::now();
+        t.start().expect("start");
+        t.track_function("fib", None).expect("track");
+        *spent += begin.elapsed();
+    }
     let mut pauses = 0u64;
     loop {
-        let reason = t.resume().expect("resume");
-        let exited = matches!(reason, PauseReason::Exited(_));
-        if !exited {
+        let mut exits = 0;
+        for turn in 0..trackers.len() {
+            let i = (turn + pauses as usize) % trackers.len();
+            let t = &mut trackers[i];
+            let begin = Instant::now();
+            let reason = t.resume().expect("resume");
+            let exited = matches!(reason, PauseReason::Exited(_));
             if let PauseReason::FunctionCall { .. } = reason {
                 let state = t.get_state().expect("state");
                 debug_assert_eq!(state.frame.name(), "fib");
             }
-            pauses += 1;
+            on_pause(i, t, pauses + u64::from(!exited), exited);
+            spent[i] += begin.elapsed();
+            exits += usize::from(exited);
         }
-        on_pause(&mut t, pauses, exited);
-        if exited {
-            return (begin.elapsed(), pauses, t);
+        if exits == trackers.len() {
+            return (spent, pauses);
         }
+        assert_eq!(exits, 0, "every tracker runs the same session");
+        pauses += 1;
     }
 }
 
@@ -778,6 +882,19 @@ mod tests {
         assert!((overhead_pct(ms(100), ms(105)) - 5.0).abs() < 1e-9);
         assert!((overhead_pct(ms(100), ms(90)) + 10.0).abs() < 1e-9);
         assert_eq!(overhead_pct(Duration::ZERO, ms(3)), 0.0);
+    }
+
+    #[test]
+    fn paired_overhead_is_the_median_of_same_round_ratios() {
+        // Round 2 runs under load, slowing both halves alike; round 3's
+        // variant sample is an outlier. The ratio of the minimums reads
+        // -50%, while three of the four pairs read +10%.
+        let script = [100, 110, 200, 220, 100, 50, 100, 110];
+        let (out, _) = scripted(2, Rounds::new(0, 4), &script);
+        assert!((overhead_pct(out[0].best, out[1].best) + 50.0).abs() < 1e-9);
+        assert!((paired_overhead_pct(&out[0], &out[1]) - 10.0).abs() < 1e-9);
+        let (odd, _) = scripted(2, Rounds::new(0, 3), &script[..6]);
+        assert!((paired_overhead_pct(&odd[0], &odd[1]) - 10.0).abs() < 1e-9);
     }
 
     #[test]

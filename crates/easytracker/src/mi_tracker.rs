@@ -1331,8 +1331,7 @@ impl MiTracker {
         let dir = self
             .dump_dir
             .clone()
-            .or_else(|| std::env::var_os("EASYTRACKER_DUMP_DIR").map(PathBuf::from))
-            .unwrap_or_else(std::env::temp_dir);
+            .unwrap_or_else(obs::FlightDump::default_dir);
         match dump.write_to_dir(&dir) {
             Ok(path) => {
                 self.obs.inc("mi.flight_dumps");

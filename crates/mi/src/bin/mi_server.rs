@@ -137,11 +137,12 @@ fn main() {
     };
     // Never end silently on a broken boundary: a supervisor watching this
     // process must be able to tell "session finished" (exit 0) from "the
-    // transport failed mid-session" (exit 3 + diagnostic). The last-gasp
+    // transport failed or the engine panicked mid-session" (exit 3 +
+    // diagnostic). The last-gasp
     // line rides the same stderr capture into the tracker's post-mortem.
     if let Err(e) = end {
         eprintln!("{}", flight.last_gasp_line());
-        eprintln!("mi-server: transport failure: {e}");
+        eprintln!("mi-server: abnormal end: {e}");
         std::process::exit(3);
     }
 }

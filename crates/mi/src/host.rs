@@ -154,12 +154,17 @@ pub(crate) struct SessionState {
     max_wall_ms: Option<u64>,
     /// Engine wall time this session has consumed across all slices.
     wall_spent: Duration,
+    /// The engine panicked, with this message. The engine is never run
+    /// again: the driver answers the command it was running and ends the
+    /// session.
+    pub(crate) fault: Option<String>,
 }
 
 /// Reply routing for a command that yielded between slices.
 struct InFlight {
     seq: u64,
     trace: Option<obs::TraceContext>,
+    kind: &'static str,
 }
 
 impl SessionState {
@@ -183,6 +188,7 @@ impl SessionState {
             in_flight: None,
             max_wall_ms: None,
             wall_spent: Duration::ZERO,
+            fault: None,
         }
     }
 
@@ -196,11 +202,54 @@ impl SessionState {
     /// left unfinished, else `job`. Returns the reply routing and
     /// response once the command is done; `None` when it yielded (the
     /// driver runs another slice later) or there was nothing to run.
+    ///
+    /// An engine panic is contained here, the one place both drivers run
+    /// an engine: the command gets a typed `engine fault` error, a flight
+    /// dump is written, and [`SessionState::fault`] tells the driver to
+    /// end the session.
     pub(crate) fn slice(&mut self, job: Option<Job>, fuel: u64) -> Option<(u64, Response)> {
+        let running = match (&self.in_flight, &job) {
+            (Some(f), _) => Some((f.seq, f.kind)),
+            (None, Some(j)) => Some((j.seq, j.cmd.kind())),
+            (None, None) => None,
+        };
         let started = Instant::now();
-        let done = self.run(job, fuel);
+        let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run(job, fuel)));
         self.wall_spent += started.elapsed();
-        done
+        match done {
+            Ok(done) => done,
+            Err(payload) => {
+                obs::set_remote_context(None);
+                self.in_flight = None;
+                let (seq, kind) = running.expect("only a command runs the engine");
+                let message = format!("engine fault: {}", panic_message(payload.as_ref()));
+                self.dump_fault(kind, &message);
+                self.fault = Some(message.clone());
+                Some((seq, Response::Error { message }))
+            }
+        }
+    }
+
+    /// Writes the post-mortem of an engine panic: the command it hit and
+    /// the session's flight ring, when it keeps one.
+    fn dump_fault(&self, kind: &str, message: &str) {
+        if let Some(flight) = &self.flight {
+            flight.record("fault", message);
+        }
+        let dump = obs::FlightDump {
+            side: "engine".into(),
+            reason: message.into(),
+            last_command: kind.into(),
+            log: self
+                .flight
+                .as_ref()
+                .map(obs::FlightRecorder::log)
+                .unwrap_or_default(),
+            ..obs::FlightDump::default()
+        };
+        // A dump that cannot be written loses the post-mortem, not the
+        // session's typed end.
+        let _ = dump.write_to_dir(&obs::FlightDump::default_dir());
     }
 
     fn run(&mut self, job: Option<Job>, fuel: u64) -> Option<(u64, Response)> {
@@ -238,7 +287,8 @@ impl SessionState {
             }
             None => {
                 let Job { seq, trace, cmd } = job?;
-                (InFlight { seq, trace }, self.start(trace, cmd, fuel))
+                let kind = cmd.kind();
+                (InFlight { seq, trace, kind }, self.start(trace, cmd, fuel))
             }
         };
         match outcome {
@@ -276,6 +326,15 @@ impl SessionState {
         obs::set_remote_context(None);
         out
     }
+}
+
+/// The text a panic was raised with.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("panic with a non-text payload")
 }
 
 /// Answers the commands the boundary serves itself, never an engine:
@@ -951,6 +1010,12 @@ fn serve_slice(shared: &Arc<HostShared>, sid: u64) {
                 shared.registry.inc("mi.host.budget_exhausted");
                 ended = Some("budget_exhausted");
             }
+            if state.fault.is_some() {
+                // The panic was contained to this session; the worker
+                // lives on and the session ends typed.
+                shared.registry.inc("mi.host.engine_faults");
+                ended = Some("engine_fault");
+            }
             let rf = ResponseFrame {
                 seq,
                 resp,
@@ -1500,7 +1565,7 @@ impl CommandPort for SessionHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{duplex, ChannelTransport};
+    use crate::transport::{duplex, ChannelFrameRx, ChannelTransport};
 
     const PROG: &str = "int main() { int x = 1; x = x + 1; return x; }";
 
@@ -2234,6 +2299,123 @@ mod tests {
         let fb2 = drain(&mut b, 0);
         assert!(fa2.events.is_empty());
         assert_eq!(fb2.events.len(), fb.events.len());
+        host.shutdown();
+    }
+
+    /// A test double that answers every command except `Finish`, which
+    /// waits for the test's go signal and then panics.
+    struct FaultyEngine {
+        go: Receiver<()>,
+    }
+
+    impl Engine for FaultyEngine {
+        fn handle(&mut self, command: Command) -> Response {
+            if command == Command::Finish {
+                self.go.recv().expect("the test sends the go signal");
+                panic!("faulty engine test double: Finish");
+            }
+            Response::Ok
+        }
+    }
+
+    #[test]
+    fn an_engine_panic_ends_only_its_session_and_keeps_every_worker() {
+        let host = SessionHost::new(2);
+        let handle = HostHandle::connect_in_process(&host);
+        let mut neighbour = handle.open_session("n.c", PROG, None).unwrap();
+        call(&mut neighbour, Command::Start);
+
+        // The faulty session's replies land on a channel the test reads.
+        let (a, b) = crate::transport::duplex();
+        let (atx, _arx) = a.split();
+        let (_btx, mut replies) = b.split();
+        let tx: SharedTx = Arc::new(Mutex::new(Box::new(atx)));
+        let (go, wait) = unbounded();
+        let conn = u64::MAX;
+        let sid = match open_session(&host.shared, conn, &tx, |_| {
+            Ok(Box::new(FaultyEngine { go: wait }))
+        }) {
+            Response::SessionOpened { session } => session,
+            other => panic!("expected SessionOpened, got {other:?}"),
+        };
+        let next = |replies: &mut ChannelFrameRx| {
+            let frame = replies.recv().expect("a reply");
+            serde_json::from_slice::<ResponseFrame>(&frame).expect("a response frame")
+        };
+        assert_eq!(
+            enqueue(&host.shared, conn, sid, 0, None, Command::Start),
+            None
+        );
+        assert_eq!(next(&mut replies).resp, Response::Ok);
+        // Queue one command behind the one that panics, then let it panic.
+        assert_eq!(
+            enqueue(&host.shared, conn, sid, 1, None, Command::Finish),
+            None
+        );
+        assert_eq!(
+            enqueue(&host.shared, conn, sid, 2, None, Command::GetOutput),
+            None
+        );
+        go.send(()).unwrap();
+        let fault = next(&mut replies);
+        assert_eq!(fault.seq, 1);
+        match fault.resp {
+            Response::Error { message } => {
+                assert_eq!(message, "engine fault: faulty engine test double: Finish")
+            }
+            other => panic!("expected the engine-fault error, got {other:?}"),
+        }
+        let swept = next(&mut replies);
+        assert_eq!(
+            (swept.seq, swept.resp),
+            (2, Response::SessionGone { session: sid })
+        );
+
+        // The slot is gone, not stuck running; later frames are refused.
+        assert!(!host.shared.sessions.lock().unwrap().contains_key(&sid));
+        assert_eq!(
+            enqueue(&host.shared, conn, sid, 3, None, Command::GetOutput),
+            Some(Response::SessionGone { session: sid })
+        );
+        // The post-mortem names the command the engine panicked on.
+        let prefix = format!("easytracker-flight-{}-", std::process::id());
+        let dump = std::fs::read_dir(obs::FlightDump::default_dir())
+            .unwrap()
+            .filter_map(|e| Some(e.ok()?.path()))
+            .filter(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with(&prefix)
+            })
+            .find_map(|p| {
+                let dump = obs::FlightDump::from_json(&std::fs::read_to_string(&p).ok()?)?;
+                (dump.reason == "engine fault: faulty engine test double: Finish").then(|| {
+                    let _ = std::fs::remove_file(&p);
+                    dump
+                })
+            })
+            .expect("a flight dump for the fault");
+        assert_eq!(
+            (dump.side.as_str(), dump.last_command.as_str()),
+            ("engine", "Finish")
+        );
+        let counters = host.registry().snapshot();
+        assert_eq!(counters.counter("mi.host.engine_faults"), 1);
+        assert_eq!(counters.counter("mi.host.session_end.engine_fault"), 1);
+        // Every worker lives, and the neighbour is still served.
+        assert_eq!(host.workers.len(), 2);
+        assert!(host.workers.iter().all(|w| !w.is_finished()));
+        for _ in 0..4 {
+            assert!(matches!(
+                call(&mut neighbour, Command::Ping),
+                Response::Pong { .. }
+            ));
+        }
+        assert!(matches!(
+            call(&mut neighbour, Command::Step),
+            Response::Paused(_)
+        ));
         host.shutdown();
     }
 }

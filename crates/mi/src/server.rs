@@ -146,7 +146,8 @@ impl<T: FrameTx + FrameRx> Server<T> {
     /// `Ok` for the two normal session ends (see [`ServeEnd`]); `Err`
     /// when the transport failed in a way the loop could not report back
     /// to the peer — a send failure, or a non-codec receive failure that
-    /// is not a plain disconnect. The `mi-server` binary turns `Err` into
+    /// is not a plain disconnect — and [`MiError::Engine`] after the
+    /// engine panicked (the command it was running is answered first). The `mi-server` binary turns `Err` into
     /// a nonzero exit with a stderr diagnostic.
     pub fn serve(&mut self) -> Result<ServeEnd, MiError> {
         loop {
@@ -166,6 +167,11 @@ impl<T: FrameTx + FrameRx> Server<T> {
                 Ok(()) => {}
                 Err(MiError::Disconnected) => return Ok(ServeEnd::PeerClosed),
                 Err(e) => return Err(e),
+            }
+            // The engine panicked and the command got its typed error:
+            // the session is over, abnormally.
+            if let Some(fault) = &self.session.fault {
+                return Err(MiError::Engine(fault.clone()));
             }
         }
     }
@@ -712,6 +718,54 @@ mod tests {
             .entries
             .iter()
             .any(|e| e.kind == "resp" && e.detail.contains("Output")));
+    }
+
+    /// An engine that panics on every command.
+    struct Panics;
+
+    impl Engine for Panics {
+        fn handle(&mut self, _: Command) -> Response {
+            panic!("solo test double");
+        }
+    }
+
+    #[test]
+    fn an_engine_panic_answers_the_command_then_ends_serve() {
+        let flight = obs::FlightRecorder::new(16);
+        let (a, b) = duplex();
+        let server_flight = flight.clone();
+        let handle = std::thread::spawn(move || {
+            let mut server = Server::new(Panics, b);
+            server.set_flight_recorder(server_flight);
+            server.serve()
+        });
+        let mut client = Client::new(a);
+        let message = "engine fault: solo test double";
+        assert_eq!(
+            client.call(Command::Start).unwrap(),
+            Response::Error {
+                message: message.into()
+            }
+        );
+        assert_eq!(handle.join().unwrap(), Err(MiError::Engine(message.into())));
+        assert_eq!(flight.log().last_of("fault").unwrap().detail, message);
+        // The post-mortem went to the dump directory; remove it.
+        let prefix = format!("easytracker-flight-{}-", std::process::id());
+        for entry in std::fs::read_dir(obs::FlightDump::default_dir()).unwrap() {
+            let path = entry.unwrap().path();
+            let ours = path
+                .file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with(&prefix)
+                && std::fs::read_to_string(&path)
+                    .ok()
+                    .and_then(|text| obs::FlightDump::from_json(&text))
+                    .is_some_and(|dump| dump.reason == message);
+            if ours {
+                let _ = std::fs::remove_file(path);
+            }
+        }
     }
 
     #[test]

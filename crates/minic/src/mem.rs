@@ -16,6 +16,7 @@
 //! address is an error the VM surfaces as a MiniC runtime error.
 
 use std::fmt;
+use std::ops::Range;
 
 /// The null address.
 pub const NULL: u64 = 0;
@@ -83,15 +84,7 @@ impl Memory {
 
     /// Classifies an address without bounds checking the access size.
     pub fn segment_of(addr: u64) -> Option<Segment> {
-        if (GLOBAL_BASE..HEAP_BASE).contains(&addr) {
-            Some(Segment::Global)
-        } else if (HEAP_BASE..STACK_BASE).contains(&addr) {
-            Some(Segment::Heap)
-        } else if (STACK_BASE..STACK_TOP).contains(&addr) {
-            Some(Segment::Stack)
-        } else {
-            None
-        }
+        Memory::locate(addr).map(|(seg, _)| seg)
     }
 
     /// Grows the heap segment so that `size` bytes from `HEAP_BASE` are
@@ -107,30 +100,66 @@ impl Memory {
         self.heap.len() as u64
     }
 
-    fn slice(&self, addr: u64, size: u64) -> Result<&[u8], MemError> {
-        let err = MemError { addr, size };
-        let (buf, base) = match Memory::segment_of(addr) {
-            Some(Segment::Global) => (&self.globals, GLOBAL_BASE),
-            Some(Segment::Heap) => (&self.heap, HEAP_BASE),
-            Some(Segment::Stack) => (&self.stack, STACK_BASE),
-            None => return Err(err),
-        };
-        let off = (addr - base) as usize;
-        let end = off.checked_add(size as usize).ok_or(err)?;
-        buf.get(off..end).ok_or(err)
+    /// The segment holding `addr` and `addr`'s offset into it. The stack
+    /// is tested first: locals are the common access.
+    #[inline]
+    fn locate(addr: u64) -> Option<(Segment, usize)> {
+        if addr >= STACK_BASE {
+            (addr < STACK_TOP).then(|| (Segment::Stack, (addr - STACK_BASE) as usize))
+        } else if addr >= HEAP_BASE {
+            Some((Segment::Heap, (addr - HEAP_BASE) as usize))
+        } else if addr >= GLOBAL_BASE {
+            Some((Segment::Global, (addr - GLOBAL_BASE) as usize))
+        } else {
+            None
+        }
     }
 
+    #[inline]
+    fn buf(&self, seg: Segment) -> &Vec<u8> {
+        match seg {
+            Segment::Stack => &self.stack,
+            Segment::Heap => &self.heap,
+            Segment::Global => &self.globals,
+        }
+    }
+
+    #[inline]
+    fn buf_mut(&mut self, seg: Segment) -> &mut Vec<u8> {
+        match seg {
+            Segment::Stack => &mut self.stack,
+            Segment::Heap => &mut self.heap,
+            Segment::Global => &mut self.globals,
+        }
+    }
+
+    /// The segment and in-segment byte range of an access of `size` bytes
+    /// at `addr`; an error when any byte is unmapped.
+    #[inline]
+    fn span(&self, addr: u64, size: u64) -> Result<(Segment, Range<usize>), MemError> {
+        let err = MemError { addr, size };
+        let (seg, off) = Memory::locate(addr).ok_or(err)?;
+        let end = off.checked_add(size as usize).ok_or(err)?;
+        if end > self.buf(seg).len() {
+            return Err(err);
+        }
+        Ok((seg, off..end))
+    }
+
+    #[inline]
+    fn slice(&self, addr: u64, size: u64) -> Result<&[u8], MemError> {
+        let err = MemError { addr, size };
+        let (seg, off) = Memory::locate(addr).ok_or(err)?;
+        let end = off.checked_add(size as usize).ok_or(err)?;
+        self.buf(seg).get(off..end).ok_or(err)
+    }
+
+    #[inline]
     fn slice_mut(&mut self, addr: u64, size: u64) -> Result<&mut [u8], MemError> {
         let err = MemError { addr, size };
-        let (buf, base) = match Memory::segment_of(addr) {
-            Some(Segment::Global) => (&mut self.globals, GLOBAL_BASE),
-            Some(Segment::Heap) => (&mut self.heap, HEAP_BASE),
-            Some(Segment::Stack) => (&mut self.stack, STACK_BASE),
-            None => return Err(err),
-        };
-        let off = (addr - base) as usize;
+        let (seg, off) = Memory::locate(addr).ok_or(err)?;
         let end = off.checked_add(size as usize).ok_or(err)?;
-        buf.get_mut(off..end).ok_or(err)
+        self.buf_mut(seg).get_mut(off..end).ok_or(err)
     }
 
     /// Reads `size` bytes starting at `addr`.
@@ -147,21 +176,47 @@ impl Memory {
     /// # Errors
     ///
     /// Fails when any byte of the range is unmapped.
+    #[inline]
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
         self.slice_mut(addr, bytes.len() as u64)?
             .copy_from_slice(bytes);
         Ok(())
     }
 
-    /// Copies `size` bytes from `src` to `dst` (regions may not overlap in
-    /// practice; a temporary buffer makes overlap safe anyway).
+    /// Copies `size` bytes from `src` to `dst`, like `memmove`: the
+    /// ranges may overlap.
     ///
     /// # Errors
     ///
-    /// Fails when either range is unmapped.
+    /// Fails when either range is unmapped; memory is then untouched.
     pub fn copy(&mut self, dst: u64, src: u64, size: u64) -> Result<(), MemError> {
-        let tmp = self.slice(src, size)?.to_vec();
-        self.write_bytes(dst, &tmp)
+        let (src_seg, from) = self.span(src, size)?;
+        let (dst_seg, to) = self.span(dst, size)?;
+        if src_seg == dst_seg {
+            self.buf_mut(dst_seg).copy_within(from, to.start);
+            return Ok(());
+        }
+        // Distinct segments: borrow the source shared and the destination
+        // mutably, field by field.
+        let Memory {
+            globals,
+            heap,
+            stack,
+        } = self;
+        let (mut src_buf, mut dst_buf): (&[u8], &mut [u8]) = (&[], &mut []);
+        for (seg, buf) in [
+            (Segment::Global, globals),
+            (Segment::Heap, heap),
+            (Segment::Stack, stack),
+        ] {
+            if seg == src_seg {
+                src_buf = buf;
+            } else if seg == dst_seg {
+                dst_buf = buf;
+            }
+        }
+        dst_buf[to].copy_from_slice(&src_buf[from]);
+        Ok(())
     }
 
     /// Reads a signed integer of `size` (1, 4 or 8) bytes, sign-extended.
@@ -173,6 +228,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `size` is not 1, 4 or 8.
+    #[inline]
     pub fn read_int(&self, addr: u64, size: u64) -> Result<i64, MemError> {
         let b = self.slice(addr, size)?;
         Ok(match size {
@@ -192,6 +248,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `size` is not 1, 4 or 8.
+    #[inline]
     pub fn write_int(&mut self, addr: u64, size: u64, value: i64) -> Result<(), MemError> {
         match size {
             1 => self.write_bytes(addr, &[(value as u8)]),
@@ -350,6 +407,78 @@ mod tests {
         m.write_bytes(GLOBAL_BASE, b"abcd").unwrap();
         m.copy(HEAP_BASE, GLOBAL_BASE, 4).unwrap();
         assert_eq!(m.read_bytes(HEAP_BASE, 4).unwrap(), b"abcd");
+        m.copy(STACK_TOP - 4, GLOBAL_BASE, 4).unwrap();
+        assert_eq!(m.read_bytes(STACK_TOP - 4, 4).unwrap(), b"abcd");
+        m.copy(GLOBAL_BASE + 8, STACK_TOP - 4, 4).unwrap();
+        assert_eq!(m.read_bytes(GLOBAL_BASE + 8, 4).unwrap(), b"abcd");
+    }
+
+    #[test]
+    fn overlapping_copy_moves_like_memmove() {
+        let mut m = mem();
+        m.write_bytes(HEAP_BASE, b"abcdef").unwrap();
+        m.copy(HEAP_BASE + 2, HEAP_BASE, 4).unwrap();
+        assert_eq!(m.read_bytes(HEAP_BASE, 6).unwrap(), b"ababcd");
+        m.copy(HEAP_BASE, HEAP_BASE + 1, 4).unwrap();
+        assert_eq!(m.read_bytes(HEAP_BASE, 6).unwrap(), b"babccd");
+    }
+
+    #[test]
+    fn copy_to_or_from_an_invalid_range_writes_nothing() {
+        let mut m = mem();
+        m.write_bytes(GLOBAL_BASE, b"abcd").unwrap();
+        let before = m.clone();
+        // Destination straddles the stack top, the NULL page, the mapped
+        // heap's end; the source straddles the globals' end.
+        assert!(m.copy(STACK_TOP - 2, GLOBAL_BASE, 4).is_err());
+        assert!(m.copy(NULL, GLOBAL_BASE, 4).is_err());
+        assert!(m.copy(HEAP_BASE + 1022, GLOBAL_BASE, 4).is_err());
+        assert!(m.copy(GLOBAL_BASE, GLOBAL_BASE + 254, 4).is_err());
+        assert_eq!(m.globals, before.globals);
+        assert_eq!(m.heap, before.heap);
+        assert_eq!(m.stack, before.stack);
+    }
+
+    #[test]
+    fn accesses_at_every_segment_edge_follow_the_layout() {
+        let m = mem();
+        // The layout in the module docs, segment by segment.
+        let mapped = |addr: u64, size: u64| {
+            let (buf, base) = if (GLOBAL_BASE..HEAP_BASE).contains(&addr) {
+                (&m.globals, GLOBAL_BASE)
+            } else if (HEAP_BASE..STACK_BASE).contains(&addr) {
+                (&m.heap, HEAP_BASE)
+            } else if (STACK_BASE..STACK_TOP).contains(&addr) {
+                (&m.stack, STACK_BASE)
+            } else {
+                return false;
+            };
+            (addr - base + size) as usize <= buf.len()
+        };
+        for addr in [
+            NULL,
+            GLOBAL_BASE - 1,
+            GLOBAL_BASE,
+            GLOBAL_BASE + 252,
+            GLOBAL_BASE + 256,
+            HEAP_BASE - 1,
+            HEAP_BASE,
+            HEAP_BASE + 1020,
+            HEAP_BASE + 1024,
+            STACK_BASE - 1,
+            STACK_BASE,
+            STACK_TOP - 4,
+            STACK_TOP,
+            u64::MAX,
+        ] {
+            for size in [0, 1, 4, 8] {
+                assert_eq!(
+                    m.read_bytes(addr, size).is_ok(),
+                    mapped(addr, size),
+                    "{size} byte(s) at {addr:#x}"
+                );
+            }
+        }
     }
 
     #[test]

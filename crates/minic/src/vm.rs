@@ -620,7 +620,7 @@ impl Vm {
             return Ok(Some(Event::Exited(code)));
         }
         if self.pending_return {
-            if let Some(ev) = self.finish_return(sub)? {
+            if let Some(ev) = self.finish_return::<true>(sub)? {
                 return Ok(Some(self.gate(ev)));
             }
         }
@@ -631,7 +631,13 @@ impl Vm {
             .map_or(u64::MAX, |b| b.saturating_sub(self.ops_executed));
         let start = self.countdown.min(budget);
         let mut left = start;
-        let stop = self.run_ops(sub, &mut left);
+        // The plain instance when nothing is armed; instrumentation cannot
+        // be armed mid-run, so the choice holds for the whole call.
+        let stop = if self.san.is_none() && self.prof.is_none() {
+            self.run_ops::<false>(sub, &mut left)
+        } else {
+            self.run_ops::<true>(sub, &mut left)
+        };
         let ran = start - left;
         self.ops_executed += ran;
         self.countdown = self.countdown.saturating_sub(ran);
@@ -647,20 +653,35 @@ impl Vm {
     }
 
     /// The op loop: runs up to `left` ops, counting them down.
+    ///
+    /// `INSTR` picks one of two instances of this one body. The
+    /// instrumented one (`true`) tests for the profiler and the sanitizer
+    /// wherever they hook in; the plain one (`false`) runs only when
+    /// neither is armed and compiles those tests out.
     #[inline(always)]
-    fn run_ops(&mut self, sub: &Subscription, left: &mut u64) -> Result<Option<Stop>, Error> {
+    fn run_ops<const INSTR: bool>(
+        &mut self,
+        sub: &Subscription,
+        left: &mut u64,
+    ) -> Result<Option<Stop>, Error> {
+        let program = Arc::clone(&self.program);
+        let code = &program.code[..];
         while *left != 0 {
             *left -= 1;
-            let op = self.program.code[self.pc];
-            if let Some(p) = self.prof.as_deref_mut() {
-                p.tick();
+            let op = code[self.pc];
+            if INSTR {
+                if let Some(p) = self.prof.as_deref_mut() {
+                    p.tick();
+                }
             }
-            match self.exec(op, sub)? {
-                Some(Stop::Event(event)) => return Ok(Some(Stop::Event(self.gate(event)))),
-                Some(Stop::HeapLimit) => return Ok(Some(Stop::HeapLimit)),
+            match self.exec::<INSTR>(op, sub)? {
+                Some(Stop::Event(event)) if INSTR => {
+                    return Ok(Some(Stop::Event(self.gate(event))))
+                }
+                Some(stop) => return Ok(Some(stop)),
                 None => {}
             }
-            if self.san.as_deref().is_some_and(Sanitizer::has_pending) {
+            if INSTR && self.san.as_deref().is_some_and(Sanitizer::has_pending) {
                 let d = self
                     .san
                     .as_deref_mut()
@@ -700,7 +721,10 @@ impl Vm {
     }
 
     /// Second phase of a return: unwind the frame.
-    fn finish_return(&mut self, sub: &Subscription) -> Result<Option<Event>, Error> {
+    fn finish_return<const INSTR: bool>(
+        &mut self,
+        sub: &Subscription,
+    ) -> Result<Option<Event>, Error> {
         self.pending_return = false;
         let has_value = matches!(self.program.code[self.pc], Op::Ret(true));
         let value = if has_value { Some(self.pop()) } else { None };
@@ -709,14 +733,16 @@ impl Vm {
         self.rebind_pending |=
             sub.rebinds(frame.function) || caller.is_some_and(|f| sub.rebinds(f));
         self.stack.truncate(frame.stack_mark);
-        if let Some(s) = self.san.as_deref_mut() {
-            s.pop_frame();
-            if self.frames.is_empty() {
-                s.leak_check(&self.alloc);
+        if INSTR {
+            if let Some(s) = self.san.as_deref_mut() {
+                s.pop_frame();
+                if self.frames.is_empty() {
+                    s.leak_check(&self.alloc);
+                }
             }
-        }
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.exit();
+            if let Some(p) = self.prof.as_deref_mut() {
+                p.exit();
+            }
         }
         if self.frames.is_empty() {
             let code = match value {
@@ -736,8 +762,13 @@ impl Vm {
     }
 
     /// Executes `op`; `Some` when it raised an event `sub` subscribes to
-    /// or tripped the heap limit.
-    fn exec(&mut self, op: Op, sub: &Subscription) -> Result<Option<Stop>, Error> {
+    /// or tripped the heap limit. `INSTR` as in [`Vm::run_ops`].
+    #[inline(always)]
+    fn exec<const INSTR: bool>(
+        &mut self,
+        op: Op,
+        sub: &Subscription,
+    ) -> Result<Option<Stop>, Error> {
         use Op::*;
         // Debug cross-check against the shared stack-effect table: every
         // op that completes the match (no early event return) must change
@@ -750,8 +781,10 @@ impl Vm {
                 let frame = self.frames.last_mut().expect("running frame");
                 let prev = std::mem::replace(&mut frame.line, n);
                 let function = frame.function;
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.line(n);
+                if INSTR {
+                    if let Some(p) = self.prof.as_deref_mut() {
+                        p.line(n);
+                    }
                 }
                 self.pc += 1;
                 if self.rebind_pending || sub.wants_line(n, prev, frames, function) {
@@ -771,15 +804,19 @@ impl Vm {
                 let addr = self.pop_ptr();
                 let v = self.load(addr, mt)?;
                 self.stack.push(v);
-                self.san_read(addr, mt.size());
+                if INSTR {
+                    self.san_read(addr, mt.size());
+                }
             }
             Store(mt) => {
                 let value = self.pop();
                 let addr = self.pop_ptr();
                 self.store(addr, mt, value)?;
                 self.stack.push(value);
-                self.san_escape(value);
-                self.san_write(addr, mt.size());
+                if INSTR {
+                    self.san_escape(value);
+                    self.san_write(addr, mt.size());
+                }
                 if let Some(event) = self.store_event(sub, addr, mt.size()) {
                     return Ok(Some(event));
                 }
@@ -790,7 +827,7 @@ impl Vm {
                 self.mem
                     .copy(dst, src, size)
                     .map_err(|e| self.err(e.to_string()))?;
-                if self.san.is_some() {
+                if INSTR && self.san.is_some() {
                     let line = self.cur_line();
                     let san = self.san.as_deref_mut().expect("checked above");
                     san.on_memcopy(dst, src, size, &self.alloc, line);
@@ -924,13 +961,13 @@ impl Vm {
                 self.pop();
             }
             Call(idx) => {
-                return self.do_call(idx, sub);
+                return self.do_call::<INSTR>(idx, sub);
             }
             Ret(_) => {
                 let function = self.current_frame().function;
                 let depth = (self.frames.len() - 1) as u32;
                 if !sub.wants_return(function, depth) {
-                    return Ok(self.finish_return(sub)?.map(Stop::Event));
+                    return Ok(self.finish_return::<INSTR>(sub)?.map(Stop::Event));
                 }
                 // Phase one: report the imminent return with the frame
                 // intact; `finish_return` unwinds on the next run.
@@ -965,9 +1002,11 @@ impl Vm {
                 self.stack.push(if prefix { new } else { old });
                 // Read-then-write for the shadow state: the read clears any
                 // pending dead-store candidate, the write starts a new one.
-                self.san_read(addr, memty.size());
-                self.san_escape(new);
-                self.san_write(addr, memty.size());
+                if INSTR {
+                    self.san_read(addr, memty.size());
+                    self.san_escape(new);
+                    self.san_write(addr, memty.size());
+                }
                 if let Some(event) = self.store_event(sub, addr, memty.size()) {
                     return Ok(Some(event));
                 }
@@ -980,7 +1019,9 @@ impl Vm {
                 let addr = base + off;
                 let v = self.load(addr, mt)?;
                 self.stack.push(v);
-                self.san_read(addr, mt.size());
+                if INSTR {
+                    self.san_read(addr, mt.size());
+                }
             }
             IArithImm(binop, imm) => {
                 let a = self.pop_int();
@@ -1147,7 +1188,11 @@ impl Vm {
         }
     }
 
-    fn do_call(&mut self, idx: usize, sub: &Subscription) -> Result<Option<Stop>, Error> {
+    fn do_call<const INSTR: bool>(
+        &mut self,
+        idx: usize,
+        sub: &Subscription,
+    ) -> Result<Option<Stop>, Error> {
         let callee = &self.program.functions[idx];
         let caller = self.current_frame();
         let (cur_base, caller) = (caller.base, caller.function);
@@ -1165,7 +1210,9 @@ impl Vm {
             let offset = slot.offset;
             let v = self.pop();
             // A stack pointer passed as an argument escapes its slot.
-            self.san_escape(v);
+            if INSTR {
+                self.san_escape(v);
+            }
             self.store(base + offset, mt, v)?;
         }
         self.frames.push(FrameInfo {
@@ -1175,11 +1222,13 @@ impl Vm {
             return_pc: self.pc + 1,
             stack_mark: self.stack.len(),
         });
-        if let Some(s) = self.san.as_deref_mut() {
-            s.push_frame(&self.program.functions[idx], base);
-        }
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.enter(self.prof_ids[idx]);
+        if INSTR {
+            if let Some(s) = self.san.as_deref_mut() {
+                s.push_frame(&self.program.functions[idx], base);
+            }
+            if let Some(p) = self.prof.as_deref_mut() {
+                p.enter(self.prof_ids[idx]);
+            }
         }
         self.pc = entry;
         self.rebind_pending |= sub.rebinds(idx) || sub.rebinds(caller);

@@ -186,6 +186,14 @@ impl FlightDump {
         serde_json::from_str(text).ok()
     }
 
+    /// Where dumps go unless a caller names a directory:
+    /// `EASYTRACKER_DUMP_DIR`, falling back to the system temp dir.
+    pub fn default_dir() -> PathBuf {
+        std::env::var_os("EASYTRACKER_DUMP_DIR")
+            .map(PathBuf::from)
+            .unwrap_or_else(std::env::temp_dir)
+    }
+
     /// Writes the dump into `dir` under a collision-free name and
     /// returns the path.
     pub fn write_to_dir(&self, dir: &Path) -> io::Result<PathBuf> {
