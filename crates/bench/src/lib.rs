@@ -130,8 +130,6 @@ impl Rounds {
 pub struct Timed<T> {
     /// The smallest scored sample: the repeatable cost.
     pub best: Duration,
-    /// Every scored sample, in nanoseconds.
-    pub hist: Histogram,
     /// Every scored sample, in the order taken.
     pub samples: Vec<Duration>,
     /// What the variant's last scored sample produced.
@@ -142,7 +140,6 @@ impl<T: Default> Default for Timed<T> {
     fn default() -> Self {
         Timed {
             best: Duration::MAX,
-            hist: Histogram::new(),
             samples: Vec::new(),
             last: T::default(),
         }
@@ -153,31 +150,42 @@ impl<T> Timed<T> {
     /// Scores one sample.
     fn record(&mut self, elapsed: Duration, output: T) {
         self.best = self.best.min(elapsed);
-        self.hist.record(elapsed.as_nanos() as u64);
         self.samples.push(elapsed);
         self.last = output;
     }
 
+    /// p50, p95 and p99 of the scored samples as exact order statistics
+    /// (nearest rank): each is one of the samples, so `best <= p50 <= p95
+    /// <= p99`. Zero when nothing was scored.
+    pub fn percentiles(&self) -> [Duration; 3] {
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        [50, 95, 99].map(|pct| {
+            let rank = (pct * sorted.len()).div_ceil(100).max(1);
+            sorted.get(rank - 1).copied().unwrap_or_default()
+        })
+    }
+
     /// `{min_us, p50_us, p95_us, p99_us}` for a report.
     pub fn summary(&self) -> Value {
-        let s = self.hist.stats();
+        let [p50, p95, p99] = self.percentiles();
         json!({
             "min_us": self.best.as_micros() as u64,
-            "p50_us": s.p50 / 1_000,
-            "p95_us": s.p95 / 1_000,
-            "p99_us": s.p99 / 1_000,
+            "p50_us": p50.as_micros() as u64,
+            "p95_us": p95.as_micros() as u64,
+            "p99_us": p99.as_micros() as u64,
         })
     }
 
     /// The same numbers as [`Timed::summary`], for a console line.
     pub fn summary_line(&self) -> String {
-        let s = self.hist.stats();
+        let [p50, p95, p99] = self.percentiles();
         format!(
             "min {:>9}us | p50 {:>9}us p95 {:>9}us p99 {:>9}us",
             self.best.as_micros(),
-            s.p50 / 1_000,
-            s.p95 / 1_000,
-            s.p99 / 1_000,
+            p50.as_micros(),
+            p95.as_micros(),
+            p99.as_micros(),
         )
     }
 }
@@ -869,11 +877,39 @@ mod tests {
         let (out, _) = scripted(2, Rounds::new(2, 3), &script);
         assert_eq!(out[0].best, Duration::from_micros(40));
         assert_eq!(out[1].best, Duration::from_micros(60));
-        assert_eq!(out[0].hist.count(), 3);
-        assert_eq!(out[1].hist.count(), 3);
-        assert_eq!(out[0].hist.max(), 50_000);
+        assert_eq!(out[0].samples.len(), 3);
+        assert_eq!(out[1].samples.len(), 3);
+        assert_eq!(
+            out[0].samples.iter().max(),
+            Some(&Duration::from_micros(50))
+        );
         assert_eq!(out[0].last, 8);
         assert_eq!(out[1].last, 9);
+    }
+
+    #[test]
+    fn percentiles_are_order_statistics_of_the_samples() {
+        let us = Duration::from_micros;
+        let (out, _) = scripted(1, Rounds::new(0, 7), &[30, 10, 20, 70, 40, 60, 50]);
+        assert_eq!(out[0].percentiles(), [us(40), us(70), us(70)]);
+        // 1..=100 µs, scrambled: the k-th percentile is the k-th sample.
+        let script: Vec<u64> = (0..100).map(|i| (i * 37) % 100 + 1).collect();
+        let (out, _) = scripted(1, Rounds::new(0, 100), &script);
+        let [p50, p95, p99] = out[0].percentiles();
+        assert_eq!([p50, p95, p99], [us(50), us(95), us(99)]);
+        assert!(out[0].best <= p50 && p50 <= p95 && p95 <= p99);
+        assert_eq!(
+            out[0].summary(),
+            json!({"min_us": 1, "p50_us": 50, "p95_us": 95, "p99_us": 99})
+        );
+        // A skewed set: bucketed quantiles could read below the minimum.
+        let (out, _) = scripted(1, Rounds::new(0, 3), &[27_289, 27_290, 40_000]);
+        let [p50, _, p99] = out[0].percentiles();
+        assert_eq!(
+            (out[0].best, p50, p99),
+            (us(27_289), us(27_290), us(40_000))
+        );
+        assert_eq!(Timed::<()>::default().percentiles(), [Duration::ZERO; 3]);
     }
 
     #[test]

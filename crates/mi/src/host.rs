@@ -760,6 +760,11 @@ fn compile_engine(
     )))
 }
 
+/// Entries in a hosted session's flight ring: the commands and response
+/// summaries an engine-fault dump shows. `max_sessions` bounds the rings
+/// a host keeps.
+const HOSTED_FLIGHT_ENTRIES: usize = 32;
+
 /// Opens a session over the engine `build` makes, for `OpenSession` and
 /// `OpenReplay` alike. Admission control is checked before building —
 /// a full host sheds load at the cheapest possible point — and again
@@ -790,6 +795,8 @@ fn open_session(
         Ok(engine) => engine,
         Err(message) => return Response::Error { message },
     };
+    let mut state = SessionState::new(engine, Some(registry), Some(1024));
+    state.flight = Some(obs::FlightRecorder::new(HOSTED_FLIGHT_ENTRIES));
     let sid = shared.next_session.fetch_add(1, Ordering::Relaxed);
     let mut table = shared.sessions.lock().expect("session table");
     if let Some(refusal) = overloaded(table.len()) {
@@ -804,11 +811,7 @@ fn open_session(
             running: false,
             closed: None,
             last_seq: None,
-            state: Some(Box::new(SessionState::new(
-                engine,
-                Some(registry),
-                Some(1024),
-            ))),
+            state: Some(Box::new(state)),
             max_queue_depth: None,
             running_since: None,
             watchdog_flagged: false,
@@ -2400,6 +2403,23 @@ mod tests {
             (dump.side.as_str(), dump.last_command.as_str()),
             ("engine", "Finish")
         );
+        // The session's flight ring shows what led up to it.
+        let log: Vec<(&str, &str)> = dump
+            .log
+            .entries
+            .iter()
+            .map(|e| (e.kind.as_str(), e.detail.as_str()))
+            .collect();
+        assert_eq!(
+            log,
+            [
+                ("cmd", "Start"),
+                ("resp", "Ok"),
+                ("cmd", "Finish"),
+                ("fault", "engine fault: faulty engine test double: Finish"),
+            ]
+        );
+        assert_eq!(dump.log.dropped, 0);
         let counters = host.registry().snapshot();
         assert_eq!(counters.counter("mi.host.engine_faults"), 1);
         assert_eq!(counters.counter("mi.host.session_end.engine_fault"), 1);

@@ -122,9 +122,14 @@ pub struct Store {
     /// Start offset of pause *i*'s output delta in `output`.
     out_off: Vec<u32>,
     writes: WriteLog,
-    /// Raw JSON bytes of the most recently pushed state — the dictionary
-    /// for the next delta. Dropped by [`Store::freeze`].
-    prev_bytes: Vec<u8>,
+    /// Raw JSON of the most recently pushed state — the dictionary for
+    /// the next delta. Dropped by [`Store::freeze`].
+    prev_json: String,
+    /// Serialization buffer of the state being pushed; it trades places
+    /// with `prev_json` after each push. Dropped by [`Store::freeze`].
+    json: String,
+    /// Compressor tables reused by every push. Dropped by [`Store::freeze`].
+    enc: codec::Encoder,
     /// Visible variables of the most recently pushed state, rendered and
     /// keyed like the write index: what the next push diffs against.
     /// Dropped by [`Store::freeze`].
@@ -150,7 +155,9 @@ impl Store {
             output: String::new(),
             out_off: Vec::new(),
             writes: WriteLog::default(),
-            prev_bytes: Vec::new(),
+            prev_json: String::new(),
+            json: String::new(),
+            enc: codec::Encoder::new(),
             prev_vals: HashMap::new(),
             disk_len: OnceLock::new(),
         }
@@ -203,22 +210,21 @@ impl Store {
     /// since the previous pause. States must be pushed in execution
     /// order.
     pub fn push(&mut self, st: &ProgramState, output_delta: &str) {
-        let bytes = serde_json::to_vec(st).expect("ProgramState serializes");
+        let mut json = std::mem::take(&mut self.json);
+        json.clear();
+        st.write_json(&mut json);
         let n = self.snap_off.len() as u64;
         let is_key = n.is_multiple_of(u64::from(self.keyframe_every));
-        let rec = if is_key {
-            codec::compress(&[], &bytes)
-        } else {
-            codec::compress(&self.prev_bytes, &bytes)
-        };
+        let dict = if is_key { "" } else { &self.prev_json };
         self.snap_off.push(self.snap.len() as u64);
-        self.snap.extend_from_slice(&rec);
+        self.enc
+            .compress_into(dict.as_bytes(), json.as_bytes(), &mut self.snap);
         self.lines.push(st.frame.location().line());
         self.depths.push(st.stack_depth() as u32);
         self.out_off.push(self.output.len() as u32);
         self.output.push_str(output_delta);
         self.index_writes(st, n);
-        self.prev_bytes = bytes;
+        self.json = std::mem::replace(&mut self.prev_json, json);
         self.disk_len.take();
     }
 
@@ -383,7 +389,9 @@ impl Store {
             + self.depths.capacity() * 4
             + self.output.capacity()
             + self.out_off.capacity() * 4
-            + self.prev_bytes.capacity()) as u64
+            + self.prev_json.capacity()
+            + self.json.capacity()) as u64
+            + self.enc.scratch_bytes()
             + self.writes.resident_bytes()
             + self
                 .prev_vals
@@ -392,12 +400,15 @@ impl Store {
                 .sum::<u64>()
     }
 
-    /// Drops append-side scratch (the delta dictionary and diff state).
+    /// Drops append-side scratch (the delta dictionary, the compressor's
+    /// tables and the diff state).
     /// Call when the recording is complete; pushing after this would
     /// start a fresh (incorrect) delta chain, so `push` must not be
     /// called again.
     pub fn freeze(&mut self) {
-        self.prev_bytes = Vec::new();
+        self.prev_json = String::new();
+        self.json = String::new();
+        self.enc = codec::Encoder::new();
         self.prev_vals = HashMap::new();
         self.snap.shrink_to_fit();
         self.output.shrink_to_fit();
