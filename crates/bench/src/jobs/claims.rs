@@ -4,9 +4,9 @@
 //! shape expectation does not hold.
 
 use bench::{
-    c_deep, c_fib, c_heap, c_loop, c_tracker, measure, py_deep, py_fib, py_heap, py_loop,
-    py_tracker, run_resume, run_step_all, run_tracked, run_with_watch, timed, Flags, Rounds,
-    Verdict,
+    c_deep, c_fib, c_heap, c_loop, c_tracker, measure, paired_overhead_pct, py_deep, py_fib,
+    py_heap, py_loop, py_tracker, run_resume, run_step_all, run_tracked, run_with_watch, timed,
+    Flags, Rounds, Verdict,
 };
 use easytracker::{init_tracker, PauseReason, ProgramState, Recording, Tracker};
 use minipy::{TraceAction, TraceCtx, TraceEvent, Tracer};
@@ -70,13 +70,15 @@ fn track_fib_depth2(t: &mut dyn Tracker) {
     black_box(run_tracked(t, "fib", Some(2)));
 }
 
-/// Times `slow` and `fast` round-robin (one warm-up round, best of 3)
-/// and returns how many times slower `slow` is.
+/// Times `slow` and `fast` round-robin (one warm-up round, then 11
+/// scored) and returns how many times slower `slow` is: the median of the
+/// ratios of samples taken in the same round, so machine load that drifts
+/// between rounds cancels.
 fn slowdown(mut slow: impl FnMut(), mut fast: impl FnMut()) -> f64 {
-    let t = measure(2, Rounds::new(1, 3), |i| {
+    let t = measure(2, Rounds::new(1, 11), |i| {
         timed(|| if i == 0 { slow() } else { fast() })
     });
-    t[0].best.as_secs_f64() / t[1].best.as_secs_f64()
+    1.0 + paired_overhead_pct(&t[1], &t[0]) / 100.0
 }
 
 /// Resumes `tracker` until it pauses at a breakpoint.

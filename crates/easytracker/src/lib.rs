@@ -21,6 +21,9 @@
 //!   implemented over a pre-recorded execution, enabling tools to run on
 //!   traces (and traces to be made from tools).
 //!
+//! The last two are one in-process adapter, [`LocalTracker`], over the
+//! `mi` engines [`mi::py_engine::PyEngine`] and [`mi::ReplayEngine`].
+//!
 //! # Naming
 //!
 //! The inspection methods keep the paper's `get_*` spelling
@@ -53,12 +56,12 @@
 //! # }
 //! ```
 
+pub mod local;
 pub mod mi_tracker;
-pub mod py_tracker;
 pub mod recording;
 
+pub use local::{LocalTracker, PyTracker};
 pub use mi_tracker::{MiTracker, PortWrapper, ProgramSpec, SessionHealth, Supervision};
-pub use py_tracker::PyTracker;
 pub use recording::{RecordedStep, Recording, ReplayTracker};
 
 pub use state::{

@@ -19,10 +19,10 @@
 //! [`ReplayTracker::writes_in`]) answer from the store's write index
 //! without replaying at all.
 
-use crate::{ControlPointId, Result, Tracker, TrackerError};
+use crate::{LocalTracker, Result, Tracker, TrackerError};
 use mi::{Command, Engine, Response};
 use serde::{Deserialize, Serialize};
-use state::{Frame, PauseReason, ProgramState, Variable};
+use state::{PauseReason, ProgramState};
 use std::sync::Arc;
 
 /// One recorded pause: the full snapshot plus the output produced since
@@ -119,11 +119,7 @@ impl Recording {
 /// An in-process adapter over [`mi::ReplayEngine`], the same replay
 /// engine hosted replay sessions run: each tracker call is one engine
 /// command, with no serialization or transport in between.
-#[derive(Debug)]
-pub struct ReplayTracker {
-    engine: mi::ReplayEngine,
-    obs: obs::Registry,
-}
+pub type ReplayTracker = LocalTracker<mi::ReplayEngine>;
 
 impl ReplayTracker {
     /// Creates a replay tracker over a recording (folded into an
@@ -148,10 +144,7 @@ impl ReplayTracker {
 
     /// Like [`ReplayTracker::from_store`] with an explicit registry.
     pub fn from_store_with_registry(store: Arc<trace::Store>, registry: obs::Registry) -> Self {
-        let t = ReplayTracker {
-            engine: mi::ReplayEngine::new(store, registry.clone()),
-            obs: registry,
-        };
+        let t = LocalTracker::over(mi::ReplayEngine::new(store, registry.clone()), registry);
         t.note_resident();
         t
     }
@@ -216,68 +209,11 @@ impl ReplayTracker {
         }
     }
 
-    /// The registry this tracker reports into.
-    pub fn registry(&self) -> &obs::Registry {
-        &self.obs
-    }
-
     fn note_resident(&self) {
         self.obs.set_gauge(
             "replay.resident_bytes",
             self.engine.reader().resident_bytes(),
         );
-    }
-
-    /// Maps a failed engine answer: before `start`, every refusal is
-    /// [`TrackerError::NotStarted`].
-    fn error(&self, resp: Response) -> TrackerError {
-        match resp {
-            _ if *self.engine.pause_reason() == PauseReason::NotStarted => TrackerError::NotStarted,
-            Response::Error { message } => TrackerError::Engine(message),
-            other => {
-                TrackerError::Protocol(format!("unexpected replay answer {}", other.summary()))
-            }
-        }
-    }
-
-    /// Runs one control call on the engine under a
-    /// `tracker.control.<kind>` span.
-    fn control(
-        &mut self,
-        kind: &str,
-        f: impl FnOnce(&mut mi::ReplayEngine) -> Response,
-    ) -> Result<PauseReason> {
-        let mut span = self.obs.span(format!("tracker.control.{kind}"));
-        span.category("tracker");
-        match f(&mut self.engine) {
-            Response::Paused(reason) => {
-                span.tag("pause_reason", reason.tag());
-                Ok(reason)
-            }
-            other => Err(self.error(other)),
-        }
-    }
-
-    fn command(&mut self, cmd: Command) -> Result<PauseReason> {
-        self.control(cmd.kind(), |e| e.handle(cmd))
-    }
-
-    fn arm(&mut self, cmd: Command) -> Result<ControlPointId> {
-        self.obs
-            .inc(&format!("tracker.control_point.{}", cmd.kind()));
-        match self.engine.handle(cmd) {
-            Response::Created { id } => Ok(id),
-            Response::Error { message } => Err(TrackerError::Engine(message)),
-            other => Err(self.error(other)),
-        }
-    }
-
-    fn inspect(&mut self, cmd: Command) -> Result<Response> {
-        self.obs.inc(&format!("tracker.inspect.{}", cmd.kind()));
-        match self.engine.handle(cmd) {
-            resp @ Response::Error { .. } => Err(self.error(resp)),
-            resp => Ok(resp),
-        }
     }
 
     // ---- time travel (paper §V: the RR-tracker future work) --------------
@@ -339,143 +275,6 @@ impl ReplayTracker {
     pub fn writes_in(&self, variable: &str, from: u64, to: u64) -> Vec<trace::HistoryHit> {
         self.obs.inc("tracker.inspect.QueryHistory");
         self.store().writes_in(variable, from, to)
-    }
-}
-
-impl Tracker for ReplayTracker {
-    fn start(&mut self) -> Result<PauseReason> {
-        self.command(Command::Start)
-    }
-
-    fn resume(&mut self) -> Result<PauseReason> {
-        self.command(Command::Resume)
-    }
-
-    fn step(&mut self) -> Result<PauseReason> {
-        self.command(Command::Step)
-    }
-
-    fn next(&mut self) -> Result<PauseReason> {
-        self.command(Command::Next)
-    }
-
-    fn finish(&mut self) -> Result<PauseReason> {
-        self.command(Command::Finish)
-    }
-
-    fn break_before_line(&mut self, line: u32) -> Result<ControlPointId> {
-        self.arm(Command::SetBreakLine { line })
-    }
-
-    fn break_before_func(
-        &mut self,
-        function: &str,
-        maxdepth: Option<u32>,
-    ) -> Result<ControlPointId> {
-        self.arm(Command::SetBreakFunc {
-            function: function.to_owned(),
-            maxdepth,
-        })
-    }
-
-    fn track_function(&mut self, function: &str, maxdepth: Option<u32>) -> Result<ControlPointId> {
-        self.arm(Command::TrackFunction {
-            function: function.to_owned(),
-            maxdepth,
-        })
-    }
-
-    fn watch(&mut self, variable: &str) -> Result<ControlPointId> {
-        self.arm(Command::Watch {
-            variable: variable.to_owned(),
-        })
-    }
-
-    fn remove(&mut self, id: ControlPointId) -> Result<()> {
-        match self.engine.handle(Command::Delete { id }) {
-            Response::Ok => Ok(()),
-            Response::Error { message } => Err(TrackerError::Engine(message)),
-            other => Err(self.error(other)),
-        }
-    }
-
-    fn terminate(&mut self) {
-        self.engine.handle(Command::Terminate);
-    }
-
-    fn pause_reason(&self) -> PauseReason {
-        self.engine.pause_reason().clone()
-    }
-
-    fn get_current_frame(&mut self) -> Result<Frame> {
-        Ok(self.get_state()?.frame)
-    }
-
-    fn get_state(&mut self) -> Result<ProgramState> {
-        match self.inspect(Command::GetState)? {
-            Response::State(st) => Ok(*st),
-            other => Err(self.error(other)),
-        }
-    }
-
-    fn get_global_variables(&mut self) -> Result<Vec<Variable>> {
-        match self.inspect(Command::GetGlobals)? {
-            Response::Globals(globals) => Ok(globals),
-            other => Err(self.error(other)),
-        }
-    }
-
-    fn get_variable(&mut self, name: &str) -> Result<Option<Variable>> {
-        match self.inspect(Command::GetVariable { name: name.into() })? {
-            Response::Variable(v) => Ok(v),
-            other => Err(self.error(other)),
-        }
-    }
-
-    fn get_exit_code(&mut self) -> Option<i64> {
-        match self.inspect(Command::GetExitCode) {
-            Ok(Response::ExitCode(code)) => code,
-            _ => None,
-        }
-    }
-
-    fn get_output(&mut self) -> Result<String> {
-        match self.inspect(Command::GetOutput)? {
-            Response::Output(out) => Ok(out),
-            other => Err(self.error(other)),
-        }
-    }
-
-    fn get_source(&mut self) -> Result<(String, String)> {
-        match self.inspect(Command::GetSource)? {
-            Response::Source { file, text } => Ok((file, text)),
-            other => Err(self.error(other)),
-        }
-    }
-
-    fn breakable_lines(&mut self) -> Result<Vec<u32>> {
-        match self.inspect(Command::GetBreakableLines)? {
-            Response::Lines(lines) => Ok(lines),
-            other => Err(self.error(other)),
-        }
-    }
-
-    fn set_profile(&mut self, mode: obs::ProfileMode, period: u64) -> Result<()> {
-        match self.engine.handle(Command::SetProfile { mode, period }) {
-            Response::Ok => Ok(()),
-            other => Err(self.error(other)),
-        }
-    }
-
-    fn profile(&mut self) -> Result<obs::ProfileReport> {
-        match self.engine.handle(Command::ProfileReport { since: 0 }) {
-            Response::Profile(report) => Ok(*report),
-            other => Err(self.error(other)),
-        }
-    }
-
-    fn stats(&self) -> obs::Snapshot {
-        self.obs.snapshot()
     }
 }
 

@@ -1,5 +1,5 @@
 //! The RISC-V debugger engine: the MI command set over the simulator.
-//! The shared control core ([`crate::control`]) owns the control points,
+//! The shared control core (`control`) owns the control points,
 //! the pause decisions, fuel slices, budgets and engine-agnostic
 //! commands; this module reports the CPU's events to it and answers
 //! inspection.

@@ -1,13 +1,13 @@
 //! The control core: the one place that decides whether an event pauses
-//! the inferior, plus the command shell both live engines share.
+//! the inferior, plus the command shell every live engine shares.
 //!
 //! Every event source reports its events to the deciders
 //! [`ControlPoints::on_call`], [`ControlPoints::on_line`] (which also
 //! scans the watches, on store events too) and
 //! [`ControlPoints::on_return`], the way `sys.settrace` delivers line,
 //! call and return events to one hook: the MiniC engine its VM's events,
-//! the RISC-V engine its check before each instruction, `easytracker`'s
-//! MiniPy tracker its trace events, and
+//! the RISC-V engine its check before each instruction, the MiniPy
+//! engine its interpreter's trace events, and
 //! [`ReplayEngine`](crate::record::ReplayEngine) the events each recorded
 //! pause stands for. Each event's checks run in one [`Phase`] order, and
 //! a source that paused re-enters the event past the phase that paused,
@@ -26,7 +26,7 @@ use state::{ExitStatus, PauseReason, ProgramState, SourceLocation, Variable};
 
 /// What a breakpoint fires on. `F` is the source's function key.
 #[derive(Debug)]
-pub enum BpKind<F> {
+pub(crate) enum BpKind<F> {
     /// A source line.
     Line(u32),
     /// Entry to a function.
@@ -62,19 +62,19 @@ impl<F> Breakpoint<F> {
 
 /// A watchpoint: the shared part, plus the engine's resolution data `S`.
 #[derive(Debug)]
-pub struct Watch<S> {
+pub(crate) struct Watch<S> {
     pub(crate) id: u64,
     /// The name as given.
-    pub name: String,
+    pub(crate) name: String,
     /// The text of the last value seen.
-    pub last: Option<String>,
+    pub(crate) last: Option<String>,
     pub(crate) spec: S,
 }
 
 impl<S> Watch<S> {
     /// A watch not yet armed (its id is assigned by
     /// [`ControlPoints::add_watch`]).
-    pub fn new(name: String, last: Option<String>, spec: S) -> Self {
+    pub(crate) fn new(name: String, last: Option<String>, spec: S) -> Self {
         Watch {
             id: 0,
             name,
@@ -82,18 +82,13 @@ impl<S> Watch<S> {
             spec,
         }
     }
-
-    /// The engine's resolution data, for engines outside this crate.
-    pub fn spec_mut(&mut self) -> &mut S {
-        &mut self.spec
-    }
 }
 
 /// The control points armed on one session. Every kind draws its id from
 /// one allocator, so one `Delete` removes any of them. Each kind has its
 /// own list, so an event only scans the points that can fire on it.
 #[derive(Debug)]
-pub struct ControlPoints<F, S> {
+pub(crate) struct ControlPoints<F, S> {
     next_id: u64,
     /// Bumped whenever a point is armed or deleted, so an engine can keep
     /// what it derives from the points until they change.
@@ -131,7 +126,7 @@ impl<F, S> ControlPoints<F, S> {
     }
 
     /// Arms a breakpoint or tracked function; returns its id.
-    pub fn add(&mut self, kind: BpKind<F>, maxdepth: Option<u32>) -> u64 {
+    pub(crate) fn add(&mut self, kind: BpKind<F>, maxdepth: Option<u32>) -> u64 {
         let id = self.alloc_id();
         let list = match kind {
             BpKind::Track(_) => &mut self.tracked,
@@ -142,7 +137,7 @@ impl<F, S> ControlPoints<F, S> {
     }
 
     /// Arms `watch`; returns its id.
-    pub fn add_watch(&mut self, mut watch: Watch<S>) -> u64 {
+    pub(crate) fn add_watch(&mut self, mut watch: Watch<S>) -> u64 {
         let id = self.alloc_id();
         watch.id = id;
         self.watches.push(watch);
@@ -154,7 +149,7 @@ impl<F, S> ControlPoints<F, S> {
     /// # Errors
     ///
     /// `"no control point {id}"` when nothing has that id.
-    pub fn delete(&mut self, id: u64) -> Result<(), String> {
+    pub(crate) fn delete(&mut self, id: u64) -> Result<(), String> {
         let count = |p: &Self| p.breakpoints.len() + p.tracked.len() + p.watches.len();
         let before = count(self);
         self.breakpoints.retain(|b| b.id != id);
@@ -198,7 +193,7 @@ impl<F, S> ControlPoints<F, S> {
     /// [`Phase::FuncBreak`] and [`Phase::TrackCall`]: a frame entered,
     /// with the line a function breakpoint reports.
     #[inline(always)]
-    pub fn on_call<K: Copy>(
+    pub(crate) fn on_call<K: Copy>(
         &self,
         file: &str,
         call: (Func<'_, K>, u32),
@@ -221,7 +216,7 @@ impl<F, S> ControlPoints<F, S> {
     /// [`Phase::LineBreak`] and [`Phase::Stop`] at the line reached, if
     /// any, given with its number of live frames.
     #[inline(always)]
-    pub fn on_line(
+    pub(crate) fn on_line(
         &mut self,
         slice: &Slice,
         file: &str,
@@ -253,7 +248,7 @@ impl<F, S> ControlPoints<F, S> {
 
     /// [`Phase::TrackReturn`]: a frame about to return.
     #[inline(always)]
-    pub fn on_return<K: Copy>(
+    pub(crate) fn on_return<K: Copy>(
         &self,
         (Func(f, depth, name), value): Returning<'_, K>,
         from: Phase,
@@ -299,7 +294,7 @@ fn boundary(name: &str, depth: u32, value: Option<&dyn Fn() -> Option<String>>) 
 }
 
 /// A pause and the [`Phase`] that caused it.
-pub type Hit = Option<(Phase, PauseReason)>;
+pub(crate) type Hit = Option<(Phase, PauseReason)>;
 
 /// The checks of one event, in the order they deliver pauses: the frame
 /// entry's ([`ControlPoints::on_call`]), then the line's
@@ -309,7 +304,7 @@ pub type Hit = Option<(Phase, PauseReason)>;
 /// a phase here and its check in the decider of its part; no event
 /// source changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// A function breakpoint on the frame just entered.
     FuncBreak,
     /// A tracked function's entry.
@@ -329,7 +324,7 @@ pub enum Phase {
 impl Phase {
     /// Where an event that paused in this phase resumes.
     #[inline]
-    pub fn next(self) -> Phase {
+    pub(crate) fn next(self) -> Phase {
         use Phase::*;
         [TrackCall, Watch, LineBreak, Stop, TrackReturn, Done, Done][self as usize]
     }
@@ -338,14 +333,14 @@ impl Phase {
 /// A function's frame: its key (`K`, as the source's registry has it),
 /// its 0-based depth, and its name.
 #[derive(Clone, Copy)]
-pub struct Func<'a, K>(pub K, pub u32, pub &'a str);
+pub(crate) struct Func<'a, K>(pub(crate) K, pub(crate) u32, pub(crate) &'a str);
 
 /// A frame about to return, with its return value's rendering.
-pub type Returning<'a, K> = (Func<'a, K>, &'a dyn Fn() -> Option<String>);
+pub(crate) type Returning<'a, K> = (Func<'a, K>, &'a dyn Fn() -> Option<String>);
 
 /// The run mode of a control command.
 #[derive(Debug, Clone, Copy)]
-pub enum Mode {
+pub(crate) enum Mode {
     Start,
     Resume,
     /// From `line` with `depth` frames.
@@ -366,7 +361,7 @@ pub enum Mode {
 /// A control command's progress; stashed when a slice runs out of fuel
 /// and handed back unchanged to the burst that continues it.
 #[derive(Debug, Clone, Copy)]
-pub struct Slice {
+pub(crate) struct Slice {
     pub(crate) mode: Mode,
     /// Set once the `finish` target frame has returned.
     finish_fired: bool,
@@ -374,7 +369,7 @@ pub struct Slice {
 
 impl Slice {
     #[inline]
-    pub fn new(mode: Mode) -> Self {
+    pub(crate) fn new(mode: Mode) -> Self {
         Slice {
             mode,
             finish_fired: false,
@@ -384,7 +379,7 @@ impl Slice {
     /// A frame returned, leaving `frames` live: a `finish` whose target
     /// frame that was stops at the next line.
     #[inline]
-    pub fn popped(&mut self, frames: usize) {
+    pub(crate) fn popped(&mut self, frames: usize) {
         if let Mode::Finish { depth } = self.mode {
             self.finish_fired |= frames < depth;
         }
@@ -395,7 +390,7 @@ impl Slice {
     /// deep (a frame count), and the returns [`Slice::popped`] needs, at
     /// 0-based depths below `.1`.
     #[inline]
-    pub fn stops(&self) -> (usize, u32) {
+    pub(crate) fn stops(&self) -> (usize, u32) {
         if self.finish_fired {
             return (usize::MAX, 0);
         }
@@ -424,7 +419,7 @@ impl Slice {
 /// Resolves `name` in a snapshot the way the live engines do: a
 /// bare name in the innermost frame, then the globals, then nothing;
 /// `frame::var` in the innermost frame of that name holding `var`.
-pub fn resolve(st: &ProgramState, name: &str) -> Option<Variable> {
+pub(crate) fn resolve(st: &ProgramState, name: &str) -> Option<Variable> {
     match name.split_once("::") {
         Some((f, v)) => st
             .frame
@@ -437,6 +432,20 @@ pub fn resolve(st: &ProgramState, name: &str) -> Option<Variable> {
             .or_else(|| st.globals.iter().find(|g| g.name() == name)),
     }
     .cloned()
+}
+
+/// Answers `GetState`, `GetGlobals` or `GetVariable` from `st`, the
+/// snapshot at the pause. Before `Start` there is none: no state, no
+/// globals and no variable.
+pub(crate) fn inspect(st: Option<&ProgramState>, command: &Command) -> Response {
+    match (command, st) {
+        (Command::GetState, Some(st)) => Response::State(Box::new(st.clone())),
+        (Command::GetState, None) => error("inferior not started"),
+        (Command::GetVariable { name }, st) => {
+            Response::Variable(st.and_then(|st| resolve(st, name)))
+        }
+        (_, st) => Response::Globals(st.map(|st| st.globals.clone()).unwrap_or_default()),
+    }
 }
 
 /// How one run burst ended. The protocol never sees `OutOfFuel`.
@@ -533,7 +542,7 @@ impl<F, S> Core<F, S> {
 /// What a live engine supplies to the shared control core.
 pub(crate) trait Inferior {
     /// What call events identify a function by.
-    type Func: Copy + PartialEq;
+    type Func: PartialEq;
     /// The engine's part of a watch.
     type WatchSpec;
     /// The span timing each run burst.
@@ -557,8 +566,9 @@ pub(crate) trait Inferior {
     fn function(&self, name: &str) -> Result<Self::Func, String>;
     /// A watch on `variable`, primed with its current value.
     fn watch(&self, variable: String) -> Result<Watch<Self::WatchSpec>, String>;
-    /// Publishes the engine's gauges after each burst.
-    fn publish_stats(&self);
+    /// Publishes the engine's gauges after each burst; MiniPy's inferior
+    /// thread publishes its own as it runs.
+    fn publish_stats(&self) {}
     /// Answers the commands the shell leaves to the engine: inspection
     /// and the engine's own extras.
     fn own_command(&mut self, command: Command) -> Response;
@@ -627,7 +637,10 @@ fn control<E: Inferior>(
 
 /// The mode `command` runs in from `line` with `depth` frames, or why it
 /// cannot run; `None` for a command that does not run the inferior.
-pub fn mode(command: &Command, (line, depth): (u32, usize)) -> Option<Result<Mode, &'static str>> {
+pub(crate) fn mode(
+    command: &Command,
+    (line, depth): (u32, usize),
+) -> Option<Result<Mode, &'static str>> {
     Some(Ok(match command {
         Command::Start => Mode::Start,
         Command::Resume => Mode::Resume,
@@ -791,10 +804,12 @@ mod parity_tests {
     use crate::asm_engine::AsmEngine;
     use crate::minic_engine::MinicEngine;
     use crate::protocol::{Command, Response};
+    use crate::py_engine::PyEngine;
     use crate::server::{Engine, SliceOutcome};
 
-    /// The same three programs in each language: `main` returns `inc(3)`,
-    /// an endless loop, and a bad memory read.
+    /// The same three programs in each language: `main` returns `inc(3)`
+    /// (MiniPy's module calls it), an endless loop, and a fault: a bad
+    /// memory read, or MiniPy's division by zero.
     const C: [&str; 3] = [
         "int inc(int x) {\nreturn x + 1;\n}\nint main() {\nreturn inc(3);\n}",
         "int main() {\nint i = 0;\nwhile (i >= 0) {\ni = i + 1;\ni = i - 1;\n}\nreturn i;\n}",
@@ -805,13 +820,20 @@ mod parity_tests {
         "main:\nloop:\n    addi t0, t0, 1\n    j loop",
         "main:\n    li t0, 0x20000\n    lw t1, 0(t0)",
     ];
+    const PY: [&str; 3] = [
+        "def inc(x):\n    return x + 1\ny = inc(3)\n",
+        "i = 0\nwhile i >= 0:\n    i = i + 1\n    i = i - 1\n",
+        "x = 0\ny = 1 / x\n",
+    ];
 
-    fn engines(program: usize) -> [(&'static str, Box<dyn Engine>); 2] {
+    fn engines(program: usize) -> [(&'static str, Box<dyn Engine>); 3] {
         let c = minic::compile("t.c", C[program]).expect("C program compiles");
         let asm = miniasm::asm::assemble("t.s", ASM[program]).expect("asm program assembles");
+        let py = PyEngine::new("t.py", PY[program], obs::Registry::new()).expect("py parses");
         [
             ("minic", Box::new(MinicEngine::new(&c))),
             ("asm", Box::new(AsmEngine::new(&asm))),
+            ("minipy", Box::new(py)),
         ]
     }
 
@@ -966,9 +988,18 @@ mod parity_tests {
     ];
 
     #[test]
-    fn both_engines_answer_the_shared_surface_identically() {
+    fn every_engine_answers_the_shared_surface_identically() {
         for &(case, program, script, expected) in CASES {
             for (engine, mut e) in engines(program) {
+                // A MiniPy program that finishes exits 0; the others
+                // return `inc(3)`.
+                let expected: Vec<String> = expected
+                    .iter()
+                    .map(|l| match engine {
+                        "minipy" => l.replace("Exited(4)", "Exited(0)"),
+                        _ => l.to_string(),
+                    })
+                    .collect();
                 assert_eq!(script(e.as_mut()), expected, "{engine}: {case}");
             }
         }

@@ -17,13 +17,17 @@
 //!   function-with-`maxdepth`), function tracking with pause-before-return,
 //!   watchpoints driven by store events, step/next/finish;
 //! * [`asm_engine`] — the same contract over the RISC-V simulator, with a
-//!   shadow call stack for function tracking and register/memory access.
+//!   shadow call stack for function tracking and register/memory access;
+//! * [`py_engine`] — the MiniPy interpreter on its own inferior thread
+//!   with a `settrace`-style hook (paper Fig. 5); a control command
+//!   blocks until the inferior pauses;
+//! * [`record`] — the replay engine over a recorded trace, and the
+//!   recording wrapper every spawned session carries.
 //!
-//! Both engines are adapters over one control core that owns their
-//! control points, fuel slices, budgets and engine-agnostic commands, and
-//! decides every pause; the replay engine and `easytracker`'s MiniPy
-//! tracker decide theirs through it too. It is not part of the documented
-//! API.
+//! The three live engines are adapters over one control core that owns
+//! their control points, fuel slices, budgets and engine-agnostic
+//! commands, and decides every pause; the replay engine decides its
+//! pauses through it too. The core is private to this crate.
 //!
 //! # Examples
 //!
@@ -45,11 +49,11 @@
 //! ```
 
 pub mod asm_engine;
-#[doc(hidden)]
-pub mod control;
+mod control;
 pub mod host;
 pub mod minic_engine;
 pub mod protocol;
+pub mod py_engine;
 pub mod record;
 pub mod server;
 pub mod transport;

@@ -1,5 +1,5 @@
 //! The MiniC debugger engine: the MI command set over the MiniC VM's
-//! event stream. The shared control core ([`crate::control`]) owns the
+//! event stream. The shared control core (`control`) owns the
 //! control points, the pause decisions, fuel slices, budgets and
 //! engine-agnostic commands; this module reports VM events to it and
 //! answers inspection.

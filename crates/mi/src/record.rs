@@ -13,7 +13,7 @@
 //! machine: a session engine whose "inferior" is a finished recording
 //! behind an `Arc<trace::Store>`, with the live engines' control points,
 //! stepping and variable lookup. Its pauses are decided by the same
-//! control core as the live engines' ([`crate::control`]): each recorded
+//! control core as the live engines' (`control`): each recorded
 //! pause is fed to it as the events it stands for. The session host
 //! shelves recordings
 //! published with [`Command::PublishTrace`] and opens any number of
@@ -24,7 +24,7 @@
 //! the same engine in process.
 
 use crate::control::{
-    error, mode, resolve, BpKind, ControlPoints, Func, Mode, Phase, Slice, Watch,
+    error, inspect, mode, resolve, BpKind, ControlPoints, Func, Mode, Phase, Slice, Watch,
 };
 use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
@@ -592,9 +592,10 @@ impl ReplayEngine {
     /// Answers an inspection from the state at the current position,
     /// carrying the current pause reason. Past the end that is the last
     /// recorded frame (an empty module frame for an empty recording).
+    /// Before `Start` it answers as the live engines do.
     fn inspect(&self, cmd: &Command) -> Response {
         let Some(pos) = self.pos else {
-            return not_started();
+            return inspect(None, cmd);
         };
         let st = match self.len().checked_sub(1) {
             Some(last) => match self.reader.state_at(pos.min(last)) {
@@ -612,8 +613,7 @@ impl ReplayEngine {
                 reason: self.reason.clone(),
                 ..(*st).clone()
             })),
-            Command::GetVariable { name } => Response::Variable(resolve(&st, name)),
-            _ => Response::Globals(st.globals.clone()),
+            _ => inspect(Some(&st), cmd),
         }
     }
 

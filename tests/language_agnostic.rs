@@ -273,6 +273,27 @@ const PARITY: &[(&str, Row, bool)] = &[
         },
         true,
     ),
+    (
+        "get_global_variables before start",
+        |t| t.get_global_variables().is_ok(),
+        true,
+    ),
+    (
+        "get_variable before start",
+        |t| t.get_variable("x").is_ok(),
+        true,
+    ),
+    ("get_state before start", |t| t.get_state().is_ok(), false),
+    (
+        "get_current_frame before start",
+        |t| t.get_current_frame().is_ok(),
+        false,
+    ),
+    (
+        "break_before_line past the last line",
+        |t| t.break_before_line(9999).is_ok(),
+        false,
+    ),
 ];
 
 #[test]
