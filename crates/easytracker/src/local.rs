@@ -178,7 +178,8 @@ impl<E: Engine> Tracker for LocalTracker<E> {
     }
 
     fn get_current_frame(&mut self) -> Result<Frame> {
-        Ok(self.get_state()?.frame)
+        self.obs.inc("tracker.inspect.GetState");
+        self.engine.current_frame().map_err(|resp| self.error(resp))
     }
 
     fn get_state(&mut self) -> Result<ProgramState> {
@@ -285,6 +286,26 @@ mod tests {
         assert_eq!(calls, 3);
         assert_eq!(returns, ["1", "4", "9"]);
         assert_eq!(t.get_exit_code(), Some(0));
+        t.terminate();
+    }
+
+    #[test]
+    fn the_current_frame_is_the_state_frame() {
+        let mut t = PyTracker::load("p.py", PY_PROG).unwrap();
+        assert!(matches!(
+            t.get_current_frame(),
+            Err(TrackerError::NotStarted)
+        ));
+        t.start().unwrap();
+        t.track_function("square", None).unwrap();
+        while t.resume().unwrap().is_alive() {
+            let state = t.get_state().unwrap();
+            assert!(
+                !state.globals.is_empty(),
+                "the frame leaves the globals out"
+            );
+            assert_eq!(t.get_current_frame().unwrap(), state.frame);
+        }
         t.terminate();
     }
 

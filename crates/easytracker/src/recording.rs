@@ -319,6 +319,19 @@ mod tests {
     }
 
     #[test]
+    fn a_replayed_current_frame_is_the_state_frame() {
+        let mut t = ReplayTracker::new(record_c());
+        assert!(t.get_current_frame().is_err());
+        t.start().unwrap();
+        while t.get_exit_code().is_none() {
+            assert_eq!(t.get_current_frame().unwrap(), t.get_state().unwrap().frame);
+            t.step().unwrap();
+        }
+        // Past the end the last recorded frame still answers.
+        assert_eq!(t.get_current_frame().unwrap(), t.get_state().unwrap().frame);
+    }
+
+    #[test]
     fn replay_breakpoints_and_tracking() {
         let rec = record_c();
         let mut t = ReplayTracker::new(rec);

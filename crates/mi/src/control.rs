@@ -22,7 +22,7 @@
 
 use crate::protocol::{Command, ResourceKind, Response};
 use crate::server::SliceOutcome;
-use state::{ExitStatus, PauseReason, ProgramState, SourceLocation, Variable};
+use state::{ExitStatus, Frame, PauseReason, ProgramState, SourceLocation, Variable};
 
 /// What a breakpoint fires on. `F` is the source's function key.
 #[derive(Debug)]
@@ -446,6 +446,13 @@ pub(crate) fn inspect(st: Option<&ProgramState>, command: &Command) -> Response 
         }
         (_, st) => Response::Globals(st.map(|st| st.globals.clone()).unwrap_or_default()),
     }
+}
+
+/// The frame of [`inspect`]'s `GetState` answer, copied without the
+/// globals beside it ([`Engine::current_frame`](crate::server::Engine::current_frame)).
+pub(crate) fn inspect_frame(st: Option<&ProgramState>) -> Result<Frame, Response> {
+    st.map(|st| st.frame.clone())
+        .ok_or_else(|| error("inferior not started"))
 }
 
 /// How one run burst ended. The protocol never sees `OutOfFuel`.

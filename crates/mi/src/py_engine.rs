@@ -45,7 +45,7 @@ use crate::server::Engine;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use minipy::value::ObjRef;
 use minipy::{Interp, TraceAction, TraceCtx, TraceEvent, Tracer};
-use state::{ExitStatus, PauseReason, ProgramState};
+use state::{ExitStatus, Frame, PauseReason, ProgramState};
 use std::thread::JoinHandle;
 
 /// What a control command hands the inferior thread: its progress, and
@@ -487,6 +487,10 @@ impl Engine for PyEngine {
             self.terminate();
         }
         control::handle(self, command)
+    }
+
+    fn current_frame(&mut self) -> Result<Frame, Response> {
+        control::inspect_frame(self.last_state.as_ref())
     }
 }
 

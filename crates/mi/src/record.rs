@@ -24,7 +24,8 @@
 //! the same engine in process.
 
 use crate::control::{
-    error, inspect, mode, resolve, BpKind, ControlPoints, Func, Mode, Phase, Slice, Watch,
+    error, inspect, inspect_frame, mode, resolve, BpKind, ControlPoints, Func, Mode, Phase, Slice,
+    Watch,
 };
 use crate::protocol::{Command, Response};
 use crate::server::{Engine, SliceOutcome};
@@ -589,31 +590,37 @@ impl ReplayEngine {
         Ok(tl)
     }
 
-    /// Answers an inspection from the state at the current position,
-    /// carrying the current pause reason. Past the end that is the last
-    /// recorded frame (an empty module frame for an empty recording).
-    /// Before `Start` it answers as the live engines do.
-    fn inspect(&self, cmd: &Command) -> Response {
+    /// The state at the current position: past the end the last
+    /// recorded one (an empty module frame for an empty recording); `None`
+    /// before `Start`.
+    fn snapshot(&self) -> Result<Option<Arc<ProgramState>>, Response> {
         let Some(pos) = self.pos else {
-            return inspect(None, cmd);
+            return Ok(None);
         };
-        let st = match self.len().checked_sub(1) {
-            Some(last) => match self.reader.state_at(pos.min(last)) {
-                Ok(st) => st,
-                Err(message) => return Response::Error { message },
-            },
+        Ok(Some(match self.len().checked_sub(1) {
+            Some(last) => self
+                .reader
+                .state_at(pos.min(last))
+                .map_err(|message| Response::Error { message })?,
             None => Arc::new(ProgramState::new(
                 Frame::new("<module>", 0, SourceLocation::new(self.store().file(), 0)),
                 Vec::new(),
                 PauseReason::NotStarted,
             )),
-        };
-        match cmd {
-            Command::GetState => Response::State(Box::new(ProgramState {
+        }))
+    }
+
+    /// Answers an inspection from [`ReplayEngine::snapshot`], carrying
+    /// the current pause reason. Before `Start` it answers as the live
+    /// engines do.
+    fn inspect(&self, cmd: &Command) -> Response {
+        match (cmd, self.snapshot()) {
+            (_, Err(resp)) => resp,
+            (Command::GetState, Ok(Some(st))) => Response::State(Box::new(ProgramState {
                 reason: self.reason.clone(),
                 ..(*st).clone()
             })),
-            _ => inspect(Some(&st), cmd),
+            (_, Ok(st)) => inspect(st.as_deref(), cmd),
         }
     }
 
@@ -665,6 +672,10 @@ fn not_started() -> Response {
 }
 
 impl Engine for ReplayEngine {
+    fn current_frame(&mut self) -> Result<Frame, Response> {
+        inspect_frame(self.snapshot()?.as_deref())
+    }
+
     fn handle(&mut self, cmd: Command) -> Response {
         match cmd {
             Command::Start if self.pos.is_some() => Response::Error {

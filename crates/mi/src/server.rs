@@ -4,6 +4,7 @@ use crate::host::{read_frame, refuse_stale, Job, SessionState, DEFAULT_SLICE_STE
 use crate::protocol::{Command, CommandFrame, Response, ResponseFrame};
 use crate::transport::{FrameRx, FrameTx, TransportCounters};
 use crate::MiError;
+use state::Frame;
 use std::time::{Duration, Instant};
 
 /// How a serve loop ended *normally*. Abnormal ends (the transport
@@ -63,6 +64,23 @@ pub trait Engine {
         SliceOutcome::Done(Response::Error {
             message: "no sliced command pending".into(),
         })
+    }
+
+    /// The innermost frame of the pause, its callers chained on: the
+    /// frame of what [`Command::GetState`] answers, for a caller in the
+    /// engine's own process. The default asks `GetState` and drops the
+    /// rest; an engine that holds its snapshot copies only the frame
+    /// chain, not the globals.
+    ///
+    /// # Errors
+    ///
+    /// The engine's answer when it has no state to give, as `GetState`
+    /// answers (a [`Response::Error`] before `Start`).
+    fn current_frame(&mut self) -> Result<Frame, Response> {
+        match self.handle(Command::GetState) {
+            Response::State(st) => Ok(st.frame),
+            other => Err(other),
+        }
     }
 }
 

@@ -182,9 +182,12 @@ impl Registry {
     // ---- counters ---------------------------------------------------------
 
     /// Returns the counter registered under `name`, creating it on
-    /// first use.
+    /// first use. Only that first use allocates.
     pub fn counter(&self, name: &str) -> Counter {
         let mut counters = self.inner.counters.lock().unwrap();
+        if let Some(counter) = counters.get(name) {
+            return counter.clone();
+        }
         counters
             .entry(name.to_string())
             .or_insert_with(|| Counter {
@@ -204,9 +207,13 @@ impl Registry {
     // ---- gauges -----------------------------------------------------------
 
     /// Returns the gauge registered under `name`, creating it on first
-    /// use. Gauges hold absolute readings; see [`Gauge`].
+    /// use (the only use that allocates). Gauges hold absolute readings;
+    /// see [`Gauge`].
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut gauges = self.inner.gauges.lock().unwrap();
+        if let Some(gauge) = gauges.get(name) {
+            return gauge.clone();
+        }
         gauges
             .entry(name.to_string())
             .or_insert_with(|| Gauge {
@@ -222,8 +229,14 @@ impl Registry {
 
     // ---- histograms -------------------------------------------------------
 
+    /// Records `value` in the histogram under `name`, creating it on
+    /// first use (the only use that allocates).
     pub fn record_value(&self, name: &str, value: u64) {
         let mut histograms = self.inner.histograms.lock().unwrap();
+        if let Some(histogram) = histograms.get_mut(name) {
+            histogram.record(value);
+            return;
+        }
         histograms
             .entry(name.to_string())
             .or_default()

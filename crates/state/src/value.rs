@@ -1,7 +1,9 @@
 //! The [`Value`] model: abstract type, content, conceptual location,
 //! address and language-level type name (paper §II-B2).
 
-use serde::{Deserialize, Serialize};
+use serde::de::Reader;
+use serde::{DeError, Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// The nature of a [`Value`], determining what its [`Content`] holds.
@@ -163,7 +165,62 @@ pub struct Value {
     content: Content,
     location: Location,
     address: Option<u64>,
-    language_type: String,
+    language_type: TypeName,
+}
+
+/// A value's `language_type`. A decoded value shares one static copy of
+/// each of the commonest names instead of allocating its own.
+#[derive(Clone, PartialEq)]
+struct TypeName(Cow<'static, str>);
+
+/// The static copy of `name` when it is one of the type names the engines
+/// give most values: MiniC's scalars and their pointers, the RISC-V
+/// registers, MiniPy's built-in types.
+fn common_type(name: &str) -> Option<&'static str> {
+    Some(match name {
+        "int" => "int",
+        "long" => "long",
+        "char" => "char",
+        "double" => "double",
+        "float" => "float",
+        "int*" => "int*",
+        "long*" => "long*",
+        "char*" => "char*",
+        "double*" => "double*",
+        "u32" => "u32",
+        "word" => "word",
+        "label" => "label",
+        "function" => "function",
+        "str" => "str",
+        "bool" => "bool",
+        "list" => "list",
+        "tuple" => "tuple",
+        "dict" => "dict",
+        "NoneType" => "NoneType",
+        _ => return None,
+    })
+}
+
+impl fmt::Debug for TypeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl Serialize for TypeName {
+    fn write_json(&self, out: &mut String) {
+        (*self.0).write_json(out);
+    }
+}
+
+impl Deserialize for TypeName {
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let name = r.str()?.ok_or_else(|| DeError::custom("expected string"))?;
+        Ok(TypeName(match common_type(&name) {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(name.into_owned()),
+        }))
+    }
 }
 
 impl Value {
@@ -177,7 +234,7 @@ impl Value {
             content,
             location: Location::Constant,
             address: None,
-            language_type: language_type.into(),
+            language_type: TypeName(Cow::Owned(language_type.into())),
         }
     }
 
@@ -270,7 +327,7 @@ impl Value {
 
     /// The type name in the inferior language's terminology.
     pub fn language_type(&self) -> &str {
-        &self.language_type
+        &self.language_type.0
     }
 
     /// Follows `Ref` links until a non-reference value is reached.

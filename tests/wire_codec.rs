@@ -790,3 +790,124 @@ fn mutated_golden_lines_fail_typed_or_decode_stably() {
         "decoded {decoded}, rejected {rejected}"
     );
 }
+
+/// A state whose one frame holds `n` distinct `long` variables, inserted
+/// in a scrambled name order so that insertions land all over the frame's
+/// name index.
+fn wide_state(n: u64) -> state::ProgramState {
+    use state::{Frame, Prim, Scope, Value, Variable};
+    let mut frame = Frame::new("main", 0, SourceLocation::new("wide.c", 1));
+    for i in 0..n {
+        let k = i * 7_919 % n;
+        frame.insert_variable(Variable::new(
+            format!("v{k}"),
+            Scope::Local,
+            Value::primitive(Prim::Int(k as i64), "long"),
+        ));
+    }
+    state::ProgramState::new(frame, Vec::new(), PauseReason::Step)
+}
+
+#[test]
+fn a_frame_of_ninety_thousand_variables_builds_and_decodes_without_a_quadratic_search() {
+    const N: u64 = 88_000;
+    let t = std::time::Instant::now();
+    let state = wide_state(N);
+    let built = t.elapsed();
+    assert_eq!(state.frame.len(), N as usize);
+    assert_eq!(state.frame.variables().next().unwrap().name(), "v0");
+    assert!(state.frame.variable("v87999").is_some());
+    let frame = ResponseFrame {
+        seq: 1,
+        resp: Response::State(Box::new(state)),
+        session: None,
+    };
+    let wire = serde_json::to_vec(&frame).unwrap();
+    assert!(
+        wire.len() > mi::MAX_FRAME_LEN * 3 / 4 && wire.len() <= mi::MAX_FRAME_LEN,
+        "{} bytes",
+        wire.len()
+    );
+    let t = std::time::Instant::now();
+    let back: ResponseFrame = serde_json::from_slice(&wire).expect("decodes");
+    let decoded = t.elapsed();
+    assert!(back == frame, "the wide frame decodes back equal");
+    assert!(
+        built.as_secs() < 10 && decoded.as_secs() < 10,
+        "{N} variables: built in {built:?}, decoded in {decoded:?}"
+    );
+}
+
+/// A one-frame `ResponseFrame::State` with this `order` and `variables`.
+fn frame_text(order: &str, variables: &[(&str, &str, i64)]) -> String {
+    let vars: Vec<String> = variables
+        .iter()
+        .map(|(key, name, v)| {
+            format!(
+                "\"{key}\":{{\"name\":\"{name}\",\"scope\":\"Local\",\"value\":{{\
+                 \"abstract_type\":\"Primitive\",\"content\":{{\"Primitive\":{{\"Int\":{v}}}}},\
+                 \"location\":\"Stack\",\"address\":null,\"language_type\":\"long\"}}}}"
+            )
+        })
+        .collect();
+    format!(
+        "{{\"seq\":1,\"resp\":{{\"State\":{{\"frame\":{{\"name\":\"main\",\"depth\":0,\
+         \"location\":{{\"file\":\"t.c\",\"line\":1}},\"order\":{order},\
+         \"variables\":{{{}}},\"parent\":null}},\"globals\":[],\"reason\":\"Step\"}}}},\
+         \"session\":null}}",
+        vars.join(",")
+    )
+}
+
+/// The frame's variables as `(name, value)` in declaration order.
+fn decoded_variables(text: &str) -> Vec<(String, String)> {
+    assert_eq!(
+        check_mutant::<ResponseFrame>(text.as_bytes()),
+        Ok(true),
+        "{text}"
+    );
+    let frame: ResponseFrame = serde_json::from_str(text).unwrap();
+    let Response::State(state) = frame.resp else {
+        panic!("not a state")
+    };
+    state
+        .frame
+        .variables()
+        .map(|v| (v.name().to_owned(), state::render_value(v.value())))
+        .collect()
+}
+
+#[test]
+fn frames_whose_order_and_variables_disagree_decode_stably() {
+    let pairs = |p: &[(&str, &str)]| -> Vec<(String, String)> {
+        p.iter()
+            .map(|(n, v)| (n.to_string(), v.to_string()))
+            .collect()
+    };
+    // What the writer produces: declaration order, variables by name.
+    let text = frame_text(r#"["y","x"]"#, &[("x", "x", 1), ("y", "y", 2)]);
+    assert_eq!(decoded_variables(&text), pairs(&[("y", "2"), ("x", "1")]));
+    // A repeated `variables` key: the last one wins, in its first place.
+    let text = frame_text(
+        r#"["x","y"]"#,
+        &[("x", "x", 1), ("y", "y", 2), ("x", "x", 3)],
+    );
+    assert_eq!(decoded_variables(&text), pairs(&[("x", "3"), ("y", "2")]));
+    // `order` names a variable the frame does not have: passed over.
+    let text = frame_text(r#"["ghost","x"]"#, &[("x", "x", 1)]);
+    assert_eq!(decoded_variables(&text), pairs(&[("x", "1")]));
+    // A variable `order` does not name: after the named ones, by name.
+    let text = frame_text(r#"["y"]"#, &[("b", "b", 1), ("a", "a", 2), ("y", "y", 3)]);
+    assert_eq!(
+        decoded_variables(&text),
+        pairs(&[("y", "3"), ("a", "2"), ("b", "1")])
+    );
+    // A name `order` repeats counts once.
+    let text = frame_text(r#"["x","x"]"#, &[("x", "x", 1)]);
+    assert_eq!(decoded_variables(&text), pairs(&[("x", "1")]));
+    // A variable keyed under another name is refused, typed.
+    let text = frame_text(r#"["x"]"#, &[("x", "y", 1)]);
+    let err = serde_json::from_str::<ResponseFrame>(&text).unwrap_err();
+    assert!(err.to_string().contains("is keyed as"), "{err}");
+    assert_eq!(check_mutant::<ResponseFrame>(text.as_bytes()), Ok(false));
+}
