@@ -8,21 +8,25 @@
 //! [`state`] crate. Visualization tools are written once against the
 //! trait and work on every supported inferior language.
 //!
-//! Three tracker families are provided:
+//! The trait has one implementation, [`EngineTracker`]: an adapter that
+//! maps each call to one `mi` command and each answer back to a result,
+//! over an [`EnginePort`]. Three kinds of port make the three trackers:
 //!
-//! * [`MiTracker`] — the GDB-tracker analogue (paper Fig. 4): the inferior
-//!   runs behind a machine-interface boundary (serialized commands over a
-//!   byte transport, engine on its own thread), for MiniC (`.c`) and
-//!   RISC-V assembly (`.s`);
-//! * [`PyTracker`] — the Python-tracker analogue (paper Fig. 5): the
-//!   MiniPy interpreter runs on a dedicated inferior thread with a
+//! * [`MiTracker`] — the GDB-tracker analogue (paper Fig. 4), over a
+//!   [`mi_tracker::SupervisedPort`]: the inferior runs behind a
+//!   machine-interface boundary (serialized commands over a byte
+//!   transport, engine on its own thread, in a child process or in a
+//!   shared host), for MiniC (`.c`) and RISC-V assembly (`.s`); the port
+//!   retries, respawns and replays a lost engine, and only this tracker
+//!   offers [`Tracker::low_level`], diagnostics and the sanitizer;
+//! * [`PyTracker`] — the Python-tracker analogue (paper Fig. 5), over
+//!   [`mi::py_engine::PyEngine`] in the tool's process: the MiniPy
+//!   interpreter runs on a dedicated inferior thread with a
 //!   `settrace`-style hook; control calls block until the inferior pauses;
-//! * [`ReplayTracker`] — the trace tracker of §III-E: the full control API
+//! * [`ReplayTracker`] — the trace tracker of §III-E, over
+//!   [`mi::ReplayEngine`] in the tool's process: the full control API
 //!   implemented over a pre-recorded execution, enabling tools to run on
 //!   traces (and traces to be made from tools).
-//!
-//! The last two are one in-process adapter, [`LocalTracker`], over the
-//! `mi` engines [`mi::py_engine::PyEngine`] and [`mi::ReplayEngine`].
 //!
 //! # Naming
 //!
@@ -56,11 +60,11 @@
 //! # }
 //! ```
 
-pub mod local;
+pub mod adapter;
 pub mod mi_tracker;
 pub mod recording;
 
-pub use local::{LocalTracker, PyTracker};
+pub use adapter::{EnginePort, EngineTracker, PyTracker};
 pub use mi_tracker::{MiTracker, PortWrapper, ProgramSpec, SessionHealth, Supervision};
 pub use recording::{RecordedStep, Recording, ReplayTracker};
 

@@ -7,13 +7,17 @@
 //! deserialized, so this tracker pays the real marshalling cost the
 //! benchmarks measure.
 //!
+//! [`MiTracker`] is the crate's one adapter, [`EngineTracker`], over a
+//! [`SupervisedPort`]: the adapter maps the paper's calls to commands as
+//! for every other tracker, and everything below is the port's.
+//!
 //! # Supervision
 //!
 //! A real debugger backend can die or wedge at any moment; a tracker
 //! that hangs or panics with it is useless for building tools. This
-//! tracker therefore *supervises* its session:
+//! tracker's port therefore *supervises* its session:
 //!
-//! * every MI call goes through one loop, the tracker's own: each
+//! * every MI call goes through one loop, the port's `call`: each
 //!   attempt runs under the per-command deadline, so no call blocks
 //!   forever against a wedged boundary; idempotent commands that time
 //!   out, and anything the host refuses for load (session opens
@@ -21,8 +25,9 @@
 //!   budget; what still fails goes to recovery, below;
 //! * sessions loaded from source keep a declarative **manifest**: the
 //!   program spec plus a journal of every successful control command
-//!   (with its observed [`PauseReason`]) and every armed/disarmed
-//!   control point;
+//!   (with its observed [`PauseReason`]), every armed/disarmed control
+//!   point and every acknowledged configuration, kept by the port from
+//!   the commands it carries;
 //! * when the engine is lost (child killed, thread wedged, pipe broken)
 //!   the tracker respawns it from the spec, re-arms every control point,
 //!   and deterministically fast-forwards the fresh engine through the
@@ -60,11 +65,12 @@
 //!   including the engine's own last-gasp ring recovered from its
 //!   captured stderr tail.
 
-use crate::{ControlPointId, LowLevel, Result, Tracker, TrackerError};
+use crate::adapter::refusal;
+use crate::{ControlPointId, EnginePort, EngineTracker, Result, TrackerError};
 use mi::protocol::{Command, Response};
 use mi::transport::PumpedTransport;
 use mi::{CommandPort, HostHandle, MiError};
-use state::{Frame, PauseReason, ProgramState, Variable};
+use state::PauseReason;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -178,7 +184,7 @@ enum Deploy {
 
 /// The declarative half of the session manifest: everything needed to
 /// build an equivalent fresh engine. Cheap to clone; the journal (the
-/// imperative half) lives on the tracker.
+/// imperative half) lives on the port.
 #[derive(Debug, Clone)]
 pub struct ProgramSpec {
     file: String,
@@ -298,8 +304,9 @@ enum ReplayOutcome {
     Lost,
 }
 
-/// Tracker for MiniC and RISC-V inferiors behind the MI boundary.
-pub struct MiTracker {
+/// The supervised port behind an [`MiTracker`]: the session's engine
+/// connection with everything that keeps it honest (see the module docs).
+pub struct SupervisedPort {
     backend: Option<Backend>,
     spec: Option<ProgramSpec>,
     wrapper: Option<PortWrapper>,
@@ -312,8 +319,8 @@ pub struct MiTracker {
     health: SessionHealth,
     respawns_used: u32,
     rng: u64,
-    last_reason: PauseReason,
-    started: bool,
+    /// The last control answer, for post-mortem dumps.
+    last_pause: PauseReason,
     obs: obs::Registry,
     /// Always-on ring of the session's last moments (see module docs).
     flight: obs::FlightRecorder,
@@ -333,9 +340,9 @@ pub struct MiTracker {
     last_dump: Option<PathBuf>,
 }
 
-impl std::fmt::Debug for MiTracker {
+impl std::fmt::Debug for SupervisedPort {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MiTracker")
+        f.debug_struct("SupervisedPort")
             .field("live", &self.backend.is_some())
             .field("health", &self.health)
             .field("journal_len", &self.journal.len())
@@ -343,6 +350,10 @@ impl std::fmt::Debug for MiTracker {
             .finish()
     }
 }
+
+/// Tracker for MiniC and RISC-V inferiors behind the MI boundary: the
+/// shared adapter over a [`SupervisedPort`].
+pub type MiTracker = EngineTracker<SupervisedPort>;
 
 impl MiTracker {
     /// Compiles MiniC source and attaches an engine to it.
@@ -413,9 +424,9 @@ impl MiTracker {
         cfg: Supervision,
         wrapper: Option<PortWrapper>,
     ) -> Result<Self> {
-        let mut tracker = Self::new(Some(spec), wrapper, cfg, registry);
-        tracker.backend = Some(tracker.connect()?);
-        Ok(tracker)
+        let mut port = SupervisedPort::new(Some(spec), wrapper, cfg, registry.clone());
+        port.backend = Some(port.connect()?);
+        Ok(EngineTracker::over(port, registry))
     }
 
     /// Attaches the tracker to an already-connected [`CommandPort`] —
@@ -432,43 +443,13 @@ impl MiTracker {
 
     /// Like [`MiTracker::from_port`], reporting into `registry`.
     pub fn from_port_with_registry(port: Box<dyn CommandPort>, registry: obs::Registry) -> Self {
-        let mut tracker = Self::new(None, None, Supervision::passthrough(), registry);
-        tracker.backend = Some(Backend {
+        let mut supervised =
+            SupervisedPort::new(None, None, Supervision::passthrough(), registry.clone());
+        supervised.backend = Some(Backend {
             port,
             engine: EngineKind::External,
         });
-        tracker
-    }
-
-    /// A tracker with no engine attached yet.
-    fn new(
-        spec: Option<ProgramSpec>,
-        wrapper: Option<PortWrapper>,
-        cfg: Supervision,
-        registry: obs::Registry,
-    ) -> Self {
-        MiTracker {
-            backend: None,
-            spec,
-            wrapper,
-            cfg,
-            journal: Vec::new(),
-            drained: String::new(),
-            pending_output: String::new(),
-            health: SessionHealth::Healthy,
-            respawns_used: 0,
-            rng: cfg.jitter_seed | 1,
-            last_reason: PauseReason::NotStarted,
-            started: false,
-            obs: registry,
-            flight: obs::FlightRecorder::new(256),
-            clock: obs::ClockSync::new(),
-            engine_events: Vec::new(),
-            telemetry_since: 0,
-            profile_since: 0,
-            dump_dir: None,
-            last_dump: None,
-        }
+        EngineTracker::over(supervised, registry)
     }
 
     /// Spawns `mi-server` (at `server_bin`) as a real child process for a
@@ -540,6 +521,354 @@ impl MiTracker {
             Supervision::default(),
             None,
         )
+    }
+
+    /// Whether the session can still vouch for its answers.
+    pub fn health(&self) -> &SessionHealth {
+        &self.port.health
+    }
+
+    /// Engine respawns performed so far.
+    pub fn respawns(&self) -> u32 {
+        self.port.respawns_used
+    }
+
+    /// OS pid of the `mi-server` child, for process-deployed sessions.
+    /// Fault-injection tests use this to kill the engine out from under
+    /// the tracker.
+    pub fn engine_pid(&self) -> Option<u32> {
+        match &self.port.backend {
+            Some(Backend {
+                engine: EngineKind::Child { child, .. },
+                ..
+            }) => Some(child.id()),
+            Some(Backend {
+                engine: EngineKind::HostSession { host, .. },
+                ..
+            }) => host.host_pid(),
+            _ => None,
+        }
+    }
+
+    /// The host-assigned session id, for trackers deployed into a shared
+    /// multi-session host. Chaos tests use this to kill one session out
+    /// from under its tracker without touching the host's other tenants.
+    pub fn host_session_id(&self) -> Option<u64> {
+        match &self.port.backend {
+            Some(Backend {
+                engine: EngineKind::HostSession { session, .. },
+                ..
+            }) => Some(*session),
+            _ => None,
+        }
+    }
+
+    /// One bounded liveness probe of the MI boundary (`Ping`/`Pong`,
+    /// answered by the serve loop without touching the engine). A miss
+    /// bumps the `mi.heartbeat_misses` counter.
+    ///
+    /// # Errors
+    ///
+    /// [`TrackerError::Protocol`] describing the miss; also fails on
+    /// degraded or terminated sessions.
+    pub fn heartbeat(&mut self) -> Result<()> {
+        self.port.heartbeat()
+    }
+
+    /// Sets hard per-session resource budgets (`None` leaves a resource
+    /// unlimited): VM steps and live heap bytes are enforced in-engine,
+    /// wall-clock by the serve core (between fuel slices, for dedicated
+    /// and hosted engines alike), command-queue depth by the session host
+    /// only (a dedicated engine has no queue). Exceeding
+    /// any of them surfaces as [`TrackerError::ResourceExhausted`] and
+    /// ends the session. Journaled as configuration, so recovery
+    /// re-applies the budgets before replaying execution.
+    ///
+    /// # Errors
+    ///
+    /// [`TrackerError::Protocol`] on an unexpected acknowledgement;
+    /// engine/session errors as usual.
+    pub fn set_limits(
+        &mut self,
+        max_steps: Option<u64>,
+        max_heap_bytes: Option<u64>,
+        max_wall_ms: Option<u64>,
+        max_queue_depth: Option<u64>,
+    ) -> Result<()> {
+        self.configure(Command::SetLimits {
+            max_steps,
+            max_heap_bytes,
+            max_wall_ms,
+            max_queue_depth,
+        })
+    }
+
+    /// Arms engine-side trace recording with the given keyframe cadence.
+    /// Must precede [`crate::Tracker::start`]. Journaled as configuration: a
+    /// respawned engine re-arms before the journal replays, so the
+    /// rebuilt recording covers the same pauses.
+    ///
+    /// # Errors
+    ///
+    /// [`TrackerError::Engine`] when already started; protocol errors as
+    /// usual.
+    pub fn record(&mut self, keyframe_every: u32) -> Result<()> {
+        self.configure(Command::Record { keyframe_every })
+    }
+
+    /// Jumps the engine's inspection cursor to recorded pause `pause` —
+    /// O(log n) through the store's keyframe index. Subsequent state
+    /// inspections answer from the recording; any control call snaps
+    /// back to the live position. Returns the recorded pause reason.
+    ///
+    /// # Errors
+    ///
+    /// [`TrackerError::Engine`] when nothing is recorded or the pause is
+    /// out of range.
+    pub fn seek(&mut self, pause: u64) -> Result<PauseReason> {
+        match self.port.call(Command::Seek { pause })? {
+            Response::Paused(reason) => Ok(reason),
+            other => Err(refusal(other)),
+        }
+    }
+
+    /// All recorded writes to `variable` in `[from, to]` (defaults: the
+    /// whole recording), answered from the store's write index without
+    /// replaying.
+    ///
+    /// # Errors
+    ///
+    /// [`TrackerError::Engine`] when nothing is recorded.
+    pub fn query_history(
+        &mut self,
+        variable: &str,
+        from: Option<u64>,
+        to: Option<u64>,
+    ) -> Result<Vec<trace::HistoryHit>> {
+        self.history(variable, from, to, false)
+    }
+
+    /// The most recent recorded write to `variable` at or before
+    /// `before` (default: end of recording), if any.
+    ///
+    /// # Errors
+    ///
+    /// [`TrackerError::Engine`] when nothing is recorded.
+    pub fn last_change(
+        &mut self,
+        variable: &str,
+        before: Option<u64>,
+    ) -> Result<Option<trace::HistoryHit>> {
+        Ok(self
+            .history(variable, None, before, true)?
+            .into_iter()
+            .next())
+    }
+
+    fn history(
+        &mut self,
+        variable: &str,
+        from: Option<u64>,
+        to: Option<u64>,
+        last_only: bool,
+    ) -> Result<Vec<trace::HistoryHit>> {
+        let variable = variable.into();
+        let cmd = Command::QueryHistory {
+            variable,
+            from,
+            to,
+            last_only,
+        };
+        match self.inspect("tracker.inspect.QueryHistory", cmd)? {
+            Response::History { hits } => Ok(hits),
+            other => Err(refusal(other)),
+        }
+    }
+
+    /// Recording statistics: `(pauses, keyframes, serialized_bytes)`.
+    ///
+    /// # Errors
+    ///
+    /// [`TrackerError::Engine`] when nothing is recorded.
+    pub fn trace_stats(&mut self) -> Result<(u64, u64, u64)> {
+        match self.inspect("tracker.inspect.TraceStats", Command::TraceStats)? {
+            Response::TraceStats {
+                pauses,
+                keyframes,
+                bytes,
+            } => Ok((pauses, keyframes, bytes)),
+            other => Err(refusal(other)),
+        }
+    }
+
+    /// Publishes the session's recording on the host's trace shelf under
+    /// `name`, where [`mi::HostHandle::open_replay`] sessions can scrub
+    /// it. Only meaningful for hosted sessions.
+    ///
+    /// # Errors
+    ///
+    /// [`TrackerError::Engine`] when there is no shelf (not hosted) or
+    /// no recording.
+    pub fn publish_trace(&mut self, name: &str) -> Result<()> {
+        self.configure(Command::PublishTrace { name: name.into() })
+    }
+
+    /// Bytes shipped across the MI boundary so far (bench metric).
+    pub fn bytes_transferred(&self) -> u64 {
+        self.port
+            .backend
+            .as_ref()
+            .map(|b| b.port.counters().bytes_total())
+            .unwrap_or(0)
+    }
+
+    /// This session's flight recorder: commands, replies, retries,
+    /// heartbeat misses and respawns all land in this one ring.
+    pub fn flight_recorder(&self) -> &obs::FlightRecorder {
+        &self.port.flight
+    }
+
+    /// Overrides where post-mortem flight dumps are written. Default:
+    /// `EASYTRACKER_DUMP_DIR`, falling back to the system temp dir.
+    pub fn set_dump_dir(&mut self, dir: impl Into<PathBuf>) {
+        self.port.dump_dir = Some(dir.into());
+    }
+
+    /// The most recent post-mortem dump written by this session.
+    pub fn last_flight_dump(&self) -> Option<&Path> {
+        self.port.last_dump.as_deref()
+    }
+
+    /// Writes a post-mortem flight dump now (chaos/conformance harnesses
+    /// call this when a *check* fails even though the session itself is
+    /// healthy). Returns the dump path, or `None` if writing failed.
+    pub fn dump_flight(&mut self, reason: &str) -> Option<PathBuf> {
+        let stderr = self.port.engine_stderr_tail();
+        self.port.dump_flight_with(reason, stderr)
+    }
+
+    /// Estimates the engine↔tracker clock offset from `rounds` Ping
+    /// roundtrips (the tightest roundtrip wins; see [`obs::ClockSync`]).
+    /// Returns the estimate, also available via
+    /// [`MiTracker::clock_offset_us`].
+    ///
+    /// # Errors
+    ///
+    /// Fails as any engine call does (degraded session, lost engine).
+    pub fn sync_clock(&mut self, rounds: u32) -> Result<Option<i64>> {
+        for _ in 0..rounds.max(1) {
+            let send = self.obs.now_us();
+            match self.port.call(Command::Ping)? {
+                Response::Pong { now_us } => {
+                    let recv = self.obs.now_us();
+                    self.port.clock.sample(send, recv, now_us);
+                }
+                other => return Err(refusal(other)),
+            }
+        }
+        Ok(self.port.clock.offset_us())
+    }
+
+    /// `engine_clock − tracker_clock` in microseconds, once
+    /// [`MiTracker::sync_clock`] or a telemetry drain has sampled it.
+    pub fn clock_offset_us(&self) -> Option<i64> {
+        self.port.clock.offset_us()
+    }
+
+    /// Drains engine-side telemetry over `Command::Telemetry`: mirrors
+    /// the engine's cumulative counters and gauges into this tracker's
+    /// registry as `engine.*` gauges (set semantics — re-delivery after
+    /// a supervised retry or respawn cannot double-count) and appends
+    /// new engine trace events for [`MiTracker::write_merged_trace`].
+    /// Also feeds the clock-offset estimator. Returns the raw frame.
+    ///
+    /// In-process sessions share the tracker's registry, so their frames
+    /// echo it back; the drain stays well-defined but is only
+    /// interesting for process-deployed engines.
+    ///
+    /// # Errors
+    ///
+    /// Fails as any engine call does (degraded session, lost engine).
+    pub fn drain_telemetry(&mut self) -> Result<obs::TelemetryFrame> {
+        let send = self.obs.now_us();
+        let since = self.port.telemetry_since;
+        match self.port.call(Command::Telemetry { since })? {
+            Response::Telemetry(frame) => {
+                let recv = self.obs.now_us();
+                let frame = *frame;
+                let port = &mut self.port;
+                port.clock.sample(send, recv, frame.now_us);
+                port.telemetry_since = frame.next_event;
+                if frame.lost_events > 0 {
+                    self.obs.add("mi.telemetry.lost_events", frame.lost_events);
+                }
+                port.engine_events.extend(frame.events.iter().cloned());
+                for (name, v) in frame.counters.iter().chain(frame.gauges.iter()) {
+                    self.obs.set_gauge(&format!("engine.{name}"), *v);
+                }
+                Ok(frame)
+            }
+            other => Err(refusal(other)),
+        }
+    }
+
+    /// Engine-side trace events drained so far (engine-clock timestamps;
+    /// [`MiTracker::write_merged_trace`] re-stamps them).
+    pub fn engine_trace_events(&self) -> &[obs::TraceEvent] {
+        &self.port.engine_events
+    }
+
+    /// Writes one Chrome trace with two process lanes — `tracker_events`
+    /// (from a [`obs::ChromeTraceSink`] attached to this tracker's
+    /// registry) and the drained engine events shifted onto the tracker
+    /// timeline by the estimated clock offset.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from writing `path`.
+    pub fn write_merged_trace(
+        &self,
+        path: &Path,
+        tracker_events: &[obs::TraceEvent],
+    ) -> std::io::Result<()> {
+        obs::save_merged_trace(
+            path,
+            tracker_events,
+            &self.port.engine_events,
+            self.port.clock.offset_us().unwrap_or(0),
+        )
+    }
+}
+
+impl SupervisedPort {
+    /// A port with no engine attached yet.
+    fn new(
+        spec: Option<ProgramSpec>,
+        wrapper: Option<PortWrapper>,
+        cfg: Supervision,
+        registry: obs::Registry,
+    ) -> Self {
+        SupervisedPort {
+            backend: None,
+            spec,
+            wrapper,
+            cfg,
+            journal: Vec::new(),
+            drained: String::new(),
+            pending_output: String::new(),
+            health: SessionHealth::Healthy,
+            respawns_used: 0,
+            rng: cfg.jitter_seed | 1,
+            last_pause: PauseReason::NotStarted,
+            obs: registry,
+            flight: obs::FlightRecorder::new(256),
+            clock: obs::ClockSync::new(),
+            engine_events: Vec::new(),
+            telemetry_since: 0,
+            profile_since: 0,
+            dump_dir: None,
+            last_dump: None,
+        }
     }
 
     /// Builds a fresh backend from the spec. A host that refuses the open
@@ -668,60 +997,8 @@ impl MiTracker {
         ))
     }
 
-    /// The registry this tracker reports into.
-    pub fn registry(&self) -> &obs::Registry {
-        &self.obs
-    }
-
-    /// Whether the session can still vouch for its answers.
-    pub fn health(&self) -> &SessionHealth {
-        &self.health
-    }
-
-    /// Engine respawns performed so far.
-    pub fn respawns(&self) -> u32 {
-        self.respawns_used
-    }
-
-    /// OS pid of the `mi-server` child, for process-deployed sessions.
-    /// Fault-injection tests use this to kill the engine out from under
-    /// the tracker.
-    pub fn engine_pid(&self) -> Option<u32> {
-        match &self.backend {
-            Some(Backend {
-                engine: EngineKind::Child { child, .. },
-                ..
-            }) => Some(child.id()),
-            Some(Backend {
-                engine: EngineKind::HostSession { host, .. },
-                ..
-            }) => host.host_pid(),
-            _ => None,
-        }
-    }
-
-    /// The host-assigned session id, for trackers deployed into a shared
-    /// multi-session host. Chaos tests use this to kill one session out
-    /// from under its tracker without touching the host's other tenants.
-    pub fn host_session_id(&self) -> Option<u64> {
-        match &self.backend {
-            Some(Backend {
-                engine: EngineKind::HostSession { session, .. },
-                ..
-            }) => Some(*session),
-            _ => None,
-        }
-    }
-
-    /// One bounded liveness probe of the MI boundary (`Ping`/`Pong`,
-    /// answered by the serve loop without touching the engine). A miss
-    /// bumps the `mi.heartbeat_misses` counter.
-    ///
-    /// # Errors
-    ///
-    /// [`TrackerError::Protocol`] describing the miss; also fails on
-    /// degraded or terminated sessions.
-    pub fn heartbeat(&mut self) -> Result<()> {
+    /// See [`MiTracker::heartbeat`].
+    fn heartbeat(&mut self) -> Result<()> {
         if let SessionHealth::Degraded { reason } = &self.health {
             return Err(TrackerError::SessionDegraded(reason.clone()));
         }
@@ -739,225 +1016,6 @@ impl MiTracker {
         self.flight
             .record("heartbeat-miss", "ping deadline expired");
         Err(miss.into())
-    }
-
-    /// Sets hard per-session resource budgets (`None` leaves a resource
-    /// unlimited): VM steps and live heap bytes are enforced in-engine,
-    /// wall-clock by the serve core (between fuel slices, for dedicated
-    /// and hosted engines alike), command-queue depth by the session host
-    /// only (a dedicated engine has no queue). Exceeding
-    /// any of them surfaces as [`TrackerError::ResourceExhausted`] and
-    /// ends the session. Journaled as configuration, so recovery
-    /// re-applies the budgets before replaying execution.
-    ///
-    /// # Errors
-    ///
-    /// [`TrackerError::Protocol`] on an unexpected acknowledgement;
-    /// engine/session errors as usual.
-    pub fn set_limits(
-        &mut self,
-        max_steps: Option<u64>,
-        max_heap_bytes: Option<u64>,
-        max_wall_ms: Option<u64>,
-        max_queue_depth: Option<u64>,
-    ) -> Result<()> {
-        self.configure(Command::SetLimits {
-            max_steps,
-            max_heap_bytes,
-            max_wall_ms,
-            max_queue_depth,
-        })
-    }
-
-    /// Arms engine-side trace recording with the given keyframe cadence.
-    /// Must precede [`Tracker::start`]. Journaled as configuration: a
-    /// respawned engine re-arms before the journal replays, so the
-    /// rebuilt recording covers the same pauses.
-    ///
-    /// # Errors
-    ///
-    /// [`TrackerError::Engine`] when already started; protocol errors as
-    /// usual.
-    pub fn record(&mut self, keyframe_every: u32) -> Result<()> {
-        self.configure(Command::Record { keyframe_every })
-    }
-
-    /// Jumps the engine's inspection cursor to recorded pause `pause` —
-    /// O(log n) through the store's keyframe index. Subsequent state
-    /// inspections answer from the recording; any control call snaps
-    /// back to the live position. Returns the recorded pause reason.
-    ///
-    /// # Errors
-    ///
-    /// [`TrackerError::Engine`] when nothing is recorded or the pause is
-    /// out of range.
-    pub fn seek(&mut self, pause: u64) -> Result<PauseReason> {
-        match self.call(Command::Seek { pause })? {
-            Response::Paused(reason) => Ok(reason),
-            other => Err(TrackerError::Protocol(format!(
-                "expected pause report, got {other:?}"
-            ))),
-        }
-    }
-
-    /// All recorded writes to `variable` in `[from, to]` (defaults: the
-    /// whole recording), answered from the store's write index without
-    /// replaying.
-    ///
-    /// # Errors
-    ///
-    /// [`TrackerError::Engine`] when nothing is recorded.
-    pub fn query_history(
-        &mut self,
-        variable: &str,
-        from: Option<u64>,
-        to: Option<u64>,
-    ) -> Result<Vec<trace::HistoryHit>> {
-        match self.inspect(Command::QueryHistory {
-            variable: variable.into(),
-            from,
-            to,
-            last_only: false,
-        })? {
-            Response::History { hits } => Ok(hits),
-            other => Err(TrackerError::Protocol(format!(
-                "expected history, got {other:?}"
-            ))),
-        }
-    }
-
-    /// The most recent recorded write to `variable` at or before
-    /// `before` (default: end of recording), if any.
-    ///
-    /// # Errors
-    ///
-    /// [`TrackerError::Engine`] when nothing is recorded.
-    pub fn last_change(
-        &mut self,
-        variable: &str,
-        before: Option<u64>,
-    ) -> Result<Option<trace::HistoryHit>> {
-        match self.inspect(Command::QueryHistory {
-            variable: variable.into(),
-            from: None,
-            to: before,
-            last_only: true,
-        })? {
-            Response::History { hits } => Ok(hits.into_iter().next()),
-            other => Err(TrackerError::Protocol(format!(
-                "expected history, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Recording statistics: `(pauses, keyframes, serialized_bytes)`.
-    ///
-    /// # Errors
-    ///
-    /// [`TrackerError::Engine`] when nothing is recorded.
-    pub fn trace_stats(&mut self) -> Result<(u64, u64, u64)> {
-        match self.inspect(Command::TraceStats)? {
-            Response::TraceStats {
-                pauses,
-                keyframes,
-                bytes,
-            } => Ok((pauses, keyframes, bytes)),
-            other => Err(TrackerError::Protocol(format!(
-                "expected trace stats, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Publishes the session's recording on the host's trace shelf under
-    /// `name`, where [`mi::HostHandle::open_replay`] sessions can scrub
-    /// it. Only meaningful for hosted sessions.
-    ///
-    /// # Errors
-    ///
-    /// [`TrackerError::Engine`] when there is no shelf (not hosted) or
-    /// no recording.
-    pub fn publish_trace(&mut self, name: &str) -> Result<()> {
-        match self.call(Command::PublishTrace { name: name.into() })? {
-            Response::Ok => Ok(()),
-            other => Err(TrackerError::Protocol(format!(
-                "expected acknowledgement, got {other:?}"
-            ))),
-        }
-    }
-
-    /// The tracker's one supervising loop: `exchange` applies the
-    /// deadline and the retries; a lost engine is then respawned, the
-    /// journal replayed and the command re-issued, within the respawn
-    /// budget.
-    fn call(&mut self, command: Command) -> Result<Response> {
-        if let SessionHealth::Degraded { reason } = &self.health {
-            return Err(TrackerError::SessionDegraded(reason.clone()));
-        }
-        self.flight.record("cmd", command.kind());
-        loop {
-            if self.backend.is_none() {
-                return Err(TrackerError::Engine("tracker already terminated".into()));
-            }
-            match self.exchange(&command) {
-                Ok(Response::Error { message }) => {
-                    self.flight.record("resp", format!("Error: {message}"));
-                    return Err(TrackerError::Engine(message));
-                }
-                Ok(Response::ResourceExhausted { which, used, limit }) => {
-                    // A hard budget tripped. Execution is deterministic,
-                    // so recovery-by-replay would burn the same budget
-                    // again: degrade loudly instead, with the budget
-                    // state in the flight dump for the post-mortem.
-                    self.obs.inc("mi.budget_exhausted");
-                    self.flight
-                        .record("budget", format!("{which} used {used} of {limit}"));
-                    let _ = self.degrade(
-                        format!("resource budget exhausted: {which} {used}/{limit}"),
-                        None,
-                    );
-                    return Err(TrackerError::ResourceExhausted {
-                        which: which.name().into(),
-                        used,
-                        limit,
-                    });
-                }
-                Ok(resp @ (Response::Overloaded { .. } | Response::QueueFull { .. })) => {
-                    // The exchange already retried with backoff; a
-                    // rejection surviving that is worth reporting, but
-                    // nothing executed — the session is still healthy
-                    // and the caller may simply try again later.
-                    self.flight.record("resp", resp.summary());
-                    return Err(TrackerError::Overloaded(resp.summary()));
-                }
-                Ok(resp) => {
-                    self.flight.record("resp", resp.summary());
-                    return Ok(resp);
-                }
-                Err(e) => {
-                    let backend = self.backend.as_mut().expect("exchange keeps the backend");
-                    let e = classify_failure(e, &mut backend.engine);
-                    self.flight
-                        .record("fault", format!("{} failed: {e}", command.kind()));
-                    let recoverable = self.spec.is_some()
-                        && matches!(
-                            e,
-                            MiError::Timeout | MiError::Disconnected | MiError::EngineDied { .. }
-                        );
-                    if !recoverable {
-                        if let MiError::EngineDied { stderr, .. } = &e {
-                            let tail = stderr.clone();
-                            self.dump_flight_with(&e.to_string(), Some(tail));
-                        }
-                        return Err(e.into());
-                    }
-                    // Respawn, replay the journal, then re-issue the
-                    // failed command against the re-established state.
-                    // The loop is bounded: every pass through recover()
-                    // consumes respawn budget, which never resets.
-                    self.recover(&e)?;
-                }
-            }
-        }
     }
 
     /// One exchange with the live engine, under the per-command deadline.
@@ -1217,101 +1275,6 @@ impl MiTracker {
         }
     }
 
-    /// Sends a configuration command and, once acknowledged, journals it
-    /// so a respawned engine is configured the same way before replay.
-    fn configure(&mut self, cmd: Command) -> Result<()> {
-        match self.call(cmd.clone())? {
-            Response::Ok => {
-                if self.spec.is_some() {
-                    self.journal.push(JournalEntry::Config { cmd });
-                }
-                Ok(())
-            }
-            other => Err(TrackerError::Protocol(format!(
-                "expected acknowledgement, got {other:?}"
-            ))),
-        }
-    }
-
-    fn inspect(&mut self, command: Command) -> Result<Response> {
-        self.obs.inc(&format!("tracker.inspect.{}", command.kind()));
-        self.call(command)
-    }
-
-    fn control(&mut self, command: Command) -> Result<PauseReason> {
-        let mut span = self.obs.span(format!("tracker.control.{}", command.kind()));
-        span.category("tracker");
-        match self.call(command.clone())? {
-            Response::Paused(reason) => {
-                span.tag("pause_reason", reason.tag());
-                if let PauseReason::Sanitizer { diagnostic } = &reason {
-                    self.flight.record("trap", format!("{diagnostic:?}"));
-                }
-                self.flight.record("pause", reason.to_string());
-                self.last_reason = reason.clone();
-                if self.spec.is_some() {
-                    self.journal.push(JournalEntry::Control {
-                        cmd: command,
-                        reason: reason.clone(),
-                    });
-                }
-                Ok(reason)
-            }
-            other => Err(TrackerError::Protocol(format!(
-                "expected pause report, got {other:?}"
-            ))),
-        }
-    }
-
-    fn created(&mut self, command: Command) -> Result<ControlPointId> {
-        self.obs
-            .inc(&format!("tracker.control_point.{}", command.kind()));
-        match self.call(command.clone())? {
-            Response::Created { id } => {
-                if self.spec.is_some() {
-                    self.journal.push(JournalEntry::Arm { cmd: command, id });
-                }
-                Ok(id)
-            }
-            other => Err(TrackerError::Protocol(format!(
-                "expected creation report, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Bytes shipped across the MI boundary so far (bench metric).
-    pub fn bytes_transferred(&self) -> u64 {
-        self.backend
-            .as_ref()
-            .map(|b| b.port.counters().bytes_total())
-            .unwrap_or(0)
-    }
-
-    /// This session's flight recorder: commands, replies, retries,
-    /// heartbeat misses and respawns all land in this one ring.
-    pub fn flight_recorder(&self) -> &obs::FlightRecorder {
-        &self.flight
-    }
-
-    /// Overrides where post-mortem flight dumps are written. Default:
-    /// `EASYTRACKER_DUMP_DIR`, falling back to the system temp dir.
-    pub fn set_dump_dir(&mut self, dir: impl Into<PathBuf>) {
-        self.dump_dir = Some(dir.into());
-    }
-
-    /// The most recent post-mortem dump written by this session.
-    pub fn last_flight_dump(&self) -> Option<&Path> {
-        self.last_dump.as_deref()
-    }
-
-    /// Writes a post-mortem flight dump now (chaos/conformance harnesses
-    /// call this when a *check* fails even though the session itself is
-    /// healthy). Returns the dump path, or `None` if writing failed.
-    pub fn dump_flight(&mut self, reason: &str) -> Option<PathBuf> {
-        let stderr = self.engine_stderr_tail();
-        self.dump_flight_with(reason, stderr)
-    }
-
     fn dump_flight_with(&mut self, reason: &str, engine_stderr: Option<String>) -> Option<PathBuf> {
         let stderr = engine_stderr.unwrap_or_default();
         let log = self.flight.log();
@@ -1322,7 +1285,7 @@ impl MiTracker {
                 .last_of("cmd")
                 .map(|e| e.detail.clone())
                 .unwrap_or_default(),
-            last_pause: self.last_reason.to_string(),
+            last_pause: self.last_pause.to_string(),
             respawns: u64::from(self.respawns_used),
             log,
             engine_log: obs::extract_last_gasp(&stderr),
@@ -1342,195 +1305,84 @@ impl MiTracker {
         }
     }
 
-    /// Estimates the engine↔tracker clock offset from `rounds` Ping
-    /// roundtrips (the tightest roundtrip wins; see [`obs::ClockSync`]).
-    /// Returns the estimate, also available via
-    /// [`MiTracker::clock_offset_us`].
-    ///
-    /// # Errors
-    ///
-    /// Fails as any engine call does (degraded session, lost engine).
-    pub fn sync_clock(&mut self, rounds: u32) -> Result<Option<i64>> {
-        for _ in 0..rounds.max(1) {
-            let send = self.obs.now_us();
-            match self.call(Command::Ping)? {
-                Response::Pong { now_us } => {
-                    let recv = self.obs.now_us();
-                    self.clock.sample(send, recv, now_us);
+    /// Books a command's answer before it goes back to the adapter:
+    /// journals what a respawned engine must re-run, records pauses and
+    /// traps in the flight ring, hands recovered output out first, and
+    /// keeps the profile cursor.
+    fn settle(&mut self, command: Command, resp: Response) -> Response {
+        let entry = match (&command, &resp) {
+            (
+                Command::Start | Command::Resume | Command::Step | Command::Next | Command::Finish,
+                Response::Paused(reason),
+            ) => {
+                if let PauseReason::Sanitizer { diagnostic } = reason {
+                    self.flight.record("trap", format!("{diagnostic:?}"));
                 }
-                other => {
-                    return Err(TrackerError::Protocol(format!(
-                        "expected Pong, got {other:?}"
-                    )))
+                self.flight.record("pause", reason.to_string());
+                self.last_pause = reason.clone();
+                let reason = reason.clone();
+                JournalEntry::Control {
+                    cmd: command,
+                    reason,
                 }
             }
-        }
-        Ok(self.clock.offset_us())
-    }
-
-    /// `engine_clock − tracker_clock` in microseconds, once
-    /// [`MiTracker::sync_clock`] or a telemetry drain has sampled it.
-    pub fn clock_offset_us(&self) -> Option<i64> {
-        self.clock.offset_us()
-    }
-
-    /// Drains engine-side telemetry over `Command::Telemetry`: mirrors
-    /// the engine's cumulative counters and gauges into this tracker's
-    /// registry as `engine.*` gauges (set semantics — re-delivery after
-    /// a supervised retry or respawn cannot double-count) and appends
-    /// new engine trace events for [`MiTracker::write_merged_trace`].
-    /// Also feeds the clock-offset estimator. Returns the raw frame.
-    ///
-    /// In-process sessions share the tracker's registry, so their frames
-    /// echo it back; the drain stays well-defined but is only
-    /// interesting for process-deployed engines.
-    ///
-    /// # Errors
-    ///
-    /// Fails as any engine call does (degraded session, lost engine).
-    pub fn drain_telemetry(&mut self) -> Result<obs::TelemetryFrame> {
-        let send = self.obs.now_us();
-        let since = self.telemetry_since;
-        match self.call(Command::Telemetry { since })? {
-            Response::Telemetry(frame) => {
-                let recv = self.obs.now_us();
-                let frame = *frame;
-                self.clock.sample(send, recv, frame.now_us);
-                self.telemetry_since = frame.next_event;
-                if frame.lost_events > 0 {
-                    self.obs.add("mi.telemetry.lost_events", frame.lost_events);
-                }
-                self.engine_events.extend(frame.events.iter().cloned());
-                for (name, v) in frame.counters.iter().chain(frame.gauges.iter()) {
-                    self.obs.set_gauge(&format!("engine.{name}"), *v);
-                }
-                Ok(frame)
-            }
-            other => Err(TrackerError::Protocol(format!(
-                "expected telemetry frame, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Engine-side trace events drained so far (engine-clock timestamps;
-    /// [`MiTracker::write_merged_trace`] re-stamps them).
-    pub fn engine_trace_events(&self) -> &[obs::TraceEvent] {
-        &self.engine_events
-    }
-
-    /// Writes one Chrome trace with two process lanes — `tracker_events`
-    /// (from a [`obs::ChromeTraceSink`] attached to this tracker's
-    /// registry) and the drained engine events shifted onto the tracker
-    /// timeline by the estimated clock offset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing `path`.
-    pub fn write_merged_trace(
-        &self,
-        path: &Path,
-        tracker_events: &[obs::TraceEvent],
-    ) -> std::io::Result<()> {
-        obs::save_merged_trace(
-            path,
-            tracker_events,
-            &self.engine_events,
-            self.clock.offset_us().unwrap_or(0),
-        )
-    }
-}
-
-/// Upgrades a bare transport failure to [`MiError::EngineDied`] when the
-/// child process is confirmed gone, attaching its exit status and stderr
-/// tail.
-fn classify_failure(e: MiError, engine: &mut EngineKind) -> MiError {
-    if !matches!(e, MiError::Disconnected | MiError::Timeout) {
-        return e;
-    }
-    match engine {
-        EngineKind::Child { child, stderr, .. } => match child.try_wait() {
-            Ok(Some(status)) => MiError::EngineDied {
-                exit: status.code(),
-                stderr: stderr.lock().unwrap().clone(),
+            (
+                Command::SetBreakLine { .. }
+                | Command::SetBreakFunc { .. }
+                | Command::TrackFunction { .. }
+                | Command::Watch { .. },
+                Response::Created { id },
+            ) => JournalEntry::Arm {
+                id: *id,
+                cmd: command,
             },
-            _ => e,
-        },
-        // Under a shared host the failure may be session-scoped (the
-        // host is fine, only this session ended) or process-scoped; only
-        // a confirmed-dead host child upgrades to EngineDied.
-        EngineKind::HostSession { host, .. } => match host.engine_died() {
-            Some((exit, stderr)) => MiError::EngineDied { exit, stderr },
-            None => e,
-        },
-        _ => e,
-    }
-}
-
-impl Tracker for MiTracker {
-    fn start(&mut self) -> Result<PauseReason> {
-        let r = self.control(Command::Start)?;
-        self.started = true;
-        Ok(r)
-    }
-
-    fn resume(&mut self) -> Result<PauseReason> {
-        self.control(Command::Resume)
-    }
-
-    fn step(&mut self) -> Result<PauseReason> {
-        self.control(Command::Step)
-    }
-
-    fn next(&mut self) -> Result<PauseReason> {
-        self.control(Command::Next)
-    }
-
-    fn finish(&mut self) -> Result<PauseReason> {
-        self.control(Command::Finish)
-    }
-
-    fn break_before_line(&mut self, line: u32) -> Result<ControlPointId> {
-        self.created(Command::SetBreakLine { line })
-    }
-
-    fn break_before_func(
-        &mut self,
-        function: &str,
-        maxdepth: Option<u32>,
-    ) -> Result<ControlPointId> {
-        self.created(Command::SetBreakFunc {
-            function: function.to_owned(),
-            maxdepth,
-        })
-    }
-
-    fn track_function(&mut self, function: &str, maxdepth: Option<u32>) -> Result<ControlPointId> {
-        self.created(Command::TrackFunction {
-            function: function.to_owned(),
-            maxdepth,
-        })
-    }
-
-    fn watch(&mut self, variable: &str) -> Result<ControlPointId> {
-        self.created(Command::Watch {
-            variable: variable.to_owned(),
-        })
-    }
-
-    fn remove(&mut self, id: ControlPointId) -> Result<()> {
-        self.call(Command::Delete { id })?;
+            (Command::Delete { id }, Response::Ok) => JournalEntry::Disarm { id: *id },
+            (
+                Command::SetSanitizer { .. }
+                | Command::SetProfile { .. }
+                | Command::SetLimits { .. }
+                | Command::Record { .. },
+                Response::Ok,
+            ) => {
+                if let Command::SetProfile { .. } = command {
+                    self.profile_since = 0;
+                }
+                JournalEntry::Config { cmd: command }
+            }
+            (Command::GetOutput, Response::Output(fresh)) => {
+                // Output recovered during a respawn is delivered first;
+                // `drained` tracks the full stream the user has seen so
+                // reconciliation after the *next* crash has a baseline.
+                let mut out = std::mem::take(&mut self.pending_output);
+                out.push_str(fresh);
+                self.drained.push_str(&out);
+                return Response::Output(out);
+            }
+            (Command::ProfileReport { since }, Response::Profile(report)) => {
+                if report.units < *since {
+                    // A report behind our cursor means the engine
+                    // restarted its profile without us noticing a
+                    // recovery; count it, it should not happen.
+                    self.obs.inc("mi.profile.rewinds");
+                }
+                self.profile_since = report.next;
+                return resp;
+            }
+            _ => return resp,
+        };
         if self.spec.is_some() {
-            self.journal.push(JournalEntry::Disarm { id });
+            self.journal.push(entry);
         }
-        Ok(())
+        resp
     }
 
-    fn terminate(&mut self) {
+    /// Ends the session: a bounded farewell, sent exactly once and never
+    /// retried (a wedged engine must not block terminate, or drop, for
+    /// more than its one deadline), then teardown. Idempotent.
+    fn farewell(&mut self) {
         let Some(Backend { mut port, engine }) = self.backend.take() else {
             return;
         };
-        // Bounded farewell, sent exactly once: a wedged engine must not
-        // block terminate (or Drop) for more than its one deadline.
         let farewell = port.call_deadline(Command::Terminate, Some(Duration::from_secs(2)));
         drop(port);
         match engine {
@@ -1575,163 +1427,132 @@ impl Tracker for MiTracker {
             EngineKind::External => {}
         }
     }
+}
 
-    fn pause_reason(&self) -> PauseReason {
-        self.last_reason.clone()
-    }
+/// The supervisor as the adapter's port: C and asm engines, with
+/// registers, memory, analysis and the sanitizer.
+impl EnginePort for SupervisedPort {
+    const LOW_LEVEL: bool = true;
 
-    fn get_current_frame(&mut self) -> Result<Frame> {
-        Ok(self.get_state()?.frame)
-    }
-
-    fn get_state(&mut self) -> Result<ProgramState> {
-        match self.inspect(Command::GetState)? {
-            Response::State(st) => Ok(*st),
-            other => Err(TrackerError::Protocol(format!(
-                "expected state, got {other:?}"
-            ))),
-        }
-    }
-
-    fn get_global_variables(&mut self) -> Result<Vec<Variable>> {
-        match self.inspect(Command::GetGlobals)? {
-            Response::Globals(gs) => Ok(gs),
-            other => Err(TrackerError::Protocol(format!(
-                "expected globals, got {other:?}"
-            ))),
-        }
-    }
-
-    fn get_variable(&mut self, name: &str) -> Result<Option<Variable>> {
-        match self.inspect(Command::GetVariable {
-            name: name.to_owned(),
-        })? {
-            Response::Variable(v) => Ok(v),
-            other => Err(TrackerError::Protocol(format!(
-                "expected variable, got {other:?}"
-            ))),
-        }
-    }
-
-    fn get_exit_code(&mut self) -> Option<i64> {
-        match self.inspect(Command::GetExitCode) {
-            Ok(Response::ExitCode(c)) => c,
-            _ => None,
-        }
-    }
-
-    fn get_output(&mut self) -> Result<String> {
-        match self.inspect(Command::GetOutput)? {
-            Response::Output(o) => {
-                // Output recovered during a respawn is delivered first;
-                // `drained` tracks the full stream the user has seen so
-                // reconciliation after the *next* crash has a baseline.
-                let mut out = std::mem::take(&mut self.pending_output);
-                out.push_str(&o);
-                self.drained.push_str(&out);
-                Ok(out)
+    /// The tracker's one supervising loop: `exchange` applies the
+    /// deadline and the retries; a lost engine is then respawned, the
+    /// journal replayed and the command re-issued, within the respawn
+    /// budget. `Terminate` is the one farewell instead, and a
+    /// `ProfileReport` asks from the port's own cursor.
+    fn call(&mut self, command: Command) -> Result<Response> {
+        let command = match command {
+            Command::Terminate => {
+                self.farewell();
+                return Ok(Response::Ok);
             }
-            other => Err(TrackerError::Protocol(format!(
-                "expected output, got {other:?}"
-            ))),
+            Command::ProfileReport { .. } => Command::ProfileReport {
+                since: self.profile_since,
+            },
+            command => command,
+        };
+        if let SessionHealth::Degraded { reason } = &self.health {
+            return Err(TrackerError::SessionDegraded(reason.clone()));
         }
-    }
-
-    fn get_source(&mut self) -> Result<(String, String)> {
-        match self.inspect(Command::GetSource)? {
-            Response::Source { file, text } => Ok((file, text)),
-            other => Err(TrackerError::Protocol(format!(
-                "expected source, got {other:?}"
-            ))),
-        }
-    }
-
-    fn breakable_lines(&mut self) -> Result<Vec<u32>> {
-        match self.inspect(Command::GetBreakableLines)? {
-            Response::Lines(lines) => Ok(lines),
-            other => Err(TrackerError::Protocol(format!(
-                "expected lines, got {other:?}"
-            ))),
-        }
-    }
-
-    fn low_level(&mut self) -> Option<&mut dyn LowLevel> {
-        Some(self)
-    }
-
-    fn diagnostics(&mut self) -> Result<Vec<state::Diagnostic>> {
-        match self.inspect(Command::Analyze)? {
-            Response::Diagnostics(diags) => Ok(diags),
-            other => Err(TrackerError::Protocol(format!(
-                "expected diagnostics, got {other:?}"
-            ))),
-        }
-    }
-
-    fn set_sanitizer(&mut self, on: bool) -> Result<()> {
-        self.configure(Command::SetSanitizer { on })
-    }
-
-    fn set_profile(&mut self, mode: obs::ProfileMode, period: u64) -> Result<()> {
-        self.configure(Command::SetProfile { mode, period })?;
-        self.profile_since = 0;
-        Ok(())
-    }
-
-    fn profile(&mut self) -> Result<obs::ProfileReport> {
-        let since = self.profile_since;
-        match self.inspect(Command::ProfileReport { since })? {
-            Response::Profile(report) => {
-                let report = *report;
-                if report.units < since {
-                    // A report behind our cursor means the engine
-                    // restarted its profile without us noticing a
-                    // recovery; count it, it should not happen.
-                    self.obs.inc("mi.profile.rewinds");
+        self.flight.record("cmd", command.kind());
+        loop {
+            if self.backend.is_none() {
+                return Err(TrackerError::Engine("tracker already terminated".into()));
+            }
+            match self.exchange(&command) {
+                Ok(Response::ResourceExhausted { which, used, limit }) => {
+                    // A hard budget tripped. Execution is deterministic,
+                    // so recovery-by-replay would burn the same budget
+                    // again: degrade loudly instead, with the budget
+                    // state in the flight dump for the post-mortem.
+                    self.obs.inc("mi.budget_exhausted");
+                    self.flight
+                        .record("budget", format!("{which} used {used} of {limit}"));
+                    let _ = self.degrade(
+                        format!("resource budget exhausted: {which} {used}/{limit}"),
+                        None,
+                    );
+                    return Err(TrackerError::ResourceExhausted {
+                        which: which.name().into(),
+                        used,
+                        limit,
+                    });
                 }
-                self.profile_since = report.next;
-                Ok(report)
+                Ok(resp @ (Response::Overloaded { .. } | Response::QueueFull { .. })) => {
+                    // The exchange already retried with backoff; a
+                    // rejection surviving that is worth reporting, but
+                    // nothing executed — the session is still healthy
+                    // and the caller may simply try again later.
+                    self.flight.record("resp", resp.summary());
+                    return Err(TrackerError::Overloaded(resp.summary()));
+                }
+                Ok(resp) => {
+                    self.flight.record("resp", resp.summary());
+                    return Ok(self.settle(command, resp));
+                }
+                Err(e) => {
+                    let backend = self.backend.as_mut().expect("exchange keeps the backend");
+                    let e = classify_failure(e, &mut backend.engine);
+                    self.flight
+                        .record("fault", format!("{} failed: {e}", command.kind()));
+                    let recoverable = self.spec.is_some()
+                        && matches!(
+                            e,
+                            MiError::Timeout | MiError::Disconnected | MiError::EngineDied { .. }
+                        );
+                    if !recoverable {
+                        if let MiError::EngineDied { stderr, .. } = &e {
+                            let tail = stderr.clone();
+                            self.dump_flight_with(&e.to_string(), Some(tail));
+                        }
+                        return Err(e.into());
+                    }
+                    // Respawn, replay the journal, then re-issue the
+                    // failed command against the re-established state.
+                    // The loop is bounded: every pass through recover()
+                    // consumes respawn budget, which never resets.
+                    self.recover(&e)?;
+                }
             }
-            other => Err(TrackerError::Protocol(format!(
-                "expected profile report, got {other:?}"
-            ))),
-        }
-    }
-
-    fn stats(&self) -> obs::Snapshot {
-        self.obs.snapshot()
-    }
-}
-
-impl LowLevel for MiTracker {
-    fn registers(&mut self) -> Result<Vec<Variable>> {
-        match self.inspect(Command::GetRegisters)? {
-            Response::Registers(regs) => Ok(regs),
-            other => Err(TrackerError::Protocol(format!(
-                "expected registers, got {other:?}"
-            ))),
-        }
-    }
-
-    fn read_memory(&mut self, addr: u64, len: u64) -> Result<Vec<u8>> {
-        match self.inspect(Command::ReadMemory { addr, len })? {
-            Response::Memory(bytes) => Ok(bytes),
-            other => Err(TrackerError::Protocol(format!(
-                "expected memory, got {other:?}"
-            ))),
         }
     }
 }
 
-impl Drop for MiTracker {
+/// Upgrades a bare transport failure to [`MiError::EngineDied`] when the
+/// child process is confirmed gone, attaching its exit status and stderr
+/// tail.
+fn classify_failure(e: MiError, engine: &mut EngineKind) -> MiError {
+    if !matches!(e, MiError::Disconnected | MiError::Timeout) {
+        return e;
+    }
+    match engine {
+        EngineKind::Child { child, stderr, .. } => match child.try_wait() {
+            Ok(Some(status)) => MiError::EngineDied {
+                exit: status.code(),
+                stderr: stderr.lock().unwrap().clone(),
+            },
+            _ => e,
+        },
+        // Under a shared host the failure may be session-scoped (the
+        // host is fine, only this session ended) or process-scoped; only
+        // a confirmed-dead host child upgrades to EngineDied.
+        EngineKind::HostSession { host, .. } => match host.engine_died() {
+            Some((exit, stderr)) => MiError::EngineDied { exit, stderr },
+            None => e,
+        },
+        _ => e,
+    }
+}
+
+impl Drop for SupervisedPort {
     fn drop(&mut self) {
-        self.terminate();
+        self.farewell();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tracker;
     use state::{Content, ExitStatus, Prim};
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1802,7 +1623,7 @@ mod tests {
     #[test]
     fn engine_errors_surface() {
         let mut t = MiTracker::load_c("p.c", C_PROG).unwrap();
-        assert!(matches!(t.resume(), Err(TrackerError::Engine(_))));
+        assert!(matches!(t.resume(), Err(TrackerError::NotStarted)));
         t.start().unwrap();
         assert!(matches!(
             t.break_before_func("nope", None),

@@ -19,7 +19,7 @@
 //! [`ReplayTracker::writes_in`]) answer from the store's write index
 //! without replaying at all.
 
-use crate::{LocalTracker, Result, Tracker, TrackerError};
+use crate::{EngineTracker, Result, Tracker, TrackerError};
 use mi::{Command, Engine, Response};
 use serde::{Deserialize, Serialize};
 use state::{PauseReason, ProgramState};
@@ -119,7 +119,7 @@ impl Recording {
 /// An in-process adapter over [`mi::ReplayEngine`], the same replay
 /// engine hosted replay sessions run: each tracker call is one engine
 /// command, with no serialization or transport in between.
-pub type ReplayTracker = LocalTracker<mi::ReplayEngine>;
+pub type ReplayTracker = EngineTracker<mi::ReplayEngine>;
 
 impl ReplayTracker {
     /// Creates a replay tracker over a recording (folded into an
@@ -144,7 +144,7 @@ impl ReplayTracker {
 
     /// Like [`ReplayTracker::from_store`] with an explicit registry.
     pub fn from_store_with_registry(store: Arc<trace::Store>, registry: obs::Registry) -> Self {
-        let t = LocalTracker::over(mi::ReplayEngine::new(store, registry.clone()), registry);
+        let t = EngineTracker::over(mi::ReplayEngine::new(store, registry.clone()), registry);
         t.note_resident();
         t
     }
@@ -178,7 +178,7 @@ impl ReplayTracker {
 
     /// The shared store backing this tracker.
     pub fn store(&self) -> &Arc<trace::Store> {
-        self.engine.reader().store()
+        self.port.reader().store()
     }
 
     /// Number of recorded pauses.
@@ -194,7 +194,7 @@ impl ReplayTracker {
         let store = self.store();
         let steps = (0..store.len())
             .map_while(|i| {
-                let state = self.engine.reader().state_at(i).ok()?;
+                let state = self.port.reader().state_at(i).ok()?;
                 Some(RecordedStep {
                     state: (*state).clone(),
                     output_delta: store.output_range(i, i + 1).to_string(),
@@ -210,10 +210,8 @@ impl ReplayTracker {
     }
 
     fn note_resident(&self) {
-        self.obs.set_gauge(
-            "replay.resident_bytes",
-            self.engine.reader().resident_bytes(),
-        );
+        self.obs
+            .set_gauge("replay.resident_bytes", self.port.reader().resident_bytes());
     }
 
     // ---- time travel (paper §V: the RR-tracker future work) --------------
@@ -227,14 +225,16 @@ impl ReplayTracker {
     ///
     /// Fails before `start`.
     pub fn seek(&mut self, pause: u64) -> Result<PauseReason> {
-        let r = self.control("Seek", |e| match e.pause_reason() {
-            // Refused before `start`, like every other control call.
-            PauseReason::NotStarted => e.handle(Command::Step),
-            _ if pause < e.reader().store().len() => e.handle(Command::Seek { pause }),
-            _ => {
-                e.handle(Command::Terminate);
-                Response::Paused(e.pause_reason().clone())
-            }
+        let r = self.control("tracker.control.Seek", |e| {
+            Ok(match e.pause_reason() {
+                // Refused before `start`, like every other control call.
+                PauseReason::NotStarted => e.handle(Command::Step),
+                _ if pause < e.reader().store().len() => e.handle(Command::Seek { pause }),
+                _ => {
+                    e.handle(Command::Terminate);
+                    Response::Paused(e.pause_reason().clone())
+                }
+            })
         });
         self.note_resident();
         r
@@ -247,7 +247,7 @@ impl ReplayTracker {
     ///
     /// Fails before `start`.
     pub fn step_back(&mut self) -> Result<PauseReason> {
-        self.control("StepBack", mi::ReplayEngine::step_back)
+        self.control("tracker.control.StepBack", |e| Ok(e.step_back()))
     }
 
     /// Runs backwards until the previous control point (breakpoint,
@@ -258,7 +258,7 @@ impl ReplayTracker {
     ///
     /// Fails before `start`.
     pub fn resume_back(&mut self) -> Result<PauseReason> {
-        self.control("ResumeBack", mi::ReplayEngine::resume_back)
+        self.control("tracker.control.ResumeBack", |e| Ok(e.resume_back()))
     }
 
     // ---- history queries (no replay: the store's write index) ------------

@@ -4,7 +4,7 @@
 //! tracker (thread-based, in-process), the RISC-V tracker, and a replayed
 //! recording — asserting the same observable behaviour.
 
-use easytracker::{init_tracker, PauseReason, Recording, ReplayTracker, Tracker};
+use easytracker::{init_tracker, PauseReason, Recording, ReplayTracker, Tracker, TrackerError};
 
 /// Equivalent "sum of squares via a helper" programs in each language.
 const C_PROG: &str = "\
@@ -303,6 +303,74 @@ fn every_tracker_accepts_and_refuses_the_same_calls() {
             assert_eq!(row(t.as_mut()), succeeds, "{name}: {case}");
             t.terminate();
         }
+    }
+}
+
+/// A refusing `PARITY` case again, handing back the refusal.
+type Refusal = fn(&mut dyn Tracker) -> Result<(), TrackerError>;
+
+/// Every refusing `PARITY` case, in its order.
+const REFUSALS: &[(&str, Refusal)] = &[
+    ("start twice", |t| {
+        t.start().expect("first start");
+        t.start().map(drop)
+    }),
+    ("resume before start", |t| t.resume().map(drop)),
+    ("step before start", |t| t.step().map(drop)),
+    ("next before start", |t| t.next().map(drop)),
+    ("finish in the outermost frame", |t| {
+        t.start().expect("start");
+        t.finish().map(drop)
+    }),
+    ("remove of an unknown id", |t| t.remove(42)),
+    ("get_state before start", |t| t.get_state().map(drop)),
+    ("get_current_frame before start", |t| {
+        t.get_current_frame().map(drop)
+    }),
+    ("break_before_line past the last line", |t| {
+        t.break_before_line(9999).map(drop)
+    }),
+];
+
+#[test]
+fn every_tracker_refuses_alike_and_offers_its_own_capabilities() {
+    let refusing: Vec<&str> = PARITY
+        .iter()
+        .filter(|&&(_, _, succeeds)| !succeeds)
+        .map(|&(case, ..)| case)
+        .collect();
+    let cases: Vec<&str> = REFUSALS.iter().map(|&(case, _)| case).collect();
+    assert_eq!(cases, refusing, "one refusal per refusing PARITY case");
+    for &(case, row) in REFUSALS {
+        let mut first: Option<(&str, TrackerError)> = None;
+        for (name, mut t) in every_tracker() {
+            let err = row(t.as_mut()).expect_err(case);
+            t.terminate();
+            match &first {
+                None => first = Some((name, err)),
+                Some((first_name, first_err)) => assert_eq!(
+                    std::mem::discriminant(&err),
+                    std::mem::discriminant(first_err),
+                    "{case}: {name} answers {err:?}, {first_name} {first_err:?}"
+                ),
+            }
+        }
+    }
+    let unsupported = |r: Result<(), TrackerError>| matches!(r, Err(TrackerError::Unsupported(_)));
+    for (name, mut t) in every_tracker() {
+        let mi = matches!(name, "c" | "asm");
+        assert_eq!(t.low_level().is_some(), mi, "{name}: low_level");
+        assert_eq!(
+            unsupported(t.diagnostics().map(drop)),
+            !mi,
+            "{name}: diagnostics"
+        );
+        assert_eq!(
+            unsupported(t.set_sanitizer(true)),
+            !mi,
+            "{name}: set_sanitizer"
+        );
+        t.terminate();
     }
 }
 
