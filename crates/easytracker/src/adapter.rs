@@ -5,7 +5,7 @@
 //! replay), and the MI trackers' supervisor is one over a serialized,
 //! possibly remote boundary (C and asm, see [`crate::mi_tracker`]).
 
-use crate::{ControlPointId, LowLevel, Result, Tracker, TrackerError};
+use crate::{ControlPointId, Feature, LowLevel, Result, Tracker, TrackerError};
 use mi::py_engine::PyEngine;
 use mi::{Command, Engine, Response};
 use state::{Diagnostic, Frame, PauseReason, ProgramState, Variable};
@@ -300,9 +300,7 @@ impl<P: EnginePort> Tracker for EngineTracker<P> {
 
     fn diagnostics(&mut self) -> Result<Vec<Diagnostic>> {
         if !P::LOW_LEVEL {
-            return Err(TrackerError::Unsupported(
-                "static diagnostics are not available for this tracker".into(),
-            ));
+            return Err(Feature::Diagnostics.refused());
         }
         match self.inspect("tracker.inspect.Analyze", Command::Analyze)? {
             Response::Diagnostics(diags) => Ok(diags),
@@ -312,9 +310,7 @@ impl<P: EnginePort> Tracker for EngineTracker<P> {
 
     fn set_sanitizer(&mut self, on: bool) -> Result<()> {
         if !P::LOW_LEVEL {
-            return Err(TrackerError::Unsupported(
-                "sanitized execution is not available for this tracker".into(),
-            ));
+            return Err(Feature::Sanitizer.refused());
         }
         self.configure(Command::SetSanitizer { on })
     }

@@ -133,6 +133,27 @@ impl fmt::Display for TrackerError {
 
 impl std::error::Error for TrackerError {}
 
+/// An optional [`Tracker`] feature a tracker may lack.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Feature {
+    Diagnostics,
+    Sanitizer,
+    Profiler,
+}
+
+impl Feature {
+    /// The refusal of a tracker without this feature, written once for
+    /// the trait's defaults and the adapter.
+    pub(crate) fn refused(self) -> TrackerError {
+        let message = match self {
+            Feature::Diagnostics => "static diagnostics are not available for this tracker",
+            Feature::Sanitizer => "sanitized execution is not available for this tracker",
+            Feature::Profiler => "profiling is not available for this tracker",
+        };
+        TrackerError::Unsupported(message.into())
+    }
+}
+
 impl From<mi::MiError> for TrackerError {
     fn from(e: mi::MiError) -> Self {
         match e {
@@ -321,9 +342,7 @@ pub trait Tracker {
     /// [`TrackerError::Unsupported`] by default; MI trackers also fail
     /// when the engine is unreachable.
     fn diagnostics(&mut self) -> Result<Vec<Diagnostic>> {
-        Err(TrackerError::Unsupported(
-            "static diagnostics are not available for this tracker".into(),
-        ))
+        Err(Feature::Diagnostics.refused())
     }
 
     /// Switches the runtime memory sanitizer on or off. Must be called
@@ -337,9 +356,7 @@ pub trait Tracker {
     /// after `start` or when the engine is unreachable.
     fn set_sanitizer(&mut self, on: bool) -> Result<()> {
         let _ = on;
-        Err(TrackerError::Unsupported(
-            "sanitized execution is not available for this tracker".into(),
-        ))
+        Err(Feature::Sanitizer.refused())
     }
 
     /// Arms or disarms the in-engine profiler. `Counting` attributes
@@ -355,9 +372,7 @@ pub trait Tracker {
     /// after `start` or when the engine is unreachable.
     fn set_profile(&mut self, mode: obs::ProfileMode, period: u64) -> Result<()> {
         let _ = (mode, period);
-        Err(TrackerError::Unsupported(
-            "profiling is not available for this tracker".into(),
-        ))
+        Err(Feature::Profiler.refused())
     }
 
     /// Drains the collected profile: cumulative over the whole run so
@@ -369,9 +384,7 @@ pub trait Tracker {
     /// [`TrackerError::Unsupported`] by default; MI trackers also fail
     /// when the engine is unreachable.
     fn profile(&mut self) -> Result<obs::ProfileReport> {
-        Err(TrackerError::Unsupported(
-            "profiling is not available for this tracker".into(),
-        ))
+        Err(Feature::Profiler.refused())
     }
 
     // ---- observability ----------------------------------------------------

@@ -36,6 +36,14 @@
 //! program's *final* statement has no following line event and is
 //! therefore not observed as a watchpoint hit; it is still visible in the
 //! terminal snapshot.
+//!
+//! The interpreter's heap frees the objects nothing can reach, at
+//! statement starts, but never reuses an object index: an `ObjRef` names
+//! one object for the whole run. So every `id()` and drawn address is the
+//! same as without collection, and a watch's "same object" test cannot be
+//! fooled by a new object taking a freed object's place. Each pause sets
+//! `vm.minipy.heap_live` (objects not yet collected) and
+//! `vm.minipy.collections`.
 
 use crate::control::{
     self, resolve, ControlPoints, Core, Func, Inferior, Phase, RunOutcome, Slice, Watch,
@@ -130,6 +138,11 @@ struct ControlTracer {
 /// while the inferior runs.
 struct Handoff {
     file: String,
+    /// Objects not yet collected, read at each pause
+    /// (`vm.minipy.heap_live`).
+    heap_live: obs::Gauge,
+    /// Heap collections so far (`vm.minipy.collections`).
+    collections: obs::Gauge,
     go_rx: Receiver<Go>,
     pause_tx: Sender<PauseMsg>,
     slice: Slice,
@@ -148,6 +161,8 @@ impl Handoff {
         reason: Option<PauseReason>,
         crash: Option<String>,
     ) -> bool {
+        self.heap_live.set(ctx.heap.live() as u64);
+        self.collections.set(ctx.heap.collections());
         let pause = reason.map(|reason| {
             let frame = minipy::inspect::current_frame(ctx, &self.file);
             let globals = minipy::inspect::global_variables(ctx);
@@ -313,6 +328,8 @@ impl PyEngine {
                     renders: inferior_reg.gauge("vm.minipy.watch_renders"),
                     handoff: Handoff {
                         file: file_name,
+                        heap_live: inferior_reg.gauge("vm.minipy.heap_live"),
+                        collections: inferior_reg.gauge("vm.minipy.collections"),
                         go_rx,
                         pause_tx,
                         slice,

@@ -222,6 +222,10 @@ pub struct Interp {
     none_ref: ObjRef,
     true_ref: ObjRef,
     false_ref: ObjRef,
+    /// Temporary roots: the values unfinished statements have computed
+    /// and may still use. Every `eval` result lands here, and each
+    /// statement truncates the stack back to its depth at entry.
+    roots: Vec<ObjRef>,
     max_steps: Option<u64>,
     steps: u64,
     max_depth: usize,
@@ -235,7 +239,10 @@ const BUILTINS: &[&str] = &[
 impl Interp {
     /// Creates an interpreter for a parsed module.
     pub fn new(module: Module) -> Self {
-        let mut heap = Heap::new();
+        Interp::with_heap(module, Heap::new())
+    }
+
+    fn with_heap(module: Module, mut heap: Heap) -> Self {
         let none_ref = heap.alloc(PyVal::None);
         let true_ref = heap.alloc(PyVal::Bool(true));
         let false_ref = heap.alloc(PyVal::Bool(false));
@@ -249,6 +256,7 @@ impl Interp {
             none_ref,
             true_ref,
             false_ref,
+            roots: Vec::new(),
             max_steps: None,
             steps: 0,
             max_depth: 100,
@@ -312,6 +320,20 @@ impl Interp {
         }
     }
 
+    fn alloc(&mut self, v: PyVal, line: u32) -> Result<ObjRef, Error> {
+        let r = self.heap.try_alloc(v);
+        r.ok_or_else(|| self.rerr(line, "MemoryError: no object index is left to issue"))
+    }
+
+    /// Frees what nothing can reach. The roots are every frame's
+    /// bindings, the shared `None`/`True`/`False` and the temporary roots.
+    fn collect(&mut self) {
+        let bindings = self.frames.iter().flat_map(|f| f.vars().map(|(_, r)| r));
+        let shared = [self.none_ref, self.true_ref, self.false_ref];
+        let temporaries = self.roots.iter().copied();
+        self.heap.collect(bindings.chain(shared).chain(temporaries));
+    }
+
     fn emit(&self, tracer: &mut dyn Tracer, event: TraceEvent) -> Result<(), Error> {
         let ctx = TraceCtx {
             heap: &self.heap,
@@ -333,7 +355,20 @@ impl Interp {
         Ok(Flow::Normal)
     }
 
+    /// Runs one statement. A due collection runs first, so it never sees
+    /// a value held only by a caller's Rust locals: each of those is a
+    /// temporary root of an enclosing, unfinished statement.
     fn exec_stmt(&mut self, s: &Stmt, tracer: &mut dyn Tracer) -> Result<Flow, Error> {
+        if self.heap.wants_collection() {
+            self.collect();
+        }
+        let depth = self.roots.len();
+        let flow = self.run_stmt(s, tracer);
+        self.roots.truncate(depth);
+        flow
+    }
+
+    fn run_stmt(&mut self, s: &Stmt, tracer: &mut dyn Tracer) -> Result<Flow, Error> {
         self.steps += 1;
         if let Some(limit) = self.max_steps {
             if self.steps > limit {
@@ -369,8 +404,12 @@ impl Interp {
                         return Err(self.rerr(s.line, "SyntaxError: invalid augmented target"))
                     }
                 };
+                // Loaded, not evaluated: root it, and the result below,
+                // across the calls the value and the target may make.
+                self.roots.push(current);
                 let rhs = self.eval(value, tracer)?;
                 let combined = self.binary(*op, current, rhs, s.line)?;
+                self.roots.push(combined);
                 self.assign(target, combined, s.line, tracer)?;
                 Ok(Flow::Normal)
             }
@@ -389,7 +428,9 @@ impl Interp {
                 // breakpoint on the header fires once per iteration, as
                 // in the MiniC VM).
                 let mut first = true;
+                let depth = self.roots.len();
                 loop {
+                    self.roots.truncate(depth);
                     self.frames.last_mut().expect("frame").line = s.line;
                     if !std::mem::take(&mut first) {
                         self.emit(tracer, TraceEvent::Line { line: s.line })?;
@@ -408,10 +449,14 @@ impl Interp {
             StmtKind::For { target, iter, body } => {
                 let it = self.eval(iter, tracer)?;
                 let items = self.iterate(it, s.line)?;
+                // The pending items stay rooted until the loop ends.
+                self.roots.extend(&items);
+                let depth = self.roots.len();
                 // As with `while`, the first iteration's header event was
                 // already emitted by the statement-level hook.
                 let mut first = true;
                 for item in items {
+                    self.roots.truncate(depth);
                     self.frames.last_mut().expect("frame").line = s.line;
                     if !std::mem::take(&mut first) {
                         self.emit(tracer, TraceEvent::Line { line: s.line })?;
@@ -433,10 +478,13 @@ impl Interp {
                     body: body.as_slice().into(),
                     line: s.line,
                 });
-                let f = self.heap.alloc(PyVal::Function {
-                    name: name.clone(),
-                    index,
-                });
+                let f = self.alloc(
+                    PyVal::Function {
+                        name: name.clone(),
+                        index,
+                    },
+                    s.line,
+                )?;
                 self.bind_name(name, f);
                 Ok(Flow::Normal)
             }
@@ -464,10 +512,13 @@ impl Interp {
                     name: name.clone(),
                     methods: table,
                 });
-                let c = self.heap.alloc(PyVal::Class {
-                    name: name.clone(),
-                    index,
-                });
+                let c = self.alloc(
+                    PyVal::Class {
+                        name: name.clone(),
+                        index,
+                    },
+                    s.line,
+                )?;
                 self.bind_name(name, c);
                 Ok(Flow::Normal)
             }
@@ -576,6 +627,8 @@ impl Interp {
                         ))
                     }
                 };
+                // A call in a later target may empty the unpacked list.
+                self.roots.extend(&items);
                 if items.len() != targets.len() {
                     return Err(self.rerr(
                         line,
@@ -596,11 +649,18 @@ impl Interp {
 
     // -- expression evaluation ------------------------------------------------
 
+    /// Evaluates `e` and roots the result until the statement ends.
     fn eval(&mut self, e: &Expr, tracer: &mut dyn Tracer) -> Result<ObjRef, Error> {
+        let r = self.eval_expr(e, tracer)?;
+        self.roots.push(r);
+        Ok(r)
+    }
+
+    fn eval_expr(&mut self, e: &Expr, tracer: &mut dyn Tracer) -> Result<ObjRef, Error> {
         match &e.kind {
-            ExprKind::Int(v) => Ok(self.heap.alloc(PyVal::Int(*v))),
-            ExprKind::Float(v) => Ok(self.heap.alloc(PyVal::Float(*v))),
-            ExprKind::Str(s) => Ok(self.heap.alloc(PyVal::Str(s.clone()))),
+            ExprKind::Int(v) => self.alloc(PyVal::Int(*v), e.line),
+            ExprKind::Float(v) => self.alloc(PyVal::Float(*v), e.line),
+            ExprKind::Str(s) => self.alloc(PyVal::Str(s.clone()), e.line),
             ExprKind::Bool(true) => Ok(self.true_ref),
             ExprKind::Bool(false) => Ok(self.false_ref),
             ExprKind::None => Ok(self.none_ref),
@@ -632,15 +692,15 @@ impl Interp {
                 match self.heap.get(v) {
                     PyVal::Int(x) => {
                         let x = *x;
-                        Ok(self.heap.alloc(PyVal::Int(x.wrapping_neg())))
+                        self.alloc(PyVal::Int(x.wrapping_neg()), e.line)
                     }
                     PyVal::Float(x) => {
                         let x = *x;
-                        Ok(self.heap.alloc(PyVal::Float(-x)))
+                        self.alloc(PyVal::Float(-x), e.line)
                     }
                     PyVal::Bool(b) => {
                         let n = -(*b as i64);
-                        Ok(self.heap.alloc(PyVal::Int(n)))
+                        self.alloc(PyVal::Int(n), e.line)
                     }
                     other => Err(self.rerr(
                         e.line,
@@ -678,21 +738,21 @@ impl Interp {
                     .iter()
                     .map(|i| self.eval(i, tracer))
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(self.heap.alloc(PyVal::List(refs)))
+                self.alloc(PyVal::List(refs), e.line)
             }
             ExprKind::Tuple(items) => {
                 let refs = items
                     .iter()
                     .map(|i| self.eval(i, tracer))
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(self.heap.alloc(PyVal::Tuple(refs)))
+                self.alloc(PyVal::Tuple(refs), e.line)
             }
             ExprKind::Dict(entries) => {
                 let refs = entries
                     .iter()
                     .map(|(k, v)| Ok((self.eval(k, tracer)?, self.eval(v, tracer)?)))
                     .collect::<Result<Vec<_>, Error>>()?;
-                Ok(self.heap.alloc(PyVal::Dict(refs)))
+                self.alloc(PyVal::Dict(refs), e.line)
             }
         }
     }
@@ -759,7 +819,7 @@ impl Interp {
             }
             _ => self.numeric_binary(op, &lv, &rv, line)?,
         };
-        Ok(self.heap.alloc(result))
+        self.alloc(result, line)
     }
 
     fn numeric_binary(&self, op: BinOp, lv: &PyVal, rv: &PyVal, line: u32) -> Result<PyVal, Error> {
@@ -937,22 +997,22 @@ impl Interp {
     fn iterate(&mut self, r: ObjRef, line: u32) -> Result<Vec<ObjRef>, Error> {
         match self.heap.get(r).clone() {
             PyVal::List(items) | PyVal::Tuple(items) => Ok(items),
-            PyVal::Str(s) => Ok(s
+            PyVal::Str(s) => s
                 .chars()
-                .map(|c| self.heap.alloc(PyVal::Str(c.to_string())))
-                .collect()),
+                .map(|c| self.alloc(PyVal::Str(c.to_string()), line))
+                .collect(),
             PyVal::Dict(entries) => Ok(entries.iter().map(|(k, _)| *k).collect()),
             PyVal::Range { start, stop, step } => {
                 let mut out = Vec::new();
                 let mut v = start;
                 if step > 0 {
                     while v < stop {
-                        out.push(self.heap.alloc(PyVal::Int(v)));
+                        out.push(self.alloc(PyVal::Int(v), line)?);
                         v += step;
                     }
                 } else if step < 0 {
                     while v > stop {
-                        out.push(self.heap.alloc(PyVal::Int(v)));
+                        out.push(self.alloc(PyVal::Int(v), line)?);
                         v += step;
                     }
                 }
@@ -975,7 +1035,7 @@ impl Interp {
                 let chars: Vec<char> = s.chars().collect();
                 let i = self.normalize_index(index, chars.len(), line)?;
                 let c = chars[i].to_string();
-                Ok(self.heap.alloc(PyVal::Str(c)))
+                self.alloc(PyVal::Str(c), line)
             }
             PyVal::Dict(entries) => {
                 for (k, v) in entries {
@@ -1036,7 +1096,7 @@ impl Interp {
                 } else {
                     Vec::new()
                 };
-                Ok(self.heap.alloc(PyVal::List(out)))
+                self.alloc(PyVal::List(out), line)
             }
             PyVal::Tuple(items) => {
                 let (l, h) = (
@@ -1048,7 +1108,7 @@ impl Interp {
                 } else {
                     Vec::new()
                 };
-                Ok(self.heap.alloc(PyVal::Tuple(out)))
+                self.alloc(PyVal::Tuple(out), line)
             }
             PyVal::Str(sv) => {
                 let chars: Vec<char> = sv.chars().collect();
@@ -1061,7 +1121,7 @@ impl Interp {
                 } else {
                     String::new()
                 };
-                Ok(self.heap.alloc(PyVal::Str(out)))
+                self.alloc(PyVal::Str(out), line)
             }
             other => Err(self.rerr(
                 line,
@@ -1150,11 +1210,14 @@ impl Interp {
                     .and_then(|c| c.methods.iter().find(|(n, _)| n == attr))
                     .map(|(n, i)| (n.clone(), *i));
                 match method {
-                    Some((name, index)) => Ok(self.heap.alloc(PyVal::BoundMethod {
-                        receiver: base,
-                        name,
-                        index,
-                    })),
+                    Some((name, index)) => self.alloc(
+                        PyVal::BoundMethod {
+                            receiver: base,
+                            name,
+                            index,
+                        },
+                        line,
+                    ),
                     None => Err(self.rerr(
                         line,
                         format!("AttributeError: '{class_name}' object has no attribute '{attr}'"),
@@ -1191,6 +1254,9 @@ impl Interp {
             // Instance: attribute may be a field holding a function or a
             // bound method.
             let target = self.attr_get(b, attr, line)?;
+            // Possibly a fresh bound method, which the arguments' calls
+            // could otherwise free.
+            self.roots.push(target);
             let argv = self.eval_args(args, tracer)?;
             return self.call_object(target, argv, line, tracer);
         }
@@ -1235,10 +1301,15 @@ impl Interp {
                     .iter()
                     .find(|(n, _)| n == "__init__")
                     .map(|(_, i)| *i);
-                let instance = self.heap.alloc(PyVal::Instance {
-                    class: class_name.clone(),
-                    fields: Vec::new(),
-                });
+                let instance = self.alloc(
+                    PyVal::Instance {
+                        class: class_name.clone(),
+                        fields: Vec::new(),
+                    },
+                    line,
+                )?;
+                // `__init__` may rebind `self`.
+                self.roots.push(instance);
                 match init {
                     Some(fidx) => {
                         args.insert(0, instance);
@@ -1391,7 +1462,7 @@ impl Interp {
                         ))
                     }
                 };
-                Ok(self.heap.alloc(PyVal::Int(n)))
+                self.alloc(PyVal::Int(n), line)
             }
             "range" => {
                 let ints: Vec<i64> = args
@@ -1417,14 +1488,14 @@ impl Interp {
                     }
                     _ => return Err(arity_err(self, "1 to 3")),
                 };
-                Ok(self.heap.alloc(PyVal::Range { start, stop, step }))
+                self.alloc(PyVal::Range { start, stop, step }, line)
             }
             "str" => {
                 let [r] = args else {
                     return Err(arity_err(self, "1"));
                 };
                 let s = self.heap.str_of(*r);
-                Ok(self.heap.alloc(PyVal::Str(s)))
+                self.alloc(PyVal::Str(s), line)
             }
             "int" => {
                 let [r] = args else {
@@ -1450,7 +1521,7 @@ impl Interp {
                         ))
                     }
                 };
-                Ok(self.heap.alloc(PyVal::Int(v)))
+                self.alloc(PyVal::Int(v), line)
             }
             "float" => {
                 let [r] = args else {
@@ -1476,7 +1547,7 @@ impl Interp {
                         ))
                     }
                 };
-                Ok(self.heap.alloc(PyVal::Float(v)))
+                self.alloc(PyVal::Float(v), line)
             }
             "abs" => {
                 let [r] = args else {
@@ -1495,7 +1566,7 @@ impl Interp {
                         ))
                     }
                 };
-                Ok(self.heap.alloc(v))
+                self.alloc(v, line)
             }
             "min" | "max" => {
                 let items = if args.len() == 1 {
@@ -1548,11 +1619,14 @@ impl Interp {
                         }
                     }
                 }
-                Ok(self.heap.alloc(if is_float {
-                    PyVal::Float(acc_f)
-                } else {
-                    PyVal::Int(acc_i)
-                }))
+                self.alloc(
+                    if is_float {
+                        PyVal::Float(acc_f)
+                    } else {
+                        PyVal::Int(acc_i)
+                    },
+                    line,
+                )
             }
             "sorted" => {
                 let [r] = args else {
@@ -1560,30 +1634,30 @@ impl Interp {
                 };
                 let mut items = self.iterate(*r, line)?;
                 self.sort_refs(&mut items, line)?;
-                Ok(self.heap.alloc(PyVal::List(items)))
+                self.alloc(PyVal::List(items), line)
             }
             "list" => {
                 if args.is_empty() {
-                    return Ok(self.heap.alloc(PyVal::List(Vec::new())));
+                    return self.alloc(PyVal::List(Vec::new()), line);
                 }
                 let [r] = args else {
                     return Err(arity_err(self, "0 or 1"));
                 };
                 let items = self.iterate(*r, line)?;
-                Ok(self.heap.alloc(PyVal::List(items)))
+                self.alloc(PyVal::List(items), line)
             }
             "id" => {
                 let [r] = args else {
                     return Err(arity_err(self, "1"));
                 };
-                Ok(self.heap.alloc(PyVal::Int(r.address() as i64)))
+                self.alloc(PyVal::Int(r.address() as i64), line)
             }
             "type" => {
                 let [r] = args else {
                     return Err(arity_err(self, "1"));
                 };
                 let n = self.heap.get(*r).type_name().to_owned();
-                Ok(self.heap.alloc(PyVal::Str(format!("<class '{n}'>"))))
+                self.alloc(PyVal::Str(format!("<class '{n}'>")), line)
             }
             other => Err(self.rerr(line, format!("NameError: name '{other}' is not defined"))),
         }
@@ -1672,24 +1746,24 @@ impl Interp {
                     return Err(self.rerr(line, "TypeError: index() takes one argument"));
                 };
                 match items.iter().position(|i| self.heap.py_eq(*i, *v)) {
-                    Some(p) => Ok(self.heap.alloc(PyVal::Int(p as i64))),
+                    Some(p) => self.alloc(PyVal::Int(p as i64), line),
                     None => Err(self.rerr(line, "ValueError: value not in list")),
                 }
             }
             (PyVal::Dict(entries), "keys") => {
                 let ks = entries.iter().map(|(k, _)| *k).collect();
-                Ok(self.heap.alloc(PyVal::List(ks)))
+                self.alloc(PyVal::List(ks), line)
             }
             (PyVal::Dict(entries), "values") => {
                 let vs = entries.iter().map(|(_, v)| *v).collect();
-                Ok(self.heap.alloc(PyVal::List(vs)))
+                self.alloc(PyVal::List(vs), line)
             }
             (PyVal::Dict(entries), "items") => {
                 let pairs = entries
                     .iter()
-                    .map(|(k, v)| self.heap.alloc(PyVal::Tuple(vec![*k, *v])))
-                    .collect();
-                Ok(self.heap.alloc(PyVal::List(pairs)))
+                    .map(|(k, v)| self.alloc(PyVal::Tuple(vec![*k, *v]), line))
+                    .collect::<Result<_, _>>()?;
+                self.alloc(PyVal::List(pairs), line)
             }
             (PyVal::Dict(entries), "get") => {
                 let (key, default) = match args {
@@ -1704,26 +1778,26 @@ impl Interp {
                 }
                 Ok(default)
             }
-            (PyVal::Str(s), "upper") => Ok(self.heap.alloc(PyVal::Str(s.to_uppercase()))),
-            (PyVal::Str(s), "lower") => Ok(self.heap.alloc(PyVal::Str(s.to_lowercase()))),
+            (PyVal::Str(s), "upper") => self.alloc(PyVal::Str(s.to_uppercase()), line),
+            (PyVal::Str(s), "lower") => self.alloc(PyVal::Str(s.to_lowercase()), line),
             (PyVal::Str(s), "split") => {
                 let parts: Vec<ObjRef> = match args {
                     [] => s
                         .split_whitespace()
-                        .map(|p| self.heap.alloc(PyVal::Str(p.to_owned())))
-                        .collect(),
+                        .map(|p| self.alloc(PyVal::Str(p.to_owned()), line))
+                        .collect::<Result<_, _>>()?,
                     [sep] => {
                         let sep = match self.heap.get(*sep) {
                             PyVal::Str(x) => x.clone(),
                             _ => return Err(self.rerr(line, "TypeError: separator must be str")),
                         };
                         s.split(sep.as_str())
-                            .map(|p| self.heap.alloc(PyVal::Str(p.to_owned())))
-                            .collect()
+                            .map(|p| self.alloc(PyVal::Str(p.to_owned()), line))
+                            .collect::<Result<_, _>>()?
                     }
                     _ => return Err(self.rerr(line, "TypeError: split() takes 0 or 1 arguments")),
                 };
-                Ok(self.heap.alloc(PyVal::List(parts)))
+                self.alloc(PyVal::List(parts), line)
             }
             (PyVal::Str(s), "join") => {
                 let [arg] = args else {
@@ -1745,7 +1819,7 @@ impl Interp {
                         }
                     }
                 }
-                Ok(self.heap.alloc(PyVal::Str(parts.join(&s))))
+                self.alloc(PyVal::Str(parts.join(&s)), line)
             }
             _ => Err(bad(self)),
         }
@@ -2084,5 +2158,50 @@ mod tests {
         let mut c = Check { ok: false };
         run_source("g = 1\ndef f(x):\n    return x\nf(10)", &mut c).unwrap();
         assert!(c.ok);
+    }
+
+    /// Debug builds collect at every statement that follows an
+    /// allocation, so each value below would be freed mid-statement if
+    /// only a Rust local held it. (Each case allocates right before the
+    /// statement that must find the value alive.)
+    #[test]
+    fn values_held_mid_statement_survive_collection() {
+        // The old value of `g` is held only by `+=` while `bump` runs.
+        let src = "g = 10\ndef bump():\n    global g\n    g = 0\n    return 5\n\
+                   g += bump()\nprint(g)";
+        assert_eq!(out(src), "15\n");
+        // The sum of `+=`, while the target's index is evaluated again.
+        let src = "a = [1]\ndef k():\n    t = [0]\n    return 0\na[k()] += 5\nprint(a)";
+        assert_eq!(out(src), "[6]\n");
+        // The left operand's result while the right operand's call runs.
+        let src = "def fib(n):\n    if n < 2:\n        return n\n    \
+                   return fib(n - 1) + fib(n - 2)\nprint(fib(10))";
+        assert_eq!(out(src), "55\n");
+        // A new instance whose `__init__` rebinds `self`.
+        let src = "class Box:\n    def __init__(self, v):\n        self.v = v\n        \
+                   self = None\n        t = [1, 2]\n        t = 0\nb = Box(4)\nprint(b.v)";
+        assert_eq!(out(src), "4\n");
+        // A bound method no binding holds, while its argument's call runs.
+        let src = "class C:\n    def m(self, x):\n        return x + 1\n\
+                   def shadow():\n    o.m = 0\n    return 1\no = C()\nprint(o.m(shadow()))";
+        assert_eq!(out(src), "2\n");
+        // A `for`'s pending items that nothing else holds.
+        assert_eq!(out("for c in 'ab':\n    t = [c]\n    print(c)"), "a\nb\n");
+        // Unpacked items whose list is emptied while a target evaluates.
+        let src = "lst = [[7], [8]]\nb = [0]\ndef drain():\n    lst.pop()\n    lst.pop()\n    \
+                   t = [0]\n    return 0\na, b[drain()] = lst\nprint(a, b, lst)";
+        assert_eq!(out(src), "[7] [[8]] []\n");
+    }
+
+    #[test]
+    fn running_out_of_object_indices_is_a_memory_error() {
+        let module = crate::parser::parse("a = 1\nb = 2\nc = 3\n").unwrap();
+        // Room for the three shared constants and two more objects.
+        let heap = Heap::issuing_from((1 << 32) - 5);
+        let mut interp = Interp::with_heap(module, heap);
+        let err = interp.run(&mut NullTracer).unwrap_err();
+        assert_eq!(err.line(), 3);
+        assert!(err.message().starts_with("MemoryError: "), "{err}");
+        assert_eq!(interp.frames()[0].get("b"), Some(ObjRef(u32::MAX)));
     }
 }

@@ -4,7 +4,9 @@
 //! MiniPy equivalent of a CPython object pointer. This gives the tracker
 //! the paper's conceptual model for free: variables are references into
 //! the heap, `id()` returns a stable address, and aliasing is observable
-//! (two variables naming the same list really share one object).
+//! (two variables naming the same list really share one object). The
+//! heap frees what nothing can reach without moving a live object or
+//! reusing an index, so those addresses hold for the whole run.
 
 use state::{Location, Prim, Value};
 use std::collections::HashSet;
@@ -122,14 +124,99 @@ impl PyVal {
     }
 }
 
-/// The object heap. Objects are never collected (teaching-scale programs);
-/// this keeps `id()` values stable, which the tools rely on for arrows.
+/// Slots per heap chunk: the unit in which object storage is allocated
+/// and freed.
+const CHUNK: usize = 1024;
+const WORDS: usize = CHUNK / 64;
+
+/// Allocations after which the next statement collects, at the least.
+const COLLECT_AFTER: u64 = 4096;
+
+/// `CHUNK` consecutive object slots, filled in index order.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// The slots issued so far; `None` once the collector freed the object.
+    slots: Vec<Option<PyVal>>,
+    /// One bit per occupied slot.
+    occupied: [u64; WORDS],
+    /// One bit per slot reached by the collection in progress.
+    marked: [u64; WORDS],
+}
+
+impl Chunk {
+    fn new() -> Box<Chunk> {
+        Box::new(Chunk {
+            slots: Vec::with_capacity(CHUNK),
+            occupied: [0; WORDS],
+            marked: [0; WORDS],
+        })
+    }
+
+    /// Frees every occupied slot the marking did not reach and clears the
+    /// marks; returns how many it freed.
+    fn sweep(&mut self) -> usize {
+        let mut freed = 0;
+        for w in 0..WORDS {
+            let mut dead = self.occupied[w] & !self.marked[w];
+            freed += dead.count_ones() as usize;
+            while dead != 0 {
+                self.slots[w * 64 + dead.trailing_zeros() as usize] = None;
+                dead &= dead - 1;
+            }
+            self.occupied[w] &= self.marked[w];
+            self.marked[w] = 0;
+        }
+        freed
+    }
+
+    fn is_empty(&self) -> bool {
+        self.occupied.iter().all(|&w| w == 0)
+    }
+}
+
+/// The object heap, with an id-stable mark-sweep collector.
+///
+/// Object indices are issued in increasing order and never reused, so an
+/// [`ObjRef`]'s `id()` and address stay the object's for the whole run,
+/// and two refs are equal exactly when they name the same object, even
+/// across collections. Objects live in chunks of 1024 slots. A collection
+/// ([`Heap::collect`]) empties every slot its roots cannot reach, which
+/// drops the object's own strings and vectors, and frees every chunk left
+/// with no object (except the one being filled). Its cost follows the live
+/// objects and the allocated chunks, not the indices ever issued. Reading
+/// a collected object panics with its number: a live object only ever
+/// refers to live ones, so that is a missing root.
 #[derive(Debug, Clone, Default)]
 pub struct Heap {
-    objects: Vec<PyVal>,
+    /// Chunk `first_chunk + i` at `chunks[i]`; `None` once freed.
+    chunks: Vec<Option<Box<Chunk>>>,
+    /// The chunk number of `chunks[0]`: 0, except in a test heap started
+    /// near the end of the index space.
+    first_chunk: usize,
+    /// Numbers of the chunks still allocated, which the sweep visits.
+    allocated: Vec<usize>,
+    /// The next index to issue.
+    next: u64,
+    /// `next` when the last collection ran.
+    next_at_collect: u64,
+    /// Objects the last collection left alive.
+    survivors: u64,
+    collections: u64,
+    /// The mark phase's work list, kept between collections.
+    pending: Vec<ObjRef>,
     /// Bumped by every [`Heap::get_mut`], the only way an object changes
     /// in place.
     epoch: u64,
+}
+
+/// Reports a read of a freed object.
+#[cold]
+#[inline(never)]
+fn collected(r: ObjRef) -> ! {
+    panic!(
+        "MiniPy object {} was read after the collector freed it",
+        r.0
+    )
 }
 
 impl Heap {
@@ -138,27 +225,168 @@ impl Heap {
         Heap::default()
     }
 
+    /// A heap whose next index is `next`, for testing the end of the
+    /// index space without allocating up to it.
+    #[cfg(test)]
+    pub(crate) fn issuing_from(next: u64) -> Self {
+        let (chunk_no, slot) = (next as usize / CHUNK, next as usize % CHUNK);
+        let mut heap = Heap {
+            first_chunk: chunk_no,
+            next,
+            next_at_collect: next,
+            ..Heap::default()
+        };
+        if slot != 0 {
+            let mut chunk = Chunk::new();
+            chunk.slots.resize(slot, None);
+            heap.chunks.push(Some(chunk));
+            heap.allocated.push(chunk_no);
+        }
+        heap
+    }
+
     /// Allocates a value, returning its reference.
+    ///
+    /// # Panics
+    ///
+    /// When the 2³² object indices are used up (the interpreter reports
+    /// a `MemoryError` instead).
     pub fn alloc(&mut self, v: PyVal) -> ObjRef {
-        self.objects.push(v);
-        ObjRef((self.objects.len() - 1) as u32)
+        self.try_alloc(v)
+            .expect("MiniPy object index space exhausted")
+    }
+
+    /// Allocates a value, or returns `None` when every object index has
+    /// been issued (indices are never reused).
+    pub(crate) fn try_alloc(&mut self, v: PyVal) -> Option<ObjRef> {
+        let index = u32::try_from(self.next).ok()?;
+        let (chunk_no, slot) = (index as usize / CHUNK, index as usize % CHUNK);
+        if slot == 0 {
+            self.chunks.push(Some(Chunk::new()));
+            self.allocated.push(chunk_no);
+        }
+        let chunk = self.chunks[chunk_no - self.first_chunk]
+            .as_mut()
+            .expect("the chunk being filled is never freed");
+        chunk.slots.push(Some(v));
+        chunk.occupied[slot / 64] |= 1 << (slot % 64);
+        self.next += 1;
+        Some(ObjRef(index))
+    }
+
+    fn chunk(&self, r: ObjRef) -> Option<&Chunk> {
+        let i = (r.0 as usize / CHUNK).checked_sub(self.first_chunk)?;
+        self.chunks.get(i)?.as_deref()
+    }
+
+    fn chunk_mut(&mut self, r: ObjRef) -> Option<&mut Chunk> {
+        let i = (r.0 as usize / CHUNK).checked_sub(self.first_chunk)?;
+        self.chunks.get_mut(i)?.as_deref_mut()
     }
 
     /// Reads an object.
+    ///
+    /// # Panics
+    ///
+    /// When the collector has freed `r`, naming the object.
     pub fn get(&self, r: ObjRef) -> &PyVal {
-        &self.objects[r.0 as usize]
+        match self
+            .chunk(r)
+            .and_then(|c| c.slots.get(r.0 as usize % CHUNK))
+        {
+            Some(Some(v)) => v,
+            _ => collected(r),
+        }
     }
 
     /// Mutates an object in place.
+    ///
+    /// # Panics
+    ///
+    /// When the collector has freed `r`, naming the object.
     pub fn get_mut(&mut self, r: ObjRef) -> &mut PyVal {
         self.epoch += 1;
-        &mut self.objects[r.0 as usize]
+        match self
+            .chunk_mut(r)
+            .and_then(|c| c.slots.get_mut(r.0 as usize % CHUNK))
+        {
+            Some(Some(v)) => v,
+            _ => collected(r),
+        }
     }
 
     /// The mutation epoch: unchanged since an earlier reading means no
     /// object has changed in place since then.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Whether enough has been allocated since the last collection for
+    /// the interpreter to run the next one: 4096 objects, or
+    /// as many as the last collection left alive if that is more, so
+    /// marking costs about one object per allocation however large the
+    /// live heap. Debug builds collect after any allocation, so every
+    /// test that runs MiniPy code also checks the interpreter's roots.
+    pub(crate) fn wants_collection(&self) -> bool {
+        let due = if cfg!(debug_assertions) {
+            1
+        } else {
+            COLLECT_AFTER.max(self.survivors)
+        };
+        self.next - self.next_at_collect >= due
+    }
+
+    /// Frees every object that `roots` cannot reach. Indices are not
+    /// reused, and no live object moves.
+    ///
+    /// # Panics
+    ///
+    /// When a root, or an object reachable from one, was already freed.
+    pub fn collect(&mut self, roots: impl IntoIterator<Item = ObjRef>) {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.extend(roots);
+        while let Some(r) = pending.pop() {
+            let chunk = self.chunk_mut(r).unwrap_or_else(|| collected(r));
+            let index = r.0 as usize % CHUNK;
+            let (word, bit) = (index / 64, 1u64 << (index % 64));
+            if chunk.marked[word] & bit != 0 {
+                continue;
+            }
+            chunk.marked[word] |= bit;
+            match chunk.slots.get(index) {
+                Some(Some(v)) => match v {
+                    PyVal::List(items) | PyVal::Tuple(items) => pending.extend(items),
+                    PyVal::Dict(entries) => {
+                        pending.extend(entries.iter().flat_map(|&(k, v)| [k, v]));
+                    }
+                    PyVal::Instance { fields, .. } => {
+                        pending.extend(fields.iter().map(|&(_, v)| v));
+                    }
+                    PyVal::BoundMethod { receiver, .. } => pending.push(*receiver),
+                    _ => {}
+                },
+                _ => collected(r),
+            }
+        }
+        self.pending = pending;
+        // The chunk being filled stays, even when empty: the next index
+        // is issued into it.
+        let filling = (self.next / CHUNK as u64) as usize;
+        let (chunks, first) = (&mut self.chunks, self.first_chunk);
+        let mut freed = 0;
+        self.allocated.retain(|&chunk_no| {
+            let entry = &mut chunks[chunk_no - first];
+            let chunk = entry.as_mut().expect("allocated chunk");
+            freed += chunk.sweep();
+            let keep = chunk_no == filling || !chunk.is_empty();
+            if !keep {
+                *entry = None;
+            }
+            keep
+        });
+        self.survivors = self.live() as u64 - freed as u64;
+        self.next_at_collect = self.next;
+        self.collections += 1;
     }
 
     /// Whether nothing reachable from `r` can ever change: a number,
@@ -176,14 +404,19 @@ impl Heap {
         }
     }
 
-    /// Number of live objects (bench metric).
-    pub fn len(&self) -> usize {
-        self.objects.len()
+    /// Object indices issued so far: every allocation, collected or not.
+    pub fn issued(&self) -> u64 {
+        self.next
     }
 
-    /// Whether the heap is empty.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+    /// Objects not yet collected.
+    pub fn live(&self) -> usize {
+        (self.survivors + self.next - self.next_at_collect) as usize
+    }
+
+    /// Collections run so far.
+    pub fn collections(&self) -> u64 {
+        self.collections
     }
 
     /// Structural equality (`==` in MiniPy): deep for containers, identity
@@ -523,5 +756,51 @@ mod tests {
         let b = h.alloc(PyVal::Int(2));
         assert_ne!(a.address(), b.address());
         assert_eq!(a.address(), ObjRef(0).address());
+    }
+
+    #[test]
+    fn collection_frees_the_unreachable_and_keeps_ids() {
+        let mut h = heap();
+        let a = h.alloc(PyVal::Int(1));
+        let l = h.alloc(PyVal::List(vec![a]));
+        let lone = h.alloc(PyVal::Str("gone".into()));
+        let c1 = h.alloc(PyVal::List(vec![]));
+        let c2 = h.alloc(PyVal::List(vec![c1]));
+        if let PyVal::List(items) = h.get_mut(c1) {
+            items.push(c2);
+        }
+        h.collect([l]);
+        assert_eq!((h.live(), h.issued(), h.collections()), (2, 5, 1));
+        assert_eq!(h.repr(l), "[1]");
+        for dead in [lone, c1, c2] {
+            let chunk = h.chunk(dead).unwrap();
+            assert!(chunk.slots[dead.0 as usize].is_none());
+        }
+        // A new object takes a new index, never a freed one.
+        assert_eq!(h.alloc(PyVal::None), ObjRef(5));
+    }
+
+    #[test]
+    fn chunks_left_empty_are_freed_except_the_one_being_filled() {
+        let mut h = heap();
+        let first = h.alloc(PyVal::Int(0));
+        for i in 1..(2 * CHUNK + 10) {
+            h.alloc(PyVal::Int(i as i64));
+        }
+        h.collect([first]);
+        assert_eq!(h.allocated, vec![0, 2]);
+        assert!(h.chunks[1].is_none());
+        assert_eq!(h.live(), 1);
+        let next = h.alloc(PyVal::Int(-1));
+        assert_eq!(next.0 as usize, 2 * CHUNK + 10);
+        assert_eq!(h.repr(next), "-1");
+    }
+
+    #[test]
+    fn the_last_index_is_issued_once() {
+        let mut h = Heap::issuing_from(u32::MAX as u64);
+        assert_eq!(h.try_alloc(PyVal::None), Some(ObjRef(u32::MAX)));
+        assert_eq!(h.try_alloc(PyVal::None), None);
+        assert_eq!(h.issued(), 1 << 32);
     }
 }
