@@ -131,7 +131,7 @@ impl<P: EnginePort> EngineTracker<P> {
         name: &'static str,
         f: impl FnOnce(&mut P) -> Result<Response>,
     ) -> Result<PauseReason> {
-        let mut span = self.obs.span(name);
+        let mut span = self.obs.span_static(name);
         span.category("tracker");
         match f(&mut self.port)? {
             Response::Paused(reason) => {

@@ -173,21 +173,19 @@ impl<F, S> ControlPoints<F, S> {
         &mut self,
         mut refresh: impl FnMut(&mut Watch<S>) -> Option<Option<String>>,
     ) -> Option<PauseReason> {
+        // The changed watch and its old text; the reason is built once
+        // the scan is over, so a scan that finds nothing moves little.
         let mut hit = None;
-        for w in &mut self.watches {
+        for (i, w) in self.watches.iter_mut().enumerate() {
             let Some(old) = refresh(w) else {
                 continue;
             };
             if hit.is_none() && old != w.last {
-                hit = Some(PauseReason::Watchpoint {
-                    id: w.id,
-                    variable: w.name.clone(),
-                    old,
-                    new: w.last.clone().unwrap_or_default(),
-                });
+                hit = Some((i, old));
             }
         }
-        hit
+        let (i, old) = hit?;
+        Some(watchpoint(&self.watches[i], old))
     }
 
     /// [`Phase::FuncBreak`] and [`Phase::TrackCall`]: a frame entered,
@@ -272,6 +270,16 @@ impl<F, S> ControlPoints<F, S> {
 
 // The pauses' reasons are built out of line: the deciders are inlined into
 // the run loops, which pause on few of the events they check.
+#[cold]
+fn watchpoint<S>(w: &Watch<S>, old: Option<String>) -> PauseReason {
+    PauseReason::Watchpoint {
+        id: w.id,
+        variable: w.name.clone(),
+        old,
+        new: w.last.clone().unwrap_or_default(),
+    }
+}
+
 #[cold]
 fn breakpoint(id: u64, file: &str, line: u32) -> PauseReason {
     let location = SourceLocation::new(file, line);
@@ -671,7 +679,7 @@ fn burst<E: Inferior>(engine: &mut E, mut slice: Slice, fuel: Option<u64>) -> Sl
     // Times the burst this command caused; joins the tracker's trace when
     // the command frame carried a context.
     let span = core.registry.as_ref().map(|reg| {
-        let mut span = reg.span(E::EXEC_SPAN);
+        let mut span = reg.span_static(E::EXEC_SPAN);
         span.category("vm");
         span
     });
@@ -682,12 +690,11 @@ fn burst<E: Inferior>(engine: &mut E, mut slice: Slice, fuel: Option<u64>) -> Sl
         None => engine.run(&mut slice, fuel),
     };
     if let Some(mut span) = span {
-        let tag = match &outcome {
+        span.tag_with("pause_reason", || match &outcome {
             RunOutcome::Paused(reason) => reason.to_string(),
             RunOutcome::OutOfFuel => "slice".to_owned(),
             RunOutcome::Exhausted { which, .. } => format!("exhausted:{which}"),
-        };
-        span.tag("pause_reason", tag);
+        });
         span.finish();
     }
     engine.publish_stats();

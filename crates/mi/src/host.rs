@@ -48,11 +48,11 @@ use crate::transport::{
     timeout_error, FrameRx, FrameTx, StreamFrameRx, StreamFrameTx, TransportCounters,
 };
 use crate::MiError;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::process::{Child, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -1201,7 +1201,7 @@ impl std::fmt::Debug for HostHandle {
 /// and a control mailbox for session-less replies.
 fn make_conn(tx: Box<dyn FrameTx>, mut rx: Box<dyn FrameRx>, child: Option<ChildInfo>) -> Conn {
     let routes: Arc<Mutex<HashMap<u64, Sender<Routed>>>> = Arc::new(Mutex::new(HashMap::new()));
-    let (control_tx, control_rx) = unbounded();
+    let (control_tx, control_rx) = channel();
     let dead = Arc::new(AtomicBool::new(false));
     let reader_routes = routes.clone();
     let reader_dead = dead.clone();
@@ -1454,7 +1454,7 @@ impl HostHandle {
             match result {
                 Ok(Response::SessionOpened { session }) => {
                     let conn = ctl.conn.as_ref().expect("live conn after open");
-                    let (mail_tx, mail_rx) = unbounded();
+                    let (mail_tx, mail_rx) = channel();
                     conn.routes.lock().expect("routes").insert(session, mail_tx);
                     return Ok(SessionHandle {
                         host: self.clone(),
@@ -1589,7 +1589,7 @@ mod tests {
             Box::new(StreamFrameRx::new(client_end)),
             None,
         );
-        let (mail_tx, mail_rx) = unbounded();
+        let (mail_tx, mail_rx) = channel();
         conn.routes.lock().unwrap().insert(7, mail_tx);
         let mut link = conn.link(mail_rx);
         let mut envelope = Envelope::new(Some(7));
@@ -2333,7 +2333,7 @@ mod tests {
         let (atx, _arx) = a.split();
         let (_btx, mut replies) = b.split();
         let tx: SharedTx = Arc::new(Mutex::new(Box::new(atx)));
-        let (go, wait) = unbounded();
+        let (go, wait) = channel();
         let conn = u64::MAX;
         let sid = match open_session(&host.shared, conn, &tx, |_| {
             Ok(Box::new(FaultyEngine { go: wait }))

@@ -277,51 +277,73 @@ impl std::fmt::Display for ResourceKind {
     }
 }
 
-impl Command {
-    /// Stable short name of the command kind, used as the metric-name
-    /// suffix in observability series (`mi.client.roundtrip.<kind>`,
-    /// `mi.server.cmd.<kind>`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Command::Start => "Start",
-            Command::Resume => "Resume",
-            Command::Step => "Step",
-            Command::Next => "Next",
-            Command::Finish => "Finish",
-            Command::SetBreakLine { .. } => "SetBreakLine",
-            Command::SetBreakFunc { .. } => "SetBreakFunc",
-            Command::TrackFunction { .. } => "TrackFunction",
-            Command::Watch { .. } => "Watch",
-            Command::Delete { .. } => "Delete",
-            Command::GetState => "GetState",
-            Command::GetGlobals => "GetGlobals",
-            Command::GetVariable { .. } => "GetVariable",
-            Command::GetRegisters => "GetRegisters",
-            Command::ReadMemory { .. } => "ReadMemory",
-            Command::GetOutput => "GetOutput",
-            Command::GetExitCode => "GetExitCode",
-            Command::GetSource => "GetSource",
-            Command::GetBreakableLines => "GetBreakableLines",
-            Command::Analyze => "Analyze",
-            Command::Verify => "Verify",
-            Command::SetSanitizer { .. } => "SetSanitizer",
-            Command::Telemetry { .. } => "Telemetry",
-            Command::SetProfile { .. } => "SetProfile",
-            Command::ProfileReport { .. } => "ProfileReport",
-            Command::Ping => "Ping",
-            Command::Terminate => "Terminate",
-            Command::OpenSession { .. } => "OpenSession",
-            Command::CloseSession { .. } => "CloseSession",
-            Command::Record { .. } => "Record",
-            Command::Seek { .. } => "Seek",
-            Command::QueryHistory { .. } => "QueryHistory",
-            Command::TraceStats => "TraceStats",
-            Command::PublishTrace { .. } => "PublishTrace",
-            Command::OpenReplay { .. } => "OpenReplay",
-            Command::SetLimits { .. } => "SetLimits",
-        }
-    }
+/// `Command::kind` and `Command::roundtrip_span` from one list of the
+/// command kinds, each with the pattern that matches it.
+macro_rules! command_kinds {
+    ($($kind:ident $({ $($rest:tt)* })?),* $(,)?) => {
+        impl Command {
+            /// Stable short name of the command kind, used as the metric-name
+            /// suffix in observability series (`mi.client.roundtrip.<kind>`,
+            /// `mi.server.cmd.<kind>`).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Command::$kind $({ $($rest)* })? => stringify!($kind),)*
+                }
+            }
 
+            /// `mi.client.roundtrip.<kind>`: the name of the client's span
+            /// around this command's round trip.
+            pub(crate) fn roundtrip_span(&self) -> &'static str {
+                match self {
+                    $(Command::$kind $({ $($rest)* })? => {
+                        concat!("mi.client.roundtrip.", stringify!($kind))
+                    })*
+                }
+            }
+        }
+    };
+}
+
+command_kinds!(
+    Start,
+    Resume,
+    Step,
+    Next,
+    Finish,
+    SetBreakLine { .. },
+    SetBreakFunc { .. },
+    TrackFunction { .. },
+    Watch { .. },
+    Delete { .. },
+    GetState,
+    GetGlobals,
+    GetVariable { .. },
+    GetRegisters,
+    ReadMemory { .. },
+    GetOutput,
+    GetExitCode,
+    GetSource,
+    GetBreakableLines,
+    Analyze,
+    Verify,
+    SetSanitizer { .. },
+    Telemetry { .. },
+    SetProfile { .. },
+    ProfileReport { .. },
+    Ping,
+    Terminate,
+    OpenSession { .. },
+    CloseSession { .. },
+    Record { .. },
+    Seek { .. },
+    QueryHistory { .. },
+    TraceStats,
+    PublishTrace { .. },
+    OpenReplay { .. },
+    SetLimits { .. },
+);
+
+impl Command {
     /// Whether re-issuing this command after a lost or timed-out response
     /// cannot change the inferior's state. The supervision layer only
     /// auto-retries idempotent commands; everything else surfaces the

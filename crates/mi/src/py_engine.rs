@@ -50,10 +50,11 @@ use crate::control::{
 };
 use crate::protocol::{Command, Response};
 use crate::server::Engine;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use minipy::interp::Place;
 use minipy::value::ObjRef;
 use minipy::{Interp, TraceAction, TraceCtx, TraceEvent, Tracer};
 use state::{ExitStatus, Frame, PauseReason, ProgramState};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 /// What a control command hands the inferior thread: its progress, and
@@ -96,6 +97,9 @@ struct Session {
 pub(crate) struct PyWatch {
     /// Byte offset of the `::` in a qualified name, found once.
     qualifier: Option<usize>,
+    /// Where the name was bound (`None`: unbound) under the binding
+    /// layout read with it; it holds while that layout does.
+    place: Option<(u64, Option<Place>)>,
     /// The object that rendered `last`, and the heap's mutation epoch at
     /// that render.
     seen: Option<(ObjRef, u64)>,
@@ -105,13 +109,24 @@ pub(crate) struct PyWatch {
 /// text when it had to render; `None` when the name is unbound (`last`
 /// is kept) or still names the object that rendered `last` and that
 /// object cannot have changed: it is immutable, or no object has changed
-/// in place since.
+/// in place since. While no frame is pushed or popped and no name newly
+/// bound, the name is found where it was last time.
 fn refresh_watch(w: &mut Watch<PyWatch>, ctx: &TraceCtx<'_>) -> Option<Option<String>> {
-    let PyWatch { qualifier, seen } = w.spec;
-    let r = match qualifier {
-        Some(i) => ctx.lookup_in(Some(&w.name[..i]), &w.name[i + 2..]),
-        None => ctx.lookup_in(None, &w.name),
-    }?;
+    let PyWatch {
+        qualifier, seen, ..
+    } = w.spec;
+    let place = match w.spec.place {
+        Some((layout, place)) if layout == ctx.layout => place,
+        _ => {
+            let place = match qualifier {
+                Some(i) => ctx.locate(Some(&w.name[..i]), &w.name[i + 2..]),
+                None => ctx.locate(None, &w.name),
+            };
+            w.spec.place = Some((ctx.layout, place));
+            place
+        }
+    };
+    let r = ctx.at(place?);
     let epoch = ctx.heap.epoch();
     if seen.is_some_and(|(obj, at)| obj == r && (at == epoch || ctx.heap.is_immutable(r))) {
         return None;
@@ -125,9 +140,6 @@ fn refresh_watch(w: &mut Watch<PyWatch>, ctx: &TraceCtx<'_>) -> Option<Option<St
 
 /// The trace function: EasyTracker's brain on the inferior thread.
 struct ControlTracer {
-    /// Live count of trace-hook invocations (`vm.minipy.trace_hooks`);
-    /// a cheap atomic bump per event, readable from the tool thread.
-    hook_counter: obs::Counter,
     /// Full watch renders, i.e. checks the object gate could not skip
     /// (`vm.minipy.watch_renders`); this thread is its only writer.
     renders: obs::Gauge,
@@ -138,13 +150,18 @@ struct ControlTracer {
 /// while the inferior runs.
 struct Handoff {
     file: String,
+    /// Trace-hook invocations (`vm.minipy.trace_hooks`), published at
+    /// each pause and at the end of the run.
+    hook_counter: obs::Counter,
+    /// Hook invocations since the last publication.
+    hooks: u64,
     /// Objects not yet collected, read at each pause
     /// (`vm.minipy.heap_live`).
     heap_live: obs::Gauge,
     /// Heap collections so far (`vm.minipy.collections`).
     collections: obs::Gauge,
     go_rx: Receiver<Go>,
-    pause_tx: Sender<PauseMsg>,
+    pause_tx: SyncSender<PauseMsg>,
     slice: Slice,
     session: Session,
 }
@@ -161,11 +178,11 @@ impl Handoff {
         reason: Option<PauseReason>,
         crash: Option<String>,
     ) -> bool {
+        self.publish_hooks();
         self.heap_live.set(ctx.heap.live() as u64);
         self.collections.set(ctx.heap.collections());
         let pause = reason.map(|reason| {
-            let frame = minipy::inspect::current_frame(ctx, &self.file);
-            let globals = minipy::inspect::global_variables(ctx);
+            let (frame, globals) = minipy::inspect::snapshot(ctx, &self.file);
             (reason.clone(), ProgramState::new(frame, globals, reason))
         });
         let session = std::mem::take(&mut self.session);
@@ -175,6 +192,10 @@ impl Handoff {
             session,
         };
         self.pause_tx.send(msg).is_ok()
+    }
+
+    fn publish_hooks(&mut self) {
+        self.hook_counter.add(std::mem::take(&mut self.hooks));
     }
 
     /// Pauses: sends the snapshot and blocks until the next command hands
@@ -196,8 +217,8 @@ impl Handoff {
 
 impl Tracer for ControlTracer {
     fn trace(&mut self, event: &TraceEvent, ctx: &TraceCtx<'_>) -> TraceAction {
-        self.hook_counter.inc();
         let h = &mut self.handoff;
+        h.hooks += 1;
         // Every hook event is a step; the one that passes the budget
         // blocks before it is seen.
         h.session.steps_left -= 1;
@@ -282,7 +303,7 @@ impl Tracer for ControlTracer {
 #[derive(Debug)]
 pub struct PyEngine {
     core: Core<String, PyWatch>,
-    go_tx: Sender<Go>,
+    go_tx: SyncSender<Go>,
     pause_rx: Receiver<PauseMsg>,
     handle: Option<JoinHandle<()>>,
     /// What travels with each command, here while the inferior is paused
@@ -308,8 +329,8 @@ impl PyEngine {
     pub fn new(file: &str, source: &str, registry: obs::Registry) -> Result<Self, String> {
         let module = minipy::parser::parse(source).map_err(|e| e.to_string())?;
         let breakable = collect_lines(&module.body);
-        let (go_tx, go_rx) = bounded::<Go>(1);
-        let (pause_tx, pause_rx) = bounded::<PauseMsg>(1);
+        let (go_tx, go_rx) = sync_channel::<Go>(1);
+        let (pause_tx, pause_rx) = sync_channel::<PauseMsg>(1);
         let file_name = file.to_owned();
         let inferior_reg = registry.clone();
         let handle = std::thread::Builder::new()
@@ -324,10 +345,11 @@ impl PyEngine {
                     Ok(Go::Terminate) | Err(_) => return,
                 };
                 let mut tracer = ControlTracer {
-                    hook_counter: inferior_reg.counter("vm.minipy.trace_hooks"),
                     renders: inferior_reg.gauge("vm.minipy.watch_renders"),
                     handoff: Handoff {
                         file: file_name,
+                        hook_counter: inferior_reg.counter("vm.minipy.trace_hooks"),
+                        hooks: 0,
                         heap_live: inferior_reg.gauge("vm.minipy.heap_live"),
                         collections: inferior_reg.gauge("vm.minipy.collections"),
                         go_rx,
@@ -342,15 +364,13 @@ impl PyEngine {
                 inferior_reg.set_gauge("vm.minipy.steps", interp.steps());
                 let (status, crash) = match run_outcome {
                     Ok(outcome) => (ExitStatus::Exited(outcome.exit_code), None),
-                    Err(minipy::Error::Stopped) => return,
+                    Err(minipy::Error::Stopped) => return tracer.handoff.publish_hooks(),
                     Err(e) => (ExitStatus::Crashed, Some(e.to_string())),
                 };
-                let ctx = TraceCtx {
-                    heap: interp.heap(),
-                    frames: interp.frames(),
-                };
                 let reason = PauseReason::Exited(status);
-                tracer.handoff.send(&ctx, Some(reason), crash);
+                tracer
+                    .handoff
+                    .send(&interp.trace_ctx(), Some(reason), crash);
             })
             .map_err(|e| format!("cannot spawn inferior thread: {e}"))?;
         let mut core = Core::new();
@@ -465,6 +485,7 @@ impl Inferior for PyEngine {
         });
         let spec = PyWatch {
             qualifier: variable.find("::"),
+            place: None,
             seen: None,
         };
         Ok(Watch::new(variable, initial, spec))

@@ -306,7 +306,7 @@ impl Envelope {
         let span = self
             .registry
             .as_ref()
-            .map(|reg| reg.span(format!("mi.client.roundtrip.{}", command.kind())));
+            .map(|reg| reg.span_static(command.roundtrip_span()));
         // Stamp the roundtrip span's context onto the frame: engine-side
         // spans caused by this command become its (remote) children.
         let trace = span.as_ref().map(obs::Span::context);

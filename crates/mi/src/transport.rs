@@ -13,7 +13,7 @@
 //! half.
 
 use crate::MiError;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 /// Upper bound on a single frame's payload size, in bytes.
@@ -248,8 +248,8 @@ pub fn duplex() -> (ChannelTransport, ChannelTransport) {
         tx: ChannelFrameTx { tx },
         rx: ChannelFrameRx { rx, received: 0 },
     };
-    let (tx_ab, rx_ab) = unbounded();
-    let (tx_ba, rx_ba) = unbounded();
+    let (tx_ab, rx_ab) = channel();
+    let (tx_ba, rx_ba) = channel();
     (end(tx_ab, rx_ba), end(tx_ba, rx_ab))
 }
 
@@ -380,7 +380,7 @@ pub struct PumpedFrameRx {
 impl PumpedFrameRx {
     /// Spawns the reader thread over `reader`.
     pub fn spawn<R: std::io::Read + Send + 'static>(reader: R) -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         std::thread::Builder::new()
             .name("mi-recv-pump".into())
             .spawn(move || {
@@ -678,7 +678,7 @@ mod pumped_tests {
 
     impl ChanReader {
         fn pair() -> (Sender<Vec<u8>>, ChanReader) {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             (
                 tx,
                 ChanReader {

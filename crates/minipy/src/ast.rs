@@ -1,10 +1,53 @@
 //! Abstract syntax tree for MiniPy.
 
+/// The builtin functions, interned first: `Sym(i)` names `BUILTINS[i]`
+/// in every module, so a call site tells a builtin by one compare.
+pub const BUILTINS: &[&str] = &[
+    "print", "len", "range", "str", "int", "float", "abs", "min", "max", "sum", "sorted", "list",
+    "id", "type",
+];
+
+/// An interned identifier: one number per distinct name in a module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sym(pub u32);
+
+impl Sym {
+    /// The builtin function this symbol names, if any.
+    pub fn builtin(self) -> Option<&'static str> {
+        BUILTINS.get(self.0 as usize).copied()
+    }
+}
+
+/// A name as the parser interned it: its symbol, for the interpreter's
+/// lookups, and its text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ident {
+    /// The module-wide symbol.
+    pub sym: Sym,
+    /// The name.
+    pub name: String,
+}
+
+impl PartialEq<str> for Ident {
+    fn eq(&self, other: &str) -> bool {
+        self.name == other
+    }
+}
+
+impl PartialEq<&str> for Ident {
+    fn eq(&self, other: &&str) -> bool {
+        self.name == *other
+    }
+}
+
 /// A parsed module (top-level statements).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Module {
     /// Top-level statements, including `def`s and `class`es.
     pub body: Vec<Stmt>,
+    /// The module's names but the [`BUILTINS`], by symbol: `names[i]`
+    /// is `Sym(BUILTINS.len() + i)`'s.
+    pub names: Vec<String>,
 }
 
 /// A statement with its source line.
@@ -65,16 +108,16 @@ pub enum StmtKind {
     /// `def name(params):`
     Def {
         /// Function name.
-        name: String,
+        name: Ident,
         /// Parameter names.
-        params: Vec<String>,
+        params: Vec<Ident>,
         /// Body.
         body: Vec<Stmt>,
     },
     /// `class name:` with method definitions.
     Class {
         /// Class name.
-        name: String,
+        name: Ident,
         /// Methods (each a `Def`).
         methods: Vec<Stmt>,
     },
@@ -87,14 +130,14 @@ pub enum StmtKind {
     /// `pass`
     Pass,
     /// `global name, ...`
-    Global(Vec<String>),
+    Global(Vec<Ident>),
 }
 
 /// An assignment target.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Target {
     /// A plain name.
-    Name(String),
+    Name(Ident),
     /// Subscript `base[index]`.
     Index {
         /// Container expression.
@@ -113,6 +156,19 @@ pub enum Target {
     Tuple(Vec<Target>),
 }
 
+impl Target {
+    /// Whether storing to the target may run user code: its base or
+    /// index expressions hold a call.
+    pub fn may_call(&self) -> bool {
+        match self {
+            Target::Name(_) => false,
+            Target::Index { base, index } => base.may_call || index.may_call,
+            Target::Attr { base, .. } => base.may_call,
+            Target::Tuple(targets) => targets.iter().any(Target::may_call),
+        }
+    }
+}
+
 /// An expression with its source line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expr {
@@ -120,12 +176,21 @@ pub struct Expr {
     pub line: u32,
     /// Form.
     pub kind: ExprKind,
+    /// Whether evaluating the expression may run user code: it holds a
+    /// call. Only user code starts statements, and so collections; a
+    /// value held across an expression without calls needs no root.
+    pub may_call: bool,
 }
 
 impl Expr {
     /// Creates an expression node.
     pub fn new(kind: ExprKind, line: u32) -> Self {
-        Expr { kind, line }
+        let may_call = kind.may_call();
+        Expr {
+            kind,
+            line,
+            may_call,
+        }
     }
 }
 
@@ -181,7 +246,7 @@ pub enum ExprKind {
     /// `None`.
     None,
     /// Name reference.
-    Name(String),
+    Name(Ident),
     /// Binary operation.
     Binary {
         /// Operator.
@@ -240,6 +305,33 @@ pub enum ExprKind {
     Tuple(Vec<Expr>),
     /// Dict display `{k: v, ...}`.
     Dict(Vec<(Expr, Expr)>),
+}
+
+impl ExprKind {
+    /// Whether the form is a call or has a subexpression that may call.
+    fn may_call(&self) -> bool {
+        let any = |items: &[Expr]| items.iter().any(|e| e.may_call);
+        match self {
+            ExprKind::Call { .. } => true,
+            ExprKind::Int(_)
+            | ExprKind::Float(_)
+            | ExprKind::Str(_)
+            | ExprKind::Bool(_)
+            | ExprKind::None
+            | ExprKind::Name(_) => false,
+            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Bool2 { lhs, rhs, .. } => {
+                lhs.may_call || rhs.may_call
+            }
+            ExprKind::Not(inner) | ExprKind::Neg(inner) => inner.may_call,
+            ExprKind::Index { base, index } => base.may_call || index.may_call,
+            ExprKind::Slice { base, lo, hi } => {
+                base.may_call || [lo, hi].into_iter().flatten().any(|e| e.may_call)
+            }
+            ExprKind::Attr { base, .. } => base.may_call,
+            ExprKind::List(items) | ExprKind::Tuple(items) => any(items),
+            ExprKind::Dict(entries) => entries.iter().any(|(k, v)| k.may_call || v.may_call),
+        }
+    }
 }
 
 #[cfg(test)]

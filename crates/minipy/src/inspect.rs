@@ -6,7 +6,7 @@
 //! bindings to the same object yield references with the same target
 //! address.
 
-use crate::interp::TraceCtx;
+use crate::interp::{PyFrame, TraceCtx};
 use state::{Frame, Scope, SourceLocation, Variable};
 
 /// Builds the innermost [`Frame`] with the full parent chain from a trace
@@ -15,21 +15,45 @@ use state::{Frame, Scope, SourceLocation, Variable};
 /// The module frame is reported as function `<module>` at depth 0, like
 /// CPython's. Variables appear in assignment order.
 pub fn current_frame(ctx: &TraceCtx<'_>, file: &str) -> Frame {
+    chain(ctx, file, global_variables(ctx))
+}
+
+/// Builds the global (module-level) variables list.
+pub fn global_variables(ctx: &TraceCtx<'_>) -> Vec<Variable> {
+    let module = ctx.frames.first().expect("module frame");
+    variables(ctx, module, Scope::Global).collect()
+}
+
+/// [`current_frame`] and [`global_variables`] at once, converting the
+/// module frame's bindings once for both.
+pub fn snapshot(ctx: &TraceCtx<'_>, file: &str) -> (Frame, Vec<Variable>) {
+    let globals = global_variables(ctx);
+    (chain(ctx, file, globals.clone()), globals)
+}
+
+fn variables<'a>(
+    ctx: &'a TraceCtx<'_>,
+    frame: &'a PyFrame,
+    scope: Scope,
+) -> impl Iterator<Item = Variable> + 'a {
+    frame
+        .vars()
+        .map(move |(name, obj)| Variable::new(name, scope, ctx.heap.binding_value(obj)))
+}
+
+/// The frame chain, with `globals` as the module frame's variables.
+fn chain(ctx: &TraceCtx<'_>, file: &str, globals: Vec<Variable>) -> Frame {
     let mut result: Option<Frame> = None;
+    let mut globals = Some(globals);
     for (depth, pf) in ctx.frames.iter().enumerate() {
         let mut frame = Frame::new(
-            pf.name().to_owned(),
+            pf.name(),
             depth as u32,
-            SourceLocation::new(file.to_owned(), pf.line()),
+            SourceLocation::new(file, pf.line()),
         );
-        for (name, obj) in pf.vars() {
-            let value = ctx.heap.binding_value(obj);
-            let scope = if depth == 0 {
-                Scope::Global
-            } else {
-                Scope::Local
-            };
-            frame.insert_variable(Variable::new(name.to_owned(), scope, value));
+        match globals.take() {
+            Some(module) => module.into_iter().for_each(|v| frame.insert_variable(v)),
+            None => variables(ctx, pf, Scope::Local).for_each(|v| frame.insert_variable(v)),
         }
         if let Some(parent) = result.take() {
             frame.set_parent(parent);
@@ -37,17 +61,6 @@ pub fn current_frame(ctx: &TraceCtx<'_>, file: &str) -> Frame {
         result = Some(frame);
     }
     result.expect("interpreter always has a module frame")
-}
-
-/// Builds the global (module-level) variables list.
-pub fn global_variables(ctx: &TraceCtx<'_>) -> Vec<Variable> {
-    let module = ctx.frames.first().expect("module frame");
-    module
-        .vars()
-        .map(|(name, obj)| {
-            Variable::new(name.to_owned(), Scope::Global, ctx.heap.binding_value(obj))
-        })
-        .collect()
 }
 
 #[cfg(test)]

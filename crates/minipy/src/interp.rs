@@ -65,6 +65,19 @@ pub struct TraceCtx<'a> {
     pub heap: &'a Heap,
     /// Live frames, module frame first.
     pub frames: &'a [PyFrame],
+    /// The binding layout: it changes whenever a frame is pushed or
+    /// popped or a frame binds a new name, so while it stands, a name
+    /// [`TraceCtx::locate`] found stays at the same [`Place`], and an
+    /// unbound name stays unbound.
+    pub layout: u64,
+}
+
+/// Where a name is bound: a frame (module frame 0) and the binding's slot
+/// in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Place {
+    frame: usize,
+    slot: usize,
 }
 
 impl<'a> TraceCtx<'a> {
@@ -80,16 +93,26 @@ impl<'a> TraceCtx<'a> {
     /// [`TraceCtx::lookup`] with the frame qualifier already split off:
     /// `Some(frame_name)` looks only at the innermost frame of that name.
     pub fn lookup_in(&self, frame_name: Option<&str>, var: &str) -> Option<ObjRef> {
+        self.locate(frame_name, var).map(|place| self.at(place))
+    }
+
+    /// Where [`TraceCtx::lookup_in`] finds `var`.
+    pub fn locate(&self, frame_name: Option<&str>, var: &str) -> Option<Place> {
+        let in_frame = |frame: usize| {
+            let slot = self.frames[frame].locals.position(var)?;
+            Some(Place { frame, slot })
+        };
         if let Some(frame_name) = frame_name {
-            let frame = self.frames.iter().rev().find(|f| f.name() == frame_name)?;
-            return frame.get(var);
+            let frame = self.frames.iter().rposition(|f| f.name() == frame_name)?;
+            return in_frame(frame);
         }
-        if let Some(f) = self.frames.last() {
-            if let Some(r) = f.get(var) {
-                return Some(r);
-            }
-        }
-        self.frames.first()?.get(var)
+        in_frame(self.frames.len().checked_sub(1)?).or_else(|| in_frame(0))
+    }
+
+    /// The object bound at `place`, which [`TraceCtx::locate`] found
+    /// under the current layout.
+    pub fn at(&self, place: Place) -> ObjRef {
+        self.frames[place.frame].locals.entries[place.slot].value
     }
 }
 
@@ -109,32 +132,47 @@ pub struct RunOutcome {
 }
 
 /// An ordered name → object table (declaration order preserved for
-/// inspection, like the paper's tools expect).
+/// inspection, like the paper's tools expect). The interpreter finds a
+/// binding by its symbol.
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
-    entries: Vec<(String, ObjRef)>,
+    entries: Vec<Binding>,
+}
+
+#[derive(Debug, Clone)]
+struct Binding {
+    sym: Sym,
+    name: Rc<str>,
+    value: ObjRef,
 }
 
 impl NameTable {
-    fn get(&self, name: &str) -> Option<ObjRef> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, r)| *r)
+    fn get(&self, sym: Sym) -> Option<ObjRef> {
+        self.entries.iter().find(|b| b.sym == sym).map(|b| b.value)
     }
 
-    fn set(&mut self, name: &str, value: ObjRef) {
-        if let Some(slot) = self.entries.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = value;
-        } else {
-            self.entries.push((name.to_owned(), value));
+    fn position(&self, name: &str) -> Option<usize> {
+        self.entries.iter().position(|b| *b.name == *name)
+    }
+
+    /// Binds `sym`, whose text `names` holds; returns whether that
+    /// added a name.
+    fn set(&mut self, sym: Sym, names: &[Rc<str>], value: ObjRef) -> bool {
+        if let Some(b) = self.entries.iter_mut().find(|b| b.sym == sym) {
+            b.value = value;
+            return false;
         }
+        self.entries.push(Binding {
+            sym,
+            name: names[sym.0 as usize].clone(),
+            value,
+        });
+        true
     }
 
     /// Iterates bindings in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, ObjRef)> {
-        self.entries.iter().map(|(n, r)| (n.as_str(), *r))
+        self.entries.iter().map(|b| (&*b.name, b.value))
     }
 
     /// Number of bindings.
@@ -153,7 +191,7 @@ impl NameTable {
 pub struct PyFrame {
     name: Rc<str>,
     locals: NameTable,
-    globals_decl: Vec<String>,
+    globals_decl: Vec<Sym>,
     line: u32,
 }
 
@@ -179,7 +217,8 @@ impl PyFrame {
 
     /// Looks a local binding up.
     pub fn get(&self, name: &str) -> Option<ObjRef> {
-        self.locals.get(name)
+        let slot = self.locals.position(name)?;
+        Some(self.locals.entries[slot].value)
     }
 
     /// Iterates bindings in declaration order.
@@ -192,7 +231,7 @@ impl PyFrame {
 #[derive(Debug, Clone)]
 struct FuncDef {
     name: Rc<str>,
-    params: Rc<[String]>,
+    params: Rc<[Ident]>,
     body: Rc<[Stmt]>,
     line: u32,
 }
@@ -214,6 +253,8 @@ enum Flow {
 #[derive(Debug)]
 pub struct Interp {
     module: Module,
+    /// The module's names by symbol, shared with the frames' bindings.
+    names: Vec<Rc<str>>,
     heap: Heap,
     funcs: Vec<FuncDef>,
     classes: Vec<ClassDef>,
@@ -223,18 +264,16 @@ pub struct Interp {
     true_ref: ObjRef,
     false_ref: ObjRef,
     /// Temporary roots: the values unfinished statements have computed
-    /// and may still use. Every `eval` result lands here, and each
-    /// statement truncates the stack back to its depth at entry.
+    /// and still hold while user code may run. Each statement truncates
+    /// the stack back to its depth at entry.
     roots: Vec<ObjRef>,
+    /// Bumped by every frame push and pop and every new binding
+    /// ([`TraceCtx::layout`]).
+    layout: u64,
     max_steps: Option<u64>,
     steps: u64,
     max_depth: usize,
 }
-
-const BUILTINS: &[&str] = &[
-    "print", "len", "range", "str", "int", "float", "abs", "min", "max", "sum", "sorted", "list",
-    "id", "type",
-];
 
 impl Interp {
     /// Creates an interpreter for a parsed module.
@@ -247,6 +286,12 @@ impl Interp {
         let true_ref = heap.alloc(PyVal::Bool(true));
         let false_ref = heap.alloc(PyVal::Bool(false));
         Interp {
+            names: BUILTINS
+                .iter()
+                .copied()
+                .chain(module.names.iter().map(String::as_str))
+                .map(Rc::from)
+                .collect(),
             module,
             heap,
             funcs: Vec::new(),
@@ -257,6 +302,7 @@ impl Interp {
             true_ref,
             false_ref,
             roots: Vec::new(),
+            layout: 0,
             max_steps: None,
             steps: 0,
             max_depth: 100,
@@ -334,12 +380,17 @@ impl Interp {
         self.heap.collect(bindings.chain(shared).chain(temporaries));
     }
 
-    fn emit(&self, tracer: &mut dyn Tracer, event: TraceEvent) -> Result<(), Error> {
-        let ctx = TraceCtx {
+    /// What a tracer sees of the interpreter now.
+    pub fn trace_ctx(&self) -> TraceCtx<'_> {
+        TraceCtx {
             heap: &self.heap,
             frames: &self.frames,
-        };
-        match tracer.trace(&event, &ctx) {
+            layout: self.layout,
+        }
+    }
+
+    fn emit(&self, tracer: &mut dyn Tracer, event: TraceEvent) -> Result<(), Error> {
+        match tracer.trace(&event, &self.trace_ctx()) {
             TraceAction::Continue => Ok(()),
             TraceAction::Stop => Err(Error::Stopped),
         }
@@ -383,7 +434,7 @@ impl Interp {
                 Ok(Flow::Normal)
             }
             StmtKind::Assign { target, value } => {
-                let v = self.eval(value, tracer)?;
+                let v = self.eval_held(value, target.may_call(), tracer)?;
                 self.assign(target, v, s.line, tracer)?;
                 Ok(Flow::Normal)
             }
@@ -392,7 +443,7 @@ impl Interp {
                 let current = match target {
                     Target::Name(n) => self.load_name(n, s.line)?,
                     Target::Index { base, index } => {
-                        let b = self.eval(base, tracer)?;
+                        let b = self.eval_held(base, index.may_call, tracer)?;
                         let i = self.eval(index, tracer)?;
                         self.index_get(b, i, s.line)?
                     }
@@ -404,12 +455,12 @@ impl Interp {
                         return Err(self.rerr(s.line, "SyntaxError: invalid augmented target"))
                     }
                 };
-                // Loaded, not evaluated: root it, and the result below,
-                // across the calls the value and the target may make.
-                self.roots.push(current);
+                // Held across the value's calls, and the result across
+                // the calls of the target's second evaluation.
+                self.hold(current, value.may_call);
                 let rhs = self.eval(value, tracer)?;
                 let combined = self.binary(*op, current, rhs, s.line)?;
-                self.roots.push(combined);
+                self.hold(combined, target.may_call());
                 self.assign(target, combined, s.line, tracer)?;
                 Ok(Flow::Normal)
             }
@@ -473,14 +524,14 @@ impl Interp {
             StmtKind::Def { name, params, body } => {
                 let index = self.funcs.len();
                 self.funcs.push(FuncDef {
-                    name: name.as_str().into(),
+                    name: name.name.as_str().into(),
                     params: params.as_slice().into(),
                     body: body.as_slice().into(),
                     line: s.line,
                 });
                 let f = self.alloc(
                     PyVal::Function {
-                        name: name.clone(),
+                        name: name.name.as_str().into(),
                         index,
                     },
                     s.line,
@@ -499,22 +550,22 @@ impl Interp {
                     {
                         let index = self.funcs.len();
                         self.funcs.push(FuncDef {
-                            name: format!("{name}.{mname}").into(),
+                            name: format!("{}.{}", name.name, mname.name).into(),
                             params: params.as_slice().into(),
                             body: body.as_slice().into(),
                             line: m.line,
                         });
-                        table.push((mname.clone(), index));
+                        table.push((mname.name.clone(), index));
                     }
                 }
                 let index = self.classes.len();
                 self.classes.push(ClassDef {
-                    name: name.clone(),
+                    name: name.name.clone(),
                     methods: table,
                 });
                 let c = self.alloc(
                     PyVal::Class {
-                        name: name.clone(),
+                        name: name.name.as_str().into(),
                         index,
                     },
                     s.line,
@@ -538,8 +589,8 @@ impl Interp {
             StmtKind::Global(names) => {
                 let frame = self.frames.last_mut().expect("frame");
                 for n in names {
-                    if !frame.globals_decl.contains(n) {
-                        frame.globals_decl.push(n.clone());
+                    if !frame.globals_decl.contains(&n.sym) {
+                        frame.globals_decl.push(n.sym);
                     }
                 }
                 Ok(Flow::Normal)
@@ -547,38 +598,30 @@ impl Interp {
         }
     }
 
-    fn bind_name(&mut self, name: &str, value: ObjRef) {
-        let is_global_decl = self
-            .frames
-            .last()
-            .expect("frame")
-            .globals_decl
-            .iter()
-            .any(|n| n == name);
-        if is_global_decl {
-            self.frames[0].locals.set(name, value);
+    fn bind_name(&mut self, id: &Ident, value: ObjRef) {
+        let frame = self.frames.last_mut().expect("frame");
+        let added = if frame.globals_decl.contains(&id.sym) {
+            self.frames[0].locals.set(id.sym, &self.names, value)
         } else {
-            self.frames
-                .last_mut()
-                .expect("frame")
-                .locals
-                .set(name, value);
-        }
+            frame.locals.set(id.sym, &self.names, value)
+        };
+        self.layout += u64::from(added);
     }
 
-    fn load_name(&self, name: &str, line: u32) -> Result<ObjRef, Error> {
+    fn load_name(&self, id: &Ident, line: u32) -> Result<ObjRef, Error> {
         let frame = self.frames.last().expect("frame");
-        if frame.globals_decl.iter().any(|n| n == name) {
-            if let Some(r) = self.frames[0].get(name) {
-                return Ok(r);
-            }
-        } else if let Some(r) = frame.get(name) {
-            return Ok(r);
+        let local = if frame.globals_decl.contains(&id.sym) {
+            None
+        } else {
+            frame.locals.get(id.sym)
+        };
+        match local.or_else(|| self.frames[0].locals.get(id.sym)) {
+            Some(r) => Ok(r),
+            None => Err(self.rerr(
+                line,
+                format!("NameError: name '{}' is not defined", id.name),
+            )),
         }
-        if let Some(r) = self.frames[0].get(name) {
-            return Ok(r);
-        }
-        Err(self.rerr(line, format!("NameError: name '{name}' is not defined")))
     }
 
     fn assign(
@@ -594,7 +637,7 @@ impl Interp {
                 Ok(())
             }
             Target::Index { base, index } => {
-                let b = self.eval(base, tracer)?;
+                let b = self.eval_held(base, index.may_call, tracer)?;
                 let i = self.eval(index, tracer)?;
                 self.index_set(b, i, value, line)
             }
@@ -628,7 +671,9 @@ impl Interp {
                     }
                 };
                 // A call in a later target may empty the unpacked list.
-                self.roots.extend(&items);
+                if target.may_call() {
+                    self.roots.extend(&items);
+                }
                 if items.len() != targets.len() {
                     return Err(self.rerr(
                         line,
@@ -649,14 +694,45 @@ impl Interp {
 
     // -- expression evaluation ------------------------------------------------
 
-    /// Evaluates `e` and roots the result until the statement ends.
-    fn eval(&mut self, e: &Expr, tracer: &mut dyn Tracer) -> Result<ObjRef, Error> {
-        let r = self.eval_expr(e, tracer)?;
-        self.roots.push(r);
+    /// Roots `r` until the statement ends when `held` says its holder
+    /// keeps it while user code may run.
+    fn hold(&mut self, r: ObjRef, held: bool) {
+        if held {
+            self.roots.push(r);
+        }
+    }
+
+    /// Evaluates `e` for a holder that keeps the result while evaluating
+    /// later expressions, of which some may call user code when `later`.
+    fn eval_held(
+        &mut self,
+        e: &Expr,
+        later: bool,
+        tracer: &mut dyn Tracer,
+    ) -> Result<ObjRef, Error> {
+        let r = self.eval(e, tracer)?;
+        self.hold(r, later);
         Ok(r)
     }
 
-    fn eval_expr(&mut self, e: &Expr, tracer: &mut dyn Tracer) -> Result<ObjRef, Error> {
+    /// Evaluates `items` in order, rooting every result when `calls`
+    /// says one of them may call user code.
+    fn eval_all<'e>(
+        &mut self,
+        items: impl Iterator<Item = &'e Expr>,
+        calls: bool,
+        tracer: &mut dyn Tracer,
+    ) -> Result<Vec<ObjRef>, Error> {
+        let mut out = Vec::with_capacity(items.size_hint().0);
+        for e in items {
+            out.push(self.eval_held(e, calls, tracer)?);
+        }
+        Ok(out)
+    }
+
+    /// Evaluates `e`. Only the caller holds the result: it roots it
+    /// before evaluating anything that may call user code.
+    fn eval(&mut self, e: &Expr, tracer: &mut dyn Tracer) -> Result<ObjRef, Error> {
         match &e.kind {
             ExprKind::Int(v) => self.alloc(PyVal::Int(*v), e.line),
             ExprKind::Float(v) => self.alloc(PyVal::Float(*v), e.line),
@@ -666,7 +742,7 @@ impl Interp {
             ExprKind::None => Ok(self.none_ref),
             ExprKind::Name(n) => self.load_name(n, e.line),
             ExprKind::Binary { op, lhs, rhs } => {
-                let l = self.eval(lhs, tracer)?;
+                let l = self.eval_held(lhs, rhs.may_call, tracer)?;
                 let r = self.eval(rhs, tracer)?;
                 self.binary(*op, l, r, e.line)
             }
@@ -713,14 +789,18 @@ impl Interp {
             }
             ExprKind::Call { func, args } => self.eval_call(func, args, e.line, tracer),
             ExprKind::Index { base, index } => {
-                let b = self.eval(base, tracer)?;
+                let b = self.eval_held(base, index.may_call, tracer)?;
                 let i = self.eval(index, tracer)?;
                 self.index_get(b, i, e.line)
             }
             ExprKind::Slice { base, lo, hi } => {
-                let b = self.eval(base, tracer)?;
+                let bounds_call = [lo, hi].into_iter().flatten().any(|e| e.may_call);
+                let b = self.eval_held(base, bounds_call, tracer)?;
                 let lo = match lo {
-                    Some(e) => Some(self.eval(e, tracer)?),
+                    Some(lo) => {
+                        let later = hi.as_ref().is_some_and(|hi| hi.may_call);
+                        Some(self.eval_held(lo, later, tracer)?)
+                    }
                     None => None,
                 };
                 let hi = match hi {
@@ -734,25 +814,18 @@ impl Interp {
                 self.attr_get(b, attr, e.line)
             }
             ExprKind::List(items) => {
-                let refs = items
-                    .iter()
-                    .map(|i| self.eval(i, tracer))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let refs = self.eval_all(items.iter(), e.may_call, tracer)?;
                 self.alloc(PyVal::List(refs), e.line)
             }
             ExprKind::Tuple(items) => {
-                let refs = items
-                    .iter()
-                    .map(|i| self.eval(i, tracer))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let refs = self.eval_all(items.iter(), e.may_call, tracer)?;
                 self.alloc(PyVal::Tuple(refs), e.line)
             }
             ExprKind::Dict(entries) => {
-                let refs = entries
-                    .iter()
-                    .map(|(k, v)| Ok((self.eval(k, tracer)?, self.eval(v, tracer)?)))
-                    .collect::<Result<Vec<_>, Error>>()?;
-                self.alloc(PyVal::Dict(refs), e.line)
+                let flat = entries.iter().flat_map(|(k, v)| [k, v]);
+                let refs = self.eval_all(flat, e.may_call, tracer)?;
+                let pairs = refs.chunks_exact(2).map(|kv| (kv[0], kv[1])).collect();
+                self.alloc(PyVal::Dict(pairs), e.line)
             }
         }
     }
@@ -788,8 +861,8 @@ impl Interp {
             }
             _ => {}
         }
-        let (lv, rv) = (self.heap.get(l).clone(), self.heap.get(r).clone());
-        let result = match (op, &lv, &rv) {
+        let (lv, rv) = (self.heap.get(l), self.heap.get(r));
+        let result = match (op, lv, rv) {
             // String / list concatenation and repetition.
             (Add, PyVal::Str(a), PyVal::Str(b)) => PyVal::Str(format!("{a}{b}")),
             (Add, PyVal::List(a), PyVal::List(b)) => {
@@ -811,13 +884,13 @@ impl Interp {
             (Mod, PyVal::Str(fmt), _) => {
                 // Printf-style formatting is common in teaching code; we
                 // support the single-argument form and tuples.
-                let args = match &rv {
-                    PyVal::Tuple(items) => items.clone(),
-                    _ => vec![r],
+                let args = match rv {
+                    PyVal::Tuple(items) => items.as_slice(),
+                    _ => &[r],
                 };
-                PyVal::Str(self.percent_format(fmt, &args))
+                PyVal::Str(self.percent_format(fmt, args))
             }
-            _ => self.numeric_binary(op, &lv, &rv, line)?,
+            _ => self.numeric_binary(op, lv, rv, line)?,
         };
         self.alloc(result, line)
     }
@@ -995,14 +1068,16 @@ impl Interp {
     }
 
     fn iterate(&mut self, r: ObjRef, line: u32) -> Result<Vec<ObjRef>, Error> {
-        match self.heap.get(r).clone() {
-            PyVal::List(items) | PyVal::Tuple(items) => Ok(items),
-            PyVal::Str(s) => s
-                .chars()
-                .map(|c| self.alloc(PyVal::Str(c.to_string()), line))
-                .collect(),
+        match self.heap.get(r) {
+            PyVal::List(items) | PyVal::Tuple(items) => Ok(items.clone()),
+            PyVal::Str(s) => {
+                let s = s.clone();
+                s.chars()
+                    .map(|c| self.alloc(PyVal::Str(c.to_string()), line))
+                    .collect()
+            }
             PyVal::Dict(entries) => Ok(entries.iter().map(|(k, _)| *k).collect()),
-            PyVal::Range { start, stop, step } => {
+            &PyVal::Range { start, stop, step } => {
                 let mut out = Vec::new();
                 let mut v = start;
                 if step > 0 {
@@ -1085,8 +1160,8 @@ impl Interp {
             let v = if v < 0 { v + len } else { v };
             v.clamp(0, len) as usize
         };
-        match self.heap.get(base).clone() {
-            PyVal::List(items) => {
+        let sliced = match self.heap.get(base) {
+            seq @ (PyVal::List(items) | PyVal::Tuple(items)) => {
                 let (l, h) = (
                     clamp(bound(self, lo, 0)?, items.len()),
                     clamp(bound(self, hi, items.len() as i64)?, items.len()),
@@ -1096,19 +1171,10 @@ impl Interp {
                 } else {
                     Vec::new()
                 };
-                self.alloc(PyVal::List(out), line)
-            }
-            PyVal::Tuple(items) => {
-                let (l, h) = (
-                    clamp(bound(self, lo, 0)?, items.len()),
-                    clamp(bound(self, hi, items.len() as i64)?, items.len()),
-                );
-                let out = if l < h {
-                    items[l..h].to_vec()
-                } else {
-                    Vec::new()
-                };
-                self.alloc(PyVal::Tuple(out), line)
+                match seq {
+                    PyVal::List(_) => PyVal::List(out),
+                    _ => PyVal::Tuple(out),
+                }
             }
             PyVal::Str(sv) => {
                 let chars: Vec<char> = sv.chars().collect();
@@ -1121,13 +1187,16 @@ impl Interp {
                 } else {
                     String::new()
                 };
-                self.alloc(PyVal::Str(out), line)
+                PyVal::Str(out)
             }
-            other => Err(self.rerr(
-                line,
-                format!("TypeError: '{}' object is not sliceable", other.type_name()),
-            )),
-        }
+            other => {
+                return Err(self.rerr(
+                    line,
+                    format!("TypeError: '{}' object is not sliceable", other.type_name()),
+                ))
+            }
+        };
+        self.alloc(sliced, line)
     }
 
     fn index_set(
@@ -1137,7 +1206,7 @@ impl Interp {
         value: ObjRef,
         line: u32,
     ) -> Result<(), Error> {
-        match self.heap.get(base).clone() {
+        match self.heap.get(base) {
             PyVal::List(items) => {
                 let i = self.normalize_index(index, items.len(), line)?;
                 if let PyVal::List(items) = self.heap.get_mut(base) {
@@ -1145,14 +1214,9 @@ impl Interp {
                 }
                 Ok(())
             }
-            PyVal::Dict(_) => {
+            PyVal::Dict(entries) => {
                 // Replace existing key (by equality) or append.
-                let existing = match self.heap.get(base) {
-                    PyVal::Dict(entries) => {
-                        entries.iter().position(|(k, _)| self.heap.py_eq(*k, index))
-                    }
-                    _ => unreachable!("matched dict"),
-                };
+                let existing = entries.iter().position(|(k, _)| self.heap.py_eq(*k, index));
                 if let PyVal::Dict(entries) = self.heap.get_mut(base) {
                     match existing {
                         Some(pos) => entries[pos].1 = value,
@@ -1206,9 +1270,12 @@ impl Interp {
                 let method = self
                     .classes
                     .iter()
-                    .find(|c| c.name == class_name)
+                    .find(|c| *c.name == *class_name)
                     .and_then(|c| c.methods.iter().find(|(n, _)| n == attr))
-                    .map(|(n, i)| (n.clone(), *i));
+                    .map(|(n, i)| {
+                        let index = u32::try_from(*i).expect("fewer than 2^32 functions");
+                        (n.as_str().into(), index)
+                    });
                 match method {
                     Some((name, index)) => self.alloc(
                         PyVal::BoundMethod {
@@ -1244,38 +1311,42 @@ impl Interp {
         line: u32,
         tracer: &mut dyn Tracer,
     ) -> Result<ObjRef, Error> {
+        // The callee is held while the arguments are evaluated.
+        let args_call = args.iter().any(|a| a.may_call);
         // Builtin container methods: `base.attr(args)`.
         if let ExprKind::Attr { base, attr } = &func.kind {
-            let b = self.eval(base, tracer)?;
+            let b = self.eval_held(base, args_call, tracer)?;
             if !matches!(self.heap.get(b), PyVal::Instance { .. }) {
-                let argv = self.eval_args(args, tracer)?;
+                let argv = self.eval_all(args.iter(), args_call, tracer)?;
                 return self.builtin_method(b, attr, &argv, line);
             }
             // Instance: attribute may be a field holding a function or a
-            // bound method.
+            // bound method, possibly a fresh one.
             let target = self.attr_get(b, attr, line)?;
-            // Possibly a fresh bound method, which the arguments' calls
-            // could otherwise free.
-            self.roots.push(target);
-            let argv = self.eval_args(args, tracer)?;
+            self.hold(target, args_call);
+            let argv = self.eval_all(args.iter(), args_call, tracer)?;
             return self.call_object(target, argv, line, tracer);
         }
         // Builtin functions (unless shadowed by a user definition).
-        if let ExprKind::Name(name) = &func.kind {
-            let shadowed = self.frames.last().expect("frame").get(name).is_some()
-                || self.frames[0].get(name).is_some();
-            if !shadowed && BUILTINS.contains(&name.as_str()) {
-                let argv = self.eval_args(args, tracer)?;
-                return self.builtin_function(name, &argv, line, tracer);
+        if let ExprKind::Name(id) = &func.kind {
+            if let Some(builtin) = id.sym.builtin() {
+                let shadowed = self
+                    .frames
+                    .last()
+                    .expect("frame")
+                    .locals
+                    .get(id.sym)
+                    .is_some()
+                    || self.frames[0].locals.get(id.sym).is_some();
+                if !shadowed {
+                    let argv = self.eval_all(args.iter(), args_call, tracer)?;
+                    return self.builtin_function(builtin, &argv, line, tracer);
+                }
             }
         }
-        let callee = self.eval(func, tracer)?;
-        let argv = self.eval_args(args, tracer)?;
+        let callee = self.eval_held(func, args_call, tracer)?;
+        let argv = self.eval_all(args.iter(), args_call, tracer)?;
         self.call_object(callee, argv, line, tracer)
-    }
-
-    fn eval_args(&mut self, args: &[Expr], tracer: &mut dyn Tracer) -> Result<Vec<ObjRef>, Error> {
-        args.iter().map(|a| self.eval(a, tracer)).collect()
     }
 
     fn call_object(
@@ -1291,7 +1362,7 @@ impl Interp {
                 receiver, index, ..
             } => {
                 args.insert(0, receiver);
-                self.call_function(index, args, line, tracer)
+                self.call_function(index as usize, args, line, tracer)
             }
             PyVal::Class { index, .. } => {
                 let class = &self.classes[index];
@@ -1303,8 +1374,8 @@ impl Interp {
                     .map(|(_, i)| *i);
                 let instance = self.alloc(
                     PyVal::Instance {
-                        class: class_name.clone(),
-                        fields: Vec::new(),
+                        class: class_name.as_str().into(),
+                        fields: Box::default(),
                     },
                     line,
                 )?;
@@ -1360,9 +1431,10 @@ impl Interp {
         }
         let mut frame = PyFrame::new(name.clone(), def_line);
         for (p, a) in params.iter().zip(&args) {
-            frame.locals.set(p, *a);
+            frame.locals.set(p.sym, &self.names, *a);
         }
         self.frames.push(frame);
+        self.layout += 1;
         let depth = (self.frames.len() - 1) as u32;
         self.emit(
             tracer,
@@ -1376,6 +1448,7 @@ impl Interp {
             Ok(flow) => flow,
             Err(e) => {
                 self.frames.pop();
+                self.layout += 1;
                 return Err(e);
             }
         };
@@ -1394,6 +1467,7 @@ impl Interp {
             },
         )?;
         self.frames.pop();
+        self.layout += 1;
         Ok(value)
     }
 
@@ -1663,6 +1737,8 @@ impl Interp {
         }
     }
 
+    /// A builtin container method. Each borrows the receiver, so a
+    /// call costs what the method does, not the receiver's size.
     fn builtin_method(
         &mut self,
         base: ObjRef,
@@ -1670,39 +1746,68 @@ impl Interp {
         args: &[ObjRef],
         line: u32,
     ) -> Result<ObjRef, Error> {
-        let type_name = self.heap.get(base).type_name().to_owned();
-        let bad = |this: &Self| {
-            this.rerr(
-                line,
-                format!("AttributeError: '{type_name}' object has no method '{method}'"),
-            )
-        };
-        match (self.heap.get(base).clone(), method) {
-            (PyVal::List(_), "append") => {
+        match self.heap.get(base) {
+            PyVal::List(_) => self.list_method(base, method, args, line),
+            PyVal::Dict(_) => self.dict_method(base, method, args, line),
+            PyVal::Str(s) => {
+                let s = s.clone();
+                self.str_method(base, &s, method, args, line)
+            }
+            _ => Err(self.no_method(base, method, line)),
+        }
+    }
+
+    fn no_method(&self, base: ObjRef, method: &str, line: u32) -> Error {
+        let type_name = self.heap.get(base).type_name();
+        self.rerr(
+            line,
+            format!("AttributeError: '{type_name}' object has no method '{method}'"),
+        )
+    }
+
+    /// The items of the list `base`.
+    fn list_items(&self, base: ObjRef) -> &[ObjRef] {
+        match self.heap.get(base) {
+            PyVal::List(items) => items,
+            other => unreachable!("a list method on '{}'", other.type_name()),
+        }
+    }
+
+    /// The items of the list `base`, to change in place.
+    fn list_items_mut(&mut self, base: ObjRef) -> &mut Vec<ObjRef> {
+        match self.heap.get_mut(base) {
+            PyVal::List(items) => items,
+            other => unreachable!("a list method on '{}'", other.type_name()),
+        }
+    }
+
+    fn list_method(
+        &mut self,
+        base: ObjRef,
+        method: &str,
+        args: &[ObjRef],
+        line: u32,
+    ) -> Result<ObjRef, Error> {
+        let len = self.list_items(base).len();
+        match method {
+            "append" => {
                 let [v] = args else {
                     return Err(self.rerr(line, "TypeError: append() takes one argument"));
                 };
-                if let PyVal::List(items) = self.heap.get_mut(base) {
-                    items.push(*v);
-                }
+                self.list_items_mut(base).push(*v);
                 Ok(self.none_ref)
             }
-            (PyVal::List(items), "pop") => {
+            "pop" => {
                 let idx = match args {
-                    [] => items
-                        .len()
+                    [] => len
                         .checked_sub(1)
                         .ok_or_else(|| self.rerr(line, "IndexError: pop from empty list"))?,
-                    [i] => self.normalize_index(*i, items.len(), line)?,
+                    [i] => self.normalize_index(*i, len, line)?,
                     _ => return Err(self.rerr(line, "TypeError: pop() takes at most one argument")),
                 };
-                let v = items[idx];
-                if let PyVal::List(items) = self.heap.get_mut(base) {
-                    items.remove(idx);
-                }
-                Ok(v)
+                Ok(self.list_items_mut(base).remove(idx))
             }
-            (PyVal::List(items), "insert") => {
+            "insert" => {
                 let [i, v] = args else {
                     return Err(self.rerr(line, "TypeError: insert() takes two arguments"));
                 };
@@ -1710,77 +1815,98 @@ impl Interp {
                     PyVal::Int(v) => *v,
                     _ => return Err(self.rerr(line, "TypeError: insert() index must be int")),
                 };
-                let idx = raw.clamp(0, items.len() as i64) as usize;
-                if let PyVal::List(items) = self.heap.get_mut(base) {
-                    items.insert(idx, *v);
-                }
+                let idx = raw.clamp(0, len as i64) as usize;
+                self.list_items_mut(base).insert(idx, *v);
                 Ok(self.none_ref)
             }
-            (PyVal::List(items), "remove") => {
+            "remove" => {
                 let [v] = args else {
                     return Err(self.rerr(line, "TypeError: remove() takes one argument"));
                 };
-                let pos = items.iter().position(|i| self.heap.py_eq(*i, *v));
-                match pos {
+                let items = self.list_items(base);
+                match items.iter().position(|i| self.heap.py_eq(*i, *v)) {
                     Some(p) => {
-                        if let PyVal::List(items) = self.heap.get_mut(base) {
-                            items.remove(p);
-                        }
+                        self.list_items_mut(base).remove(p);
                         Ok(self.none_ref)
                     }
                     None => Err(self.rerr(line, "ValueError: list.remove(x): x not in list")),
                 }
             }
-            (PyVal::List(mut items), "sort") => {
+            "sort" => {
                 if !args.is_empty() {
                     return Err(self.rerr(line, "TypeError: sort() takes no arguments"));
                 }
+                let mut items = self.list_items(base).to_vec();
                 self.sort_refs(&mut items, line)?;
-                if let PyVal::List(slot) = self.heap.get_mut(base) {
-                    *slot = items;
-                }
+                *self.list_items_mut(base) = items;
                 Ok(self.none_ref)
             }
-            (PyVal::List(items), "index") => {
+            "index" => {
                 let [v] = args else {
                     return Err(self.rerr(line, "TypeError: index() takes one argument"));
                 };
+                let items = self.list_items(base);
                 match items.iter().position(|i| self.heap.py_eq(*i, *v)) {
                     Some(p) => self.alloc(PyVal::Int(p as i64), line),
                     None => Err(self.rerr(line, "ValueError: value not in list")),
                 }
             }
-            (PyVal::Dict(entries), "keys") => {
+            _ => Err(self.no_method(base, method, line)),
+        }
+    }
+
+    fn dict_method(
+        &mut self,
+        base: ObjRef,
+        method: &str,
+        args: &[ObjRef],
+        line: u32,
+    ) -> Result<ObjRef, Error> {
+        let PyVal::Dict(entries) = self.heap.get(base) else {
+            unreachable!("a dict method on a non-dict");
+        };
+        match method {
+            "keys" => {
                 let ks = entries.iter().map(|(k, _)| *k).collect();
                 self.alloc(PyVal::List(ks), line)
             }
-            (PyVal::Dict(entries), "values") => {
+            "values" => {
                 let vs = entries.iter().map(|(_, v)| *v).collect();
                 self.alloc(PyVal::List(vs), line)
             }
-            (PyVal::Dict(entries), "items") => {
+            "items" => {
+                let entries = entries.clone();
                 let pairs = entries
                     .iter()
                     .map(|(k, v)| self.alloc(PyVal::Tuple(vec![*k, *v]), line))
                     .collect::<Result<_, _>>()?;
                 self.alloc(PyVal::List(pairs), line)
             }
-            (PyVal::Dict(entries), "get") => {
+            "get" => {
                 let (key, default) = match args {
                     [k] => (*k, self.none_ref),
                     [k, d] => (*k, *d),
                     _ => return Err(self.rerr(line, "TypeError: get() takes 1 or 2 arguments")),
                 };
-                for (k, v) in &entries {
-                    if self.heap.py_eq(*k, key) {
-                        return Ok(*v);
-                    }
-                }
-                Ok(default)
+                let found = entries.iter().find(|(k, _)| self.heap.py_eq(*k, key));
+                Ok(found.map_or(default, |&(_, v)| v))
             }
-            (PyVal::Str(s), "upper") => self.alloc(PyVal::Str(s.to_uppercase()), line),
-            (PyVal::Str(s), "lower") => self.alloc(PyVal::Str(s.to_lowercase()), line),
-            (PyVal::Str(s), "split") => {
+            _ => Err(self.no_method(base, method, line)),
+        }
+    }
+
+    fn str_method(
+        &mut self,
+        base: ObjRef,
+        s: &str,
+        method: &str,
+        args: &[ObjRef],
+        line: u32,
+    ) -> Result<ObjRef, Error> {
+        match method {
+            "upper" => self.alloc(PyVal::Str(s.to_uppercase()), line),
+            "lower" => self.alloc(PyVal::Str(s.to_lowercase()), line),
+            "split" => {
                 let parts: Vec<ObjRef> = match args {
                     [] => s
                         .split_whitespace()
@@ -1799,7 +1925,7 @@ impl Interp {
                 };
                 self.alloc(PyVal::List(parts), line)
             }
-            (PyVal::Str(s), "join") => {
+            "join" => {
                 let [arg] = args else {
                     return Err(self.rerr(line, "TypeError: join() takes one argument"));
                 };
@@ -1819,9 +1945,9 @@ impl Interp {
                         }
                     }
                 }
-                self.alloc(PyVal::Str(parts.join(&s)), line)
+                self.alloc(PyVal::Str(parts.join(s)), line)
             }
-            _ => Err(bad(self)),
+            _ => Err(self.no_method(base, method, line)),
         }
     }
 

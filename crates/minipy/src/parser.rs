@@ -3,6 +3,7 @@
 use crate::ast::*;
 use crate::lexer::{lex, Kw, OpTok, Tok, Token};
 use crate::Error;
+use std::collections::HashMap;
 
 /// Parses MiniPy source into a [`Module`].
 ///
@@ -19,17 +20,56 @@ use crate::Error;
 /// ```
 pub fn parse(source: &str) -> Result<Module, Error> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        symbols: HashMap::new(),
+        names: Vec::new(),
+    };
     let body = p.statements_until_eof()?;
-    Ok(Module { body })
+    Ok(Module {
+        body,
+        names: p.names,
+    })
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Every name seen so far, with its symbol.
+    symbols: HashMap<String, Sym>,
+    /// The names but the builtins, by symbol ([`Module::names`]).
+    names: Vec<String>,
 }
 
 impl Parser {
+    /// The identifier for `name`: the same symbol for every use of the
+    /// name.
+    fn intern(&mut self, name: String) -> Ident {
+        let sym = match self.symbols.get(&name) {
+            Some(&sym) => sym,
+            None => {
+                let index = match BUILTINS.iter().position(|b| *b == name) {
+                    Some(i) => i,
+                    None => BUILTINS.len() + self.names.len(),
+                };
+                let sym = Sym(u32::try_from(index).expect("fewer than 2^32 names"));
+                if sym.builtin().is_none() {
+                    self.names.push(name.clone());
+                }
+                self.symbols.insert(name.clone(), sym);
+                sym
+            }
+        };
+        Ident { sym, name }
+    }
+
+    /// An identifier token, interned.
+    fn expect_name(&mut self) -> Result<Ident, Error> {
+        let name = self.expect_ident()?;
+        Ok(self.intern(name))
+    }
+
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].kind
     }
@@ -39,11 +79,14 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].kind.clone();
+        // A consumed token is never read again, so its text moves out
+        // instead of being copied; the last token (`Eof`) stays.
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1].kind, Tok::Newline)
+        } else {
+            self.tokens[self.pos].kind.clone()
         }
-        t
     }
 
     fn err(&self, message: impl Into<String>) -> Error {
@@ -90,12 +133,12 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String, Error> {
-        match self.peek().clone() {
-            Tok::Ident(name) => {
-                self.bump();
-                Ok(name)
-            }
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+        if !matches!(self.peek(), Tok::Ident(_)) {
+            return Err(self.err(format!("expected identifier, found {}", self.peek())));
+        }
+        match self.bump() {
+            Tok::Ident(name) => Ok(name),
+            _ => unreachable!("peeked an identifier"),
         }
     }
 
@@ -163,12 +206,12 @@ impl Parser {
             }
             Tok::Kw(Kw::Def) => {
                 self.bump();
-                let name = self.expect_ident()?;
+                let name = self.expect_name()?;
                 self.expect_op(OpTok::LParen)?;
                 let mut params = Vec::new();
                 if !self.eat_op(OpTok::RParen) {
                     loop {
-                        params.push(self.expect_ident()?);
+                        params.push(self.expect_name()?);
                         if !self.eat_op(OpTok::Comma) {
                             break;
                         }
@@ -183,7 +226,7 @@ impl Parser {
             }
             Tok::Kw(Kw::Class) => {
                 self.bump();
-                let name = self.expect_ident()?;
+                let name = self.expect_name()?;
                 let body = self.suite()?;
                 let mut methods = Vec::new();
                 for s in body {
@@ -252,9 +295,9 @@ impl Parser {
             }
             Tok::Kw(Kw::Global) => {
                 self.bump();
-                let mut names = vec![self.expect_ident()?];
+                let mut names = vec![self.expect_name()?];
                 while self.eat_op(OpTok::Comma) {
-                    names.push(self.expect_ident()?);
+                    names.push(self.expect_name()?);
                 }
                 StmtKind::Global(names)
             }
@@ -342,13 +385,13 @@ impl Parser {
 
     /// For-loop target: names or tuple of names.
     fn name_target(&mut self) -> Result<Target, Error> {
-        let first = Target::Name(self.expect_ident()?);
+        let first = Target::Name(self.expect_name()?);
         if self.peek() != &Tok::Op(OpTok::Comma) {
             return Ok(first);
         }
         let mut items = vec![first];
         while self.eat_op(OpTok::Comma) {
-            items.push(Target::Name(self.expect_ident()?));
+            items.push(Target::Name(self.expect_name()?));
         }
         Ok(Target::Tuple(items))
     }
@@ -358,11 +401,13 @@ impl Parser {
     /// Full expression, allowing bare tuples `a, b`.
     fn expression(&mut self) -> Result<Expr, Error> {
         let line = self.line();
-        let first = self.expression_no_tuple()?;
+        // Each level hands a lone operand on as the `Result` it got, so
+        // an atom is not copied once per precedence level.
+        let first = self.expression_no_tuple();
         if self.peek() != &Tok::Op(OpTok::Comma) {
-            return Ok(first);
+            return first;
         }
-        let mut items = vec![first];
+        let mut items = vec![first?];
         while self.eat_op(OpTok::Comma) {
             // Trailing comma before a closer/newline ends the tuple.
             if matches!(
@@ -383,7 +428,11 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.and_expr()?;
+        let first = self.and_expr();
+        if self.peek() != &Tok::Kw(Kw::Or) {
+            return first;
+        }
+        let mut lhs = first?;
         while self.peek() == &Tok::Kw(Kw::Or) {
             let line = self.line();
             self.bump();
@@ -401,7 +450,11 @@ impl Parser {
     }
 
     fn and_expr(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.not_expr()?;
+        let first = self.not_expr();
+        if self.peek() != &Tok::Kw(Kw::And) {
+            return first;
+        }
+        let mut lhs = first?;
         while self.peek() == &Tok::Kw(Kw::And) {
             let line = self.line();
             self.bump();
@@ -429,7 +482,7 @@ impl Parser {
     }
 
     fn comparison(&mut self) -> Result<Expr, Error> {
-        let lhs = self.arith()?;
+        let first = self.arith();
         let op = match self.peek() {
             Tok::Op(OpTok::EqEq) => Some(BinOp::Eq),
             Tok::Op(OpTok::Ne) => Some(BinOp::Ne),
@@ -448,7 +501,8 @@ impl Parser {
             }
             _ => None,
         };
-        let Some(op) = op else { return Ok(lhs) };
+        let Some(op) = op else { return first };
+        let lhs = first?;
         let line = self.line();
         self.bump();
         if op == BinOp::NotIn {
@@ -466,7 +520,11 @@ impl Parser {
     }
 
     fn arith(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.term()?;
+        let first = self.term();
+        if !matches!(self.peek(), Tok::Op(OpTok::Plus | OpTok::Minus)) {
+            return first;
+        }
+        let mut lhs = first?;
         loop {
             let op = match self.peek() {
                 Tok::Op(OpTok::Plus) => BinOp::Add,
@@ -488,7 +546,14 @@ impl Parser {
     }
 
     fn term(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.factor()?;
+        let first = self.factor();
+        if !matches!(
+            self.peek(),
+            Tok::Op(OpTok::Star | OpTok::Slash | OpTok::SlashSlash | OpTok::Percent)
+        ) {
+            return first;
+        }
+        let mut lhs = first?;
         loop {
             let op = match self.peek() {
                 Tok::Op(OpTok::Star) => BinOp::Mul,
@@ -522,8 +587,9 @@ impl Parser {
     }
 
     fn power(&mut self) -> Result<Expr, Error> {
-        let base = self.postfix()?;
+        let first = self.postfix();
         if self.peek() == &Tok::Op(OpTok::StarStar) {
+            let base = first?;
             let line = self.line();
             self.bump();
             let exp = self.factor()?; // right associative
@@ -536,11 +602,18 @@ impl Parser {
                 line,
             ));
         }
-        Ok(base)
+        first
     }
 
     fn postfix(&mut self) -> Result<Expr, Error> {
-        let mut e = self.atom()?;
+        let first = self.atom();
+        if !matches!(
+            self.peek(),
+            Tok::Op(OpTok::LParen | OpTok::LBracket | OpTok::Dot)
+        ) {
+            return first;
+        }
+        let mut e = first?;
         loop {
             let line = self.line();
             match self.peek() {
@@ -625,7 +698,7 @@ impl Parser {
             Tok::Kw(Kw::True) => Ok(Expr::new(ExprKind::Bool(true), line)),
             Tok::Kw(Kw::False) => Ok(Expr::new(ExprKind::Bool(false), line)),
             Tok::Kw(Kw::None) => Ok(Expr::new(ExprKind::None, line)),
-            Tok::Ident(name) => Ok(Expr::new(ExprKind::Name(name), line)),
+            Tok::Ident(name) => Ok(Expr::new(ExprKind::Name(self.intern(name)), line)),
             Tok::Op(OpTok::LParen) => {
                 if self.eat_op(OpTok::RParen) {
                     return Ok(Expr::new(ExprKind::Tuple(Vec::new()), line));

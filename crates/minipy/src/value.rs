@@ -27,7 +27,8 @@ impl ObjRef {
     }
 }
 
-/// A MiniPy value.
+/// A MiniPy value. Every variant holds at most three words, so a heap
+/// slot is four: the larger parts of instances are boxed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PyVal {
     /// Integer.
@@ -49,21 +50,21 @@ pub enum PyVal {
     /// A class instance with ordered attributes.
     Instance {
         /// Class name.
-        class: String,
+        class: Box<str>,
         /// Attributes in assignment order.
-        fields: Vec<(String, ObjRef)>,
+        fields: Box<Vec<(String, ObjRef)>>,
     },
     /// A user function (index into the interpreter's function table).
     Function {
         /// Function name.
-        name: String,
+        name: Box<str>,
         /// Index into the function table.
         index: usize,
     },
     /// A class object (callable constructor; index into the class table).
     Class {
         /// Class name.
-        name: String,
+        name: Box<str>,
         /// Index into the class table.
         index: usize,
     },
@@ -81,9 +82,9 @@ pub enum PyVal {
         /// The receiver object.
         receiver: ObjRef,
         /// Method name.
-        name: String,
+        name: Box<str>,
         /// Index into the function table.
-        index: usize,
+        index: u32,
     },
 }
 
@@ -169,8 +170,9 @@ impl Chunk {
         freed
     }
 
-    fn is_empty(&self) -> bool {
-        self.occupied.iter().all(|&w| w == 0)
+    /// Occupied slots.
+    fn live(&self) -> usize {
+        self.occupied.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -377,12 +379,14 @@ impl Heap {
         self.allocated.retain(|&chunk_no| {
             let entry = &mut chunks[chunk_no - first];
             let chunk = entry.as_mut().expect("allocated chunk");
-            freed += chunk.sweep();
-            let keep = chunk_no == filling || !chunk.is_empty();
-            if !keep {
-                *entry = None;
+            let keep = chunk_no == filling || chunk.marked.iter().any(|&w| w != 0);
+            if keep {
+                freed += chunk.sweep();
+                return true;
             }
-            keep
+            // Nothing in it survived: its objects go all at once.
+            freed += entry.take().expect("allocated chunk").live();
+            false
         });
         self.survivors = self.live() as u64 - freed as u64;
         self.next_at_collect = self.next;
@@ -561,17 +565,17 @@ impl Heap {
 
     fn to_abstract_bounded(&self, r: ObjRef, depth: usize, seen: &mut HashSet<ObjRef>) -> Value {
         let addr = r.address();
+        let obj = self.get(r);
+        // An object without children cannot be part of a cycle.
+        if let Some(v) = (depth > 0).then(|| scalar_value(obj)).flatten() {
+            return v.with_location(Location::Heap).with_address(addr);
+        }
         if depth == 0 || !seen.insert(r) {
-            return Value::none(self.get(r).type_name().to_owned())
+            return Value::none(obj.type_name().to_owned())
                 .with_location(Location::Heap)
                 .with_address(addr);
         }
-        let v = match self.get(r) {
-            PyVal::Int(v) => Value::primitive(Prim::Int(*v), "int"),
-            PyVal::Float(v) => Value::primitive(Prim::Float(*v), "float"),
-            PyVal::Bool(b) => Value::primitive(Prim::Bool(*b), "bool"),
-            PyVal::Str(s) => Value::primitive(Prim::Str(s.clone()), "str"),
-            PyVal::None => Value::none("NoneType"),
+        let v = match obj {
             PyVal::List(items) => {
                 let children = items
                     .iter()
@@ -605,20 +609,7 @@ impl Heap {
                     .collect();
                 Value::structure(children, class.clone())
             }
-            PyVal::Function { name, .. } => Value::function(name.clone(), "function"),
-            PyVal::BoundMethod { name, .. } => Value::function(name.clone(), "method"),
-            PyVal::Class { name, .. } => Value::function(name.clone(), "type"),
-            PyVal::Range { start, stop, step } => Value::structure(
-                vec![
-                    (
-                        "start".to_owned(),
-                        Value::primitive(Prim::Int(*start), "int"),
-                    ),
-                    ("stop".to_owned(), Value::primitive(Prim::Int(*stop), "int")),
-                    ("step".to_owned(), Value::primitive(Prim::Int(*step), "int")),
-                ],
-                "range",
-            ),
+            scalar => unreachable!("{} has no children", scalar.type_name()),
         };
         seen.remove(&r);
         v.with_location(Location::Heap).with_address(addr)
@@ -629,7 +620,11 @@ impl Heap {
     /// on the stack pointing to the heap).
     pub fn ref_value(&self, r: ObjRef, depth: usize, seen: &mut HashSet<ObjRef>) -> Value {
         let target = self.to_abstract_bounded(r, depth, seen);
-        let lt = format!("ref[{}]", self.get(r).type_name());
+        let type_name = self.get(r).type_name();
+        let lt = match builtin_ref_type(type_name) {
+            Some(lt) => lt.to_owned(),
+            None => format!("ref[{type_name}]"),
+        };
         Value::reference(target, lt).with_location(Location::Stack)
     }
 
@@ -637,6 +632,51 @@ impl Heap {
     pub fn binding_value(&self, r: ObjRef) -> Value {
         self.ref_value(r, 24, &mut HashSet::new())
     }
+}
+
+/// The abstract value of an object whose value shows no other object, or
+/// `None` for a container or instance.
+fn scalar_value(obj: &PyVal) -> Option<Value> {
+    Some(match obj {
+        PyVal::Int(v) => Value::primitive(Prim::Int(*v), "int"),
+        PyVal::Float(v) => Value::primitive(Prim::Float(*v), "float"),
+        PyVal::Bool(b) => Value::primitive(Prim::Bool(*b), "bool"),
+        PyVal::Str(s) => Value::primitive(Prim::Str(s.clone()), "str"),
+        PyVal::None => Value::none("NoneType"),
+        PyVal::Function { name, .. } => Value::function(name.clone(), "function"),
+        PyVal::BoundMethod { name, .. } => Value::function(name.clone(), "method"),
+        PyVal::Class { name, .. } => Value::function(name.clone(), "type"),
+        PyVal::Range { start, stop, step } => Value::structure(
+            vec![
+                (
+                    "start".to_owned(),
+                    Value::primitive(Prim::Int(*start), "int"),
+                ),
+                ("stop".to_owned(), Value::primitive(Prim::Int(*stop), "int")),
+                ("step".to_owned(), Value::primitive(Prim::Int(*step), "int")),
+            ],
+            "range",
+        ),
+        PyVal::List(_) | PyVal::Tuple(_) | PyVal::Dict(_) | PyVal::Instance { .. } => return None,
+    })
+}
+
+/// `ref[T]` for the builtin type `T`, spelled once.
+fn builtin_ref_type(type_name: &str) -> Option<&'static str> {
+    Some(match type_name {
+        "int" => "ref[int]",
+        "float" => "ref[float]",
+        "bool" => "ref[bool]",
+        "str" => "ref[str]",
+        "NoneType" => "ref[NoneType]",
+        "list" => "ref[list]",
+        "tuple" => "ref[tuple]",
+        "dict" => "ref[dict]",
+        "function" => "ref[function]",
+        "type" => "ref[type]",
+        "range" => "ref[range]",
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -794,6 +834,11 @@ mod tests {
         let next = h.alloc(PyVal::Int(-1));
         assert_eq!(next.0 as usize, 2 * CHUNK + 10);
         assert_eq!(h.repr(next), "-1");
+    }
+
+    #[test]
+    fn a_heap_slot_is_four_words() {
+        assert_eq!(std::mem::size_of::<Option<PyVal>>(), 32);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! Everything is `std`-only: `Mutex`/atomics for sharing,
 //! `Instant` for monotonic time.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -263,7 +264,17 @@ impl Registry {
     /// of a span in another process. A span with neither starts a new
     /// trace rooted at itself.
     pub fn span(&self, name: impl Into<String>) -> Span {
-        let name = name.into();
+        self.open(Cow::Owned(name.into()))
+    }
+
+    /// [`Registry::span`] for a fixed name: the span borrows it, so
+    /// opening and closing it allocates nothing once its histogram exists
+    /// and while no sink is attached.
+    pub fn span_static(&self, name: &'static str) -> Span {
+        self.open(Cow::Borrowed(name))
+    }
+
+    fn open(&self, name: Cow<'static, str>) -> Span {
         let span_id = next_span_id();
         let (trace_id, parent) = SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
@@ -287,7 +298,7 @@ impl Registry {
         Span {
             registry: self.clone(),
             name,
-            cat: "span".into(),
+            cat: Cow::Borrowed("span"),
             parent,
             trace_id,
             span_id,
@@ -431,19 +442,22 @@ pub struct TraceContext {
 /// trace therefore never collide.
 fn next_span_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
+    // Read once: asking the kernel costs a system call per span.
+    static PID: OnceLock<u64> = OnceLock::new();
+    let pid = *PID.get_or_init(|| u64::from(std::process::id()));
     let seq = NEXT.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-    ((std::process::id() as u64) << 32) | (seq & 0xffff_ffff)
+    (pid << 32) | (seq & 0xffff_ffff)
 }
 
 struct StackFrame {
-    name: String,
+    name: Cow<'static, str>,
     trace_id: u64,
     span_id: u64,
 }
 
 enum Parent {
     Root,
-    Local(String, u64),
+    Local(Cow<'static, str>, u64),
     Remote(u64),
 }
 
@@ -473,8 +487,8 @@ pub fn remote_context() -> Option<TraceContext> {
 /// An open timed region. Ends on drop or explicit [`Span::finish`].
 pub struct Span {
     registry: Registry,
-    name: String,
-    cat: String,
+    name: Cow<'static, str>,
+    cat: Cow<'static, str>,
     parent: Parent,
     trace_id: u64,
     span_id: u64,
@@ -486,13 +500,23 @@ pub struct Span {
 
 impl Span {
     /// Attaches a key/value tag emitted with the trace event (e.g. the
-    /// `PauseReason` a control call returned).
+    /// `PauseReason` a control call returned). Only a trace event carries
+    /// tags, so while no sink is attached the tag is dropped unbuilt.
     pub fn tag(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.args.push((key.into(), value.into()));
+        if self.registry.has_sinks() {
+            self.args.push((key.into(), value.into()));
+        }
+    }
+
+    /// [`Span::tag`] with a value built only when a sink will receive it.
+    pub fn tag_with(&mut self, key: &'static str, value: impl FnOnce() -> String) {
+        if self.registry.has_sinks() {
+            self.args.push((key.into(), value()));
+        }
     }
 
     /// Overrides the event category (defaults to `"span"`).
-    pub fn category(&mut self, cat: impl Into<String>) {
+    pub fn category(&mut self, cat: impl Into<Cow<'static, str>>) {
         self.cat = cat.into();
     }
 
@@ -530,7 +554,7 @@ impl Span {
         args.push(("span_id".into(), self.span_id.to_string()));
         match std::mem::replace(&mut self.parent, Parent::Root) {
             Parent::Local(name, span) => {
-                args.push(("parent".into(), name));
+                args.push(("parent".into(), name.into_owned()));
                 args.push(("parent_span".into(), span.to_string()));
             }
             Parent::Remote(span) => {
@@ -540,8 +564,8 @@ impl Span {
         }
         let tid = self.registry.tid();
         self.registry.emit(TraceEvent {
-            name: std::mem::take(&mut self.name),
-            cat: std::mem::take(&mut self.cat),
+            name: std::mem::take(&mut self.name).into_owned(),
+            cat: std::mem::take(&mut self.cat).into_owned(),
             ph: 'X',
             ts_us: self.start_us,
             dur_us: elapsed.as_micros() as u64,

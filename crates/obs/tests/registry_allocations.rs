@@ -1,6 +1,7 @@
 //! A metric that already exists is updated without allocating: the
 //! registry looks its name up as a `&str` and allocates the key only the
-//! first time it sees the name.
+//! first time it sees the name. A span with a fixed name borrows it, so
+//! opening and closing one allocates nothing either.
 //!
 //! This binary installs a counting global allocator, so it holds only
 //! tests that count; each counts the allocations of its own thread.
@@ -76,4 +77,33 @@ fn a_new_name_still_registers() {
     let miss = allocations(|| registry.inc("b"));
     assert!(miss > 0, "a new counter allocates its key and cell");
     assert_eq!(registry.counter("b").get(), 1);
+}
+
+#[test]
+fn a_fixed_name_span_opens_and_closes_without_allocating() {
+    let registry = Registry::new();
+    let control = |registry: &Registry| {
+        let mut outer = registry.span_static("tracker.control.resume");
+        outer.category("tracker");
+        let mut inner = registry.span_static("vm.minipy.exec");
+        inner.category("vm");
+        inner.tag_with("pause_reason", || "Step".to_owned());
+        inner.finish();
+        outer.tag("pause_reason", "Step");
+        outer.finish();
+    };
+    // The first spans register their histograms and grow this thread's
+    // span stack.
+    let first = allocations(|| control(&registry));
+    assert!(first > 0, "each new histogram allocates its key");
+    let hits = allocations(|| {
+        for _ in 0..100 {
+            control(&registry);
+        }
+    });
+    assert_eq!(hits, 0, "fixed-name spans allocated");
+    let snapshot = registry.snapshot();
+    for name in ["tracker.control.resume", "vm.minipy.exec"] {
+        assert_eq!(snapshot.histogram(name).map(|h| h.count), Some(101));
+    }
 }

@@ -42,6 +42,7 @@ pub use value::{AbstractType, Content, Location, Prim, Value};
 use serde::de::{Reader, Slot};
 use serde::{DeError, Deserialize, Serialize};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Range;
 
@@ -143,16 +144,53 @@ pub struct Frame {
     /// One entry per name, in declaration order, so that diagrams list
     /// variables as the paper's tools do.
     variables: Vec<Variable>,
-    /// Empty while the frame has at most [`SCAN_LIMIT`] variables, which
-    /// are found by scanning; past that, every position in `variables`,
-    /// sorted by name, so that a wide frame is searched by bisection.
-    by_name: Vec<usize>,
+    /// Every position in `variables`, sorted by name: the order the
+    /// writer keys them in, kept up to date as variables are inserted so
+    /// that no encode sorts.
+    by_name: ByName,
     parent: Option<Box<Frame>>,
 }
 
-/// The most variables a frame finds by scanning rather than through
-/// `Frame::by_name`.
+/// The most variables a frame finds by scanning rather than by bisecting
+/// `Frame::by_name`, and keeps `Frame::by_name` inline for.
 const SCAN_LIMIT: usize = 32;
+
+/// A frame's variable positions sorted by name.
+#[derive(Debug, Clone, PartialEq)]
+enum ByName {
+    /// The first `variables.len()` entries, while that is at most
+    /// [`SCAN_LIMIT`].
+    Inline([u8; SCAN_LIMIT]),
+    /// Past [`SCAN_LIMIT`] variables.
+    Spilled(Vec<usize>),
+}
+
+impl ByName {
+    /// The position of the `k`th variable by name.
+    fn get(&self, k: usize) -> usize {
+        match self {
+            ByName::Inline(order) => usize::from(order[k]),
+            ByName::Spilled(order) => order[k],
+        }
+    }
+
+    /// Inserts position `i` (the frame's `len`th variable, `len` before
+    /// it) at `k`.
+    fn insert(&mut self, k: usize, i: usize, len: usize) {
+        match self {
+            ByName::Inline(order) if len < SCAN_LIMIT => {
+                order.copy_within(k..len, k + 1);
+                order[k] = i as u8;
+            }
+            ByName::Inline(order) => {
+                let mut spilled: Vec<usize> = order.iter().map(|&i| usize::from(i)).collect();
+                spilled.insert(k, i);
+                *self = ByName::Spilled(spilled);
+            }
+            ByName::Spilled(order) => order.insert(k, i),
+        }
+    }
+}
 
 impl Frame {
     /// Creates an empty frame for function `name` at call `depth`.
@@ -162,7 +200,7 @@ impl Frame {
             depth,
             location,
             variables: Vec::new(),
-            by_name: Vec::new(),
+            by_name: ByName::Inline([0; SCAN_LIMIT]),
             parent: None,
         }
     }
@@ -188,13 +226,9 @@ impl Frame {
         match self.find(&var.name) {
             Ok(i) => self.variables[i] = var,
             Err(k) => {
-                if !self.by_name.is_empty() {
-                    self.by_name.insert(k, self.variables.len());
-                }
+                let len = self.variables.len();
+                self.by_name.insert(k, len, len);
                 self.variables.push(var);
-                if self.by_name.is_empty() && self.variables.len() > SCAN_LIMIT {
-                    self.by_name = sorted_positions(&self.variables);
-                }
             }
         }
     }
@@ -202,12 +236,22 @@ impl Frame {
     /// The position of the variable called `name`, or where its position
     /// would go in `by_name`.
     fn find(&self, name: &str) -> Result<usize, usize> {
-        if self.by_name.is_empty() {
-            return self.variables.iter().position(|v| v.name == name).ok_or(0);
+        match &self.by_name {
+            ByName::Inline(_) => {
+                let mut k = 0;
+                for (i, v) in self.variables.iter().enumerate() {
+                    match v.name.as_str().cmp(name) {
+                        Ordering::Equal => return Ok(i),
+                        Ordering::Less => k += 1,
+                        Ordering::Greater => {}
+                    }
+                }
+                Err(k)
+            }
+            ByName::Spilled(order) => order
+                .binary_search_by(|&i| self.variables[i].name.as_str().cmp(name))
+                .map(|k| order[k]),
         }
-        self.by_name
-            .binary_search_by(|&i| self.variables[i].name.as_str().cmp(name))
-            .map(|k| self.by_name[k])
     }
 
     /// Looks a variable up by name.
@@ -264,30 +308,11 @@ impl Frame {
             out.push(':');
             var.write_json(out);
         };
-        if self.by_name.is_empty() {
-            let mut sorted = [0; SCAN_LIMIT];
-            let sorted = &mut sorted[..self.variables.len()];
-            for (k, i) in sorted.iter_mut().enumerate() {
-                *i = k;
-            }
-            sorted.sort_unstable_by(|&a, &b| self.variables[a].name.cmp(&self.variables[b].name));
-            for (k, &i) in sorted.iter().enumerate() {
-                write(k, &self.variables[i]);
-            }
-        } else {
-            for (k, &i) in self.by_name.iter().enumerate() {
-                write(k, &self.variables[i]);
-            }
+        for k in 0..self.variables.len() {
+            write(k, &self.variables[self.by_name.get(k)]);
         }
         out.push('}');
     }
-}
-
-/// The positions of `vars` (named uniquely) sorted by name.
-fn sorted_positions(vars: &[Variable]) -> Vec<usize> {
-    let mut by_name: Vec<usize> = (0..vars.len()).collect();
-    by_name.sort_unstable_by(|&a, &b| vars[a].name.cmp(&vars[b].name));
-    by_name
 }
 
 // Frames nest through `parent`, one JSON object per call. Writing and
@@ -458,7 +483,7 @@ fn read_variables(r: &mut Reader<'_>, expected: usize) -> Result<Vec<Variable>, 
 ///
 /// Sorting and bisection keep this `O(n log n)` however the two disagree;
 /// text the writer produced is already sorted by name.
-fn arrange(order: &[Cow<'_, str>], mut vars: Vec<Variable>) -> (Vec<Variable>, Vec<usize>) {
+fn arrange(order: &[Cow<'_, str>], mut vars: Vec<Variable>) -> (Vec<Variable>, ByName) {
     if !vars.windows(2).all(|w| w[0].name < w[1].name) {
         vars.sort_by(|a, b| a.name.cmp(&b.name));
         vars.dedup_by(|later, kept| {
@@ -493,9 +518,13 @@ fn arrange(order: &[Cow<'_, str>], mut vars: Vec<Variable>) -> (Vec<Variable>, V
         next += 1;
     }
     let by_name = if n > SCAN_LIMIT {
-        rank.to_vec()
+        ByName::Spilled(rank.to_vec())
     } else {
-        Vec::new()
+        let mut order = [0; SCAN_LIMIT];
+        for (o, &r) in order.iter_mut().zip(&*rank) {
+            *o = r as u8;
+        }
+        ByName::Inline(order)
     };
     // Move each variable to its rank, one swap per misplaced variable.
     for j in 0..n {
@@ -671,6 +700,35 @@ mod tests {
         let at: Vec<usize> = keys.iter().map(|k| json.find(k).expect(k)).collect();
         assert!(at.windows(2).all(|w| w[0] < w[1]), "{json}");
         assert_eq!(serde_json::from_str::<Frame>(&json).unwrap(), f);
+    }
+
+    #[test]
+    fn every_frame_size_writes_its_variables_by_name() {
+        // Sizes on both sides of the inline name order's limit, names
+        // inserted out of order, and some replaced.
+        for len in 0..=SCAN_LIMIT + 2 {
+            let mut f = Frame::new("f", 0, loc());
+            let names: Vec<String> = (0..len)
+                .map(|i| format!("v{}", (i * 13 + 5) % 97))
+                .collect();
+            for (i, name) in names.iter().enumerate() {
+                let value = Value::primitive(Prim::Int(i as i64), "int");
+                f.insert_variable(Variable::new(name.as_str(), Scope::Local, value));
+            }
+            for name in names.iter().step_by(3) {
+                let value = Value::primitive(Prim::Int(-1), "int");
+                f.insert_variable(Variable::new(name.as_str(), Scope::Local, value));
+            }
+            let json = serde_json::to_string(&f).unwrap();
+            let mut sorted = names.clone();
+            sorted.sort();
+            let at: Vec<usize> = sorted
+                .iter()
+                .map(|n| json.find(&format!("\"{n}\":{{")).expect(n))
+                .collect();
+            assert!(at.windows(2).all(|w| w[0] < w[1]), "{json}");
+            assert_eq!(serde_json::from_str::<Frame>(&json).unwrap(), f);
+        }
     }
 
     #[test]
