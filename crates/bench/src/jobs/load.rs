@@ -108,7 +108,7 @@ const ABUSE_BUDGET: u64 = 2_000_000;
 /// re-open, repeat until `done`.
 fn abuse(host: &HostHandle, done: &AtomicBool, exhaustions: &AtomicU64, untyped: &AtomicU64) {
     while !done.load(Ordering::Relaxed) {
-        let spec = ProgramSpec::c("hot.c", HOT_PROG).via_host(host);
+        let spec = ProgramSpec::new("hot.c", HOT_PROG).via_host(host);
         let mut t =
             match MiTracker::load_spec(spec, obs::Registry::new(), Supervision::default(), None) {
                 Ok(t) => t,

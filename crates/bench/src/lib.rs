@@ -460,8 +460,8 @@ pub fn mi_server() -> (Option<PathBuf>, &'static str) {
 /// into `registry`.
 pub fn load_mi(server: Option<&Path>, src: &str, registry: obs::Registry) -> MiTracker {
     let spec = match server {
-        Some(bin) => ProgramSpec::c("bench.c", src).via_server(bin),
-        None => ProgramSpec::c("bench.c", src),
+        Some(bin) => ProgramSpec::new("bench.c", src).via_server(bin),
+        None => ProgramSpec::new("bench.c", src),
     };
     MiTracker::load_spec(spec, registry, Supervision::default(), None).expect("workload compiles")
 }
@@ -622,7 +622,7 @@ impl LoadSession {
             }
             Script::Breakpoint | Script::TrackCalls => ("fib.c".to_owned(), c_fib(6)),
         };
-        let spec = ProgramSpec::c(&file, &source).via_host(host);
+        let spec = ProgramSpec::new(&file, &source).via_host(host);
         let tracker =
             MiTracker::load_spec(spec, obs::Registry::new(), Supervision::default(), None)
                 .expect("workload compiles");

@@ -466,7 +466,7 @@ fn chaos_crash_recovery(src: &str) -> Result<(), String> {
     let reg = obs::Registry::new();
     let state = ChaosState::new();
     let mut chaos = MiTracker::load_spec(
-        ProgramSpec::c("corpus.c", src),
+        ProgramSpec::new("corpus.c", src),
         reg.clone(),
         corpus_supervision(),
         Some(chaos_wrapper(
@@ -513,7 +513,7 @@ fn respawn_storm_degraded(src: &str) -> Result<(), String> {
     let cfg = corpus_supervision();
     let budget = cfg.max_respawns;
     let mut t = MiTracker::load_spec(
-        ProgramSpec::c("corpus.c", src),
+        ProgramSpec::new("corpus.c", src),
         reg.clone(),
         cfg,
         Some(dead_wrapper()),

@@ -5,9 +5,9 @@
 //! replay), and the MI trackers' supervisor is one over a serialized,
 //! possibly remote boundary (C and asm, see [`crate::mi_tracker`]).
 
-use crate::{ControlPointId, Feature, LowLevel, Result, Tracker, TrackerError};
+use crate::{ControlPointId, LowLevel, Result, Tracker, TrackerError};
 use mi::py_engine::PyEngine;
-use mi::{Command, Engine, Response};
+use mi::{Command, Engine, RecordingEngine, Response};
 use state::{Diagnostic, Frame, PauseReason, ProgramState, Variable};
 
 /// What an [`EngineTracker`] sends its commands through.
@@ -65,8 +65,10 @@ pub struct EngineTracker<P> {
     last_reason: PauseReason,
 }
 
-/// The thread-based MiniPy tracker (paper Fig. 5).
-pub type PyTracker = EngineTracker<PyEngine>;
+/// The thread-based MiniPy tracker (paper Fig. 5), in the recorder
+/// every spawned C and asm engine carries (inert until
+/// [`Tracker::record`]).
+pub type PyTracker = EngineTracker<RecordingEngine<PyEngine>>;
 
 impl PyTracker {
     /// Parses MiniPy source and spawns the inferior thread (blocked until
@@ -88,7 +90,7 @@ impl PyTracker {
     /// Returns [`TrackerError::Load`] for parse errors.
     pub fn load_with_registry(file: &str, source: &str, registry: obs::Registry) -> Result<Self> {
         let engine = PyEngine::new(file, source, registry.clone()).map_err(TrackerError::Load)?;
-        Ok(EngineTracker::over(engine, registry))
+        Ok(EngineTracker::over(RecordingEngine::new(engine), registry))
     }
 }
 
@@ -168,6 +170,28 @@ impl<P: EnginePort> EngineTracker<P> {
     pub(crate) fn configure(&mut self, cmd: Command) -> Result<()> {
         match self.port.call(cmd)? {
             Response::Ok => Ok(()),
+            other => Err(refusal(other)),
+        }
+    }
+
+    /// Asks the recording's write index for `variable` in `[from, to]`;
+    /// with `last_only`, for the last write only.
+    fn history(
+        &mut self,
+        variable: &str,
+        from: Option<u64>,
+        to: Option<u64>,
+        last_only: bool,
+    ) -> Result<Vec<trace::HistoryHit>> {
+        let variable = variable.into();
+        let cmd = Command::QueryHistory {
+            variable,
+            from,
+            to,
+            last_only,
+        };
+        match self.inspect("tracker.inspect.QueryHistory", cmd)? {
+            Response::History { hits } => Ok(hits),
             other => Err(refusal(other)),
         }
     }
@@ -300,7 +324,9 @@ impl<P: EnginePort> Tracker for EngineTracker<P> {
 
     fn diagnostics(&mut self) -> Result<Vec<Diagnostic>> {
         if !P::LOW_LEVEL {
-            return Err(Feature::Diagnostics.refused());
+            return Err(TrackerError::Unsupported(
+                "static diagnostics are not available for this tracker".into(),
+            ));
         }
         match self.inspect("tracker.inspect.Analyze", Command::Analyze)? {
             Response::Diagnostics(diags) => Ok(diags),
@@ -310,7 +336,9 @@ impl<P: EnginePort> Tracker for EngineTracker<P> {
 
     fn set_sanitizer(&mut self, on: bool) -> Result<()> {
         if !P::LOW_LEVEL {
-            return Err(Feature::Sanitizer.refused());
+            return Err(TrackerError::Unsupported(
+                "sanitized execution is not available for this tracker".into(),
+            ));
         }
         self.configure(Command::SetSanitizer { on })
     }
@@ -328,6 +356,59 @@ impl<P: EnginePort> Tracker for EngineTracker<P> {
             Response::Profile(report) => Ok(*report),
             other => Err(self.error(other)),
         }
+    }
+
+    fn record(&mut self, keyframe_every: u32) -> Result<()> {
+        self.configure(Command::Record { keyframe_every })
+    }
+
+    fn seek(&mut self, pause: u64) -> Result<PauseReason> {
+        // A replay engine answers a bare `Seek`, as hosted replay readers
+        // send it; a tracker refuses it before `start`, like every other
+        // control call, without asking.
+        let started = self.last_reason != PauseReason::NotStarted;
+        self.control("tracker.control.Seek", |port| {
+            if started {
+                port.call(Command::Seek { pause })
+            } else {
+                Ok(Response::Error {
+                    message: "inferior not started".into(),
+                })
+            }
+        })
+    }
+
+    fn query_history(
+        &mut self,
+        variable: &str,
+        from: Option<u64>,
+        to: Option<u64>,
+    ) -> Result<Vec<trace::HistoryHit>> {
+        self.history(variable, from, to, false)
+    }
+
+    fn last_change(
+        &mut self,
+        variable: &str,
+        before: Option<u64>,
+    ) -> Result<Option<trace::HistoryHit>> {
+        let hits = self.history(variable, None, before, true)?;
+        Ok(hits.into_iter().next())
+    }
+
+    fn trace_stats(&mut self) -> Result<(u64, u64, u64)> {
+        match self.inspect("tracker.inspect.TraceStats", Command::TraceStats)? {
+            Response::TraceStats {
+                pauses,
+                keyframes,
+                bytes,
+            } => Ok((pauses, keyframes, bytes)),
+            other => Err(refusal(other)),
+        }
+    }
+
+    fn publish_trace(&mut self, name: &str) -> Result<()> {
+        self.configure(Command::PublishTrace { name: name.into() })
     }
 
     fn stats(&self) -> obs::Snapshot {
@@ -674,6 +755,45 @@ mod tests {
             assert_eq!(counted, once);
             t.terminate();
         }
+    }
+
+    #[test]
+    fn a_py_recording_seeks_pause_for_pause_like_its_live_run() {
+        let mut t = PyTracker::load("p.py", PY_PROG).unwrap();
+        t.record(4).unwrap();
+        let mut reason = t.start().unwrap();
+        // Past the end of a recording still being made: refused.
+        assert!(matches!(t.seek(u64::MAX), Err(TrackerError::Engine(_))));
+        let (mut live, mut writes) = (Vec::new(), Vec::new());
+        let mut last_s = None;
+        while reason.is_alive() {
+            live.push(serde_json::to_string(&t.get_state().unwrap()).unwrap());
+            let s = t.get_variable("s").unwrap();
+            let s = s.map(|v| state::render_value(v.value().deref_fully()));
+            if s.is_some() && s != last_s {
+                writes.push((live.len() as u64 - 1, s.clone().unwrap()));
+                last_s = s;
+            }
+            reason = t.step().unwrap();
+        }
+        let (pauses, _, _) = t.trace_stats().unwrap();
+        assert_eq!(pauses, live.len() as u64);
+        for (i, want) in live.iter().enumerate() {
+            t.seek(i as u64).unwrap();
+            let got = serde_json::to_string(&t.get_state().unwrap()).unwrap();
+            assert_eq!(&got, want, "pause {i}");
+            assert_eq!(
+                serde_json::to_string(&t.get_current_frame().unwrap()).unwrap(),
+                serde_json::to_string(&t.get_state().unwrap().frame).unwrap(),
+            );
+        }
+        let hits = t.query_history("s", None, None).unwrap();
+        let hits: Vec<(u64, String)> = hits.into_iter().map(|h| (h.pause, h.value)).collect();
+        assert_eq!(hits, writes);
+        let last = t.last_change("s", None).unwrap().unwrap();
+        assert_eq!((last.pause, last.value), writes.last().unwrap().clone());
+        assert!(matches!(t.seek(u64::MAX).unwrap(), PauseReason::Exited(_)));
+        t.terminate();
     }
 
     #[test]

@@ -13,14 +13,15 @@
 //!
 //! The recording is folded into a compressed, indexed [`trace::Store`]
 //! (keyframes + deltas) and states are decoded on demand, so random
-//! access — [`ReplayTracker::seek`] — is O(log n). One
-//! `Arc<trace::Store>` can back any number of concurrently scrubbing
-//! replay trackers, and history queries ([`ReplayTracker::last_change`],
-//! [`ReplayTracker::writes_in`]) answer from the store's write index
-//! without replaying at all.
+//! access — [`Tracker::seek`] — is O(log n). One `Arc<trace::Store>` can
+//! back any number of concurrently scrubbing replay trackers, and
+//! history queries ([`Tracker::query_history`],
+//! [`Tracker::last_change`]) answer from the store's write index without
+//! replaying at all. These are the time-travel calls every tracker
+//! answers; only running backwards ([`ReplayTracker::step_back`],
+//! [`ReplayTracker::resume_back`]) is the replay tracker's own.
 
 use crate::{EngineTracker, Result, Tracker, TrackerError};
-use mi::{Command, Engine, Response};
 use serde::{Deserialize, Serialize};
 use state::{PauseReason, ProgramState};
 use std::sync::Arc;
@@ -144,9 +145,7 @@ impl ReplayTracker {
 
     /// Like [`ReplayTracker::from_store`] with an explicit registry.
     pub fn from_store_with_registry(store: Arc<trace::Store>, registry: obs::Registry) -> Self {
-        let t = EngineTracker::over(mi::ReplayEngine::new(store, registry.clone()), registry);
-        t.note_resident();
-        t
+        EngineTracker::over(mi::ReplayEngine::new(store, registry.clone()), registry)
     }
 
     /// Opens a trace file written by [`ReplayTracker::save`] (or
@@ -209,36 +208,7 @@ impl ReplayTracker {
         }
     }
 
-    fn note_resident(&self) {
-        self.obs
-            .set_gauge("replay.resident_bytes", self.port.reader().resident_bytes());
-    }
-
-    // ---- time travel (paper §V: the RR-tracker future work) --------------
-
-    /// Jumps directly to pause `pause` — O(log n): the store finds the
-    /// enclosing keyframe and replays at most a segment's worth of
-    /// deltas. Reports the recorded pause reason; a `pause` at or past
-    /// the end lands on the exited state.
-    ///
-    /// # Errors
-    ///
-    /// Fails before `start`.
-    pub fn seek(&mut self, pause: u64) -> Result<PauseReason> {
-        let r = self.control("tracker.control.Seek", |e| {
-            Ok(match e.pause_reason() {
-                // Refused before `start`, like every other control call.
-                PauseReason::NotStarted => e.handle(Command::Step),
-                _ if pause < e.reader().store().len() => e.handle(Command::Seek { pause }),
-                _ => {
-                    e.handle(Command::Terminate);
-                    Response::Paused(e.pause_reason().clone())
-                }
-            })
-        });
-        self.note_resident();
-        r
-    }
+    // ---- running backwards (paper §V: the RR-tracker future work) --------
 
     /// Steps one recorded line backwards. At the first step this reports
     /// [`PauseReason::Started`] and stays put.
@@ -259,22 +229,6 @@ impl ReplayTracker {
     /// Fails before `start`.
     pub fn resume_back(&mut self) -> Result<PauseReason> {
         self.control("tracker.control.ResumeBack", |e| Ok(e.resume_back()))
-    }
-
-    // ---- history queries (no replay: the store's write index) ------------
-
-    /// The most recent write to `variable` at or before pause `before`
-    /// (default: end of the recording). Bare names match the variable in
-    /// any frame plus globals; `frame::name` qualifies.
-    pub fn last_change(&self, variable: &str, before: Option<u64>) -> Option<trace::HistoryHit> {
-        self.obs.inc("tracker.inspect.QueryHistory");
-        self.store().last_change(variable, before)
-    }
-
-    /// All writes to `variable` with pause index in `[from, to]`.
-    pub fn writes_in(&self, variable: &str, from: u64, to: u64) -> Vec<trace::HistoryHit> {
-        self.obs.inc("tracker.inspect.QueryHistory");
-        self.store().writes_in(variable, from, to)
     }
 }
 
@@ -545,15 +499,17 @@ mod tests {
         t.start().unwrap();
         // `s` accumulates square(1) + square(2) + square(3): its write log
         // must end at value 14 and be monotonic in pause order.
-        let writes = t.writes_in("s", 0, t.recorded_pauses() - 1);
+        let to = t.recorded_pauses() - 1;
+        let writes = t.query_history("s", Some(0), Some(to)).unwrap();
         assert!(!writes.is_empty());
         assert!(writes.windows(2).all(|w| w[0].pause < w[1].pause));
         assert_eq!(writes.last().unwrap().value, "14");
-        let last = t.last_change("s", None).unwrap();
+        let last = t.last_change("s", None).unwrap().unwrap();
         assert_eq!(last.value, "14");
         // Qualified names work too.
-        assert_eq!(t.last_change("main::s", None).unwrap().pause, last.pause);
-        assert!(t.last_change("main::nosuch", None).is_none());
+        let qualified = t.last_change("main::s", None).unwrap().unwrap();
+        assert_eq!(qualified.pause, last.pause);
+        assert!(t.last_change("main::nosuch", None).unwrap().is_none());
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! mi-server /tmp/x.c p.c    # read /tmp/x.c, report locations as `p.c`
 //! ```
 //!
-//! The optional second argument is the *logical* file name used in
-//! reported source locations. Trackers that ship a program via a
-//! temporary file pass the original name here so state snapshots are
-//! byte-identical to an in-process run of the same program.
+//! The optional second argument is the *logical* file name: it picks the
+//! engine (`mi::build_engine`) and names reported source locations.
+//! Trackers that ship a program via a temporary file pass the original
+//! name here so state snapshots are byte-identical to an in-process run
+//! of the same program.
 //!
 //! The server hosts its own [`obs::Registry`]: engine/VM spans and stats
 //! accumulate here (tagged with trace contexts propagated in command
@@ -25,7 +26,7 @@
 //! capture carries into the post-mortem dump.
 
 use mi::transport::{StreamFrameRx, StreamFrameTx, StreamTransport};
-use mi::{asm_engine::AsmEngine, minic_engine::MinicEngine, Server, SessionHost};
+use mi::{Server, SessionHost};
 use std::io::{stdin, stdout, Read};
 
 fn usage() -> String {
@@ -99,42 +100,17 @@ fn main() {
         default_hook(info);
     }));
     let name = logical.as_deref().unwrap_or(&path);
-    let transport = StreamTransport::new(LockedStdin, stdout());
-    let end = if name.ends_with(".s") || name.ends_with(".asm") {
-        let program = match miniasm::asm::assemble(name, &source) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("mi-server: {e}");
-                std::process::exit(1);
-            }
-        };
-        let mut engine = AsmEngine::new(&program);
-        engine.set_registry(registry.clone());
-        let engine = mi::RecordingEngine::new(engine);
-        let mut server = Server::with_telemetry(engine, transport, registry);
-        server.set_flight_recorder(flight.clone());
-        server.serve()
-    } else {
-        let program = match minic::compile(name, &source) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("mi-server: {e}");
-                std::process::exit(1);
-            }
-        };
-        let mut engine = match MinicEngine::with_opt(&program, opt) {
-            Ok(engine) => engine,
-            Err(e) => {
-                eprintln!("mi-server: optimizer rejected the program:\n{e}");
-                std::process::exit(1);
-            }
-        };
-        engine.set_registry(registry.clone());
-        let engine = mi::RecordingEngine::new(engine);
-        let mut server = Server::with_telemetry(engine, transport, registry);
-        server.set_flight_recorder(flight.clone());
-        server.serve()
+    let engine = match mi::build_engine(name, &source, opt, &registry, None) {
+        Ok(engine) => engine,
+        Err(e) => {
+            eprintln!("mi-server: {e}");
+            std::process::exit(1);
+        }
     };
+    let transport = StreamTransport::new(LockedStdin, stdout());
+    let mut server = Server::with_telemetry(engine, transport, registry);
+    server.set_flight_recorder(flight.clone());
+    let end = server.serve();
     // Never end silently on a broken boundary: a supervisor watching this
     // process must be able to tell "session finished" (exit 0) from "the
     // transport failed or the engine panicked mid-session" (exit 3 +

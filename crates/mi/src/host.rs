@@ -673,7 +673,8 @@ fn conn_reader(shared: &Arc<HostShared>, conn: u64, rx: &mut dyn FrameRx, tx: &S
             (None, Command::OpenSession { file, source, opt }) => {
                 shared.registry.inc("mi.host.cmd.OpenSession");
                 open_session(shared, conn, tx, |registry| {
-                    compile_engine(&file, &source, opt, registry, &shared.shelf)
+                    let shelf = Some(shared.shelf.clone());
+                    crate::build_engine(&file, &source, opt, registry, shelf)
                 })
             }
             (None, Command::CloseSession { session }) => {
@@ -732,32 +733,6 @@ fn conn_reader(shared: &Arc<HostShared>, conn: u64, rx: &mut dyn FrameRx, tx: &S
         }
     }
     end_connection_sessions(shared, conn);
-}
-
-/// Compiles a program shipped in `OpenSession` into a recording-capable
-/// engine reporting into `registry`; the extension picks the engine.
-fn compile_engine(
-    file: &str,
-    source: &str,
-    opt: u8,
-    registry: &obs::Registry,
-    shelf: &crate::record::TraceShelf,
-) -> Result<Box<dyn Engine + Send>, String> {
-    let shelf = Some(shelf.clone());
-    if file.ends_with(".s") || file.ends_with(".asm") {
-        let program = miniasm::asm::assemble(file, source).map_err(|e| e.to_string())?;
-        let mut e = crate::asm_engine::AsmEngine::new(&program);
-        e.set_registry(registry.clone());
-        return Ok(Box::new(crate::record::RecordingEngine::with_shelf(
-            e, shelf,
-        )));
-    }
-    let program = minic::compile(file, source).map_err(|e| e.to_string())?;
-    let mut e = crate::minic_engine::MinicEngine::with_opt(&program, opt)?;
-    e.set_registry(registry.clone());
-    Ok(Box::new(crate::record::RecordingEngine::with_shelf(
-        e, shelf,
-    )))
 }
 
 /// Entries in a hosted session's flight ring: the commands and response

@@ -225,82 +225,52 @@ impl Drop for Session {
     }
 }
 
-/// Spawns a MiniC engine on its own thread (the "GDB subprocess" analogue)
-/// and returns the connected session.
-pub fn spawn_minic(program: &minic::Program) -> Session {
-    spawn_minic_engine(minic_engine::MinicEngine::new(program), None)
-}
-
-/// Like [`spawn_minic`], but client, server, and engine all report into
-/// `registry`: roundtrip latencies and byte gauges on the client side,
-/// per-command counters on the server side, and `vm.minic.*` execution
-/// stats from the engine.
-pub fn spawn_minic_with_registry(program: &minic::Program, registry: obs::Registry) -> Session {
-    spawn_minic_engine(minic_engine::MinicEngine::new(program), Some(registry))
-}
-
-/// Like [`spawn_minic_with_registry`], running `program` optimized at
-/// `opt` (0 = unchanged). The optimizer is observation-preserving, so the
-/// session behaves identically through the MI surface at every level.
+/// Builds the engine for a program — the one place an engine is picked
+/// by file name: RISC-V assembly for `.s` and `.asm`, MiniC optimized at
+/// `opt` (0 = unchanged) for anything else. The engine reports into
+/// `registry` and comes in the [`RecordingEngine`] every session
+/// carries, with `shelf` for `PublishTrace` (`None` outside a session
+/// host).
 ///
 /// # Errors
 ///
-/// Returns the verifier's findings when the program or any optimization
-/// pass's output fails bytecode verification.
-pub fn spawn_minic_opt_with_registry(
-    program: &minic::Program,
+/// The compile or assembly error, or the verifier's findings when the
+/// program or an optimization pass's output fails bytecode verification.
+pub fn build_engine(
+    file: &str,
+    source: &str,
     opt: u8,
-    registry: obs::Registry,
-) -> Result<Session, String> {
-    let engine = minic_engine::MinicEngine::with_opt(program, opt)?;
-    Ok(spawn_minic_engine(engine, Some(registry)))
-}
-
-fn spawn_minic_engine(
-    mut engine: minic_engine::MinicEngine,
-    registry: Option<obs::Registry>,
-) -> Session {
-    if let Some(reg) = &registry {
-        engine.set_registry(reg.clone());
+    registry: &obs::Registry,
+    shelf: Option<TraceShelf>,
+) -> Result<Box<dyn Engine + Send>, String> {
+    if file.ends_with(".s") || file.ends_with(".asm") {
+        let program = miniasm::asm::assemble(file, source).map_err(|e| e.to_string())?;
+        let mut engine = asm_engine::AsmEngine::new(&program);
+        engine.set_registry(registry.clone());
+        return Ok(Box::new(RecordingEngine::with_shelf(engine, shelf)));
     }
-    spawn_engine("mi-minic-engine", engine, registry)
+    let program = minic::compile(file, source).map_err(|e| e.to_string())?;
+    let mut engine = minic_engine::MinicEngine::with_opt(&program, opt)?;
+    engine.set_registry(registry.clone());
+    Ok(Box::new(RecordingEngine::with_shelf(engine, shelf)))
 }
 
-/// Spawns a RISC-V engine on its own thread and returns the session.
-pub fn spawn_asm(program: &miniasm::asm::AsmProgram) -> Session {
-    spawn_asm_inner(program, None)
+/// Spawns a MiniC engine, in the recording wrapper (inert until
+/// `Record`), on its own thread and returns the connected session.
+pub fn spawn_minic(program: &minic::Program) -> Session {
+    let engine = RecordingEngine::new(minic_engine::MinicEngine::new(program));
+    spawn(engine, None)
 }
 
-/// Like [`spawn_asm`], but client, server, and engine all report into
-/// `registry` (engine stats appear as `vm.miniasm.*`).
-pub fn spawn_asm_with_registry(
-    program: &miniasm::asm::AsmProgram,
-    registry: obs::Registry,
-) -> Session {
-    spawn_asm_inner(program, Some(registry))
-}
-
-fn spawn_asm_inner(program: &miniasm::asm::AsmProgram, registry: Option<obs::Registry>) -> Session {
-    let mut engine = asm_engine::AsmEngine::new(program);
-    if let Some(reg) = &registry {
-        engine.set_registry(reg.clone());
-    }
-    spawn_engine("mi-asm-engine", engine, registry)
-}
-
-/// Serves `engine` on a thread named `name` (the "GDB subprocess"
-/// analogue), wrapped so every session can record (the wrapper is inert
-/// until `Record`), and returns the connected session.
-fn spawn_engine<E: Engine + Send + 'static>(
-    name: &str,
-    engine: E,
-    registry: Option<obs::Registry>,
-) -> Session {
+/// Serves `engine` on its own thread (the "GDB subprocess" analogue) and
+/// returns the connected session; with a `registry`, client and server
+/// report into it (roundtrip latencies and byte gauges on the client
+/// side, per-command counters on the server side).
+pub fn spawn(engine: impl Engine + Send + 'static, registry: Option<obs::Registry>) -> Session {
     let (a, b) = transport::duplex();
-    let engine = record::RecordingEngine::new(engine);
     let server_reg = registry.clone();
     let handle = std::thread::Builder::new()
-        .name(name.into())
+        .name("mi-engine".into())
         .spawn(move || {
             let mut server = match server_reg {
                 Some(reg) => Server::with_registry(engine, b, reg),

@@ -86,11 +86,6 @@ impl<E: Engine> RecordingEngine<E> {
         }
     }
 
-    /// The inner engine.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
     /// The recording built so far, if armed.
     pub fn store(&self) -> Option<&trace::Store> {
         self.store.as_deref()
@@ -252,6 +247,15 @@ fn serve_store(
 }
 
 impl<E: Engine> Engine for RecordingEngine<E> {
+    /// The frame the next `GetState` would carry: the seek cursor's while
+    /// one is set, the inner engine's otherwise.
+    fn current_frame(&mut self) -> Result<Frame, Response> {
+        match &mut self.cursor {
+            Some(reader) => reader.current_frame(),
+            None => self.inner.current_frame(),
+        }
+    }
+
     fn handle(&mut self, cmd: Command) -> Response {
         if let Some(resp) = self.serve_trace_cmd(&cmd) {
             return resp;
@@ -348,8 +352,10 @@ impl ReplayEngine {
     /// until a command needs it.
     #[must_use]
     pub fn new(store: Arc<trace::Store>, registry: obs::Registry) -> Self {
+        let reader = trace::TraceReader::new(store, registry);
+        note_resident(&reader);
         ReplayEngine {
-            reader: trace::TraceReader::new(store, registry),
+            reader,
             shelf: None,
             pos: None,
             reason: PauseReason::NotStarted,
@@ -408,6 +414,21 @@ impl ReplayEngine {
         let resume = Slice::new(Mode::Resume);
         self.run(resume, pauses, (0, Phase::FuncBreak))
             .unwrap_or_else(|| self.land(0, PauseReason::Started, LINE_DONE))
+    }
+
+    /// Lands on recorded pause `pause` with its recorded reason. At or
+    /// past the end, a recording that reached its exit (its exit code is
+    /// set) lands on the exit; one still being made refuses.
+    fn seek(&mut self, pause: u64) -> Response {
+        let resp = match self.reader.state_at(pause) {
+            Ok(st) => self.land(pause, st.reason.clone(), LINE_DONE),
+            Err(_) if pause >= self.len() && self.store().exit_code().is_some() => {
+                self.land(self.len(), PauseReason::Step, LINE_DONE)
+            }
+            Err(message) => Response::Error { message },
+        };
+        note_resident(&self.reader);
+        resp
     }
 
     fn store(&self) -> &Arc<trace::Store> {
@@ -665,6 +686,15 @@ type Owed = (usize, Phase);
 /// A pause landed on as a line: its returns are still owed.
 const LINE_DONE: Owed = (1, Phase::FuncBreak);
 
+/// Publishes a reader's footprint as `replay.resident_bytes`: the shared
+/// store plus this session's decode caches.
+fn note_resident(reader: &trace::TraceReader) {
+    let resident = reader.resident_bytes();
+    reader
+        .registry()
+        .set_gauge("replay.resident_bytes", resident);
+}
+
 fn not_started() -> Response {
     Response::Error {
         message: "inferior not started".into(),
@@ -683,10 +713,7 @@ impl Engine for ReplayEngine {
             },
             Command::Start => self.land(0, PauseReason::Started, LINE_DONE),
             Command::Step | Command::Next | Command::Finish | Command::Resume => self.control(&cmd),
-            Command::Seek { pause } => match self.reader.state_at(pause) {
-                Ok(st) => self.land(pause, st.reason.clone(), LINE_DONE),
-                Err(message) => Response::Error { message },
-            },
+            Command::Seek { pause } => self.seek(pause),
             Command::SetBreakLine { line } => {
                 // Slide to the next recorded line, like the live engines.
                 match self

@@ -84,6 +84,26 @@ pub trait Engine {
     }
 }
 
+/// A boxed engine serves as the engine it holds, so what
+/// [`crate::build_engine`] returns can be spawned or served as is.
+impl<E: Engine + ?Sized> Engine for Box<E> {
+    fn handle(&mut self, command: Command) -> Response {
+        (**self).handle(command)
+    }
+
+    fn handle_sliced(&mut self, command: Command, fuel: u64) -> SliceOutcome {
+        (**self).handle_sliced(command, fuel)
+    }
+
+    fn resume_sliced(&mut self, fuel: u64) -> SliceOutcome {
+        (**self).resume_sliced(fuel)
+    }
+
+    fn current_frame(&mut self) -> Result<Frame, Response> {
+        (**self).current_frame()
+    }
+}
+
 /// Serves one session on the calling thread: the single-session driver
 /// of the session core the [`crate::SessionHost`] pool also drives.
 ///

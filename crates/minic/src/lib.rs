@@ -86,6 +86,11 @@ pub enum Error {
         /// Human-readable description.
         message: String,
     },
+    /// The program nests deeper than [`parser::MAX_NESTING`] levels.
+    TooDeep {
+        /// 1-based source line where the bound was crossed.
+        line: u32,
+    },
     /// Runtime error raised by the VM (invalid memory access, ...).
     Runtime {
         /// 1-based source line of the statement being executed.
@@ -102,6 +107,7 @@ impl Error {
             Error::Lex { line, .. }
             | Error::Parse { line, .. }
             | Error::Type { line, .. }
+            | Error::TooDeep { line }
             | Error::Runtime { line, .. } => *line,
         }
     }
@@ -113,9 +119,13 @@ impl Error {
             | Error::Parse { message, .. }
             | Error::Type { message, .. }
             | Error::Runtime { message, .. } => message,
+            Error::TooDeep { .. } => TOO_DEEP,
         }
     }
 }
+
+/// The message of [`Error::TooDeep`].
+const TOO_DEEP: &str = "nesting too deep for the parser";
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -124,6 +134,10 @@ impl fmt::Display for Error {
             Error::Parse { line, message } => ("syntax error", line, message),
             Error::Type { line, message } => ("type error", line, message),
             Error::Runtime { line, message } => ("runtime error", line, message),
+            Error::TooDeep { line } => {
+                let limit = parser::MAX_NESTING;
+                return write!(f, "syntax error at line {line}: {TOO_DEEP} (limit {limit})");
+            }
         };
         write!(f, "{kind} at line {line}: {msg}")
     }

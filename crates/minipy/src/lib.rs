@@ -68,6 +68,11 @@ pub enum Error {
         /// Description.
         message: String,
     },
+    /// The program nests deeper than [`parser::MAX_NESTING`] levels.
+    TooDeep {
+        /// 1-based line where the bound was crossed.
+        line: u32,
+    },
     /// Runtime error (`NameError`, `TypeError`, `IndexError`, ...).
     Runtime {
         /// 1-based line of the executing statement.
@@ -83,9 +88,10 @@ impl Error {
     /// The source line of the error (0 for [`Error::Stopped`]).
     pub fn line(&self) -> u32 {
         match self {
-            Error::Lex { line, .. } | Error::Parse { line, .. } | Error::Runtime { line, .. } => {
-                *line
-            }
+            Error::Lex { line, .. }
+            | Error::Parse { line, .. }
+            | Error::TooDeep { line }
+            | Error::Runtime { line, .. } => *line,
             Error::Stopped => 0,
         }
     }
@@ -96,6 +102,7 @@ impl Error {
             Error::Lex { message, .. }
             | Error::Parse { message, .. }
             | Error::Runtime { message, .. } => message,
+            Error::TooDeep { .. } => TOO_DEEP,
             Error::Stopped => "stopped by tracer",
         }
     }
@@ -106,6 +113,10 @@ impl fmt::Display for Error {
         match self {
             Error::Lex { line, message } => write!(f, "lexical error at line {line}: {message}"),
             Error::Parse { line, message } => write!(f, "syntax error at line {line}: {message}"),
+            Error::TooDeep { line } => {
+                let limit = parser::MAX_NESTING;
+                write!(f, "syntax error at line {line}: {TOO_DEEP} (limit {limit})")
+            }
             Error::Runtime { line, message } => write!(f, "line {line}: {message}"),
             Error::Stopped => write!(f, "stopped by tracer"),
         }
@@ -113,6 +124,9 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+/// The message of [`Error::TooDeep`].
+const TOO_DEEP: &str = "nesting too deep for the parser";
 
 /// A [`Tracer`] that ignores every event (plain, uncontrolled execution).
 #[derive(Debug, Clone, Copy, Default)]

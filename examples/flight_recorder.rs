@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     registry.add_sink(tracker_sink.clone());
 
     let mut t = MiTracker::load_spec(
-        ProgramSpec::c("fib.c", C_PROG).via_server(&server),
+        ProgramSpec::new("fib.c", C_PROG).via_server(&server),
         registry.clone(),
         Supervision::default(),
         None,

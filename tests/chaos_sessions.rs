@@ -33,7 +33,7 @@ fn chaos_supervision() -> Supervision {
 
 fn load_hosted(host: &HostHandle, file: &str, source: &str) -> MiTracker {
     MiTracker::load_spec(
-        ProgramSpec::c(file, source).via_host(host),
+        ProgramSpec::new(file, source).via_host(host),
         obs::Registry::new(),
         chaos_supervision(),
         None,
@@ -59,7 +59,7 @@ const MAX_STEPS: usize = 300;
 /// child, full step/observe trace.
 fn solo_oracle(file: &str, source: &str) -> Vec<String> {
     let mut t = MiTracker::load_spec(
-        ProgramSpec::c(file, source).via_server(&server_bin()),
+        ProgramSpec::new(file, source).via_server(&server_bin()),
         obs::Registry::new(),
         chaos_supervision(),
         None,

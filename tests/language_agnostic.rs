@@ -4,7 +4,11 @@
 //! tracker (thread-based, in-process), the RISC-V tracker, and a replayed
 //! recording — asserting the same observable behaviour.
 
-use easytracker::{init_tracker, PauseReason, Recording, ReplayTracker, Tracker, TrackerError};
+use easytracker::{
+    init_tracker, MiTracker, PauseReason, Recording, ReplayTracker, Tracker, TrackerError,
+};
+use mi::{Command, CommandPort, HostHandle, Response};
+use std::path::Path;
 
 /// Equivalent "sum of squares via a helper" programs in each language.
 const C_PROG: &str = "\
@@ -294,6 +298,47 @@ const PARITY: &[(&str, Row, bool)] = &[
         |t| t.break_before_line(9999).is_ok(),
         false,
     ),
+    ("seek before start", |t| t.seek(0).is_ok(), false),
+    (
+        "record after start",
+        |t| {
+            t.start().expect("start");
+            t.record(8).is_ok()
+        },
+        false,
+    ),
+    (
+        "publish_trace outside a host",
+        |t| t.publish_trace("shelf").is_ok(),
+        false,
+    ),
+    (
+        "time travel after recording to the exit",
+        |t| {
+            // A replay is a recording already: its answer to `record`
+            // is not this row's.
+            let _ = t.record(8);
+            let mut reason = t.start().expect("start");
+            while reason.is_alive() {
+                reason = t.step().expect("step");
+            }
+            t.seek(0).is_ok()
+                && t.trace_stats().is_ok()
+                && t.query_history("s", None, None).is_ok()
+                && t.last_change("s", None).is_ok()
+                && matches!(t.seek(u64::MAX), Ok(PauseReason::Exited(_)))
+        },
+        true,
+    ),
+];
+
+/// The time-travel cases of `PARITY`: they also run over C trackers in
+/// an `mi-server` child and in a shared host.
+const TIME_TRAVEL: [&str; 4] = [
+    "seek before start",
+    "record after start",
+    "publish_trace outside a host",
+    "time travel after recording to the exit",
 ];
 
 #[test]
@@ -330,6 +375,12 @@ const REFUSALS: &[(&str, Refusal)] = &[
     ("break_before_line past the last line", |t| {
         t.break_before_line(9999).map(drop)
     }),
+    ("seek before start", |t| t.seek(0).map(drop)),
+    ("record after start", |t| {
+        t.start().expect("start");
+        t.record(8)
+    }),
+    ("publish_trace outside a host", |t| t.publish_trace("shelf")),
 ];
 
 #[test]
@@ -384,4 +435,72 @@ fn a_function_breakpoint_and_tracking_both_fire_breakpoint_first() {
         assert_eq!(first, ["Breakpoint", "FunctionCall"], "{name}");
         t.terminate();
     }
+}
+
+/// A C tracker in an `mi-server` child and one in a shared host; the
+/// hosted one is inside a host, so publishing is its to answer.
+fn deployed_trackers(server: &Path, host: &HostHandle) -> [(&'static str, MiTracker); 2] {
+    [
+        (
+            "process",
+            MiTracker::load_c_process(server, "p.c", C_PROG).expect("process tracker"),
+        ),
+        (
+            "hosted",
+            MiTracker::load_c_hosted(host, "p.c", C_PROG).expect("hosted tracker"),
+        ),
+    ]
+}
+
+#[test]
+fn time_travel_answers_alike_in_a_child_process_and_a_shared_host() {
+    let server = conformance::mi_server_bin().expect("mi_server builds");
+    let host = HostHandle::spawn_process(&server, 2).expect("host spawns");
+    let outside_a_host = |name: &str, case: &str| name == "process" || !case.contains("host");
+    let rows = PARITY
+        .iter()
+        .filter(|(case, ..)| TIME_TRAVEL.contains(case));
+    for &(case, row, succeeds) in rows {
+        for (name, mut t) in deployed_trackers(&server, &host) {
+            if outside_a_host(name, case) {
+                assert_eq!(row(&mut t), succeeds, "{name}: {case}");
+            }
+            t.terminate();
+        }
+    }
+    let refusals = REFUSALS
+        .iter()
+        .filter(|(case, _)| TIME_TRAVEL.contains(case));
+    for &(case, row) in refusals {
+        let mut in_process = init_tracker("p.c", C_PROG).unwrap();
+        let want = row(in_process.as_mut()).expect_err(case);
+        in_process.terminate();
+        for (name, mut t) in deployed_trackers(&server, &host) {
+            if outside_a_host(name, case) {
+                let err = row(&mut t).expect_err(case);
+                assert_eq!(
+                    std::mem::discriminant(&err),
+                    std::mem::discriminant(&want),
+                    "{case}: {name} answers {err:?}, in process {want:?}"
+                );
+            }
+            t.terminate();
+        }
+    }
+    // Inside a host, a recording publishes, and replay readers open on it.
+    let mut t = MiTracker::load_c_hosted(&host, "p.c", C_PROG).unwrap();
+    t.record(8).unwrap();
+    let mut reason = t.start().unwrap();
+    while reason.is_alive() {
+        reason = t.step().unwrap();
+    }
+    t.publish_trace("sum").unwrap();
+    let (pauses, _, _) = t.trace_stats().unwrap();
+    let mut reader = host.open_replay("sum", None).expect("replay opens");
+    let past_the_end = reader.call(Command::Seek { pause: pauses }).unwrap();
+    assert!(matches!(
+        past_the_end,
+        Response::Paused(PauseReason::Exited(_))
+    ));
+    t.terminate();
 }

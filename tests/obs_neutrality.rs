@@ -155,7 +155,7 @@ fn telemetry_drains_do_not_perturb_the_session() {
     let Some(server) = conformance::mi_server_bin() else {
         panic!("mi_server binary not found or buildable");
     };
-    let spec = || easytracker::ProgramSpec::c("n.c", C_PROG).via_server(&server);
+    let spec = || easytracker::ProgramSpec::new("n.c", C_PROG).via_server(&server);
     let load = |reg: obs::Registry| {
         MiTracker::load_spec(spec(), reg, easytracker::Supervision::default(), None).unwrap()
     };

@@ -26,7 +26,7 @@ fn fast_supervision() -> Supervision {
 
 fn load_hosted(host: &HostHandle, file: &str, source: &str) -> MiTracker {
     MiTracker::load_spec(
-        ProgramSpec::c(file, source).via_host(host),
+        ProgramSpec::new(file, source).via_host(host),
         obs::Registry::new(),
         fast_supervision(),
         None,
@@ -54,7 +54,7 @@ const MAX_STEPS: usize = 300;
 /// `mi-server` child — and returns the observation trace: the oracle.
 fn solo_oracle(file: &str, source: &str) -> Vec<String> {
     let mut t = MiTracker::load_spec(
-        ProgramSpec::c(file, source).via_server(&server_bin()),
+        ProgramSpec::new(file, source).via_server(&server_bin()),
         obs::Registry::new(),
         fast_supervision(),
         None,

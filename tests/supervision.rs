@@ -65,7 +65,7 @@ fn sigkill_mid_session_is_survived_by_one_respawn() {
 
     let reg = obs::Registry::new();
     let mut t = MiTracker::load_spec(
-        ProgramSpec::c("sup.c", PROGRAM).via_server(&server),
+        ProgramSpec::new("sup.c", PROGRAM).via_server(&server),
         reg.clone(),
         fast_supervision(),
         None,
@@ -111,7 +111,7 @@ fn sigkill_leaves_a_flight_recorder_dump() {
     let dumps = std::env::temp_dir().join(format!("easytracker-dump-test-{}", std::process::id()));
     let reg = obs::Registry::new();
     let mut t = MiTracker::load_spec(
-        ProgramSpec::c("sup.c", PROGRAM).via_server(&server),
+        ProgramSpec::new("sup.c", PROGRAM).via_server(&server),
         reg.clone(),
         fast_supervision(),
         None,
@@ -167,7 +167,7 @@ fn telemetry_drains_stay_journal_safe_across_a_respawn() {
     // program exit.
     let ref_reg = obs::Registry::new();
     let mut r = MiTracker::load_spec(
-        ProgramSpec::c("sup.c", PROGRAM).via_server(&server),
+        ProgramSpec::new("sup.c", PROGRAM).via_server(&server),
         ref_reg.clone(),
         fast_supervision(),
         None,
@@ -184,7 +184,7 @@ fn telemetry_drains_stay_journal_safe_across_a_respawn() {
     // again at exit.
     let reg = obs::Registry::new();
     let mut t = MiTracker::load_spec(
-        ProgramSpec::c("sup.c", PROGRAM).via_server(&server),
+        ProgramSpec::new("sup.c", PROGRAM).via_server(&server),
         reg.clone(),
         fast_supervision(),
         None,
@@ -241,7 +241,7 @@ fn respawned_sessions_rearm_the_profiler_from_the_journal() {
     };
     let load = || {
         MiTracker::load_spec(
-            ProgramSpec::c("sup.c", PROGRAM).via_server(&server),
+            ProgramSpec::new("sup.c", PROGRAM).via_server(&server),
             obs::Registry::new(),
             fast_supervision(),
             None,
@@ -275,7 +275,7 @@ fn sigstop_stall_expires_the_deadline_and_respawns() {
     cfg.deadline = Some(Duration::from_millis(300));
     cfg.ping_deadline = Duration::from_millis(150);
     let mut t = MiTracker::load_spec(
-        ProgramSpec::c("sup.c", PROGRAM).via_server(&server),
+        ProgramSpec::new("sup.c", PROGRAM).via_server(&server),
         reg.clone(),
         cfg,
         None,
@@ -321,7 +321,7 @@ fn respawn_storm_exhausts_the_budget_and_degrades() {
     let cfg = fast_supervision();
     let budget = cfg.max_respawns;
     let mut t = MiTracker::load_spec(
-        ProgramSpec::c("sup.c", PROGRAM).via_server(std::path::Path::new(false_bin)),
+        ProgramSpec::new("sup.c", PROGRAM).via_server(std::path::Path::new(false_bin)),
         reg.clone(),
         cfg,
         None,
@@ -363,7 +363,7 @@ fn terminate_kills_a_wedged_child_without_the_exit_grace() {
         panic!("mi_server binary not found or buildable");
     };
     let mut t = MiTracker::load_spec(
-        ProgramSpec::c("sup.c", PROGRAM).via_server(&server),
+        ProgramSpec::new("sup.c", PROGRAM).via_server(&server),
         obs::Registry::new(),
         fast_supervision(),
         None,

@@ -26,7 +26,7 @@ fn merged_trace_nests_engine_spans_inside_tracker_spans() {
     let tracker_sink = Arc::new(obs::ExportSink::new(4096));
     reg.add_sink(tracker_sink.clone());
     let mut t = MiTracker::load_spec(
-        ProgramSpec::c("tp.c", PROGRAM).via_server(&server),
+        ProgramSpec::new("tp.c", PROGRAM).via_server(&server),
         reg.clone(),
         Supervision::default(),
         None,
