@@ -181,12 +181,16 @@ pub struct Expr {
     pub kind: ExprKind,
     /// 1-based line.
     pub line: u32,
+    /// Nodes on the longest path down from this one, the node included
+    /// (saturating): how deep a recursive pass over it nests.
+    pub(crate) height: u16,
 }
 
 impl Expr {
     /// Creates an expression node.
     pub fn new(kind: ExprKind, line: u32) -> Self {
-        Expr { kind, line }
+        let height = kind.tallest_operand().saturating_add(1);
+        Expr { kind, line, height }
     }
 }
 
@@ -357,6 +361,42 @@ pub enum ExprKind {
         /// Source expression.
         expr: Box<Expr>,
     },
+}
+
+impl ExprKind {
+    /// The height of the tallest operand (0 for a leaf).
+    fn tallest_operand(&self) -> u16 {
+        match self {
+            ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::CharLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Null
+            | ExprKind::Var(_)
+            | ExprKind::SizeofType(_) => 0,
+            ExprKind::Assign {
+                target: a,
+                value: b,
+                ..
+            }
+            | ExprKind::Binary { lhs: a, rhs: b, .. }
+            | ExprKind::Index { base: a, index: b } => a.height.max(b.height),
+            ExprKind::Unary { operand: e, .. }
+            | ExprKind::IncDec { target: e, .. }
+            | ExprKind::Member { base: e, .. }
+            | ExprKind::Arrow { base: e, .. }
+            | ExprKind::Deref(e)
+            | ExprKind::AddrOf(e)
+            | ExprKind::SizeofExpr(e)
+            | ExprKind::Cast { expr: e, .. } => e.height,
+            ExprKind::Ternary {
+                cond,
+                then_expr,
+                else_expr,
+            } => cond.height.max(then_expr.height).max(else_expr.height),
+            ExprKind::Call { args, .. } => args.iter().map(|a| a.height).max().unwrap_or(0),
+        }
+    }
 }
 
 #[cfg(test)]

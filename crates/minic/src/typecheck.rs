@@ -443,6 +443,18 @@ fn close_scope(cx: &mut FuncCx) {
     }
 }
 
+/// Whether `e` has a form [`Checker::lvalue`] accepts.
+fn is_lvalue_form(e: &Expr) -> bool {
+    matches!(
+        e.kind,
+        ExprKind::Var(_)
+            | ExprKind::Deref(_)
+            | ExprKind::Index { .. }
+            | ExprKind::Member { .. }
+            | ExprKind::Arrow { .. }
+    )
+}
+
 fn terr(line: u32, message: impl Into<String>) -> Error {
     Error::Type {
         line,
@@ -1251,16 +1263,21 @@ impl Checker {
                 self.member_addr(baddr, &bty, field, e.line)
             }
             ExprKind::Arrow { base, field } => {
-                // Friendlier diagnostic when `->` is used on a plain struct.
-                if let Ok((_, bty)) = self.lvalue(cx, base) {
+                // An lvalue base is checked once, as `rvalue` would check
+                // it: checking it twice per `->` is exponential in a chain.
+                let p = if is_lvalue_form(base) {
+                    let (addr, bty) = self.lvalue(cx, base)?;
+                    // Friendlier diagnostic when `->` is used on a plain struct.
                     if matches!(bty, Type::Struct(_)) {
                         return Err(terr(
                             e.line,
                             "`->` requires a pointer to struct (did you mean `.`?)",
                         ));
                     }
-                }
-                let p = self.rvalue(cx, base)?;
+                    self.load_lvalue(addr, bty, base.line)?
+                } else {
+                    self.rvalue(cx, base)?
+                };
                 match p.ty.clone() {
                     Type::Ptr(inner) if matches!(*inner, Type::Struct(_)) => {
                         self.member_addr(p, &inner, field, e.line)

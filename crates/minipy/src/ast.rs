@@ -180,16 +180,20 @@ pub struct Expr {
     /// call. Only user code starts statements, and so collections; a
     /// value held across an expression without calls needs no root.
     pub may_call: bool,
+    /// Nodes on the longest path down from this one, the node included
+    /// (saturating): how deep a recursive pass over it nests.
+    pub(crate) height: u16,
 }
 
 impl Expr {
     /// Creates an expression node.
     pub fn new(kind: ExprKind, line: u32) -> Self {
-        let may_call = kind.may_call();
+        let (may_call, tallest) = kind.operands();
         Expr {
             kind,
             line,
             may_call,
+            height: tallest.saturating_add(1),
         }
     }
 }
@@ -308,29 +312,48 @@ pub enum ExprKind {
 }
 
 impl ExprKind {
-    /// Whether the form is a call or has a subexpression that may call.
-    fn may_call(&self) -> bool {
-        let any = |items: &[Expr]| items.iter().any(|e| e.may_call);
+    /// Whether evaluating the node may run user code (see
+    /// [`Expr::may_call`]), and the height of its tallest operand (0 for
+    /// a leaf).
+    fn operands(&self) -> (bool, u16) {
+        let (mut may_call, mut tallest) = (matches!(self, ExprKind::Call { .. }), 0);
+        let mut see = |e: &Expr| {
+            may_call |= e.may_call;
+            tallest = tallest.max(e.height);
+        };
         match self {
-            ExprKind::Call { .. } => true,
             ExprKind::Int(_)
             | ExprKind::Float(_)
             | ExprKind::Str(_)
             | ExprKind::Bool(_)
             | ExprKind::None
-            | ExprKind::Name(_) => false,
+            | ExprKind::Name(_) => {}
             ExprKind::Binary { lhs, rhs, .. } | ExprKind::Bool2 { lhs, rhs, .. } => {
-                lhs.may_call || rhs.may_call
+                see(lhs);
+                see(rhs);
             }
-            ExprKind::Not(inner) | ExprKind::Neg(inner) => inner.may_call,
-            ExprKind::Index { base, index } => base.may_call || index.may_call,
+            ExprKind::Not(inner) | ExprKind::Neg(inner) | ExprKind::Attr { base: inner, .. } => {
+                see(inner)
+            }
+            ExprKind::Call { func, args } => {
+                see(func);
+                args.iter().for_each(&mut see);
+            }
+            ExprKind::Index { base, index } => {
+                see(base);
+                see(index);
+            }
             ExprKind::Slice { base, lo, hi } => {
-                base.may_call || [lo, hi].into_iter().flatten().any(|e| e.may_call)
+                see(base);
+                [lo, hi].into_iter().flatten().for_each(|e| see(e));
             }
-            ExprKind::Attr { base, .. } => base.may_call,
-            ExprKind::List(items) | ExprKind::Tuple(items) => any(items),
-            ExprKind::Dict(entries) => entries.iter().any(|(k, v)| k.may_call || v.may_call),
+            ExprKind::List(items) | ExprKind::Tuple(items) => items.iter().for_each(&mut see),
+            ExprKind::Dict(entries) => entries.iter().for_each(|(k, v)| {
+                see(k);
+                see(v);
+            }),
         }
+        (may_call, tallest)
     }
 }
 
