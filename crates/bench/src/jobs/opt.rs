@@ -9,6 +9,9 @@
 //! reports the static op-count reduction plus a lockstep sanity check
 //! (same output, same exit) per seed.
 //!
+//! Each level also reports `ns_per_op`, its fastest run's time per
+//! executed op: the VM's dispatch cost, apart from what -O1 removes.
+//!
 //! `--check` fails when the -O1 steady-state speedup on tracked-fib
 //! falls below 10%, or any seed-mix program changes behaviour under
 //! optimization.
@@ -78,11 +81,15 @@ pub fn run(flags: &Flags) -> Verdict {
     } else {
         (1.0 - m1.best.as_secs_f64() / m0.best.as_secs_f64()) * 100.0
     };
+    // The op loop's own cost: the fastest run's time per executed op.
+    let ns_per_op =
+        |m: &bench::Timed<(i64, u64)>| m.best.as_nanos() as f64 / m.last.1.max(1) as f64;
     for (name, m) in [("-O0", m0), ("-O1", m1)] {
         println!(
-            "{name} {} | {:>12} ops executed",
+            "{name} {} | {:>12} ops executed | {:.2} ns/op",
             m.summary_line(),
-            m.last.1
+            m.last.1,
+            ns_per_op(m)
         );
     }
     println!(
@@ -107,6 +114,10 @@ pub fn run(flags: &Flags) -> Verdict {
         let mut summary = m.summary();
         let fields = summary.as_object_mut().expect("summary is an object");
         fields.insert("ops_executed".into(), json!(m.last.1));
+        fields.insert(
+            "ns_per_op".into(),
+            json!((ns_per_op(m) * 100.0).round() / 100.0),
+        );
         summary
     };
     write_report(

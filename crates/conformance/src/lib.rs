@@ -44,46 +44,45 @@ pub use shrink::{shrink, CheckKind, CorpusEntry};
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::OnceLock;
 
-/// Locates the `mi_server` binary for process-backed differential runs,
-/// building it with cargo if it is not there yet.
+/// Locates the `mi_server` binary of the running build's profile for
+/// process-backed differential runs, built fresh from the current source.
 ///
-/// Walks up from the test executable to the enclosing `target/` directory
-/// first (CI builds the binary explicitly, so this is the common path),
-/// then falls back to `cargo build -p mi --bin mi_server`.
+/// The first call runs `cargo build -p mi --bin mi_server` (with
+/// `--release` in an optimized build), which is cheap when the binary is
+/// up to date, so a test never spawns a server built from older source.
+/// It then takes only that profile's binary, from the target directory
+/// the running executable was built in. `None` when the build fails.
 pub fn mi_server_bin() -> Option<PathBuf> {
-    if let Some(found) = locate_built() {
-        return Some(found);
-    }
-    let mut cmd = Command::new(env!("CARGO"));
-    cmd.args(["build", "-p", "mi", "--bin", "mi_server"]);
-    if !cfg!(debug_assertions) {
-        cmd.arg("--release");
-    }
-    let status = cmd.status().ok()?;
-    if !status.success() {
-        return None;
-    }
-    locate_built()
+    static BUILT: OnceLock<Option<PathBuf>> = OnceLock::new();
+    BUILT
+        .get_or_init(|| {
+            let mut cmd = Command::new(env!("CARGO"));
+            cmd.args(["build", "--quiet", "-p", "mi", "--bin", "mi_server"]);
+            if !cfg!(debug_assertions) {
+                cmd.arg("--release");
+            }
+            if !cmd.status().ok()?.success() {
+                return None;
+            }
+            locate_built()
+        })
+        .clone()
 }
 
 fn locate_built() -> Option<PathBuf> {
-    let exe = std::env::current_exe().ok()?;
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     let bin = format!("mi_server{}", std::env::consts::EXE_SUFFIX);
-    for dir in exe.ancestors() {
-        if dir.file_name().is_some_and(|n| n == "target") {
-            for profile in ["debug", "release"] {
-                let candidate = dir.join(profile).join(&bin);
-                if candidate.is_file() {
-                    return Some(candidate);
-                }
-            }
-        }
-        // The test binary itself lives in target/<profile>/deps/.
-        let sibling = dir.join(&bin);
-        if sibling.is_file() {
-            return Some(sibling);
-        }
-    }
-    None
+    // The running executable lives under `<target>/<profile>/` (in
+    // `deps/` for a test, `examples/` for an example).
+    let exe = std::env::current_exe().ok()?;
+    exe.ancestors()
+        .find(|dir| dir.file_name().is_some_and(|n| n == profile))
+        .map(|dir| dir.join(bin))
+        .filter(|candidate| candidate.is_file())
 }

@@ -228,7 +228,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `size` is not 1, 4 or 8.
-    #[inline]
+    #[inline(always)]
     pub fn read_int(&self, addr: u64, size: u64) -> Result<i64, MemError> {
         let b = self.slice(addr, size)?;
         Ok(match size {
@@ -248,7 +248,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `size` is not 1, 4 or 8.
-    #[inline]
+    #[inline(always)]
     pub fn write_int(&mut self, addr: u64, size: u64, value: i64) -> Result<(), MemError> {
         match size {
             1 => self.write_bytes(addr, &[(value as u8)]),
@@ -263,6 +263,7 @@ impl Memory {
     /// # Errors
     ///
     /// Fails on unmapped addresses.
+    #[inline(always)]
     pub fn read_ptr(&self, addr: u64) -> Result<u64, MemError> {
         let b = self.slice(addr, 8)?;
         Ok(u64::from_le_bytes(b.try_into().unwrap()))
@@ -273,6 +274,7 @@ impl Memory {
     /// # Errors
     ///
     /// Fails on unmapped addresses.
+    #[inline(always)]
     pub fn write_ptr(&mut self, addr: u64, value: u64) -> Result<(), MemError> {
         self.write_bytes(addr, &value.to_le_bytes())
     }
@@ -286,6 +288,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `size` is not 4 or 8.
+    #[inline(always)]
     pub fn read_float(&self, addr: u64, size: u64) -> Result<f64, MemError> {
         let b = self.slice(addr, size)?;
         Ok(match size {
@@ -304,6 +307,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `size` is not 4 or 8.
+    #[inline(always)]
     pub fn write_float(&mut self, addr: u64, size: u64, value: f64) -> Result<(), MemError> {
         match size {
             4 => self.write_bytes(addr, &(value as f32).to_le_bytes()),
