@@ -68,7 +68,7 @@
 use crate::adapter::refusal;
 use crate::{ControlPointId, EnginePort, EngineTracker, Result, TrackerError};
 use mi::protocol::{Command, Response};
-use mi::transport::PumpedTransport;
+use mi::transport::SocketTransport;
 use mi::{CommandPort, HostHandle, MiError};
 use state::PauseReason;
 use std::path::{Path, PathBuf};
@@ -168,7 +168,8 @@ pub enum SessionHealth {
 enum Deploy {
     /// Engine thread in this process, channel transport.
     InProcess,
-    /// `mi-server` child process over stdio pipes.
+    /// `mi-server` child process, its stdin and stdout one end of a
+    /// socket pair.
     Process { server_bin: PathBuf },
     /// One session inside a shared multi-session host (`mi-server
     /// --host`): many trackers multiplex over one engine process.
@@ -409,7 +410,7 @@ impl MiTracker {
     }
 
     /// Spawns `mi-server` (at `server_bin`) as a real child process for a
-    /// MiniC or RISC-V program (picked by `file`'s name) and connects over its stdio pipes — the paper's
+    /// MiniC or RISC-V program (picked by `file`'s name) and connects over its stdio — the paper's
     /// `gdb --interpreter=mi` deployment shape.
     ///
     /// The source is shipped via a temporary file; `file` is passed as
@@ -754,9 +755,18 @@ impl SupervisedPort {
         registry: &obs::Registry,
     ) -> Result<(Box<dyn CommandPort>, EngineKind)> {
         use std::io::Write as _;
+        use std::os::fd::OwnedFd;
+        use std::os::unix::net::UnixStream;
         use std::process::{Command as Proc, Stdio};
 
         let load = |e: &dyn std::fmt::Display| TrackerError::Load(e.to_string());
+        // The child's stdin and stdout are its end of a socket pair, so
+        // the tracker reads replies on its own thread under a socket read
+        // timeout (`SocketTransport`): no reader thread, no extra thread
+        // switch per reply. Stderr stays a pipe with its tail thread.
+        let (ours, theirs) = UnixStream::pair().map_err(|e| load(&e))?;
+        let theirs_out = theirs.try_clone().map_err(|e| load(&e))?;
+        let transport = SocketTransport::new(ours).map_err(|e| load(&e))?;
         // A private scratch dir per spawn: pid + a process-wide counter
         // keeps concurrent trackers (and concurrent test binaries) apart.
         static SCRATCH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -774,21 +784,19 @@ impl SupervisedPort {
         if spec.opt > 0 {
             proc.arg("--opt").arg(spec.opt.to_string());
         }
-        let mut child = proc
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
+        let spawned = proc
+            .stdin(OwnedFd::from(theirs))
+            .stdout(OwnedFd::from(theirs_out))
             .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| {
-                let _ = std::fs::remove_dir_all(&dir);
-                load(&e)
-            })?;
-        let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = child.stdout.take().expect("piped stdout");
+            .spawn();
+        // The command holds the child's end until dropped; a tracker
+        // holding it would never read a dead child's EOF.
+        drop(proc);
+        let mut child = spawned.map_err(|e| {
+            let _ = std::fs::remove_dir_all(&dir);
+            load(&e)
+        })?;
         let stderr = mi::tail_stderr(child.stderr.take().expect("piped stderr"));
-        // A pumped transport so receives can honor deadlines: the reader
-        // thread blocks on the pipe, the tracker blocks on a channel.
-        let transport = PumpedTransport::spawn(stdout, stdin);
         let port: Box<dyn CommandPort> =
             Box::new(mi::Client::with_registry(transport, registry.clone()));
         Ok((
@@ -1200,10 +1208,11 @@ impl SupervisedPort {
             EngineKind::Child {
                 mut child, scratch, ..
             } => {
-                // Closing stdin is EOF for the child's serve loop; give
-                // a child that answered the farewell a bounded grace
-                // period before resorting to a kill. One that did not is
-                // wedged and will not exit on its own: kill it at once.
+                // Closing our end of the socket (dropping the port) is
+                // EOF for the child's serve loop; give a child that
+                // answered the farewell a bounded grace period before
+                // resorting to a kill. One that did not is wedged and
+                // will not exit on its own: kill it at once.
                 let polls = if farewell.is_ok() { 100 } else { 0 };
                 let mut exited = false;
                 for _ in 0..polls {

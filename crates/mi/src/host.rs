@@ -309,7 +309,7 @@ impl SessionState {
     /// boundary, everything else by the engine under the caller's trace
     /// context.
     fn start(&mut self, trace: Option<obs::TraceContext>, cmd: Command, fuel: u64) -> SliceOutcome {
-        self.inc(&format!("mi.server.cmd.{}", cmd.kind()));
+        self.inc(cmd.served_counter());
         if let Some(flight) = &self.flight {
             flight.record("cmd", cmd.kind());
         }
@@ -410,7 +410,7 @@ struct SessionSlot {
     /// Close requested (explicitly or by connection death) while a
     /// worker held the state; the worker removes the slot when done and
     /// counts the end under this label.
-    closed: Option<&'static str>,
+    closed: Option<SessionEnd>,
     /// Highest sequence number accepted so far; lower or equal is a
     /// duplicate/stale frame and is refused with a typed error.
     last_seq: Option<u64>,
@@ -814,19 +814,40 @@ fn close_session(shared: &Arc<HostShared>, conn: u64, sid: u64) -> Response {
             if slot.running {
                 // A worker holds the state; it removes the slot when it
                 // finishes the current batch.
-                slot.closed = Some("closed");
+                slot.closed = Some(SessionEnd::Closed);
             } else {
                 table.remove(&sid);
-                finish_session(shared, &table, "closed");
+                finish_session(shared, &table, SessionEnd::Closed);
             }
             Response::Ok
         }
     }
 }
 
+/// How a hosted session ended: the label of its end counter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SessionEnd {
+    /// The client closed it.
+    Closed,
+    /// Its connection went away.
+    PeerClosed,
+    /// It served `Terminate`.
+    Terminated,
+    /// It ran out of a `SetLimits` budget.
+    BudgetExhausted,
+    /// Its engine panicked.
+    EngineFault,
+}
+
 /// Bookkeeping shared by every way a session can end.
-fn finish_session(shared: &HostShared, table: &HashMap<u64, SessionSlot>, how: &str) {
-    shared.registry.inc(&format!("mi.host.session_end.{how}"));
+fn finish_session(shared: &HostShared, table: &HashMap<u64, SessionSlot>, how: SessionEnd) {
+    shared.registry.inc(match how {
+        SessionEnd::Closed => "mi.host.session_end.closed",
+        SessionEnd::PeerClosed => "mi.host.session_end.peer_closed",
+        SessionEnd::Terminated => "mi.host.session_end.terminated",
+        SessionEnd::BudgetExhausted => "mi.host.session_end.budget_exhausted",
+        SessionEnd::EngineFault => "mi.host.session_end.engine_fault",
+    });
     shared
         .registry
         .set_gauge("mi.host.sessions_open", table.len() as u64);
@@ -911,11 +932,11 @@ fn end_connection_sessions(shared: &Arc<HostShared>, conn: u64) {
     for sid in mine {
         let slot = table.get_mut(&sid).expect("session listed");
         if slot.running {
-            slot.closed = Some("peer_closed");
+            slot.closed = Some(SessionEnd::PeerClosed);
             // The worker counts the end when it drops the state.
         } else {
             table.remove(&sid);
-            finish_session(shared, &table, "peer_closed");
+            finish_session(shared, &table, SessionEnd::PeerClosed);
         }
     }
 }
@@ -976,7 +997,7 @@ fn serve_slice(shared: &Arc<HostShared>, sid: u64) {
     let mut ended = job
         .as_ref()
         .is_some_and(|j| j.cmd == Command::Terminate)
-        .then_some("terminated");
+        .then_some(SessionEnd::Terminated);
     // No slice fuel configured: run to the next pause, unpreempted.
     match state.slice(job, shared.config.slice_steps.unwrap_or(u64::MAX)) {
         // Out of fuel mid-command: go to the back of the line. Nothing
@@ -986,13 +1007,13 @@ fn serve_slice(shared: &Arc<HostShared>, sid: u64) {
         Some((seq, resp)) => {
             if matches!(resp, Response::ResourceExhausted { .. }) {
                 shared.registry.inc("mi.host.budget_exhausted");
-                ended = Some("budget_exhausted");
+                ended = Some(SessionEnd::BudgetExhausted);
             }
             if state.fault.is_some() {
                 // The panic was contained to this session; the worker
                 // lives on and the session ends typed.
                 shared.registry.inc("mi.host.engine_faults");
-                ended = Some("engine_fault");
+                ended = Some(SessionEnd::EngineFault);
             }
             let rf = ResponseFrame {
                 seq,
@@ -1003,7 +1024,7 @@ fn serve_slice(shared: &Arc<HostShared>, sid: u64) {
                 // This connection is gone; its reader will sweep the
                 // sibling sessions. Ending just this one here keeps the
                 // blast radius at exactly one connection.
-                ended = Some("peer_closed");
+                ended = Some(SessionEnd::PeerClosed);
             }
         }
     }

@@ -277,8 +277,9 @@ impl std::fmt::Display for ResourceKind {
     }
 }
 
-/// `Command::kind` and `Command::roundtrip_span` from one list of the
-/// command kinds, each with the pattern that matches it.
+/// `Command::kind`, `Command::roundtrip_span` and `Command::served_counter`
+/// from one list of the command kinds, each with the pattern that matches
+/// it.
 macro_rules! command_kinds {
     ($($kind:ident $({ $($rest:tt)* })?),* $(,)?) => {
         impl Command {
@@ -297,6 +298,16 @@ macro_rules! command_kinds {
                 match self {
                     $(Command::$kind $({ $($rest)* })? => {
                         concat!("mi.client.roundtrip.", stringify!($kind))
+                    })*
+                }
+            }
+
+            /// `mi.server.cmd.<kind>`: the name of the serve core's counter
+            /// of commands of this kind.
+            pub(crate) fn served_counter(&self) -> &'static str {
+                match self {
+                    $(Command::$kind $({ $($rest)* })? => {
+                        concat!("mi.server.cmd.", stringify!($kind))
                     })*
                 }
             }

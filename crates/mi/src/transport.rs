@@ -11,6 +11,14 @@
 //! halves of one connection together; the session host keeps them apart,
 //! with a reader thread on the receive half while workers share the send
 //! half.
+//!
+//! Across a process boundary a frame is one line: [`StreamFrameTx`] hands
+//! the frame and its newline to the writer in one `write_all`, so an
+//! unbuffered pipe or socket (and a line-buffered stdout) carries each
+//! frame in one `write` call and the reader wakes once per frame. The
+//! supervised process backend talks to its `mi-server` child over a
+//! [`SocketTransport`]: a Unix socket pair whose receive half is read on
+//! the thread that waits for the reply, under the reply's deadline.
 
 use crate::MiError;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -81,8 +89,8 @@ pub trait FrameRx: Send {
     ///
     /// The default ignores the deadline and blocks — a half that cannot
     /// interrupt its read (a borrowed byte stream) keeps its plain
-    /// behaviour. The channel and pumped halves override it; they are
-    /// what the supervision layer builds on.
+    /// behaviour. The channel, socket and pumped halves override it; they
+    /// are what the supervision layer builds on.
     ///
     /// # Errors
     ///
@@ -146,7 +154,8 @@ impl<Tx: Send, Rx: FrameRx> FrameRx for Duplex<Tx, Rx> {
 pub type ChannelTransport = Duplex<ChannelFrameTx, ChannelFrameRx>;
 
 /// One end of a newline-delimited byte-stream pair — the wire format for
-/// running an engine as a *separate OS process* connected by real pipes,
+/// running an engine as a *separate OS process* connected by real pipes
+/// (or a socket: [`SocketTransport`] speaks it too),
 /// like the paper's `gdb --interpreter=mi` subprocess. Frames must not
 /// contain raw newlines; JSON guarantees that.
 pub type StreamTransport<R, W> = Duplex<StreamFrameTx<W>, StreamFrameRx<R>>;
@@ -154,6 +163,11 @@ pub type StreamTransport<R, W> = Duplex<StreamFrameTx<W>, StreamFrameRx<R>>;
 /// A [`StreamTransport`] whose receive half runs on a reader thread (see
 /// [`PumpedFrameRx`]), so receives can honour deadlines.
 pub type PumpedTransport<W> = Duplex<StreamFrameTx<W>, PumpedFrameRx>;
+
+/// One end of a Unix socket pair carrying newline-delimited frames, read
+/// on the caller's thread under deadlines (see [`SocketFrameRx`]).
+#[cfg(unix)]
+pub type SocketTransport = Duplex<StreamFrameTx<std::os::unix::net::UnixStream>, SocketFrameRx>;
 
 /// Send half of an in-process channel.
 #[derive(Debug)]
@@ -257,12 +271,17 @@ pub fn duplex() -> (ChannelTransport, ChannelTransport) {
 #[derive(Debug)]
 pub struct StreamFrameTx<W> {
     writer: W,
+    /// The frame being sent and its newline, kept between sends.
+    line: Vec<u8>,
 }
 
 impl<W: std::io::Write + Send> StreamFrameTx<W> {
     /// Wraps a writer.
     pub fn new(writer: W) -> Self {
-        StreamFrameTx { writer }
+        StreamFrameTx {
+            writer,
+            line: Vec::new(),
+        }
     }
 }
 
@@ -272,9 +291,15 @@ impl<W: std::io::Write + Send> FrameTx for StreamFrameTx<W> {
             return Err(MiError::Codec("frame contains a newline".into()));
         }
         check_len(frame.len())?;
+        // One `write_all` for the frame and its delimiter: written apart,
+        // an unbuffered stream (and a line-buffered one, for a frame
+        // longer than its buffer) takes two `write` calls, and the reader
+        // wakes for half a frame.
+        self.line.clear();
+        self.line.extend_from_slice(frame);
+        self.line.push(b'\n');
         let w = &mut self.writer;
-        w.write_all(frame)
-            .and_then(|()| w.write_all(b"\n"))
+        w.write_all(&self.line)
             .and_then(|()| w.flush())
             .map_err(|_| MiError::Disconnected)
     }
@@ -289,6 +314,8 @@ impl<W: std::io::Write + Send> FrameTx for StreamFrameTx<W> {
 #[derive(Debug)]
 pub struct StreamFrameRx<R> {
     reader: std::io::BufReader<R>,
+    /// The start of a frame whose read timed out.
+    partial: Vec<u8>,
     received: u64,
 }
 
@@ -297,6 +324,7 @@ impl<R: std::io::Read + Send> StreamFrameRx<R> {
     pub fn new(reader: R) -> Self {
         StreamFrameRx {
             reader: std::io::BufReader::new(reader),
+            partial: Vec::new(),
             received: 0,
         }
     }
@@ -304,7 +332,7 @@ impl<R: std::io::Read + Send> StreamFrameRx<R> {
 
 impl<R: std::io::Read + Send> FrameRx for StreamFrameRx<R> {
     fn recv(&mut self) -> Result<Vec<u8>, MiError> {
-        let (n, frame) = read_newline_frame(&mut self.reader);
+        let (n, frame) = read_newline_frame(&mut self.reader, &mut self.partial);
         self.received += n;
         frame
     }
@@ -324,22 +352,38 @@ impl<R: std::io::Read + Send, W: std::io::Write + Send> StreamTransport<R, W> {
     }
 }
 
-/// Reads one newline-delimited frame; returns the bytes it took off the
-/// stream alongside the frame (or why there is none).
+/// Reads one newline-delimited frame, continuing the one in `partial`
+/// that an earlier read left unfinished; returns the bytes the frame took
+/// off the stream alongside the frame (or why there is none).
+///
+/// A read that times out (`WouldBlock`, `TimedOut`) answers
+/// [`MiError::Timeout`], counts nothing yet, and leaves what arrived in
+/// `partial`; the call that completes the frame counts all of it.
 fn read_newline_frame<R: std::io::Read>(
     reader: &mut std::io::BufReader<R>,
+    partial: &mut Vec<u8>,
 ) -> (u64, Result<Vec<u8>, MiError>) {
-    use std::io::{BufRead as _, Read as _};
+    use std::io::{BufRead as _, ErrorKind, Read as _};
     // Raw bytes, not `read_line`: corrupted (non-UTF-8) traffic must
     // surface as a codec error on this frame, not kill the stream.
-    // The `take` bounds how much one frame may buffer, so a peer that
-    // stops sending newlines cannot balloon memory.
-    let mut line = Vec::new();
-    let mut limited = reader.take(MAX_FRAME_LEN as u64 + 1);
-    let n = match limited.read_until(b'\n', &mut line) {
-        Ok(0) | Err(_) => return (0, Err(MiError::Disconnected)),
-        Ok(n) => n as u64,
-    };
+    // The `take` bounds how much one frame may buffer, across every read
+    // that adds to it, so a peer that stops sending newlines cannot
+    // balloon memory. `partial` never holds more than the cap.
+    let room = (MAX_FRAME_LEN + 1 - partial.len()) as u64;
+    match reader.take(room).read_until(b'\n', partial) {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            return (0, Err(MiError::Timeout))
+        }
+        // End of stream inside a frame: reported below.
+        Ok(0) if !partial.is_empty() => {}
+        Ok(0) | Err(_) => {
+            partial.clear();
+            return (0, Err(MiError::Disconnected));
+        }
+        Ok(_) => {}
+    }
+    let mut line = std::mem::take(partial);
+    let n = line.len() as u64;
     let frame = if line.len() > MAX_FRAME_LEN {
         Err(MiError::Codec(format!(
             "frame exceeds the {MAX_FRAME_LEN}-byte cap"
@@ -363,10 +407,9 @@ fn read_newline_frame<R: std::io::Read>(
 /// The receive half of a byte stream read on a dedicated thread: the
 /// thread blocks on the stream and forwards complete frames through an
 /// in-process channel, so `recv_deadline` can give up waiting without
-/// abandoning a half-read frame. The supervised process backend uses it
-/// — a wedged or killed `mi-server` child surfaces as
-/// [`MiError::Timeout`] / [`MiError::Disconnected`] within the deadline
-/// instead of blocking the tracker forever.
+/// abandoning a half-read frame, over any reader (a pipe has no read
+/// timeout). Each reply costs a thread switch more than a
+/// [`SocketFrameRx`], which the supervised process backend uses instead.
 ///
 /// The reader thread exits on EOF or stream error; it holds only the
 /// reader, so dropping the send half (closing the writer) lets a
@@ -385,8 +428,9 @@ impl PumpedFrameRx {
             .name("mi-recv-pump".into())
             .spawn(move || {
                 let mut reader = std::io::BufReader::new(reader);
+                let mut partial = Vec::new();
                 loop {
-                    let (n, frame) = read_newline_frame(&mut reader);
+                    let (n, frame) = read_newline_frame(&mut reader, &mut partial);
                     let stop = matches!(frame, Err(MiError::Disconnected));
                     if tx.send((n, frame)).is_err() || stop {
                         return;
@@ -426,6 +470,101 @@ impl<W: std::io::Write + Send> PumpedTransport<W> {
             tx: StreamFrameTx::new(writer),
             rx: PumpedFrameRx::spawn(reader),
         }
+    }
+}
+
+/// The receive half of a Unix socket, read on the thread that waits for
+/// the frame: [`FrameRx::recv_deadline`] sets the socket's read timeout
+/// to the time left before each read, and a frame the deadline cuts stays
+/// buffered for the next call. The supervised process backend reads its
+/// `mi-server` child through it — a wedged or killed child surfaces as
+/// [`MiError::Timeout`] / [`MiError::Disconnected`] within the deadline
+/// instead of blocking the tracker forever, with no reader thread.
+#[cfg(unix)]
+#[derive(Debug)]
+pub struct SocketFrameRx {
+    rx: StreamFrameRx<DeadlineSocket>,
+}
+
+/// A socket whose reads give up at `until`.
+#[cfg(unix)]
+#[derive(Debug)]
+struct DeadlineSocket {
+    socket: std::os::unix::net::UnixStream,
+    /// When the current receive gives up; `None` blocks.
+    until: Option<std::time::Instant>,
+    /// Whether the socket carries a read timeout now.
+    timed: bool,
+}
+
+#[cfg(unix)]
+impl std::io::Read for DeadlineSocket {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if let Some(until) = self.until {
+            // A zero timeout is an error to `set_read_timeout`, and means
+            // no time is left anyway.
+            let left = until.saturating_duration_since(std::time::Instant::now());
+            if left.is_zero() {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            self.socket.set_read_timeout(Some(left))?;
+            self.timed = true;
+        } else if self.timed {
+            self.socket.set_read_timeout(None)?;
+            self.timed = false;
+        }
+        self.socket.read(buf)
+    }
+}
+
+#[cfg(unix)]
+impl SocketFrameRx {
+    /// Reads frames from `socket`.
+    pub fn new(socket: std::os::unix::net::UnixStream) -> Self {
+        SocketFrameRx {
+            rx: StreamFrameRx::new(DeadlineSocket {
+                socket,
+                until: None,
+                timed: false,
+            }),
+        }
+    }
+
+    fn recv_until(&mut self, until: Option<std::time::Instant>) -> Result<Vec<u8>, MiError> {
+        self.rx.reader.get_mut().until = until;
+        self.rx.recv()
+    }
+}
+
+#[cfg(unix)]
+impl FrameRx for SocketFrameRx {
+    fn recv(&mut self) -> Result<Vec<u8>, MiError> {
+        self.recv_until(None)
+    }
+
+    fn recv_deadline(&mut self, deadline: Duration) -> Result<Vec<u8>, MiError> {
+        // A deadline past the clock's range is no deadline.
+        self.recv_until(std::time::Instant::now().checked_add(deadline))
+    }
+
+    fn wire_bytes(&self) -> u64 {
+        self.rx.wire_bytes()
+    }
+}
+
+#[cfg(unix)]
+impl SocketTransport {
+    /// Sends and receives frames over `socket`, one end of a
+    /// `UnixStream::pair`.
+    ///
+    /// # Errors
+    ///
+    /// When the socket cannot be cloned into its two halves.
+    pub fn new(socket: std::os::unix::net::UnixStream) -> std::io::Result<Self> {
+        Ok(Duplex {
+            tx: StreamFrameTx::new(socket.try_clone()?),
+            rx: SocketFrameRx::new(socket),
+        })
     }
 }
 
@@ -749,5 +888,185 @@ mod pumped_tests {
         assert_eq!(t.recv(), Err(MiError::Disconnected));
         // The fragment crossed the wire: it counts.
         assert_eq!(t.wire_bytes(), 5);
+    }
+}
+
+#[cfg(test)]
+mod write_tests {
+    use super::*;
+    use std::io::{LineWriter, Write};
+
+    /// A writer that counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const SMALL: usize = 100;
+    const LARGE: usize = 3 * 1024;
+
+    #[test]
+    fn an_unbuffered_writer_takes_one_write_per_frame() {
+        let mut tx = StreamFrameTx::new(CountingWriter::default());
+        tx.send(&[b'a'; SMALL]).unwrap();
+        assert_eq!(tx.writer.writes, 1);
+        tx.send(&[b'b'; LARGE]).unwrap();
+        assert_eq!(tx.writer.writes, 2);
+        assert_eq!(tx.writer.bytes.len(), SMALL + LARGE + 2);
+    }
+
+    #[test]
+    fn a_line_buffered_writer_takes_one_write_per_frame() {
+        // `mi-server`'s stdout: a `LineWriter` with a 1 KiB buffer, which
+        // a 3 KiB frame bypasses.
+        let mut tx = StreamFrameTx::new(LineWriter::new(CountingWriter::default()));
+        tx.send(&[b'a'; SMALL]).unwrap();
+        assert_eq!(tx.writer.get_ref().writes, 1);
+        tx.send(&[b'b'; LARGE]).unwrap();
+        assert_eq!(tx.writer.get_ref().writes, 2);
+        let wire = &tx.writer.get_ref().bytes;
+        assert_eq!(wire.len(), SMALL + LARGE + 2);
+        assert_eq!((wire[SMALL], wire[wire.len() - 1]), (b'\n', b'\n'));
+    }
+}
+
+#[cfg(all(test, unix))]
+mod socket_tests {
+    use super::*;
+    use std::io::Write;
+    use std::os::unix::net::UnixStream;
+
+    const CUT: Duration = Duration::from_millis(20);
+    const PATIENT: Duration = Duration::from_secs(10);
+
+    fn pair() -> (UnixStream, SocketFrameRx) {
+        let (peer, ours) = UnixStream::pair().unwrap();
+        (peer, SocketFrameRx::new(ours))
+    }
+
+    #[test]
+    fn a_frame_cut_by_a_deadline_arrives_whole_next_call() {
+        let (mut peer, mut rx) = pair();
+        peer.write_all(b"{\"a\":").unwrap();
+        assert_eq!(rx.recv_deadline(CUT), Err(MiError::Timeout));
+        // The cut half is held, not yet counted.
+        assert_eq!(rx.wire_bytes(), 0);
+        peer.write_all(b"1}\r\n").unwrap();
+        assert_eq!(rx.recv_deadline(PATIENT).unwrap(), b"{\"a\":1}");
+        assert_eq!(rx.wire_bytes(), 9);
+        // A blocking receive after a timed one waits as long as it takes.
+        assert_eq!(rx.recv_deadline(CUT), Err(MiError::Timeout));
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(CUT * 3);
+            peer.write_all(b"late\n").unwrap();
+            peer
+        });
+        assert_eq!(rx.recv().unwrap(), b"late");
+        assert_eq!(rx.wire_bytes(), 9 + 5);
+        drop(late.join().unwrap());
+        assert_eq!(rx.recv(), Err(MiError::Disconnected));
+    }
+
+    #[test]
+    fn a_frame_grown_past_the_cap_across_timeouts_is_refused() {
+        let (mut peer, mut rx) = pair();
+        let (go, wait) = channel::<()>();
+        let half = MAX_FRAME_LEN / 2;
+        let writer = std::thread::spawn(move || {
+            peer.write_all(&vec![b'x'; half]).unwrap();
+            wait.recv().unwrap();
+            // One byte past the cap: the receiver refuses the frame there,
+            // and what follows is the next frame.
+            peer.write_all(&vec![b'x'; MAX_FRAME_LEN + 1 - half])
+                .unwrap();
+            peer.write_all(b"ok\n").unwrap();
+            peer
+        });
+        // Timed-out reads until the first half is held; a receiver that
+        // drops what a timeout cut fails here instead of spinning.
+        let give_up = std::time::Instant::now() + PATIENT;
+        loop {
+            assert_eq!(rx.recv_deadline(CUT), Err(MiError::Timeout));
+            let held = rx.rx.partial.len();
+            if held == half {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < give_up,
+                "holds {held} of {half} bytes"
+            );
+        }
+        go.send(()).unwrap();
+        let refused = loop {
+            match rx.recv_deadline(CUT) {
+                Err(MiError::Timeout) if std::time::Instant::now() < give_up => continue,
+                other => break other,
+            }
+        };
+        match refused {
+            Err(MiError::Codec(msg)) => assert!(msg.contains("cap"), "{msg}"),
+            other => panic!("expected a codec error, got {:?}", other.map(|f| f.len())),
+        }
+        assert_eq!(rx.wire_bytes(), MAX_FRAME_LEN as u64 + 1);
+        assert_eq!(rx.recv_deadline(PATIENT).unwrap(), b"ok");
+        assert_eq!(rx.wire_bytes(), MAX_FRAME_LEN as u64 + 4);
+        drop(writer.join().unwrap());
+    }
+
+    #[test]
+    fn a_peer_closing_mid_frame_is_a_mid_frame_eof() {
+        let (mut peer, mut rx) = pair();
+        peer.write_all(b"{\"cut").unwrap();
+        assert_eq!(rx.recv_deadline(CUT), Err(MiError::Timeout));
+        drop(peer);
+        match rx.recv_deadline(PATIENT) {
+            Err(MiError::Codec(msg)) => assert!(msg.contains("mid-frame EOF"), "{msg}"),
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+        // The fragment crossed the wire: it counts, once.
+        assert_eq!(rx.wire_bytes(), 5);
+        assert_eq!(rx.recv_deadline(PATIENT), Err(MiError::Disconnected));
+    }
+
+    #[test]
+    fn no_time_left_is_a_timeout() {
+        // `set_read_timeout(Some(ZERO))` is an error, which would read as
+        // a disconnect; no time left must answer `Timeout` instead.
+        let (mut peer, mut rx) = pair();
+        assert_eq!(rx.recv_deadline(Duration::ZERO), Err(MiError::Timeout));
+        peer.write_all(b"x\n").unwrap();
+        assert_eq!(rx.recv_deadline(PATIENT).unwrap(), b"x");
+        // A deadline beyond the clock's range blocks like `recv`.
+        peer.write_all(b"y\n").unwrap();
+        assert_eq!(rx.recv_deadline(Duration::MAX).unwrap(), b"y");
+    }
+
+    #[test]
+    fn a_socket_transport_round_trips_frames() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let (mut a, mut b) = (
+            SocketTransport::new(a).unwrap(),
+            SocketTransport::new(b).unwrap(),
+        );
+        a.send(b"{\"ping\":1}").unwrap();
+        assert_eq!(b.recv_deadline(PATIENT).unwrap(), b"{\"ping\":1}");
+        b.send(b"{\"pong\":1}").unwrap();
+        assert_eq!(a.recv().unwrap(), b"{\"pong\":1}");
+        assert_eq!((a.framing(), a.wire_bytes()), (1, 11));
+        drop(b);
+        assert_eq!(a.recv_deadline(PATIENT), Err(MiError::Disconnected));
     }
 }
